@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _axis_diff, _bilinear_terms
+
 _counter = 0
 
 
@@ -27,6 +29,9 @@ class Var:
     """Node in the expression graph: a value plus vjp links to parents."""
 
     __slots__ = ("value", "grad", "_parents", "_id")
+    # make numpy operands defer to the reflected operators below, so
+    # `ndarray + Var` builds a tape node instead of an object array
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
@@ -227,10 +232,10 @@ def forward_diff(a, axis: int):
 
 
 def axis_diff(a, axis: int):
-    """Unnormalized difference (matches geometry._axis_diff): interior
-    x[i+1] - x[i-1], borders 2 * one-sided."""
+    """Unnormalized difference (forward value is geometry._axis_diff):
+    interior x[i+1] - x[i-1], borders 2 * one-sided."""
     a = as_var(a)
-    out = 2.0 * np.gradient(a.value, axis=axis)
+    out = _axis_diff(a.value, axis)
 
     def vjp(g, axis=axis, shape=_shape(a.value)):
         gx = np.zeros(shape)
@@ -275,31 +280,15 @@ def bilinear(values: np.ndarray, xs, ys):
     xs, ys = as_var(xs), as_var(ys)
     H, W = values.shape[:2]
     xv, yv = xs.value, ys.value
-    inside = (xv >= 0.0) & (xv <= W - 1.0) & (yv >= 0.0) & (yv <= H - 1.0)
-    x = np.clip(xv, 0.0, W - 1.0)
-    y = np.clip(yv, 0.0, H - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, W - 2)
-    y0 = np.clip(np.floor(y).astype(int), 0, H - 2)
-    wx = x - x0
-    wy = y - y0
-    v00 = values[y0, x0]
-    v01 = values[y0, x0 + 1]
-    v10 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
-    multi = values.ndim == 3
-    ex = (lambda w: w[..., None]) if multi else (lambda w: w)
-    top = v00 * ex(1 - wx) + v01 * ex(wx)
-    bottom = v10 * ex(1 - wx) + v11 * ex(wx)
-    out = top * ex(1 - wy) + bottom * ex(wy)
-
-    dx = (v01 - v00) * ex(1 - wy) + (v11 - v10) * ex(wy)
+    out, inside, (wy, v00, v01, v10, v11, top, bottom) = _bilinear_terms(values, xv, yv)
+    dx = (v01 - v00) * (1 - wy) + (v11 - v10) * wy
     dy = bottom - top
     # differentiate the clamped forward exactly: a coordinate pinned at the
     # rectangle edge is locally flat along its own axis only (clamped
     # samples can still feed pooled statistics of valid neighbors)
     live_x = ((xv >= 0.0) & (xv <= W - 1.0)).astype(float)
     live_y = ((yv >= 0.0) & (yv <= H - 1.0)).astype(float)
-    if multi:
+    if values.ndim == 3:
         dgx = lambda g: (np.asarray(g) * dx).sum(axis=-1) * live_x
         dgy = lambda g: (np.asarray(g) * dy).sum(axis=-1) * live_y
     else:
@@ -335,8 +324,3 @@ def backward(root: Var) -> None:
         for parent, vjp in node._parents:
             contribution = vjp(g)
             parent.grad = parent.grad + contribution
-
-
-def grad_of(node: Var):
-    """Gradient as ndarray/scalar, zero if the node is unreachable."""
-    return node.grad

@@ -11,7 +11,6 @@ usage error, 1 runtime failure (one-line diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -50,6 +49,16 @@ def _parse_size(text):
     if width < 3 or height < 3:
         raise UsageError("--size must be at least 3x3")
     return height, width
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_weights(text):
@@ -93,13 +102,12 @@ def _build_parser():
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
         common(p)
         p.add_argument("--weights", default=None, help="w_p,w_c,w_d,w_b")
-        p.add_argument("--iters", type=int, default=2000)
-        p.add_argument("--stopgrad", choices=("on", "off"), default="off")
+        p.add_argument("--iters", type=_positive_int, default=2000)
 
     p = sub.add_parser("ablate", help="weight-grid ablation over one scene")
     common(p)
     p.add_argument("--weights", default=None, help="w_p,w_c,w_d,w_b (grid toggles w_c and w_d)")
-    p.add_argument("--iters", type=int, default=800)
+    p.add_argument("--iters", type=_positive_int, default=800)
 
     p = sub.add_parser("metrics", help="depth metrics between two .pfm files")
     p.add_argument("pred", help="predicted depth .pfm")
@@ -134,7 +142,6 @@ def _write_manifest(out_dir, args, extra=None):
         if key == "command":
             continue
         lines.append(f"{key}={value}")
-    lines.append(f"DCPI_THREADS={os.environ.get('DCPI_THREADS', '')}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key}={value}")
     path = Path(out_dir) / "run-manifest.txt"
@@ -148,15 +155,9 @@ def _out_dir(args):
     return out
 
 
-def _config_from_args(args, weights, extra=None):
+def _config_from_args(args, weights):
     w_p, w_c, w_d, w_b = weights
-    kwargs = dict(
-        w_p=w_p, w_c=w_c, w_d=w_d, w_b=w_b,
-        iterations=args.iters, seed=args.seed,
-        stop_gradient_geo=getattr(args, "stopgrad", "off") == "on",
-    )
-    kwargs.update(extra or {})
-    return OptimConfig(**kwargs)
+    return OptimConfig(w_p=w_p, w_c=w_c, w_d=w_d, w_b=w_b, iterations=args.iters, seed=args.seed)
 
 
 def _trace_outputs(out, trace, stem):
@@ -274,6 +275,8 @@ def _cmd_recover_depth(args):
     if weights[3] > 0:
         raise UsageError("recover-depth does not co-adjust flow; use co-adjust for w_b > 0")
     bundle, *_ = _load_scene(args)
+    if bundle.dynamic_mask.any():
+        raise UsageError("the scene has a dynamic object; use co-adjust")
     out = _out_dir(args)
     trace = recover_depth(bundle, _config_from_args(args, weights))
     _trace_outputs(out, trace, "recover")
@@ -308,9 +311,7 @@ def _cmd_ablate(args):
     for wc in (0.0, w_c):
         for wd in (0.0, w_d):
             name = f"wc={wc}-wd={wd}"
-            configs.append(
-                (name, _config_from_args(args, (w_p, wc, wd, 0.0)))
-            )
+            configs.append((name, _config_from_args(args, (w_p, wc, wd, 0.0))))
     rows = ablation_suite([(Path(args.scene).stem, bundle)], configs)
     write_csv(out / "ablation.csv", rows)
     _announce(out / "ablation.csv")

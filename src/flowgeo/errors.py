@@ -26,8 +26,9 @@ class NoValidPixelsError(FlowGeoError):
 
 
 class DegenerateTranslationError(FlowGeoError):
-    """The forward translation component is too small for the
-    divergence/depth relation (|t_3| below threshold)."""
+    """The translation is too small for the requested geometry: |t_3|
+    below threshold for the divergence/depth relation, or zero for depth
+    recovery."""
 
 
 class FormatError(FlowGeoError):

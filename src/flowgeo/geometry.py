@@ -388,12 +388,14 @@ def interior_mask(height: int, width: int) -> np.ndarray:
 # bilinear warping
 
 
-def bilinear_sample(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Sample `values` (H x W or H x W x C) at continuous (xs, ys).
+def _bilinear_terms(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Clamp (xs, ys) into the image rectangle, gather the four corner
+    samples and blend them: the one bilinear kernel behind
+    `bilinear_sample` and the tape op `autodiff.bilinear`.
 
-    Returns (sampled, inside) where `inside` marks sample points within the
-    image rectangle [0, W-1] x [0, H-1]; outside samples are clamped for
-    indexing and should be discarded via the mask.
+    Returns (sampled, inside, (wy, v00, v01, v10, v11, top, bottom)); the
+    trailing terms are what the tape needs for its coordinate adjoints,
+    with `wy` shaped to broadcast against the corner samples.
     """
     H, W = values.shape[:2]
     inside = (xs >= 0.0) & (xs <= W - 1.0) & (ys >= 0.0) & (ys <= H - 1.0)
@@ -412,7 +414,18 @@ def bilinear_sample(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     v11 = values[y0 + 1, x0 + 1]
     top = v00 * (1.0 - wx) + v01 * wx
     bottom = v10 * (1.0 - wx) + v11 * wx
-    return top * (1.0 - wy) + bottom * wy, inside
+    return top * (1.0 - wy) + bottom * wy, inside, (wy, v00, v01, v10, v11, top, bottom)
+
+
+def bilinear_sample(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Sample `values` (H x W or H x W x C) at continuous (xs, ys).
+
+    Returns (sampled, inside) where `inside` marks sample points within the
+    image rectangle [0, W-1] x [0, H-1]; outside samples are clamped for
+    indexing and should be discarded via the mask.
+    """
+    sampled, inside, _ = _bilinear_terms(values, xs, ys)
+    return sampled, inside
 
 
 def warp(source: Image, flow: FlowField):

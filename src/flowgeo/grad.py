@@ -22,17 +22,16 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NoValidPixelsError
 from .geometry import (
+    Z_EPS,
     CameraIntrinsics,
     DepthMap,
     FlowField,
     Image,
     TwistParams,
-    interior_mask,
     pixel_grid,
 )
 from .losses import (
     ALPHA_DEFAULT,
-    EPS_GEO,
     bsca_core,
     cgdc_core,
     differential_fields_core,
@@ -40,10 +39,9 @@ from .losses import (
     photometric_core,
     smoothness_core,
 )
-from .triangulate import DEGENERATE_DENOMINATOR_EPS
+from .triangulate import DEGENERATE_DENOMINATOR_EPS, triangulation_ratio
 
 LOSS_IDS = ("photometric", "cgdc", "dpc", "bsca", "smoothness")
-Z_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,32 +112,15 @@ def rotation_entries(w1, w2, w3):
     return rows
 
 
-def _transform(R, t, x0, x1, x2):
-    out = []
-    for i in range(3):
-        out.append(ad.mul(R[i][0], x0) + ad.mul(R[i][1], x1) + ad.mul(R[i][2], x2) + t[i])
-    return out
-
-
-def rigid_flow_graph(camera, R, t, depth_var, height, width):
-    """Rigid flow as tape nodes; returns (f_u, f_v, valid mask const)."""
+def rigid_flow_graph(camera, R, t, depth, height, width):
+    """Rigid flow F(p) = proj(K (R backproject(p, D) + t)) - p as tape
+    nodes; returns (f_u, f_v, valid mask const). R, t and the depth may be
+    constants or tape nodes: the optimizer passes a constant pose, and a
+    unit depth with zero translation gives the rotational flow."""
     u, v = pixel_grid(height, width)
     xn = (u - camera.cx) / camera.fx
     yn = (v - camera.cy) / camera.fy
-    y0, y1, y2 = _transform(R, t, ad.mul(depth_var, xn), ad.mul(depth_var, yn), depth_var)
-    mask = np.asarray(y2.value) > Z_EPS
-    f_u = ad.mul(camera.fx, ad.div(y0, y2)) + camera.cx - u
-    f_v = ad.mul(camera.fy, ad.div(y1, y2)) + camera.cy - v
-    return f_u, f_v, mask
-
-
-def rotational_flow_graph(camera, R, height, width):
-    u, v = pixel_grid(height, width)
-    xn = (u - camera.cx) / camera.fx
-    yn = (v - camera.cy) / camera.fy
-    ones = np.ones_like(xn)
-    zero = (0.0, 0.0, 0.0)
-    y0, y1, y2 = _transform(R, zero, ad.as_var(xn), ad.as_var(yn), ad.as_var(ones))
+    y0, y1, y2 = (ad.mul(depth, R[i][0] * xn + R[i][1] * yn + R[i][2]) + t[i] for i in range(3))
     mask = np.asarray(y2.value) > Z_EPS
     f_u = ad.mul(camera.fx, ad.div(y0, y2)) + camera.cx - u
     f_v = ad.mul(camera.fy, ad.div(y1, y2)) + camera.cy - v
@@ -149,15 +130,7 @@ def rotational_flow_graph(camera, R, height, width):
 def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False,
                       eps_denominator=DEGENERATE_DENOMINATOR_EPS):
     """Geometric depth as a tape node; returns (depth, validity const)."""
-    H, W = np.shape(ad.as_var(f_u).value)
-    u, v = pixel_grid(H, W)
-    xn = (u - camera.cx) / camera.fx
-    yn = (v - camera.cy) / camera.fy
-    ps0 = ad.div(ad.as_var(f_u), camera.fx) + xn
-    ps1 = ad.div(ad.as_var(f_v), camera.fy) + yn
-    rdot = [ad.mul(R[i][0], xn) + ad.mul(R[i][1], yn) + R[i][2] for i in range(3)]
-    num = (t[0] - ad.mul(ps0, t[2])) + (t[1] - ad.mul(ps1, t[2]))
-    den = (ad.mul(ps0, rdot[2]) - rdot[0]) + (ad.mul(ps1, rdot[2]) - rdot[1])
+    num, den = triangulation_ratio(camera, R, t, ad.as_var(f_u), ad.as_var(f_v))
     depth = ad.div(num, den)
     validity = (
         (np.abs(den.value) >= eps_denominator)
@@ -245,17 +218,12 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
         if inputs.flow is None:
             raise ValueError("dpc loss needs the flow prior")
         f_u, f_v = leaves["flow"]
-        r_u, r_v, _ = rotational_flow_graph(camera, R, H, W)
+        r_u, r_v, _ = rigid_flow_graph(camera, R, (0.0, 0.0, 0.0), 1.0, H, W)
         t_ego = inverse_translation(R, t)
-        c_f, c_d, _, _, shifted = differential_fields_core(
+        c_f, c_d, _, _, valid = differential_fields_core(
             camera, t_ego, d, ad.sub(f_u, r_u), ad.sub(f_v, r_v)
         )
-        mask = (
-            interior_mask(H, W)
-            & (np.abs(shifted.value) >= EPS_GEO)
-            & inputs.flow.mask
-            & inputs.depth.mask
-        )
+        mask = valid & inputs.flow.mask & inputs.depth.mask
         if not mask.any():
             raise NoValidPixelsError("dpc: no valid pixels")
         loss = dpc_core(c_f, c_d, mask)

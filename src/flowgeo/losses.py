@@ -93,19 +93,6 @@ def ssim_core(a, b):
     return ad.div(num, den)
 
 
-def _per_channel(values, fn):
-    """Apply fn per channel and average; values may be HxW or HxWxC Vars."""
-    shape = np.shape(values.value if isinstance(values, ad.Var) else values)
-    if len(shape) == 2:
-        return fn(values)
-    channels = shape[2]
-    acc = None
-    for c in range(channels):
-        term = fn(ad.take_channel(ad.as_var(values), c))
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / channels)
-
-
 def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT):
     """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
     masked mean. i_t is treated as the reference (constant or Var alike)."""
@@ -141,6 +128,7 @@ def differential_fields_core(
     f_tra_u,
     f_tra_v,
     depth_gradient=None,
+    eps_geo: float = EPS_GEO,
 ):
     """C^F and C^D as tape nodes.
 
@@ -148,6 +136,9 @@ def differential_fields_core(
     Vars); f_tra the translational flow components. If `depth_gradient`
     (analytic dD/du, dD/dv) is given it is scaled x2 into the unnormalized
     stencil convention; otherwise the discrete stencil of d_c is used.
+
+    Returns (c_f, c_d, q_u, q_v, validity); validity excludes the image
+    border (central stencils only) and pixels with |D - t3| < eps_geo.
     """
     t1, t2, t3 = (ad.as_var(t) for t in t_ego)
     d_c = ad.as_var(d_c)
@@ -168,7 +159,8 @@ def differential_fields_core(
         g_u = ad.as_var(2.0 * depth_gradient[..., 0])
         g_v = ad.as_var(2.0 * depth_gradient[..., 1])
     c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
-    return c_f, c_d, q_u, q_v, shifted
+    validity = interior_mask(H, W) & (np.abs(shifted.value) >= eps_geo)
+    return c_f, c_d, q_u, q_v, validity
 
 
 def dpc_core(c_f, c_d, mask):
@@ -262,21 +254,16 @@ def differential_fields(
         )
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
-    H, W = d_c.shape
-    c_f, c_d, q_u, q_v, shifted = differential_fields_core(
+    c_f, c_d, q_u, q_v, validity = differential_fields_core(
         camera,
         (t[0], t[1], t[2]),
         d_c.values,
         f_tra.values[..., 0],
         f_tra.values[..., 1],
         depth_gradient,
+        eps_geo,
     )
-    validity = (
-        interior_mask(H, W)
-        & (np.abs(shifted.value) >= eps_geo)
-        & f_tra.mask
-        & d_c.mask
-    )
+    validity = validity & f_tra.mask & d_c.mask
     q = np.stack([q_u.value, q_v.value], axis=-1)
     return DifferentialFields(
         c_f=ScalarField(c_f.value, validity),

@@ -2,9 +2,9 @@
 gradient descent on the correspondence-prior losses, and the two-stream
 co-adjustment experiment with a free flow field.
 
-The depth field is optimized through a positivity-preserving bijection
-(log-depth by default) with plain gradient descent. Two stabilizers are
-built in and recorded in the run configuration:
+The depth field is optimized as log-depth, a positivity-preserving
+bijection, with plain gradient descent. Two stabilizers are built in and
+recorded in the run configuration:
 
 * per-coordinate step clipping (the relative-error losses have unbounded
   gradient spikes where their denominators approach the guard);
@@ -26,16 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AbortedRunError, NoValidPixelsError
+from .errors import AbortedRunError, DegenerateTranslationError, NoValidPixelsError
 from .geometry import (
     DepthMap,
     FlowField,
-    interior_mask,
     pixel_grid,
     rigid_flow,
+    rotational_flow,
 )
+from .grad import rigid_flow_graph
 from .losses import (
-    EPS_GEO,
     DepthMetrics,
     bsca_core,
     cgdc_core,
@@ -47,6 +47,10 @@ from .losses import (
 from .scene import SceneBundle
 from .triangulate import triangulate_depth
 
+DPC_LR_SCALE = 0.02  # step scale once the divergence-correlation term is on
+DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
+FLOW_START_FRACTION = 0.15  # co_adjust: flow updates join after this
+
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -57,19 +61,12 @@ class OptimConfig:
     learning_rate: float = 8.0
     flow_learning_rate: float = 250.0
     iterations: int = 2000
-    depth_param: str = "log"  # "log" | "softplus"
-    init: str = "random-scale"  # "ground-truth" | "random-scale" | "triangulated" | "constant"
+    init: str = "random-scale"  # "ground-truth" | "random-scale" | "triangulated"
     init_scale_range: tuple = (0.5, 2.0)
-    init_value: float = 5.0
-    stop_gradient_geo: bool = True  # geometric depth held constant per step
     seed: int = 0
     record_every: int = 50
-    momentum: float = 0.0
     step_clip: float = 0.02
     dpc_warmup_fraction: float = 0.45
-    dpc_lr_scale: float = 0.02
-    dpc_floor: float = 0.02  # |C^D| below this is excluded from the optimized mean
-    flow_start_fraction: float = 0.15  # co_adjust: flow updates join after this
     allow_dynamic: bool = False  # permit depth-only runs on dynamic scenes (ablation control)
     divergence_threshold: float = 1e6
 
@@ -78,8 +75,6 @@ class OptimConfig:
             raise ValueError("loss weights must be non-negative")
         if self.learning_rate <= 0 or self.flow_learning_rate <= 0:
             raise ValueError("learning rates must be positive")
-        if self.depth_param not in ("log", "softplus"):
-            raise ValueError(f"unknown depth parameterization {self.depth_param!r}")
 
 
 @dataclass(frozen=True)
@@ -114,21 +109,7 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# depth parameterizations
-
-
-def _encode(depth_values, mode):
-    if mode == "log":
-        return np.log(depth_values)
-    # softplus inverse: x = log(expm1(d))
-    return np.log(np.expm1(depth_values))
-
-
-def _decode_var(theta_var, mode):
-    if mode == "log":
-        return ad.exp(theta_var)
-    # softplus: d = log1p(exp(x)), built from primitives
-    return ad.log(ad.exp(theta_var) + 1.0)
+# log-depth parameterization
 
 
 def _initial_theta(bundle: SceneBundle, config: OptimConfig, rng) -> np.ndarray:
@@ -141,11 +122,14 @@ def _initial_theta(bundle: SceneBundle, config: OptimConfig, rng) -> np.ndarray:
     elif config.init == "triangulated":
         tri = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
         d0 = np.where(tri.validity, tri.depth_g.values, gt)
-    elif config.init == "constant":
-        d0 = np.full(gt.shape, float(config.init_value))
     else:
         raise ValueError(f"unknown init {config.init!r}")
-    return _encode(d0, config.depth_param)
+    return np.log(d0)
+
+
+def _decode_values(theta):
+    with np.errstate(over="ignore"):
+        return np.exp(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +143,8 @@ class _DepthObjective:
         self.bundle = bundle
         self.config = config
         self.camera = bundle.camera
-        H, W = bundle.shape
-        self.interior = interior_mask(H, W)
-        self.u, self.v = pixel_grid(H, W)
+        self.u, self.v = pixel_grid(*bundle.shape)
         self.t_ego = tuple(bundle.ego_motion.translation)
-        self.R_warp = bundle.motion.rotation
-        self.t_warp = bundle.motion.translation
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
         self.geo = None  # (values, validity) of the triangulated depth
         if config.w_c > 0:
@@ -179,8 +159,9 @@ class _DepthObjective:
                 raise NoValidPixelsError("triangulation produced no valid pixels")
             self.geo = (tri.depth_g.values, tri.validity)
 
-    def losses(self, depth_var, iteration):
-        """Weighted loss terms as tape nodes, keyed by short name."""
+    def losses(self, depth_var):
+        """Loss terms as tape nodes, keyed by short name; a term whose
+        valid set is empty is left out."""
         cfg = self.config
         terms = {}
         if cfg.w_c > 0:
@@ -190,25 +171,19 @@ class _DepthObjective:
             f_tra_u = self.flow.values[..., 0]
             f_tra_v = self.flow.values[..., 1]
             if np.abs(self.bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-                from .geometry import rotational_flow
-
-                rot = rotational_flow(self.camera, self.R_warp, *self.bundle.shape)
+                rot = rotational_flow(self.camera, self.bundle.motion.rotation, *self.bundle.shape)
                 f_tra_u = f_tra_u - rot.values[..., 0]
                 f_tra_v = f_tra_v - rot.values[..., 1]
-            c_f, c_d, _, _, shifted = differential_fields_core(
+            c_f, c_d, _, _, valid = differential_fields_core(
                 self.camera, self.t_ego, depth_var, f_tra_u, f_tra_v
             )
-            mask = (
-                self.interior
-                & (np.abs(shifted.value) >= EPS_GEO)
-                & (np.abs(c_d.value) >= cfg.dpc_floor)
-                & self.flow.mask
-            )
+            mask = valid & (np.abs(c_d.value) >= DPC_FLOOR) & self.flow.mask
             if mask.any():
                 terms["dpc"] = dpc_core(c_f, c_d, mask)
         if cfg.w_p > 0:
-            f_u, f_v, ok = _rigid_flow_const_pose(
-                self.camera, self.R_warp, self.t_warp, depth_var, self.u, self.v
+            motion = self.bundle.motion
+            f_u, f_v, ok = rigid_flow_graph(
+                self.camera, motion.rotation, motion.translation, depth_var, *self.bundle.shape
             )
             warped, inside = ad.bilinear(
                 self.bundle.image_s.values, f_u + self.u, f_v + self.v
@@ -230,35 +205,21 @@ class _DepthObjective:
     def rate(self, iteration):
         cfg = self.config
         if cfg.w_d > 0 and iteration >= self.dpc_active_after:
-            return cfg.learning_rate * cfg.dpc_lr_scale
+            return cfg.learning_rate * DPC_LR_SCALE
         return cfg.learning_rate
 
 
-def _rigid_flow_const_pose(camera, R, t, depth_var, u, v):
-    """Rigid flow with constant pose and a tape depth variable."""
-    xn = (u - camera.cx) / camera.fx
-    yn = (v - camera.cy) / camera.fy
-    y = []
-    for i in range(3):
-        lin = R[i, 0] * xn + R[i, 1] * yn + R[i, 2]
-        y.append(ad.mul(depth_var, lin) + float(t[i]))
-    ok = np.asarray(y[2].value) > 1e-9
-    f_u = ad.mul(camera.fx, ad.div(y[0], y[2])) + camera.cx - u
-    f_v = ad.mul(camera.fy, ad.div(y[1], y[2])) + camera.cy - v
-    return f_u, f_v, ok
-
-
-def _evaluate_record(bundle, theta, mode, iteration, loss_values, extras=None):
-    depth = DepthMap(_decode_values(theta, mode))
+def _evaluate_record(bundle, theta, iteration, loss_values, extras=None):
+    depth = DepthMap(_decode_values(theta))
     metrics = depth_metrics(depth, bundle.depth_gt)
     return TraceRecord(iteration, dict(loss_values), metrics, extras or {})
 
 
-def _decode_values(theta, mode):
-    with np.errstate(over="ignore"):
-        if mode == "log":
-            return np.exp(theta)
-        return np.log1p(np.exp(theta))
+def _final_record(bundle, objective, theta, config, extras=None):
+    """Record of the losses and metrics at the final state."""
+    terms = objective.losses(ad.exp(ad.Var(theta)))
+    final_values = {name: float(term.value) for name, term in terms.items()}
+    return _evaluate_record(bundle, theta, config.iterations, final_values, extras)
 
 
 def _safe_depth(values) -> DepthMap:
@@ -266,6 +227,19 @@ def _safe_depth(values) -> DepthMap:
     when packaging the state of an aborted run)."""
     ok = np.isfinite(values) & (values > 0)
     return DepthMap(np.where(ok, values, 1.0), ok)
+
+
+def _abort_if_diverged(iteration, loss_values, theta, records, started, config, flow=None):
+    """Raise AbortedRunError, carrying the partial trace, once the summed
+    loss passes `divergence_threshold` or any value stops being finite.
+    `flow` is the (values, mask) pair of a co-adjusted flow field."""
+    total = sum(loss_values.values())
+    decoded = _decode_values(theta)
+    if not np.isfinite(total) or total > config.divergence_threshold or not np.isfinite(decoded).all():
+        trace = RunTrace(records, _safe_depth(decoded),
+                         None if flow is None else FlowField(*flow),
+                         time.perf_counter() - started, config)
+        raise AbortedRunError(f"run diverged at iteration {iteration} (loss {total:.3g})", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -278,55 +252,38 @@ def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     if bundle.dynamic_mask.any() and config.w_b == 0 and not config.allow_dynamic:
         raise ValueError("scene has a dynamic object; use co_adjust (w_b > 0) or allow_dynamic")
     if np.linalg.norm(bundle.motion.translation) == 0:
-        raise ValueError("depth recovery needs a nonzero translation")
+        raise DegenerateTranslationError("depth recovery needs a nonzero translation")
     if config.w_p == 0 and config.w_c == 0 and config.w_d == 0:
         raise ValueError("objective is empty: all depth-loss weights are zero")
 
     rng = np.random.default_rng(config.seed)
     theta = _initial_theta(bundle, config, rng)
     objective = _DepthObjective(bundle, config)
-    velocity = np.zeros_like(theta)
     records = []
     started = time.perf_counter()
 
     for it in range(config.iterations):
-        new_theta, velocity, loss_values = _depth_step(objective, theta, velocity, it, config)
+        new_theta, loss_values = _depth_step(objective, theta, it, config)
         if it % config.record_every == 0:
             # the record pairs this iteration's losses with the state they
             # were evaluated at (before the update)
-            records.append(
-                _evaluate_record(bundle, theta, config.depth_param, it, loss_values)
-            )
+            records.append(_evaluate_record(bundle, theta, it, loss_values))
         theta = new_theta
-        total = sum(loss_values.values())
-        decoded = _decode_values(theta, config.depth_param)
-        if not np.isfinite(total) or total > config.divergence_threshold or not np.isfinite(decoded).all():
-            trace = RunTrace(records, _safe_depth(decoded), None,
-                             time.perf_counter() - started, config)
-            raise AbortedRunError(f"run diverged at iteration {it} (loss {total:.3g})", trace)
+        _abort_if_diverged(it, loss_values, theta, records, started, config)
 
-    final_values = {
-        name: float(term.value)
-        for name, term in objective.losses(
-            _decode_var(ad.Var(theta), config.depth_param), config.iterations
-        ).items()
-    }
-    records.append(
-        _evaluate_record(bundle, theta, config.depth_param, config.iterations, final_values)
-    )
+    records.append(_final_record(bundle, objective, theta, config))
     return RunTrace(
         records,
-        DepthMap(_decode_values(theta, config.depth_param)),
+        DepthMap(_decode_values(theta)),
         None,
         time.perf_counter() - started,
         config,
     )
 
 
-def _depth_step(objective, theta, velocity, iteration, config):
+def _depth_step(objective, theta, iteration, config):
     th = ad.Var(theta)
-    depth_var = _decode_var(th, config.depth_param)
-    terms = objective.losses(depth_var, iteration)
+    terms = objective.losses(ad.exp(th))
     weights = objective.weights(iteration)
     total = None
     loss_values = {}
@@ -336,14 +293,11 @@ def _depth_step(objective, theta, velocity, iteration, config):
         if w > 0:
             total = term * w if total is None else total + term * w
     if total is None:  # warmup with only dpc configured: hold the field
-        return theta, velocity, loss_values
+        return theta, loss_values
     ad.backward(total)
     step = objective.rate(iteration) * np.asarray(th.grad)
-    if config.momentum > 0:
-        velocity = config.momentum * velocity + step
-        step = velocity
     step = np.clip(step, -config.step_clip, config.step_clip)
-    return theta - step, velocity, loss_values
+    return theta - step, loss_values
 
 
 def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
@@ -355,33 +309,31 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     the current depth; the depth field is updated by the depth losses
     computed from that flow.
 
-    Phases: the flow is frozen for the first `flow_start_fraction` of the
-    budget (the depth field must first lock onto the prior, otherwise the
-    static flow drifts toward the rigid flow of the random init), then both
-    fields adjust. `dpc_warmup_fraction` marks where the depth drops to its
-    slow rate and the divergence-correlation term joins: set it *after* the
-    flow transition has finished (e.g. 0.9) when a dynamic object must be
-    pulled to quasi-rigid flow (the depth has to track the moving
-    triangulation target at full rate meanwhile), or early for static
-    scenes so the flow settles against a quiet depth field. Trace extras
-    report static/dynamic-region depth error and the mean flow gap over
-    the dynamic region.
+    Phases: the flow is frozen for the first `FLOW_START_FRACTION` (a
+    module constant) of the budget (the depth field must first lock onto
+    the prior, otherwise the static flow drifts toward the rigid flow of
+    the random init), then both fields adjust. `dpc_warmup_fraction` marks
+    where the depth drops to its slow rate and the divergence-correlation
+    term joins: set it *after* the flow transition has finished (e.g. 0.9)
+    when a dynamic object must be pulled to quasi-rigid flow (the depth has
+    to track the moving triangulation target at full rate meanwhile), or
+    early for static scenes so the flow settles against a quiet depth
+    field. Trace extras report static/dynamic-region depth error and the
+    mean flow gap over the dynamic region.
     """
     if config.w_b <= 0:
         raise ValueError("co_adjust needs w_b > 0")
     rng = np.random.default_rng(config.seed)
     theta = _initial_theta(bundle, config, rng)
     objective = _DepthObjective(bundle, config)
-    flow_start = int(config.flow_start_fraction * config.iterations)
-    velocity = np.zeros_like(theta)
+    flow_start = int(FLOW_START_FRACTION * config.iterations)
     flow_values = bundle.flow_gt.values.copy()
     flow_mask = bundle.flow_gt.mask.copy()
     records = []
     started = time.perf_counter()
 
     for it in range(config.iterations):
-        depth_values = _decode_values(theta, config.depth_param)
-        rigid = rigid_flow(bundle.camera, bundle.motion, DepthMap(depth_values))
+        rigid = rigid_flow(bundle.camera, bundle.motion, DepthMap(_decode_values(theta)))
 
         loss_b = None
         if it >= flow_start:
@@ -402,35 +354,20 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
             objective.set_flow(FlowField(flow_values, flow_mask))
 
         # depth step: consistency losses from the adjusted flow
-        new_theta, velocity, loss_values = _depth_step(objective, theta, velocity, it, config)
+        new_theta, loss_values = _depth_step(objective, theta, it, config)
         if loss_b is not None:
             loss_values["bsca"] = float(loss_b.value)
         if it % config.record_every == 0:
-            extras = _region_extras(bundle, theta, config.depth_param, flow_values, rigid.values)
-            records.append(
-                _evaluate_record(bundle, theta, config.depth_param, it, loss_values, extras)
-            )
+            extras = _region_extras(bundle, theta, flow_values, rigid.values)
+            records.append(_evaluate_record(bundle, theta, it, loss_values, extras))
         theta = new_theta
-        total = sum(loss_values.values())
-        decoded = _decode_values(theta, config.depth_param)
-        if not np.isfinite(total) or total > config.divergence_threshold or not np.isfinite(decoded).all():
-            trace = RunTrace(records, _safe_depth(decoded),
-                             FlowField(flow_values, flow_mask),
-                             time.perf_counter() - started, config)
-            raise AbortedRunError(f"run diverged at iteration {it} (loss {total:.3g})", trace)
+        _abort_if_diverged(it, loss_values, theta, records, started, config,
+                           (flow_values, flow_mask))
 
-    final_depth = DepthMap(_decode_values(theta, config.depth_param))
+    final_depth = DepthMap(_decode_values(theta))
     final_rigid = rigid_flow(bundle.camera, bundle.motion, final_depth)
-    final_values = {
-        name: float(term.value)
-        for name, term in objective.losses(
-            _decode_var(ad.Var(theta), config.depth_param), config.iterations
-        ).items()
-    }
-    extras = _region_extras(bundle, theta, config.depth_param, flow_values, final_rigid.values)
-    records.append(
-        _evaluate_record(bundle, theta, config.depth_param, config.iterations, final_values, extras)
-    )
+    extras = _region_extras(bundle, theta, flow_values, final_rigid.values)
+    records.append(_final_record(bundle, objective, theta, config, extras))
     return RunTrace(
         records,
         final_depth,
@@ -440,8 +377,8 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     )
 
 
-def _region_extras(bundle, theta, mode, flow_values, rigid_values):
-    depth = DepthMap(_decode_values(theta, mode))
+def _region_extras(bundle, theta, flow_values, rigid_values):
+    depth = DepthMap(_decode_values(theta))
     extras = {}
     gap = np.abs(flow_values - rigid_values).sum(axis=-1)
     if bundle.dynamic_mask.any():

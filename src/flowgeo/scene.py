@@ -28,8 +28,12 @@ from .geometry import (
     Image,
     RigidMotion,
     ScalarField,
+    _flow_from_points,
+    axis_angle_from_rotation,
+    backproject,
     pixel_grid,
     rigid_flow,
+    rotation_from_axis_angle,
 )
 
 FAMILIES = ("affine-inverse-shift", "fronto-plane", "step-edge", "sphere-bump")
@@ -207,19 +211,10 @@ def synthesize(
     if spec.dynamic is not None:
         dynamic_mask = spec.dynamic.region_mask(height, width)
         delta = np.asarray(spec.dynamic.translation, dtype=float)
-        d = depth.values
-        X = np.stack(
-            [d * (u - camera.cx) / camera.fx, d * (v - camera.cy) / camera.fy, d], axis=-1
-        )
-        Xs = warp_motion.apply(X + delta)
-        z = Xs[..., 2]
-        ok = z > 1e-9
-        safe_z = np.where(ok, z, 1.0)
-        du = camera.fx * Xs[..., 0] / safe_z + camera.cx - u
-        dv = camera.fy * Xs[..., 1] / safe_z + camera.cy - v
-        flow_values[dynamic_mask, 0] = du[dynamic_mask]
-        flow_values[dynamic_mask, 1] = dv[dynamic_mask]
-        flow_mask[dynamic_mask] &= ok[dynamic_mask]
+        X = backproject(camera, np.stack([u, v], axis=-1), depth.values)
+        moved = _flow_from_points(camera, warp_motion.apply(X + delta), height, width, u, v)
+        flow_values[dynamic_mask] = moved.values[dynamic_mask]
+        flow_mask[dynamic_mask] &= moved.mask[dynamic_mask]
     flow_gt = FlowField(flow_values, flow_mask)
 
     image_s = Image(np.clip(spec.texture.sample(u, v), 0.0, 1.0))
@@ -267,8 +262,24 @@ def _fmt(value):
     return str(value)
 
 
-def _floats(text):
-    return tuple(float(x) for x in text.split(",") if x != "")
+def _floats(kv, key, default=None, count=None):
+    """The comma-separated finite numbers under `key` (or `default` when
+    the key is absent); a malformed value raises InvalidSceneError naming
+    the key."""
+    text = kv.get(key, default)
+    try:
+        values = tuple(float(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise InvalidSceneError(f"scene key {key}: {text!r} is not a list of numbers") from None
+    if not np.isfinite(values).all():
+        raise InvalidSceneError(f"scene key {key}: {text!r} has a non-finite number")
+    if count is not None and len(values) != count:
+        raise InvalidSceneError(f"scene key {key} needs {count} numbers, got {text!r}")
+    return values
+
+
+def _number(kv, key):
+    return _floats(kv, key, count=1)[0]
 
 
 def write_scene_file(path, spec: SceneSpec, camera: CameraIntrinsics | None = None,
@@ -294,8 +305,6 @@ def write_scene_file(path, spec: SceneSpec, camera: CameraIntrinsics | None = No
         for key in ("fx", "fy", "cx", "cy"):
             lines.append(f"{key}={_fmt(getattr(camera, key))}")
     if ego_motion is not None:
-        from .geometry import axis_angle_from_rotation
-
         lines.append(f"ego_rotation={_fmt(axis_angle_from_rotation(ego_motion.rotation))}")
         lines.append(f"ego_translation={_fmt(ego_motion.translation)}")
     with open(path, "w", encoding="ascii") as fh:
@@ -309,20 +318,24 @@ def read_scene_file(path):
     """
     kv = {}
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidSceneError(f"scene file line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidSceneError(f"scene file is not ASCII text ({exc.reason})") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidSceneError(f"scene file line is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        kv[key.strip()] = value.strip()
     if "family" not in kv:
         raise InvalidSceneError("scene file is missing the family key")
 
     tex_kwargs = {}
     if "texture_base" in kv:
-        tex_kwargs["base"] = float(kv["texture_base"])
+        tex_kwargs["base"] = _number(kv, "texture_base")
     for name, key in (
         ("amplitudes", "texture_amplitudes"),
         ("frequencies_u", "texture_frequencies_u"),
@@ -330,34 +343,36 @@ def read_scene_file(path):
         ("phases", "texture_phases"),
     ):
         if key in kv:
-            tex_kwargs[name] = _floats(kv[key])
+            tex_kwargs[name] = _floats(kv, key)
     texture = TextureSpec(**tex_kwargs) if tex_kwargs else TextureSpec()
 
     dynamic = None
     if "dynamic_shape" in kv or "dynamic_translation" in kv:
         dynamic = DynamicObjectSpec(
             shape=kv.get("dynamic_shape", "rect"),
-            center=_floats(kv.get("dynamic_center", "48,36")),
-            half_size=_floats(kv.get("dynamic_half_size", "12,9")),
-            translation=_floats(kv.get("dynamic_translation", "0.2,0,0")),
+            center=_floats(kv, "dynamic_center", "48,36", count=2),
+            half_size=_floats(kv, "dynamic_half_size", "12,9", count=2),
+            translation=_floats(kv, "dynamic_translation", "0.2,0,0", count=3),
         )
 
     spec_kwargs = {"family": kv["family"], "texture": texture, "dynamic": dynamic}
     for key in ("depth", "a", "b", "c", "depth_far", "edge_u", "bump_radius", "bump_amplitude"):
         if key in kv:
-            spec_kwargs[key] = float(kv[key])
+            spec_kwargs[key] = _number(kv, key)
     if "bump_center" in kv:
-        spec_kwargs["bump_center"] = _floats(kv["bump_center"])
+        spec_kwargs["bump_center"] = _floats(kv, "bump_center", count=2)
     spec = SceneSpec(**spec_kwargs)
 
     camera = None
     if all(k in kv for k in ("fx", "fy", "cx", "cy")):
-        camera = CameraIntrinsics(float(kv["fx"]), float(kv["fy"]), float(kv["cx"]), float(kv["cy"]))
+        fx, fy, cx, cy = (_number(kv, k) for k in ("fx", "fy", "cx", "cy"))
+        if not (fx > 0 and fy > 0):
+            raise InvalidSceneError("scene keys fx, fy: focal lengths must be positive")
+        camera = CameraIntrinsics(fx, fy, cx, cy)
 
     ego = None
     if "ego_translation" in kv:
-        from .geometry import rotation_from_axis_angle
-
-        w = _floats(kv.get("ego_rotation", "0,0,0"))
-        ego = RigidMotion(rotation_from_axis_angle(w), np.asarray(_floats(kv["ego_translation"])))
+        w = _floats(kv, "ego_rotation", "0,0,0", count=3)
+        t = _floats(kv, "ego_translation", count=3)
+        ego = RigidMotion(rotation_from_axis_angle(w), np.asarray(t))
     return spec, camera, ego

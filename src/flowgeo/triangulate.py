@@ -18,6 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import autodiff as ad
 from .geometry import CameraIntrinsics, DepthMap, FlowField, RigidMotion, pixel_grid
 
 DEGENERATE_DENOMINATOR_EPS = 1e-8
@@ -62,6 +63,26 @@ def normalized_correspondences(camera: CameraIntrinsics, pixel, flow):
     return p_t, p_s
 
 
+def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v):
+    """Numerator and denominator of the depth ratio in the module docstring.
+
+    R (3x3, indexable as R[i][j]) and t are the warp motion; (f_u, f_v) the
+    flow components on the H x W grid. Entries may be floats and arrays or
+    tape Vars alike, so this one expression is the body of both
+    `triangulate_depth` and `grad.triangulate_graph`.
+    """
+    H, W = np.shape(f_u.value if isinstance(f_u, ad.Var) else f_u)
+    u, v = pixel_grid(H, W)
+    xn = (u - camera.cx) / camera.fx
+    yn = (v - camera.cy) / camera.fy
+    s_u = (f_u + u - camera.cx) / camera.fx
+    s_v = (f_v + v - camera.cy) / camera.fy
+    r_dot = [R[i][0] * xn + R[i][1] * yn + R[i][2] for i in range(3)]  # r_i . x
+    numerator = (t[0] - s_u * t[2]) + (t[1] - s_v * t[2])
+    denominator = (s_u * r_dot[2] - r_dot[0]) + (s_v * r_dot[2] - r_dot[1])
+    return numerator, denominator
+
+
 def triangulate_depth(
     camera: CameraIntrinsics,
     motion: RigidMotion,
@@ -74,16 +95,8 @@ def triangulate_depth(
     solutions, or invalid flow are masked with their degeneracy code.
     """
     H, W = flow.shape
-    u, v = pixel_grid(H, W)
-    grid = np.stack([u, v], axis=-1)
-    p_t, p_s = normalized_correspondences(camera, grid, flow.values)
-
-    R = motion.rotation
-    t = motion.translation
-    r_dot = p_t @ R.T  # r_dot[..., i] = r_i . p_t
-    numerator = (t[0] - p_s[..., 0] * t[2]) + (t[1] - p_s[..., 1] * t[2])
-    denominator = (p_s[..., 0] * r_dot[..., 2] - r_dot[..., 0]) + (
-        p_s[..., 1] * r_dot[..., 2] - r_dot[..., 1]
+    numerator, denominator = triangulation_ratio(
+        camera, motion.rotation, motion.translation, flow.values[..., 0], flow.values[..., 1]
     )
 
     codes = np.zeros((H, W), dtype=np.uint8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowgeo import autodiff as ad
+from flowgeo.geometry import bilinear_sample, grid_gradient
 
 
 def fd_grad(fn, x0, h=1e-6):
@@ -55,6 +56,12 @@ class TestStructuredOps:
         out = ad.axis_diff(ad.Var(vals), axis=1).value
         np.testing.assert_allclose(out, 2.0 * np.gradient(vals, axis=1), atol=1e-15)
 
+    def test_axis_diff_is_grid_gradient_bitwise(self):
+        vals = RNG.normal(size=(6, 9))
+        g = grid_gradient(vals)
+        np.testing.assert_array_equal(ad.axis_diff(ad.Var(vals), axis=1).value, g[..., 0])
+        np.testing.assert_array_equal(ad.axis_diff(ad.Var(vals), axis=0).value, g[..., 1])
+
     def test_forward_diff(self):
         w = RNG.normal(size=(6, 6))
         check_against_fd(lambda v: ad.total(ad.mul(ad.forward_diff(v, 1), w)), X0)
@@ -79,6 +86,18 @@ class TestStructuredOps:
             return ad.total(ad.mul(out, wgt))
 
         check_against_fd(build, x0)
+
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_bilinear_forward_is_bilinear_sample_bitwise(self, channels):
+        shape = (8, 9) if channels is None else (8, 9, channels)
+        img = RNG.uniform(0, 1, shape)
+        # includes samples outside the rectangle, which both clamp
+        xs = RNG.uniform(-1.5, 9.5, (5, 6))
+        ys = RNG.uniform(-1.5, 8.5, (5, 6))
+        out, inside = ad.bilinear(img, ad.Var(xs), ad.Var(ys))
+        expected, expected_inside = bilinear_sample(img, xs, ys)
+        np.testing.assert_array_equal(out.value, expected)
+        np.testing.assert_array_equal(inside, expected_inside)
 
     def test_bilinear_outside_clamped_axis_flat(self):
         img = RNG.uniform(0, 1, (6, 6))
@@ -128,6 +147,21 @@ class TestScalarOps:
         loss = ad.total(ad.mul(leaf, grid))
         ad.backward(loss)
         assert leaf.grad == pytest.approx(grid.sum())
+
+    def test_ndarray_left_operand_builds_tape_node(self):
+        left = np.array([2.0, 3.0, 4.0])
+        for op, value, grad in (
+            (lambda x: left + x, [3.0, 5.0, 7.0], [1.0, 1.0, 1.0]),
+            (lambda x: left - x, [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]),
+            (lambda x: left * x, [2.0, 6.0, 12.0], [2.0, 3.0, 4.0]),
+            (lambda x: left / x, [2.0, 1.5, 4.0 / 3.0], [-2.0, -0.75, -4.0 / 9.0]),
+        ):
+            leaf = ad.Var(np.array([1.0, 2.0, 3.0]))
+            out = op(leaf)
+            assert isinstance(out, ad.Var)
+            np.testing.assert_allclose(out.value, value, rtol=1e-15)
+            ad.backward(ad.total(out))
+            np.testing.assert_allclose(leaf.grad, grad, rtol=1e-15)
 
 
 class TestDeterminism:

@@ -88,6 +88,46 @@ class TestRuntimeErrors:
         code = run(["gen-scene", "--scene", str(bad), "--size", "96x72", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["recover-depth", "co-adjust", "ablate"])
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_must_be_positive(self, scene_file, tmp_path, command, iters):
+        code = run([command, "--scene", str(scene_file), "--size", "16x12",
+                    "--weights", "0,1,0.1,1" if command == "co-adjust" else "0,1,0.1,0",
+                    "--iters", iters, "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_recover_depth_on_dynamic_scene(self, scene_file, tmp_path, capsys):
+        dynamic = tmp_path / "dynamic.txt"
+        dynamic.write_text(scene_file.read_text() + "dynamic_center=30,26\n"
+                           "dynamic_half_size=10,8\ndynamic_translation=0,0.2,0\n")
+        code = run(["recover-depth", "--scene", str(dynamic), "--size", "96x72",
+                    "--iters", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "co-adjust" in capsys.readouterr().err
+
+    def test_stopgrad_only_on_grad_check(self, scene_file, tmp_path):
+        code = run(["recover-depth", "--scene", str(scene_file), "--size", "16x12",
+                    "--iters", "1", "--stopgrad", "on", "--out", str(tmp_path / "o")])
+        assert code == 2
+
+
+class TestInputBoundary:
+    """Malformed input ends in one typed diagnostic line and exit 1."""
+
+    @pytest.mark.parametrize("edit, cause", [
+        (("c=0.0009", "c=abc"), "scene key c"),
+        (("ego_translation=0.31,0.02,0.42", "ego_translation=1,2"), "scene key ego_translation"),
+        (("ego_translation=0.31,0.02,0.42", "ego_translation=0,0,0"), "nonzero translation"),
+    ])
+    def test_typed_error_and_one_line(self, scene_file, tmp_path, capsys, edit, cause):
+        scene_file.write_text(scene_file.read_text().replace(*edit))
+        code = run(["recover-depth", "--scene", str(scene_file), "--size", "16x12",
+                    "--iters", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDeterminism:
     def test_recover_csv_bytes_identical(self, scene_file, tmp_path):

@@ -22,10 +22,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimConfig(w_c=-1.0)
 
-    def test_bad_parameterization(self):
-        with pytest.raises(ValueError):
-            OptimConfig(depth_param="linear")
-
     def test_empty_objective(self, small_static):
         with pytest.raises(ValueError):
             recover_depth(small_static, OptimConfig(w_p=0, w_c=0, w_d=0, w_b=0))

@@ -188,3 +188,16 @@ class TestSceneFile:
         path.write_text("family=fronto-plane\nnonsense line\n")
         with pytest.raises(InvalidSceneError):
             read_scene_file(path)
+
+    @pytest.mark.parametrize("line, key", [
+        ("c=abc", "c"),
+        ("ego_translation=1,2", "ego_translation"),
+        ("ego_rotation=0,0,nan\nego_translation=0.3,0,0.4", "ego_rotation"),
+        ("fx=-1\nfy=100\ncx=8\ncy=6", "fx"),
+        ("dynamic_translation=0,0.2,0\ndynamic_center=30", "dynamic_center"),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, line, key):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"family=affine-inverse-shift\na=0.2\n{line}\n")
+        with pytest.raises(InvalidSceneError, match=key):
+            read_scene_file(path)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_scene
+from flowgeo import autodiff as ad
 from flowgeo.geometry import CameraIntrinsics, FlowField, RigidMotion
+from flowgeo.grad import triangulate_graph
 from flowgeo.triangulate import (
     Degeneracy,
     normalized_correspondences,
@@ -83,3 +85,16 @@ class TestTriangulateDepth:
         result = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
         assert (result.depth_g.values[result.validity] > 0).all()
         assert np.isfinite(result.depth_g.values).all()
+
+    def test_numpy_and_tape_triangulation_agree_bitwise(self, small_bundle):
+        # one ratio serves both paths: with a constant pose they must match
+        # to the last bit, rotation included
+        b = small_bundle
+        result = triangulate_depth(b.camera, b.motion, b.flow_gt)
+        depth, validity = triangulate_graph(
+            b.camera, b.motion.rotation, b.motion.translation,
+            ad.Var(b.flow_gt.values[..., 0]), ad.Var(b.flow_gt.values[..., 1]), b.flow_gt.mask,
+        )
+        np.testing.assert_array_equal(validity, result.validity)
+        assert result.validity.any()
+        np.testing.assert_array_equal(depth.value[validity], result.depth_g.values[validity])
