@@ -70,13 +70,9 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def _shape(x):
-    return np.shape(x)
-
-
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (the reverse of numpy broadcasting)."""
-    if _shape(grad) == tuple(shape):
+    if np.shape(grad) == tuple(shape):
         return grad
     g = np.asarray(grad, dtype=float)
     extra = g.ndim - len(shape)
@@ -92,7 +88,7 @@ def _unbroadcast(grad, shape):
 
 def _binary(a, b, out_value, da, db):
     a, b = as_var(a), as_var(b)
-    sa, sb = _shape(a.value), _shape(b.value)
+    sa, sb = np.shape(a.value), np.shape(b.value)
     return Var(
         out_value,
         parents=(
@@ -146,11 +142,6 @@ def exp(a):
     return Var(out, parents=((a, lambda g, o=out: g * o),))
 
 
-def log(a):
-    a = as_var(a)
-    return Var(np.log(a.value), parents=((a, lambda g, v=a.value: g / v),))
-
-
 def sin(a):
     a = as_var(a)
     return Var(np.sin(a.value), parents=((a, lambda g, v=a.value: g * np.cos(v)),))
@@ -186,7 +177,7 @@ def maximum(a, floor: float):
 
 def total(a):
     a = as_var(a)
-    shape = _shape(a.value)
+    shape = np.shape(a.value)
     return Var(np.sum(a.value), parents=((a, lambda g: np.broadcast_to(g, shape) if shape else g),))
 
 
@@ -206,7 +197,7 @@ def masked_mean(a, mask: np.ndarray):
 def take_channel(a, index: int):
     """Select channel `index` from the last axis."""
     a = as_var(a)
-    shape = _shape(a.value)
+    shape = np.shape(a.value)
 
     def vjp(g, index=index, shape=shape):
         gx = np.zeros(shape)
@@ -220,7 +211,7 @@ def forward_diff(a, axis: int):
     """First difference x[i+1] - x[i] along an axis (length shrinks by 1)."""
     a = as_var(a)
 
-    def vjp(g, axis=axis, shape=_shape(a.value)):
+    def vjp(g, axis=axis, shape=np.shape(a.value)):
         gx = np.zeros(shape)
         gm = np.moveaxis(gx, axis, 0)
         gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
@@ -237,7 +228,7 @@ def axis_diff(a, axis: int):
     a = as_var(a)
     out = _axis_diff(a.value, axis)
 
-    def vjp(g, axis=axis, shape=_shape(a.value)):
+    def vjp(g, axis=axis, shape=np.shape(a.value)):
         gx = np.zeros(shape)
         gm = np.moveaxis(gx, axis, 0)
         gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
@@ -316,8 +307,8 @@ def backward(root: Var) -> None:
     order = sorted(seen.values(), key=lambda n: n._id)
 
     for node in order:
-        node.grad = np.zeros(_shape(node.value)) if _shape(node.value) else 0.0
-    root.grad = np.ones(_shape(root.value)) if _shape(root.value) else 1.0
+        node.grad = np.zeros(np.shape(node.value)) if np.shape(node.value) else 0.0
+    root.grad = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
 
     for node in reversed(order):
         g = node.grad

@@ -3,9 +3,11 @@ desk-scale experiments, with artifacts written as .pfm/.flo/.pnm/CSV.
 
 Every run writes a `run-manifest.txt` under --out echoing the full
 configuration (including defaults the user did not set), so a run is
-reconstructible from its output directory. Artifact paths are announced
-on stdout, one per line, prefixed "wrote ". Exit codes: 0 success, 2
-usage error, 1 runtime failure (one-line diagnostic on stderr).
+reconstructible from its output directory; gen-scene also writes the
+scene it rendered, default camera and ego-motion included, as `scene.txt`.
+Artifact paths are announced on stdout, one per line, prefixed "wrote ".
+Exit codes: 0 success, 2 usage error, 1 runtime failure (one-line
+diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .grad import LOSS_IDS, LossInputs, finite_difference_check
 from .io_formats import read_depth_pfm, write_csv, write_depth_pfm, write_flow, write_image_pnm
 from .losses import depth_metrics, differential_fields, dpc_loss
 from .optim import OptimConfig, ablation_suite, co_adjust, recover_depth
-from .scene import read_scene_file, synthesize
+from .scene import read_scene_file, synthesize, write_scene_file
 from .triangulate import triangulate_depth
 
 # default loss-weight combination (a configuration value, not a published one)
@@ -90,7 +92,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--size", default="96x72", help="grid size WxH")
 
-    common(sub.add_parser("gen-scene", help="write ground-truth depth/flow/images"))
+    common(sub.add_parser("gen-scene", help="write ground-truth depth/flow/images and the scene"))
     common(sub.add_parser("triangulate", help="triangulate depth from the scene flow"))
     common(sub.add_parser("check-dpc", help="verify the divergence/depth-gradient identity"))
 
@@ -188,7 +190,9 @@ def _cmd_gen_scene(args):
     _announce(out / "image_t.pnm")
     write_image_pnm(out / "image_s.pnm", bundle.image_s)
     _announce(out / "image_s.pnm")
-    _write_manifest(out, args, {"camera": camera, "ego_translation": ego.translation.tolist()})
+    write_scene_file(out / "scene.txt", spec, camera, ego)
+    _announce(out / "scene.txt")
+    _write_manifest(out, args)
     return 0
 
 

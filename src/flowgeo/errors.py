@@ -18,7 +18,8 @@ class DimensionError(FlowGeoError):
 
 
 class InvalidSceneError(FlowGeoError):
-    """Scene parameters violate positivity or placement invariants."""
+    """A scene file is malformed, or scene parameters violate positivity or
+    placement invariants or overflow the rendering."""
 
 
 class NoValidPixelsError(FlowGeoError):

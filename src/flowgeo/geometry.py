@@ -113,9 +113,10 @@ class RigidMotion:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        if np.abs(R @ R.T - np.eye(3)).max() > ORTHONORMALITY_TOL:
+        # negated comparisons, so a NaN entry fails them
+        if not np.abs(R @ R.T - np.eye(3)).max() <= ORTHONORMALITY_TOL:
             raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > ORTHONORMALITY_TOL:
+        if not abs(np.linalg.det(R) - 1.0) <= ORTHONORMALITY_TOL:
             raise ValueError("rotation determinant is not +1")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
@@ -123,10 +124,6 @@ class RigidMotion:
     @classmethod
     def identity(cls) -> "RigidMotion":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_parts(cls, axis_angle, translation) -> "RigidMotion":
-        return cls(rotation_from_axis_angle(axis_angle), np.asarray(translation, float))
 
     def inverse(self) -> "RigidMotion":
         return RigidMotion(self.rotation.T, -self.rotation.T @ self.translation)

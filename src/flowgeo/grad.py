@@ -42,6 +42,7 @@ from .losses import (
 from .triangulate import DEGENERATE_DENOMINATOR_EPS, triangulation_ratio
 
 LOSS_IDS = ("photometric", "cgdc", "dpc", "bsca", "smoothness")
+FLOW_SAMPLES = 32  # flow pixels the checker perturbs when "flow" is a target
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,12 @@ def rigid_flow_graph(camera, R, t, depth, height, width):
     return f_u, f_v, mask
 
 
-def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False,
-                      eps_denominator=DEGENERATE_DENOMINATOR_EPS):
+def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
     """Geometric depth as a tape node; returns (depth, validity const)."""
     num, den = triangulation_ratio(camera, R, t, ad.as_var(f_u), ad.as_var(f_v))
     depth = ad.div(num, den)
     validity = (
-        (np.abs(den.value) >= eps_denominator)
+        (np.abs(den.value) >= DEGENERATE_DENOMINATOR_EPS)
         & (np.asarray(depth.value) > 0)
         & flow_mask
     )
@@ -322,7 +322,6 @@ def finite_difference_check(
     targets=("depth", "twist"),
     step: float = 1e-6,
     depth_samples: int = 64,
-    flow_samples: int = 32,
     tolerance: float = 1e-5,
     seed: int = 0,
     stop_gradient_geo: bool = False,
@@ -330,11 +329,12 @@ def finite_difference_check(
     """Compare analytic gradients against central differences.
 
     Checks all 6 twist coordinates and `depth_samples` random valid depth
-    pixels (plus flow coordinates when requested). Two kinds of coordinate
-    are excluded from the verdict but counted in the report: those whose
-    perturbation flips a validity mask, and those whose sensitivity is so
-    small that the central difference sits at the rounding floor of the
-    loss (|gradient| * step below a few dozen ulps of the loss value).
+    pixels (plus FLOW_SAMPLES flow coordinates when requested). Two kinds
+    of coordinate are excluded from the verdict but counted in the report:
+    those whose perturbation flips a validity mask, and those whose
+    sensitivity is so small that the central difference sits at the
+    rounding floor of the loss (|gradient| * step below a few dozen ulps
+    of the loss value).
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -395,7 +395,7 @@ def finite_difference_check(
 
     if "flow" in targets and inputs.flow is not None:
         ok = np.argwhere(base_mask)
-        picks = ok[rng.choice(len(ok), size=min(flow_samples, len(ok)), replace=False)]
+        picks = ok[rng.choice(len(ok), size=min(FLOW_SAMPLES, len(ok)), replace=False)]
         f_u, f_v = leaves["flow"]
         grads = (np.asarray(_grad_or_zero(f_u)), np.asarray(_grad_or_zero(f_v)))
         for vy, vx in picks:

@@ -128,7 +128,6 @@ def differential_fields_core(
     f_tra_u,
     f_tra_v,
     depth_gradient=None,
-    eps_geo: float = EPS_GEO,
 ):
     """C^F and C^D as tape nodes.
 
@@ -138,7 +137,7 @@ def differential_fields_core(
     stencil convention; otherwise the discrete stencil of d_c is used.
 
     Returns (c_f, c_d, q_u, q_v, validity); validity excludes the image
-    border (central stencils only) and pixels with |D - t3| < eps_geo.
+    border (central stencils only) and pixels with |D - t3| < EPS_GEO.
     """
     t1, t2, t3 = (ad.as_var(t) for t in t_ego)
     d_c = ad.as_var(d_c)
@@ -159,7 +158,7 @@ def differential_fields_core(
         g_u = ad.as_var(2.0 * depth_gradient[..., 0])
         g_v = ad.as_var(2.0 * depth_gradient[..., 1])
     c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
-    validity = interior_mask(H, W) & (np.abs(shifted.value) >= eps_geo)
+    validity = interior_mask(H, W) & (np.abs(shifted.value) >= EPS_GEO)
     return c_f, c_d, q_u, q_v, validity
 
 
@@ -237,18 +236,16 @@ def differential_fields(
     d_c: DepthMap,
     f_tra: FlowField,
     depth_gradient: np.ndarray | None = None,
-    eps_t3: float = EPS_T3,
-    eps_geo: float = EPS_GEO,
 ) -> DifferentialFields:
     """Build the paired differential fields.
 
     `motion` carries the source-to-target ego translation (t1, t2, t3)
     that parameterizes the flow/depth relation; `f_tra` is the
     translational flow. Validity excludes the image border (central
-    stencils only) and pixels with |D - t3| < eps_geo.
+    stencils only) and pixels with |D - t3| < EPS_GEO.
     """
     t = motion.translation
-    if abs(t[2]) <= eps_t3:
+    if abs(t[2]) <= EPS_T3:
         raise DegenerateTranslationError(
             f"|t3| = {abs(t[2]):.3g} is too small for the divergence relation"
         )
@@ -261,7 +258,6 @@ def differential_fields(
         f_tra.values[..., 0],
         f_tra.values[..., 1],
         depth_gradient,
-        eps_geo,
     )
     validity = validity & f_tra.mask & d_c.mask
     q = np.stack([q_u.value, q_v.value], axis=-1)

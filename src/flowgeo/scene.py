@@ -16,7 +16,7 @@ construction (up to bilinear resampling of the smooth texture).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSceneError(f"unknown scene family {self.family!r}")
+        if self.family == "sphere-bump" and not 0.0 < self.bump_radius * self.bump_radius < np.inf:
+            raise InvalidSceneError("sphere-bump needs a bump_radius with a finite nonzero square")
 
 
 def depth_field(spec: SceneSpec, ego_t3: float, height: int, width: int) -> np.ndarray:
@@ -191,14 +193,18 @@ def _analytic_divergence_r_identity(camera, warp_t, depth, depth_grad, u, v):
     return (-2.0 * t3) / denom - (nu * depth_grad[..., 0] + nv * depth_grad[..., 1]) / denom**2
 
 
-def synthesize(
-    spec: SceneSpec,
-    camera: CameraIntrinsics,
-    ego_motion: RigidMotion,
-    height: int,
-    width: int,
-) -> SceneBundle:
-    """Build the full ground-truth bundle for a scene specification."""
+def synthesize(spec: SceneSpec, camera: CameraIntrinsics, ego_motion: RigidMotion,
+               height: int, width: int) -> SceneBundle:
+    """Build the full ground-truth bundle for a scene specification. Values
+    that overflow the rendering at this size raise InvalidSceneError."""
+    try:
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite field
+            return _render(spec, camera, ego_motion, height, width)
+    except ValueError as exc:  # a non-finite flow, divergence or image
+        raise InvalidSceneError(f"scene does not render at {width}x{height}: {exc}") from None
+
+
+def _render(spec, camera, ego_motion, height, width):
     warp_motion = ego_motion.inverse()
     depth = DepthMap(depth_field(spec, ego_motion.translation[2], height, width))
     u, v = pixel_grid(height, width)
@@ -222,31 +228,22 @@ def synthesize(
     image_t = Image(np.clip(target_vals, 0.0, 1.0))
 
     grad = analytic_depth_gradient(spec, np.stack([u, v], axis=-1))
+    if not np.isfinite(grad).all():
+        raise InvalidSceneError("scene depth gradient is not finite")
 
     div = None
     if np.abs(ego_motion.rotation - np.eye(3)).max() < 1e-14:
         warp_t = warp_motion.translation
         values = _analytic_divergence_r_identity(camera, warp_t, depth.values, grad, u, v)
         if spec.dynamic is not None:
-            delta = np.asarray(spec.dynamic.translation, dtype=float)
-            dyn = _analytic_divergence_r_identity(
-                camera, warp_t + delta, depth.values, grad, u, v
-            )
+            dyn = _analytic_divergence_r_identity(camera, warp_t + delta, depth.values, grad, u, v)
             values = np.where(dynamic_mask, dyn, values)
         div = ScalarField(values, flow_mask.copy())
 
     return SceneBundle(
-        camera=camera,
-        motion=warp_motion,
-        ego_motion=ego_motion,
-        spec=spec,
-        depth_gt=depth,
-        flow_gt=flow_gt,
-        image_t=image_t,
-        image_s=image_s,
-        analytic_depth_gradient=grad,
-        analytic_flow_divergence=div,
-        dynamic_mask=dynamic_mask,
+        camera=camera, motion=warp_motion, ego_motion=ego_motion, spec=spec, depth_gt=depth,
+        flow_gt=flow_gt, image_t=image_t, image_s=image_s, analytic_depth_gradient=grad,
+        analytic_flow_divergence=div, dynamic_mask=dynamic_mask,
     )
 
 
@@ -254,59 +251,92 @@ def synthesize(
 # flat key=value scene files
 
 
-def _fmt(value):
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return ",".join(repr(float(x)) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+@dataclass(frozen=True)
+class EgoMotionKeys:
+    """The ego-motion as a scene file spells it; `motion` is its RigidMotion."""
+
+    translation: tuple
+    rotation: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        R = rotation_from_axis_angle(self.rotation)
+        object.__setattr__(self, "motion", RigidMotion(R, np.asarray(self.translation)))
 
 
-def _floats(kv, key, default=None, count=None):
-    """The comma-separated finite numbers under `key` (or `default` when
-    the key is absent); a malformed value raises InvalidSceneError naming
-    the key."""
-    text = kv.get(key, default)
+TEXT, ANY = "text", "any"  # value arities beside a fixed count of numbers
+
+# every scene-file key in file order: (object it configures, field, arity);
+# the defaults of absent keys are those of the object's fields
+SCENE_KEYS = {
+    "family": (SceneSpec, "family", TEXT), "depth": (SceneSpec, "depth", 1),
+    "a": (SceneSpec, "a", 1), "b": (SceneSpec, "b", 1), "c": (SceneSpec, "c", 1),
+    "depth_far": (SceneSpec, "depth_far", 1), "edge_u": (SceneSpec, "edge_u", 1),
+    "bump_radius": (SceneSpec, "bump_radius", 1),
+    "bump_amplitude": (SceneSpec, "bump_amplitude", 1),
+    "bump_center": (SceneSpec, "bump_center", 2),
+    "texture_base": (TextureSpec, "base", 1),
+    "texture_amplitudes": (TextureSpec, "amplitudes", ANY),
+    "texture_frequencies_u": (TextureSpec, "frequencies_u", ANY),
+    "texture_frequencies_v": (TextureSpec, "frequencies_v", ANY),
+    "texture_phases": (TextureSpec, "phases", ANY),
+    "dynamic_shape": (DynamicObjectSpec, "shape", TEXT),
+    "dynamic_center": (DynamicObjectSpec, "center", 2),
+    "dynamic_half_size": (DynamicObjectSpec, "half_size", 2),
+    "dynamic_translation": (DynamicObjectSpec, "translation", 3),
+    "fx": (CameraIntrinsics, "fx", 1), "fy": (CameraIntrinsics, "fy", 1),
+    "cx": (CameraIntrinsics, "cx", 1), "cy": (CameraIntrinsics, "cy", 1),
+    "ego_rotation": (EgoMotionKeys, "rotation", 3),
+    "ego_translation": (EgoMotionKeys, "translation", 3),
+}
+_KEY_OF = {(cls, field): key for key, (cls, field, _) in SCENE_KEYS.items()}
+
+
+def _format(value, arity):
+    if arity == TEXT:
+        return str(value)
+    return ",".join(repr(float(x)) for x in np.atleast_1d(value))
+
+
+def _parse(key, text, arity):
+    """The value of `key`; a malformed one raises InvalidSceneError naming it."""
+    if arity == TEXT:
+        return text
     try:
         values = tuple(float(x) for x in text.split(",") if x != "")
     except ValueError:
         raise InvalidSceneError(f"scene key {key}: {text!r} is not a list of numbers") from None
     if not np.isfinite(values).all():
         raise InvalidSceneError(f"scene key {key}: {text!r} has a non-finite number")
-    if count is not None and len(values) != count:
-        raise InvalidSceneError(f"scene key {key} needs {count} numbers, got {text!r}")
-    return values
+    if arity != ANY and len(values) != arity:
+        raise InvalidSceneError(f"scene key {key} needs {arity} numbers, got {text!r}")
+    return values[0] if arity == 1 else values
 
 
-def _number(kv, key):
-    return _floats(kv, key, count=1)[0]
+def _build(cls, values):
+    """`cls` from its parsed fields: a field without a default must be
+    given, and a value the constructor rejects names the keys given."""
+    missing = [_KEY_OF[cls, f.name] for f in fields(cls)
+               if f.default is MISSING and f.name not in values]
+    if missing:
+        raise InvalidSceneError(f"scene file is missing {', '.join(missing)}")
+    try:
+        with np.errstate(all="ignore"):  # overflow shows as NaN
+            return cls(**values)
+    except ValueError as exc:
+        keys = ", ".join(_KEY_OF[cls, name] for name in values if (cls, name) in _KEY_OF)
+        raise InvalidSceneError(f"scene keys {keys}: {exc}") from None
 
 
 def write_scene_file(path, spec: SceneSpec, camera: CameraIntrinsics | None = None,
                      ego_motion: RigidMotion | None = None) -> None:
     """Serialize a scene (plus optional camera/ego-motion) one key per line."""
-    lines = [f"family={spec.family}"]
-    for key in ("depth", "a", "b", "c", "depth_far", "edge_u", "bump_radius", "bump_amplitude"):
-        lines.append(f"{key}={_fmt(getattr(spec, key))}")
-    lines.append(f"bump_center={_fmt(spec.bump_center)}")
-    t = spec.texture
-    lines.append(f"texture_base={_fmt(t.base)}")
-    lines.append(f"texture_amplitudes={_fmt(t.amplitudes)}")
-    lines.append(f"texture_frequencies_u={_fmt(t.frequencies_u)}")
-    lines.append(f"texture_frequencies_v={_fmt(t.frequencies_v)}")
-    lines.append(f"texture_phases={_fmt(t.phases)}")
-    if spec.dynamic is not None:
-        d = spec.dynamic
-        lines.append(f"dynamic_shape={d.shape}")
-        lines.append(f"dynamic_center={_fmt(d.center)}")
-        lines.append(f"dynamic_half_size={_fmt(d.half_size)}")
-        lines.append(f"dynamic_translation={_fmt(d.translation)}")
-    if camera is not None:
-        for key in ("fx", "fy", "cx", "cy"):
-            lines.append(f"{key}={_fmt(getattr(camera, key))}")
+    objects = {SceneSpec: spec, TextureSpec: spec.texture, DynamicObjectSpec: spec.dynamic,
+               CameraIntrinsics: camera, EgoMotionKeys: None}
     if ego_motion is not None:
-        lines.append(f"ego_rotation={_fmt(axis_angle_from_rotation(ego_motion.rotation))}")
-        lines.append(f"ego_translation={_fmt(ego_motion.translation)}")
+        rotation = axis_angle_from_rotation(ego_motion.rotation)
+        objects[EgoMotionKeys] = EgoMotionKeys(ego_motion.translation, rotation)
+    lines = [f"{key}={_format(getattr(objects[cls], field), arity)}"
+             for key, (cls, field, arity) in SCENE_KEYS.items() if objects[cls] is not None]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -315,64 +345,31 @@ def read_scene_file(path):
     """Parse a key=value scene file.
 
     Returns (SceneSpec, CameraIntrinsics or None, RigidMotion or None).
+    Unknown and repeated keys are rejected. Any key of the dynamic object,
+    camera or ego-motion declares it; its absent keys take their defaults,
+    and the four intrinsics and the ego translation have none.
     """
-    kv = {}
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
             raise InvalidSceneError(f"scene file is not ASCII text ({exc.reason})") from None
+    values = {cls: {} for cls, _, _ in SCENE_KEYS.values()}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InvalidSceneError(f"scene file line is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    if "family" not in kv:
-        raise InvalidSceneError("scene file is missing the family key")
-
-    tex_kwargs = {}
-    if "texture_base" in kv:
-        tex_kwargs["base"] = _number(kv, "texture_base")
-    for name, key in (
-        ("amplitudes", "texture_amplitudes"),
-        ("frequencies_u", "texture_frequencies_u"),
-        ("frequencies_v", "texture_frequencies_v"),
-        ("phases", "texture_phases"),
-    ):
-        if key in kv:
-            tex_kwargs[name] = _floats(kv, key)
-    texture = TextureSpec(**tex_kwargs) if tex_kwargs else TextureSpec()
-
-    dynamic = None
-    if "dynamic_shape" in kv or "dynamic_translation" in kv:
-        dynamic = DynamicObjectSpec(
-            shape=kv.get("dynamic_shape", "rect"),
-            center=_floats(kv, "dynamic_center", "48,36", count=2),
-            half_size=_floats(kv, "dynamic_half_size", "12,9", count=2),
-            translation=_floats(kv, "dynamic_translation", "0.2,0,0", count=3),
-        )
-
-    spec_kwargs = {"family": kv["family"], "texture": texture, "dynamic": dynamic}
-    for key in ("depth", "a", "b", "c", "depth_far", "edge_u", "bump_radius", "bump_amplitude"):
-        if key in kv:
-            spec_kwargs[key] = _number(kv, key)
-    if "bump_center" in kv:
-        spec_kwargs["bump_center"] = _floats(kv, "bump_center", count=2)
-    spec = SceneSpec(**spec_kwargs)
-
-    camera = None
-    if all(k in kv for k in ("fx", "fy", "cx", "cy")):
-        fx, fy, cx, cy = (_number(kv, k) for k in ("fx", "fy", "cx", "cy"))
-        if not (fx > 0 and fy > 0):
-            raise InvalidSceneError("scene keys fx, fy: focal lengths must be positive")
-        camera = CameraIntrinsics(fx, fy, cx, cy)
-
-    ego = None
-    if "ego_translation" in kv:
-        w = _floats(kv, "ego_rotation", "0,0,0", count=3)
-        t = _floats(kv, "ego_translation", count=3)
-        ego = RigidMotion(rotation_from_axis_angle(w), np.asarray(t))
-    return spec, camera, ego
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in SCENE_KEYS:
+            raise InvalidSceneError(f"scene key {key} is unknown")
+        cls, field, arity = SCENE_KEYS[key]
+        if field in values[cls]:
+            raise InvalidSceneError(f"scene key {key} is set twice")
+        values[cls][field] = _parse(key, text, arity)
+    built = {cls: _build(cls, v) for cls, v in values.items() if v and cls is not SceneSpec}
+    nested = {"texture": built.get(TextureSpec), "dynamic": built.get(DynamicObjectSpec)}
+    spec = _build(SceneSpec, {**values[SceneSpec], **{k: v for k, v in nested.items() if v}})
+    ego = built.get(EgoMotionKeys)
+    return spec, built.get(CameraIntrinsics), None if ego is None else ego.motion

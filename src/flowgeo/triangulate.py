@@ -87,12 +87,12 @@ def triangulate_depth(
     camera: CameraIntrinsics,
     motion: RigidMotion,
     flow: FlowField,
-    eps_denominator: float = DEGENERATE_DENOMINATOR_EPS,
 ) -> TriangulationResult:
     """Triangulate a depth map from flow under the warp motion.
 
-    Pixels with |denominator| < eps_denominator (no parallax), negative
-    solutions, or invalid flow are masked with their degeneracy code.
+    Pixels with |denominator| < DEGENERATE_DENOMINATOR_EPS (no parallax),
+    negative solutions, or invalid flow are masked with their degeneracy
+    code.
     """
     H, W = flow.shape
     numerator, denominator = triangulation_ratio(
@@ -101,10 +101,11 @@ def triangulate_depth(
 
     codes = np.zeros((H, W), dtype=np.uint8)
     codes[~flow.mask] = Degeneracy.MASKED_FLOW
-    small = (np.abs(denominator) < eps_denominator) & flow.mask
+    near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
+    small = near_zero & flow.mask
     codes[small] = Degeneracy.NEAR_ZERO_DENOMINATOR
 
-    safe = np.where(np.abs(denominator) < eps_denominator, 1.0, denominator)
+    safe = np.where(near_zero, 1.0, denominator)
     depth = numerator / safe
     negative = (depth <= 0) & flow.mask & ~small
     codes[negative] = Degeneracy.NEGATIVE_DEPTH

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from flowgeo.geometry import CameraIntrinsics, RigidMotion, rotation_from_axis_angle
-from flowgeo.scene import DynamicObjectSpec, SceneSpec, TextureSpec, synthesize
+from flowgeo.scene import (
+    ANY,
+    FAMILIES,
+    SCENE_KEYS,
+    TEXT,
+    DynamicObjectSpec,
+    SceneSpec,
+    TextureSpec,
+    synthesize,
+)
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +81,37 @@ def random_scene(seed, height=72, width=96, max_angle_deg=5.0, t_range=(0.1, 1.0
         c=float(rng.uniform(-6e-4, 6e-4)),
     )
     return synthesize(spec, camera, ego, height, width)
+
+
+# plausible values, the magnitudes where float arithmetic overflows or
+# underflows, and any finite float
+_NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(-100.0, 100.0),
+    st.sampled_from([0.0, 1e-300, -1e-300, 1e200, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _scene_value(key, arity):
+    if arity == TEXT:
+        return st.sampled_from(FAMILIES if key == "family" else ("rect", "ellipse"))
+    size = 3 if arity == ANY else arity
+    numbers = st.lists(_NUMBERS, min_size=0 if arity == ANY else size, max_size=size)
+    return numbers.map(lambda xs: ",".join(repr(x) for x in xs))
+
+
+@st.composite
+def scene_file_texts(draw):
+    """Scene files over the schema's keys, each key once with the right
+    count of any finite numbers. Each object the keys configure is left
+    out, given in full or given in part, so that whole cameras and
+    ego-motions come up often."""
+    groups = {}
+    for key, (cls, _, _) in SCENE_KEYS.items():
+        groups.setdefault(cls, []).append(key)
+    keys = ["family"]
+    for group in groups.values():
+        part = st.lists(st.sampled_from(group), unique=True)
+        keys += [k for k in draw(st.sampled_from([[], group]) | part) if k != "family"]
+    return "".join(f"{k}={draw(_scene_value(k, SCENE_KEYS[k][2]))}\n" for k in keys)

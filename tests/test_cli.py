@@ -1,7 +1,13 @@
 """Command-line contract: artifacts, exit codes, announcements, and
 byte-identical CSV output under a fixed seed."""
 
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from conftest import scene_file_texts
+from hypothesis import given, settings
 
 from flowgeo.cli import run
 from flowgeo.io_formats import read_csv, read_depth_pfm, read_flow
@@ -118,6 +124,14 @@ class TestInputBoundary:
         (("c=0.0009", "c=abc"), "scene key c"),
         (("ego_translation=0.31,0.02,0.42", "ego_translation=1,2"), "scene key ego_translation"),
         (("ego_translation=0.31,0.02,0.42", "ego_translation=0,0,0"), "nonzero translation"),
+        (("ego_translation=", "ego_translaton="), "scene key ego_translaton is unknown"),
+        (("a=0.21", "a=0.21\na=0.3"), "scene key a is set twice"),
+        (("fy=98.0\ncx=48.0\ncy=36.0\n", ""), "missing fy, cx, cy"),
+        (("ego_translation=0.31,0.02,0.42", ""), "missing ego_translation"),
+        (("ego_rotation=0,0,0", "ego_rotation=1e200,0,0"), "rotation is not orthonormal"),
+        (("ego_translation=0.31,0.02,0.42", "ego_translation=1e308,0,0.4"), "non-finite"),
+        (("a=0.21", "a=1e-300"), "gradient is not finite"),
+        (("family=affine-inverse-shift", "family=sphere-bump\nbump_radius=1e308"), "bump_radius"),
     ])
     def test_typed_error_and_one_line(self, scene_file, tmp_path, capsys, edit, cause):
         scene_file.write_text(scene_file.read_text().replace(*edit))
@@ -127,6 +141,47 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and cause in err
         assert len(err.splitlines()) == 1
+
+    @given(text=scene_file_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_random_scene_files_exit_cleanly(self, tmp_path_factory, text):
+        # a warning would reach stderr as lines of its own, so it counts
+        work = tmp_path_factory.mktemp("gen")
+        (work / "scene.txt").write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(["gen-scene", "--scene", str(work / "scene.txt"), "--size", "16x12",
+                        "--out", str(work / "o")])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) + len(caught) <= 1
+
+
+class TestGenSceneRecordsItsScene:
+    @pytest.mark.parametrize("rotation", ["0,0,0", "0.011,-0.017,0.013"])
+    def test_rerun_on_written_scene_is_byte_identical(self, scene_file, tmp_path, rotation):
+        scene_file.write_text(scene_file.read_text().replace("ego_rotation=0,0,0",
+                                                             f"ego_rotation={rotation}"))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["gen-scene", "--scene", str(scene_file), "--size", "48x36",
+                    "--out", str(first)]) == 0
+        assert run(["gen-scene", "--scene", str(first / "scene.txt"), "--size", "48x36",
+                    "--out", str(second)]) == 0
+        for name in ("depth.pfm", "flow.flo"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_defaults_are_written(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("family=fronto-plane\n")
+        assert run(["gen-scene", "--scene", str(scene), "--size", "32x24",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert f"wrote {tmp_path / 'o' / 'scene.txt'}" in capsys.readouterr().out.splitlines()
+        written = (tmp_path / "o" / "scene.txt").read_text().splitlines()
+        assert {"fx=100.0", "cx=16.0", "cy=12.0", "ego_rotation=0.0,0.0,0.0",
+                "ego_translation=0.31,0.02,0.42"} <= set(written)
+        manifest = (tmp_path / "o" / "run-manifest.txt").read_text()
+        assert "camera=" not in manifest and "ego_translation=" not in manifest
 
 
 class TestDeterminism:

@@ -113,6 +113,10 @@ class TestRotation:
         with pytest.raises(ValueError):
             RigidMotion(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det = -1
 
+    def test_motion_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            RigidMotion(np.full((3, 3), np.nan), np.zeros(3))
+
     def test_inverse_composes_to_identity(self):
         m = RigidMotion(rotation_from_axis_angle([0.2, 0.1, -0.3]), [0.4, -0.2, 0.9])
         inv = m.inverse()

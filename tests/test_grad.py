@@ -94,8 +94,11 @@ class TestStopGradient:
 
 class TestFixedPoints:
     def test_cgdc_zero_gradient_at_exact_ties(self, small_bundle):
-        # exact ties need the graph's own triangulated bits (the numpy path
-        # agrees only to ulps); probe the graph once to harvest them
+        # exact ties need the graph's own triangulated bits. The numpy and
+        # tape triangulations agree bit for bit under one constant pose
+        # (test_numpy_and_tape_triangulation_agree_bitwise), but the loss
+        # graph rebuilds R from the twist on tape, an ulp off
+        # `motion.rotation`; probe the graph once to harvest its bits
         probe = LossInputs.from_bundle(small_bundle)
         from flowgeo.grad import rotation_entries, triangulate_graph
 

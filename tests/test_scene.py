@@ -3,17 +3,21 @@ photometric construction, plus the flat scene-file format."""
 
 import numpy as np
 import pytest
+from conftest import scene_file_texts
+from hypothesis import given, settings
 
-from flowgeo.errors import InvalidSceneError
+from flowgeo.errors import FlowGeoError, InvalidSceneError
 from flowgeo.geometry import (
     CameraIntrinsics,
     RigidMotion,
     divergence,
     interior_mask,
     rigid_flow,
+    rotation_from_axis_angle,
     warp,
 )
 from flowgeo.scene import (
+    SCENE_KEYS,
     DynamicObjectSpec,
     SceneSpec,
     TextureSpec,
@@ -162,18 +166,20 @@ class TestTexture:
 class TestSceneFile:
     def test_round_trip(self, tmp_path):
         spec = SceneSpec(
-            "affine-inverse-shift", a=0.22, b=1.5e-3, c=-0.5e-3,
+            "affine-inverse-shift", a=0.22, b=1.5e-3, c=-0.5e-3, depth=4.5, depth_far=7.5,
+            edge_u=30.0, bump_center=(40.5, 29.25), bump_radius=15.0, bump_amplitude=-0.8,
+            texture=TextureSpec(0.45, (0.2, 0.1), (0.31, -0.07), (0.05, 0.23), (0.7, 1.9)),
             dynamic=DynamicObjectSpec("ellipse", (40.0, 30.0), (8.0, 6.0), (0.1, 0.0, -0.05)),
         )
-        ego = RigidMotion(np.eye(3), [0.2, -0.1, 0.4])
+        camera = CameraIntrinsics(fx=101.5, fy=97.25, cx=47.5, cy=35.75)
+        ego = RigidMotion(rotation_from_axis_angle([0.011, -0.017, 0.013]), [0.2, -0.1, 0.4])
         path = tmp_path / "scene.txt"
-        write_scene_file(path, spec, K, ego)
+        write_scene_file(path, spec, camera, ego)
+        assert [line.partition("=")[0] for line in path.read_text().splitlines()] == list(SCENE_KEYS)
         spec2, cam2, ego2 = read_scene_file(path)
-        assert spec2.family == spec.family
-        assert spec2.a == spec.a and spec2.b == spec.b and spec2.c == spec.c
-        assert spec2.dynamic.shape == "ellipse"
-        np.testing.assert_allclose(spec2.dynamic.translation, spec.dynamic.translation)
-        assert cam2 == K
+        assert spec2 == spec
+        assert spec2.texture == spec.texture and spec2.dynamic == spec.dynamic
+        assert cam2 == camera
         np.testing.assert_allclose(ego2.translation, ego.translation)
         np.testing.assert_allclose(ego2.rotation, ego.rotation, atol=1e-12)
 
@@ -195,9 +201,41 @@ class TestSceneFile:
         ("ego_rotation=0,0,nan\nego_translation=0.3,0,0.4", "ego_rotation"),
         ("fx=-1\nfy=100\ncx=8\ncy=6", "fx"),
         ("dynamic_translation=0,0.2,0\ndynamic_center=30", "dynamic_center"),
+        ("ego_rotation=1e200,0,0\nego_translation=0.3,0,0.4", "ego_rotation"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, line, key):
         path = tmp_path / "bad.txt"
         path.write_text(f"family=affine-inverse-shift\na=0.2\n{line}\n")
         with pytest.raises(InvalidSceneError, match=key):
             read_scene_file(path)
+
+    @pytest.mark.parametrize("lines, cause", [
+        ("ego_translaton=0.5,0,0.4", "scene key ego_translaton is unknown"),
+        ("a=0.3", "scene key a is set twice"),
+        ("fx=150", "missing fy, cx, cy"),
+        ("ego_rotation=0.01,0,0", "missing ego_translation"),
+    ])
+    def test_wrong_or_partial_keys_rejected(self, tmp_path, lines, cause):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"family=affine-inverse-shift\na=0.2\n{lines}\n")
+        with pytest.raises(InvalidSceneError, match=cause):
+            read_scene_file(path)
+
+    def test_any_dynamic_key_declares_the_object(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("family=fronto-plane\ndynamic_center=30,26\n")
+        spec, camera, ego = read_scene_file(path)
+        assert spec.dynamic == DynamicObjectSpec(center=(30.0, 26.0))
+        assert camera is None and ego is None
+
+    @given(text=scene_file_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_random_scene_files_synthesize_or_raise_typed(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("scene") / "scene.txt"
+        path.write_text(text)
+        try:
+            spec, camera, ego = read_scene_file(path)
+            synthesize(spec, camera or CameraIntrinsics(100.0, 100.0, 8.0, 6.0),
+                       ego or RigidMotion(np.eye(3), [0.31, 0.02, 0.42]), 12, 16)
+        except FlowGeoError:
+            pass
