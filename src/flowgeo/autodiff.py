@@ -6,8 +6,14 @@ operations (stencil differences, 3x3 box filter, bilinear sampling).
 Gradients are exact derivatives of the forward expressions; absolute-value
 kinks use subgradient 0 at exactly-zero arguments.
 
-Accumulation order is fixed (reverse creation order), so gradients are
-bit-reproducible run to run.
+Activity: a `Var` made by a caller (`Var(x)`) is a leaf and gets a
+gradient. `as_var` wraps ndarray and float operands as constants. An op
+node links only to its active parents, and a node with no active parent is
+itself a constant. `backward` visits only the nodes that link the root to
+a leaf; `.grad` stays None on every node that depends on no leaf.
+
+Accumulation order is fixed (reverse creation order, each node's parents
+in argument order), so gradients are bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -28,15 +34,19 @@ def _next_id():
 class Var:
     """Node in the expression graph: a value plus vjp links to parents."""
 
-    __slots__ = ("value", "grad", "_parents", "_id")
+    __slots__ = ("value", "grad", "_parents", "_active", "_id")
     # make numpy operands defer to the reflected operators below, so
     # `ndarray + Var` builds a tape node instead of an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=None):
         self.value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
         self.grad = None
-        self._parents = tuple(parents)  # (Var, vjp) pairs
+        if parents is None:  # made by a caller: a leaf
+            self._parents, self._active = (), True
+        else:  # (Var, vjp) pairs, kept for active parents only
+            self._parents = tuple(link for link in parents if link[0]._active)
+            self._active = bool(self._parents)
         self._id = _next_id()
 
     # -- operator sugar -----------------------------------------------------
@@ -67,7 +77,8 @@ class Var:
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    """`x` itself if it is a Var, else `x` wrapped as a constant."""
+    return x if isinstance(x, Var) else Var(x, parents=())
 
 
 def _unbroadcast(grad, shape):
@@ -250,12 +261,13 @@ def box3(a):
     a = as_var(a)
 
     def run(v):
-        pad = ((1, 1), (1, 1)) + ((0, 0),) * (v.ndim - 2)
-        p = np.pad(v, pad)
-        out = np.zeros_like(v)
+        H, W = v.shape[:2]
+        p = np.zeros((H + 2, W + 2) + v.shape[2:])
+        p[1:-1, 1:-1] = v
+        out = np.zeros(v.shape)
         for dy in range(3):
             for dx in range(3):
-                out += p[dy : dy + v.shape[0], dx : dx + v.shape[1]]
+                out += p[dy : dy + H, dx : dx + W]
         return out / 9.0
 
     return Var(run(a.value), parents=((a, lambda g: run(np.asarray(g, dtype=float))),))
@@ -292,7 +304,8 @@ def bilinear(values: np.ndarray, xs, ys):
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(node) into .grad for every reachable node."""
+    """Accumulate d(root)/d(node) into .grad for every node that links the
+    root to a leaf; constants are never visited."""
     seen = {}
     stack = [root]
     while stack:
@@ -307,11 +320,20 @@ def backward(root: Var) -> None:
     order = sorted(seen.values(), key=lambda n: n._id)
 
     for node in order:
-        node.grad = np.zeros(np.shape(node.value)) if np.shape(node.value) else 0.0
+        node.grad = None
     root.grad = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
 
     for node in reversed(order):
         g = node.grad
         for parent, vjp in node._parents:
             contribution = vjp(g)
-            parent.grad = parent.grad + contribution
+            # the first contribution is assigned; later ones make a new sum,
+            # never in place, because identity vjps hand back `g` itself
+            if parent.grad is None:
+                parent.grad = contribution
+            else:
+                parent.grad = parent.grad + contribution
+    for node in order:
+        if not node._parents:
+            # a sum of -0.0 contributions reads +0.0, as it did from a zero seed
+            node.grad = node.grad + 0.0

@@ -347,8 +347,16 @@ def translational_flow(flow_o: FlowField, flow_rot: FlowField) -> FlowField:
 
 def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized difference along an axis: interior x[i+1] - x[i-1],
-    borders 2 * one-sided. Equals 2 * np.gradient for unit spacing."""
-    return 2.0 * np.gradient(values, axis=axis)
+    borders 2 * one-sided. Equals 2 * np.gradient for unit spacing, bit
+    for bit: the slices repeat its arithmetic, then scale by 2."""
+    x = np.asarray(values, dtype=float)
+    out = np.empty(x.shape)
+    o, v = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)
+    o[1:-1] = (v[2:] - v[:-2]) / 2.0
+    o[0] = v[1] - v[0]
+    o[-1] = v[-1] - v[-2]
+    out *= 2.0
+    return out
 
 
 def divergence(flow: FlowField) -> ScalarField:
@@ -392,23 +400,28 @@ def _bilinear_terms(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
     Returns (sampled, inside, (wy, v00, v01, v10, v11, top, bottom)); the
     trailing terms are what the tape needs for its coordinate adjoints,
-    with `wy` shaped to broadcast against the corner samples.
+    with `wy` shaped to broadcast against the corner samples. On a 1-wide
+    (1-high) image the +1 neighbour is the last column (row) itself.
     """
     H, W = values.shape[:2]
     inside = (xs >= 0.0) & (xs <= W - 1.0) & (ys >= 0.0) & (ys <= H - 1.0)
     x = np.clip(xs, 0.0, W - 1.0)
     y = np.clip(ys, 0.0, H - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, W - 2) if W > 1 else np.zeros_like(x, int)
-    y0 = np.clip(np.floor(y).astype(int), 0, H - 2) if H > 1 else np.zeros_like(y, int)
+    x0 = np.clip(np.floor(x).astype(int), 0, max(W - 2, 0))
+    y0 = np.clip(np.floor(y).astype(int), 0, max(H - 2, 0))
     wx = x - x0
     wy = y - y0
     if values.ndim == 3:
         wx = wx[..., None]
         wy = wy[..., None]
-    v00 = values[y0, x0]
-    v01 = values[y0, x0 + 1]
-    v10 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
+    # gather the corners from the flattened image at y0*W + x0
+    flat = values.reshape((H * W,) + values.shape[2:])
+    right, down = (1 if W > 1 else 0), (W if H > 1 else 0)
+    i00 = y0 * W + x0
+    v00 = flat.take(i00, axis=0)
+    v01 = flat.take(i00 + right, axis=0)
+    v10 = flat.take(i00 + down, axis=0)
+    v11 = flat.take(i00 + (down + right), axis=0)
     top = v00 * (1.0 - wx) + v01 * wx
     bottom = v10 * (1.0 - wx) + v11 * wx
     return top * (1.0 - wy) + bottom * wy, inside, (wy, v00, v01, v10, v11, top, bottom)

@@ -138,7 +138,7 @@ def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
         & flow_mask
     )
     if stop_gradient:
-        depth = ad.Var(np.where(validity, depth.value, 1.0))
+        depth = ad.as_var(np.where(validity, depth.value, 1.0))
     return depth, validity
 
 

@@ -36,7 +36,8 @@ def _read_exact(fh, count, what):
 
 
 def write_flow(path, flow: FlowField) -> None:
-    values = np.asarray(flow.values, dtype="<f4")
+    with np.errstate(over="ignore"):  # float32 overflow is caught just below
+        values = np.asarray(flow.values, dtype="<f4")
     if not np.isfinite(values).all():
         raise FormatError("flow file payload must be finite")
     H, W = values.shape[:2]
@@ -67,7 +68,8 @@ def read_flow(path) -> FlowField:
 
 
 def write_depth_pfm(path, depth: DepthMap) -> None:
-    values = np.asarray(depth.values, dtype="<f4")
+    with np.errstate(over="ignore"):  # float32 overflow is caught just below
+        values = np.asarray(depth.values, dtype="<f4")
     if not np.isfinite(values).all():
         raise FormatError("depth file payload must be finite")
     H, W = values.shape

@@ -1,12 +1,24 @@
 """Tape correctness: every structured operator's adjoint is checked
-against central differences of its forward map (dot-product tests), and
-subgradient conventions are pinned down."""
+against central differences of its forward map (dot-product tests),
+subgradient conventions are pinned down, the activity rule (which nodes
+backward visits) and its accumulation are checked against a zero-seeded
+reference, and the grid kernels are checked bit for bit against
+independent reference forms."""
 
 import numpy as np
 import pytest
 
 from flowgeo import autodiff as ad
-from flowgeo.geometry import bilinear_sample, grid_gradient
+from flowgeo import optim
+from flowgeo.geometry import (
+    CameraIntrinsics,
+    RigidMotion,
+    _axis_diff,
+    _bilinear_terms,
+    bilinear_sample,
+    grid_gradient,
+)
+from flowgeo.scene import SceneSpec, synthesize
 
 
 def fd_grad(fn, x0, h=1e-6):
@@ -54,7 +66,7 @@ class TestStructuredOps:
     def test_axis_diff_matches_unnormalized_gradient(self):
         vals = RNG.normal(size=(6, 9))
         out = ad.axis_diff(ad.Var(vals), axis=1).value
-        np.testing.assert_allclose(out, 2.0 * np.gradient(vals, axis=1), atol=1e-15)
+        np.testing.assert_array_equal(out, 2.0 * np.gradient(vals, axis=1))
 
     def test_axis_diff_is_grid_gradient_bitwise(self):
         vals = RNG.normal(size=(6, 9))
@@ -175,3 +187,233 @@ class TestDeterminism:
 
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
+
+
+# -- activity rule and accumulation -------------------------------------------
+
+
+def reachable(root):
+    """Every node linked to `root`, in creation order."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(parent for parent, _ in node._parents)
+    return sorted(nodes.values(), key=lambda n: n._id)
+
+
+def zero_seeded_backward(root):
+    """Reference backward: every reachable node starts from a zero
+    gradient and accumulates its contributions in reverse creation order.
+    Returns {id(node): grad} without touching any node."""
+    order = reachable(root)
+    grads = {id(n): np.zeros(np.shape(n.value)) if np.shape(n.value) else 0.0 for n in order}
+    grads[id(root)] = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
+    for node in reversed(order):
+        for parent, vjp in node._parents:
+            grads[id(parent)] = grads[id(parent)] + vjp(grads[id(node)])
+    return grads
+
+
+def assert_bits_equal(actual, expected):
+    a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert a.shape == e.shape
+    assert a.tobytes() == e.tobytes()  # also tells -0.0 from +0.0
+
+
+def assert_leaf_grads_match_reference(root, backward=ad.backward):
+    leaves = [n for n in reachable(root) if not n._parents]
+    expected = zero_seeded_backward(root)
+    backward(root)
+    assert leaves
+    for leaf in leaves:
+        assert_bits_equal(leaf.grad, expected[id(leaf)])
+
+
+IMG = RNG.uniform(0, 1, (6, 7))
+IMG3 = RNG.uniform(0, 1, (6, 7, 3))
+MASK = RNG.uniform(size=(6, 7)) > 0.3
+
+COMPOSITES = {
+    "box3": lambda v: ad.total(ad.mul(ad.box3(ad.mul(v, v)), W)),
+    "axis_diff": lambda v: ad.total(ad.absolute(ad.axis_diff(v, 0) - ad.axis_diff(v, 1))),
+    "bilinear": lambda v: ad.total(
+        ad.bilinear(IMG3, ad.mul(v, 6.0), ad.Var(RNG.uniform(-0.5, 5.5, (6, 7))))[0]
+    ),
+    "div": lambda v: ad.total(ad.div(ad.sub(v, IMG), ad.add(ad.mul(v, v), 0.5))),
+    "masked_mean": lambda v: ad.masked_mean(ad.absolute(ad.sub(ad.box3(v), IMG)), MASK)
+    + ad.masked_mean(ad.mul(v, 0.0), MASK),
+}
+
+
+class TestActivity:
+    def test_constant_expression_has_no_links(self):
+        c = ad.exp(ad.as_var(X0)) + ad.box3(ad.as_var(W)) * 2.0
+        c = ad.masked_mean(ad.absolute(ad.axis_diff(c, 0)), MASK)
+        assert c._parents == ()
+        assert not c._active
+        assert not ad.as_var(1.5)._active
+
+    def test_leaf_is_active_and_links_only_to_active_parents(self):
+        leaf = ad.Var(X0.copy())
+        const = ad.exp(ad.as_var(W))
+        node = ad.mul(leaf, const)
+        assert leaf._active and node._active
+        assert [parent for parent, _ in node._parents] == [leaf]
+        ad.backward(ad.total(node))
+        assert const.grad is None
+        np.testing.assert_array_equal(leaf.grad, np.exp(W))
+
+    def test_backward_calls_vjps_only_on_paths_to_a_leaf(self):
+        calls = []
+
+        def spy(name):
+            def vjp(g):
+                calls.append(name)
+                return g
+
+            return vjp
+
+        leaf = ad.Var(np.ones(3))
+        const = ad.as_var(np.full(3, 2.0))
+        mixed = ad.Var(np.ones(3), ((leaf, spy("leaf<-mixed")), (const, spy("const<-mixed"))))
+        constant = ad.Var(np.ones(3), ((const, spy("const<-constant")),))
+        root = ad.Var(np.ones(3), ((mixed, spy("mixed<-root")), (constant, spy("constant<-root"))))
+        assert not constant._active
+        ad.backward(root)
+        assert calls == ["mixed<-root", "leaf<-mixed"]
+        assert const.grad is None and constant.grad is None
+        np.testing.assert_array_equal(leaf.grad, np.ones(3))
+
+    @pytest.mark.parametrize("name", sorted(COMPOSITES))
+    def test_leaf_grads_equal_zero_seeded_reference(self, name):
+        assert_leaf_grads_match_reference(COMPOSITES[name](ad.Var(X0.copy())))
+
+    def test_depth_step_grads_equal_zero_seeded_reference(self, monkeypatch):
+        # recover-depth at 24x18 with --weights 1,1,0.1,0, one step after
+        # the dpc warmup so all three terms are on the tape
+        spec = SceneSpec("affine-inverse-shift", a=0.21, b=1.3e-3, c=0.9e-3)
+        camera = CameraIntrinsics(fx=100.0, fy=100.0, cx=12.0, cy=9.0)
+        bundle = synthesize(spec, camera, RigidMotion(np.eye(3), [0.31, 0.02, 0.42]), 18, 24)
+        config = optim.OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=0.0, iterations=10, seed=1)
+        objective = optim._DepthObjective(bundle, config)
+        theta = optim._initial_theta(bundle, config, np.random.default_rng(config.seed))
+        roots = []
+
+        def checked_backward(root, backward=ad.backward):
+            roots.append(root)
+            assert_leaf_grads_match_reference(root, backward)
+
+        monkeypatch.setattr(ad, "backward", checked_backward)
+        optim._depth_step(objective, theta, config.iterations - 1, config)
+        assert len(roots) == 1
+        nodes = reachable(roots[0])
+        assert min(objective.weights(config.iterations - 1).values()) > 0
+        assert len(nodes) > 50
+
+    def test_negative_zero_sums_read_positive_zero(self):
+        leaf = ad.Var(np.array([1.0, 2.0]))
+        scalar = ad.Var(3.0)
+        loss = ad.total(ad.mul(leaf, -0.0) + ad.mul(leaf, -0.0)) + ad.mul(scalar, -0.0)
+        ad.backward(loss)
+        assert_bits_equal(leaf.grad, np.zeros(2))
+        assert_bits_equal(scalar.grad, 0.0)
+
+    def test_backward_mutates_no_value_and_not_the_root_seed(self):
+        leaf = ad.Var(X0.copy())
+        other = ad.Var(W.copy())
+        root = ad.add(ad.add(leaf, other), ad.add(leaf, ad.box3(leaf)))
+        values = {id(n): np.copy(n.value) for n in reachable(root)}
+        ad.backward(root)
+        np.testing.assert_array_equal(root.grad, np.ones(X0.shape))
+        for node in reachable(root):
+            np.testing.assert_array_equal(node.value, values[id(node)])
+        assert not np.shares_memory(leaf.grad, root.grad)
+        assert not np.shares_memory(other.grad, root.grad)
+
+    def test_second_backward_starts_afresh(self):
+        leaf = ad.Var(X0.copy())
+        loss = ad.total(ad.mul(leaf, W))
+        ad.backward(loss)
+        first = np.copy(leaf.grad)
+        ad.backward(loss)
+        assert_bits_equal(leaf.grad, first)
+
+
+# -- kernel twins --------------------------------------------------------------
+
+
+def box3_padded(v):
+    """The 3x3 zero-padded mean via np.pad: nine shifted adds from zeros."""
+    p = np.pad(v, ((1, 1), (1, 1)) + ((0, 0),) * (v.ndim - 2))
+    out = np.zeros_like(v)
+    for dy in range(3):
+        for dx in range(3):
+            out += p[dy : dy + v.shape[0], dx : dx + v.shape[1]]
+    return out / 9.0
+
+
+def bilinear_fancy(values, xs, ys):
+    """Clamp, gather the corners with values[y, x] and blend."""
+    H, W = values.shape[:2]
+    x = np.clip(xs, 0.0, W - 1.0)
+    y = np.clip(ys, 0.0, H - 1.0)
+    x0 = np.clip(np.floor(x).astype(int), 0, W - 2)
+    y0 = np.clip(np.floor(y).astype(int), 0, H - 2)
+    wx, wy = x - x0, y - y0
+    if values.ndim == 3:
+        wx, wy = wx[..., None], wy[..., None]
+    v00, v01 = values[y0, x0], values[y0, x0 + 1]
+    v10, v11 = values[y0 + 1, x0], values[y0 + 1, x0 + 1]
+    top = v00 * (1.0 - wx) + v01 * wx
+    bottom = v10 * (1.0 - wx) + v11 * wx
+    return top * (1.0 - wy) + bottom * wy, (wy, v00, v01, v10, v11, top, bottom)
+
+
+class TestKernelTwins:
+    @pytest.mark.parametrize("shape", [(6, 7), (6, 7, 3), (3, 3)])
+    def test_box3_matches_padded_form(self, shape):
+        v = RNG.normal(size=shape)
+        assert_bits_equal(ad.box3(ad.Var(v)).value, box3_padded(v))
+
+    @pytest.mark.parametrize("shape", [(6, 9), (3, 3), (5, 4, 3)])
+    def test_axis_diff_matches_twice_np_gradient(self, shape):
+        v = RNG.normal(size=shape)
+        for axis in (0, 1):
+            assert_bits_equal(_axis_diff(v, axis), 2.0 * np.gradient(v, axis=axis))
+
+    @pytest.mark.parametrize("channels", [None, 1, 3])
+    def test_bilinear_terms_match_fancy_indexing(self, channels):
+        shape = (8, 9) if channels is None else (8, 9, channels)
+        img = RNG.normal(size=shape)
+        # a third of the samples fall outside and are clamped
+        xs = RNG.uniform(-2.0, 10.0, (7, 5))
+        ys = RNG.uniform(-2.0, 9.0, (7, 5))
+        out, inside, terms = _bilinear_terms(img, xs, ys)
+        expected, expected_terms = bilinear_fancy(img, xs, ys)
+        assert (~inside).sum() > 0
+        assert_bits_equal(out, expected)
+        for term, expected_term in zip(terms, expected_terms):
+            assert_bits_equal(term, expected_term)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (4, 1, 3)])
+    def test_bilinear_on_one_wide_or_one_high_images(self, shape):
+        img = RNG.normal(size=shape)
+        n = max(shape[:2])
+        line = img.reshape(n, -1)
+        along = np.array([[-0.5, 0.0, 0.4, 1.7, 2.25, n - 1.0, n + 0.3]])
+        across = np.array([[0.0, -0.2, 0.0, 0.6, 0.0, 0.0, 0.0]])
+        xs, ys = (across, along) if shape[1] == 1 else (along, across)
+        clipped = np.clip(along[0], 0.0, n - 1.0)
+        # linear interpolation along the long axis; the short axis is flat
+        expected = np.stack([np.interp(clipped, np.arange(n), c) for c in line.T], axis=-1)
+        expected = expected.reshape(1, 7, *shape[2:])
+        sampled, _ = bilinear_sample(img, xs, ys)
+        np.testing.assert_allclose(sampled, expected, rtol=0, atol=1e-15)
+        vx, vy = ad.Var(xs), ad.Var(ys)
+        out, _ = ad.bilinear(img, vx, vy)
+        assert_bits_equal(out.value, sampled)
+        ad.backward(ad.total(out))
+        short = vx if shape[1] == 1 else vy
+        assert_bits_equal(short.grad, np.zeros(xs.shape))

@@ -86,6 +86,26 @@ class TestStopGradient:
         assert np.abs(g.d_twist).max() > 0.0
         assert np.abs(g.d_flow).max() > 0.0
 
+    def test_stopped_depth_is_a_constant(self, small_bundle):
+        from flowgeo.grad import triangulate_graph
+
+        probe = LossInputs.from_bundle(small_bundle)
+        xi = [ad.Var(float(x)) for x in probe.twist.values]
+        f_u = ad.Var(small_bundle.flow_gt.values[..., 0])
+        f_v = ad.Var(small_bundle.flow_gt.values[..., 1])
+        depth = ad.Var(small_bundle.depth_gt.values)
+        dg, validity = triangulate_graph(
+            small_bundle.camera, rotation_entries(*xi[:3]), (xi[3], xi[4], xi[5]),
+            f_u, f_v, small_bundle.flow_gt.mask, stop_gradient=True,
+        )
+        assert dg._parents == ()
+        ad.backward(ad.masked_mean(ad.absolute(ad.sub(dg, depth)), validity))
+        assert dg.grad is None
+        assert f_u.grad is None and all(x.grad is None for x in xi)
+        assert np.abs(depth.grad).max() > 0.0
+        g = loss_gradient("cgdc", probe, targets=("twist",), stop_gradient_geo=True)
+        np.testing.assert_array_equal(g.d_twist, np.zeros(6))
+
     def test_depth_gradient_unaffected_by_stopgrad(self, perturbed_inputs):
         a = loss_gradient("cgdc", perturbed_inputs, targets=("depth",), stop_gradient_geo=True)
         b = loss_gradient("cgdc", perturbed_inputs, targets=("depth",))

@@ -1,6 +1,8 @@
 """On-disk formats: bitwise round trips at stated precision and typed
 errors on malformed input."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,20 @@ class TestFlowFiles:
         flow = FlowField(values, mask=np.array([[False, True], [True, True]]))
         with pytest.raises(FormatError):
             write_flow(tmp_path / "f.flo", flow)
+
+
+@pytest.mark.parametrize("kind", ["flow", "depth"])
+def test_float32_overflow_rejected_without_warning(tmp_path, kind):
+    # finite float64 values past the float32 range must end in the writer's
+    # FormatError alone, with no RuntimeWarning from the cast
+    if kind == "flow":
+        write, field = write_flow, FlowField(np.full((2, 2, 2), 1e200))
+    else:
+        write, field = write_depth_pfm, DepthMap(np.full((2, 2), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="finite"):
+            write(tmp_path / "out", field)
 
 
 class TestPfm:
