@@ -24,6 +24,7 @@ from .errors import BehindCameraError, DimensionError, InvalidDepthError
 
 ORTHONORMALITY_TOL = 1e-12
 Z_EPS = 1e-9
+FLOW_NOT_FINITE = "flow contains non-finite values on valid pixels"
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,24 @@ class TwistParams:
 # grid value types
 
 
+def _require_finite(values, mask, message):
+    """Raise ValueError(message) unless `values` is finite wherever `mask`
+    holds. The whole array is checked first; the masked copy is made only
+    when that check fails, so a valid grid costs no copy."""
+    if not np.isfinite(values).all() and not np.isfinite(values[mask]).all():
+        raise ValueError(message)
+
+
+def _require_depth(values, mask=None):
+    """Raise InvalidDepthError unless `values` is finite everywhere and
+    strictly positive where `mask` holds (None: everywhere), as `DepthMap`
+    checks it."""
+    if not np.isfinite(values).all():
+        raise InvalidDepthError("depth contains non-finite values")
+    if not (values > 0).all() and (mask is None or not (values[mask] > 0).all()):
+        raise InvalidDepthError("depth must be strictly positive where valid")
+
+
 def _as_grid(values, name, depth_axes=2):
     v = np.asarray(values, dtype=float)
     if v.ndim != depth_axes:
@@ -175,10 +194,7 @@ class DepthMap:
         m = np.ones(v.shape, bool) if self.mask is None else np.asarray(self.mask, bool)
         if m.shape != v.shape:
             raise DimensionError("depth mask shape mismatch")
-        if not np.isfinite(v).all():
-            raise InvalidDepthError("depth contains non-finite values")
-        if not (v[m] > 0).all():
-            raise InvalidDepthError("depth must be strictly positive where valid")
+        _require_depth(v, m)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", m)
 
@@ -201,8 +217,7 @@ class FlowField:
         m = np.ones(v.shape[:2], bool) if self.mask is None else np.asarray(self.mask, bool)
         if m.shape != v.shape[:2]:
             raise DimensionError("flow mask shape mismatch")
-        if not np.isfinite(v[m]).all():
-            raise ValueError("flow contains non-finite values on valid pixels")
+        _require_finite(v, m, FLOW_NOT_FINITE)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", m)
 
@@ -242,8 +257,7 @@ class ScalarField:
         m = np.ones(v.shape, bool) if self.mask is None else np.asarray(self.mask, bool)
         if m.shape != v.shape:
             raise DimensionError("scalar field mask shape mismatch")
-        if not np.isfinite(v[m]).all():
-            raise ValueError("scalar field has non-finite valid values")
+        _require_finite(v, m, "scalar field has non-finite valid values")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", m)
 
@@ -252,6 +266,32 @@ def pixel_grid(height: int, width: int):
     """(u, v) coordinate grids of shape (H, W)."""
     u, v = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     return u, v
+
+
+@dataclass(frozen=True)
+class CameraGrid:
+    """The pixel grid of one camera and image size: (u, v), the centred
+    coordinates (u - cx, v - cy) and the normalized rays (xn, yn). The
+    geometry kernels build one per call unless a caller that reuses them
+    (the optimizer) passes its own."""
+
+    u: np.ndarray
+    v: np.ndarray
+    uc: np.ndarray
+    vc: np.ndarray
+    xn: np.ndarray
+    yn: np.ndarray
+
+    @classmethod
+    def of(cls, camera: CameraIntrinsics, height: int, width: int) -> "CameraGrid":
+        u, v = pixel_grid(height, width)
+        uc, vc = u - camera.cx, v - camera.cy
+        return cls(u, v, uc, vc, uc / camera.fx, vc / camera.fy)
+
+    def rays(self, R):
+        """The rotated ray components r_i . [xn, yn, 1], i = 0, 1, 2; R is
+        indexable as R[i][j], so its entries may be floats or tape Vars."""
+        return [R[i][0] * self.xn + R[i][1] * self.yn + R[i][2] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +328,10 @@ def backproject(camera: CameraIntrinsics, pixel, depth) -> np.ndarray:
     )
 
 
-def _flow_from_points(camera, points, height, width, u, v):
-    """Flow = projection of transformed points minus the pixel grid; pixels
-    whose transformed depth is non-positive are masked, not raised."""
+def _flow_from_points(camera, points, u, v):
+    """Flow = projection of transformed points minus the pixel grid, as
+    (values, valid); pixels whose transformed depth is non-positive are
+    masked, not raised."""
     z = points[..., 2]
     valid = z > Z_EPS
     safe_z = np.where(valid, z, 1.0)
@@ -298,27 +339,31 @@ def _flow_from_points(camera, points, height, width, u, v):
     vs = camera.fy * points[..., 1] / safe_z + camera.cy
     flow = np.stack([us - u, vs - v], axis=-1)
     flow[~valid] = 0.0
-    return FlowField(flow, valid)
+    return flow, valid
+
+
+def rigid_flow_values(camera: CameraIntrinsics, motion: RigidMotion, depth, mask=None, grid=None):
+    """The body of `rigid_flow` on raw arrays: (flow values (H, W, 2),
+    valid mask) for a depth grid whose valid pixels are `mask` (None: all).
+    `grid` is a `CameraGrid` to reuse. The values are not checked; callers
+    that need a finite flow check it (`FlowField` does)."""
+    H, W = depth.shape
+    if (motion.rotation == np.eye(3)).all() and (motion.translation == 0).all():
+        # identity motion has identically zero flow; skip the reprojection
+        # chain so no rounding wobble leaks in
+        return np.zeros((H, W, 2)), np.ones((H, W), bool) if mask is None else mask.copy()
+    g = CameraGrid.of(camera, H, W) if grid is None else grid
+    X = np.stack([depth * g.uc / camera.fx, depth * g.vc / camera.fy, depth], axis=-1)
+    flow, valid = _flow_from_points(camera, motion.apply(X), g.u, g.v)
+    if mask is not None and not mask.all():
+        valid = valid & mask
+    return flow, valid
 
 
 def rigid_flow(camera: CameraIntrinsics, motion: RigidMotion, depth: DepthMap) -> FlowField:
     """Apparent motion of a static scene under the warp motion:
     F(p) = proj(K (R backproject(p, D(p)) + t)) - p."""
-    H, W = depth.shape
-    if (motion.rotation == np.eye(3)).all() and (motion.translation == 0).all():
-        # identity motion has identically zero flow; skip the reprojection
-        # chain so no rounding wobble leaks in
-        return FlowField(np.zeros((H, W, 2)), depth.mask.copy())
-    u, v = pixel_grid(H, W)
-    d = depth.values
-    X = np.stack(
-        [d * (u - camera.cx) / camera.fx, d * (v - camera.cy) / camera.fy, d], axis=-1
-    )
-    Xs = motion.apply(X)
-    out = _flow_from_points(camera, Xs, H, W, u, v)
-    if not depth.mask.all():
-        return FlowField(out.values, out.mask & depth.mask)
-    return out
+    return FlowField(*rigid_flow_values(camera, motion, depth.values, depth.mask))
 
 
 def rotational_flow(camera: CameraIntrinsics, rotation, height: int, width: int) -> FlowField:
@@ -327,11 +372,9 @@ def rotational_flow(camera: CameraIntrinsics, rotation, height: int, width: int)
     R = np.asarray(rotation, dtype=float).reshape(3, 3)
     if (R == np.eye(3)).all():
         return FlowField(np.zeros((height, width, 2)))
-    u, v = pixel_grid(height, width)
-    rays = np.stack(
-        [(u - camera.cx) / camera.fx, (v - camera.cy) / camera.fy, np.ones_like(u)], axis=-1
-    )
-    return _flow_from_points(camera, rays @ R.T, height, width, u, v)
+    g = CameraGrid.of(camera, height, width)
+    rays = np.stack([g.xn, g.yn, np.ones_like(g.u)], axis=-1)
+    return FlowField(*_flow_from_points(camera, rays @ R.T, g.u, g.v))
 
 
 def translational_flow(flow_o: FlowField, flow_rot: FlowField) -> FlowField:
@@ -350,6 +393,11 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     borders 2 * one-sided. Equals 2 * np.gradient for unit spacing, bit
     for bit: the slices repeat its arithmetic, then scale by 2."""
     x = np.asarray(values, dtype=float)
+    if x.shape[axis] < 3:
+        raise DimensionError(
+            f"the difference stencil needs at least 3 samples along axis {axis}, "
+            f"got shape {x.shape}"
+        )
     out = np.empty(x.shape)
     o, v = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)
     o[1:-1] = (v[2:] - v[:-2]) / 2.0

@@ -23,6 +23,7 @@ from . import autodiff as ad
 from .errors import NoValidPixelsError
 from .geometry import (
     Z_EPS,
+    CameraGrid,
     CameraIntrinsics,
     DepthMap,
     FlowField,
@@ -113,18 +114,20 @@ def rotation_entries(w1, w2, w3):
     return rows
 
 
-def rigid_flow_graph(camera, R, t, depth, height, width):
+def rigid_flow_graph(camera, R, t, depth, height, width, grid=None, rays=None):
     """Rigid flow F(p) = proj(K (R backproject(p, D) + t)) - p as tape
     nodes; returns (f_u, f_v, valid mask const). R, t and the depth may be
     constants or tape nodes: the optimizer passes a constant pose, and a
-    unit depth with zero translation gives the rotational flow."""
-    u, v = pixel_grid(height, width)
-    xn = (u - camera.cx) / camera.fx
-    yn = (v - camera.cy) / camera.fy
-    y0, y1, y2 = (ad.mul(depth, R[i][0] * xn + R[i][1] * yn + R[i][2]) + t[i] for i in range(3))
+    unit depth with zero translation gives the rotational flow. Under a
+    constant R, the `CameraGrid` and its rows `grid.rays(R)` may be passed
+    in instead of being rebuilt."""
+    if grid is None:
+        grid = CameraGrid.of(camera, height, width)
+    r_dot = grid.rays(R) if rays is None else rays
+    y0, y1, y2 = (ad.mul(depth, r_dot[i]) + t[i] for i in range(3))
     mask = np.asarray(y2.value) > Z_EPS
-    f_u = ad.mul(camera.fx, ad.div(y0, y2)) + camera.cx - u
-    f_v = ad.mul(camera.fy, ad.div(y1, y2)) + camera.cy - v
+    f_u = ad.mul(camera.fx, ad.div(y0, y2)) + camera.cx - grid.u
+    f_v = ad.mul(camera.fy, ad.div(y1, y2)) + camera.cy - grid.v
     return f_u, f_v, mask
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DegenerateTranslationError, DimensionError, NoValidPixelsError
 from .geometry import (
+    CameraGrid,
     CameraIntrinsics,
     DepthMap,
     FlowField,
@@ -28,7 +29,6 @@ from .geometry import (
     RigidMotion,
     ScalarField,
     interior_mask,
-    pixel_grid,
 )
 from .triangulate import TriangulationResult
 
@@ -81,37 +81,56 @@ def _require_mask(mask, label):
 # tape cores (accept Var or ndarray; return Var)
 
 
-def ssim_core(a, b):
-    """Per-pixel SSIM with 3x3 zero-padded mean-pool statistics."""
+def ssim_stats(b):
+    """The statistics SSIM takes of one input on its own: its 3x3 mean mu,
+    mu * mu, and its variance box3(b * b) - mu * mu. A fixed reference
+    image needs them only once."""
+    mu = ad.box3(b)
+    mu_sq = ad.mul(mu, mu)
+    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
+
+
+def ssim_core(a, b, b_stats=None):
+    """Per-pixel SSIM with 3x3 zero-padded mean-pool statistics. `b` is the
+    reference; `b_stats` may carry its `ssim_stats` from an earlier call."""
     mu_a = ad.box3(a)
-    mu_b = ad.box3(b)
+    mu_b, mu_b_sq, var_b = ssim_stats(b) if b_stats is None else b_stats
     var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
-    var_b = ad.box3(ad.mul(b, b)) - ad.mul(mu_b, mu_b)
     cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
     num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (ad.mul(mu_a, mu_a) + ad.mul(mu_b, mu_b) + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return ad.div(num, den)
 
 
-def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT):
-    """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
-    masked mean. i_t is treated as the reference (constant or Var alike)."""
+def reference_channels(i_t):
+    """(channel, its `ssim_stats`) per channel of the reference image, the
+    image-only half of `photometric_core`."""
     i_t = ad.as_var(i_t)
-    i_warped = ad.as_var(i_warped)
+    shape = np.shape(i_t.value)
+    channels = [i_t] if len(shape) == 2 else [ad.take_channel(i_t, c) for c in range(shape[2])]
+    return [(ch, ssim_stats(ch)) for ch in channels]
 
-    def one_channel_pair(ch_t, ch_w):
-        s = ssim_core(ch_w, ch_t)
+
+def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
+    """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
+    masked mean. i_t is treated as the reference (constant or Var alike);
+    `reference` may carry its `reference_channels` from an earlier call."""
+    i_warped = ad.as_var(i_warped)
+    if reference is None:
+        reference = reference_channels(i_t)
+
+    def one_channel_pair(ch_t, stats, ch_w):
+        s = ssim_core(ch_w, ch_t, stats)
         return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * ad.absolute(ch_t - ch_w)
 
-    shape = np.shape(i_t.value)
-    if len(shape) == 2:
-        per_pixel = one_channel_pair(i_t, i_warped)
+    if np.ndim(i_warped.value) == 2:
+        per_pixel = one_channel_pair(*reference[0], i_warped)
     else:
         acc = None
-        for c in range(shape[2]):
-            term = one_channel_pair(ad.take_channel(i_t, c), ad.take_channel(i_warped, c))
+        for c, (ch_t, stats) in enumerate(reference):
+            term = one_channel_pair(ch_t, stats, ad.take_channel(i_warped, c))
             acc = term if acc is None else acc + term
-        per_pixel = acc * (1.0 / shape[2])
+        per_pixel = acc * (1.0 / len(reference))
     return ad.masked_mean(per_pixel, mask)
 
 
@@ -119,6 +138,42 @@ def cgdc_core(d_g_values, d_c, mask):
     """Masked mean of |D_g - D_c| / D_c (denominator guarded)."""
     rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), ad.maximum(ad.as_var(d_c), EPS_DIV))
     return ad.masked_mean(rel, mask)
+
+
+def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
+    """The pose half of C^D as tape nodes: the offset field
+    (q_u, q_v) = (u - cx - fx t1/t3, v - cy - fy t2/t3)."""
+    t1, t2, t3 = (ad.as_var(t) for t in t_ego)
+    q_u = ad.sub(grid.uc, ad.mul(camera.fx, ad.div(t1, t3)))
+    q_v = ad.sub(grid.vc, ad.mul(camera.fy, ad.div(t2, t3)))
+    return q_u, q_v
+
+
+def differential_flow_side(f_tra_u, f_tra_v):
+    """The flow half of C^F as a tape node: the (unnormalized) divergence
+    of the translational flow."""
+    return ad.axis_diff(f_tra_u, axis=1) + ad.axis_diff(f_tra_v, axis=0)
+
+
+def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
+    """The depth half of C^F and C^D: (c_f, c_d, validity) from the
+    `differential_offsets` and the `differential_flow_side`. `interior` is
+    the `interior_mask` of the grid, if the caller holds it."""
+    d_c = ad.as_var(d_c)
+    shifted = ad.sub(d_c, t3)
+    c_f = ad.mul(ad.div(shifted, t3), div_f) - IDENTITY_FIELD_DIVERGENCE
+
+    if depth_gradient is None:
+        g_u = ad.axis_diff(d_c, axis=1)
+        g_v = ad.axis_diff(d_c, axis=0)
+    else:
+        g_u = ad.as_var(2.0 * depth_gradient[..., 0])
+        g_v = ad.as_var(2.0 * depth_gradient[..., 1])
+    c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
+    if interior is None:
+        interior = interior_mask(*np.shape(d_c.value))
+    validity = interior & (np.abs(shifted.value) >= EPS_GEO)
+    return c_f, c_d, validity
 
 
 def differential_fields_core(
@@ -139,26 +194,11 @@ def differential_fields_core(
     Returns (c_f, c_d, q_u, q_v, validity); validity excludes the image
     border (central stencils only) and pixels with |D - t3| < EPS_GEO.
     """
-    t1, t2, t3 = (ad.as_var(t) for t in t_ego)
+    t_ego = tuple(ad.as_var(t) for t in t_ego)
     d_c = ad.as_var(d_c)
-    H, W = np.shape(d_c.value)
-    u, v = pixel_grid(H, W)
-
-    q_u = ad.sub(u - camera.cx, ad.mul(camera.fx, ad.div(t1, t3)))
-    q_v = ad.sub(v - camera.cy, ad.mul(camera.fy, ad.div(t2, t3)))
-
-    div_f = ad.axis_diff(f_tra_u, axis=1) + ad.axis_diff(f_tra_v, axis=0)
-    shifted = ad.sub(d_c, t3)
-    c_f = ad.mul(ad.div(shifted, t3), div_f) - IDENTITY_FIELD_DIVERGENCE
-
-    if depth_gradient is None:
-        g_u = ad.axis_diff(d_c, axis=1)
-        g_v = ad.axis_diff(d_c, axis=0)
-    else:
-        g_u = ad.as_var(2.0 * depth_gradient[..., 0])
-        g_v = ad.as_var(2.0 * depth_gradient[..., 1])
-    c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
-    validity = interior_mask(H, W) & (np.abs(shifted.value) >= EPS_GEO)
+    q_u, q_v = differential_offsets(camera, t_ego, CameraGrid.of(camera, *np.shape(d_c.value)))
+    div_f = differential_flow_side(f_tra_u, f_tra_v)
+    c_f, c_d, validity = differential_depth_side(t_ego[2], d_c, q_u, q_v, div_f, depth_gradient)
     return c_f, c_d, q_u, q_v, validity
 
 

@@ -14,6 +14,13 @@ recorded in the run configuration:
   noise source stronger than the consistency term's restoring force and
   freeze the field into rough local minima (measured ~2% depth error).
 
+Each run builds one plan, in `_DepthObjective`: the work of a step that
+does not depend on the log-depth theta (the pixel grid and rotated rays,
+the DPC offsets and interior mask, the rotational flow, the SSIM
+statistics of the target image) is done once. `set_flow` refreshes only
+what depends on the flow: the triangulated depth and its validity, and the
+divergence of the translational flow.
+
 Reductions and updates are sequential and seeded, so a run is
 bit-reproducible for a fixed config.
 """
@@ -26,12 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AbortedRunError, DegenerateTranslationError, NoValidPixelsError
+from .errors import (
+    AbortedRunError,
+    DegenerateTranslationError,
+    FlowGeoError,
+    NoValidPixelsError,
+)
 from .geometry import (
+    FLOW_NOT_FINITE,
+    CameraGrid,
     DepthMap,
     FlowField,
-    pixel_grid,
-    rigid_flow,
+    _require_depth,
+    _require_finite,
+    interior_mask,
+    rigid_flow_values,
     rotational_flow,
 )
 from .grad import rigid_flow_graph
@@ -40,12 +56,15 @@ from .losses import (
     bsca_core,
     cgdc_core,
     depth_metrics,
-    differential_fields_core,
+    differential_depth_side,
+    differential_flow_side,
+    differential_offsets,
     dpc_core,
     photometric_core,
+    reference_channels,
 )
 from .scene import SceneBundle
-from .triangulate import triangulate_depth
+from .triangulate import triangulate_depth, triangulate_values
 
 DPC_LR_SCALE = 0.02  # step scale once the divergence-correlation term is on
 DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
@@ -137,27 +156,66 @@ def _decode_values(theta):
 
 
 class _DepthObjective:
-    """Builds the per-iteration tape graph for the depth field."""
+    """The per-iteration tape graph of the depth field, over one plan.
+
+    The plan is built once, in `__init__`, from what does not depend on
+    theta: the `CameraGrid` (pixels, centred pixels, normalized rays), the
+    rows R . [xn, yn, 1] of the warp rotation that triangulation and the
+    photometric rigid flow share, the DPC offsets q_u/q_v and interior mask,
+    the rotational flow when the ego-motion rotates, and the SSIM statistics
+    of the fixed target image. `set_flow` refreshes only the flow side: the
+    triangulated depth and its validity, and the divergence of the
+    translational flow. `losses` then builds only the nodes that depend on
+    theta.
+    """
 
     def __init__(self, bundle: SceneBundle, config: OptimConfig):
         self.bundle = bundle
         self.config = config
         self.camera = bundle.camera
-        self.u, self.v = pixel_grid(*bundle.shape)
-        self.t_ego = tuple(bundle.ego_motion.translation)
+        self.motion = bundle.motion
+        self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
+        self.rays = self.grid.rays(bundle.motion.rotation)
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
-        self.geo = None  # (values, validity) of the triangulated depth
-        if config.w_c > 0:
-            self.set_flow(bundle.flow_gt)
-        self.flow = bundle.flow_gt
+        self.reference = reference_channels(bundle.image_t.values) if config.w_p > 0 else None
+        self.rotation = None  # rotational flow values, when the dpc term needs them
+        if config.w_d > 0:
+            self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
+            self.q = differential_offsets(self.camera, self.t_ego, self.grid)
+            self.interior = interior_mask(*bundle.shape)
+            if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
+                rot = rotational_flow(self.camera, bundle.motion.rotation, *bundle.shape)
+                self.rotation = rot.values
+        self.geo = None  # (depth node, validity) of the triangulated depth
+        self.div_f = None  # divergence of the translational flow
+        self.set_flow(bundle.flow_gt.values, bundle.flow_gt.mask)
 
-    def set_flow(self, flow: FlowField):
-        self.flow = flow
+    def set_flow(self, values, mask):
+        """Take a new flow (values (H, W, 2), valid mask): check that it is
+        finite where valid and refresh the flow side of the plan."""
+        _require_finite(values, mask, FLOW_NOT_FINITE)
+        self.flow_mask = mask
+        f_u, f_v = values[..., 0], values[..., 1]
         if self.config.w_c > 0:
-            tri = triangulate_depth(self.camera, self.bundle.motion, flow)
-            if not tri.validity.any():
+            depth, validity, _ = triangulate_values(
+                self.camera, self.motion, f_u, f_v, mask, self.grid, self.rays
+            )
+            _require_depth(depth, validity)
+            if not validity.any():
                 raise NoValidPixelsError("triangulation produced no valid pixels")
-            self.geo = (tri.depth_g.values, tri.validity)
+            self.geo = (ad.as_var(depth), validity)
+        if self.config.w_d > 0:
+            if self.rotation is not None:
+                f_u = f_u - self.rotation[..., 0]
+                f_v = f_v - self.rotation[..., 1]
+            self.div_f = differential_flow_side(f_u, f_v)
+
+    def rigid_flow(self, depth_values):
+        """Rigid flow (values, valid) of a depth grid under the warp motion,
+        checked finite where valid as `FlowField` checks it."""
+        values, valid = rigid_flow_values(self.camera, self.motion, depth_values, grid=self.grid)
+        _require_finite(values, valid, FLOW_NOT_FINITE)
+        return values, valid
 
     def losses(self, depth_var):
         """Loss terms as tape nodes, keyed by short name; a term whose
@@ -168,30 +226,23 @@ class _DepthObjective:
             geo_values, geo_valid = self.geo
             terms["cgdc"] = cgdc_core(geo_values, depth_var, geo_valid)
         if cfg.w_d > 0:
-            f_tra_u = self.flow.values[..., 0]
-            f_tra_v = self.flow.values[..., 1]
-            if np.abs(self.bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-                rot = rotational_flow(self.camera, self.bundle.motion.rotation, *self.bundle.shape)
-                f_tra_u = f_tra_u - rot.values[..., 0]
-                f_tra_v = f_tra_v - rot.values[..., 1]
-            c_f, c_d, _, _, valid = differential_fields_core(
-                self.camera, self.t_ego, depth_var, f_tra_u, f_tra_v
+            c_f, c_d, valid = differential_depth_side(
+                self.t_ego[2], depth_var, *self.q, self.div_f, interior=self.interior
             )
-            mask = valid & (np.abs(c_d.value) >= DPC_FLOOR) & self.flow.mask
+            mask = valid & (np.abs(c_d.value) >= DPC_FLOOR) & self.flow_mask
             if mask.any():
                 terms["dpc"] = dpc_core(c_f, c_d, mask)
         if cfg.w_p > 0:
-            motion = self.bundle.motion
+            motion, grid = self.motion, self.grid
             f_u, f_v, ok = rigid_flow_graph(
-                self.camera, motion.rotation, motion.translation, depth_var, *self.bundle.shape
+                self.camera, motion.rotation, motion.translation, depth_var, *self.bundle.shape,
+                grid, self.rays,
             )
-            warped, inside = ad.bilinear(
-                self.bundle.image_s.values, f_u + self.u, f_v + self.v
-            )
+            warped, inside = ad.bilinear(self.bundle.image_s.values, f_u + grid.u, f_v + grid.v)
             pmask = ok & inside
             if pmask.any():
                 terms["photometric"] = photometric_core(
-                    self.bundle.image_t.values, warped, pmask
+                    self.bundle.image_t.values, warped, pmask, reference=self.reference
                 )
         return terms
 
@@ -229,12 +280,12 @@ def _safe_depth(values) -> DepthMap:
     return DepthMap(np.where(ok, values, 1.0), ok)
 
 
-def _abort_if_diverged(iteration, loss_values, theta, records, started, config, flow=None):
+def _abort_if_diverged(iteration, loss_values, decoded, records, started, config, flow=None):
     """Raise AbortedRunError, carrying the partial trace, once the summed
     loss passes `divergence_threshold` or any value stops being finite.
-    `flow` is the (values, mask) pair of a co-adjusted flow field."""
+    `decoded` is the depth of the updated field; `flow` is the (values,
+    mask) pair of a co-adjusted flow field."""
     total = sum(loss_values.values())
-    decoded = _decode_values(theta)
     if not np.isfinite(total) or total > config.divergence_threshold or not np.isfinite(decoded).all():
         trace = RunTrace(records, _safe_depth(decoded),
                          None if flow is None else FlowField(*flow),
@@ -269,7 +320,7 @@ def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
             # were evaluated at (before the update)
             records.append(_evaluate_record(bundle, theta, it, loss_values))
         theta = new_theta
-        _abort_if_diverged(it, loss_values, theta, records, started, config)
+        _abort_if_diverged(it, loss_values, _decode_values(theta), records, started, config)
 
     records.append(_final_record(bundle, objective, theta, config))
     return RunTrace(
@@ -320,6 +371,12 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     early for static scenes so the flow settles against a quiet depth
     field. Trace extras report static/dynamic-region depth error and the
     mean flow gap over the dynamic region.
+
+    The loop keeps the flow and the depth as raw arrays, checked each
+    iteration as `FlowField` and `DepthMap` check them, and wraps them in
+    containers only at a record, an abort or the return. The rigid flow of
+    the depth is evaluated only on the iterations that use it: those of the
+    flow phase, record iterations and the final record.
     """
     if config.w_b <= 0:
         raise ValueError("co_adjust needs w_b > 0")
@@ -332,16 +389,21 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     records = []
     started = time.perf_counter()
 
+    depth_values = _decode_values(theta)
     for it in range(config.iterations):
-        rigid = rigid_flow(bundle.camera, bundle.motion, DepthMap(_decode_values(theta)))
+        _require_depth(depth_values)
+        flow_phase = it >= flow_start
+        record = it % config.record_every == 0
+        if flow_phase or record:
+            rigid_values, rigid_valid = objective.rigid_flow(depth_values)
 
         loss_b = None
-        if it >= flow_start:
+        if flow_phase:
             # flow step: co-adjustment loss only
             f_u = ad.Var(flow_values[..., 0])
             f_v = ad.Var(flow_values[..., 1])
-            bmask = flow_mask & rigid.mask
-            loss_b = bsca_core(rigid.values[..., 0], rigid.values[..., 1], f_u, f_v, bmask)
+            bmask = flow_mask & rigid_valid
+            loss_b = bsca_core(rigid_values[..., 0], rigid_values[..., 1], f_u, f_v, bmask)
             ad.backward(loss_b)
             rate = config.flow_learning_rate * config.w_b
             flow_values = np.stack(
@@ -351,22 +413,23 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
                 ],
                 axis=-1,
             )
-            objective.set_flow(FlowField(flow_values, flow_mask))
+            objective.set_flow(flow_values, flow_mask)
 
         # depth step: consistency losses from the adjusted flow
         new_theta, loss_values = _depth_step(objective, theta, it, config)
         if loss_b is not None:
             loss_values["bsca"] = float(loss_b.value)
-        if it % config.record_every == 0:
-            extras = _region_extras(bundle, theta, flow_values, rigid.values)
+        if record:
+            extras = _region_extras(bundle, theta, flow_values, rigid_values)
             records.append(_evaluate_record(bundle, theta, it, loss_values, extras))
         theta = new_theta
-        _abort_if_diverged(it, loss_values, theta, records, started, config,
+        depth_values = _decode_values(theta)
+        _abort_if_diverged(it, loss_values, depth_values, records, started, config,
                            (flow_values, flow_mask))
 
-    final_depth = DepthMap(_decode_values(theta))
-    final_rigid = rigid_flow(bundle.camera, bundle.motion, final_depth)
-    extras = _region_extras(bundle, theta, flow_values, final_rigid.values)
+    final_depth = DepthMap(depth_values)
+    final_rigid, _ = objective.rigid_flow(final_depth.values)
+    extras = _region_extras(bundle, theta, flow_values, final_rigid)
     records.append(_final_record(bundle, objective, theta, config, extras))
     return RunTrace(
         records,
@@ -418,7 +481,7 @@ def ablation_suite(bundles, configs) -> list:
                 trace = runner(bundle, config)
                 row.update(trace.final_metrics.as_dict())
                 row.update(trace.records[-1].extras)
-            except Exception as exc:  # keep the suite running
+            except (FlowGeoError, ValueError) as exc:  # a failed run; keep the suite running
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     return rows

@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import CameraIntrinsics, DepthMap, FlowField, RigidMotion, pixel_grid
+from .geometry import CameraGrid, CameraIntrinsics, DepthMap, FlowField, RigidMotion
 
 DEGENERATE_DENOMINATOR_EPS = 1e-8
 
@@ -63,24 +63,49 @@ def normalized_correspondences(camera: CameraIntrinsics, pixel, flow):
     return p_t, p_s
 
 
-def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v):
+def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, rays=None):
     """Numerator and denominator of the depth ratio in the module docstring.
 
     R (3x3, indexable as R[i][j]) and t are the warp motion; (f_u, f_v) the
     flow components on the H x W grid. Entries may be floats and arrays or
     tape Vars alike, so this one expression is the body of both
-    `triangulate_depth` and `grad.triangulate_graph`.
+    `triangulate_depth` and `grad.triangulate_graph`. A caller that holds
+    the `CameraGrid` and the rows `grid.rays(R)` of a fixed rotation may
+    pass them instead of having them rebuilt.
     """
-    H, W = np.shape(f_u.value if isinstance(f_u, ad.Var) else f_u)
-    u, v = pixel_grid(H, W)
-    xn = (u - camera.cx) / camera.fx
-    yn = (v - camera.cy) / camera.fy
-    s_u = (f_u + u - camera.cx) / camera.fx
-    s_v = (f_v + v - camera.cy) / camera.fy
-    r_dot = [R[i][0] * xn + R[i][1] * yn + R[i][2] for i in range(3)]  # r_i . x
+    if grid is None:
+        grid = CameraGrid.of(camera, *np.shape(f_u.value if isinstance(f_u, ad.Var) else f_u))
+    r_dot = grid.rays(R) if rays is None else rays  # r_i . x
+    s_u = (f_u + grid.u - camera.cx) / camera.fx
+    s_v = (f_v + grid.v - camera.cy) / camera.fy
     numerator = (t[0] - s_u * t[2]) + (t[1] - s_v * t[2])
     denominator = (s_u * r_dot[2] - r_dot[0]) + (s_v * r_dot[2] - r_dot[1])
     return numerator, denominator
+
+
+def triangulate_values(camera: CameraIntrinsics, motion: RigidMotion, f_u, f_v, flow_mask,
+                       grid=None, rays=None):
+    """The body of `triangulate_depth` on raw arrays: (depth, validity,
+    degeneracy codes), with depth 1.0 on invalid pixels. `grid` and `rays`
+    are passed on to `triangulation_ratio`. The depth is not checked;
+    `triangulate_depth` checks it through `DepthMap`."""
+    numerator, denominator = triangulation_ratio(
+        camera, motion.rotation, motion.translation, f_u, f_v, grid, rays
+    )
+
+    codes = np.zeros(flow_mask.shape, dtype=np.uint8)
+    codes[~flow_mask] = Degeneracy.MASKED_FLOW
+    near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
+    small = near_zero & flow_mask
+    codes[small] = Degeneracy.NEAR_ZERO_DENOMINATOR
+
+    safe = np.where(near_zero, 1.0, denominator)
+    depth = numerator / safe
+    negative = (depth <= 0) & flow_mask & ~small
+    codes[negative] = Degeneracy.NEGATIVE_DEPTH
+
+    validity = codes == Degeneracy.OK
+    return np.where(validity, depth, 1.0), validity, codes
 
 
 def triangulate_depth(
@@ -94,22 +119,7 @@ def triangulate_depth(
     negative solutions, or invalid flow are masked with their degeneracy
     code.
     """
-    H, W = flow.shape
-    numerator, denominator = triangulation_ratio(
-        camera, motion.rotation, motion.translation, flow.values[..., 0], flow.values[..., 1]
+    depth, validity, codes = triangulate_values(
+        camera, motion, flow.values[..., 0], flow.values[..., 1], flow.mask
     )
-
-    codes = np.zeros((H, W), dtype=np.uint8)
-    codes[~flow.mask] = Degeneracy.MASKED_FLOW
-    near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
-    small = near_zero & flow.mask
-    codes[small] = Degeneracy.NEAR_ZERO_DENOMINATOR
-
-    safe = np.where(near_zero, 1.0, denominator)
-    depth = numerator / safe
-    negative = (depth <= 0) & flow.mask & ~small
-    codes[negative] = Degeneracy.NEGATIVE_DEPTH
-
-    validity = codes == Degeneracy.OK
-    depth = np.where(validity, depth, 1.0)
     return TriangulationResult(DepthMap(depth, validity), validity, codes)

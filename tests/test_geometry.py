@@ -16,7 +16,9 @@ from flowgeo.geometry import (
     FlowField,
     Image,
     RigidMotion,
+    ScalarField,
     TwistParams,
+    _axis_diff,
     axis_angle_from_rotation,
     backproject,
     divergence,
@@ -250,6 +252,13 @@ class TestDivergence:
         separate = a * divergence(FlowField(f)).values + b * divergence(FlowField(g)).values
         assert np.abs(combined - separate).max() < 1e-12
 
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_short_axis_is_a_dimension_error(self, length, axis):
+        shape = (length, 5) if axis == 0 else (5, length)
+        with pytest.raises(DimensionError, match="at least 3 samples"):
+            _axis_diff(np.ones(shape), axis)
+
     def test_too_small_grid(self):
         with pytest.raises(DimensionError):
             divergence(FlowField(np.zeros((2, 5, 2))))
@@ -304,6 +313,33 @@ class TestTypes:
     def test_depth_rejects_nonfinite(self):
         with pytest.raises(InvalidDepthError):
             DepthMap(np.array([[1.0, np.inf], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_flow_and_scalar_reject_nonfinite_valid_pixel(self, bad):
+        flow = np.zeros((3, 4, 2))
+        flow[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="^flow contains non-finite values on valid pixels$"):
+            FlowField(flow)
+        mask = np.ones((3, 4), bool)
+        mask[0, 0] = False  # a masked pixel elsewhere does not excuse the valid one
+        with pytest.raises(ValueError, match="^flow contains non-finite values on valid pixels$"):
+            FlowField(flow, mask)
+        field = np.zeros((3, 4))
+        field[2, 3] = bad
+        with pytest.raises(ValueError, match="^scalar field has non-finite valid values$"):
+            ScalarField(field)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_flow_and_scalar_accept_nonfinite_masked_pixel(self, bad):
+        mask = np.ones((3, 4), bool)
+        mask[1, 2] = False
+        flow = np.zeros((3, 4, 2))
+        flow[1, 2] = bad
+        kept = FlowField(flow, mask)
+        assert kept.values is flow and kept.mask.sum() == 11
+        field = np.zeros((3, 4))
+        field[1, 2] = bad
+        assert ScalarField(field, mask).mask.sum() == 11
 
     def test_image_range(self):
         with pytest.raises(ValueError):

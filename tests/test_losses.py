@@ -4,6 +4,7 @@ scale/permutation symmetries, and the differential-field identity."""
 import numpy as np
 import pytest
 
+from flowgeo import autodiff as ad
 from flowgeo.errors import DegenerateTranslationError, DimensionError, NoValidPixelsError
 from flowgeo.geometry import (
     CameraIntrinsics,
@@ -22,6 +23,7 @@ from flowgeo.losses import (
     cgdc_loss,
     depth_metrics,
     differential_fields,
+    differential_fields_core,
     dpc_loss,
     edge_aware_smoothness,
     photometric_loss,
@@ -182,6 +184,18 @@ class TestDifferentialFields:
         f = FlowField(np.zeros((8, 8, 2)))
         with pytest.raises(DegenerateTranslationError):
             differential_fields(K, RigidMotion(np.eye(3), [0.5, 0.0, 0.0]), d, f)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (5, 1), (5, 2)])
+    def test_short_grid_is_a_dimension_error(self, shape):
+        # both the numpy wrapper and the tape core reach the stencil
+        d, f = np.full(shape, 5.0), np.zeros(shape + (2,))
+        short_axis = 0 if shape[0] < 3 else 1
+        with pytest.raises(DimensionError, match="at least 3 samples"):
+            differential_fields(K, RigidMotion(np.eye(3), [0.0, 0.0, 1.0]), DepthMap(d), FlowField(f))
+        with pytest.raises(DimensionError, match="at least 3 samples"):
+            differential_fields_core(K, (0.0, 0.0, 1.0), ad.Var(d), ad.Var(f[..., 0]), ad.Var(f[..., 1]))
+        with pytest.raises(DimensionError, match="at least 3 samples"):
+            ad.axis_diff(ad.Var(d), axis=short_axis)
 
     def test_validity_excludes_border_and_geo_degenerate(self):
         H, W = 10, 12

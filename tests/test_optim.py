@@ -4,10 +4,30 @@ divergence handling, and the co-adjustment reduction on static scenes."""
 import numpy as np
 import pytest
 
-from flowgeo.errors import AbortedRunError
-from flowgeo.geometry import RigidMotion, rigid_flow
+from flowgeo import autodiff as ad
+from flowgeo import optim
+from flowgeo.errors import AbortedRunError, InvalidDepthError
+from flowgeo.geometry import (
+    CameraIntrinsics,
+    DepthMap,
+    RigidMotion,
+    rigid_flow,
+    rotation_from_axis_angle,
+    rotational_flow,
+    translational_flow,
+)
+from flowgeo.losses import (
+    bsca_loss,
+    cgdc_loss,
+    differential_fields,
+    dpc_core,
+)
 from flowgeo.optim import OptimConfig, ablation_suite, co_adjust, recover_depth
 from flowgeo.scene import SceneSpec, synthesize
+from flowgeo.triangulate import triangulate_depth
+
+README_SPEC = SceneSpec("affine-inverse-shift", a=0.21, b=0.0013, c=0.0009)
+README_T = [0.31, 0.02, 0.42]
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +176,96 @@ class TestAblation:
     def test_empty_grid(self, small_static):
         with pytest.raises(ValueError):
             ablation_suite([], [])
+
+
+    def test_programming_error_propagates(self, small_static, monkeypatch):
+        def broken(bundle, config):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(optim, "recover_depth", broken)
+        configs = [("wc=1", OptimConfig(w_c=1.0, w_d=0.0, iterations=5, seed=1))]
+        with pytest.raises(TypeError, match="unsupported operand"):
+            ablation_suite([("scene", small_static)], configs)
+
+
+class TestPlan:
+    """The plan `_DepthObjective` builds once per run, and the raw-array
+    co-adjustment loop: same losses, same checks, fewer tape nodes."""
+
+    @pytest.fixture(scope="class")
+    def rotating(self):
+        # the README scene with a rotating ego-motion at 24x18, CLI camera
+        ego = RigidMotion(rotation_from_axis_angle([0.011, -0.017, 0.013]), README_T)
+        return synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 12.0, 9.0), ego, 18, 24)
+
+    def test_dpc_active_step_tape_size(self):
+        # recover-depth benchmark scene, 96x72; 130 Vars per step when every
+        # theta-independent term was rebuilt on each step
+        ego = RigidMotion(np.eye(3), README_T)
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
+        objective = optim._DepthObjective(bundle, config)
+        theta = optim._initial_theta(bundle, config, np.random.default_rng(1))
+        it = objective.dpc_active_after
+        assert objective.weights(it)["dpc"] > 0
+        before = ad._counter
+        optim._depth_step(objective, theta, it, config)
+        assert ad._counter - before <= 106
+
+    def test_recover_step_equals_public_wrappers(self, rotating):
+        b = rotating
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=1, record_every=1, seed=3)
+        trace = recover_depth(b, config)
+        depth = DepthMap(np.exp(optim._initial_theta(b, config, np.random.default_rng(3))))
+        first = trace.records[0].losses
+        tri = triangulate_depth(b.camera, b.motion, b.flow_gt)
+        assert first["cgdc"] == cgdc_loss(tri, depth).value
+        f_tra = translational_flow(b.flow_gt, rotational_flow(b.camera, b.motion.rotation, *b.shape))
+        fields = differential_fields(b.camera, b.ego_motion, depth, f_tra)
+        mask = fields.validity & (np.abs(fields.c_d.values) >= optim.DPC_FLOOR)
+        assert first["dpc"] == dpc_core(fields.c_f.values, fields.c_d.values, mask).value
+        # photometric has no bit-equal numpy twin (the tape's rigid flow sums
+        # in another order), and the record after the step also checks the
+        # backward pass: both against the bytes recorded before the plan
+        assert first["photometric"] == float.fromhex("0x1.2a7579696194ep-3")
+        assert trace.records[1].losses == {
+            "cgdc": float.fromhex("0x1.4bf6121f88eb1p-2"),
+            "dpc": float.fromhex("0x1.02226059e0a33p+0"),
+            "photometric": float.fromhex("0x1.2968c56236b93p-3"),
+        }
+
+    def test_co_adjust_step_equals_public_wrappers(self, rotating):
+        b = rotating
+        config = OptimConfig(w_c=1.0, w_d=0.1, w_b=1.0, iterations=1, record_every=1, seed=3)
+        trace = co_adjust(b, config)
+        depth = DepthMap(np.exp(optim._initial_theta(b, config, np.random.default_rng(3))))
+        first = trace.records[0].losses
+        assert first["bsca"] == bsca_loss(rigid_flow(b.camera, b.motion, depth), b.flow_gt).value
+        # the depth losses of a co-adjusted step see the updated flow
+        assert first["cgdc"] == float.fromhex("0x1.3de676a4e2e32p-2")
+        assert first["dpc"] == float.fromhex("0x1.0019e989b8397p+0")
+        assert trace.records[1].losses == {
+            "cgdc": float.fromhex("0x1.3d9266b1c8bbbp-2"),
+            "dpc": float.fromhex("0x1.f9effcf8ff6c1p-1"),
+        }
+
+    def test_co_adjust_rejects_nonfinite_flow_at_first_flow_step(self, small_static, monkeypatch):
+        calls = []
+        real_bsca = optim.bsca_core
+        monkeypatch.setattr(optim, "bsca_core", lambda *a: calls.append(1) or real_bsca(*a))
+        # a flow step of infinite size leaves non-finite flow on valid pixels
+        config = OptimConfig(
+            w_c=1.0, w_d=0.1, w_b=1e300, flow_learning_rate=1e300, iterations=40, seed=0
+        )
+        with pytest.raises(ValueError, match="^flow contains non-finite values on valid pixels$"):
+            co_adjust(small_static, config)
+        assert len(calls) == 1
+
+    def test_co_adjust_rejects_vanishing_depth_before_a_step(self, small_static, monkeypatch):
+        steps = []
+        real_step = optim._depth_step
+        monkeypatch.setattr(optim, "_depth_step", lambda *a: steps.append(1) or real_step(*a))
+        monkeypatch.setattr(optim, "_initial_theta", lambda b, c, rng: np.full(b.shape, -1000.0))
+        with pytest.raises(InvalidDepthError, match="strictly positive"):
+            co_adjust(small_static, OptimConfig(w_c=1.0, w_b=1.0, iterations=10))
+        assert steps == []
