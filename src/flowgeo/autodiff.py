@@ -2,9 +2,10 @@
 
 Small engine tailored to grid losses: scalar-or-array values, full numpy
 broadcasting in binary ops, and hand-written adjoints for the structured
-operations (stencil differences, 3x3 box filter, bilinear sampling).
-Gradients are exact derivatives of the forward expressions; absolute-value
-kinks use subgradient 0 at exactly-zero arguments.
+operations (stencil differences, 3x3 box filter, bilinear sampling, and,
+in `losses.photometric_channel`, one channel pair of the photometric
+term). Gradients are exact derivatives of the forward expressions;
+absolute-value kinks use subgradient 0 at exactly-zero arguments.
 
 Activity: a `Var` made by a caller (`Var(x)`) is a leaf and gets a
 gradient. `as_var` wraps ndarray and float operands as constants. An op
@@ -256,21 +257,33 @@ def axis_diff(a, axis: int):
     return Var(out, parents=((a, vjp),))
 
 
+def _box3(v):
+    """3x3 zero-padded mean of an array over its first two axes: nine
+    shifted adds from zeros, then one division.
+
+    The padded grid is laid out flat, row after row, so each shifted
+    window is one contiguous run of H rows W + 2 wide. The two extra
+    columns per row are summed as well and dropped at the end; every kept
+    entry sees the same nine adds in the same order as the 2-D form."""
+    H, W = v.shape[:2]
+    rest = v.shape[2:]
+    row = W + 2
+    n = H * row
+    p = np.zeros(((H + 2) * row + 2,) + rest)
+    p[: (H + 2) * row].reshape((H + 2, row) + rest)[1:-1, 1:-1] = v
+    out = np.zeros((n,) + rest)
+    for dy in range(3):
+        for dx in range(3):
+            start = dy * row + dx
+            out += p[start : start + n]
+    out /= 9.0
+    return out.reshape((H, row) + rest)[:, :W]
+
+
 def box3(a):
     """3x3 zero-padded mean filter (self-adjoint by symmetry)."""
     a = as_var(a)
-
-    def run(v):
-        H, W = v.shape[:2]
-        p = np.zeros((H + 2, W + 2) + v.shape[2:])
-        p[1:-1, 1:-1] = v
-        out = np.zeros(v.shape)
-        for dy in range(3):
-            for dx in range(3):
-                out += p[dy : dy + H, dx : dx + W]
-        return out / 9.0
-
-    return Var(run(a.value), parents=((a, lambda g: run(np.asarray(g, dtype=float))),))
+    return Var(_box3(a.value), parents=((a, lambda g: _box3(np.asarray(g, dtype=float))),))
 
 
 def bilinear(values: np.ndarray, xs, ys):

@@ -7,19 +7,21 @@ reconstructible from its output directory; gen-scene also writes the
 scene it rendered, default camera and ego-motion included, as `scene.txt`.
 Artifact paths are announced on stdout, one per line, prefixed "wrote ".
 Exit codes: 0 success, 2 usage error, 1 runtime failure (one-line
-diagnostic on stderr).
+diagnostic on stderr). A descent run that diverges still writes and
+announces the partial trace it carries before it exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import FlowGeoError
+from .errors import AbortedRunError, FlowGeoError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -42,6 +44,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors end in one stderr line, as every
+    other diagnostic does, instead of argparse's usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_size(text):
     try:
         w, h = text.lower().split("x")
@@ -53,14 +63,21 @@ def _parse_size(text):
     return height, width
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy seeds are non-negative
 
 
 def _parse_weights(text):
@@ -71,13 +88,15 @@ def _parse_weights(text):
         w = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-numeric weight in {text!r}") from None
+    if not all(np.isfinite(w)):
+        raise UsageError(f"weights must be finite, got {text!r}")
     if min(w) < 0:
         raise UsageError("weights must be non-negative")
     return w
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowgeo",
         description="synthetic two-view geometry experiments: scenes, "
         "triangulated depth, differential-field checks, and field optimization",
@@ -89,7 +108,7 @@ def _build_parser():
         if scene:
             p.add_argument("--scene", required=True, help="key=value scene file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--size", default="96x72", help="grid size WxH")
 
     common(sub.add_parser("gen-scene", help="write ground-truth depth/flow/images and the scene"))
@@ -115,7 +134,7 @@ def _build_parser():
     p.add_argument("pred", help="predicted depth .pfm")
     p.add_argument("gt", help="ground-truth depth .pfm")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -173,6 +192,19 @@ def _trace_outputs(out, trace, stem):
         flow_path = out / f"{stem}-flow.flo"
         write_flow(flow_path, trace.final_flow)
         _announce(flow_path)
+
+
+def _run_traced(experiment, bundle, config, out, stem):
+    """Run a descent experiment and write its trace outputs. A diverged
+    run writes the partial trace it carries before its error propagates."""
+    try:
+        trace = experiment(bundle, config)
+    except AbortedRunError as exc:
+        if exc.trace is not None:
+            _trace_outputs(out, exc.trace, stem)
+        raise
+    _trace_outputs(out, trace, stem)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +314,7 @@ def _cmd_recover_depth(args):
     if bundle.dynamic_mask.any():
         raise UsageError("the scene has a dynamic object; use co-adjust")
     out = _out_dir(args)
-    trace = recover_depth(bundle, _config_from_args(args, weights))
-    _trace_outputs(out, trace, "recover")
+    trace = _run_traced(recover_depth, bundle, _config_from_args(args, weights), out, "recover")
     print(f"final abs_rel={trace.final_metrics.abs_rel:.6f}")
     _write_manifest(out, args, {"weights": weights})
     return 0
@@ -295,8 +326,7 @@ def _cmd_co_adjust(args):
         raise UsageError("co-adjust needs w_b > 0")
     bundle, *_ = _load_scene(args)
     out = _out_dir(args)
-    trace = co_adjust(bundle, _config_from_args(args, weights))
-    _trace_outputs(out, trace, "co_adjust")
+    trace = _run_traced(co_adjust, bundle, _config_from_args(args, weights), out, "co_adjust")
     summary = trace.records[-1].extras
     print(
         "final "
@@ -351,10 +381,16 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage problems itself
+        # a run that overflows ends in a typed error or a diverged-run
+        # abort; numpy's floating-point warnings would only add stderr lines.
+        # They are filtered, not silenced by np.errstate: under "ignore" the
+        # status flags stay set and numpy scalar arithmetic takes its slow
+        # path (co-adjust ran ~5% slower that way on a 2-vCPU VM).
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,10 @@ class InvalidSceneError(FlowGeoError):
     placement invariants or overflow the rendering."""
 
 
+class NonFiniteError(FlowGeoError, ValueError):
+    """A grid holds non-finite values on pixels it marks valid."""
+
+
 class NoValidPixelsError(FlowGeoError):
     """A masked reduction was requested over an empty valid set."""
 

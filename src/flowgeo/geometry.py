@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DimensionError, InvalidDepthError
+from .errors import BehindCameraError, DimensionError, InvalidDepthError, NonFiniteError
 
 ORTHONORMALITY_TOL = 1e-12
 Z_EPS = 1e-9
@@ -158,11 +158,12 @@ class TwistParams:
 
 
 def _require_finite(values, mask, message):
-    """Raise ValueError(message) unless `values` is finite wherever `mask`
-    holds. The whole array is checked first; the masked copy is made only
-    when that check fails, so a valid grid costs no copy."""
+    """Raise NonFiniteError(message), a ValueError, unless `values` is
+    finite wherever `mask` holds. The whole array is checked first; the
+    masked copy is made only when that check fails, so a valid grid costs
+    no copy."""
     if not np.isfinite(values).all() and not np.isfinite(values[mask]).all():
-        raise ValueError(message)
+        raise NonFiniteError(message)
 
 
 def _require_depth(values, mask=None):

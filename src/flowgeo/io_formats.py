@@ -15,6 +15,8 @@ crashing or returning garbage.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -25,10 +27,12 @@ MAX_DIMENSION = 100_000
 
 
 def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated file: expected {count} bytes of {what}, got {len(data)}")
-    return data
+    # checked against the file size first: the read itself would allocate
+    # the count a header claims, up to 80 GB for the largest dimensions
+    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    if left < count:
+        raise FormatError(f"truncated file: expected {count} bytes of {what}, got {left}")
+    return fh.read(count)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,8 @@ def read_flow(path) -> FlowField:
         if fh.read(1):
             raise FormatError("trailing bytes after flow payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(H, W, 2)
+    if not np.isfinite(values).all():
+        raise FormatError("flow file payload must be finite")
     return FlowField(values.astype(np.float64))
 
 
@@ -95,12 +101,12 @@ def read_depth_pfm(path) -> DepthMap:
             raise FormatError(f"malformed PFM header field: {exc}") from None
         if not (0 < W <= MAX_DIMENSION and 0 < H <= MAX_DIMENSION):
             raise FormatError(f"PFM dimensions out of range: {W} x {H}")
-        if scale >= 0:
+        if not scale < 0:  # NaN included
             raise FormatError("big-endian PFM is not supported (scale must be negative)")
         payload = _read_exact(fh, 4 * W * H, "PFM payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(H, W)[::-1]
-    if np.isnan(values).any():
-        raise FormatError("PFM payload contains NaN")
+    if not np.isfinite(values).all():
+        raise FormatError("PFM payload contains NaN or inf")
     return DepthMap(values.astype(np.float64), mask=values > 0)
 
 

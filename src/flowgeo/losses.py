@@ -5,7 +5,11 @@ flow co-adjustment, the edge-aware smoothness baseline, and depth metrics.
 Every loss is a masked mean over valid pixels with deterministic summation
 order. The cores are written against the autodiff tape so the same
 expressions serve forward evaluation and exact differentiation; the public
-wrappers accept the typed grid values and return plain records.
+wrappers accept the typed grid values and return plain records. Each
+channel pair of the photometric term is one tape node
+(`photometric_channel`) whose adjoint replays, product for product and in
+the same accumulation order, the backward pass of the composed SSIM + L1
+graph, so its gradients keep their bits.
 
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
@@ -82,53 +86,109 @@ def _require_mask(mask, label):
 
 
 def ssim_stats(b):
-    """The statistics SSIM takes of one input on its own: its 3x3 mean mu,
-    mu * mu, and its variance box3(b * b) - mu * mu. A fixed reference
-    image needs them only once."""
-    mu = ad.box3(b)
-    mu_sq = ad.mul(mu, mu)
-    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
+    """The statistics SSIM takes of one image channel on its own, as plain
+    arrays: its 3x3 mean mu, mu * mu, and its variance box3(b * b) - mu * mu.
+    A fixed reference image needs them only once."""
+    b = np.asarray(b, dtype=float)
+    mu = ad._box3(b)
+    mu_sq = mu * mu
+    return mu, mu_sq, ad._box3(b * b) - mu_sq
 
 
-def ssim_core(a, b, b_stats=None):
-    """Per-pixel SSIM with 3x3 zero-padded mean-pool statistics. `b` is the
-    reference; `b_stats` may carry its `ssim_stats` from an earlier call."""
-    mu_a = ad.box3(a)
-    mu_b, mu_b_sq, var_b = ssim_stats(b) if b_stats is None else b_stats
-    var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
-    cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
-    num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return ad.div(num, den)
+def _ssim_terms(a, b, b_stats):
+    """Per-pixel SSIM of channel `a` against the reference channel `b`,
+    with 3x3 zero-padded mean-pool statistics, and the intermediates its
+    adjoint reads: (ssim, mu_a, mu_b, num, den, the two factors of num,
+    the two factors of den)."""
+    mu_b, mu_b_sq, var_b = b_stats
+    mu_a = ad._box3(a)
+    mu_a_sq = mu_a * mu_a
+    var_a = ad._box3(a * a) - mu_a_sq
+    mu_ab = mu_a * mu_b
+    cov = ad._box3(a * b) - mu_ab
+    num_l = mu_ab * 2.0 + SSIM_C1
+    num_r = cov * 2.0 + SSIM_C2
+    den_l = mu_a_sq + mu_b_sq + SSIM_C1
+    den_r = var_a + var_b + SSIM_C2
+    num, den = num_l * num_r, den_l * den_r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = num / den
+    return s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r
 
 
 def reference_channels(i_t):
-    """(channel, its `ssim_stats`) per channel of the reference image, the
-    image-only half of `photometric_core`."""
-    i_t = ad.as_var(i_t)
-    shape = np.shape(i_t.value)
-    channels = [i_t] if len(shape) == 2 else [ad.take_channel(i_t, c) for c in range(shape[2])]
-    return [(ch, ssim_stats(ch)) for ch in channels]
+    """(channel, its `ssim_stats`) per channel of the reference image, as
+    plain arrays: the image-only half of `photometric_core`."""
+    return [(ch, ssim_stats(ch)) for ch in _channels(i_t)]
+
+
+def _channels(values):
+    """The 2-D channels of an (H, W) or (H, W, C) image."""
+    values = np.asarray(values, dtype=float)
+    return [values] if values.ndim == 2 else [values[..., c] for c in range(values.shape[2])]
+
+
+def photometric_channel(ch_t, stats, ch_w, alpha=ALPHA_DEFAULT):
+    """alpha (1 - SSIM(ch_w, ch_t))/2 + (1 - alpha) |ch_t - ch_w| per pixel,
+    as one tape node. The reference channel `ch_t` (with its `ssim_stats`)
+    is constant; the warped channel `ch_w` is the active input.
+
+    The forward evaluates the composed SSIM + L1 expression operation by
+    operation. The adjoint replays the backward pass the tape would run
+    over that composed graph: the same products and quotients, with the
+    contributions to each intermediate summed in reverse creation order.
+    So the gradient keeps its bits; only the node count changes.
+    """
+    ch_w = ad.as_var(ch_w)
+    a, b = ch_w.value, ch_t
+    s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = _ssim_terms(a, b, stats)
+    half_alpha, beta = alpha * 0.5, 1.0 - alpha
+    diff = b - a
+    out = (1.0 - s) * half_alpha + np.abs(diff) * beta
+
+    def vjp(g):
+        # the L1 branch was created last, so it reaches ch_w first
+        g_a = -(g * beta * np.sign(diff))
+        g_s = -(g * half_alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_num = g_s / den
+            g_den = -g_s * num / (den * den)
+        # mu_a gathers den's mu_a*mu_a (twice), num's and cov's mu_a*mu_b,
+        # then var's mu_a*mu_a (twice)
+        twice = g_den * den_r * mu_a
+        g_mu = twice + twice
+        g_mu += g_num * num_r * 2.0 * mu_b
+        g_cov = g_num * num_l * 2.0
+        g_mu += -g_cov * mu_b
+        g_a += ad._box3(g_cov) * b
+        g_var = g_den * den_l
+        twice = -g_var * mu_a
+        g_mu += twice
+        g_mu += twice
+        twice = ad._box3(g_var) * a
+        g_a += twice
+        g_a += twice
+        g_a += ad._box3(g_mu)
+        return g_a
+
+    return ad.Var(out, parents=((ch_w, vjp),))
 
 
 def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
-    masked mean. i_t is treated as the reference (constant or Var alike);
-    `reference` may carry its `reference_channels` from an earlier call."""
+    masked mean. i_t is the constant reference; `reference` may carry its
+    `reference_channels` from an earlier call. Each channel pair is one
+    `photometric_channel` node, whose adjoint replays the order of the
+    composed SSIM + L1 graph."""
     i_warped = ad.as_var(i_warped)
     if reference is None:
         reference = reference_channels(i_t)
-
-    def one_channel_pair(ch_t, stats, ch_w):
-        s = ssim_core(ch_w, ch_t, stats)
-        return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * ad.absolute(ch_t - ch_w)
-
     if np.ndim(i_warped.value) == 2:
-        per_pixel = one_channel_pair(*reference[0], i_warped)
+        per_pixel = photometric_channel(*reference[0], i_warped, alpha)
     else:
         acc = None
         for c, (ch_t, stats) in enumerate(reference):
-            term = one_channel_pair(ch_t, stats, ad.take_channel(i_warped, c))
+            term = photometric_channel(ch_t, stats, ad.take_channel(i_warped, c), alpha)
             acc = term if acc is None else acc + term
         per_pixel = acc * (1.0 / len(reference))
     return ad.masked_mean(per_pixel, mask)
@@ -241,14 +301,9 @@ def ssim(a: Image, b: Image) -> ScalarField:
     """Channel-averaged per-pixel SSIM map; values lie in [-1, 1]."""
     if a.values.shape != b.values.shape:
         raise DimensionError("ssim inputs must share a shape")
-    if a.values.ndim == 2:
-        out = ssim_core(a.values, b.values).value
-    else:
-        out = np.mean(
-            [ssim_core(a.values[..., c], b.values[..., c]).value for c in range(a.values.shape[2])],
-            axis=0,
-        )
-    return ScalarField(out)
+    maps = [_ssim_terms(a_c, b_c, stats)[0]
+            for a_c, (b_c, stats) in zip(_channels(a.values), reference_channels(b.values))]
+    return ScalarField(maps[0] if a.values.ndim == 2 else np.mean(maps, axis=0))
 
 
 def photometric_loss(i_t: Image, i_warped: Image, mask=None, alpha: float = ALPHA_DEFAULT) -> LossValue:

@@ -15,6 +15,23 @@ from flowgeo.scene import (
 )
 
 
+def assert_bits_equal(actual, expected):
+    a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert a.shape == e.shape
+    assert a.tobytes() == e.tobytes()  # also tells -0.0 from +0.0
+
+
+def reachable(root):
+    """Every tape node linked to `root`, in creation order."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(parent for parent, _ in node._parents)
+    return sorted(nodes.values(), key=lambda n: n._id)
+
+
 @pytest.fixture(scope="session")
 def camera():
     return CameraIntrinsics(fx=100.0, fy=98.0, cx=48.0, cy=36.0)

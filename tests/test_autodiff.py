@@ -7,6 +7,7 @@ independent reference forms."""
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal, reachable
 
 from flowgeo import autodiff as ad
 from flowgeo import optim
@@ -192,17 +193,6 @@ class TestDeterminism:
 # -- activity rule and accumulation -------------------------------------------
 
 
-def reachable(root):
-    """Every node linked to `root`, in creation order."""
-    nodes, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(parent for parent, _ in node._parents)
-    return sorted(nodes.values(), key=lambda n: n._id)
-
-
 def zero_seeded_backward(root):
     """Reference backward: every reachable node starts from a zero
     gradient and accumulates its contributions in reverse creation order.
@@ -214,12 +204,6 @@ def zero_seeded_backward(root):
         for parent, vjp in node._parents:
             grads[id(parent)] = grads[id(parent)] + vjp(grads[id(node)])
     return grads
-
-
-def assert_bits_equal(actual, expected):
-    a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
-    assert a.shape == e.shape
-    assert a.tobytes() == e.tobytes()  # also tells -0.0 from +0.0
 
 
 def assert_leaf_grads_match_reference(root, backward=ad.backward):
@@ -299,18 +283,24 @@ class TestActivity:
         config = optim.OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=0.0, iterations=10, seed=1)
         objective = optim._DepthObjective(bundle, config)
         theta = optim._initial_theta(bundle, config, np.random.default_rng(config.seed))
-        roots = []
+        roots, terms = [], {}
 
         def checked_backward(root, backward=ad.backward):
             roots.append(root)
             assert_leaf_grads_match_reference(root, backward)
 
+        def recorded_losses(depth_var, build=objective.losses):
+            terms.update(build(depth_var))
+            return terms
+
         monkeypatch.setattr(ad, "backward", checked_backward)
+        monkeypatch.setattr(objective, "losses", recorded_losses)
         optim._depth_step(objective, theta, config.iterations - 1, config)
         assert len(roots) == 1
-        nodes = reachable(roots[0])
         assert min(objective.weights(config.iterations - 1).values()) > 0
-        assert len(nodes) > 50
+        on_tape = {id(node) for node in reachable(roots[0])}
+        assert sorted(terms) == ["cgdc", "dpc", "photometric"]
+        assert all(id(term) in on_tape for term in terms.values())
 
     def test_negative_zero_sums_read_positive_zero(self):
         leaf = ad.Var(np.array([1.0, 2.0]))
@@ -372,9 +362,10 @@ def bilinear_fancy(values, xs, ys):
 
 
 class TestKernelTwins:
-    @pytest.mark.parametrize("shape", [(6, 7), (6, 7, 3), (3, 3)])
+    @pytest.mark.parametrize("shape", [(6, 7), (6, 7, 3), (3, 3), (1, 4), (4, 1)])
     def test_box3_matches_padded_form(self, shape):
         v = RNG.normal(size=shape)
+        v.flat[::3] = -0.0  # 0.0 + -0.0 is +0.0: the sums must start from zeros
         assert_bits_equal(ad.box3(ad.Var(v)).value, box3_padded(v))
 
     @pytest.mark.parametrize("shape", [(6, 9), (3, 3), (5, 4, 3)])

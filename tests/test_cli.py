@@ -8,9 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from conftest import scene_file_texts
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowgeo import cli
 from flowgeo.cli import run
 from flowgeo.io_formats import read_csv, read_depth_pfm, read_flow
+from flowgeo.optim import OptimConfig
 
 
 @pytest.fixture()
@@ -24,6 +27,17 @@ def scene_file(tmp_path):
         "ego_translation=0.31,0.02,0.42\n"
     )
     return path
+
+
+def stderr_lines_of(argv):
+    """(exit code, stderr lines) of one run; a warning would reach stderr
+    as lines of its own, so each counts as one."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, len(err.getvalue().splitlines()) + len(caught)
 
 
 class TestGenScene:
@@ -73,6 +87,25 @@ class TestUsageErrors:
         code = run(["gen-scene", "--scene", str(scene_file), "--out", str(tmp_path / "o"),
                     "--size", "banana"])
         assert code == 2
+
+    @pytest.mark.parametrize("weights", ["inf,1,0,0", "0,1,0,nan"])
+    def test_non_finite_weight(self, scene_file, tmp_path, capsys, weights):
+        code = run(["co-adjust", "--scene", str(scene_file), "--size", "16x12", "--iters", "2",
+                    "--weights", weights, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: weights must be finite")
+
+    @pytest.mark.parametrize("command", ["gen-scene", "grad-check", "recover-depth"])
+    def test_negative_seed(self, scene_file, tmp_path, capsys, command):
+        code = run([command, "--scene", str(scene_file), "--size", "16x12", "--seed", "-1",
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_argparse_errors_are_one_line(self, capsys):
+        assert run(["recover-depth", "--frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: flowgeo recover-depth: ") and len(err.splitlines()) == 1
 
     def test_wb_in_recover_depth(self, scene_file, tmp_path):
         code = run([
@@ -145,17 +178,12 @@ class TestInputBoundary:
     @given(text=scene_file_texts())
     @settings(max_examples=100, deadline=None)
     def test_random_scene_files_exit_cleanly(self, tmp_path_factory, text):
-        # a warning would reach stderr as lines of its own, so it counts
         work = tmp_path_factory.mktemp("gen")
         (work / "scene.txt").write_text(text)
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
-                redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = run(["gen-scene", "--scene", str(work / "scene.txt"), "--size", "16x12",
-                        "--out", str(work / "o")])
+        code, lines = stderr_lines_of(["gen-scene", "--scene", str(work / "scene.txt"),
+                                       "--size", "16x12", "--out", str(work / "o")])
         assert code in (0, 1, 2)
-        assert len(err.getvalue().splitlines()) + len(caught) <= 1
+        assert lines <= 1
 
 
 class TestGenSceneRecordsItsScene:
@@ -243,3 +271,91 @@ class TestGradCheckCommand:
         assert code == 0
         rows = read_csv(out / "grad_check.csv")
         assert {"photometric", "cgdc", "dpc", "bsca", "smoothness"} <= {r["loss"] for r in rows}
+
+
+class TestDivergedRun:
+    @pytest.mark.parametrize("command", ["recover-depth", "co-adjust"])
+    def test_partial_trace_written_before_one_error_line(
+        self, scene_file, tmp_path, monkeypatch, capsys, command
+    ):
+        def diverging(**fields):
+            return OptimConfig(**fields, learning_rate=1e9, step_clip=1e9,
+                               divergence_threshold=1e6)
+
+        monkeypatch.setattr(cli, "OptimConfig", diverging)
+        co = command == "co-adjust"
+        out = tmp_path / "o"
+        code = run([command, "--scene", str(scene_file), "--size", "16x12",
+                    "--weights", "0,1,0,1" if co else "0,1,0,0", "--iters", "400",
+                    "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run diverged at iteration")
+        stem = "co_adjust" if co else "recover"
+        names = [f"{stem}-trace.csv", f"{stem}-depth.pfm"] + ([f"{stem}-flow.flo"] if co else [])
+        assert captured.out.splitlines() == [f"wrote {out / name}" for name in names]
+        rows = read_csv(out / f"{stem}-trace.csv")
+        assert rows[0]["iteration"] == "0"
+        assert read_depth_pfm(out / f"{stem}-depth.pfm").shape == (12, 16)
+        if co:
+            assert read_flow(out / f"{stem}-flow.flo").shape == (12, 16)
+        assert not (out / "run-manifest.txt").exists()
+
+
+# valid values are listed more than once, so that most argvs run
+_SIZES = ["16x12", "16x12", "3x3", "5x4", "5x4", "16x12x2", "banana", "2x2", "0x5", "-16x12"]
+_ITERS = ["1", "2", "3", "1", "2", "3", "0", "-1", "x", "1.5"]
+_WEIGHTS = ["1,1,0.1,0", "0,1,0.1,1", "1,0,0,1", "0,0,0,0", "1,1", "a,b,c,d", "-1,1,0,0",
+            "1e300,1,0,0", "0,1,1e300,0", "0,1,0,1e300", "0,1,0,1e306", "inf,1,0,0", "nan,1,0,1"]
+_EXTRA = [("--seed", "0"), ("--seed", "3"), ("--seed", "-1"), ("--seed", "x"),
+          ("--stopgrad", "on"), ("--stopgrad", "maybe"), ("--frobnicate",), ("--scene",),
+          ("--version",), ("-h",)]
+
+
+@st.composite
+def cli_argvs(draw, scene, inputs, out):
+    """argv over every subcommand: the valid `scene` most often, else one
+    of the malformed or missing `inputs`; small sizes and budgets; and
+    options that are valid, out of range or foreign to the subcommand."""
+    command = draw(st.sampled_from(["gen-scene", "triangulate", "check-dpc", "grad-check",
+                                    "recover-depth", "co-adjust", "ablate", "metrics"]))
+    argv = [command]
+    if command == "metrics":
+        argv += draw(st.lists(st.sampled_from(inputs), min_size=0, max_size=3))
+    else:
+        path = draw(st.sampled_from([scene, scene, scene, *inputs]))
+        argv += ["--scene", path, "--size", draw(st.sampled_from(_SIZES))]
+    if command in ("recover-depth", "co-adjust", "ablate"):
+        argv += ["--iters", draw(st.sampled_from(_ITERS))]
+        if draw(st.booleans()):
+            argv += ["--weights", draw(st.sampled_from(_WEIGHTS))]
+    for extra in draw(st.lists(st.sampled_from(_EXTRA), max_size=1)):
+        argv += list(extra)
+    return argv + ["--out", out]
+
+
+class TestRandomArgv:
+    # 1e306: the flow rate 250 w_b overflows to inf and the flow step leaves
+    # non-finite flow on valid pixels
+    @pytest.mark.parametrize("weights", ["0,1,0,1e300", "1e300,1e300,1e300,1e300", "0,1,0,1e306"])
+    def test_overflowing_co_adjust_ends_in_one_line(self, scene_file, tmp_path, weights):
+        assert stderr_lines_of(["co-adjust", "--scene", str(scene_file), "--size", "16x12",
+                                "--iters", "3", "--weights", weights,
+                                "--out", str(tmp_path / "o")]) == (1, 1)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_and_at_most_one_stderr_line(self, tmp_path_factory, data):
+        work = tmp_path_factory.getbasetemp() / "argv"
+        scene = work / "scene.txt"
+        if not scene.exists():
+            work.mkdir(exist_ok=True)
+            scene.write_text("family=affine-inverse-shift\na=0.21\nb=0.0013\nc=0.0009\n"
+                             "ego_translation=0.31,0.02,0.42\n")
+            (work / "bad.txt").write_text("family=affine-inverse-shift\na=abc\n")
+            run(["gen-scene", "--scene", str(scene), "--size", "16x12", "--out", str(work / "g")])
+        inputs = [str(work / "bad.txt"), str(work / "missing.txt"), str(work / "g" / "depth.pfm")]
+        code, lines = stderr_lines_of(data.draw(cli_argvs(str(scene), inputs, str(work / "out"))))
+        assert code in (0, 1, 2)
+        assert lines <= 1

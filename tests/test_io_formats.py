@@ -219,3 +219,97 @@ def test_flow_round_trip_property(tmp_path_factory, h, w, seed):
     np.testing.assert_array_equal(
         read_flow(path).values, values.astype("<f4").astype(np.float64)
     )
+
+
+# -- malformed bytes -------------------------------------------------------------
+
+
+READERS = {"flow": read_flow, "depth": read_depth_pfm, "image": read_image_pnm}
+
+
+def valid_file_bytes(kind, path):
+    """A well-formed 16x12 file of each kind, as the writers produce it."""
+    rng = np.random.default_rng(4)
+    if kind == "flow":
+        write_flow(path, FlowField(rng.normal(scale=3.0, size=(12, 16, 2))))
+    elif kind == "depth":
+        write_depth_pfm(path, DepthMap(rng.uniform(1.0, 5.0, (12, 16))))
+    else:
+        write_image_pnm(path, Image(rng.uniform(0.0, 1.0, (12, 16, 3))))
+    return path.read_bytes()
+
+
+_EDIT = st.tuples(
+    st.sampled_from(["set", "insert", "delete", "truncate"]),
+    st.one_of(st.integers(0, 40), st.integers(0, 2000)),  # headers sit up front
+    st.binary(min_size=1, max_size=8),
+)
+
+
+def mutate(data, edits):
+    data = bytearray(data)
+    for op, position, chunk in edits:
+        at = position % (len(data) + 1)
+        if op == "set":
+            data[at : at + len(chunk)] = chunk
+        elif op == "insert":
+            data[at:at] = chunk
+        elif op == "delete":
+            del data[at : at + len(chunk)]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+def assert_reads_or_format_error(kind, path):
+    """The reader returns a value or raises FormatError, and warns about
+    nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            READERS[kind](path)
+        except FormatError:
+            pass
+    assert not caught
+
+
+MAGIC_LENGTH = {"flow": 4, "depth": 3, "image": 3}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(edits=st.lists(_EDIT, max_size=4),
+       noise=st.one_of(st.none(), st.binary(max_size=120)))
+@settings(max_examples=120, deadline=None)
+def test_malformed_bytes_raise_only_format_error(tmp_path_factory, kind, edits, noise):
+    # a valid file after a few byte edits, or its magic and random bytes
+    path = tmp_path_factory.getbasetemp() / f"malformed-{kind}"
+    valid = valid_file_bytes(kind, path)
+    start = valid if noise is None else valid[: MAGIC_LENGTH[kind]] + noise
+    path.write_bytes(mutate(start, edits))
+    assert_reads_or_format_error(kind, path)
+
+
+def f4(*values):
+    return np.array(values, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("kind, data", [
+    pytest.param("flow", b"PIEH" + np.array([2, 1], "<i4").tobytes() + f4(np.nan, 0, 0, 0),
+                 id="flow-nan"),
+    pytest.param("flow", b"PIEH" + np.array([2, 1], "<i4").tobytes() + f4(0, np.inf, 0, 0),
+                 id="flow-inf"),
+    pytest.param("flow", b"PIEH" + np.array([100_000, 100_000], "<i4").tobytes() + f4(0, 0),
+                 id="flow-claims-80GB"),
+    pytest.param("depth", b"Pf\n2 1\n-1.0\n" + f4(np.inf, 1.0), id="depth-inf"),
+    pytest.param("depth", b"Pf\n2 1\nnan\n" + f4(1.0, 1.0), id="depth-nan-scale"),
+    pytest.param("depth", b"Pf\n100000 100000\n-1.0\n" + f4(1.0, 1.0), id="depth-claims-40GB"),
+    pytest.param("image", b"P6\n100000 100000\n65535\n" + bytes(12), id="image-claims-60GB"),
+])
+def test_payloads_no_writer_makes_are_format_errors(tmp_path, kind, data):
+    # non-finite payloads and headers that claim gigabytes the file lacks
+    path = tmp_path / kind
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            READERS[kind](path)

@@ -3,6 +3,7 @@ scale/permutation symmetries, and the differential-field identity."""
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal, reachable
 
 from flowgeo import autodiff as ad
 from flowgeo.errors import DegenerateTranslationError, DimensionError, NoValidPixelsError
@@ -16,8 +17,11 @@ from flowgeo.geometry import (
     translational_flow,
 )
 from flowgeo.losses import (
+    ALPHA_DEFAULT,
     EPS_DPC,
     EPS_FLOW,
+    SSIM_C1,
+    SSIM_C2,
     DifferentialFields,
     bsca_loss,
     cgdc_loss,
@@ -26,8 +30,12 @@ from flowgeo.losses import (
     differential_fields_core,
     dpc_loss,
     edge_aware_smoothness,
+    photometric_channel,
+    photometric_core,
     photometric_loss,
+    reference_channels,
     ssim,
+    ssim_stats,
 )
 from flowgeo.triangulate import TriangulationResult
 
@@ -104,6 +112,142 @@ class TestPhotometric:
         img = Image(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             photometric_loss(img, img, alpha=1.5)
+
+
+# -- the photometric node against its composed twin ----------------------------
+
+
+def composed_stats(b):
+    """`ssim_stats` as elementary tape nodes."""
+    mu = ad.box3(b)
+    mu_sq = ad.mul(mu, mu)
+    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
+
+
+def composed_ssim(a, b, b_stats=None):
+    """Per-pixel SSIM of `a` against the reference `b` as elementary nodes."""
+    mu_a = ad.box3(a)
+    mu_b, mu_b_sq, var_b = composed_stats(b) if b_stats is None else b_stats
+    var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
+    cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
+    num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return ad.div(num, den)
+
+
+def composed_channel(ch_t, ch_w, alpha=ALPHA_DEFAULT, precomputed=True):
+    """`photometric_channel` as the 28 elementary nodes it replaces."""
+    ch_t = ad.as_var(ch_t)
+    s = composed_ssim(ch_w, ch_t, composed_stats(ch_t) if precomputed else None)
+    return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * ad.absolute(ch_t - ch_w)
+
+
+def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, precomputed=True):
+    """`photometric_core` built from `composed_channel`s."""
+    i_t, i_warped = ad.as_var(i_t), ad.as_var(i_warped)
+    if np.ndim(i_warped.value) == 2:
+        per_pixel = composed_channel(i_t, i_warped, alpha, precomputed)
+    else:
+        channels = range(np.shape(i_warped.value)[2])
+        acc = None
+        for c in channels:
+            term = composed_channel(ad.take_channel(i_t, c), ad.take_channel(i_warped, c),
+                                    alpha, precomputed)
+            acc = term if acc is None else acc + term
+        per_pixel = acc * (1.0 / len(channels))
+    return ad.masked_mean(per_pixel, mask)
+
+
+def photometric_pair(shape, seed=5):
+    """A reference, a warped image that ties it on a quarter of the
+    entries (the |.| kink), and a mask that drops about a third."""
+    rng = np.random.default_rng(seed)
+    i_t = rng.uniform(0.0, 1.0, shape)
+    i_w = np.clip(i_t + rng.normal(0.0, 0.2, shape), 0.0, 1.0)
+    i_w.flat[::4] = i_t.flat[::4]
+    mask = rng.uniform(size=shape[:2]) > 0.35
+    mask[0, 0] = True
+    return i_t, i_w, mask
+
+
+def input_gradient(build, i_w):
+    """(root value, the gradient that reaches the input, the leaf's).
+    The input sits one identity node below the leaf, so its gradient is
+    the raw sum of the contributions, -0.0 entries included."""
+    leaf = ad.Var(i_w.copy())
+    x = ad.add(leaf, 0.0)
+    root = build(x)
+    ad.backward(root)
+    return root.value, x.grad, leaf.grad
+
+
+SHAPES = [(6, 7), (6, 7, 3), (3, 3)]
+
+
+class TestPhotometricNode:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("precomputed", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, -1.0])  # -1: masked pixels send -0.0 upstream
+    @pytest.mark.parametrize("alpha", [ALPHA_DEFAULT, 0.3])
+    def test_loss_and_gradient_bytes_match_composed(self, shape, precomputed, scale, alpha):
+        i_t, i_w, mask = photometric_pair(shape)
+        reference = reference_channels(i_t) if precomputed else None
+        fused = input_gradient(
+            lambda x: photometric_core(i_t, x, mask, alpha, reference) * scale, i_w)
+        composed = input_gradient(
+            lambda x: composed_photometric(i_t, x, mask, alpha, precomputed) * scale, i_w)
+        for actual, expected in zip(fused, composed):
+            assert_bits_equal(actual, expected)
+
+    @pytest.mark.parametrize("shape", [(6, 7), (3, 3)])
+    def test_node_matches_composed_under_signed_zero_upstream(self, shape):
+        i_t, i_w, _ = photometric_pair(shape, seed=11)
+        upstream = np.random.default_rng(3).normal(size=shape)
+        # the zeros meet the node's sign flips and doubled products
+        upstream.flat[1::3] = -0.0
+        upstream.flat[2::5] = 0.0
+        stats = ssim_stats(i_t)
+        fused = input_gradient(
+            lambda x: ad.total(ad.mul(photometric_channel(i_t, stats, x), upstream)), i_w)
+        composed = input_gradient(
+            lambda x: ad.total(ad.mul(composed_channel(i_t, x), upstream)), i_w)
+        for actual, expected in zip(fused, composed):
+            assert_bits_equal(actual, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ssim_wrapper_matches_composed(self, shape):
+        a, b, _ = photometric_pair(shape, seed=8)
+        if len(shape) == 2:
+            expected = composed_ssim(ad.as_var(a), ad.as_var(b)).value
+        else:
+            expected = np.mean([composed_ssim(ad.as_var(a[..., c]), ad.as_var(b[..., c])).value
+                                for c in range(shape[2])], axis=0)
+        assert_bits_equal(ssim(Image(a), Image(b)).values, expected)
+
+    def test_one_node_per_channel(self):
+        i_t, i_w, mask = photometric_pair((6, 7, 3))
+        root = photometric_core(i_t, ad.Var(i_w), mask)
+        # leaf, 3 channel picks, 3 channel nodes, 2 sums, the mean, the masked mean
+        assert len(reachable(root)) == 11
+
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 5, 3)])
+    def test_gradient_matches_central_differences(self, shape):
+        rng = np.random.default_rng(21)
+        i_t = rng.uniform(0.0, 1.0, shape)
+        i_w = np.clip(i_t + rng.normal(0.0, 0.2, shape), 0.05, 0.95)
+        mask = rng.uniform(size=shape[:2]) > 0.3
+        leaf = ad.Var(i_w.copy())
+        ad.backward(photometric_core(i_t, leaf, mask))
+        numeric = np.zeros(shape)
+        h = 1e-6
+        for idx in np.ndindex(*shape):
+            plus, minus = i_w.copy(), i_w.copy()
+            plus[idx] += h
+            minus[idx] -= h
+            numeric[idx] = (photometric_core(i_t, plus, mask).value
+                            - photometric_core(i_t, minus, mask).value) / (2 * h)
+        assert np.abs(leaf.grad - numeric).max() < 1e-7
+        assert np.abs(numeric).max() > 1e-3
 
 
 class TestCgdc:
