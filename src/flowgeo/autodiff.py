@@ -2,9 +2,8 @@
 
 Small engine tailored to grid losses: scalar-or-array values, full numpy
 broadcasting in binary ops, and hand-written adjoints for the structured
-operations (stencil differences, 3x3 box filter, bilinear sampling, and,
-in `losses.photometric_channel`, one channel pair of the photometric
-term). Gradients are exact derivatives of the forward expressions;
+operations (stencil differences, 3x3 box filter, bilinear sampling).
+Gradients are exact derivatives of the forward expressions;
 absolute-value kinks use subgradient 0 at exactly-zero arguments.
 
 Activity: a `Var` made by a caller (`Var(x)`) is a leaf and gets a
@@ -15,6 +14,16 @@ a leaf; `.grad` stays None on every node that depends on no leaf.
 
 Accumulation order is fixed (reverse creation order, each node's parents
 in argument order), so gradients are bit-reproducible run to run.
+
+Replay nodes (`replay`): each loss term of `losses` and the photometric
+warp of `grad` is one node whose forward evaluates a composed graph of the
+elementary ops above and whose adjoint replays that graph's backward pass:
+the same products and quotients, each intermediate's contributions summed
+in reverse creation order. A replay node links a parent once per composed
+contribution, in the order the composed backward reached it (the engine
+takes repeated parents, as in `mul(a, a)`), so a parent shared by several
+terms still adds their contributions one at a time, in the composed order,
+and every gradient keeps its bits.
 """
 
 from __future__ import annotations
@@ -193,14 +202,21 @@ def total(a):
     return Var(np.sum(a.value), parents=((a, lambda g: np.broadcast_to(g, shape) if shape else g),))
 
 
-def masked_mean(a, mask: np.ndarray):
-    """Mean of `a` over a constant boolean mask: sums the valid subset in
-    a fixed (row-major) order, so masked entries may be non-finite."""
-    a = as_var(a)
+def _mean_over(values, mask):
+    """(mean of `values` over a boolean mask, the mask, its count): the
+    valid subset is summed in a fixed (row-major) order, so masked entries
+    may be non-finite. The adjoint weights are `m.astype(float) / n`."""
     m = np.asarray(mask, bool)
     n = int(m.sum())
+    return float(np.sum(values[m]) / n), m, n
+
+
+def masked_mean(a, mask: np.ndarray):
+    """Mean of `a` over a constant boolean mask (see `_mean_over`)."""
+    a = as_var(a)
+    value, m, n = _mean_over(a.value, mask)
     w = m.astype(float) / n
-    return Var(float(np.sum(a.value[m]) / n), parents=((a, lambda g: g * w),))
+    return Var(value, parents=((a, lambda g: g * w),))
 
 
 # -- structured grid operators ------------------------------------------------
@@ -239,22 +255,24 @@ def axis_diff(a, axis: int):
     interior x[i+1] - x[i-1], borders 2 * one-sided."""
     a = as_var(a)
     out = _axis_diff(a.value, axis)
+    shape = np.shape(a.value)
+    return Var(out, parents=((a, lambda g: _axis_diff_vjp(g, axis, shape)),))
 
-    def vjp(g, axis=axis, shape=np.shape(a.value)):
-        gx = np.zeros(shape)
-        gm = np.moveaxis(gx, axis, 0)
-        gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
-        # border rows: y[0] = 2(x[1]-x[0]); y[-1] = 2(x[-1]-x[-2])
-        gm[1] += 2.0 * gg[0]
-        gm[0] -= 2.0 * gg[0]
-        gm[-1] += 2.0 * gg[-1]
-        gm[-2] -= 2.0 * gg[-1]
-        # interior rows: y[i] = x[i+1] - x[i-1]
-        gm[2:] += gg[1:-1]
-        gm[:-2] -= gg[1:-1]
-        return gx
 
-    return Var(out, parents=((a, vjp),))
+def _axis_diff_vjp(g, axis, shape):
+    """Adjoint of `axis_diff` along `axis` for an input of `shape`."""
+    gx = np.zeros(shape)
+    gm = np.moveaxis(gx, axis, 0)
+    gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    # border rows: y[0] = 2(x[1]-x[0]); y[-1] = 2(x[-1]-x[-2])
+    gm[1] += 2.0 * gg[0]
+    gm[0] -= 2.0 * gg[0]
+    gm[-1] += 2.0 * gg[-1]
+    gm[-2] -= 2.0 * gg[-1]
+    # interior rows: y[i] = x[i+1] - x[i-1]
+    gm[2:] += gg[1:-1]
+    gm[:-2] -= gg[1:-1]
+    return gx
 
 
 def _box3(v):
@@ -286,6 +304,31 @@ def box3(a):
     return Var(_box3(a.value), parents=((a, lambda g: _box3(np.asarray(g, dtype=float))),))
 
 
+def _bilinear_partials(values, xv, yv):
+    """Bilinear sample of `values` at (xv, yv) and what its coordinate
+    adjoints read: (sampled, inside, (dx, live_x), (dy, live_y)), with the
+    clamped forward differentiated exactly: a coordinate pinned at the
+    rectangle edge is locally flat along its own axis only (clamped samples
+    can still feed pooled statistics of valid neighbors)."""
+    H, W = values.shape[:2]
+    out, inside, (wy, v00, v01, v10, v11, top, bottom) = _bilinear_terms(values, xv, yv)
+    dx = (v01 - v00) * (1 - wy) + (v11 - v10) * wy
+    dy = bottom - top
+    live_x = ((xv >= 0.0) & (xv <= W - 1.0)).astype(float)
+    live_y = ((yv >= 0.0) & (yv <= H - 1.0)).astype(float)
+    return out, inside, (dx, live_x), (dy, live_y)
+
+
+def _bilinear_vjp(g, partial):
+    """Adjoint of a bilinear sample for one coordinate, from its
+    `(d, live)` pair of `_bilinear_partials`; channels are summed."""
+    d, live = partial
+    gd = np.asarray(g) * d
+    if gd.ndim > live.ndim:
+        gd = gd.sum(axis=-1)
+    return gd * live
+
+
 def bilinear(values: np.ndarray, xs, ys):
     """Bilinear sample of a constant image at variable coordinates.
 
@@ -294,23 +337,53 @@ def bilinear(values: np.ndarray, xs, ys):
     the caller before any reduction.
     """
     xs, ys = as_var(xs), as_var(ys)
-    H, W = values.shape[:2]
-    xv, yv = xs.value, ys.value
-    out, inside, (wy, v00, v01, v10, v11, top, bottom) = _bilinear_terms(values, xv, yv)
-    dx = (v01 - v00) * (1 - wy) + (v11 - v10) * wy
-    dy = bottom - top
-    # differentiate the clamped forward exactly: a coordinate pinned at the
-    # rectangle edge is locally flat along its own axis only (clamped
-    # samples can still feed pooled statistics of valid neighbors)
-    live_x = ((xv >= 0.0) & (xv <= W - 1.0)).astype(float)
-    live_y = ((yv >= 0.0) & (yv <= H - 1.0)).astype(float)
-    if values.ndim == 3:
-        dgx = lambda g: (np.asarray(g) * dx).sum(axis=-1) * live_x
-        dgy = lambda g: (np.asarray(g) * dy).sum(axis=-1) * live_y
-    else:
-        dgx = lambda g: np.asarray(g) * dx * live_x
-        dgy = lambda g: np.asarray(g) * dy * live_y
-    return Var(out, parents=((xs, dgx), (ys, dgy))), inside
+    out, inside, px, py = _bilinear_partials(values, xs.value, ys.value)
+    return Var(out, parents=((xs, lambda g: _bilinear_vjp(g, px)),
+                             (ys, lambda g: _bilinear_vjp(g, py)))), inside
+
+
+# -- replay nodes --------------------------------------------------------------
+
+
+def active(x) -> bool:
+    """True for a Var that carries a gradient (a leaf or a node over one)."""
+    return isinstance(x, Var) and x._active
+
+
+def value_of(x):
+    """The value of a Var, or `x` itself."""
+    return x.value if isinstance(x, Var) else x
+
+
+def replay(value, inputs, vjp):
+    """One tape node whose adjoint replays a composed graph (see the
+    module docstring).
+
+    `inputs` lists one entry per contribution the composed backward pass
+    made to a node outside the graph, in the order it made them; a parent
+    may appear more than once, and entries that are not active Vars are
+    dropped. `vjp(g)` returns one contribution per entry of `inputs` (None
+    for the dropped ones); it runs once per backward pass, and each link
+    hands on its own contribution.
+    """
+    links = [i for i, x in enumerate(inputs) if active(x)]
+    if not links:
+        return Var(value, parents=())
+    memo = [None, None]  # (upstream gradient, contributions) of this pass
+    last = links[-1]
+
+    def link(i):
+        def contribution(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, vjp(g)
+            out = memo[1][i]
+            if i == last:
+                memo[0] = memo[1] = None
+            return out
+
+        return contribution
+
+    return Var(value, parents=[(inputs[i], link(i)) for i in links])
 
 
 # -- backward pass -------------------------------------------------------------

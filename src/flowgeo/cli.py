@@ -14,6 +14,7 @@ announces the partial trace it carries before it exits 1.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import warnings
 from pathlib import Path
@@ -38,6 +39,29 @@ from .triangulate import triangulate_depth
 
 # default loss-weight combination (a configuration value, not a published one)
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.1, 0.1)
+
+# glibc's mallopt parameters (malloc.h) and the value its dynamic mmap
+# threshold stops growing at (32 MiB on 64-bit)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_PIN_BYTES = 32 << 20
+
+
+def _pin_heap() -> bool:
+    """Fix glibc's mmap threshold at HEAP_PIN_BYTES and its trim threshold
+    at twice that, so the per-iteration arrays of a descent run come from
+    the heap and the freed heap top stays mapped. Left to glibc's dynamic
+    thresholds, a run that frees a few hundred kB at once hands the heap
+    top back to the kernel every iteration and faults it in again on the
+    next one. Returns False (and does nothing) without glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only: the parameter numbers are glibc's
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, HEAP_PIN_BYTES)) and bool(
+        mallopt(M_TRIM_THRESHOLD, 2 * HEAP_PIN_BYTES))
 
 
 class UsageError(Exception):
@@ -378,6 +402,7 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    _pin_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,6 +7,11 @@ divergence/depth relation) compute it on tape as -R^T t, so pose gradients
 include that dependency. Geometric depth is differentiable in pose and
 flow by default; `stop_gradient_geo=True` freezes it.
 
+Each loss term is the same replay node the optimizer steps on (`losses`,
+and `warp_graph` here for the photometric warp); the rotation, the
+triangulated depth, the rotational flow and the offsets that feed a node
+from the pose and the flow stay composed graphs of elementary ops.
+
 Masks (behind-camera, out-of-image, degeneracy) are treated as constants
 of each forward pass; the checker detects coordinates whose perturbation
 flips a mask and excludes them from the pass/fail verdict, reporting the
@@ -29,7 +34,6 @@ from .geometry import (
     FlowField,
     Image,
     TwistParams,
-    pixel_grid,
 )
 from .losses import (
     ALPHA_DEFAULT,
@@ -114,21 +118,79 @@ def rotation_entries(w1, w2, w3):
     return rows
 
 
+def rigid_flow_terms(camera, rays, t, depth, grid):
+    """The rigid-flow expression behind `rigid_flow_graph` and
+    `warp_graph`: (y0, y1, y2, f_u, f_v) with y_i = D r_i + t_i the
+    transformed point and f = K-projection of y minus the pixel. Operands
+    may be arrays and floats or tape Vars alike; Vars build the composed
+    graph, arrays evaluate the same operations in the same order."""
+    y0, y1, y2 = (depth * rays[i] + t[i] for i in range(3))
+    f_u = camera.fx * (y0 / y2) + camera.cx - grid.u
+    f_v = camera.fy * (y1 / y2) + camera.cy - grid.v
+    return y0, y1, y2, f_u, f_v
+
+
 def rigid_flow_graph(camera, R, t, depth, height, width, grid=None, rays=None):
     """Rigid flow F(p) = proj(K (R backproject(p, D) + t)) - p as tape
     nodes; returns (f_u, f_v, valid mask const). R, t and the depth may be
-    constants or tape nodes: the optimizer passes a constant pose, and a
-    unit depth with zero translation gives the rotational flow. Under a
-    constant R, the `CameraGrid` and its rows `grid.rays(R)` may be passed
-    in instead of being rebuilt."""
+    constants or tape nodes: a unit depth with zero translation gives the
+    rotational flow. Under a constant R, the `CameraGrid` and its rows
+    `grid.rays(R)` may be passed in instead of being rebuilt."""
     if grid is None:
         grid = CameraGrid.of(camera, height, width)
     r_dot = grid.rays(R) if rays is None else rays
-    y0, y1, y2 = (ad.mul(depth, r_dot[i]) + t[i] for i in range(3))
-    mask = np.asarray(y2.value) > Z_EPS
-    f_u = ad.mul(camera.fx, ad.div(y0, y2)) + camera.cx - grid.u
-    f_v = ad.mul(camera.fy, ad.div(y1, y2)) + camera.cy - grid.v
-    return f_u, f_v, mask
+    _, _, y2, f_u, f_v = rigid_flow_terms(camera, r_dot, t, ad.as_var(depth), grid)
+    return f_u, f_v, np.asarray(y2.value) > Z_EPS
+
+
+def warp_graph(camera, image, t, depth, grid, rays):
+    """The photometric warp as one tape node: the bilinear sample of the
+    constant `image` at p + F(p), F the rigid flow of `depth` under the
+    rows `rays` = `grid.rays(R)` and the translation `t`. Returns (warped,
+    valid), valid where the transformed depth is positive and the sample
+    stays inside the image.
+
+    The composed graph is `rigid_flow_terms` on Vars, then p + F and
+    `ad.bilinear`. Replayed backward, y2 gathers f_v's contribution before
+    f_u's, and the links run t2, D, r2, t1, D, r1, t0, D, r0.
+    """
+    d = ad.value_of(depth)
+    r = [ad.value_of(x) for x in rays]
+    tv = [ad.value_of(x) for x in t]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y0, y1, y2, f_u, f_v = rigid_flow_terms(camera, r, tv, d, grid)
+    out, inside, px, py = ad._bilinear_partials(image, f_u + grid.u, f_v + grid.v)
+    d_act = ad.active(depth)
+    y_act = [d_act or ad.active(rays[i]) or ad.active(t[i]) for i in range(3)]
+
+    def vjp(g):
+        grads = [None] * 9
+        g_y = [None, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if y_act[1] or y_act[2]:
+                g_q = ad._bilinear_vjp(g, py) * camera.fy
+                g_y[1] = g_q / y2
+                if y_act[2]:
+                    g_y[2] = -g_q * y1 / (y2 * y2)
+            if y_act[0] or y_act[2]:
+                g_q = ad._bilinear_vjp(g, px) * camera.fx
+                g_y[0] = g_q / y2
+                if y_act[2]:
+                    g_y[2] = g_y[2] + -g_q * y0 / (y2 * y2)
+        for k, i in enumerate((2, 1, 0)):
+            if not y_act[i]:
+                continue
+            g_m = g_y[i]
+            if ad.active(t[i]):
+                grads[3 * k] = ad._unbroadcast(g_m, np.shape(tv[i]))
+            if d_act:
+                grads[3 * k + 1] = ad._unbroadcast(g_m * r[i], np.shape(d))
+            if ad.active(rays[i]):
+                grads[3 * k + 2] = ad._unbroadcast(g_m * d, np.shape(r[i]))
+        return grads
+
+    links = [x for i in (2, 1, 0) for x in (t[i], depth, rays[i])]
+    return ad.replay(out, links, vjp), (y2 > Z_EPS) & inside
 
 
 def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
@@ -195,10 +257,9 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
     if loss_id == "photometric":
         if inputs.image_t is None or inputs.image_s is None:
             raise ValueError("photometric loss needs both images")
-        f_u, f_v, flow_ok = rigid_flow_graph(camera, R, t, d, H, W)
-        u, v = pixel_grid(H, W)
-        warped, inside = ad.bilinear(inputs.image_s.values, f_u + u, f_v + v)
-        mask = flow_ok & inside & inputs.depth.mask
+        grid = CameraGrid.of(camera, H, W)
+        warped, valid = warp_graph(camera, inputs.image_s.values, t, d, grid, grid.rays(R))
+        mask = valid & inputs.depth.mask
         if not mask.any():
             raise NoValidPixelsError("photometric: warp produced no valid pixels")
         loss = photometric_core(inputs.image_t.values, warped, mask, inputs.alpha)
@@ -223,13 +284,13 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
         f_u, f_v = leaves["flow"]
         r_u, r_v, _ = rigid_flow_graph(camera, R, (0.0, 0.0, 0.0), 1.0, H, W)
         t_ego = inverse_translation(R, t)
-        c_f, c_d, _, _, valid = differential_fields_core(
+        side, _, _ = differential_fields_core(
             camera, t_ego, d, ad.sub(f_u, r_u), ad.sub(f_v, r_v)
         )
-        mask = valid & inputs.flow.mask & inputs.depth.mask
+        mask = side.validity & inputs.flow.mask & inputs.depth.mask
         if not mask.any():
             raise NoValidPixelsError("dpc: no valid pixels")
-        loss = dpc_core(c_f, c_d, mask)
+        loss = dpc_core(side, mask)
         return loss, leaves, mask
 
     if loss_id == "bsca":

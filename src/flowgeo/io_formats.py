@@ -3,7 +3,7 @@ artifacts.
 
 All binary formats are little-endian regardless of host order. Readers
 validate structure and raise `FormatError` on malformed input instead of
-crashing or returning garbage.
+crashing or returning garbage; a file must end where its payload does.
 
 * flow: 4-byte magic "PIEH", int32 width, int32 height, then row-major
   interleaved float32 (u, v) pairs;
@@ -104,6 +104,8 @@ def read_depth_pfm(path) -> DepthMap:
         if not scale < 0:  # NaN included
             raise FormatError("big-endian PFM is not supported (scale must be negative)")
         payload = _read_exact(fh, 4 * W * H, "PFM payload")
+        if fh.read(1):
+            raise FormatError("trailing bytes after PFM payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(H, W)[::-1]
     if not np.isfinite(values).all():
         raise FormatError("PFM payload contains NaN or inf")
@@ -147,6 +149,8 @@ def read_image_pnm(path) -> Image:
             raise FormatError(f"PNM dimensions out of range: {W} x {H}")
         channels = 3 if magic == b"P6" else 1
         payload = _read_exact(fh, 2 * W * H * channels, "PNM payload")
+        if fh.read(1):
+            raise FormatError("trailing bytes after PNM payload")
     values = np.frombuffer(payload, dtype=">u2").astype(np.float64) / 65535.0
     if channels == 3:
         return Image(values.reshape(H, W, 3))

@@ -3,13 +3,16 @@ consistency, flow-divergence / depth-gradient correlation, rigid/optical
 flow co-adjustment, the edge-aware smoothness baseline, and depth metrics.
 
 Every loss is a masked mean over valid pixels with deterministic summation
-order. The cores are written against the autodiff tape so the same
-expressions serve forward evaluation and exact differentiation; the public
-wrappers accept the typed grid values and return plain records. Each
-channel pair of the photometric term is one tape node
-(`photometric_channel`) whose adjoint replays, product for product and in
-the same accumulation order, the backward pass of the composed SSIM + L1
-graph, so its gradients keep their bits.
+order. Each loss term is one tape node (`photometric_core`, `cgdc_core`,
+`dpc_core` over the depth side of C^F/C^D, `bsca_core`): its forward
+evaluates the composed expression operation by operation, and its adjoint
+replays the backward pass the tape would run over the composed graph of
+elementary ops, product for product, with each intermediate's
+contributions summed in reverse creation order and each input linked once
+per composed contribution, in the composed order (see `autodiff.replay`).
+So gradients keep their bits while a term costs one node. The same cores
+give the values of the public wrappers, which accept the typed grid values
+and return plain records.
 
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
@@ -32,6 +35,7 @@ from .geometry import (
     Image,
     RigidMotion,
     ScalarField,
+    _axis_diff,
     interior_mask,
 )
 from .triangulate import TriangulationResult
@@ -128,76 +132,111 @@ def _channels(values):
     return [values] if values.ndim == 2 else [values[..., c] for c in range(values.shape[2])]
 
 
-def photometric_channel(ch_t, stats, ch_w, alpha=ALPHA_DEFAULT):
-    """alpha (1 - SSIM(ch_w, ch_t))/2 + (1 - alpha) |ch_t - ch_w| per pixel,
-    as one tape node. The reference channel `ch_t` (with its `ssim_stats`)
-    is constant; the warped channel `ch_w` is the active input.
-
-    The forward evaluates the composed SSIM + L1 expression operation by
-    operation. The adjoint replays the backward pass the tape would run
-    over that composed graph: the same products and quotients, with the
-    contributions to each intermediate summed in reverse creation order.
-    So the gradient keeps its bits; only the node count changes.
-    """
-    ch_w = ad.as_var(ch_w)
-    a, b = ch_w.value, ch_t
-    s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = _ssim_terms(a, b, stats)
+def _channel_terms(ch_t, stats, a, alpha):
+    """alpha (1 - SSIM(a, ch_t))/2 + (1 - alpha) |ch_t - a| per pixel for
+    one channel pair, evaluated as the composed SSIM + L1 expression
+    operation by operation, and what its adjoint reads."""
+    s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = _ssim_terms(a, ch_t, stats)
     half_alpha, beta = alpha * 0.5, 1.0 - alpha
-    diff = b - a
+    diff = ch_t - a
     out = (1.0 - s) * half_alpha + np.abs(diff) * beta
+    return out, (a, ch_t, diff, half_alpha, beta, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r)
 
-    def vjp(g):
-        # the L1 branch was created last, so it reaches ch_w first
-        g_a = -(g * beta * np.sign(diff))
-        g_s = -(g * half_alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_num = g_s / den
-            g_den = -g_s * num / (den * den)
-        # mu_a gathers den's mu_a*mu_a (twice), num's and cov's mu_a*mu_b,
-        # then var's mu_a*mu_a (twice)
-        twice = g_den * den_r * mu_a
-        g_mu = twice + twice
-        g_mu += g_num * num_r * 2.0 * mu_b
-        g_cov = g_num * num_l * 2.0
-        g_mu += -g_cov * mu_b
-        g_a += ad._box3(g_cov) * b
-        g_var = g_den * den_l
-        twice = -g_var * mu_a
-        g_mu += twice
-        g_mu += twice
-        twice = ad._box3(g_var) * a
-        g_a += twice
-        g_a += twice
-        g_a += ad._box3(g_mu)
-        return g_a
 
-    return ad.Var(out, parents=((ch_w, vjp),))
+def _channel_vjp(g, terms):
+    """Gradient of one `_channel_terms` map w.r.t. its warped channel: the
+    backward pass of the composed SSIM + L1 graph, replayed."""
+    a, b, diff, half_alpha, beta, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = terms
+    # the L1 branch was created last, so it reaches the channel first
+    g_a = -(g * beta * np.sign(diff))
+    g_s = -(g * half_alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_num = g_s / den
+        g_den = -g_s * num / (den * den)
+    # mu_a gathers den's mu_a*mu_a (twice), num's and cov's mu_a*mu_b,
+    # then var's mu_a*mu_a (twice)
+    twice = g_den * den_r * mu_a
+    g_mu = twice + twice
+    g_mu += g_num * num_r * 2.0 * mu_b
+    g_cov = g_num * num_l * 2.0
+    g_mu += -g_cov * mu_b
+    g_a += ad._box3(g_cov) * b
+    g_var = g_den * den_l
+    twice = -g_var * mu_a
+    g_mu += twice
+    g_mu += twice
+    twice = ad._box3(g_var) * a
+    g_a += twice
+    g_a += twice
+    g_a += ad._box3(g_mu)
+    return g_a
 
 
 def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
-    masked mean. i_t is the constant reference; `reference` may carry its
-    `reference_channels` from an earlier call. Each channel pair is one
-    `photometric_channel` node, whose adjoint replays the order of the
-    composed SSIM + L1 graph."""
-    i_warped = ad.as_var(i_warped)
+    masked mean, as one tape node. i_t is the constant reference;
+    `reference` may carry its `reference_channels` from an earlier call.
+
+    The composed graph picks each channel of `i_warped`, builds its SSIM +
+    L1 map, sums the maps in channel order and scales by 1/C. The adjoint
+    replays it: each channel's gradient comes from `_channel_vjp`, and the
+    zero-padded channel picks sum to the stacked gradient plus 0.0.
+    """
     if reference is None:
         reference = reference_channels(i_t)
-    if np.ndim(i_warped.value) == 2:
-        per_pixel = photometric_channel(*reference[0], i_warped, alpha)
-    else:
-        acc = None
-        for c, (ch_t, stats) in enumerate(reference):
-            term = photometric_channel(ch_t, stats, ad.take_channel(i_warped, c), alpha)
-            acc = term if acc is None else acc + term
-        per_pixel = acc * (1.0 / len(reference))
-    return ad.masked_mean(per_pixel, mask)
+    channels = _channels(ad.value_of(i_warped))
+    planar = np.ndim(ad.value_of(i_warped)) == 2
+    parts = [_channel_terms(ch_t, stats, a, alpha) for (ch_t, stats), a in zip(reference, channels)]
+    per_pixel = parts[0][0]
+    for out, _ in parts[1:]:
+        per_pixel = per_pixel + out
+    scale = 1.0 / len(reference)
+    if not planar:
+        per_pixel = per_pixel * scale
+    value, m, n = ad._mean_over(per_pixel, mask)
+
+    def vjp(g):
+        g = g * (m.astype(float) / n)
+        if planar:
+            return [_channel_vjp(g, parts[0][1])]
+        g = g * scale
+        stacked = np.stack([_channel_vjp(g, terms) for _, terms in parts], axis=-1)
+        return [stacked + 0.0 if len(parts) > 1 else stacked]
+
+    return ad.replay(value, [i_warped], vjp)
 
 
-def cgdc_core(d_g_values, d_c, mask):
-    """Masked mean of |D_g - D_c| / D_c (denominator guarded)."""
-    rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), ad.maximum(ad.as_var(d_c), EPS_DIV))
-    return ad.masked_mean(rel, mask)
+def cgdc_core(d_g, d_c, mask):
+    """Masked mean of |D_g - D_c| / D_c (denominator guarded), as one tape
+    node over the geometric depth D_g and the depth D_c.
+
+    Composed graph: diff = D_g - D_c, |diff|, guard = max(D_c, EPS_DIV),
+    |diff| / guard, masked mean. D_c receives the guard's contribution
+    before the difference's."""
+    g_val, c_val = ad.value_of(d_g), ad.value_of(d_c)
+    diff = g_val - c_val
+    size = np.abs(diff)
+    guard = np.maximum(c_val, EPS_DIV)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = size / guard
+    value, m, n = ad._mean_over(rel, mask)
+    c_active = ad.active(d_c)
+
+    def vjp(g):
+        g_rel = g * (m.astype(float) / n)
+        out = [None, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_size = g_rel / guard
+            if c_active:
+                g_guard = -g_rel * size / (guard * guard)
+                out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
+        g_diff = g_size * np.sign(diff)
+        out[1] = ad._unbroadcast(g_diff, np.shape(g_val))
+        if c_active:
+            out[2] = ad._unbroadcast(-g_diff, np.shape(c_val))
+        return out
+
+    return ad.replay(value, [d_c, d_g, d_c], vjp)
 
 
 def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
@@ -215,25 +254,50 @@ def differential_flow_side(f_tra_u, f_tra_v):
     return ad.axis_diff(f_tra_u, axis=1) + ad.axis_diff(f_tra_v, axis=0)
 
 
-def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
-    """The depth half of C^F and C^D: (c_f, c_d, validity) from the
-    `differential_offsets` and the `differential_flow_side`. `interior` is
-    the `interior_mask` of the grid, if the caller holds it."""
-    d_c = ad.as_var(d_c)
-    shifted = ad.sub(d_c, t3)
-    c_f = ad.mul(ad.div(shifted, t3), div_f) - IDENTITY_FIELD_DIVERGENCE
+@dataclass(frozen=True)
+class DepthSide:
+    """The depth half of C^F and C^D as plain arrays (c_f, c_d and their
+    validity), with the inputs it was built from and the intermediates the
+    `dpc_core` node reads."""
 
+    c_f: np.ndarray
+    c_d: np.ndarray
+    validity: np.ndarray
+    inputs: tuple  # (t3, d_c, q_u, q_v, div_f), Vars or arrays as given
+    terms: tuple
+
+
+def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
+    """The depth half of C^F and C^D from the `differential_offsets` and
+    the `differential_flow_side`:
+
+        c_f = (D - t3) / t3 * div_f - 4,
+        c_d = -(q_u dD/du + q_v dD/dv) / (D - t3),
+
+    with the discrete stencil of D, or the analytic `depth_gradient`
+    scaled x2 into the stencil convention. Validity excludes the border
+    and |D - t3| < EPS_GEO. `interior` is the `interior_mask` of the grid,
+    if the caller holds it. The values are plain arrays; `dpc_core` turns
+    them into the DPC tape node."""
+    t3_v, d_v = ad.value_of(t3), np.asarray(ad.value_of(d_c), dtype=float)
+    qu_v, qv_v, div_v = ad.value_of(q_u), ad.value_of(q_v), ad.value_of(div_f)
+    shifted = d_v - t3_v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = shifted / t3_v
+    scaled = ratio * div_v
+    c_f = scaled - IDENTITY_FIELD_DIVERGENCE
     if depth_gradient is None:
-        g_u = ad.axis_diff(d_c, axis=1)
-        g_v = ad.axis_diff(d_c, axis=0)
+        g_u, g_v = _axis_diff(d_v, 1), _axis_diff(d_v, 0)
     else:
-        g_u = ad.as_var(2.0 * depth_gradient[..., 0])
-        g_v = ad.as_var(2.0 * depth_gradient[..., 1])
-    c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
+        g_u, g_v = 2.0 * depth_gradient[..., 0], 2.0 * depth_gradient[..., 1]
+    neg = (qu_v * g_u + qv_v * g_v) * -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_d = neg / shifted
     if interior is None:
-        interior = interior_mask(*np.shape(d_c.value))
-    validity = interior & (np.abs(shifted.value) >= EPS_GEO)
-    return c_f, c_d, validity
+        interior = interior_mask(*d_v.shape)
+    validity = interior & (np.abs(shifted) >= EPS_GEO)
+    return DepthSide(c_f, c_d, validity, (t3, d_c, q_u, q_v, div_f),
+                     (t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg))
 
 
 def differential_fields_core(
@@ -244,35 +308,133 @@ def differential_fields_core(
     f_tra_v,
     depth_gradient=None,
 ):
-    """C^F and C^D as tape nodes.
+    """C^F and C^D of a depth and a translational flow.
 
     t_ego is the (t1, t2, t3) source-to-target translation (scalars or
-    Vars); f_tra the translational flow components. If `depth_gradient`
-    (analytic dD/du, dD/dv) is given it is scaled x2 into the unnormalized
-    stencil convention; otherwise the discrete stencil of d_c is used.
+    Vars); f_tra the translational flow components. `depth_gradient` is
+    passed on to `differential_depth_side`.
 
-    Returns (c_f, c_d, q_u, q_v, validity); validity excludes the image
-    border (central stencils only) and pixels with |D - t3| < EPS_GEO.
+    Returns (DepthSide, q_u, q_v), the offsets as tape nodes.
     """
     t_ego = tuple(ad.as_var(t) for t in t_ego)
-    d_c = ad.as_var(d_c)
-    q_u, q_v = differential_offsets(camera, t_ego, CameraGrid.of(camera, *np.shape(d_c.value)))
+    grid = CameraGrid.of(camera, *np.shape(ad.value_of(d_c)))
+    q_u, q_v = differential_offsets(camera, t_ego, grid)
     div_f = differential_flow_side(f_tra_u, f_tra_v)
-    c_f, c_d, validity = differential_depth_side(t_ego[2], d_c, q_u, q_v, div_f, depth_gradient)
-    return c_f, c_d, q_u, q_v, validity
+    side = differential_depth_side(t_ego[2], d_c, q_u, q_v, div_f, depth_gradient)
+    return side, q_u, q_v
 
 
-def dpc_core(c_f, c_d, mask):
-    """Masked mean of |C^D - C^F| / (|C^D| + EPS_DPC)."""
-    rel = ad.div(ad.absolute(ad.sub(c_d, c_f)), ad.absolute(c_d) + EPS_DPC)
-    return ad.masked_mean(rel, mask)
+def _dpc_terms(c_f, c_d):
+    """Per-pixel |C^D - C^F| / (|C^D| + EPS_DPC) and its intermediates."""
+    gap = c_d - c_f
+    gap_size = np.abs(gap)
+    guard = np.abs(c_d) + EPS_DPC
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = gap_size / guard
+    return rel, gap, gap_size, guard
+
+
+def dpc_core(side: DepthSide, mask):
+    """Masked mean of |C^D - C^F| / (|C^D| + EPS_DPC) over the depth side of
+    C^F and C^D, as one tape node over (t3, D, q_u, q_v, div_f).
+
+    Composed graph, in creation order: shifted = D - t3, c_f (shifted / t3,
+    times div_f, minus 4), the stencils g_u then g_v of D, c_d (q_u g_u +
+    q_v g_v, negated, over shifted), then gap = c_d - c_f, |gap|, |c_d| +
+    EPS_DPC, their quotient and the masked mean. Replayed backward, c_d
+    gathers |c_d|'s contribution before the gap's, shifted gathers c_d's
+    before c_f's, and the links run q_v, q_u, D (g_v), D (g_u), div_f,
+    t3 (c_f), D (shifted), t3 (shifted).
+    """
+    t3, d_c, q_u, q_v, div_f = side.inputs
+    t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg = side.terms
+    rel, gap, gap_size, guard = _dpc_terms(side.c_f, side.c_d)
+    value, m, n = ad._mean_over(rel, mask)
+    d_act, t_act, qu_act, qv_act = (ad.active(x) for x in (d_c, t3, q_u, q_v))
+    sh_act = d_act or t_act
+    cf_act = sh_act or ad.active(div_f)
+    cd_act = sh_act or qu_act or qv_act
+
+    def vjp(g):
+        out = [None] * 8
+        g_rel = g * (m.astype(float) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_size = g_rel / guard
+            g_gap = g_size * np.sign(gap)
+            g_sh = None
+            if cd_act:
+                g_guard = -g_rel * gap_size / (guard * guard)
+                g_cd = g_guard * np.sign(side.c_d) + g_gap
+                g_neg = g_cd / shifted
+                if sh_act:
+                    g_sh = -g_cd * neg / (shifted * shifted)
+                g_sum = g_neg * -1.0
+                if qv_act:
+                    out[0] = ad._unbroadcast(g_sum * g_v, np.shape(qv_v))
+                if qu_act:
+                    out[1] = ad._unbroadcast(g_sum * g_u, np.shape(qu_v))
+                if d_act:
+                    out[2] = ad._axis_diff_vjp(g_sum * qv_v, 0, np.shape(d_v))
+                    out[3] = ad._axis_diff_vjp(g_sum * qu_v, 1, np.shape(d_v))
+            if cf_act:
+                g_cf = -g_gap
+                if ad.active(div_f):
+                    out[4] = ad._unbroadcast(g_cf * ratio, np.shape(div_v))
+                if sh_act:
+                    g_ratio = g_cf * div_v
+                    c_sh = g_ratio / t3_v
+                    g_sh = c_sh if g_sh is None else g_sh + c_sh
+                    if t_act:
+                        out[5] = ad._unbroadcast(-g_ratio * shifted / (t3_v * t3_v), np.shape(t3_v))
+        if sh_act:
+            out[6] = ad._unbroadcast(g_sh, np.shape(d_v))
+            if t_act:
+                out[7] = ad._unbroadcast(-g_sh, np.shape(t3_v))
+        return out
+
+    return ad.replay(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
 
 
 def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
-    """Masked mean of ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW)."""
-    n_diff = ad.absolute(ad.sub(f_r_u, f_o_u)) + ad.absolute(ad.sub(f_r_v, f_o_v))
-    n_o = ad.absolute(ad.as_var(f_o_u)) + ad.absolute(ad.as_var(f_o_v))
-    return ad.masked_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
+    """Masked mean of ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW), as one tape
+    node over the rigid flow F_r and the optical flow F_o.
+
+    Composed graph: |r_u - o_u| + |r_v - o_v|, then |o_u| + |o_v| +
+    EPS_FLOW, their quotient and the masked mean. Replayed backward, the
+    links run o_v, o_u (the norm of F_o), r_v, o_v, r_u, o_u (the gap)."""
+    r_u, r_v, o_u, o_v = (ad.value_of(x) for x in (f_r_u, f_r_v, f_o_u, f_o_v))
+    gap_u, gap_v = r_u - o_u, r_v - o_v
+    n_diff = np.abs(gap_u) + np.abs(gap_v)
+    guard = (np.abs(o_u) + np.abs(o_v)) + EPS_FLOW
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = n_diff / guard
+    value, m, n = ad._mean_over(rel, mask)
+    ou_act, ov_act = ad.active(f_o_u), ad.active(f_o_v)
+    u_act = ad.active(f_r_u) or ou_act
+    v_act = ad.active(f_r_v) or ov_act
+
+    def vjp(g):
+        out = [None] * 6
+        g_rel = g * (m.astype(float) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_diff = g_rel / guard
+            if ou_act or ov_act:
+                g_guard = -g_rel * n_diff / (guard * guard)
+        if ov_act:
+            out[0] = ad._unbroadcast(g_guard * np.sign(o_v), np.shape(o_v))
+        if ou_act:
+            out[1] = ad._unbroadcast(g_guard * np.sign(o_u), np.shape(o_u))
+        if v_act:
+            g_gap = g_diff * np.sign(gap_v)
+            out[2] = ad._unbroadcast(g_gap, np.shape(r_v))
+            out[3] = ad._unbroadcast(-g_gap, np.shape(o_v))
+        if u_act:
+            g_gap = g_diff * np.sign(gap_u)
+            out[4] = ad._unbroadcast(g_gap, np.shape(r_u))
+            out[5] = ad._unbroadcast(-g_gap, np.shape(o_u))
+        return out
+
+    return ad.replay(value, [f_o_v, f_o_u, f_r_v, f_o_v, f_r_u, f_o_u], vjp)
 
 
 def smoothness_core(d, image_values):
@@ -346,7 +508,7 @@ def differential_fields(
         )
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
-    c_f, c_d, q_u, q_v, validity = differential_fields_core(
+    side, q_u, q_v = differential_fields_core(
         camera,
         (t[0], t[1], t[2]),
         d_c.values,
@@ -354,11 +516,11 @@ def differential_fields(
         f_tra.values[..., 1],
         depth_gradient,
     )
-    validity = validity & f_tra.mask & d_c.mask
+    validity = side.validity & f_tra.mask & d_c.mask
     q = np.stack([q_u.value, q_v.value], axis=-1)
     return DifferentialFields(
-        c_f=ScalarField(c_f.value, validity),
-        c_d=ScalarField(c_d.value, validity),
+        c_f=ScalarField(side.c_f, validity),
+        c_d=ScalarField(side.c_d, validity),
         q=q,
         validity=validity,
     )
@@ -366,7 +528,7 @@ def differential_fields(
 
 def dpc_loss(fields: DifferentialFields) -> LossValue:
     mask = _require_mask(fields.validity, "dpc_loss")
-    value = dpc_core(fields.c_f.values, fields.c_d.values, mask).value
+    value, _, _ = ad._mean_over(_dpc_terms(fields.c_f.values, fields.c_d.values)[0], mask)
     guard = float((np.abs(fields.c_d.values[mask]) < EPS_DPC).mean())
     return LossValue(float(value), int(mask.sum()), guard)
 

@@ -50,7 +50,7 @@ from .geometry import (
     rigid_flow_values,
     rotational_flow,
 )
-from .grad import rigid_flow_graph
+from .grad import warp_graph
 from .losses import (
     DepthMetrics,
     bsca_core,
@@ -166,7 +166,8 @@ class _DepthObjective:
     of the fixed target image. `set_flow` refreshes only the flow side: the
     triangulated depth and its validity, and the divergence of the
     translational flow. `losses` then builds only the nodes that depend on
-    theta.
+    theta: one replay node per loss term (two for the photometric term, the
+    warp and the SSIM + L1 mean), so a step records about ten nodes.
     """
 
     def __init__(self, bundle: SceneBundle, config: OptimConfig):
@@ -226,20 +227,17 @@ class _DepthObjective:
             geo_values, geo_valid = self.geo
             terms["cgdc"] = cgdc_core(geo_values, depth_var, geo_valid)
         if cfg.w_d > 0:
-            c_f, c_d, valid = differential_depth_side(
+            side = differential_depth_side(
                 self.t_ego[2], depth_var, *self.q, self.div_f, interior=self.interior
             )
-            mask = valid & (np.abs(c_d.value) >= DPC_FLOOR) & self.flow_mask
+            mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & self.flow_mask
             if mask.any():
-                terms["dpc"] = dpc_core(c_f, c_d, mask)
+                terms["dpc"] = dpc_core(side, mask)
         if cfg.w_p > 0:
-            motion, grid = self.motion, self.grid
-            f_u, f_v, ok = rigid_flow_graph(
-                self.camera, motion.rotation, motion.translation, depth_var, *self.bundle.shape,
-                grid, self.rays,
+            warped, pmask = warp_graph(
+                self.camera, self.bundle.image_s.values, self.motion.translation, depth_var,
+                self.grid, self.rays,
             )
-            warped, inside = ad.bilinear(self.bundle.image_s.values, f_u + grid.u, f_v + grid.v)
-            pmask = ok & inside
             if pmask.any():
                 terms["photometric"] = photometric_core(
                     self.bundle.image_t.values, warped, pmask, reference=self.reference
@@ -280,15 +278,31 @@ def _safe_depth(values) -> DepthMap:
     return DepthMap(np.where(ok, values, 1.0), ok)
 
 
+def _float32_storable(values):
+    """Which entries a float32 artifact can hold: finite after the cast."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(values.astype(np.float32))
+
+
+def _safe_flow(values, mask) -> FlowField:
+    """FlowField that zeroes and masks the pixels a flow file cannot store
+    (used when packaging the state of an aborted run)."""
+    ok = _float32_storable(values).all(axis=-1)
+    return FlowField(np.where(ok[..., None], values, 0.0), mask & ok)
+
+
 def _abort_if_diverged(iteration, loss_values, decoded, records, started, config, flow=None):
     """Raise AbortedRunError, carrying the partial trace, once the summed
     loss passes `divergence_threshold` or any value stops being finite.
     `decoded` is the depth of the updated field; `flow` is the (values,
-    mask) pair of a co-adjusted flow field."""
+    mask) pair of a co-adjusted flow field, which has diverged too once it
+    holds a value float32 (the flow file) cannot."""
     total = sum(loss_values.values())
-    if not np.isfinite(total) or total > config.divergence_threshold or not np.isfinite(decoded).all():
+    if (not np.isfinite(total) or total > config.divergence_threshold
+            or not np.isfinite(decoded).all()
+            or (flow is not None and not _float32_storable(flow[0]).all())):
         trace = RunTrace(records, _safe_depth(decoded),
-                         None if flow is None else FlowField(*flow),
+                         None if flow is None else _safe_flow(*flow),
                          time.perf_counter() - started, config)
         raise AbortedRunError(f"run diverged at iteration {iteration} (loss {total:.3g})", trace)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from flowgeo import autodiff as ad
 from flowgeo.geometry import CameraIntrinsics, RigidMotion, rotation_from_axis_angle
 from flowgeo.scene import (
     ANY,
@@ -30,6 +31,38 @@ def reachable(root):
             nodes[id(node)] = node
             stack.extend(parent for parent, _ in node._parents)
     return sorted(nodes.values(), key=lambda n: n._id)
+
+
+def node_gradients(build, inputs, active):
+    """Build a root from `inputs` (name -> value) with the `active` names on
+    the tape and run backward. Returns [root value, then per active input
+    the raw sum of the contributions that reached it, then its leaf's
+    gradient]: each input sits one identity node below its leaf, so -0.0
+    entries of the raw sums show. A term created after the built graph
+    also consumes every active input, so its contribution arrives first
+    and the order of the graph's own contributions shows in the sums."""
+    args, mids, leaves = {}, [], []
+    for name, value in inputs.items():
+        if name in active:
+            leaf = ad.Var(np.copy(value) if np.ndim(value) else float(value))
+            args[name] = ad.add(leaf, 0.0)
+            mids.append(args[name])
+            leaves.append(leaf)
+        else:
+            args[name] = value
+    root = build(**args)
+    rng = np.random.default_rng(17)
+    for mid in mids:
+        root = root + ad.total(ad.mul(mid, rng.normal(size=np.shape(mid.value))))
+    ad.backward(root)
+    return [root.value] + [m.grad for m in mids] + [leaf.grad for leaf in leaves]
+
+
+def assert_twins_agree(build, twin, inputs, active):
+    """`node_gradients` of a node and of its composed twin agree bit for bit."""
+    for actual, expected in zip(node_gradients(build, inputs, active),
+                                node_gradients(twin, inputs, active), strict=True):
+        assert_bits_equal(actual, expected)
 
 
 @pytest.fixture(scope="session")

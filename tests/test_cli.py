@@ -303,6 +303,46 @@ class TestDivergedRun:
         assert not (out / "run-manifest.txt").exists()
 
 
+    def test_flow_past_float32_is_divergence(self, scene_file, tmp_path, capsys):
+        # a flow step of w_b = 1e300 leaves flow values near 1e299: finite,
+        # but past what the flow file's float32 payload can hold
+        out = tmp_path / "o"
+        code = run(["co-adjust", "--scene", str(scene_file), "--size", "16x12",
+                    "--weights", "0,1,0,1e300", "--iters", "3", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run diverged at iteration")
+        names = ["co_adjust-trace.csv", "co_adjust-depth.pfm", "co_adjust-flow.flo"]
+        assert captured.out.splitlines() == [f"wrote {out / name}" for name in names]
+        assert read_csv(out / "co_adjust-trace.csv")[0]["iteration"] == "0"
+        assert read_depth_pfm(out / "co_adjust-depth.pfm").shape == (12, 16)
+        flow = read_flow(out / "co_adjust-flow.flo")
+        # the pixels float32 could not hold are written as zero flow
+        assert flow.shape == (12, 16) and (flow.values == 0.0).any()
+        assert not (out / "run-manifest.txt").exists()
+
+
+class TestHeapPin:
+    def test_second_run_adds_few_page_faults(self, scene_file, tmp_path):
+        # left to glibc's dynamic thresholds, each iteration hands the heap
+        # top back to the kernel and faults it in again (~270 minor faults
+        # per iteration at 96x72); with the pin, a second run in the same
+        # process reuses the heap the first one grew
+        resource = pytest.importorskip("resource")
+        if not cli._pin_heap():
+            pytest.skip("needs glibc's mallopt")
+        iters = 60
+        argv = ["recover-depth", "--scene", str(scene_file), "--size", "96x72",
+                "--weights", "1,1,0.1,0", "--iters", str(iters), "--out", str(tmp_path / "o")]
+        with redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert run(argv) == 0
+            added = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert added < 2 * iters
+
+
 # valid values are listed more than once, so that most argvs run
 _SIZES = ["16x12", "16x12", "3x3", "5x4", "5x4", "16x12x2", "banana", "2x2", "0x5", "-16x12"]
 _ITERS = ["1", "2", "3", "1", "2", "3", "0", "-1", "x", "1.5"]

@@ -4,9 +4,12 @@ exclusion bookkeeping."""
 
 import numpy as np
 import pytest
+from composed import composed_warp, substitute_twins
+from conftest import assert_bits_equal, assert_twins_agree, reachable
 
 from flowgeo import autodiff as ad
-from flowgeo.geometry import DepthMap, TwistParams
+from flowgeo import grad, losses
+from flowgeo.geometry import CameraGrid, CameraIntrinsics, DepthMap, RigidMotion, TwistParams
 from flowgeo.grad import (
     LOSS_IDS,
     LossInputs,
@@ -14,7 +17,9 @@ from flowgeo.grad import (
     finite_difference_check,
     loss_gradient,
     rotation_entries,
+    warp_graph,
 )
+from flowgeo.scene import SceneSpec, synthesize
 from flowgeo.geometry import rotation_from_axis_angle
 from flowgeo.triangulate import triangulate_depth
 
@@ -224,3 +229,111 @@ class TestAgainstPlainEvaluation:
         expected = cgdc_loss(tri, perturbed_inputs.depth)
         loss, _, _ = build_loss("cgdc", perturbed_inputs)
         assert float(loss.value) == pytest.approx(expected.value, rel=1e-12)
+
+
+# -- the warp node and build_loss against the composed twins -------------------
+
+
+def warp_inputs(bundle, depth_scale=1.0):
+    """Depth, rotated rays and translation of a bundle's warp motion, as
+    named inputs. Two pixels are pushed behind the camera and one sample
+    far outside the image, so the masks and the clamped edges are hit."""
+    grid = CameraGrid.of(bundle.camera, *bundle.shape)
+    rays = grid.rays(bundle.motion.rotation)
+    depth = bundle.depth_gt.values * depth_scale
+    depth.flat[0] = -depth.flat[0]
+    depth.flat[-1] = -1e-12
+    depth.flat[4 % depth.size] *= 40.0
+    t = bundle.motion.translation
+    inputs = {"depth": depth, "r0": rays[0], "r1": rays[1], "r2": rays[2],
+              "t0": float(t[0]), "t1": float(t[1]), "t2": float(t[2])}
+    return grid, inputs
+
+
+def upstream_for(shape, seed=3):
+    """An upstream gradient with +0.0 and -0.0 entries among the values."""
+    g = np.random.default_rng(seed).normal(size=shape)
+    g.flat[1::3] = -0.0
+    g.flat[2::5] = 0.0
+    return g
+
+
+def tiny_bundle():
+    """A 3x3 grid of a rotating scene with a 3-channel texture."""
+    camera = CameraIntrinsics(fx=4.0, fy=4.0, cx=1.0, cy=1.0)
+    ego = RigidMotion(np.eye(3), [0.05, 0.02, 0.1])
+    spec = SceneSpec("affine-inverse-shift", a=0.22, b=2.3e-3, c=1.7e-3)
+    return synthesize(spec, camera, ego, 3, 3)
+
+
+class TestWarpNode:
+    # depth only (the optimizer); depth, rays and translation (build_loss)
+    @pytest.mark.parametrize("active", [("depth",), ("depth", "r0", "r1", "r2", "t0", "t1", "t2")])
+    @pytest.mark.parametrize("channels", [None, 3])
+    @pytest.mark.parametrize("where", ["small", "tiny"])
+    def test_matches_composed(self, small_bundle, active, channels, where):
+        bundle = small_bundle if where == "small" else tiny_bundle()
+        grid, inputs = warp_inputs(bundle)
+        image = bundle.image_s.values
+        if channels:
+            image = np.stack([image, image[::-1], image[:, ::-1]], axis=-1)
+        upstream = upstream_for(image.shape)
+
+        def build(warp):
+            def root(depth, r0, r1, r2, t0, t1, t2):
+                warped, _ = warp(bundle.camera, image, (t0, t1, t2), depth, grid, (r0, r1, r2))
+                return ad.total(ad.mul(warped, upstream))
+            return root
+
+        assert_twins_agree(build(warp_graph), build(composed_warp), inputs, active)
+
+    def test_values_and_mask_match_composed(self, small_bundle):
+        grid, inputs = warp_inputs(small_bundle)
+        t = (inputs["t0"], inputs["t1"], inputs["t2"])
+        rays = (inputs["r0"], inputs["r1"], inputs["r2"])
+        depth = ad.Var(inputs["depth"])
+        image = small_bundle.image_s.values
+        warped, valid = warp_graph(small_bundle.camera, image, t, depth, grid, rays)
+        twin, twin_valid = composed_warp(small_bundle.camera, image, t, depth, grid, rays)
+        assert_bits_equal(warped.value, twin.value)
+        np.testing.assert_array_equal(valid, twin_valid)
+        assert not valid.all() and valid.any()
+        # one node over the depth, linked once per composed contribution
+        assert [parent for parent, _ in warped._parents] == [depth, depth, depth]
+
+
+def loss_gradient_bits(loss_id, inputs, stop):
+    g = loss_gradient(loss_id, inputs, targets=("depth", "twist", "flow"), stop_gradient_geo=stop)
+    return [g.value, g.d_depth, g.d_twist, g.d_flow]
+
+
+class TestBuildLossTwins:
+    """build_loss with the nodes equals build_loss with the composed twins
+    substituted for them, value and gradient bits, for pose, depth and flow."""
+
+    @pytest.mark.parametrize("loss_id", ["photometric", "cgdc", "dpc", "bsca"])
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("where", ["small", "tiny"])
+    def test_gradients_match_composed(self, perturbed_inputs, monkeypatch, loss_id, stop, where):
+        if where == "small":
+            inputs = perturbed_inputs
+        else:
+            bundle = tiny_bundle()
+            inputs = LossInputs.from_bundle(bundle, depth=DepthMap(bundle.depth_gt.values * 1.1))
+        fused = loss_gradient_bits(loss_id, inputs, stop)
+        substitute_twins(monkeypatch, grad, losses)
+        composed = loss_gradient_bits(loss_id, inputs, stop)
+        for actual, expected in zip(fused, composed, strict=True):
+            assert_bits_equal(actual, expected)
+
+    # the composed twins take 17 nodes for the warp and 29 for a 1-channel
+    # SSIM + L1 pair with its masked mean (the nodes: 2), 5 for cgdc, 17
+    # for dpc's depth side and mean, 11 for bsca (the nodes: 1 each)
+    @pytest.mark.parametrize("loss_id, saved", [("photometric", 16 + 28), ("cgdc", 4),
+                                                ("dpc", 16), ("bsca", 10)])
+    def test_each_term_is_one_node(self, perturbed_inputs, monkeypatch, loss_id, saved):
+        # the pose and flow graphs feeding the node stay composed
+        fused = len(reachable(build_loss(loss_id, perturbed_inputs)[0]))
+        substitute_twins(monkeypatch, grad, losses)
+        composed = len(reachable(build_loss(loss_id, perturbed_inputs)[0]))
+        assert fused == composed - saved

@@ -304,9 +304,16 @@ def f4(*values):
     pytest.param("depth", b"Pf\n2 1\nnan\n" + f4(1.0, 1.0), id="depth-nan-scale"),
     pytest.param("depth", b"Pf\n100000 100000\n-1.0\n" + f4(1.0, 1.0), id="depth-claims-40GB"),
     pytest.param("image", b"P6\n100000 100000\n65535\n" + bytes(12), id="image-claims-60GB"),
+    pytest.param("flow", b"PIEH" + np.array([2, 1], "<i4").tobytes() + f4(0, 0, 0, 0) + b"x",
+                 id="flow-trailing-byte"),
+    pytest.param("depth", b"Pf\n2 1\n-1.0\n" + f4(1.0, 1.0) + b"x", id="depth-trailing-byte"),
+    pytest.param("depth", b"Pf\n2 1\n-1.0\n" + f4(1.0, 1.0) + b"\n", id="depth-trailing-newline"),
+    pytest.param("image", b"P5\n2 1\n65535\n" + bytes(4) + b"x", id="image-trailing-byte"),
+    pytest.param("image", b"P6\n1 1\n65535\n" + bytes(6) + b"\n", id="image-trailing-newline"),
 ])
 def test_payloads_no_writer_makes_are_format_errors(tmp_path, kind, data):
-    # non-finite payloads and headers that claim gigabytes the file lacks
+    # non-finite payloads, headers that claim gigabytes the file lacks, and
+    # bytes after the payload
     path = tmp_path / kind
     path.write_bytes(data)
     with warnings.catch_warnings():

@@ -3,7 +3,15 @@ scale/permutation symmetries, and the differential-field identity."""
 
 import numpy as np
 import pytest
-from conftest import assert_bits_equal, reachable
+from composed import (
+    composed_bsca,
+    composed_cgdc,
+    composed_depth_side,
+    composed_dpc,
+    composed_photometric,
+    composed_ssim,
+)
+from conftest import assert_bits_equal, assert_twins_agree, reachable
 
 from flowgeo import autodiff as ad
 from flowgeo.errors import DegenerateTranslationError, DimensionError, NoValidPixelsError
@@ -18,24 +26,25 @@ from flowgeo.geometry import (
 )
 from flowgeo.losses import (
     ALPHA_DEFAULT,
+    EPS_DIV,
     EPS_DPC,
     EPS_FLOW,
-    SSIM_C1,
-    SSIM_C2,
     DifferentialFields,
+    bsca_core,
     bsca_loss,
+    cgdc_core,
     cgdc_loss,
     depth_metrics,
     differential_fields,
+    differential_depth_side,
     differential_fields_core,
+    dpc_core,
     dpc_loss,
     edge_aware_smoothness,
-    photometric_channel,
     photometric_core,
     photometric_loss,
     reference_channels,
     ssim,
-    ssim_stats,
 )
 from flowgeo.triangulate import TriangulationResult
 
@@ -117,47 +126,6 @@ class TestPhotometric:
 # -- the photometric node against its composed twin ----------------------------
 
 
-def composed_stats(b):
-    """`ssim_stats` as elementary tape nodes."""
-    mu = ad.box3(b)
-    mu_sq = ad.mul(mu, mu)
-    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
-
-
-def composed_ssim(a, b, b_stats=None):
-    """Per-pixel SSIM of `a` against the reference `b` as elementary nodes."""
-    mu_a = ad.box3(a)
-    mu_b, mu_b_sq, var_b = composed_stats(b) if b_stats is None else b_stats
-    var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
-    cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
-    num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return ad.div(num, den)
-
-
-def composed_channel(ch_t, ch_w, alpha=ALPHA_DEFAULT, precomputed=True):
-    """`photometric_channel` as the 28 elementary nodes it replaces."""
-    ch_t = ad.as_var(ch_t)
-    s = composed_ssim(ch_w, ch_t, composed_stats(ch_t) if precomputed else None)
-    return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * ad.absolute(ch_t - ch_w)
-
-
-def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, precomputed=True):
-    """`photometric_core` built from `composed_channel`s."""
-    i_t, i_warped = ad.as_var(i_t), ad.as_var(i_warped)
-    if np.ndim(i_warped.value) == 2:
-        per_pixel = composed_channel(i_t, i_warped, alpha, precomputed)
-    else:
-        channels = range(np.shape(i_warped.value)[2])
-        acc = None
-        for c in channels:
-            term = composed_channel(ad.take_channel(i_t, c), ad.take_channel(i_warped, c),
-                                    alpha, precomputed)
-            acc = term if acc is None else acc + term
-        per_pixel = acc * (1.0 / len(channels))
-    return ad.masked_mean(per_pixel, mask)
-
-
 def photometric_pair(shape, seed=5):
     """A reference, a warped image that ties it on a quarter of the
     entries (the |.| kink), and a mask that drops about a third."""
@@ -195,22 +163,17 @@ class TestPhotometricNode:
         fused = input_gradient(
             lambda x: photometric_core(i_t, x, mask, alpha, reference) * scale, i_w)
         composed = input_gradient(
-            lambda x: composed_photometric(i_t, x, mask, alpha, precomputed) * scale, i_w)
+            lambda x: composed_photometric(i_t, x, mask, alpha, precomputed=precomputed) * scale,
+            i_w)
         for actual, expected in zip(fused, composed):
             assert_bits_equal(actual, expected)
 
-    @pytest.mark.parametrize("shape", [(6, 7), (3, 3)])
+    @pytest.mark.parametrize("shape", [(6, 7), (3, 3), (6, 7, 3)])
     def test_node_matches_composed_under_signed_zero_upstream(self, shape):
-        i_t, i_w, _ = photometric_pair(shape, seed=11)
-        upstream = np.random.default_rng(3).normal(size=shape)
-        # the zeros meet the node's sign flips and doubled products
-        upstream.flat[1::3] = -0.0
-        upstream.flat[2::5] = 0.0
-        stats = ssim_stats(i_t)
-        fused = input_gradient(
-            lambda x: ad.total(ad.mul(photometric_channel(i_t, stats, x), upstream)), i_w)
-        composed = input_gradient(
-            lambda x: ad.total(ad.mul(composed_channel(i_t, x), upstream)), i_w)
+        # an upstream -0.0 meets the node's sign flips and doubled products
+        i_t, i_w, mask = photometric_pair(shape, seed=11)
+        fused = input_gradient(lambda x: ad.mul(photometric_core(i_t, x, mask), -0.0), i_w)
+        composed = input_gradient(lambda x: ad.mul(composed_photometric(i_t, x, mask), -0.0), i_w)
         for actual, expected in zip(fused, composed):
             assert_bits_equal(actual, expected)
 
@@ -224,11 +187,12 @@ class TestPhotometricNode:
                                 for c in range(shape[2])], axis=0)
         assert_bits_equal(ssim(Image(a), Image(b)).values, expected)
 
-    def test_one_node_per_channel(self):
+    def test_one_node_per_term(self):
         i_t, i_w, mask = photometric_pair((6, 7, 3))
         root = photometric_core(i_t, ad.Var(i_w), mask)
-        # leaf, 3 channel picks, 3 channel nodes, 2 sums, the mean, the masked mean
-        assert len(reachable(root)) == 11
+        # the leaf and the node; the composed graph took 3 channel picks, 3
+        # channel pairs of 28 nodes, 2 sums, the mean and the masked mean
+        assert len(reachable(root)) == 2
 
     @pytest.mark.parametrize("shape", [(5, 6), (4, 5, 3)])
     def test_gradient_matches_central_differences(self, shape):
@@ -248,6 +212,126 @@ class TestPhotometricNode:
                             - photometric_core(i_t, minus, mask).value) / (2 * h)
         assert np.abs(leaf.grad - numeric).max() < 1e-7
         assert np.abs(numeric).max() > 1e-3
+
+
+# -- the other loss-term nodes against their composed twins ---------------------
+
+# an upstream of 1, one that sends -0.0 from masked pixels, and a -0.0 upstream
+SCALES = [1.0, -1.0, -0.0]
+TERM_SHAPES = [(6, 7), (3, 3)]
+
+
+def partial_mask(shape, seed):
+    mask = np.random.default_rng(seed).uniform(size=shape) > 0.3
+    mask.flat[0] = True
+    return mask
+
+
+def cgdc_inputs(shape):
+    """Depths whose difference ties at some pixels (the |.| kink) and whose
+    guard max(D_c, EPS_DIV) ties or clamps at others (the max kink)."""
+    rng = np.random.default_rng(4)
+    d_c = rng.uniform(1.0, 3.0, shape)
+    d_g = d_c * rng.uniform(0.8, 1.2, shape)
+    d_g.flat[::3] = d_c.flat[::3]
+    d_c.flat[1] = EPS_DIV
+    d_c.flat[-1] = 0.5 * EPS_DIV
+    return {"d_g": d_g, "d_c": d_c}
+
+
+class TestCgdcNode:
+    @pytest.mark.parametrize("shape", TERM_SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    # depth only (the optimizer, and build_loss with stop_gradient_geo);
+    # both depths (build_loss)
+    @pytest.mark.parametrize("active", [("d_c",), ("d_g", "d_c")])
+    def test_matches_composed(self, shape, scale, active):
+        mask = partial_mask(shape, 1)
+        assert_twins_agree(lambda d_g, d_c: ad.mul(cgdc_core(d_g, d_c, mask), scale),
+                           lambda d_g, d_c: ad.mul(composed_cgdc(d_g, d_c, mask), scale),
+                           cgdc_inputs(shape), active)
+
+    def test_one_node_linking_the_depth_twice(self):
+        d_g, d_c = (ad.Var(v) for v in cgdc_inputs((6, 7)).values())
+        root = cgdc_core(d_g, d_c, partial_mask((6, 7), 1))
+        assert [parent for parent, _ in root._parents] == [d_c, d_g, d_c]
+
+
+def dpc_inputs(shape):
+    """Depth-side inputs with t3 = 1 and a flat depth patch where div_f = 2:
+    there c_d = 0 (the |c_d| kink) and c_f = (3 - 1) * 2 - 4 = 0 as well
+    (the |c_d - c_f| kink)."""
+    rng = np.random.default_rng(6)
+    d = rng.uniform(2.0, 4.0, shape)
+    d[:3, :3] = 3.0
+    div_f = rng.normal(size=shape)
+    div_f[1, 1] = 2.0
+    return {"t3": 1.0, "d": d, "q_u": rng.normal(size=shape), "q_v": rng.normal(size=shape),
+            "div_f": div_f}
+
+
+def dpc_node(mask, scale):
+    return lambda t3, d, q_u, q_v, div_f: ad.mul(
+        dpc_core(differential_depth_side(t3, d, q_u, q_v, div_f), mask), scale)
+
+
+def dpc_twin(mask, scale):
+    return lambda t3, d, q_u, q_v, div_f: ad.mul(
+        composed_dpc(composed_depth_side(t3, d, q_u, q_v, div_f), mask), scale)
+
+
+class TestDpcNode:
+    @pytest.mark.parametrize("shape", TERM_SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    # depth only (the optimizer); depth, pose and flow (build_loss)
+    @pytest.mark.parametrize("active", [("d",), ("t3", "d", "q_u", "q_v", "div_f")])
+    def test_matches_composed(self, shape, scale, active):
+        inputs = dpc_inputs(shape)
+        side = differential_depth_side(*inputs.values())
+        assert side.c_d[1, 1] == 0.0 and side.c_f[1, 1] == 0.0
+        mask = side.validity & partial_mask(shape, 2)
+        mask[1, 1] = True
+        assert_twins_agree(dpc_node(mask, scale), dpc_twin(mask, scale), inputs, active)
+
+    def test_values_match_composed(self):
+        inputs = dpc_inputs((6, 7))
+        side = differential_depth_side(*inputs.values())
+        twin = composed_depth_side(*inputs.values())
+        for actual, expected in zip((side.c_f, side.c_d, side.validity),
+                                    (twin.c_f, twin.c_d, twin.validity)):
+            assert_bits_equal(actual, expected)
+
+    def test_links_in_composed_order(self):
+        t3, d, q_u, q_v, div_f = (ad.Var(v) for v in dpc_inputs((6, 7)).values())
+        side = differential_depth_side(t3, d, q_u, q_v, div_f)
+        root = dpc_core(side, side.validity)
+        assert [parent for parent, _ in root._parents] == [q_v, q_u, d, d, div_f, t3, d, t3]
+
+
+def bsca_inputs(shape):
+    """Flows that tie at some pixels (the gap kinks) and an optical flow
+    with zero components at others (the |F_o| kinks)."""
+    rng = np.random.default_rng(8)
+    f_o = rng.normal(size=shape + (2,))
+    f_r = f_o + rng.normal(scale=0.3, size=shape + (2,))
+    f_r.reshape(-1, 2)[::3, 0] = f_o.reshape(-1, 2)[::3, 0]
+    f_r.reshape(-1, 2)[1::4, 1] = f_o.reshape(-1, 2)[1::4, 1]
+    f_o.reshape(-1, 2)[2::5] = 0.0
+    return {"r_u": f_r[..., 0], "r_v": f_r[..., 1], "o_u": f_o[..., 0], "o_v": f_o[..., 1]}
+
+
+class TestBscaNode:
+    @pytest.mark.parametrize("shape", TERM_SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    # the optical flow (co-adjust's flow step); both flows (build_loss)
+    @pytest.mark.parametrize("active", [("o_u", "o_v"), ("r_u", "r_v", "o_u", "o_v")])
+    def test_matches_composed(self, shape, scale, active):
+        mask = partial_mask(shape, 3)
+
+        def scaled(term):
+            return lambda r_u, r_v, o_u, o_v: ad.mul(term(r_u, r_v, o_u, o_v, mask), scale)
+
+        assert_twins_agree(scaled(bsca_core), scaled(composed_bsca), bsca_inputs(shape), active)
 
 
 class TestCgdc:

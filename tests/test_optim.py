@@ -3,9 +3,10 @@ divergence handling, and the co-adjustment reduction on static scenes."""
 
 import numpy as np
 import pytest
+from composed import TWINS
 
 from flowgeo import autodiff as ad
-from flowgeo import optim
+from flowgeo import cli, optim
 from flowgeo.errors import AbortedRunError, InvalidDepthError
 from flowgeo.geometry import (
     CameraIntrinsics,
@@ -17,10 +18,11 @@ from flowgeo.geometry import (
     translational_flow,
 )
 from flowgeo.losses import (
+    DifferentialFields,
     bsca_loss,
     cgdc_loss,
     differential_fields,
-    dpc_core,
+    dpc_loss,
 )
 from flowgeo.optim import OptimConfig, ablation_suite, co_adjust, recover_depth
 from flowgeo.scene import SceneSpec, synthesize
@@ -201,7 +203,8 @@ class TestPlan:
     def test_dpc_active_step_tape_size(self):
         # recover-depth benchmark scene, 96x72; 130 Vars per step when every
         # theta-independent term was rebuilt on each step, 106 while each
-        # photometric channel pair took 28 elementary nodes
+        # photometric channel pair took 28 elementary nodes, 68 while the
+        # warp, cgdc and dpc terms were composed of elementary nodes
         ego = RigidMotion(np.eye(3), README_T)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
@@ -211,7 +214,7 @@ class TestPlan:
         assert objective.weights(it)["dpc"] > 0
         before = ad._counter
         optim._depth_step(objective, theta, it, config)
-        assert ad._counter - before <= 68
+        assert ad._counter - before <= 14
 
     def test_recover_step_equals_public_wrappers(self, rotating):
         b = rotating
@@ -224,7 +227,8 @@ class TestPlan:
         f_tra = translational_flow(b.flow_gt, rotational_flow(b.camera, b.motion.rotation, *b.shape))
         fields = differential_fields(b.camera, b.ego_motion, depth, f_tra)
         mask = fields.validity & (np.abs(fields.c_d.values) >= optim.DPC_FLOOR)
-        assert first["dpc"] == dpc_core(fields.c_f.values, fields.c_d.values, mask).value
+        floored = DifferentialFields(fields.c_f, fields.c_d, fields.q, mask)
+        assert first["dpc"] == dpc_loss(floored).value
         # photometric has no bit-equal numpy twin (the tape's rigid flow sums
         # in another order), and the record after the step also checks the
         # backward pass: both against the bytes recorded before the plan
@@ -270,3 +274,44 @@ class TestPlan:
         with pytest.raises(InvalidDepthError, match="strictly positive"):
             co_adjust(small_static, OptimConfig(w_c=1.0, w_b=1.0, iterations=10))
         assert steps == []
+
+
+class TestComposedTwinRuns:
+    """Whole runs on the replay nodes and on their composed twins,
+    substituted at the module attributes the optimizer calls, write the
+    same bytes."""
+
+    SCENE = ("family=affine-inverse-shift\na=0.21\nb=0.0013\nc=0.0009\n"
+             "ego_rotation=0.011,-0.017,0.013\nego_translation=0.31,0.02,0.42\n")
+    # 12 iterations: the dpc term joins at 5 and the flow at 1
+    RUNS = {
+        "recover-depth": ("--weights", "1,1,0.1,0"),
+        "co-adjust": ("--weights", "1,1,0.1,1"),
+        "ablate": ("--weights", "1,1,0.1,0"),
+    }
+
+    def outputs(self, tmp_path, command, tag):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(self.SCENE)
+        out = tmp_path / tag
+        argv = [command, "--scene", str(scene), "--size", "24x18", *self.RUNS[command],
+                "--iters", "12", "--seed", "3", "--out", str(out)]
+        assert cli.run(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name != "run-manifest.txt"}
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_trace_bytes_match_composed(self, tmp_path, monkeypatch, capsys, command):
+        fused = self.outputs(tmp_path, command, "fused")
+        calls = {}
+        for name, twin in TWINS.items():
+            def counted(*args, twin=twin, name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return twin(*args, **kwargs)
+
+            monkeypatch.setattr(optim, name, counted)
+        composed = self.outputs(tmp_path, command, "composed")
+        assert composed == fused
+        expected = {"cgdc_core", "differential_depth_side", "dpc_core", "photometric_core",
+                    "warp_graph"} | ({"bsca_core"} if command == "co-adjust" else set())
+        assert set(calls) == expected
