@@ -12,18 +12,20 @@ node links only to its active parents, and a node with no active parent is
 itself a constant. `backward` visits only the nodes that link the root to
 a leaf; `.grad` stays None on every node that depends on no leaf.
 
-Accumulation order is fixed (reverse creation order, each node's parents
-in argument order), so gradients are bit-reproducible run to run.
+Nodes: `Var(value, inputs, vjp)` is one elemental function of its
+`inputs`, however many there are. `vjp(g)` returns one contribution per
+entry of `inputs` (it may return None for an entry that is not active);
+`backward` calls it once per pass, sums each contribution down to its
+input's shape (the reverse of numpy broadcasting) and adds it to that
+input's gradient. An input may appear more than once, as in `mul(a, a)`:
+each entry adds its own contribution. So the loss terms of `losses` and
+the photometric warp of `grad`, one node each, can hand a parent shared by
+several composed terms their contributions one at a time, in the order
+the composed graph's backward pass made them, and every gradient keeps
+its bits.
 
-Replay nodes (`replay`): each loss term of `losses` and the photometric
-warp of `grad` is one node whose forward evaluates a composed graph of the
-elementary ops above and whose adjoint replays that graph's backward pass:
-the same products and quotients, each intermediate's contributions summed
-in reverse creation order. A replay node links a parent once per composed
-contribution, in the order the composed backward reached it (the engine
-takes repeated parents, as in `mul(a, a)`), so a parent shared by several
-terms still adds their contributions one at a time, in the composed order,
-and every gradient keeps its bits.
+Accumulation order is fixed (reverse creation order, each node's inputs
+in entry order), so gradients are bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -42,21 +44,24 @@ def _next_id():
 
 
 class Var:
-    """Node in the expression graph: a value plus vjp links to parents."""
+    """Node in the expression graph: a value, its inputs and one vjp."""
 
-    __slots__ = ("value", "grad", "_parents", "_active", "_id")
+    __slots__ = ("value", "grad", "_parents", "_vjp", "_active", "_id")
     # make numpy operands defer to the reflected operators below, so
     # `ndarray + Var` builds a tape node instead of an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=None):
+    def __init__(self, value, inputs=None, vjp=None):
         self.value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
         self.grad = None
-        if parents is None:  # made by a caller: a leaf
+        if inputs is None:  # made by a caller: a leaf
             self._parents, self._active = (), True
-        else:  # (Var, vjp) pairs, kept for active parents only
-            self._parents = tuple(link for link in parents if link[0]._active)
+        else:  # (input, position) pairs, kept for active inputs only
+            self._parents = tuple(
+                (x, i) for i, x in enumerate(inputs) if isinstance(x, Var) and x._active
+            )
             self._active = bool(self._parents)
+        self._vjp = vjp if self._parents else None
         self._id = _next_id()
 
     # -- operator sugar -----------------------------------------------------
@@ -88,7 +93,17 @@ class Var:
 
 def as_var(x) -> Var:
     """`x` itself if it is a Var, else `x` wrapped as a constant."""
-    return x if isinstance(x, Var) else Var(x, parents=())
+    return x if isinstance(x, Var) else Var(x, ())
+
+
+def active(x) -> bool:
+    """True for a Var that carries a gradient (a leaf or a node over one)."""
+    return isinstance(x, Var) and x._active
+
+
+def value_of(x):
+    """The value of a Var, or `x` itself."""
+    return x.value if isinstance(x, Var) else x
 
 
 def _unbroadcast(grad, shape):
@@ -107,35 +122,23 @@ def _unbroadcast(grad, shape):
     return g
 
 
-def _binary(a, b, out_value, da, db):
-    a, b = as_var(a), as_var(b)
-    sa, sb = np.shape(a.value), np.shape(b.value)
-    return Var(
-        out_value,
-        parents=(
-            (a, lambda g: _unbroadcast(da(g), sa)),
-            (b, lambda g: _unbroadcast(db(g), sb)),
-        ),
-    )
-
-
 # -- arithmetic --------------------------------------------------------------
 
 
 def add(a, b):
     a, b = as_var(a), as_var(b)
-    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g)
+    return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     a, b = as_var(a), as_var(b)
-    return _binary(a, b, a.value - b.value, lambda g: g, lambda g: -g)
+    return Var(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
-    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
+    return Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def div(a, b):
@@ -146,51 +149,49 @@ def div(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = av / bv
 
-    def da(g):
+    def vjp(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return g / bv
+            return g / bv, -g * av / (bv * bv)
 
-    def db(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -g * av / (bv * bv)
-
-    return _binary(a, b, out, da, db)
+    return Var(out, (a, b), vjp)
 
 
 def exp(a):
     a = as_var(a)
     out = np.exp(a.value)
-    return Var(out, parents=((a, lambda g, o=out: g * o),))
+    return Var(out, (a,), lambda g: (g * out,))
 
 
 def sin(a):
     a = as_var(a)
-    return Var(np.sin(a.value), parents=((a, lambda g, v=a.value: g * np.cos(v)),))
+    v = a.value
+    return Var(np.sin(v), (a,), lambda g: (g * np.cos(v),))
 
 
 def cos(a):
     a = as_var(a)
-    return Var(np.cos(a.value), parents=((a, lambda g, v=a.value: -g * np.sin(v)),))
+    v = a.value
+    return Var(np.cos(v), (a,), lambda g: (-g * np.sin(v),))
 
 
 def sqrt(a):
     a = as_var(a)
     out = np.sqrt(a.value)
-    return Var(out, parents=((a, lambda g, o=out: g * 0.5 / o),))
+    return Var(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def absolute(a):
     """|a| with subgradient 0 at exactly-zero arguments (np.sign(0) == 0)."""
     a = as_var(a)
     s = np.sign(a.value)
-    return Var(np.abs(a.value), parents=((a, lambda g: g * s),))
+    return Var(np.abs(a.value), (a,), lambda g: (g * s,))
 
 
 def maximum(a, floor: float):
     """max(a, floor) against a constant; gradient passes where a >= floor."""
     a = as_var(a)
     keep = (a.value >= floor).astype(float)
-    return Var(np.maximum(a.value, floor), parents=((a, lambda g: g * keep),))
+    return Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -199,7 +200,7 @@ def maximum(a, floor: float):
 def total(a):
     a = as_var(a)
     shape = np.shape(a.value)
-    return Var(np.sum(a.value), parents=((a, lambda g: np.broadcast_to(g, shape) if shape else g),))
+    return Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape) if shape else g,))
 
 
 def _mean_over(values, mask):
@@ -216,7 +217,7 @@ def masked_mean(a, mask: np.ndarray):
     a = as_var(a)
     value, m, n = _mean_over(a.value, mask)
     w = m.astype(float) / n
-    return Var(value, parents=((a, lambda g: g * w),))
+    return Var(value, (a,), lambda g: (g * w,))
 
 
 # -- structured grid operators ------------------------------------------------
@@ -227,27 +228,29 @@ def take_channel(a, index: int):
     a = as_var(a)
     shape = np.shape(a.value)
 
-    def vjp(g, index=index, shape=shape):
+    def vjp(g):
         gx = np.zeros(shape)
         gx[..., index] = g
-        return gx
+        return (gx,)
 
-    return Var(a.value[..., index], parents=((a, vjp),))
+    return Var(a.value[..., index], (a,), vjp)
 
 
 def forward_diff(a, axis: int):
     """First difference x[i+1] - x[i] along an axis (length shrinks by 1)."""
     a = as_var(a)
 
-    def vjp(g, axis=axis, shape=np.shape(a.value)):
+    shape = np.shape(a.value)
+
+    def vjp(g):
         gx = np.zeros(shape)
         gm = np.moveaxis(gx, axis, 0)
         gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
         gm[1:] += gg
         gm[:-1] -= gg
-        return gx
+        return (gx,)
 
-    return Var(np.diff(a.value, axis=axis), parents=((a, vjp),))
+    return Var(np.diff(a.value, axis=axis), (a,), vjp)
 
 
 def axis_diff(a, axis: int):
@@ -256,7 +259,7 @@ def axis_diff(a, axis: int):
     a = as_var(a)
     out = _axis_diff(a.value, axis)
     shape = np.shape(a.value)
-    return Var(out, parents=((a, lambda g: _axis_diff_vjp(g, axis, shape)),))
+    return Var(out, (a,), lambda g: (_axis_diff_vjp(g, axis, shape),))
 
 
 def _axis_diff_vjp(g, axis, shape):
@@ -301,7 +304,7 @@ def _box3(v):
 def box3(a):
     """3x3 zero-padded mean filter (self-adjoint by symmetry)."""
     a = as_var(a)
-    return Var(_box3(a.value), parents=((a, lambda g: _box3(np.asarray(g, dtype=float))),))
+    return Var(_box3(a.value), (a,), lambda g: (_box3(np.asarray(g, dtype=float)),))
 
 
 def _bilinear_partials(values, xv, yv):
@@ -338,52 +341,7 @@ def bilinear(values: np.ndarray, xs, ys):
     """
     xs, ys = as_var(xs), as_var(ys)
     out, inside, px, py = _bilinear_partials(values, xs.value, ys.value)
-    return Var(out, parents=((xs, lambda g: _bilinear_vjp(g, px)),
-                             (ys, lambda g: _bilinear_vjp(g, py)))), inside
-
-
-# -- replay nodes --------------------------------------------------------------
-
-
-def active(x) -> bool:
-    """True for a Var that carries a gradient (a leaf or a node over one)."""
-    return isinstance(x, Var) and x._active
-
-
-def value_of(x):
-    """The value of a Var, or `x` itself."""
-    return x.value if isinstance(x, Var) else x
-
-
-def replay(value, inputs, vjp):
-    """One tape node whose adjoint replays a composed graph (see the
-    module docstring).
-
-    `inputs` lists one entry per contribution the composed backward pass
-    made to a node outside the graph, in the order it made them; a parent
-    may appear more than once, and entries that are not active Vars are
-    dropped. `vjp(g)` returns one contribution per entry of `inputs` (None
-    for the dropped ones); it runs once per backward pass, and each link
-    hands on its own contribution.
-    """
-    links = [i for i, x in enumerate(inputs) if active(x)]
-    if not links:
-        return Var(value, parents=())
-    memo = [None, None]  # (upstream gradient, contributions) of this pass
-    last = links[-1]
-
-    def link(i):
-        def contribution(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, vjp(g)
-            out = memo[1][i]
-            if i == last:
-                memo[0] = memo[1] = None
-            return out
-
-        return contribution
-
-    return Var(value, parents=[(inputs[i], link(i)) for i in links])
+    return Var(out, (xs, ys), lambda g: (_bilinear_vjp(g, px), _bilinear_vjp(g, py))), inside
 
 
 # -- backward pass -------------------------------------------------------------
@@ -410,16 +368,17 @@ def backward(root: Var) -> None:
     root.grad = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
 
     for node in reversed(order):
-        g = node.grad
-        for parent, vjp in node._parents:
-            contribution = vjp(g)
+        if not node._parents:
+            # a leaf: every node that reads it came later and has run, and
+            # a sum of -0.0 contributions reads +0.0, as from a zero seed
+            node.grad = node.grad + 0.0
+            continue
+        contributions = node._vjp(node.grad)
+        for parent, i in node._parents:
+            contribution = _unbroadcast(contributions[i], np.shape(parent.value))
             # the first contribution is assigned; later ones make a new sum,
             # never in place, because identity vjps hand back `g` itself
             if parent.grad is None:
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
-    for node in order:
-        if not node._parents:
-            # a sum of -0.0 contributions reads +0.0, as it did from a zero seed
-            node.grad = node.grad + 0.0

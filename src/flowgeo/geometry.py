@@ -369,13 +369,11 @@ def rigid_flow(camera: CameraIntrinsics, motion: RigidMotion, depth: DepthMap) -
 
 def rotational_flow(camera: CameraIntrinsics, rotation, height: int, width: int) -> FlowField:
     """Depth-independent flow of a pure rotation:
-    F(p) = proj(K R K^-1 p~) - p. The homogeneous scale cancels depth."""
-    R = np.asarray(rotation, dtype=float).reshape(3, 3)
-    if (R == np.eye(3)).all():
-        return FlowField(np.zeros((height, width, 2)))
-    g = CameraGrid.of(camera, height, width)
-    rays = np.stack([g.xn, g.yn, np.ones_like(g.u)], axis=-1)
-    return FlowField(*_flow_from_points(camera, rays @ R.T, g.u, g.v))
+    F(p) = proj(K R K^-1 p~) - p, the rigid flow of a unit depth under
+    (R, 0); the homogeneous scale cancels depth. A rotation that is not
+    orthonormal raises ValueError (see `RigidMotion`)."""
+    ones = np.ones((height, width))
+    return FlowField(*rigid_flow_values(camera, RigidMotion(rotation, np.zeros(3)), ones))
 
 
 def translational_flow(flow_o: FlowField, flow_rot: FlowField) -> FlowField:

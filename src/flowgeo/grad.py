@@ -7,7 +7,7 @@ divergence/depth relation) compute it on tape as -R^T t, so pose gradients
 include that dependency. Geometric depth is differentiable in pose and
 flow by default; `stop_gradient_geo=True` freezes it.
 
-Each loss term is the same replay node the optimizer steps on (`losses`,
+Each loss term is the same tape node the optimizer steps on (`losses`,
 and `warp_graph` here for the photometric warp); the rotation, the
 triangulated depth, the rotational flow and the offsets that feed a node
 from the pose and the flow stay composed graphs of elementary ops.
@@ -130,16 +130,13 @@ def rigid_flow_terms(camera, rays, t, depth, grid):
     return y0, y1, y2, f_u, f_v
 
 
-def rigid_flow_graph(camera, R, t, depth, height, width, grid=None, rays=None):
+def rigid_flow_graph(camera, R, t, depth, height, width):
     """Rigid flow F(p) = proj(K (R backproject(p, D) + t)) - p as tape
     nodes; returns (f_u, f_v, valid mask const). R, t and the depth may be
     constants or tape nodes: a unit depth with zero translation gives the
-    rotational flow. Under a constant R, the `CameraGrid` and its rows
-    `grid.rays(R)` may be passed in instead of being rebuilt."""
-    if grid is None:
-        grid = CameraGrid.of(camera, height, width)
-    r_dot = grid.rays(R) if rays is None else rays
-    _, _, y2, f_u, f_v = rigid_flow_terms(camera, r_dot, t, ad.as_var(depth), grid)
+    rotational flow."""
+    grid = CameraGrid.of(camera, height, width)
+    _, _, y2, f_u, f_v = rigid_flow_terms(camera, grid.rays(R), t, ad.as_var(depth), grid)
     return f_u, f_v, np.asarray(y2.value) > Z_EPS
 
 
@@ -182,15 +179,15 @@ def warp_graph(camera, image, t, depth, grid, rays):
                 continue
             g_m = g_y[i]
             if ad.active(t[i]):
-                grads[3 * k] = ad._unbroadcast(g_m, np.shape(tv[i]))
+                grads[3 * k] = g_m
             if d_act:
-                grads[3 * k + 1] = ad._unbroadcast(g_m * r[i], np.shape(d))
+                grads[3 * k + 1] = g_m * r[i]
             if ad.active(rays[i]):
-                grads[3 * k + 2] = ad._unbroadcast(g_m * d, np.shape(r[i]))
+                grads[3 * k + 2] = g_m * d
         return grads
 
     links = [x for i in (2, 1, 0) for x in (t[i], depth, rays[i])]
-    return ad.replay(out, links, vjp), (y2 > Z_EPS) & inside
+    return ad.Var(out, links, vjp), (y2 > Z_EPS) & inside
 
 
 def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):

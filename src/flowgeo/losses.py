@@ -5,14 +5,14 @@ flow co-adjustment, the edge-aware smoothness baseline, and depth metrics.
 Every loss is a masked mean over valid pixels with deterministic summation
 order. Each loss term is one tape node (`photometric_core`, `cgdc_core`,
 `dpc_core` over the depth side of C^F/C^D, `bsca_core`): its forward
-evaluates the composed expression operation by operation, and its adjoint
-replays the backward pass the tape would run over the composed graph of
+evaluates the composed expression operation by operation, and its one vjp
+computes the backward pass the tape would run over the composed graph of
 elementary ops, product for product, with each intermediate's
-contributions summed in reverse creation order and each input linked once
-per composed contribution, in the composed order (see `autodiff.replay`).
-So gradients keep their bits while a term costs one node. The same cores
-give the values of the public wrappers, which accept the typed grid values
-and return plain records.
+contributions summed in reverse creation order. Its inputs list an entry
+per contribution the composed graph hands an input, in the order it hands
+them (see the node rule in `autodiff`). So gradients keep their bits while
+a term costs one node. The same cores give the values of the public
+wrappers, which accept the typed grid values and return plain records.
 
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
@@ -203,7 +203,7 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
         stacked = np.stack([_channel_vjp(g, terms) for _, terms in parts], axis=-1)
         return [stacked + 0.0 if len(parts) > 1 else stacked]
 
-    return ad.replay(value, [i_warped], vjp)
+    return ad.Var(value, [i_warped], vjp)
 
 
 def cgdc_core(d_g, d_c, mask):
@@ -231,12 +231,12 @@ def cgdc_core(d_g, d_c, mask):
                 g_guard = -g_rel * size / (guard * guard)
                 out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
         g_diff = g_size * np.sign(diff)
-        out[1] = ad._unbroadcast(g_diff, np.shape(g_val))
+        out[1] = g_diff
         if c_active:
-            out[2] = ad._unbroadcast(-g_diff, np.shape(c_val))
+            out[2] = -g_diff
         return out
 
-    return ad.replay(value, [d_c, d_g, d_c], vjp)
+    return ad.Var(value, [d_c, d_g, d_c], vjp)
 
 
 def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
@@ -370,29 +370,29 @@ def dpc_core(side: DepthSide, mask):
                     g_sh = -g_cd * neg / (shifted * shifted)
                 g_sum = g_neg * -1.0
                 if qv_act:
-                    out[0] = ad._unbroadcast(g_sum * g_v, np.shape(qv_v))
+                    out[0] = g_sum * g_v
                 if qu_act:
-                    out[1] = ad._unbroadcast(g_sum * g_u, np.shape(qu_v))
+                    out[1] = g_sum * g_u
                 if d_act:
                     out[2] = ad._axis_diff_vjp(g_sum * qv_v, 0, np.shape(d_v))
                     out[3] = ad._axis_diff_vjp(g_sum * qu_v, 1, np.shape(d_v))
             if cf_act:
                 g_cf = -g_gap
                 if ad.active(div_f):
-                    out[4] = ad._unbroadcast(g_cf * ratio, np.shape(div_v))
+                    out[4] = g_cf * ratio
                 if sh_act:
                     g_ratio = g_cf * div_v
                     c_sh = g_ratio / t3_v
                     g_sh = c_sh if g_sh is None else g_sh + c_sh
                     if t_act:
-                        out[5] = ad._unbroadcast(-g_ratio * shifted / (t3_v * t3_v), np.shape(t3_v))
+                        out[5] = -g_ratio * shifted / (t3_v * t3_v)
         if sh_act:
-            out[6] = ad._unbroadcast(g_sh, np.shape(d_v))
+            out[6] = g_sh
             if t_act:
-                out[7] = ad._unbroadcast(-g_sh, np.shape(t3_v))
+                out[7] = -g_sh
         return out
 
-    return ad.replay(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
+    return ad.Var(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
 
 
 def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
@@ -421,20 +421,20 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
             if ou_act or ov_act:
                 g_guard = -g_rel * n_diff / (guard * guard)
         if ov_act:
-            out[0] = ad._unbroadcast(g_guard * np.sign(o_v), np.shape(o_v))
+            out[0] = g_guard * np.sign(o_v)
         if ou_act:
-            out[1] = ad._unbroadcast(g_guard * np.sign(o_u), np.shape(o_u))
+            out[1] = g_guard * np.sign(o_u)
         if v_act:
             g_gap = g_diff * np.sign(gap_v)
-            out[2] = ad._unbroadcast(g_gap, np.shape(r_v))
-            out[3] = ad._unbroadcast(-g_gap, np.shape(o_v))
+            out[2] = g_gap
+            out[3] = -g_gap
         if u_act:
             g_gap = g_diff * np.sign(gap_u)
-            out[4] = ad._unbroadcast(g_gap, np.shape(r_u))
-            out[5] = ad._unbroadcast(-g_gap, np.shape(o_u))
+            out[4] = g_gap
+            out[5] = -g_gap
         return out
 
-    return ad.replay(value, [f_o_v, f_o_u, f_r_v, f_o_v, f_r_u, f_o_u], vjp)
+    return ad.Var(value, [f_o_v, f_o_u, f_r_v, f_o_v, f_r_u, f_o_u], vjp)
 
 
 def smoothness_core(d, image_values):

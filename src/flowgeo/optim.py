@@ -27,6 +27,7 @@ bit-reproducible for a fixed config.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -154,6 +155,31 @@ def _decode_values(theta):
 # ---------------------------------------------------------------------------
 # objective assembly
 
+# glibc's mallopt parameters (malloc.h) and the value its dynamic mmap
+# threshold stops growing at (32 MiB on 64-bit)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_PIN_BYTES = 32 << 20
+
+
+def _pin_heap() -> bool:
+    """Fix glibc's mmap threshold at HEAP_PIN_BYTES and its trim threshold
+    at twice that, so the per-iteration arrays of a descent run come from
+    the heap and the freed heap top stays mapped. Left to glibc's dynamic
+    thresholds, a run that frees a few hundred kB at once hands the heap
+    top back to the kernel every iteration and faults it in again on the
+    next one. The setting is process-wide; every `_DepthObjective` makes
+    it, so library callers of the descent loops get it as the CLI does.
+    Returns False (and does nothing) without glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only: the parameter numbers are glibc's
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, HEAP_PIN_BYTES)) and bool(
+        mallopt(M_TRIM_THRESHOLD, 2 * HEAP_PIN_BYTES))
+
 
 class _DepthObjective:
     """The per-iteration tape graph of the depth field, over one plan.
@@ -166,11 +192,12 @@ class _DepthObjective:
     of the fixed target image. `set_flow` refreshes only the flow side: the
     triangulated depth and its validity, and the divergence of the
     translational flow. `losses` then builds only the nodes that depend on
-    theta: one replay node per loss term (two for the photometric term, the
+    theta: one tape node per loss term (two for the photometric term, the
     warp and the SSIM + L1 mean), so a step records about ten nodes.
     """
 
     def __init__(self, bundle: SceneBundle, config: OptimConfig):
+        _pin_heap()
         self.bundle = bundle
         self.config = config
         self.camera = bundle.camera

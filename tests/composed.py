@@ -1,4 +1,4 @@
-"""The composed graphs behind the replay nodes, built from elementary tape
+"""The composed graphs behind the loss nodes, built from elementary tape
 ops. Each is the twin a node is checked against bit for bit: the node's
 value and every gradient it passes on must equal what the tape computes
 over its twin. `TWINS` maps the module attributes the optimizer and the
@@ -130,7 +130,7 @@ def composed_bsca(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     return ad.masked_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
 
 
-# module attribute -> twin, for every replay node a caller reaches by name
+# module attribute -> twin, for every loss node a caller reaches by name
 TWINS = {
     "photometric_core": composed_photometric,
     "warp_graph": composed_warp,

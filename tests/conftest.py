@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +19,15 @@ from flowgeo.scene import (
     TextureSpec,
     synthesize,
 )
+
+
+def run_python(args, **kwargs):
+    """Run `python args` in a fresh process that imports this flowgeo;
+    returns the CompletedProcess with text stdout and stderr."""
+    src = str(Path(ad.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300, **kwargs)
 
 
 def assert_bits_equal(actual, expected):

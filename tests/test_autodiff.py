@@ -193,16 +193,30 @@ class TestDeterminism:
 # -- activity rule and accumulation -------------------------------------------
 
 
+def summed_to(contribution, shape):
+    """`contribution` summed over the axes numpy broadcast `shape` along."""
+    c = np.asarray(contribution, dtype=float)
+    lead = c.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and c.shape[lead + i] != 1
+    )
+    return c.sum(axis=axes).reshape(shape) if axes else c
+
+
 def zero_seeded_backward(root):
     """Reference backward: every reachable node starts from a zero
-    gradient and accumulates its contributions in reverse creation order.
-    Returns {id(node): grad} without touching any node."""
+    gradient and, in reverse creation order, runs its vjp and adds each
+    active input's contribution, summed to that input's shape. Returns
+    {id(node): grad} without touching any node."""
     order = reachable(root)
     grads = {id(n): np.zeros(np.shape(n.value)) if np.shape(n.value) else 0.0 for n in order}
     grads[id(root)] = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
     for node in reversed(order):
-        for parent, vjp in node._parents:
-            grads[id(parent)] = grads[id(parent)] + vjp(grads[id(node)])
+        if not node._parents:
+            continue
+        contributions = node._vjp(grads[id(node)])
+        for parent, i in node._parents:
+            grads[id(parent)] = grads[id(parent)] + summed_to(contributions[i], np.shape(parent.value))
     return grads
 
 
@@ -252,23 +266,56 @@ class TestActivity:
     def test_backward_calls_vjps_only_on_paths_to_a_leaf(self):
         calls = []
 
-        def spy(name):
+        def spy(name, inputs):
             def vjp(g):
                 calls.append(name)
-                return g
+                return (g,) * inputs
 
             return vjp
 
         leaf = ad.Var(np.ones(3))
         const = ad.as_var(np.full(3, 2.0))
-        mixed = ad.Var(np.ones(3), ((leaf, spy("leaf<-mixed")), (const, spy("const<-mixed"))))
-        constant = ad.Var(np.ones(3), ((const, spy("const<-constant")),))
-        root = ad.Var(np.ones(3), ((mixed, spy("mixed<-root")), (constant, spy("constant<-root"))))
+        mixed = ad.Var(np.ones(3), (leaf, const), spy("mixed", 2))
+        constant = ad.Var(np.ones(3), (const,), spy("constant", 1))
+        root = ad.Var(np.ones(3), (mixed, constant), spy("root", 2))
         assert not constant._active
+        assert constant._parents == () and constant._vjp is None
         ad.backward(root)
-        assert calls == ["mixed<-root", "leaf<-mixed"]
+        assert calls == ["root", "mixed"]
         assert const.grad is None and constant.grad is None
         np.testing.assert_array_equal(leaf.grad, np.ones(3))
+
+    def test_repeated_input_runs_the_vjp_once_and_adds_by_position(self):
+        # the constant's entry comes first, so reading contributions by
+        # link order would hand the leaf the constant's; the leaf's three
+        # entries must add in entry order: (1 + 1e16) - 1e16 == 0, while
+        # in reverse order (-1e16 + 1e16) + 1 == 1
+        calls = []
+        leaf = ad.Var(np.array([1.0, 2.0]))
+        const = ad.as_var(np.array([5.0, 6.0]))
+
+        def vjp(g):
+            calls.append(g)
+            return g * 100.0, g * 1.0, g * 1e16, g * -1e16
+
+        node = ad.Var(leaf.value * 3.0, (const, leaf, leaf, leaf), vjp)
+        assert node._parents == ((leaf, 1), (leaf, 2), (leaf, 3))
+        ad.backward(node)
+        assert len(calls) == 1
+        assert_bits_equal(leaf.grad, np.zeros(2))
+        ad.backward(node)
+        assert len(calls) == 2
+
+    def test_contributions_arrive_summed_to_the_input_shape(self):
+        # a (H, W) contribution for a scalar input and one for a (1, W)
+        # input; integer entries keep every sum exact
+        full = np.arange(12.0).reshape(3, 4)
+        scalar = ad.Var(2.0)
+        row = ad.Var(np.ones((1, 4)))
+        node = ad.Var(full, (scalar, row), lambda g: (g * full, g * full))
+        ad.backward(node)
+        assert_bits_equal(scalar.grad, 66.0)
+        assert_bits_equal(row.grad, np.array([[12.0, 15.0, 18.0, 21.0]]))
 
     @pytest.mark.parametrize("name", sorted(COMPOSITES))
     def test_leaf_grads_equal_zero_seeded_reference(self, name):

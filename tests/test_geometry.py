@@ -155,6 +155,10 @@ class TestRotationalFlow:
         flow = rotational_flow(K, np.eye(3), 10, 12)
         assert np.abs(flow.values).max() == 0.0
 
+    def test_rotation_that_is_not_orthonormal_raises(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            rotational_flow(K, np.diag([1.0, 1.0, 2.0]), 10, 12)
+
     def test_small_yaw_at_principal_point(self):
         # rotating the optical axis by theta moves the principal point by fx tan(theta)
         R = rotation_from_axis_angle([0.0, 0.01, 0.0])

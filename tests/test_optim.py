@@ -1,9 +1,12 @@
 """Field optimization: fixed-point stability, determinism, scale link,
 divergence handling, and the co-adjustment reduction on static scenes."""
 
+import platform
+
 import numpy as np
 import pytest
 from composed import TWINS
+from conftest import run_python
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, optim
@@ -277,7 +280,7 @@ class TestPlan:
 
 
 class TestComposedTwinRuns:
-    """Whole runs on the replay nodes and on their composed twins,
+    """Whole runs on the loss nodes and on their composed twins,
     substituted at the module attributes the optimizer calls, write the
     same bytes."""
 
@@ -315,3 +318,37 @@ class TestComposedTwinRuns:
         expected = {"cgdc_core", "differential_depth_side", "dpc_core", "photometric_core",
                     "warp_graph"} | ({"bsca_core"} if command == "co-adjust" else set())
         assert set(calls) == expected
+
+
+# a second library recover_depth in a fresh process; prints its minor faults
+_SECOND_RUN_FAULTS = """
+import resource
+import numpy as np
+from flowgeo.geometry import CameraIntrinsics, RigidMotion
+from flowgeo.optim import OptimConfig, recover_depth
+from flowgeo.scene import SceneSpec, synthesize
+
+spec = SceneSpec("affine-inverse-shift", a=0.21, b=0.0013, c=0.0009)
+camera = CameraIntrinsics(fx=100.0, fy=100.0, cx=48.0, cy=36.0)
+bundle = synthesize(spec, camera, RigidMotion(np.eye(3), [0.31, 0.02, 0.42]), 72, 96)
+config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=0.0, iterations={iters}, seed=1)
+recover_depth(bundle, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+recover_depth(bundle, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestLibraryHeapPin:
+    def test_second_library_run_adds_few_page_faults(self):
+        # the pin is process-wide, so only a fresh process shows whether a
+        # library caller gets it; left to glibc's dynamic thresholds, each
+        # iteration faults the heap top in again (~270 minor faults per
+        # iteration at 96x72)
+        pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("needs glibc's mallopt")
+        iters = 60
+        done = run_python(["-c", _SECOND_RUN_FAULTS.format(iters=iters)])
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 2 * iters
