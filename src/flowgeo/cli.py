@@ -25,7 +25,6 @@ from .errors import AbortedRunError, FlowGeoError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
-    RigidMotion,
     rotational_flow,
     translational_flow,
 )
@@ -33,7 +32,7 @@ from .grad import LOSS_IDS, LossInputs, finite_difference_check
 from .io_formats import read_depth_pfm, write_csv, write_depth_pfm, write_flow, write_image_pnm
 from .losses import depth_metrics, differential_fields, dpc_loss
 from .optim import OptimConfig, ablation_suite, co_adjust, recover_depth
-from .scene import read_scene_file, synthesize, write_scene_file
+from .scene import EgoMotionKeys, read_scene_keys, synthesize, write_scene_file
 from .triangulate import triangulate_depth
 
 # default loss-weight combination (a configuration value, not a published one)
@@ -143,12 +142,12 @@ def _build_parser():
 
 def _load_scene(args):
     height, width = _parse_size(args.size)
-    spec, camera, ego = read_scene_file(args.scene)
+    spec, camera, ego = read_scene_keys(args.scene)
     if camera is None:
         camera = CameraIntrinsics(100.0, 100.0, width / 2.0, height / 2.0)
     if ego is None:
-        ego = RigidMotion(np.eye(3), np.array([0.31, 0.02, 0.42]))
-    bundle = synthesize(spec, camera, ego, height, width)
+        ego = EgoMotionKeys((0.31, 0.02, 0.42))
+    bundle = synthesize(spec, camera, ego.motion, height, width)
     return bundle, spec, camera, ego
 
 

@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * the motion handed to `rigid_flow` / triangulation is the *warp* motion:
   it maps target-view points into the source view, p_s = proj(K (R X + t)).
   The source-to-target ego-motion is its inverse (see `RigidMotion.inverse`);
+* the pose has one expression, for floats and tape Vars alike: Rodrigues'
+  rotation `rotation_rows` and the inverse translation -R^T t
+  `inverse_translation`. `rotation_from_axis_angle` and `RigidMotion.inverse`
+  evaluate them on floats, `grad` on the tape;
 * the discrete divergence and grid gradient are *unnormalized* central
   differences (twice the analytic operator); border pixels use one-sided
   differences scaled by 2 so that linear fields are handled consistently.
@@ -61,20 +65,53 @@ class CameraIntrinsics:
         )
 
 
-def rotation_from_axis_angle(w) -> np.ndarray:
-    """Rodrigues formula. Valid for any axis-angle vector; the small-angle
-    branch switches to series coefficients below 1e-8 radians."""
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    wx, wy, wz = w
-    K = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-    if theta < 1e-8:
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
+def rotation_rows(w1, w2, w3, sqrt=np.sqrt, sin=np.sin, cos=np.cos):
+    """Rodrigues formula R = I + a K + b K^2 of the axis-angle (w1, w2, w3)
+    as nested rows, with a = sin(theta)/theta and b = (1 - cos(theta))/theta^2.
+
+    This is the package's one rotation expression. Its entries work on
+    floats and on tape Vars alike; `sqrt`, `sin` and `cos` come from the
+    caller (numpy here, `autodiff` on the tape, which imports this module).
+    Below theta = 1e-3 the coefficients switch to their series, which keeps
+    the tape smooth through zero rotation. A zero vector gives the identity.
+    """
+    s = w1 * w1 + w2 * w2 + w3 * w3
+    if float(getattr(s, "value", s)) > 1e-6:  # a Var's value, or the float
+        theta = sqrt(s)
+        a = sin(theta) / theta
+        b = (1.0 - cos(theta)) / s
     else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * K + b * (K @ K)
+        s2 = s * s
+        a = 1.0 - s * (1.0 / 6.0) + s2 * (1.0 / 120.0) - s2 * s * (1.0 / 5040.0)
+        b = 0.5 - s * (1.0 / 24.0) + s2 * (1.0 / 720.0) - s2 * s * (1.0 / 40320.0)
+    k = {
+        (0, 1): -w3, (0, 2): w2,
+        (1, 0): w3, (1, 2): -w1,
+        (2, 0): -w2, (2, 1): w1,
+    }
+    w = (w1, w2, w3)
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            entry = b * (w[i] * w[j])
+            row.append(entry + 1.0 - b * s if i == j else entry + a * k[i, j])
+        rows.append(row)
+    return rows
+
+
+def rotation_from_axis_angle(w) -> np.ndarray:
+    """Rodrigues formula: the float evaluation of `rotation_rows`, valid
+    for any axis-angle vector."""
+    return np.array(rotation_rows(*np.asarray(w, dtype=float).reshape(3).tolist()))
+
+
+def inverse_translation(R, t):
+    """-R^T t, the translation of the inverse of the motion (R, t), as a
+    list of three entries. The one expression behind `RigidMotion.inverse`
+    and the tape's source-to-target translation: R (rows or an array) and
+    t may hold floats or tape Vars alike."""
+    return [-(R[0][i] * t[0] + R[1][i] * t[1] + R[2][i] * t[2]) for i in range(3)]
 
 
 def axis_angle_from_rotation(R) -> np.ndarray:
@@ -127,7 +164,7 @@ class RigidMotion:
         return cls(np.eye(3), np.zeros(3))
 
     def inverse(self) -> "RigidMotion":
-        return RigidMotion(self.rotation.T, -self.rotation.T @ self.translation)
+        return RigidMotion(self.rotation.T, inverse_translation(self.rotation, self.translation))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""

@@ -2,10 +2,14 @@
 6-DoF pose, and the dense flow prior, plus a central-difference checker.
 
 The pose enters as `TwistParams` on the *warp* motion (axis-angle rotation
-plus translation); graphs that need the source-to-target translation (the
-divergence/depth relation) compute it on tape as -R^T t, so pose gradients
-include that dependency. Geometric depth is differentiable in pose and
-flow by default; `stop_gradient_geo=True` freezes it.
+plus translation). It goes through the package's one pose expression: the
+rotation is `geometry.rotation_rows` on tape Vars (`rotation_entries`), and
+graphs that need the source-to-target translation (the divergence/depth
+relation) take it from `geometry.inverse_translation`, -R^T t on tape, so
+pose gradients include that dependency. The float motions of `geometry`
+evaluate the same expressions, so their values match the tape's bit for
+bit. Geometric depth is differentiable in pose and flow by default;
+`stop_gradient_geo=True` freezes it.
 
 Each loss term is the same tape node the optimizer steps on (`losses`,
 and `warp_graph` here for the photometric warp); the rotation, the
@@ -34,6 +38,8 @@ from .geometry import (
     FlowField,
     Image,
     TwistParams,
+    inverse_translation,
+    rotation_rows,
 )
 from .losses import (
     ALPHA_DEFAULT,
@@ -87,35 +93,8 @@ class LossGradient:
 
 
 def rotation_entries(w1, w2, w3):
-    """Rodrigues formula as tape scalars; returns a 3x3 nested list.
-    Series branch keeps the graph smooth through zero rotation."""
-    s = w1 * w1 + w2 * w2 + w3 * w3
-    if float(s.value if isinstance(s, ad.Var) else s) > 1e-6:
-        theta = ad.sqrt(s)
-        a = ad.div(ad.sin(theta), theta)
-        b = ad.div(1.0 - ad.cos(theta), s)
-    else:
-        s2 = s * s
-        a = 1.0 - s * (1.0 / 6.0) + s2 * (1.0 / 120.0) - s2 * s * (1.0 / 5040.0)
-        b = 0.5 - s * (1.0 / 24.0) + s2 * (1.0 / 720.0) - s2 * s * (1.0 / 40320.0)
-    k = {
-        (0, 1): -w3, (0, 2): w2,
-        (1, 0): w3, (1, 2): -w1,
-        (2, 0): -w2, (2, 1): w1,
-    }
-    w = (w1, w2, w3)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            entry = ad.mul(b, ad.mul(w[i], w[j]))
-            if i == j:
-                entry = entry + 1.0 - ad.mul(b, s)
-            else:
-                entry = entry + ad.mul(a, k[(i, j)])
-            row.append(entry)
-        rows.append(row)
-    return rows
+    """`geometry.rotation_rows` on the tape: a 3x3 nested list of Vars."""
+    return rotation_rows(w1, w2, w3, ad.sqrt, ad.sin, ad.cos)
 
 
 def rigid_flow_terms(camera, rays, t, depth, grid):
@@ -204,14 +183,6 @@ def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
     return depth, validity
 
 
-def inverse_translation(R, t):
-    """Source-to-target translation of the warp motion: -R^T t, on tape."""
-    out = []
-    for i in range(3):
-        out.append(-(ad.mul(R[0][i], t[0]) + ad.mul(R[1][i], t[1]) + ad.mul(R[2][i], t[2])))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # loss graph assembly
 
@@ -235,15 +206,9 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
                stop_gradient_geo: bool = False):
     """Assemble the graph for one loss.
 
-    Returns (loss Var, leaves dict, mask ndarray). `loss_id` may also be a
-    callable (leaves, inputs) -> (Var, mask) for custom functionals.
+    Returns (loss Var, leaves dict, mask ndarray).
     """
-    overrides = overrides or {}
-    leaves = _leaves(inputs, overrides)
-    if callable(loss_id):
-        loss, mask = loss_id(leaves, inputs)
-        return loss, leaves, mask
-
+    leaves = _leaves(inputs, overrides or {})
     camera = inputs.camera
     H, W = inputs.depth.shape
     xi = leaves["twist"]
@@ -402,19 +367,42 @@ def finite_difference_check(
     loss, leaves, base_mask = build_loss(loss_id, inputs, stop_gradient_geo=stop_gradient_geo)
     ad.backward(loss)
 
-    def value_and_mask(overrides):
-        var, _, mask = build_loss(loss_id, inputs, overrides, stop_gradient_geo)
-        return float(var.value), mask
-
-    rows = []
+    # one (target, label, analytic, index) per checked coordinate; the rng
+    # draws the depth picks, then the flow picks, then one axis per flow pick
     rng = np.random.default_rng(seed)
-    eps = np.finfo(float).eps
+    coords = []
+    if "twist" in targets:
+        coords += [("twist", f"xi[{i}]", float(_grad_or_zero(x)), i)
+                   for i, x in enumerate(leaves["twist"])]
+    if "depth" in targets:
+        ok = np.argwhere(base_mask)
+        if len(ok) == 0:
+            raise NoValidPixelsError("no valid pixels to sample")
+        picks = ok[rng.choice(len(ok), size=min(depth_samples, len(ok)), replace=False)]
+        grad = np.asarray(_grad_or_zero(leaves["depth"]))
+        coords += [("depth", f"pixel({vx},{vy})", float(grad[vy, vx]), (vy, vx))
+                   for vy, vx in picks]
+    if "flow" in targets and inputs.flow is not None:
+        ok = np.argwhere(base_mask)
+        picks = ok[rng.choice(len(ok), size=min(FLOW_SAMPLES, len(ok)), replace=False)]
+        grads = [np.asarray(_grad_or_zero(f)) for f in leaves["flow"]]
+        for vy, vx in picks:
+            axis = int(rng.integers(0, 2))
+            coords.append(("flow", f"pixel({vx},{vy})[{'uv'[axis]}]",
+                           float(grads[axis][vy, vx]), (vy, vx, axis)))
 
-    def check(target, coordinate, analytic, plus_overrides, minus_overrides):
-        f_plus, m_plus = value_and_mask(plus_overrides)
-        f_minus, m_minus = value_and_mask(minus_overrides)
-        flipped = not (np.array_equal(m_plus, base_mask) and np.array_equal(m_minus, base_mask))
-        numeric = (f_plus - f_minus) / (2.0 * step)
+    base = {"twist": inputs.twist, "depth": inputs.depth, "flow": inputs.flow}
+    eps = np.finfo(float).eps
+    rows = []
+    for target, label, analytic, index in coords:
+        f, flipped = [], False
+        for delta in (step, -step):
+            values = base[target].values.copy()
+            values[index] += delta
+            var, _, mask = build_loss(loss_id, inputs, {target: values}, stop_gradient_geo)
+            f.append(float(var.value))
+            flipped = flipped or not np.array_equal(mask, base_mask)
+        numeric = (f[0] - f[1]) / (2.0 * step)
         excluded = ""
         if flipped:
             excluded = "mask-flip"
@@ -422,51 +410,11 @@ def finite_difference_check(
             # the loss evaluates with ~O(100 ulp) rounding noise; if that
             # noise exceeds `tolerance` of the difference being measured,
             # this coordinate cannot be certified by central differences
-            noise = 256.0 * eps * max(abs(f_plus), abs(f_minus), 1e-3)
-            if abs(f_plus - f_minus) * tolerance < noise:
+            noise = 256.0 * eps * max(abs(f[0]), abs(f[1]), 1e-3)
+            if abs(f[0] - f[1]) * tolerance < noise:
                 excluded = "fd-floor"
-        rows.append(
-            CheckRow(target, coordinate, float(analytic), numeric,
-                     _rel_error(analytic, numeric), flipped, excluded)
-        )
-
-    if "twist" in targets:
-        base = inputs.twist.values
-        for i in range(6):
-            plus = base.copy()
-            minus = base.copy()
-            plus[i] += step
-            minus[i] -= step
-            check("twist", f"xi[{i}]", float(_grad_or_zero(leaves["twist"][i])),
-                  {"twist": plus}, {"twist": minus})
-
-    if "depth" in targets:
-        ok = np.argwhere(base_mask)
-        if len(ok) == 0:
-            raise NoValidPixelsError("no valid pixels to sample")
-        picks = ok[rng.choice(len(ok), size=min(depth_samples, len(ok)), replace=False)]
-        grad = np.asarray(_grad_or_zero(leaves["depth"]))
-        for vy, vx in picks:
-            plus = inputs.depth.values.copy()
-            minus = inputs.depth.values.copy()
-            plus[vy, vx] += step
-            minus[vy, vx] -= step
-            check("depth", f"pixel({vx},{vy})", float(grad[vy, vx]),
-                  {"depth": plus}, {"depth": minus})
-
-    if "flow" in targets and inputs.flow is not None:
-        ok = np.argwhere(base_mask)
-        picks = ok[rng.choice(len(ok), size=min(FLOW_SAMPLES, len(ok)), replace=False)]
-        f_u, f_v = leaves["flow"]
-        grads = (np.asarray(_grad_or_zero(f_u)), np.asarray(_grad_or_zero(f_v)))
-        for vy, vx in picks:
-            axis = int(rng.integers(0, 2))
-            plus = inputs.flow.values.copy()
-            minus = inputs.flow.values.copy()
-            plus[vy, vx, axis] += step
-            minus[vy, vx, axis] -= step
-            check("flow", f"pixel({vx},{vy})[{'uv'[axis]}]",
-                  float(grads[axis][vy, vx]), {"flow": plus}, {"flow": minus})
+        rows.append(CheckRow(target, label, analytic, numeric,
+                             _rel_error(analytic, numeric), flipped, excluded))
 
     live = [r.rel_error for r in rows if not r.excluded]
     max_rel = max(live) if live else 0.0

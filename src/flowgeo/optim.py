@@ -70,6 +70,8 @@ from .triangulate import triangulate_depth, triangulate_values
 DPC_LR_SCALE = 0.02  # step scale once the divergence-correlation term is on
 DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
 FLOW_START_FRACTION = 0.15  # co_adjust: flow updates join after this
+INIT_SCALE_RANGE = (0.5, 2.0)  # "random-scale" init: ground truth times U(lo, hi)
+DIVERGENCE_THRESHOLD = 1e6  # a summed loss above this aborts the run
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,11 @@ class OptimConfig:
     flow_learning_rate: float = 250.0
     iterations: int = 2000
     init: str = "random-scale"  # "ground-truth" | "random-scale" | "triangulated"
-    init_scale_range: tuple = (0.5, 2.0)
     seed: int = 0
     record_every: int = 50
     step_clip: float = 0.02
     dpc_warmup_fraction: float = 0.45
     allow_dynamic: bool = False  # permit depth-only runs on dynamic scenes (ablation control)
-    divergence_threshold: float = 1e6
 
     def __post_init__(self):
         if min(self.w_p, self.w_c, self.w_d, self.w_b) < 0:
@@ -137,7 +137,7 @@ def _initial_theta(bundle: SceneBundle, config: OptimConfig, rng) -> np.ndarray:
     if config.init == "ground-truth":
         d0 = gt.copy()
     elif config.init == "random-scale":
-        lo, hi = config.init_scale_range
+        lo, hi = INIT_SCALE_RANGE
         d0 = gt * rng.uniform(lo, hi, size=gt.shape)
     elif config.init == "triangulated":
         tri = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
@@ -320,12 +320,12 @@ def _safe_flow(values, mask) -> FlowField:
 
 def _abort_if_diverged(iteration, loss_values, decoded, records, started, config, flow=None):
     """Raise AbortedRunError, carrying the partial trace, once the summed
-    loss passes `divergence_threshold` or any value stops being finite.
+    loss passes `DIVERGENCE_THRESHOLD` or any value stops being finite.
     `decoded` is the depth of the updated field; `flow` is the (values,
     mask) pair of a co-adjusted flow field, which has diverged too once it
     holds a value float32 (the flow file) cannot."""
     total = sum(loss_values.values())
-    if (not np.isfinite(total) or total > config.divergence_threshold
+    if (not np.isfinite(total) or total > DIVERGENCE_THRESHOLD
             or not np.isfinite(decoded).all()
             or (flow is not None and not _float32_storable(flow[0]).all())):
         trace = RunTrace(records, _safe_depth(decoded),

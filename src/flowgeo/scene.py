@@ -29,7 +29,6 @@ from .geometry import (
     RigidMotion,
     ScalarField,
     _flow_from_points,
-    axis_angle_from_rotation,
     backproject,
     pixel_grid,
     rigid_flow,
@@ -328,23 +327,22 @@ def _build(cls, values):
 
 
 def write_scene_file(path, spec: SceneSpec, camera: CameraIntrinsics | None = None,
-                     ego_motion: RigidMotion | None = None) -> None:
-    """Serialize a scene (plus optional camera/ego-motion) one key per line."""
+                     ego: EgoMotionKeys | None = None) -> None:
+    """Serialize a scene (plus optional camera/ego-motion) one key per line.
+    The ego-motion is written as its keys spell it, so a file read with
+    `read_scene_keys` writes back byte for byte."""
     objects = {SceneSpec: spec, TextureSpec: spec.texture, DynamicObjectSpec: spec.dynamic,
-               CameraIntrinsics: camera, EgoMotionKeys: None}
-    if ego_motion is not None:
-        rotation = axis_angle_from_rotation(ego_motion.rotation)
-        objects[EgoMotionKeys] = EgoMotionKeys(ego_motion.translation, rotation)
+               CameraIntrinsics: camera, EgoMotionKeys: ego}
     lines = [f"{key}={_format(getattr(objects[cls], field), arity)}"
              for key, (cls, field, arity) in SCENE_KEYS.items() if objects[cls] is not None]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_scene_file(path):
+def read_scene_keys(path):
     """Parse a key=value scene file.
 
-    Returns (SceneSpec, CameraIntrinsics or None, RigidMotion or None).
+    Returns (SceneSpec, CameraIntrinsics or None, EgoMotionKeys or None).
     Unknown and repeated keys are rejected. Any key of the dynamic object,
     camera or ego-motion declares it; its absent keys take their defaults,
     and the four intrinsics and the ego translation have none.
@@ -371,5 +369,11 @@ def read_scene_file(path):
     built = {cls: _build(cls, v) for cls, v in values.items() if v and cls is not SceneSpec}
     nested = {"texture": built.get(TextureSpec), "dynamic": built.get(DynamicObjectSpec)}
     spec = _build(SceneSpec, {**values[SceneSpec], **{k: v for k, v in nested.items() if v}})
-    ego = built.get(EgoMotionKeys)
-    return spec, built.get(CameraIntrinsics), None if ego is None else ego.motion
+    return spec, built.get(CameraIntrinsics), built.get(EgoMotionKeys)
+
+
+def read_scene_file(path):
+    """`read_scene_keys` with the ego-motion as its RigidMotion: returns
+    (SceneSpec, CameraIntrinsics or None, RigidMotion or None)."""
+    spec, camera, ego = read_scene_keys(path)
+    return spec, camera, None if ego is None else ego.motion

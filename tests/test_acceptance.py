@@ -150,8 +150,7 @@ class TestCriterion5:
         bundle = synthesize(spec, camera, ego, 72, 96)
         config = OptimConfig(
             w_p=0.0, w_c=1.0, w_d=0.1, w_b=0.0,
-            iterations=2000, seed=11, init="random-scale", init_scale_range=(0.5, 2.0),
-            record_every=500,
+            iterations=2000, seed=11, init="random-scale", record_every=500,
         )
         started = time.perf_counter()
         trace = recover_depth(bundle, config)

@@ -15,6 +15,7 @@ from flowgeo import cli
 from flowgeo.cli import run
 from flowgeo.io_formats import read_csv, read_depth_pfm, read_flow
 from flowgeo.optim import OptimConfig
+from flowgeo.scene import read_scene_keys
 
 
 @pytest.fixture()
@@ -197,7 +198,9 @@ class TestGenSceneRecordsItsScene:
                     "--out", str(first)]) == 0
         assert run(["gen-scene", "--scene", str(first / "scene.txt"), "--size", "48x36",
                     "--out", str(second)]) == 0
-        for name in ("depth.pfm", "flow.flo"):
+        _, _, ego = read_scene_keys(first / "scene.txt")
+        assert ego.rotation == tuple(float(x) for x in rotation.split(","))
+        for name in ("depth.pfm", "flow.flo", "image_t.pnm", "image_s.pnm", "scene.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_defaults_are_written(self, tmp_path, capsys):
@@ -280,8 +283,7 @@ class TestDivergedRun:
         self, scene_file, tmp_path, monkeypatch, capsys, command
     ):
         def diverging(**fields):
-            return OptimConfig(**fields, learning_rate=1e9, step_clip=1e9,
-                               divergence_threshold=1e6)
+            return OptimConfig(**fields, learning_rate=1e9, step_clip=1e9)
 
         monkeypatch.setattr(cli, "OptimConfig", diverging)
         co = command == "co-adjust"

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 from composed import composed_warp, substitute_twins
 from conftest import assert_bits_equal, assert_twins_agree, reachable
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
 from flowgeo import grad, losses
-from flowgeo.geometry import CameraGrid, CameraIntrinsics, DepthMap, RigidMotion, TwistParams
+from flowgeo.geometry import (
+    CameraGrid,
+    CameraIntrinsics,
+    DepthMap,
+    RigidMotion,
+    TwistParams,
+    inverse_translation,
+    rotation_from_axis_angle,
+)
 from flowgeo.grad import (
     LOSS_IDS,
     LossInputs,
@@ -20,7 +30,6 @@ from flowgeo.grad import (
     warp_graph,
 )
 from flowgeo.scene import SceneSpec, synthesize
-from flowgeo.geometry import rotation_from_axis_angle
 from flowgeo.triangulate import triangulate_depth
 
 
@@ -31,17 +40,76 @@ def perturbed_inputs(small_bundle):
     return LossInputs.from_bundle(small_bundle, depth=depth)
 
 
+def check_functional(monkeypatch, functional, inputs, **kwargs):
+    """`finite_difference_check` of a custom functional (leaves, inputs) ->
+    (loss Var, mask), handed to the checker in place of `grad.build_loss`."""
+    def build(loss_id, inputs, overrides=None, stop_gradient_geo=False):
+        leaves = grad._leaves(inputs, overrides or {})
+        loss, mask = functional(leaves, inputs)
+        return loss, leaves, mask
+
+    monkeypatch.setattr(grad, "build_loss", build)
+    return finite_difference_check("custom", inputs, **kwargs)
+
+
+def matrix_rodrigues(w):
+    """Rodrigues in the matrix form I + a K + b K @ K with its own series
+    below 1e-8 radians: an independent reference for the one expression."""
+    w = np.asarray(w, dtype=float)
+    theta = float(np.linalg.norm(w))
+    K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    if theta < 1e-8:
+        a, b = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
+    else:
+        a, b = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta**2
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+# axis-angle vectors from zero rotation to near pi, through the series switch
+axis_angles = st.builds(
+    lambda axis, angle: np.asarray(axis) / np.linalg.norm(axis) * angle,
+    st.tuples(*([st.floats(-1, 1)] * 3)).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    st.one_of(st.floats(0.0, 3.1), st.sampled_from([1e-9, 1e-4, 1e-3, 1.0000001e-3])),
+)
+
+
+def tape_rotation(w):
+    entries = rotation_entries(*[ad.Var(float(x)) for x in w])
+    return np.array([[entries[i][j].value for j in range(3)] for i in range(3)])
+
+
 class TestRotationEntries:
-    def test_matches_rodrigues(self):
-        w = np.array([0.04, -0.11, 0.07])
-        entries = rotation_entries(*[ad.Var(x) for x in w])
-        values = np.array([[float(entries[i][j].value) for j in range(3)] for i in range(3)])
-        np.testing.assert_allclose(values, rotation_from_axis_angle(w), atol=1e-14)
+    @given(w=axis_angles)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rodrigues(self, w):
+        # the two forms round different terms; past 2.8 rad those reach
+        # 1 - cos(theta) ~ 2 and the forms part by up to 1.1e-15
+        atol = 1e-15 if np.linalg.norm(w) <= 2.8 else 2e-15
+        np.testing.assert_allclose(rotation_from_axis_angle(w), matrix_rodrigues(w),
+                                   rtol=0, atol=atol)
+
+    @given(w=axis_angles)
+    @settings(max_examples=200, deadline=None)
+    def test_float_evaluation_is_the_tape_value(self, w):
+        assert_bits_equal(rotation_from_axis_angle(w), tape_rotation(w))
 
     def test_series_branch_at_zero(self):
-        entries = rotation_entries(*[ad.Var(0.0) for _ in range(3)])
-        values = np.array([[float(entries[i][j].value) for j in range(3)] for i in range(3)])
-        np.testing.assert_array_equal(values, np.eye(3))
+        # exactly the identity, without -0.0 entries
+        assert_bits_equal(tape_rotation(np.zeros(3)), np.eye(3))
+        assert_bits_equal(rotation_from_axis_angle(np.zeros(3)), np.eye(3))
+
+    @given(w=axis_angles)
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_rotation_is_the_transpose(self, w):
+        assert_bits_equal(rotation_from_axis_angle(-w), rotation_from_axis_angle(w).T)
+
+    @given(w=axis_angles, t=st.tuples(*([st.floats(-2, 2)] * 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_translation_is_the_tape_value(self, w, t):
+        R = rotation_entries(*[ad.Var(float(x)) for x in w])
+        on_tape = inverse_translation(R, [ad.Var(x) for x in t])
+        inverse = RigidMotion(rotation_from_axis_angle(w), t).inverse()
+        assert_bits_equal(inverse.translation, [x.value for x in on_tape])
 
 
 class TestFiniteDifferenceAgreement:
@@ -59,7 +127,7 @@ class TestFiniteDifferenceAgreement:
         report = finite_difference_check(loss_id, perturbed_inputs, targets=("flow",), seed=5)
         assert report.passed
 
-    def test_quadratic_functional_is_exact(self, perturbed_inputs):
+    def test_quadratic_functional_is_exact(self, perturbed_inputs, monkeypatch):
         target = perturbed_inputs.depth.values * 1.1
 
         def quadratic(leaves, inputs):
@@ -67,8 +135,8 @@ class TestFiniteDifferenceAgreement:
             mask = np.ones(target.shape, bool)
             return ad.masked_mean(ad.mul(diff, diff), mask), mask
 
-        report = finite_difference_check(
-            quadratic, perturbed_inputs, targets=("depth",), seed=1, tolerance=1e-9
+        report = check_functional(
+            monkeypatch, quadratic, perturbed_inputs, targets=("depth",), seed=1, tolerance=1e-9
         )
         # central differences are exact on quadratics
         assert report.max_rel_error < 1e-9
@@ -182,7 +250,7 @@ class TestFixedPoints:
 
 
 class TestCheckerBookkeeping:
-    def test_mask_flip_detected_and_excluded(self, perturbed_inputs):
+    def test_mask_flip_detected_and_excluded(self, perturbed_inputs, monkeypatch):
         base = float(perturbed_inputs.depth.values[6, 8])
 
         def flippy(leaves, inputs):
@@ -190,15 +258,15 @@ class TestCheckerBookkeeping:
             mask = np.asarray(d.value) <= base  # flips when pixel (8,6) moves up
             return ad.masked_mean(ad.mul(d, d), mask), mask
 
-        report = finite_difference_check(
-            flippy, perturbed_inputs, targets=("depth",), seed=2, depth_samples=192
+        report = check_functional(
+            monkeypatch, flippy, perturbed_inputs, targets=("depth",), seed=2, depth_samples=192
         )
         flipped = [r for r in report.rows if r.mask_flipped]
         assert len(flipped) >= 1
         assert all(r.excluded == "mask-flip" for r in flipped)
         assert report.flipped_count == len(flipped)
 
-    def test_fd_floor_exclusion(self, perturbed_inputs):
+    def test_fd_floor_exclusion(self, perturbed_inputs, monkeypatch):
         def half_dead(leaves, inputs):
             d = leaves["depth"]
             mask = np.ones(np.shape(d.value), bool)
@@ -206,8 +274,9 @@ class TestCheckerBookkeeping:
             weights[0, :] = 1.0  # only the first row influences the loss
             return ad.masked_mean(ad.mul(d, weights), mask), mask
 
-        report = finite_difference_check(
-            half_dead, perturbed_inputs, targets=("depth",), seed=2, depth_samples=100
+        report = check_functional(
+            monkeypatch, half_dead, perturbed_inputs, targets=("depth",), seed=2,
+            depth_samples=100,
         )
         floored = [r for r in report.rows if r.excluded == "fd-floor"]
         live = [r for r in report.rows if not r.excluded]

@@ -19,10 +19,12 @@ from flowgeo.geometry import (
 from flowgeo.scene import (
     SCENE_KEYS,
     DynamicObjectSpec,
+    EgoMotionKeys,
     SceneSpec,
     TextureSpec,
     analytic_depth_gradient,
     read_scene_file,
+    read_scene_keys,
     synthesize,
     write_scene_file,
 )
@@ -172,16 +174,21 @@ class TestSceneFile:
             dynamic=DynamicObjectSpec("ellipse", (40.0, 30.0), (8.0, 6.0), (0.1, 0.0, -0.05)),
         )
         camera = CameraIntrinsics(fx=101.5, fy=97.25, cx=47.5, cy=35.75)
-        ego = RigidMotion(rotation_from_axis_angle([0.011, -0.017, 0.013]), [0.2, -0.1, 0.4])
+        ego = EgoMotionKeys((0.2, -0.1, 0.4), (0.011, -0.017, 0.013))
         path = tmp_path / "scene.txt"
         write_scene_file(path, spec, camera, ego)
         assert [line.partition("=")[0] for line in path.read_text().splitlines()] == list(SCENE_KEYS)
-        spec2, cam2, ego2 = read_scene_file(path)
+        spec2, cam2, ego2 = read_scene_keys(path)
         assert spec2 == spec
         assert spec2.texture == spec.texture and spec2.dynamic == spec.dynamic
         assert cam2 == camera
-        np.testing.assert_allclose(ego2.translation, ego.translation)
-        np.testing.assert_allclose(ego2.rotation, ego.rotation, atol=1e-12)
+        assert ego2 == ego
+        _, _, motion = read_scene_file(path)
+        np.testing.assert_array_equal(motion.translation, ego.motion.translation)
+        np.testing.assert_array_equal(motion.rotation, rotation_from_axis_angle(ego.rotation))
+        again = tmp_path / "again.txt"
+        write_scene_file(again, spec2, cam2, ego2)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_missing_family_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
