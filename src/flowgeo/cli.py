@@ -4,11 +4,12 @@ desk-scale experiments, with artifacts written as .pfm/.flo/.pnm/CSV.
 Every run writes a `run-manifest.txt` under --out echoing the full
 configuration (including defaults the user did not set), so a run is
 reconstructible from its output directory; gen-scene also writes the
-scene it rendered, default camera and ego-motion included, as `scene.txt`.
-Artifact paths are announced on stdout, one per line, prefixed "wrote ".
-Exit codes: 0 success, 2 usage error, 1 runtime failure (one-line
-diagnostic on stderr). A descent run that diverges still writes and
-announces the partial trace it carries before it exits 1.
+scene it rendered, default camera, ego-motion and dynamic region included,
+as `scene.txt`. Run it as `flowgeo`, `python -m flowgeo` or `python -m
+flowgeo.cli`. Artifact paths are announced on stdout, one per line,
+prefixed "wrote ". Exit codes: 0 success, 2 usage error, 1 runtime
+failure (one-line diagnostic on stderr). A descent run that diverges still
+writes and announces the partial trace it carries before it exits 1.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,8 @@ def _load_scene(args):
         camera = CameraIntrinsics(100.0, 100.0, width / 2.0, height / 2.0)
     if ego is None:
         ego = EgoMotionKeys((0.31, 0.02, 0.42))
+    if spec.dynamic is not None:
+        spec = replace(spec, dynamic=spec.dynamic.sized(height, width))
     bundle = synthesize(spec, camera, ego.motion, height, width)
     return bundle, spec, camera, ego
 
@@ -399,3 +403,7 @@ def run(argv=None) -> int:
 
 def entry():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    entry()

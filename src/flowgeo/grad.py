@@ -50,7 +50,7 @@ from .losses import (
     photometric_core,
     smoothness_core,
 )
-from .triangulate import DEGENERATE_DENOMINATOR_EPS, triangulation_ratio
+from .triangulate import depth_from_ratio, triangulation_ratio
 
 LOSS_IDS = ("photometric", "cgdc", "dpc", "bsca", "smoothness")
 FLOW_SAMPLES = 32  # flow pixels the checker perturbs when "flow" is a target
@@ -170,17 +170,12 @@ def warp_graph(camera, image, t, depth, grid, rays):
 
 
 def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
-    """Geometric depth as a tape node; returns (depth, validity const)."""
+    """Geometric depth as a tape node; returns (depth, validity const),
+    the validity by `depth_from_ratio`'s rule. A stopped depth is the
+    constant `triangulate_values` gives, 1.0 on invalid pixels."""
     num, den = triangulation_ratio(camera, R, t, ad.as_var(f_u), ad.as_var(f_v))
-    depth = ad.div(num, den)
-    validity = (
-        (np.abs(den.value) >= DEGENERATE_DENOMINATOR_EPS)
-        & (np.asarray(depth.value) > 0)
-        & flow_mask
-    )
-    if stop_gradient:
-        depth = ad.as_var(np.where(validity, depth.value, 1.0))
-    return depth, validity
+    depth, validity, _ = depth_from_ratio(num.value, den.value, flow_mask)
+    return (ad.as_var(depth) if stop_gradient else ad.div(num, den)), validity
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +201,13 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
                stop_gradient_geo: bool = False):
     """Assemble the graph for one loss.
 
+    `overrides` maps "depth", "twist" or "flow" to values that replace the
+    input's; its internal key "_geo" holds a (depth Var, validity) pair
+    that cgdc takes as its geometric depth instead of triangulating.
     Returns (loss Var, leaves dict, mask ndarray).
     """
-    leaves = _leaves(inputs, overrides or {})
+    overrides = overrides or {}
+    leaves = _leaves(inputs, overrides)
     camera = inputs.camera
     H, W = inputs.depth.shape
     xi = leaves["twist"]
@@ -231,7 +230,7 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
         if inputs.flow is None:
             raise ValueError("cgdc loss needs the flow prior")
         f_u, f_v = leaves["flow"]
-        d_g, validity = triangulate_graph(
+        d_g, validity = overrides.get("_geo") or triangulate_graph(
             camera, R, t, f_u, f_v, inputs.flow.mask, stop_gradient=stop_gradient_geo
         )
         mask = validity & inputs.depth.mask
@@ -361,10 +360,19 @@ def finite_difference_check(
     sensitivity is so small that the central difference sits at the
     rounding floor of the loss (|gradient| * step below a few dozen ulps
     of the loss value).
+
+    With `stop_gradient_geo`, every build holds the triangulated depth at
+    its value under the base twist and flow, as the analytic gradient does.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    loss, leaves, base_mask = build_loss(loss_id, inputs, stop_gradient_geo=stop_gradient_geo)
+    fixed = {}
+    if stop_gradient_geo and inputs.flow is not None:
+        motion, f = inputs.twist.to_motion(), inputs.flow
+        fixed["_geo"] = triangulate_graph(
+            inputs.camera, motion.rotation, motion.translation, f.values[..., 0],
+            f.values[..., 1], f.mask, stop_gradient=True)
+    loss, leaves, base_mask = build_loss(loss_id, inputs, fixed, stop_gradient_geo)
     ad.backward(loss)
 
     # one (target, label, analytic, index) per checked coordinate; the rng
@@ -399,7 +407,8 @@ def finite_difference_check(
         for delta in (step, -step):
             values = base[target].values.copy()
             values[index] += delta
-            var, _, mask = build_loss(loss_id, inputs, {target: values}, stop_gradient_geo)
+            var, _, mask = build_loss(loss_id, inputs, {**fixed, target: values},
+                                      stop_gradient_geo)
             f.append(float(var.value))
             flipped = flipped or not np.array_equal(mask, base_mask)
         numeric = (f[0] - f[1]) / (2.0 * step)

@@ -14,6 +14,16 @@ recorded in the run configuration:
   noise source stronger than the consistency term's restoring force and
   freeze the field into rough local minima (measured ~2% depth error).
 
+Both experiments run one descent loop, `_descend`. Its depth stream
+steps theta on the weighted depth losses; `recover_depth` runs it alone.
+`co_adjust` adds the flow stream of the bidirectional stream co-adjustment:
+from `FLOW_START_FRACTION` of the budget on, each iteration first steps a
+free flow field on the co-adjustment loss against the rigid flow of the
+current depth, so the depth losses see the adjusted flow. The loop keeps
+the depth and the flow as raw arrays, checks each once per iteration as
+`DepthMap` and `FlowField` would, and wraps them in containers only at a
+record, an abort or the return.
+
 Each run builds one plan, in `_DepthObjective`: the work of a step that
 does not depend on the log-depth theta (the pixel grid and rotated rays,
 the DPC offsets and interior mask, the rotational flow, the SSIM
@@ -38,6 +48,7 @@ from .errors import (
     AbortedRunError,
     DegenerateTranslationError,
     FlowGeoError,
+    InvalidDepthError,
     NoValidPixelsError,
 )
 from .geometry import (
@@ -285,24 +296,20 @@ class _DepthObjective:
         return cfg.learning_rate
 
 
-def _evaluate_record(bundle, theta, iteration, loss_values, extras=None):
-    depth = DepthMap(_decode_values(theta))
-    metrics = depth_metrics(depth, bundle.depth_gt)
-    return TraceRecord(iteration, dict(loss_values), metrics, extras or {})
-
-
-def _final_record(bundle, objective, theta, config, extras=None):
-    """Record of the losses and metrics at the final state."""
-    terms = objective.losses(ad.exp(ad.Var(theta)))
-    final_values = {name: float(term.value) for name, term in terms.items()}
-    return _evaluate_record(bundle, theta, config.iterations, final_values, extras)
-
-
-def _safe_depth(values) -> DepthMap:
-    """DepthMap that tolerates non-finite entries by masking them (used
-    when packaging the state of an aborted run)."""
-    ok = np.isfinite(values) & (values > 0)
-    return DepthMap(np.where(ok, values, 1.0), ok)
+def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
+    """Trace record of the losses evaluated at the decoded depth `depth`,
+    with the extras `co_adjust` lists when the flow stream passes its `flow`
+    and the `rigid` flow of the depth ((values, mask) pairs)."""
+    depth, gt, dynamic = DepthMap(depth), bundle.depth_gt, bundle.dynamic_mask
+    extras = {}
+    if rigid is not None:
+        gap = np.abs(flow[0] - rigid[0]).sum(axis=-1)
+        if dynamic.any():
+            extras["dynamic_abs_rel"] = depth_metrics(depth, gt, dynamic).abs_rel
+            extras["patch_flow_gap"] = float(gap[dynamic].mean())
+        extras["static_abs_rel"] = depth_metrics(depth, gt, bundle.static_mask).abs_rel
+        extras["mean_flow_gap"] = float(gap.mean())
+    return TraceRecord(iteration, dict(loss_values), depth_metrics(depth, gt), extras)
 
 
 def _float32_storable(values):
@@ -311,27 +318,29 @@ def _float32_storable(values):
         return np.isfinite(values.astype(np.float32))
 
 
-def _safe_flow(values, mask) -> FlowField:
-    """FlowField that zeroes and masks the pixels a flow file cannot store
-    (used when packaging the state of an aborted run)."""
-    ok = _float32_storable(values).all(axis=-1)
-    return FlowField(np.where(ok[..., None], values, 0.0), mask & ok)
-
-
-def _abort_if_diverged(iteration, loss_values, decoded, records, started, config, flow=None):
+def _abort_if_diverged(iteration, loss_values, depth, records, started, config, flow=None):
     """Raise AbortedRunError, carrying the partial trace, once the summed
     loss passes `DIVERGENCE_THRESHOLD` or any value stops being finite.
-    `decoded` is the depth of the updated field; `flow` is the (values,
-    mask) pair of a co-adjusted flow field, which has diverged too once it
-    holds a value float32 (the flow file) cannot."""
+    `depth` is the decoded depth of the updated field; `flow` is the
+    (values, mask) pair of a co-adjusted flow field, which has diverged too
+    once it holds a value float32 (the flow file) cannot. The partial trace
+    masks what its artifacts cannot store. A finite depth that is not
+    strictly positive (theta underflowed) raises InvalidDepthError."""
     total = sum(loss_values.values())
+    storable = None if flow is None else _float32_storable(flow[0])
     if (not np.isfinite(total) or total > DIVERGENCE_THRESHOLD
-            or not np.isfinite(decoded).all()
-            or (flow is not None and not _float32_storable(flow[0]).all())):
-        trace = RunTrace(records, _safe_depth(decoded),
-                         None if flow is None else _safe_flow(*flow),
+            or not np.isfinite(depth).all()
+            or (flow is not None and not storable.all())):
+        ok = np.isfinite(depth) & (depth > 0)
+        final_flow = None
+        if flow is not None:
+            keep = storable.all(axis=-1)
+            final_flow = FlowField(np.where(keep[..., None], flow[0], 0.0), flow[1] & keep)
+        trace = RunTrace(records, DepthMap(np.where(ok, depth, 1.0), ok), final_flow,
                          time.perf_counter() - started, config)
         raise AbortedRunError(f"run diverged at iteration {iteration} (loss {total:.3g})", trace)
+    if not (depth > 0).all():
+        raise InvalidDepthError("depth must be strictly positive where valid")
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +356,7 @@ def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
         raise DegenerateTranslationError("depth recovery needs a nonzero translation")
     if config.w_p == 0 and config.w_c == 0 and config.w_d == 0:
         raise ValueError("objective is empty: all depth-loss weights are zero")
-
-    rng = np.random.default_rng(config.seed)
-    theta = _initial_theta(bundle, config, rng)
-    objective = _DepthObjective(bundle, config)
-    records = []
-    started = time.perf_counter()
-
-    for it in range(config.iterations):
-        new_theta, loss_values = _depth_step(objective, theta, it, config)
-        if it % config.record_every == 0:
-            # the record pairs this iteration's losses with the state they
-            # were evaluated at (before the update)
-            records.append(_evaluate_record(bundle, theta, it, loss_values))
-        theta = new_theta
-        _abort_if_diverged(it, loss_values, _decode_values(theta), records, started, config)
-
-    records.append(_final_record(bundle, objective, theta, config))
-    return RunTrace(
-        records,
-        DepthMap(_decode_values(theta)),
-        None,
-        time.perf_counter() - started,
-        config,
-    )
+    return _descend(bundle, config, flow_stream=False)
 
 
 def _depth_step(objective, theta, iteration, config):
@@ -393,7 +379,8 @@ def _depth_step(objective, theta, iteration, config):
 
 
 def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
-    """Jointly adjust a free flow field and the depth field.
+    """Jointly adjust a free flow field and the depth field: the descent
+    loop of `recover_depth` with its flow stream on.
 
     The flow starts at the scene's observed flow (dynamic motion included,
     standing in for a pre-trained correspondence network) and is updated
@@ -410,89 +397,62 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     when a dynamic object must be pulled to quasi-rigid flow (the depth has
     to track the moving triangulation target at full rate meanwhile), or
     early for static scenes so the flow settles against a quiet depth
-    field. Trace extras report static/dynamic-region depth error and the
-    mean flow gap over the dynamic region.
-
-    The loop keeps the flow and the depth as raw arrays, checked each
-    iteration as `FlowField` and `DepthMap` check them, and wraps them in
-    containers only at a record, an abort or the return. The rigid flow of
-    the depth is evaluated only on the iterations that use it: those of the
-    flow phase, record iterations and the final record.
+    field. Trace extras report the depth error over the static and dynamic
+    regions and the flow gap |flow - rigid flow| over the dynamic region
+    and the whole grid.
     """
     if config.w_b <= 0:
         raise ValueError("co_adjust needs w_b > 0")
-    rng = np.random.default_rng(config.seed)
-    theta = _initial_theta(bundle, config, rng)
+    return _descend(bundle, config, flow_stream=True)
+
+
+def _descend(bundle, config, flow_stream):
+    """The descent loop of both experiments (see the module docstring);
+    the flow stream runs when `flow_stream` is true. The rigid flow of the
+    depth is evaluated only where it is used: on the iterations of the
+    flow phase, on record iterations and for the final record."""
+    theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
     objective = _DepthObjective(bundle, config)
+    depth = _decode_values(theta)
+    _require_depth(depth)
     flow_start = int(FLOW_START_FRACTION * config.iterations)
-    flow_values = bundle.flow_gt.values.copy()
-    flow_mask = bundle.flow_gt.mask.copy()
+    flow = (bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()) if flow_stream else None
     records = []
     started = time.perf_counter()
 
-    depth_values = _decode_values(theta)
     for it in range(config.iterations):
-        _require_depth(depth_values)
-        flow_phase = it >= flow_start
         record = it % config.record_every == 0
-        if flow_phase or record:
-            rigid_values, rigid_valid = objective.rigid_flow(depth_values)
-
-        loss_b = None
+        flow_phase = flow_stream and it >= flow_start
+        rigid = objective.rigid_flow(depth) if flow_phase or (flow_stream and record) else None
         if flow_phase:
-            # flow step: co-adjustment loss only
-            f_u = ad.Var(flow_values[..., 0])
-            f_v = ad.Var(flow_values[..., 1])
-            bmask = flow_mask & rigid_valid
-            loss_b = bsca_core(rigid_values[..., 0], rigid_values[..., 1], f_u, f_v, bmask)
+            # flow step: co-adjustment loss only, updating `flow` in place
+            (values, mask), (r_values, r_valid) = flow, rigid
+            f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
+            loss_b = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, mask & r_valid)
             ad.backward(loss_b)
             rate = config.flow_learning_rate * config.w_b
-            flow_values = np.stack(
-                [
-                    flow_values[..., 0] - rate * np.asarray(f_u.grad),
-                    flow_values[..., 1] - rate * np.asarray(f_v.grad),
-                ],
-                axis=-1,
-            )
-            objective.set_flow(flow_values, flow_mask)
+            values[..., 0] -= rate * np.asarray(f_u.grad)
+            values[..., 1] -= rate * np.asarray(f_v.grad)
+            objective.set_flow(values, mask)
 
-        # depth step: consistency losses from the adjusted flow
+        # depth step: consistency losses from the (adjusted) flow
         new_theta, loss_values = _depth_step(objective, theta, it, config)
-        if loss_b is not None:
+        if flow_phase:
             loss_values["bsca"] = float(loss_b.value)
         if record:
-            extras = _region_extras(bundle, theta, flow_values, rigid_values)
-            records.append(_evaluate_record(bundle, theta, it, loss_values, extras))
+            # the record pairs this iteration's losses with the state they
+            # were evaluated at (before the update)
+            records.append(_record(bundle, depth, it, loss_values, flow, rigid))
         theta = new_theta
-        depth_values = _decode_values(theta)
-        _abort_if_diverged(it, loss_values, depth_values, records, started, config,
-                           (flow_values, flow_mask))
+        depth = _decode_values(theta)
+        _abort_if_diverged(it, loss_values, depth, records, started, config, flow)
 
-    final_depth = DepthMap(depth_values)
-    final_rigid, _ = objective.rigid_flow(final_depth.values)
-    extras = _region_extras(bundle, theta, flow_values, final_rigid)
-    records.append(_final_record(bundle, objective, theta, config, extras))
-    return RunTrace(
-        records,
-        final_depth,
-        FlowField(flow_values, flow_mask),
-        time.perf_counter() - started,
-        config,
-    )
-
-
-def _region_extras(bundle, theta, flow_values, rigid_values):
-    depth = DepthMap(_decode_values(theta))
-    extras = {}
-    gap = np.abs(flow_values - rigid_values).sum(axis=-1)
-    if bundle.dynamic_mask.any():
-        extras["dynamic_abs_rel"] = depth_metrics(
-            depth, bundle.depth_gt, bundle.dynamic_mask
-        ).abs_rel
-        extras["patch_flow_gap"] = float(gap[bundle.dynamic_mask].mean())
-    extras["static_abs_rel"] = depth_metrics(depth, bundle.depth_gt, bundle.static_mask).abs_rel
-    extras["mean_flow_gap"] = float(gap.mean())
-    return extras
+    terms = objective.losses(ad.Var(depth))
+    final_values = {name: float(term.value) for name, term in terms.items()}
+    rigid = objective.rigid_flow(depth) if flow_stream else None
+    records.append(_record(bundle, depth, config.iterations, final_values, flow, rigid))
+    final_flow = None if flow is None else FlowField(*flow)
+    return RunTrace(records, DepthMap(depth), final_flow, time.perf_counter() - started, config)
 
 
 def ablation_suite(bundles, configs) -> list:

@@ -16,7 +16,7 @@ construction (up to bilinear resampling of the smooth texture).
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -67,18 +67,26 @@ class TextureSpec:
 
 @dataclass(frozen=True)
 class DynamicObjectSpec:
-    """A pixel region whose surface translates independently between frames."""
+    """A pixel region whose surface translates independently between frames.
+    A centre or half-size left as None is taken from the grid as (W/2, H/2)
+    or (W/8, H/8): (48, 36) and (12, 9) at 96x72."""
 
     shape: str = "rect"  # "rect" | "ellipse"
-    center: tuple = (48.0, 36.0)
-    half_size: tuple = (12.0, 9.0)
+    center: tuple | None = None
+    half_size: tuple | None = None
     translation: tuple = (0.2, 0.0, 0.0)
+
+    def sized(self, height, width) -> "DynamicObjectSpec":
+        """This object with its grid-derived centre and half-size filled in."""
+        center = (width / 2.0, height / 2.0) if self.center is None else self.center
+        half_size = (width / 8.0, height / 8.0) if self.half_size is None else self.half_size
+        return replace(self, center=center, half_size=half_size)
 
     def region_mask(self, height, width):
         if self.shape not in ("rect", "ellipse"):
             raise InvalidSceneError(f"unknown dynamic region shape {self.shape!r}")
-        cu, cv = self.center
-        ru, rv = self.half_size
+        sized = self.sized(height, width)
+        (cu, cv), (ru, rv) = sized.center, sized.half_size
         if cu - ru < 1 or cv - rv < 1 or cu + ru > width - 2 or cv + rv > height - 2:
             raise InvalidSceneError("dynamic region must be strictly inside the image interior")
         u, v = pixel_grid(height, width)
@@ -330,11 +338,12 @@ def write_scene_file(path, spec: SceneSpec, camera: CameraIntrinsics | None = No
                      ego: EgoMotionKeys | None = None) -> None:
     """Serialize a scene (plus optional camera/ego-motion) one key per line.
     The ego-motion is written as its keys spell it, so a file read with
-    `read_scene_keys` writes back byte for byte."""
+    `read_scene_keys` writes back byte for byte; a field left as None (taken
+    from the grid) is left out."""
     objects = {SceneSpec: spec, TextureSpec: spec.texture, DynamicObjectSpec: spec.dynamic,
                CameraIntrinsics: camera, EgoMotionKeys: ego}
-    lines = [f"{key}={_format(getattr(objects[cls], field), arity)}"
-             for key, (cls, field, arity) in SCENE_KEYS.items() if objects[cls] is not None]
+    lines = [f"{key}={_format(value, arity)}" for key, (cls, field, arity) in SCENE_KEYS.items()
+             if (value := getattr(objects[cls], field, None)) is not None]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

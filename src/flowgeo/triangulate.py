@@ -85,14 +85,21 @@ def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, ray
 
 def triangulate_values(camera: CameraIntrinsics, motion: RigidMotion, f_u, f_v, flow_mask,
                        grid=None, rays=None):
-    """The body of `triangulate_depth` on raw arrays: (depth, validity,
-    degeneracy codes), with depth 1.0 on invalid pixels. `grid` and `rays`
-    are passed on to `triangulation_ratio`. The depth is not checked;
-    `triangulate_depth` checks it through `DepthMap`."""
+    """The body of `triangulate_depth` on raw arrays: `depth_from_ratio` of
+    the `triangulation_ratio`, which gets `grid` and `rays`. The depth is not
+    checked; `triangulate_depth` checks it through `DepthMap`."""
     numerator, denominator = triangulation_ratio(
         camera, motion.rotation, motion.translation, f_u, f_v, grid, rays
     )
+    return depth_from_ratio(numerator, denominator, flow_mask)
 
+
+def depth_from_ratio(numerator, denominator, flow_mask):
+    """(depth, validity, degeneracy codes) of the ratio arrays: the one
+    validity rule of triangulation, shared by `triangulate_values` and
+    `grad.triangulate_graph`. A pixel is valid where its flow is, its
+    |denominator| is at least DEGENERATE_DENOMINATOR_EPS and its depth is
+    positive; invalid pixels hold depth 1.0."""
     codes = np.zeros(flow_mask.shape, dtype=np.uint8)
     codes[~flow_mask] = Degeneracy.MASKED_FLOW
     near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS

@@ -7,7 +7,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import scene_file_texts
+from conftest import run_python, scene_file_texts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +203,19 @@ class TestGenSceneRecordsItsScene:
         for name in ("depth.pfm", "flow.flo", "image_t.pnm", "image_s.pnm", "scene.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_grid_derived_dynamic_region_is_written(self, tmp_path):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("family=fronto-plane\ndynamic_shape=rect\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["gen-scene", "--scene", str(scene), "--size", "16x12",
+                    "--out", str(first)]) == 0
+        written = set((first / "scene.txt").read_text().splitlines())
+        assert {"dynamic_center=8.0,6.0", "dynamic_half_size=2.0,1.5"} <= written
+        assert run(["gen-scene", "--scene", str(first / "scene.txt"), "--size", "16x12",
+                    "--out", str(second)]) == 0
+        for name in ("depth.pfm", "flow.flo", "image_t.pnm", "image_s.pnm", "scene.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_defaults_are_written(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text("family=fronto-plane\n")
@@ -275,6 +288,20 @@ class TestGradCheckCommand:
         assert code == 0
         rows = read_csv(out / "grad_check.csv")
         assert {"photometric", "cgdc", "dpc", "bsca", "smoothness"} <= {r["loss"] for r in rows}
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["flowgeo", "flowgeo.cli"])
+    def test_exit_codes(self, tmp_path, module):
+        done = run_python(["-m", module, "--version"])
+        assert done.returncode == 0 and done.stdout.startswith("flowgeo ")
+        argv = ["-m", module, "grad-check", "--scene", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "o")]
+        done = run_python(argv + ["--frobnicate"])
+        assert done.returncode == 2 and done.stderr.startswith("usage error: ")
+        done = run_python(argv)
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
 class TestDivergedRun:

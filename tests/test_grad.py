@@ -179,6 +179,20 @@ class TestStopGradient:
         g = loss_gradient("cgdc", probe, targets=("twist",), stop_gradient_geo=True)
         np.testing.assert_array_equal(g.d_twist, np.zeros(6))
 
+    def test_checker_holds_the_stopped_depth(self, perturbed_inputs):
+        # the +/- rebuilds keep the base triangulated depth, as the analytic
+        # gradient does, so the twist rows agree (both exactly zero) and the
+        # base build is the stop-gradient build bit for bit
+        report = finite_difference_check("cgdc", perturbed_inputs, stop_gradient_geo=True)
+        twist = [r for r in report.rows if r.target == "twist"]
+        assert len(twist) == 6 and all(r.analytic == r.numeric == 0.0 for r in twist)
+        assert report.passed
+        g = loss_gradient("cgdc", perturbed_inputs, targets=("depth",), stop_gradient_geo=True)
+        for r in report.rows:
+            if r.target == "depth":
+                vx, vy = map(int, r.coordinate[len("pixel("):-1].split(","))
+                assert r.analytic == g.d_depth[vy, vx]
+
     def test_depth_gradient_unaffected_by_stopgrad(self, perturbed_inputs):
         a = loss_gradient("cgdc", perturbed_inputs, targets=("depth",), stop_gradient_geo=True)
         b = loss_gradient("cgdc", perturbed_inputs, targets=("depth",))

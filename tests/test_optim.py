@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 from composed import TWINS
-from conftest import run_python
+from conftest import assert_bits_equal, run_python
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, optim
@@ -154,6 +154,23 @@ class TestCoAdjustStatic:
         gap = np.abs(trace.final_flow.values - fr.values).sum(axis=-1).mean()
         assert gap < 0.01
         assert trace.final_metrics.abs_rel < 0.05
+
+    def test_shares_the_depth_path_of_recover(self, monkeypatch):
+        # with its flow stream held off for the whole budget, co_adjust is
+        # recover_depth plus the region extras
+        monkeypatch.setattr(optim, "FLOW_START_FRACTION", 1.0)
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 16.0, 12.0),
+                            RigidMotion(np.eye(3), README_T), 24, 32)
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=1.0, iterations=60,
+                             record_every=10, seed=3)
+        co, rec = co_adjust(bundle, config), recover_depth(bundle, config)
+        assert len(co.records) == len(rec.records) == 7
+        for a, b in zip(co.records, rec.records, strict=True):
+            assert (a.iteration, a.losses, a.metrics) == (b.iteration, b.losses, b.metrics)
+            assert "static_abs_rel" in a.extras and b.extras == {}
+        assert_bits_equal(co.final_depth.values, rec.final_depth.values)
+        assert_bits_equal(co.final_flow.values, bundle.flow_gt.values)
+        np.testing.assert_array_equal(co.final_flow.mask, bundle.flow_gt.mask)
 
     def test_requires_positive_wb(self, small_static):
         with pytest.raises(ValueError):

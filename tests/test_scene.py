@@ -152,6 +152,22 @@ class TestBundleInvariants:
         with pytest.raises(InvalidSceneError):
             synthesize(spec, K, RigidMotion(np.eye(3), [0, 0, 0.5]), 24, 32)
 
+    @pytest.mark.parametrize("height, width", [(12, 16), (24, 32)])
+    def test_lone_dynamic_shape_fits_small_grids(self, tmp_path, height, width):
+        path = tmp_path / "scene.txt"
+        path.write_text("family=fronto-plane\ndynamic_shape=rect\n")
+        spec, _, _ = read_scene_file(path)
+        camera = CameraIntrinsics(100.0, 100.0, width / 2.0, height / 2.0)
+        bundle = synthesize(spec, camera, RigidMotion(np.eye(3), [0.31, 0.02, 0.42]), height, width)
+        assert bundle.dynamic_mask.any()
+
+    def test_grid_derived_region_at_96x72(self):
+        # the region the fixed defaults (48, 36) and (12, 9) gave before
+        assert DynamicObjectSpec().sized(72, 96) == DynamicObjectSpec(
+            center=(48.0, 36.0), half_size=(12.0, 9.0))
+        given = DynamicObjectSpec(center=(30.0, 26.0))
+        assert given.sized(12, 16) == DynamicObjectSpec(center=(30.0, 26.0), half_size=(2.0, 1.5))
+
 
 class TestTexture:
     def test_range_validation(self):
