@@ -208,7 +208,7 @@ def _mean_over(values, mask):
     valid subset is summed in a fixed (row-major) order, so masked entries
     may be non-finite. The adjoint weights are `m.astype(float) / n`."""
     m = np.asarray(mask, bool)
-    n = int(m.sum())
+    n = np.count_nonzero(m)
     return float(np.sum(values[m]) / n), m, n
 
 
@@ -244,8 +244,7 @@ def forward_diff(a, axis: int):
 
     def vjp(g):
         gx = np.zeros(shape)
-        gm = np.moveaxis(gx, axis, 0)
-        gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+        gm, gg = gx.swapaxes(0, axis), np.asarray(g, dtype=float).swapaxes(0, axis)
         gm[1:] += gg
         gm[:-1] -= gg
         return (gx,)
@@ -265,8 +264,8 @@ def axis_diff(a, axis: int):
 def _axis_diff_vjp(g, axis, shape):
     """Adjoint of `axis_diff` along `axis` for an input of `shape`."""
     gx = np.zeros(shape)
-    gm = np.moveaxis(gx, axis, 0)
-    gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    # views with the stencil axis first
+    gm, gg = gx.swapaxes(0, axis), np.asarray(g, dtype=float).swapaxes(0, axis)
     # border rows: y[0] = 2(x[1]-x[0]); y[-1] = 2(x[-1]-x[-2])
     gm[1] += 2.0 * gg[0]
     gm[0] -= 2.0 * gg[0]

@@ -168,7 +168,17 @@ class RigidMotion:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""
-        return points @ self.rotation.T + self.translation
+        return np.moveaxis(self.apply_stacked(np.moveaxis(points, -1, 0)), 0, -1)
+
+    def apply_stacked(self, points: np.ndarray) -> np.ndarray:
+        """Transform points stacked along the first axis, shape (3, ...): one
+        (3, 3) x (3, N) product (the bits of a (..., 3) x (3, 3) product, at a
+        fifth of its cost on a grid) plus the translation row by row."""
+        p = np.asarray(points, dtype=float)
+        out = (self.rotation @ p.reshape(3, -1)).reshape(p.shape)
+        for i in range(3):
+            out[i] += self.translation[i]
+        return out
 
 
 @dataclass(frozen=True)
@@ -367,16 +377,22 @@ def backproject(camera: CameraIntrinsics, pixel, depth) -> np.ndarray:
 
 
 def _flow_from_points(camera, points, u, v):
-    """Flow = projection of transformed points minus the pixel grid, as
-    (values, valid); pixels whose transformed depth is non-positive are
-    masked, not raised."""
-    z = points[..., 2]
+    """Flow = projection of transformed points (stacked along the first
+    axis, shape (3, H, W)) minus the pixel grid, as (values, valid); pixels
+    whose transformed depth is non-positive are masked, not raised. A grid
+    with every pixel valid skips the masking."""
+    z = points[2]
     valid = z > Z_EPS
-    safe_z = np.where(valid, z, 1.0)
-    us = camera.fx * points[..., 0] / safe_z + camera.cx
-    vs = camera.fy * points[..., 1] / safe_z + camera.cy
-    flow = np.stack([us - u, vs - v], axis=-1)
-    flow[~valid] = 0.0
+    everywhere = valid.all()
+    safe_z = z if everywhere else np.where(valid, z, 1.0)
+    flow = np.empty(z.shape + (2,))
+    for i, (f, c, grid) in enumerate(((camera.fx, camera.cx, u), (camera.fy, camera.cy, v))):
+        s = f * points[i]
+        s /= safe_z
+        s += c
+        np.subtract(s, grid, out=flow[..., i])
+    if not everywhere:
+        flow[~valid] = 0.0
     return flow, valid
 
 
@@ -391,8 +407,12 @@ def rigid_flow_values(camera: CameraIntrinsics, motion: RigidMotion, depth, mask
         # chain so no rounding wobble leaks in
         return np.zeros((H, W, 2)), np.ones((H, W), bool) if mask is None else mask.copy()
     g = CameraGrid.of(camera, H, W) if grid is None else grid
-    X = np.stack([depth * g.uc / camera.fx, depth * g.vc / camera.fy, depth], axis=-1)
-    flow, valid = _flow_from_points(camera, motion.apply(X), g.u, g.v)
+    X = np.empty((3, H, W))  # the backprojected points, stacked
+    for i, (c, f) in enumerate(((g.uc, camera.fx), (g.vc, camera.fy))):
+        np.multiply(depth, c, out=X[i])
+        X[i] /= f
+    X[2] = depth
+    flow, valid = _flow_from_points(camera, motion.apply_stacked(X), g.u, g.v)
     if mask is not None and not mask.all():
         valid = valid & mask
     return flow, valid
@@ -435,10 +455,11 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
             f"got shape {x.shape}"
         )
     out = np.empty(x.shape)
-    o, v = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)
-    o[1:-1] = (v[2:] - v[:-2]) / 2.0
-    o[0] = v[1] - v[0]
-    o[-1] = v[-1] - v[-2]
+    o, v = out.swapaxes(0, axis), x.swapaxes(0, axis)  # views, stencil axis first
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0
+    np.subtract(v[1], v[0], out=o[0])
+    np.subtract(v[-1], v[-2], out=o[-1])
     out *= 2.0
     return out
 

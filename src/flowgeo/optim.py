@@ -20,9 +20,9 @@ steps theta on the weighted depth losses; `recover_depth` runs it alone.
 from `FLOW_START_FRACTION` of the budget on, each iteration first steps a
 free flow field on the co-adjustment loss against the rigid flow of the
 current depth, so the depth losses see the adjusted flow. The loop keeps
-the depth and the flow as raw arrays, checks each once per iteration as
-`DepthMap` and `FlowField` would, and wraps them in containers only at a
-record, an abort or the return.
+the depth and the flow as raw arrays, checks the depth once per iteration
+and the flow once per update as `DepthMap` and `FlowField` would, and wraps
+them in containers only at a record, an abort or the return.
 
 Each run builds one plan, in `_DepthObjective`: the work of a step that
 does not depend on the log-depth theta (the pixel grid and rotated rays,
@@ -83,6 +83,7 @@ DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
 FLOW_START_FRACTION = 0.15  # co_adjust: flow updates join after this
 INIT_SCALE_RANGE = (0.5, 2.0)  # "random-scale" init: ground truth times U(lo, hi)
 DIVERGENCE_THRESHOLD = 1e6  # a summed loss above this aborts the run
+INITS = ("ground-truth", "random-scale", "triangulated")
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class OptimConfig:
     learning_rate: float = 8.0
     flow_learning_rate: float = 250.0
     iterations: int = 2000
-    init: str = "random-scale"  # "ground-truth" | "random-scale" | "triangulated"
+    init: str = "random-scale"  # one of INITS
     seed: int = 0
     record_every: int = 50
     step_clip: float = 0.02
@@ -102,10 +103,19 @@ class OptimConfig:
     allow_dynamic: bool = False  # permit depth-only runs on dynamic scenes (ablation control)
 
     def __post_init__(self):
-        if min(self.w_p, self.w_c, self.w_d, self.w_b) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.learning_rate <= 0 or self.flow_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
+        # negated comparisons, so a NaN fails them
+        if not all(0 <= w < np.inf for w in (self.w_p, self.w_c, self.w_d, self.w_b)):
+            raise ValueError("loss weights must be finite and non-negative")
+        if not all(0 < r < np.inf for r in (self.learning_rate, self.flow_learning_rate)):
+            raise ValueError("learning rates must be finite and positive")
+        if not 0 < self.step_clip < np.inf:
+            raise ValueError("step_clip must be finite and positive")
+        if self.iterations < 1 or self.record_every < 1:
+            raise ValueError("iterations and record_every must be at least 1")
+        if not 0 <= self.dpc_warmup_fraction <= 1:
+            raise ValueError("dpc_warmup_fraction must be in [0, 1]")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -150,11 +160,9 @@ def _initial_theta(bundle: SceneBundle, config: OptimConfig, rng) -> np.ndarray:
     elif config.init == "random-scale":
         lo, hi = INIT_SCALE_RANGE
         d0 = gt * rng.uniform(lo, hi, size=gt.shape)
-    elif config.init == "triangulated":
+    else:  # "triangulated"
         tri = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
         d0 = np.where(tri.validity, tri.depth_g.values, gt)
-    else:
-        raise ValueError(f"unknown init {config.init!r}")
     return np.log(d0)
 
 
@@ -225,14 +233,13 @@ class _DepthObjective:
             if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
                 rot = rotational_flow(self.camera, bundle.motion.rotation, *bundle.shape)
                 self.rotation = rot.values
-        self.geo = None  # (depth node, validity) of the triangulated depth
+        self.geo = None  # (depth, validity) of the triangulated depth
         self.div_f = None  # divergence of the translational flow
         self.set_flow(bundle.flow_gt.values, bundle.flow_gt.mask)
 
     def set_flow(self, values, mask):
-        """Take a new flow (values (H, W, 2), valid mask): check that it is
-        finite where valid and refresh the flow side of the plan."""
-        _require_finite(values, mask, FLOW_NOT_FINITE)
+        """Take a new flow (values (H, W, 2), valid mask), finite where
+        valid, and refresh the flow side of the plan as plain arrays."""
         self.flow_mask = mask
         f_u, f_v = values[..., 0], values[..., 1]
         if self.config.w_c > 0:
@@ -242,7 +249,7 @@ class _DepthObjective:
             _require_depth(depth, validity)
             if not validity.any():
                 raise NoValidPixelsError("triangulation produced no valid pixels")
-            self.geo = (ad.as_var(depth), validity)
+            self.geo = (depth, validity)
         if self.config.w_d > 0:
             if self.rotation is not None:
                 f_u = f_u - self.rotation[..., 0]
@@ -318,23 +325,22 @@ def _float32_storable(values):
         return np.isfinite(values.astype(np.float32))
 
 
-def _abort_if_diverged(iteration, loss_values, depth, records, started, config, flow=None):
+def _abort_if_diverged(iteration, loss_values, depth, records, started, config, flow=None,
+                       flow_storable=True):
     """Raise AbortedRunError, carrying the partial trace, once the summed
     loss passes `DIVERGENCE_THRESHOLD` or any value stops being finite.
     `depth` is the decoded depth of the updated field; `flow` is the
     (values, mask) pair of a co-adjusted flow field, which has diverged too
-    once it holds a value float32 (the flow file) cannot. The partial trace
-    masks what its artifacts cannot store. A finite depth that is not
-    strictly positive (theta underflowed) raises InvalidDepthError."""
+    once it holds a value float32 (the flow file) cannot (`flow_storable`).
+    The partial trace masks what its artifacts cannot store. A finite depth
+    that is not strictly positive (theta underflowed) raises InvalidDepthError."""
     total = sum(loss_values.values())
-    storable = None if flow is None else _float32_storable(flow[0])
     if (not np.isfinite(total) or total > DIVERGENCE_THRESHOLD
-            or not np.isfinite(depth).all()
-            or (flow is not None and not storable.all())):
+            or not np.isfinite(depth).all() or not flow_storable):
         ok = np.isfinite(depth) & (depth > 0)
         final_flow = None
         if flow is not None:
-            keep = storable.all(axis=-1)
+            keep = _float32_storable(flow[0]).all(axis=-1)
             final_flow = FlowField(np.where(keep[..., None], flow[0], 0.0), flow[1] & keep)
         trace = RunTrace(records, DepthMap(np.where(ok, depth, 1.0), ok), final_flow,
                          time.perf_counter() - started, config)
@@ -417,6 +423,8 @@ def _descend(bundle, config, flow_stream):
     _require_depth(depth)
     flow_start = int(FLOW_START_FRACTION * config.iterations)
     flow = (bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()) if flow_stream else None
+    # the flow's storability changes only when the flow does
+    storable = not flow_stream or _float32_storable(flow[0]).all()
     records = []
     started = time.perf_counter()
 
@@ -433,6 +441,9 @@ def _descend(bundle, config, flow_stream):
             rate = config.flow_learning_rate * config.w_b
             values[..., 0] -= rate * np.asarray(f_u.grad)
             values[..., 1] -= rate * np.asarray(f_v.grad)
+            storable = _float32_storable(values).all()
+            if not storable:  # a flow float32 can hold is finite
+                _require_finite(values, mask, FLOW_NOT_FINITE)
             objective.set_flow(values, mask)
 
         # depth step: consistency losses from the (adjusted) flow
@@ -445,7 +456,7 @@ def _descend(bundle, config, flow_stream):
             records.append(_record(bundle, depth, it, loss_values, flow, rigid))
         theta = new_theta
         depth = _decode_values(theta)
-        _abort_if_diverged(it, loss_values, depth, records, started, config, flow)
+        _abort_if_diverged(it, loss_values, depth, records, started, config, flow, storable)
 
     terms = objective.losses(ad.Var(depth))
     final_values = {name: float(term.value) for name, term in terms.items()}

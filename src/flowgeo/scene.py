@@ -224,8 +224,9 @@ def _render(spec, camera, ego_motion, height, width):
     if spec.dynamic is not None:
         dynamic_mask = spec.dynamic.region_mask(height, width)
         delta = np.asarray(spec.dynamic.translation, dtype=float)
-        X = backproject(camera, np.stack([u, v], axis=-1), depth.values)
-        moved = FlowField(*_flow_from_points(camera, warp_motion.apply(X + delta), u, v))
+        X = backproject(camera, np.stack([u, v], axis=-1), depth.values) + delta
+        points = warp_motion.apply_stacked(np.moveaxis(X, -1, 0))
+        moved = FlowField(*_flow_from_points(camera, points, u, v))
         flow_values[dynamic_mask] = moved.values[dynamic_mask]
         flow_mask[dynamic_mask] &= moved.mask[dynamic_mask]
     flow_gt = FlowField(flow_values, flow_mask)

@@ -95,24 +95,15 @@ def triangulate_values(camera: CameraIntrinsics, motion: RigidMotion, f_u, f_v, 
 
 
 def depth_from_ratio(numerator, denominator, flow_mask):
-    """(depth, validity, degeneracy codes) of the ratio arrays: the one
-    validity rule of triangulation, shared by `triangulate_values` and
+    """(depth, validity, near-zero denominators) of the ratio arrays: the
+    one validity rule of triangulation, shared by `triangulate_values` and
     `grad.triangulate_graph`. A pixel is valid where its flow is, its
     |denominator| is at least DEGENERATE_DENOMINATOR_EPS and its depth is
-    positive; invalid pixels hold depth 1.0."""
-    codes = np.zeros(flow_mask.shape, dtype=np.uint8)
-    codes[~flow_mask] = Degeneracy.MASKED_FLOW
+    not <= 0 (a NaN depth stays valid); invalid pixels hold depth 1.0."""
     near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
-    small = near_zero & flow_mask
-    codes[small] = Degeneracy.NEAR_ZERO_DENOMINATOR
-
-    safe = np.where(near_zero, 1.0, denominator)
-    depth = numerator / safe
-    negative = (depth <= 0) & flow_mask & ~small
-    codes[negative] = Degeneracy.NEGATIVE_DEPTH
-
-    validity = codes == Degeneracy.OK
-    return np.where(validity, depth, 1.0), validity, codes
+    depth = numerator / np.where(near_zero, 1.0, denominator)
+    validity = ~(depth <= 0) & flow_mask & ~near_zero
+    return np.where(validity, depth, 1.0), validity, near_zero
 
 
 def triangulate_depth(
@@ -126,7 +117,11 @@ def triangulate_depth(
     negative solutions, or invalid flow are masked with their degeneracy
     code.
     """
-    depth, validity, codes = triangulate_values(
+    depth, validity, near_zero = triangulate_values(
         camera, motion, flow.values[..., 0], flow.values[..., 1], flow.mask
     )
+    # the codes in order of precedence: masked flow, no parallax, depth <= 0
+    codes = np.where(validity, Degeneracy.OK, Degeneracy.NEGATIVE_DEPTH).astype(np.uint8)
+    codes[near_zero] = Degeneracy.NEAR_ZERO_DENOMINATOR
+    codes[~flow.mask] = Degeneracy.MASKED_FLOW
     return TriangulationResult(DepthMap(depth, validity), validity, codes)

@@ -130,6 +130,48 @@ def composed_bsca(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     return ad.masked_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
 
 
+# -- stencils -------------------------------------------------------------------
+# The moveaxis forms of the difference stencils and their adjoints, the
+# references the view-swapping kernels in `geometry` and `autodiff` are
+# checked against bit for bit.
+
+
+def moveaxis_axis_diff(values, axis):
+    """`geometry._axis_diff`: interior x[i+1] - x[i-1], borders 2 * one-sided."""
+    x = np.asarray(values, dtype=float)
+    out = np.empty(x.shape)
+    o, v = np.moveaxis(out, axis, 0), np.moveaxis(x, axis, 0)
+    o[1:-1] = (v[2:] - v[:-2]) / 2.0
+    o[0] = v[1] - v[0]
+    o[-1] = v[-1] - v[-2]
+    out *= 2.0
+    return out
+
+
+def moveaxis_axis_diff_vjp(g, axis, shape):
+    """`autodiff._axis_diff_vjp`, the adjoint of `moveaxis_axis_diff`."""
+    gx = np.zeros(shape)
+    gm = np.moveaxis(gx, axis, 0)
+    gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    gm[1] += 2.0 * gg[0]
+    gm[0] -= 2.0 * gg[0]
+    gm[-1] += 2.0 * gg[-1]
+    gm[-2] -= 2.0 * gg[-1]
+    gm[2:] += gg[1:-1]
+    gm[:-2] -= gg[1:-1]
+    return gx
+
+
+def moveaxis_forward_diff_vjp(g, axis, shape):
+    """The adjoint of `autodiff.forward_diff`, x[i+1] - x[i] along `axis`."""
+    gx = np.zeros(shape)
+    gm = np.moveaxis(gx, axis, 0)
+    gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
+    gm[1:] += gg
+    gm[:-1] -= gg
+    return gx
+
+
 # module attribute -> twin, for every loss node a caller reaches by name
 TWINS = {
     "photometric_core": composed_photometric,

@@ -7,6 +7,7 @@ independent reference forms."""
 
 import numpy as np
 import pytest
+from composed import moveaxis_axis_diff, moveaxis_axis_diff_vjp, moveaxis_forward_diff_vjp
 from conftest import assert_bits_equal, reachable
 
 from flowgeo import autodiff as ad
@@ -420,6 +421,39 @@ class TestKernelTwins:
         v = RNG.normal(size=shape)
         for axis in (0, 1):
             assert_bits_equal(_axis_diff(v, axis), 2.0 * np.gradient(v, axis=axis))
+
+    # length 3 along the stencil axis makes the border and interior rows
+    # of the adjoints overlap
+    STENCIL_SHAPES = [(6, 9), (3, 5), (5, 3), (3, 3), (5, 4, 3), (3, 3, 2), (4, 3, 5)]
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_stencils_match_moveaxis_forms(self, shape, axis):
+        x = RNG.normal(size=shape)
+        x.flat[::4] = -0.0
+        short = list(shape)
+        short[axis] -= 1
+        for g, g_short in [(RNG.normal(size=shape), RNG.normal(size=short)),
+                           (-np.zeros(shape), -np.zeros(short))]:  # 0.0 + -0.0 is +0.0
+            g.flat[1::3] = -0.0
+            g_short.flat[1::3] = -0.0
+            assert_bits_equal(_axis_diff(x, axis), moveaxis_axis_diff(x, axis))
+            assert_bits_equal(ad._axis_diff_vjp(g, axis, shape),
+                              moveaxis_axis_diff_vjp(g, axis, shape))
+            (fd_adjoint,) = ad.forward_diff(ad.Var(x), axis)._vjp(g_short)
+            assert_bits_equal(fd_adjoint, moveaxis_forward_diff_vjp(g_short, axis, shape))
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_stencil_adjoint_identity(self, shape, axis):
+        # <A x, y> = <x, A^T y> for the stencil A and its vjp A^T
+        x, y = RNG.normal(size=shape), RNG.normal(size=shape)
+        np.testing.assert_allclose(np.vdot(_axis_diff(x, axis), y),
+                                   np.vdot(x, ad._axis_diff_vjp(y, axis, shape)), rtol=1e-12)
+        y_short = np.diff(y, axis=axis)
+        (fd_adjoint,) = ad.forward_diff(ad.Var(x), axis)._vjp(y_short)
+        np.testing.assert_allclose(np.vdot(np.diff(x, axis=axis), y_short),
+                                   np.vdot(x, fd_adjoint), rtol=1e-12)
 
     @pytest.mark.parametrize("channels", [None, 1, 3])
     def test_bilinear_terms_match_fancy_indexing(self, channels):

@@ -6,6 +6,7 @@ inline arithmetic) rather than from the code under test.
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,18 @@ class TestRotation:
         inv = m.inverse()
         pts = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_allclose(inv.apply(m.apply(pts)), pts, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(72, 96), (36, 48), (5, 7), (1, 1)])
+    def test_stacked_apply_keeps_the_grid_product_bits(self, shape):
+        # one (3, 3) x (3, N) product against the (H, W, 3) x (3, 3) product
+        # and the broadcast translation the rigid flow was first written with
+        rng = np.random.default_rng(sum(shape))
+        m = RigidMotion(rotation_from_axis_angle(rng.normal(size=3)), rng.normal(size=3))
+        points = rng.normal(size=shape + (3,)) * 4.0
+        expected = points @ m.rotation.T + m.translation
+        assert_bits_equal(np.moveaxis(m.apply_stacked(np.moveaxis(points, -1, 0)), 0, -1),
+                          expected)
+        assert_bits_equal(m.apply(points), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,37 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimConfig(w_c=-1.0)
 
+    # unchecked, each value breaks a run: record_every=0 divides by zero,
+    # step_clip=-1 steps away from the truth, w_c=nan empties the
+    # objective, a NaN rate or clip diverges at iteration 0 and a NaN
+    # warmup fraction fails its conversion to an iteration count
+    @pytest.mark.parametrize("field, values, message", [
+        ("w_p", [np.nan, np.inf], "loss weights"),
+        ("w_c", [np.nan, -np.inf], "loss weights"),
+        ("w_d", [np.nan, np.inf], "loss weights"),
+        ("w_b", [np.nan, np.inf], "loss weights"),
+        ("learning_rate", [np.nan, np.inf, 0.0, -8.0], "learning rates"),
+        ("flow_learning_rate", [np.nan, np.inf, 0.0, -250.0], "learning rates"),
+        ("step_clip", [np.nan, np.inf, 0.0, -1.0], "step_clip"),
+        ("iterations", [0, -5], "iterations"),
+        ("record_every", [0, -1], "record_every"),
+        ("dpc_warmup_fraction", [np.nan, -0.1, 1.5], "dpc_warmup_fraction"),
+        ("init", ["zeros", ""], "unknown init"),
+    ])
+    def test_field_rejects_values_that_break_a_run(self, field, values, message):
+        for value in values:
+            with pytest.raises(ValueError, match=message):
+                OptimConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        {"w_p": 0.0, "w_c": 0.0, "w_d": 0.0, "w_b": 0.0},
+        {"iterations": 1, "record_every": 1, "step_clip": 1e-300},
+        {"dpc_warmup_fraction": 0.0}, {"dpc_warmup_fraction": 1.0},
+        {"init": "ground-truth"}, {"init": "triangulated"},
+    ])
+    def test_edge_values_accepted(self, fields):
+        assert OptimConfig(**fields)
+
     def test_empty_objective(self, small_static):
         with pytest.raises(ValueError):
             recover_depth(small_static, OptimConfig(w_p=0, w_c=0, w_d=0, w_b=0))
@@ -235,6 +266,15 @@ class TestPlan:
         before = ad._counter
         optim._depth_step(objective, theta, it, config)
         assert ad._counter - before <= 14
+
+    def test_co_adjust_run_tape_size(self, dynamic_bundle):
+        # co-adjust benchmark scene, 96x72, 400 iterations: 15.4 Vars per
+        # iteration while the triangulated depth was a constant Var and the
+        # flow divergence two constant axis_diff nodes and their sum
+        config = OptimConfig(w_c=1.0, w_d=0.1, w_b=1.0, iterations=400, seed=3)
+        before = ad._counter
+        co_adjust(dynamic_bundle, config)
+        assert (ad._counter - before) / config.iterations <= 10.24
 
     def test_recover_step_equals_public_wrappers(self, rotating):
         b = rotating

@@ -4,17 +4,36 @@ codes, and round-trip/scale properties on synthetic scenes."""
 import numpy as np
 import pytest
 
-from conftest import random_scene
+from conftest import assert_bits_equal, random_scene
 from flowgeo import autodiff as ad
 from flowgeo.geometry import CameraIntrinsics, FlowField, RigidMotion
 from flowgeo.grad import triangulate_graph
 from flowgeo.triangulate import (
+    DEGENERATE_DENOMINATOR_EPS,
     Degeneracy,
+    depth_from_ratio,
     normalized_correspondences,
     triangulate_depth,
+    triangulation_ratio,
 )
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=48.0)
+
+
+def codes_first(numerator, denominator, flow_mask):
+    """The validity rule written through the degeneracy codes: (depth,
+    validity, codes), the reference for `depth_from_ratio` and for the
+    codes of `triangulate_depth`."""
+    codes = np.zeros(flow_mask.shape, dtype=np.uint8)
+    codes[~flow_mask] = Degeneracy.MASKED_FLOW
+    near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
+    small = near_zero & flow_mask
+    codes[small] = Degeneracy.NEAR_ZERO_DENOMINATOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = numerator / np.where(near_zero, 1.0, denominator)
+    codes[(depth <= 0) & flow_mask & ~small] = Degeneracy.NEGATIVE_DEPTH
+    validity = codes == Degeneracy.OK
+    return np.where(validity, depth, 1.0), validity, codes
 
 
 class TestNormalizedCorrespondences:
@@ -85,6 +104,41 @@ class TestTriangulateDepth:
         result = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
         assert (result.depth_g.values[result.validity] > 0).all()
         assert np.isfinite(result.depth_g.values).all()
+
+    def test_validity_rule_matches_codes_first_form(self):
+        # every pairing of special numerators and denominators, masked and
+        # not: a NaN depth stays valid, as the codes-first rule left it
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-9, -5e-9, 1e-8, 2.0, -3.0]
+        num, den = (a.ravel() for a in np.meshgrid(special, special))
+        mask = np.arange(num.size) % 3 != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth, validity, near_zero = depth_from_ratio(num, den, mask)
+        ref_depth, ref_validity, ref_codes = codes_first(num, den, mask)
+        assert_bits_equal(depth, ref_depth)
+        np.testing.assert_array_equal(validity, ref_validity)
+        np.testing.assert_array_equal(near_zero & mask,
+                                      ref_codes == Degeneracy.NEAR_ZERO_DENOMINATOR)
+        assert np.isnan(depth[validity]).any()
+
+    def test_codes_match_codes_first_form(self):
+        # masked NaN flow, zero parallax (zero flow under no rotation gives
+        # a zero denominator), negative depths and valid pixels on one grid
+        rng = np.random.default_rng(5)
+        flow = rng.normal(scale=20.0, size=(12, 16, 2))
+        mask = rng.random((12, 16)) > 0.2
+        flow[~mask] = np.nan
+        flow[3, :] = 0.0
+        motion = RigidMotion(np.eye(3), [0.3, 0.1, 0.5])
+        result = triangulate_depth(K, motion, FlowField(flow, mask))
+        f_u, f_v = flow[..., 0], flow[..., 1]
+        with np.errstate(invalid="ignore"):
+            numerator, denominator = triangulation_ratio(
+                K, motion.rotation, motion.translation, f_u, f_v)
+        ref_depth, ref_validity, ref_codes = codes_first(numerator, denominator, mask)
+        np.testing.assert_array_equal(result.degeneracy, ref_codes)
+        np.testing.assert_array_equal(result.validity, ref_validity)
+        assert_bits_equal(result.depth_g.values, ref_depth)
+        assert set(np.unique(ref_codes)) == set(Degeneracy)
 
     def test_numpy_and_tape_triangulation_agree_bitwise(self, small_bundle):
         # one ratio serves both paths: with a constant pose they must match
