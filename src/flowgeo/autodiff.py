@@ -156,12 +156,6 @@ def div(a, b):
     return Var(out, (a, b), vjp)
 
 
-def exp(a):
-    a = as_var(a)
-    out = np.exp(a.value)
-    return Var(out, (a,), lambda g: (g * out,))
-
-
 def sin(a):
     a = as_var(a)
     v = a.value
@@ -185,13 +179,6 @@ def absolute(a):
     a = as_var(a)
     s = np.sign(a.value)
     return Var(np.abs(a.value), (a,), lambda g: (g * s,))
-
-
-def maximum(a, floor: float):
-    """max(a, floor) against a constant; gradient passes where a >= floor."""
-    a = as_var(a)
-    keep = (a.value >= floor).astype(float)
-    return Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -221,19 +208,6 @@ def masked_mean(a, mask: np.ndarray):
 
 
 # -- structured grid operators ------------------------------------------------
-
-
-def take_channel(a, index: int):
-    """Select channel `index` from the last axis."""
-    a = as_var(a)
-    shape = np.shape(a.value)
-
-    def vjp(g):
-        gx = np.zeros(shape)
-        gx[..., index] = g
-        return (gx,)
-
-    return Var(a.value[..., index], (a,), vjp)
 
 
 def forward_diff(a, axis: int):

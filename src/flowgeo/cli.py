@@ -35,7 +35,7 @@ from .io_formats import read_depth_pfm, write_csv, write_depth_pfm, write_flow, 
 from .losses import depth_metrics, differential_fields, dpc_loss
 from .optim import OptimConfig, ablation_suite, co_adjust, recover_depth
 from .scene import EgoMotionKeys, read_scene_keys, synthesize, write_scene_file
-from .triangulate import triangulate_depth
+from .triangulate import Degeneracy, triangulate_depth
 
 # default loss-weight combination (a configuration value, not a published one)
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.1, 0.1)
@@ -155,7 +155,9 @@ def _load_scene(args):
     return bundle, spec, camera, ego
 
 
-def _announce(path):
+def _emit(path, write, *values):
+    """Write one artifact as `write(path, *values)` and announce its path."""
+    write(path, *values)
     print(f"wrote {path}")
 
 
@@ -167,9 +169,7 @@ def _write_manifest(out_dir, args, extra=None):
         lines.append(f"{key}={value}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key}={value}")
-    path = Path(out_dir) / "run-manifest.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    _announce(path)
+    _emit(Path(out_dir) / "run-manifest.txt", Path.write_text, "\n".join(lines) + "\n", "ascii")
 
 
 def _out_dir(args):
@@ -184,29 +184,10 @@ def _config_from_args(args, weights):
 
 
 def _trace_outputs(out, trace, stem):
-    csv_path = out / f"{stem}-trace.csv"
-    write_csv(csv_path, trace.to_csv_rows())
-    _announce(csv_path)
-    depth_path = out / f"{stem}-depth.pfm"
-    write_depth_pfm(depth_path, trace.final_depth)
-    _announce(depth_path)
+    _emit(out / f"{stem}-trace.csv", write_csv, trace.to_csv_rows())
+    _emit(out / f"{stem}-depth.pfm", write_depth_pfm, trace.final_depth)
     if trace.final_flow is not None:
-        flow_path = out / f"{stem}-flow.flo"
-        write_flow(flow_path, trace.final_flow)
-        _announce(flow_path)
-
-
-def _run_traced(experiment, bundle, config, out, stem):
-    """Run a descent experiment and write its trace outputs. A diverged
-    run writes the partial trace it carries before its error propagates."""
-    try:
-        trace = experiment(bundle, config)
-    except AbortedRunError as exc:
-        if exc.trace is not None:
-            _trace_outputs(out, exc.trace, stem)
-        raise
-    _trace_outputs(out, trace, stem)
-    return trace
+        _emit(out / f"{stem}-flow.flo", write_flow, trace.final_flow)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +197,11 @@ def _run_traced(experiment, bundle, config, out, stem):
 def _cmd_gen_scene(args):
     bundle, spec, camera, ego = _load_scene(args)
     out = _out_dir(args)
-    write_depth_pfm(out / "depth.pfm", bundle.depth_gt)
-    _announce(out / "depth.pfm")
-    write_flow(out / "flow.flo", bundle.flow_gt)
-    _announce(out / "flow.flo")
-    write_image_pnm(out / "image_t.pnm", bundle.image_t)
-    _announce(out / "image_t.pnm")
-    write_image_pnm(out / "image_s.pnm", bundle.image_s)
-    _announce(out / "image_s.pnm")
-    write_scene_file(out / "scene.txt", spec, camera, ego)
-    _announce(out / "scene.txt")
+    _emit(out / "depth.pfm", write_depth_pfm, bundle.depth_gt)
+    _emit(out / "flow.flo", write_flow, bundle.flow_gt)
+    _emit(out / "image_t.pnm", write_image_pnm, bundle.image_t)
+    _emit(out / "image_s.pnm", write_image_pnm, bundle.image_s)
+    _emit(out / "scene.txt", write_scene_file, spec, camera, ego)
     _write_manifest(out, args)
     return 0
 
@@ -234,19 +210,18 @@ def _cmd_triangulate(args):
     bundle, *_ = _load_scene(args)
     out = _out_dir(args)
     result = triangulate_depth(bundle.camera, bundle.motion, bundle.flow_gt)
-    write_depth_pfm(out / "depth_g.pfm", result.depth_g)
-    _announce(out / "depth_g.pfm")
+    _emit(out / "depth_g.pfm", write_depth_pfm, result.depth_g)
     rel = np.abs(result.depth_g.values / bundle.depth_gt.values - 1.0)[result.validity]
+    codes = result.degeneracy
     rows = [{
         "valid_fraction": result.valid_fraction,
         "max_rel_error_vs_gt": float(rel.max()) if rel.size else float("nan"),
         "mean_rel_error_vs_gt": float(rel.mean()) if rel.size else float("nan"),
-        "near_zero_denominator": int((result.degeneracy == 1).sum()),
-        "negative_depth": int((result.degeneracy == 2).sum()),
-        "masked_flow": int((result.degeneracy == 3).sum()),
+        "near_zero_denominator": int((codes == Degeneracy.NEAR_ZERO_DENOMINATOR).sum()),
+        "negative_depth": int((codes == Degeneracy.NEGATIVE_DEPTH).sum()),
+        "masked_flow": int((codes == Degeneracy.MASKED_FLOW).sum()),
     }]
-    write_csv(out / "triangulation.csv", rows)
-    _announce(out / "triangulation.csv")
+    _emit(out / "triangulation.csv", write_csv, rows)
     _write_manifest(out, args)
     return 0
 
@@ -266,16 +241,16 @@ def _cmd_check_dpc(args):
         diff = np.abs(fields.c_f.values - fields.c_d.values)
         return float(diff[fields.validity].max())
 
+    loss = dpc_loss(analytic)
     rows = [{
         "max_abs_cf_minus_cd_analytic": gap(analytic),
         "max_abs_cf_minus_cd_discrete": gap(discrete),
-        "dpc_loss_analytic": dpc_loss(analytic).value,
+        "dpc_loss_analytic": loss.value,
         "dpc_loss_discrete": dpc_loss(discrete).value,
-        "guard_fraction": dpc_loss(analytic).guard_fraction,
+        "guard_fraction": loss.guard_fraction,
         "valid_pixels": int(analytic.validity.sum()),
     }]
-    write_csv(out / "check_dpc.csv", rows)
-    _announce(out / "check_dpc.csv")
+    _emit(out / "check_dpc.csv", write_csv, rows)
     print(f"max |C^F - C^D| (analytic depth gradient): {rows[0]['max_abs_cf_minus_cd_analytic']:.3e}")
     _write_manifest(out, args)
     return 0
@@ -294,46 +269,41 @@ def _cmd_grad_check(args):
             loss_id, inputs, targets=("depth", "twist"), seed=args.seed,
             stop_gradient_geo=args.stopgrad == "on",
         )
-        for row in report.to_csv_rows():
-            row["loss"] = loss_id
-            all_rows.append(row)
+        all_rows += [{"loss": loss_id, **row} for row in report.to_csv_rows()]
         print(f"{loss_id}: max_rel_error={report.max_rel_error:.3e} passed={report.passed}")
         all_passed &= report.passed
-    write_csv(out / "grad_check.csv", all_rows,
-              headers=["loss"] + [k for k in all_rows[0] if k != "loss"])
-    _announce(out / "grad_check.csv")
+    _emit(out / "grad_check.csv", write_csv, all_rows)
     _write_manifest(out, args, {"all_passed": all_passed})
     return 0 if all_passed else 1
 
 
-def _cmd_recover_depth(args):
-    weights = _parse_weights(args.weights) if args.weights else (1.0, 0.5, 0.1, 0.0)
-    if max(weights[:3]) == 0:
+def _cmd_descend(args):
+    """recover-depth and co-adjust: one descent run and its trace outputs.
+    A diverged run writes the partial trace it carries before its error
+    propagates."""
+    co = args.command == "co-adjust"
+    weights = (_parse_weights(args.weights) if args.weights
+               else DEFAULT_WEIGHTS if co else (1.0, 0.5, 0.1, 0.0))
+    if co and weights[3] <= 0:
+        raise UsageError("co-adjust needs w_b > 0")
+    if not co and max(weights[:3]) == 0:
         raise UsageError("all depth-loss weights are zero; nothing to optimize")
-    if weights[3] > 0:
+    if not co and weights[3] > 0:
         raise UsageError("recover-depth does not co-adjust flow; use co-adjust for w_b > 0")
     bundle, *_ = _load_scene(args)
-    if bundle.dynamic_mask.any():
+    if not co and bundle.dynamic_mask.any():
         raise UsageError("the scene has a dynamic object; use co-adjust")
     out = _out_dir(args)
-    trace = _run_traced(recover_depth, bundle, _config_from_args(args, weights), out, "recover")
-    print(f"final abs_rel={trace.final_metrics.abs_rel:.6f}")
-    _write_manifest(out, args, {"weights": weights})
-    return 0
-
-
-def _cmd_co_adjust(args):
-    weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
-    if weights[3] <= 0:
-        raise UsageError("co-adjust needs w_b > 0")
-    bundle, *_ = _load_scene(args)
-    out = _out_dir(args)
-    trace = _run_traced(co_adjust, bundle, _config_from_args(args, weights), out, "co_adjust")
-    summary = trace.records[-1].extras
-    print(
-        "final "
-        + " ".join(f"{k}={v:.6f}" for k, v in sorted(summary.items()))
-    )
+    experiment, stem = (co_adjust, "co_adjust") if co else (recover_depth, "recover")
+    try:
+        trace = experiment(bundle, _config_from_args(args, weights))
+    except AbortedRunError as exc:
+        if exc.trace is not None:
+            _trace_outputs(out, exc.trace, stem)
+        raise
+    _trace_outputs(out, trace, stem)
+    summary = trace.records[-1].extras if co else {"abs_rel": trace.final_metrics.abs_rel}
+    print("final " + " ".join(f"{k}={v:.6f}" for k, v in sorted(summary.items())))
     _write_manifest(out, args, {"weights": weights})
     return 0
 
@@ -349,8 +319,7 @@ def _cmd_ablate(args):
             name = f"wc={wc}-wd={wd}"
             configs.append((name, _config_from_args(args, (w_p, wc, wd, 0.0))))
     rows = ablation_suite([(Path(args.scene).stem, bundle)], configs)
-    write_csv(out / "ablation.csv", rows)
-    _announce(out / "ablation.csv")
+    _emit(out / "ablation.csv", write_csv, rows)
     _write_manifest(out, args, {"weights": weights})
     return 0
 
@@ -360,8 +329,7 @@ def _cmd_metrics(args):
     gt = read_depth_pfm(args.gt)
     out = _out_dir(args)
     m = depth_metrics(pred, gt)
-    write_csv(out / "metrics.csv", [m.as_dict()])
-    _announce(out / "metrics.csv")
+    _emit(out / "metrics.csv", write_csv, [m.as_dict()])
     print(" ".join(f"{k}={v:.6f}" for k, v in m.as_dict().items()))
     _write_manifest(out, args)
     return 0
@@ -372,8 +340,8 @@ _COMMANDS = {
     "triangulate": _cmd_triangulate,
     "check-dpc": _cmd_check_dpc,
     "grad-check": _cmd_grad_check,
-    "recover-depth": _cmd_recover_depth,
-    "co-adjust": _cmd_co_adjust,
+    "recover-depth": _cmd_descend,
+    "co-adjust": _cmd_descend,
     "ablate": _cmd_ablate,
     "metrics": _cmd_metrics,
 }

@@ -9,7 +9,8 @@ relation) take it from `geometry.inverse_translation`, -R^T t on tape, so
 pose gradients include that dependency. The float motions of `geometry`
 evaluate the same expressions, so their values match the tape's bit for
 bit. Geometric depth is differentiable in pose and flow by default;
-`stop_gradient_geo=True` freezes it.
+`stop_gradient_geo=True` makes it the constant `triangulate_values` gives
+for the inputs' own twist and flow, in every build.
 
 Each loss term is the same tape node the optimizer steps on (`losses`,
 and `warp_graph` here for the photometric warp); the rotation, the
@@ -42,7 +43,6 @@ from .geometry import (
     rotation_rows,
 )
 from .losses import (
-    ALPHA_DEFAULT,
     bsca_core,
     cgdc_core,
     differential_fields_core,
@@ -50,7 +50,7 @@ from .losses import (
     photometric_core,
     smoothness_core,
 )
-from .triangulate import depth_from_ratio, triangulation_ratio
+from .triangulate import depth_from_ratio, triangulate_values, triangulation_ratio
 
 LOSS_IDS = ("photometric", "cgdc", "dpc", "bsca", "smoothness")
 FLOW_SAMPLES = 32  # flow pixels the checker perturbs when "flow" is a target
@@ -66,7 +66,6 @@ class LossInputs:
     flow: FlowField | None = None
     image_t: Image | None = None
     image_s: Image | None = None
-    alpha: float = ALPHA_DEFAULT
 
     @classmethod
     def from_bundle(cls, bundle, depth: DepthMap | None = None) -> "LossInputs":
@@ -169,13 +168,12 @@ def warp_graph(camera, image, t, depth, grid, rays):
     return ad.Var(out, links, vjp), (y2 > Z_EPS) & inside
 
 
-def triangulate_graph(camera, R, t, f_u, f_v, flow_mask, stop_gradient=False):
+def triangulate_graph(camera, R, t, f_u, f_v, flow_mask):
     """Geometric depth as a tape node; returns (depth, validity const),
-    the validity by `depth_from_ratio`'s rule. A stopped depth is the
-    constant `triangulate_values` gives, 1.0 on invalid pixels."""
+    the validity by `depth_from_ratio`'s rule."""
     num, den = triangulation_ratio(camera, R, t, ad.as_var(f_u), ad.as_var(f_v))
-    depth, validity, _ = depth_from_ratio(num.value, den.value, flow_mask)
-    return (ad.as_var(depth) if stop_gradient else ad.div(num, den)), validity
+    _, validity, _ = depth_from_ratio(num.value, den.value, flow_mask)
+    return ad.div(num, den), validity
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +200,9 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
     """Assemble the graph for one loss.
 
     `overrides` maps "depth", "twist" or "flow" to values that replace the
-    input's; its internal key "_geo" holds a (depth Var, validity) pair
-    that cgdc takes as its geometric depth instead of triangulating.
-    Returns (loss Var, leaves dict, mask ndarray).
+    input's. With `stop_gradient_geo`, cgdc's geometric depth is the
+    triangulation of the inputs' own twist and flow, whatever the
+    overrides. Returns (loss Var, leaves dict, mask ndarray).
     """
     overrides = overrides or {}
     leaves = _leaves(inputs, overrides)
@@ -223,16 +221,19 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
         mask = valid & inputs.depth.mask
         if not mask.any():
             raise NoValidPixelsError("photometric: warp produced no valid pixels")
-        loss = photometric_core(inputs.image_t.values, warped, mask, inputs.alpha)
+        loss = photometric_core(inputs.image_t.values, warped, mask)
         return loss, leaves, mask
 
     if loss_id == "cgdc":
         if inputs.flow is None:
             raise ValueError("cgdc loss needs the flow prior")
-        f_u, f_v = leaves["flow"]
-        d_g, validity = overrides.get("_geo") or triangulate_graph(
-            camera, R, t, f_u, f_v, inputs.flow.mask, stop_gradient=stop_gradient_geo
-        )
+        if stop_gradient_geo:
+            f = inputs.flow
+            d_g, validity, _ = triangulate_values(
+                camera, inputs.twist.to_motion(), f.values[..., 0], f.values[..., 1], f.mask
+            )
+        else:
+            d_g, validity = triangulate_graph(camera, R, t, *leaves["flow"], inputs.flow.mask)
         mask = validity & inputs.depth.mask
         if not mask.any():
             raise NoValidPixelsError("cgdc: no valid triangulated pixels")
@@ -362,17 +363,12 @@ def finite_difference_check(
     of the loss value).
 
     With `stop_gradient_geo`, every build holds the triangulated depth at
-    its value under the base twist and flow, as the analytic gradient does.
+    its value under the base twist and flow (see `build_loss`), as the
+    analytic gradient does.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    fixed = {}
-    if stop_gradient_geo and inputs.flow is not None:
-        motion, f = inputs.twist.to_motion(), inputs.flow
-        fixed["_geo"] = triangulate_graph(
-            inputs.camera, motion.rotation, motion.translation, f.values[..., 0],
-            f.values[..., 1], f.mask, stop_gradient=True)
-    loss, leaves, base_mask = build_loss(loss_id, inputs, fixed, stop_gradient_geo)
+    loss, leaves, base_mask = build_loss(loss_id, inputs, None, stop_gradient_geo)
     ad.backward(loss)
 
     # one (target, label, analytic, index) per checked coordinate; the rng
@@ -407,8 +403,7 @@ def finite_difference_check(
         for delta in (step, -step):
             values = base[target].values.copy()
             values[index] += delta
-            var, _, mask = build_loss(loss_id, inputs, {**fixed, target: values},
-                                      stop_gradient_geo)
+            var, _, mask = build_loss(loss_id, inputs, {target: values}, stop_gradient_geo)
             f.append(float(var.value))
             flipped = flipped or not np.array_equal(mask, base_mask)
         numeric = (f[0] - f[1]) / (2.0 * step)

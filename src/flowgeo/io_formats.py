@@ -171,8 +171,10 @@ def _format_cell(value):
     return str(value)
 
 
-def write_csv(path, rows, headers=None) -> None:
-    """Write a list of dict rows; headers default to the first row's keys.
+def write_csv(path, rows) -> None:
+    """Write a list of dict rows. The columns are the keys of every row,
+    in the order they first appear; a row without a key leaves its cell
+    empty.
 
     Cells are rendered with repr() for floats (shortest round-trip, '.'
     decimal), so equal inputs produce byte-identical files.
@@ -180,10 +182,9 @@ def write_csv(path, rows, headers=None) -> None:
     import csv
 
     rows = list(rows)
-    if headers is None:
-        if not rows:
-            raise FormatError("cannot infer CSV headers from zero rows")
-        headers = list(rows[0].keys())
+    if not rows:
+        raise FormatError("cannot infer CSV headers from zero rows")
+    headers = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)

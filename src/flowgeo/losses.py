@@ -398,6 +398,17 @@ def dpc_core(side: DepthSide, mask):
     return ad.Var(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
 
 
+def _bsca_terms(r_u, r_v, o_u, o_v):
+    """Per-pixel ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW) and its
+    intermediates (gap_u, gap_v, ||F_r - F_o||_1, the guarded norm)."""
+    gap_u, gap_v = r_u - o_u, r_v - o_v
+    n_diff = np.abs(gap_u) + np.abs(gap_v)
+    guard = (np.abs(o_u) + np.abs(o_v)) + EPS_FLOW
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = n_diff / guard
+    return rel, gap_u, gap_v, n_diff, guard
+
+
 def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     """Masked mean of ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW), as one tape
     node over the rigid flow F_r and the optical flow F_o.
@@ -406,11 +417,7 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     EPS_FLOW, their quotient and the masked mean. Replayed backward, the
     links run o_v, o_u (the norm of F_o), r_v, o_v, r_u, o_u (the gap)."""
     r_u, r_v, o_u, o_v = (ad.value_of(x) for x in (f_r_u, f_r_v, f_o_u, f_o_v))
-    gap_u, gap_v = r_u - o_u, r_v - o_v
-    n_diff = np.abs(gap_u) + np.abs(gap_v)
-    guard = (np.abs(o_u) + np.abs(o_v)) + EPS_FLOW
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = n_diff / guard
+    rel, gap_u, gap_v, n_diff, guard = _bsca_terms(r_u, r_v, o_u, o_v)
     value, m, n = ad._mean_over(rel, mask)
     ou_act, ov_act = ad.active(f_o_u), ad.active(f_o_v)
     u_act = ad.active(f_r_u) or ou_act

@@ -65,6 +65,7 @@ from .geometry import (
 from .grad import warp_graph
 from .losses import (
     DepthMetrics,
+    _bsca_terms,
     bsca_core,
     cgdc_core,
     depth_metrics,
@@ -306,17 +307,23 @@ class _DepthObjective:
 def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
     """Trace record of the losses evaluated at the decoded depth `depth`,
     with the extras `co_adjust` lists when the flow stream passes its `flow`
-    and the `rigid` flow of the depth ((values, mask) pairs)."""
+    and the `rigid` flow of the depth ((values, mask) pairs). Such a record
+    always carries the co-adjustment loss: where the iteration took no flow
+    step, it is `bsca_core`'s forward evaluated here, off the tape."""
     depth, gt, dynamic = DepthMap(depth), bundle.depth_gt, bundle.dynamic_mask
-    extras = {}
+    losses, extras = dict(loss_values), {}
     if rigid is not None:
+        if "bsca" not in losses:
+            (values, mask), (r, r_valid) = flow, rigid
+            rel = _bsca_terms(r[..., 0], r[..., 1], values[..., 0], values[..., 1])[0]
+            losses["bsca"], _, _ = ad._mean_over(rel, mask & r_valid)
         gap = np.abs(flow[0] - rigid[0]).sum(axis=-1)
         if dynamic.any():
             extras["dynamic_abs_rel"] = depth_metrics(depth, gt, dynamic).abs_rel
             extras["patch_flow_gap"] = float(gap[dynamic].mean())
         extras["static_abs_rel"] = depth_metrics(depth, gt, bundle.static_mask).abs_rel
         extras["mean_flow_gap"] = float(gap.mean())
-    return TraceRecord(iteration, dict(loss_values), depth_metrics(depth, gt), extras)
+    return TraceRecord(iteration, losses, depth_metrics(depth, gt), extras)
 
 
 def _float32_storable(values):
@@ -365,9 +372,11 @@ def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     return _descend(bundle, config, flow_stream=False)
 
 
-def _depth_step(objective, theta, iteration, config):
-    th = ad.Var(theta)
-    terms = objective.losses(ad.exp(th))
+def _depth_step(objective, theta, depth, iteration, config):
+    """One step of theta, taken at its decoded depth `depth` = exp(theta):
+    d(loss)/d(theta) = d(loss)/dD * D."""
+    d = ad.Var(depth)
+    terms = objective.losses(d)
     weights = objective.weights(iteration)
     total = None
     loss_values = {}
@@ -379,7 +388,7 @@ def _depth_step(objective, theta, iteration, config):
     if total is None:  # warmup with only dpc configured: hold the field
         return theta, loss_values
     ad.backward(total)
-    step = objective.rate(iteration) * np.asarray(th.grad)
+    step = objective.rate(iteration) * (np.asarray(d.grad) * depth)
     step = np.clip(step, -config.step_clip, config.step_clip)
     return theta - step, loss_values
 
@@ -447,7 +456,7 @@ def _descend(bundle, config, flow_stream):
             objective.set_flow(values, mask)
 
         # depth step: consistency losses from the (adjusted) flow
-        new_theta, loss_values = _depth_step(objective, theta, it, config)
+        new_theta, loss_values = _depth_step(objective, theta, depth, it, config)
         if flow_phase:
             loss_values["bsca"] = float(loss_b.value)
         if record:

@@ -3,7 +3,8 @@ ops. Each is the twin a node is checked against bit for bit: the node's
 value and every gradient it passes on must equal what the tape computes
 over its twin. `TWINS` maps the module attributes the optimizer and the
 gradient engine call to these twins, so whole runs can be replayed on the
-composed graphs."""
+composed graphs. The elementary tape ops that no code of the package calls
+live here too."""
 
 from dataclasses import dataclass
 
@@ -21,6 +22,35 @@ from flowgeo.losses import (
     SSIM_C1,
     SSIM_C2,
 )
+
+# -- elementary ops no node of the package calls ----------------------------------
+
+
+def exp(a):
+    a = ad.as_var(a)
+    out = np.exp(a.value)
+    return ad.Var(out, (a,), lambda g: (g * out,))
+
+
+def maximum(a, floor: float):
+    """max(a, floor) against a constant; gradient passes where a >= floor."""
+    a = ad.as_var(a)
+    keep = (a.value >= floor).astype(float)
+    return ad.Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
+
+
+def take_channel(a, index: int):
+    """Select channel `index` from the last axis."""
+    a = ad.as_var(a)
+    shape = np.shape(a.value)
+
+    def vjp(g):
+        gx = np.zeros(shape)
+        gx[..., index] = g
+        return (gx,)
+
+    return ad.Var(a.value[..., index], (a,), vjp)
+
 
 # -- photometric ----------------------------------------------------------------
 
@@ -61,7 +91,7 @@ def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=Non
         channels = range(np.shape(i_warped.value)[2])
         acc = None
         for c in channels:
-            term = composed_channel(ad.take_channel(i_t, c), ad.take_channel(i_warped, c),
+            term = composed_channel(take_channel(i_t, c), take_channel(i_warped, c),
                                     alpha, precomputed)
             acc = term if acc is None else acc + term
         per_pixel = acc * (1.0 / len(channels))
@@ -83,7 +113,7 @@ def composed_warp(camera, image, t, depth, grid, rays):
 
 def composed_cgdc(d_g_values, d_c, mask):
     """`cgdc_core`: masked mean of |D_g - D_c| / max(D_c, EPS_DIV)."""
-    rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), ad.maximum(ad.as_var(d_c), EPS_DIV))
+    rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), maximum(ad.as_var(d_c), EPS_DIV))
     return ad.masked_mean(rel, mask)
 
 

@@ -7,7 +7,14 @@ independent reference forms."""
 
 import numpy as np
 import pytest
-from composed import moveaxis_axis_diff, moveaxis_axis_diff_vjp, moveaxis_forward_diff_vjp
+from composed import (
+    exp,
+    maximum,
+    moveaxis_axis_diff,
+    moveaxis_axis_diff_vjp,
+    moveaxis_forward_diff_vjp,
+    take_channel,
+)
 from conftest import assert_bits_equal, reachable
 
 from flowgeo import autodiff as ad
@@ -83,7 +90,7 @@ class TestStructuredOps:
     def test_take_channel(self):
         x = RNG.uniform(size=(4, 5, 3))
         leaf = ad.Var(x.copy())
-        loss = ad.total(ad.mul(ad.take_channel(leaf, 1), 2.0))
+        loss = ad.total(ad.mul(take_channel(leaf, 1), 2.0))
         ad.backward(loss)
         expected = np.zeros_like(x)
         expected[..., 1] = 2.0
@@ -134,7 +141,7 @@ class TestScalarOps:
 
     def test_maximum_gradient_gate(self):
         leaf = ad.Var(np.array([[0.5, 2.0]]))
-        loss = ad.total(ad.maximum(leaf, 1.0))
+        loss = ad.total(maximum(leaf, 1.0))
         ad.backward(loss)
         np.testing.assert_array_equal(leaf.grad, [[0.0, 1.0]])
 
@@ -149,8 +156,8 @@ class TestScalarOps:
 
     def test_composite_chain(self):
         def build(v):
-            e = ad.div(ad.absolute(v - 0.55), ad.maximum(v, 0.3) + 0.05)
-            return ad.masked_mean(ad.mul(ad.exp(e), 0.7), np.ones(v.value.shape, bool))
+            e = ad.div(ad.absolute(v - 0.55), maximum(v, 0.3) + 0.05)
+            return ad.masked_mean(ad.mul(exp(e), 0.7), np.ones(v.value.shape, bool))
 
         check_against_fd(build, X0)
 
@@ -248,7 +255,7 @@ COMPOSITES = {
 
 class TestActivity:
     def test_constant_expression_has_no_links(self):
-        c = ad.exp(ad.as_var(X0)) + ad.box3(ad.as_var(W)) * 2.0
+        c = exp(ad.as_var(X0)) + ad.box3(ad.as_var(W)) * 2.0
         c = ad.masked_mean(ad.absolute(ad.axis_diff(c, 0)), MASK)
         assert c._parents == ()
         assert not c._active
@@ -256,7 +263,7 @@ class TestActivity:
 
     def test_leaf_is_active_and_links_only_to_active_parents(self):
         leaf = ad.Var(X0.copy())
-        const = ad.exp(ad.as_var(W))
+        const = exp(ad.as_var(W))
         node = ad.mul(leaf, const)
         assert leaf._active and node._active
         assert [parent for parent, _ in node._parents] == [leaf]
@@ -343,7 +350,8 @@ class TestActivity:
 
         monkeypatch.setattr(ad, "backward", checked_backward)
         monkeypatch.setattr(objective, "losses", recorded_losses)
-        optim._depth_step(objective, theta, config.iterations - 1, config)
+        optim._depth_step(objective, theta, optim._decode_values(theta), config.iterations - 1,
+                          config)
         assert len(roots) == 1
         assert min(objective.weights(config.iterations - 1).values()) > 0
         on_tape = {id(node) for node in reachable(roots[0])}

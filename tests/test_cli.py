@@ -2,6 +2,7 @@
 byte-identical CSV output under a fixed seed."""
 
 import io
+import math
 import platform
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -278,6 +279,34 @@ class TestAblateCommand:
         assert [r["config"] for r in rows] == [
             "wc=0.0-wd=0.0", "wc=0.0-wd=0.1", "wc=1.0-wd=0.0", "wc=1.0-wd=0.1"
         ]
+
+
+    def test_failed_first_config_keeps_metric_columns(self, scene_file, tmp_path):
+        # wc=0.0-wd=0.0 has no depth loss and fails; the three runs after it
+        # still get their metric columns, and the failed row empty cells
+        out = tmp_path / "o"
+        code = run(["ablate", "--scene", str(scene_file), "--size", "24x18",
+                    "--weights", "0,1,0.1,0", "--iters", "20", "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out / "ablation.csv")
+        metrics = ["abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3"]
+        assert list(rows[0])[-len(metrics):] == metrics
+        assert rows[0]["error"].startswith("ValueError") and not any(rows[0][m] for m in metrics)
+        assert all(r["error"] == "" and all(math.isfinite(float(r[m])) for m in metrics)
+                   for r in rows[1:])
+
+
+class TestCoAdjustCommand:
+    def test_every_row_carries_bsca(self, scene_file, tmp_path):
+        # record 0 falls before the flow phase (from iteration 6 of 40);
+        # the last record follows the loop
+        out = tmp_path / "o"
+        code = run(["co-adjust", "--scene", str(scene_file), "--size", "24x18",
+                    "--iters", "40", "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out / "co_adjust-trace.csv")
+        assert [r["iteration"] for r in rows] == ["0", "40"]
+        assert all(math.isfinite(float(r["loss_bsca"])) for r in rows)
 
 
 class TestGradCheckCommand:

@@ -39,11 +39,11 @@ GOLDENS = {
     ("coadjust", False): {
         "co_adjust-depth.pfm": "c79663fef8482906becc2edfbcddfa7d6473af61382568268d82b01474196587",
         "co_adjust-flow.flo": "c5fab65bb554db87944ed9de94f6f9d7692ff3f709203bb623504deda57dd2e5",
-        "co_adjust-trace.csv": "27a3dd1fd001e3d5d01027b10ff80be2e1f355dd7d5352ce030d19a709f0d861"},
+        "co_adjust-trace.csv": "f7086cb6d67280cd62caf5a5117492a716d403a9a6cbd44a9937067603882f1c"},
     ("coadjust", True): {
         "co_adjust-depth.pfm": "ce1afd0bceecad4cb5e89b9b573feea62d8ab1016ebc2a7a2b21bf55cd56f494",
         "co_adjust-flow.flo": "f9780190fbceccbb47b8d5d59a23032291a85b675fc788dc23c635d8f01e0704",
-        "co_adjust-trace.csv": "71121058277d8e79704e5b3d8fc14bbef2c8426289c8a92da371491d5c6f16a2"},
+        "co_adjust-trace.csv": "9dc2ab8268ceabca06b1ba1ae6a229b7257674fcfee49814da5d97f7b9238c55"},
     ("recover", False): {
         "recover-depth.pfm": "255d9748edd940d72f591ca8b8392af6fd9428ac450e9e1bef23e6802ab21cdb",
         "recover-trace.csv": "cb7796c71a5114b4f017481dca559774df268742c5d1a425a8f1ce4f394a8f36"},

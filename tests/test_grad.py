@@ -29,6 +29,7 @@ from flowgeo.grad import (
     rotation_entries,
     warp_graph,
 )
+from flowgeo.losses import cgdc_loss
 from flowgeo.scene import SceneSpec, synthesize
 from flowgeo.triangulate import triangulate_depth
 
@@ -159,25 +160,20 @@ class TestStopGradient:
         assert np.abs(g.d_twist).max() > 0.0
         assert np.abs(g.d_flow).max() > 0.0
 
-    def test_stopped_depth_is_a_constant(self, small_bundle):
-        from flowgeo.grad import triangulate_graph
-
-        probe = LossInputs.from_bundle(small_bundle)
-        xi = [ad.Var(float(x)) for x in probe.twist.values]
-        f_u = ad.Var(small_bundle.flow_gt.values[..., 0])
-        f_v = ad.Var(small_bundle.flow_gt.values[..., 1])
-        depth = ad.Var(small_bundle.depth_gt.values)
-        dg, validity = triangulate_graph(
-            small_bundle.camera, rotation_entries(*xi[:3]), (xi[3], xi[4], xi[5]),
-            f_u, f_v, small_bundle.flow_gt.mask, stop_gradient=True,
-        )
-        assert dg._parents == ()
-        ad.backward(ad.masked_mean(ad.absolute(ad.sub(dg, depth)), validity))
-        assert dg.grad is None
-        assert f_u.grad is None and all(x.grad is None for x in xi)
-        assert np.abs(depth.grad).max() > 0.0
-        g = loss_gradient("cgdc", probe, targets=("twist",), stop_gradient_geo=True)
-        np.testing.assert_array_equal(g.d_twist, np.zeros(6))
+    def test_stopped_depth_is_the_triangulation_of_the_inputs(self, perturbed_inputs):
+        # with stop_gradient_geo, cgdc's geometric depth is the constant
+        # triangulation of the inputs' own twist and flow, whatever the
+        # overrides: the node reads only the depth leaf, and its value is
+        # cgdc_loss of triangulate_depth under the twist's motion
+        inputs = perturbed_inputs
+        tri = triangulate_depth(inputs.camera, inputs.twist.to_motion(), inputs.flow)
+        expected = cgdc_loss(tri, inputs.depth).value
+        moved = (None, {"twist": inputs.twist.values + 1e-3}, {"flow": inputs.flow.values + 0.5})
+        for overrides in moved:
+            loss, leaves, mask = build_loss("cgdc", inputs, overrides, stop_gradient_geo=True)
+            assert loss.value == expected
+            assert [parent for parent, _ in loss._parents] == [leaves["depth"]] * 2
+            np.testing.assert_array_equal(mask, tri.validity & inputs.depth.mask)
 
     def test_checker_holds_the_stopped_depth(self, perturbed_inputs):
         # the +/- rebuilds keep the base triangulated depth, as the analytic

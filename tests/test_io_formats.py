@@ -199,11 +199,17 @@ class TestCsv:
         write_csv(path, rows)
         assert len(read_csv(path)) == 17
 
-    def test_zero_rows_need_headers(self, tmp_path):
+    def test_columns_come_from_every_row(self, tmp_path):
+        # a key that first appears in a later row still gets its column,
+        # placed where it first appears; missing keys are empty cells
+        rows = [{"a": 1, "error": "boom"}, {"a": 2, "error": "", "b": 0.5}, {"c": True, "a": 3}]
+        path = tmp_path / "t.csv"
+        write_csv(path, rows)
+        assert path.read_text() == "a,error,b,c\n1,boom,,\n2,,0.5,\n3,,,1\n"
+
+    def test_zero_rows_raise(self, tmp_path):
         with pytest.raises(FormatError):
             write_csv(tmp_path / "t.csv", [])
-        write_csv(tmp_path / "t.csv", [], headers=["a"])
-        assert (tmp_path / "t.csv").read_text() == "a\n"
 
 
 @given(

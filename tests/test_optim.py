@@ -188,7 +188,7 @@ class TestCoAdjustStatic:
 
     def test_shares_the_depth_path_of_recover(self, monkeypatch):
         # with its flow stream held off for the whole budget, co_adjust is
-        # recover_depth plus the region extras
+        # recover_depth plus the region extras and the co-adjustment loss
         monkeypatch.setattr(optim, "FLOW_START_FRACTION", 1.0)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 16.0, 12.0),
                             RigidMotion(np.eye(3), README_T), 24, 32)
@@ -197,7 +197,9 @@ class TestCoAdjustStatic:
         co, rec = co_adjust(bundle, config), recover_depth(bundle, config)
         assert len(co.records) == len(rec.records) == 7
         for a, b in zip(co.records, rec.records, strict=True):
-            assert (a.iteration, a.losses, a.metrics) == (b.iteration, b.losses, b.metrics)
+            losses = dict(a.losses)
+            assert np.isfinite(losses.pop("bsca"))
+            assert (a.iteration, losses, a.metrics) == (b.iteration, b.losses, b.metrics)
             assert "static_abs_rel" in a.extras and b.extras == {}
         assert_bits_equal(co.final_depth.values, rec.final_depth.values)
         assert_bits_equal(co.final_flow.values, bundle.flow_gt.values)
@@ -255,7 +257,8 @@ class TestPlan:
         # recover-depth benchmark scene, 96x72; 130 Vars per step when every
         # theta-independent term was rebuilt on each step, 106 while each
         # photometric channel pair took 28 elementary nodes, 68 while the
-        # warp, cgdc and dpc terms were composed of elementary nodes
+        # warp, cgdc and dpc terms were composed of elementary nodes, 14
+        # while the step differentiated through an exp node of theta
         ego = RigidMotion(np.eye(3), README_T)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
@@ -264,17 +267,18 @@ class TestPlan:
         it = objective.dpc_active_after
         assert objective.weights(it)["dpc"] > 0
         before = ad._counter
-        optim._depth_step(objective, theta, it, config)
-        assert ad._counter - before <= 14
+        optim._depth_step(objective, theta, optim._decode_values(theta), it, config)
+        assert ad._counter - before <= 13
 
     def test_co_adjust_run_tape_size(self, dynamic_bundle):
         # co-adjust benchmark scene, 96x72, 400 iterations: 15.4 Vars per
         # iteration while the triangulated depth was a constant Var and the
-        # flow divergence two constant axis_diff nodes and their sum
+        # flow divergence two constant axis_diff nodes and their sum, 10.24
+        # while the step differentiated through an exp node of theta
         config = OptimConfig(w_c=1.0, w_d=0.1, w_b=1.0, iterations=400, seed=3)
         before = ad._counter
         co_adjust(dynamic_bundle, config)
-        assert (ad._counter - before) / config.iterations <= 10.24
+        assert (ad._counter - before) / config.iterations <= 9.24
 
     def test_recover_step_equals_public_wrappers(self, rotating):
         b = rotating
@@ -309,10 +313,30 @@ class TestPlan:
         # the depth losses of a co-adjusted step see the updated flow
         assert first["cgdc"] == float.fromhex("0x1.3de676a4e2e32p-2")
         assert first["dpc"] == float.fromhex("0x1.0019e989b8393p+0")
+        # the final record's bsca is evaluated off the tape, as bsca_loss's node
+        final = rigid_flow(b.camera, b.motion, trace.final_depth)
         assert trace.records[1].losses == {
+            "bsca": bsca_loss(final, trace.final_flow).value,
             "cgdc": float.fromhex("0x1.3d9266b1c8bbep-2"),
             "dpc": float.fromhex("0x1.f9effcf8ff617p-1"),
         }
+
+    def test_records_before_the_flow_phase_carry_bsca(self, rotating, monkeypatch):
+        # the flow phase starts at iteration 3 of 20; record 0 evaluates bsca
+        # off the tape, equal to bsca_loss's node, and the node is still
+        # built only by the 17 flow steps
+        calls = []
+        real_bsca = optim.bsca_core
+        monkeypatch.setattr(optim, "bsca_core", lambda *a: calls.append(1) or real_bsca(*a))
+        b = rotating
+        config = OptimConfig(w_c=1.0, w_d=0.1, w_b=1.0, iterations=20, record_every=5, seed=3)
+        trace = co_adjust(b, config)
+        assert int(optim.FLOW_START_FRACTION * config.iterations) == 3 and len(calls) == 17
+        assert [r.iteration for r in trace.records] == [0, 5, 10, 15, 20]
+        assert all(np.isfinite(r.losses["bsca"]) for r in trace.records)
+        depth = DepthMap(np.exp(optim._initial_theta(b, config, np.random.default_rng(3))))
+        first = bsca_loss(rigid_flow(b.camera, b.motion, depth), b.flow_gt).value
+        assert trace.records[0].losses["bsca"] == first
 
     def test_co_adjust_rejects_nonfinite_flow_at_first_flow_step(self, small_static, monkeypatch):
         calls = []
