@@ -169,7 +169,7 @@ def _write_manifest(out_dir, args, extra=None):
         lines.append(f"{key}={value}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key}={value}")
-    _emit(Path(out_dir) / "run-manifest.txt", Path.write_text, "\n".join(lines) + "\n", "ascii")
+    _emit(Path(out_dir) / "run-manifest.txt", Path.write_text, "\n".join(lines) + "\n", "utf-8")
 
 
 def _out_dir(args):

@@ -10,7 +10,8 @@ crashing or returning garbage; a file must end where its payload does.
 * depth: grayscale PFM ("Pf", dimensions, negative scale for
   little-endian, float32 rows bottom-up);
 * images: 16-bit binary PNM (P5 grayscale / P6 color, maxval 65535);
-* tables: CSV with a header row, '.' decimal separator, newline-terminated.
+* tables: UTF-8 CSV with a header row, '.' decimal separator,
+  newline-terminated.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def write_csv(path, rows) -> None:
     empty.
 
     Cells are rendered with repr() for floats (shortest round-trip, '.'
-    decimal), so equal inputs produce byte-identical files.
+    decimal), so equal inputs produce byte-identical files. The file is
+    UTF-8, so a text cell such as a scene name may hold any character and
+    an all-ASCII table keeps its bytes.
     """
     import csv
 
@@ -185,7 +188,7 @@ def write_csv(path, rows) -> None:
     if not rows:
         raise FormatError("cannot infer CSV headers from zero rows")
     headers = list(dict.fromkeys(key for row in rows for key in row))
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)
         for row in rows:
@@ -196,7 +199,7 @@ def read_csv(path) -> list:
     """Read a CSV written by `write_csv` back into dict rows (strings)."""
     import csv
 
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         table = [row for row in reader if row]
     if not table:

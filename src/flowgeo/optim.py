@@ -24,6 +24,17 @@ the depth and the flow as raw arrays, checks the depth once per iteration
 and the flow once per update as `DepthMap` and `FlowField` would, and wraps
 them in containers only at a record, an abort or the return.
 
+`_descend` runs a group of configs that are equal but for w_d:
+`recover_depth` and `co_adjust` run a group of one, `ablation_suite` one
+group per such set. Until `dpc_active_after`, the end of the dpc warmup,
+the runs of a group are one run, bit for bit: the dpc weight is 0 there
+and the rate is the same whatever w_d is, and the dpc value, still
+evaluated for the records and the divergence check, is not on the tape of
+the step. So the group descends once, on the plan of a member with the
+dpc term on, and forks there into one lane per config. Each member keeps
+its own loss values (no dpc value when its w_d is 0), records, divergence
+check, preconditions and error.
+
 Each run builds one plan, in `_DepthObjective`: the work of a step that
 does not depend on the log-depth theta (the pixel grid and rotated rays,
 the DPC offsets and interior mask, the rotational flow, the SSIM
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,14 +220,16 @@ class _DepthObjective:
     rows R . [xn, yn, 1] of the warp rotation that triangulation and the
     photometric rigid flow share, the DPC offsets q_u/q_v and interior mask,
     the rotational flow when the ego-motion rotates, and the SSIM statistics
-    of the fixed target image. `set_flow` refreshes only the flow side: the
-    triangulated depth and its validity, and the divergence of the
-    translational flow. `losses` then builds only the nodes that depend on
-    theta: one tape node per loss term (two for the photometric term, the
-    warp and the SSIM + L1 mean), so a step records about ten nodes.
+    of the fixed target image. The flow side is planned from `flow`, a
+    (values, mask) pair, or else from the scene's flow; `set_flow`
+    refreshes only that side: the triangulated depth and its validity, and
+    the divergence of the translational flow. `losses` then builds only the
+    nodes that depend on theta: one tape node per loss term (two for the
+    photometric term, the warp and the SSIM + L1 mean), so a step records
+    about ten nodes.
     """
 
-    def __init__(self, bundle: SceneBundle, config: OptimConfig):
+    def __init__(self, bundle: SceneBundle, config: OptimConfig, flow=None):
         _pin_heap()
         self.bundle = bundle
         self.config = config
@@ -236,7 +249,9 @@ class _DepthObjective:
                 self.rotation = rot.values
         self.geo = None  # (depth, validity) of the triangulated depth
         self.div_f = None  # divergence of the translational flow
-        self.set_flow(bundle.flow_gt.values, bundle.flow_gt.mask)
+        if flow is None:
+            flow = bundle.flow_gt.values, bundle.flow_gt.mask
+        self.set_flow(*flow)
 
     def set_flow(self, values, mask):
         """Take a new flow (values (H, W, 2), valid mask), finite where
@@ -360,16 +375,34 @@ def _abort_if_diverged(iteration, loss_values, depth, records, started, config, 
 # experiments
 
 
-def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
-    """Recover dense depth from the correspondence prior by gradient
-    descent on the weighted losses; pose is ground truth throughout."""
+def _preconditions(bundle, config, flow_stream):
+    """Raise what `co_adjust` (with `flow_stream`) or `recover_depth`
+    raises before its descent starts."""
+    if flow_stream:
+        if config.w_b <= 0:
+            raise ValueError("co_adjust needs w_b > 0")
+        return
     if bundle.dynamic_mask.any() and config.w_b == 0 and not config.allow_dynamic:
         raise ValueError("scene has a dynamic object; use co_adjust (w_b > 0) or allow_dynamic")
     if np.linalg.norm(bundle.motion.translation) == 0:
         raise DegenerateTranslationError("depth recovery needs a nonzero translation")
     if config.w_p == 0 and config.w_c == 0 and config.w_d == 0:
         raise ValueError("objective is empty: all depth-loss weights are zero")
-    return _descend(bundle, config, flow_stream=False)
+
+
+def _run_alone(bundle, config, flow_stream):
+    """The RunTrace of `config` descended as a group of one; the error that
+    ended the run is raised."""
+    (outcome,) = _descend(bundle, [config], flow_stream)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
+    """Recover dense depth from the correspondence prior by gradient
+    descent on the weighted losses; pose is ground truth throughout."""
+    return _run_alone(bundle, config, flow_stream=False)
 
 
 def _depth_step(objective, theta, depth, iteration, config):
@@ -416,31 +449,52 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     regions and the flow gap |flow - rigid flow| over the dynamic region
     and the whole grid.
     """
-    if config.w_b <= 0:
-        raise ValueError("co_adjust needs w_b > 0")
-    return _descend(bundle, config, flow_stream=True)
+    return _run_alone(bundle, config, flow_stream=True)
 
 
-def _descend(bundle, config, flow_stream):
-    """The descent loop of both experiments (see the module docstring);
-    the flow stream runs when `flow_stream` is true. The rigid flow of the
-    depth is evaluated only where it is used: on the iterations of the
-    flow phase, on record iterations and for the final record."""
-    theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
-    objective = _DepthObjective(bundle, config)
-    depth = _decode_values(theta)
-    _require_depth(depth)
-    flow_start = int(FLOW_START_FRACTION * config.iterations)
-    flow = (bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()) if flow_stream else None
-    # the flow's storability changes only when the flow does
-    storable = not flow_stream or _float32_storable(flow[0]).all()
-    records = []
-    started = time.perf_counter()
+@dataclass
+class _Member:
+    """A config of a descent group, with its records and its outcome: the
+    RunTrace, or the error that ended its run (None while it runs)."""
 
-    for it in range(config.iterations):
+    config: OptimConfig
+    records: list = field(default_factory=list)
+    outcome: object = None
+
+    def losses(self, loss_values):
+        """The loss values of its own run, from those of its lane: a lane
+        on a plan with the dpc term evaluates it for every member, and a
+        run with w_d = 0 has no dpc value."""
+        if self.config.w_d > 0 or "dpc" not in loss_values:
+            return loss_values
+        return {name: v for name, v in loss_values.items() if name != "dpc"}
+
+
+class _Lane:
+    """A descent state and the group members that share it: theta, its
+    decoded depth, the co-adjusted flow ((values, mask), or None without
+    the flow stream) and the objective they step on."""
+
+    def __init__(self, bundle, objective, members, theta, depth, flow, started):
+        self.bundle, self.objective, self.members = bundle, objective, members
+        self.theta, self.depth, self.flow, self.started = theta, depth, flow, started
+        self.flow_start = int(FLOW_START_FRACTION * objective.config.iterations)
+        # the flow's storability changes only when the flow does
+        self.storable = flow is None or _float32_storable(flow[0]).all()
+
+    def step(self, it):
+        """Iteration `it`: in the flow phase a flow step, then a depth step.
+        The rigid flow of the depth is evaluated only where it is used: on
+        the iterations of the flow phase and on record iterations. Each
+        member records the iteration and checks the updated state as its
+        own run would; a member whose check fails takes the error as its
+        outcome and leaves the lane."""
+        bundle, objective, flow = self.bundle, self.objective, self.flow
+        config = objective.config
         record = it % config.record_every == 0
-        flow_phase = flow_stream and it >= flow_start
-        rigid = objective.rigid_flow(depth) if flow_phase or (flow_stream and record) else None
+        flow_phase = flow is not None and it >= self.flow_start
+        on_record = flow is not None and record
+        rigid = objective.rigid_flow(self.depth) if flow_phase or on_record else None
         if flow_phase:
             # flow step: co-adjustment loss only, updating `flow` in place
             (values, mask), (r_values, r_valid) = flow, rigid
@@ -450,29 +504,133 @@ def _descend(bundle, config, flow_stream):
             rate = config.flow_learning_rate * config.w_b
             values[..., 0] -= rate * np.asarray(f_u.grad)
             values[..., 1] -= rate * np.asarray(f_v.grad)
-            storable = _float32_storable(values).all()
-            if not storable:  # a flow float32 can hold is finite
+            self.storable = _float32_storable(values).all()
+            if not self.storable:  # a flow float32 can hold is finite
                 _require_finite(values, mask, FLOW_NOT_FINITE)
             objective.set_flow(values, mask)
 
         # depth step: consistency losses from the (adjusted) flow
-        new_theta, loss_values = _depth_step(objective, theta, depth, it, config)
+        depth = self.depth
+        self.theta, loss_values = _depth_step(objective, self.theta, depth, it, config)
         if flow_phase:
             loss_values["bsca"] = float(loss_b.value)
-        if record:
-            # the record pairs this iteration's losses with the state they
-            # were evaluated at (before the update)
-            records.append(_record(bundle, depth, it, loss_values, flow, rigid))
-        theta = new_theta
-        depth = _decode_values(theta)
-        _abort_if_diverged(it, loss_values, depth, records, started, config, flow, storable)
+        self.depth = _decode_values(self.theta)
+        for m in self.members:
+            own = m.losses(loss_values)
+            try:
+                if record:
+                    # the record pairs this iteration's losses with the
+                    # state they were evaluated at (before the update)
+                    m.records.append(_record(bundle, depth, it, own, flow, rigid))
+                _abort_if_diverged(it, own, self.depth, m.records, self.started, m.config,
+                                   flow, self.storable)
+            except (FlowGeoError, ValueError) as exc:
+                m.outcome = exc
+        self.members = [m for m in self.members if m.outcome is None]
 
-    terms = objective.losses(ad.Var(depth))
-    final_values = {name: float(term.value) for name, term in terms.items()}
-    rigid = objective.rigid_flow(depth) if flow_stream else None
-    records.append(_record(bundle, depth, config.iterations, final_values, flow, rigid))
-    final_flow = None if flow is None else FlowField(*flow)
-    return RunTrace(records, DepthMap(depth), final_flow, time.perf_counter() - started, config)
+    def fork(self):
+        """The lanes the members go on in once their configs part, one per
+        distinct config: this lane for the config of its plan, and for each
+        other config a lane with a plan of its own and a copy of the flow,
+        which the flow step updates in place (theta and the depth are
+        replaced at each step, never written to). Building that plan cannot
+        fail: it is the lane's plan, or the lane's without the dpc term, on
+        the flow the lane's plan holds."""
+        by_config = {}
+        for m in self.members:
+            by_config.setdefault(m.config, []).append(m)
+        lanes = []
+        for config, members in by_config.items():
+            if config == self.objective.config:
+                self.members = members
+                lanes.append(self)
+                continue
+            flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
+            objective = _DepthObjective(self.bundle, config, flow)
+            lanes.append(_Lane(self.bundle, objective, members, self.theta, self.depth, flow,
+                               self.started))
+        return lanes
+
+    def finish(self):
+        """Each member's final record, at the depth after the last step, and
+        its RunTrace as its outcome."""
+        bundle, depth, flow = self.bundle, self.depth, self.flow
+        terms = self.objective.losses(ad.Var(depth))
+        final_values = {name: float(term.value) for name, term in terms.items()}
+        rigid = self.objective.rigid_flow(depth) if flow is not None else None
+        iterations = self.objective.config.iterations
+        for m in self.members:
+            m.records.append(_record(bundle, depth, iterations, m.losses(final_values), flow, rigid))
+            final_flow = None if flow is None else FlowField(*flow)
+            m.outcome = RunTrace(m.records, DepthMap(depth), final_flow,
+                                 time.perf_counter() - self.started, m.config)
+
+
+def _settle(bundle, members, config, exc, flow_stream):
+    """The outcomes of the `members` of a lane whose work, on the plan of
+    `config`, raised `exc`. A member whose dpc term is on or off as in
+    `config` does that same work in its own run, so `exc` ends it. A member
+    without the term does less in its own run than a plan with it does,
+    so it runs alone."""
+    for m in members:
+        if (m.config.w_d > 0) == (config.w_d > 0):
+            m.outcome = exc
+        else:
+            (m.outcome,) = _descend(bundle, [m.config], flow_stream)
+
+
+def _descend(bundle, configs, flow_stream):
+    """The descent loop of both experiments (see the module docstring) over
+    a group of configs that are equal but for w_d; the flow stream runs
+    when `flow_stream` is true. Returns one outcome per config, in order:
+    its RunTrace, or the FlowGeoError or ValueError that ended its run.
+
+    The group descends as one lane until `dpc_active_after`, on the plan of
+    its first config with the dpc term on (of its first config if none has
+    it), then forks into one lane per distinct config. Up to there the runs
+    of the group are one run, bit for bit: the dpc weight is 0 and the rate
+    is the same whatever w_d is, and the dpc value, still evaluated for the
+    records and the divergence check, is not on the tape of the step."""
+    members = [_Member(config) for config in configs]
+    for m in members:
+        try:
+            _preconditions(bundle, m.config, flow_stream)
+        except (FlowGeoError, ValueError) as exc:
+            m.outcome = exc
+    live = [m for m in members if m.outcome is None]
+    if not live:
+        return [m.outcome for m in members]
+    config = next((m.config for m in live if m.config.w_d > 0), live[0].config)
+    try:
+        theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
+        objective = _DepthObjective(bundle, config)
+        depth = _decode_values(theta)
+        _require_depth(depth)
+    except (FlowGeoError, ValueError) as exc:
+        _settle(bundle, live, config, exc, flow_stream)
+        return [m.outcome for m in members]
+    flow = (bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()) if flow_stream else None
+    lanes = [_Lane(bundle, objective, live, theta, depth, flow, time.perf_counter())]
+
+    for it in range(config.iterations):
+        if it == objective.dpc_active_after:
+            lanes = lanes[0].fork()
+        for lane in lanes:
+            try:
+                lane.step(it)
+            except (FlowGeoError, ValueError) as exc:
+                _settle(bundle, lane.members, lane.objective.config, exc, flow_stream)
+                lane.members = []
+        lanes = [lane for lane in lanes if lane.members]
+        if not lanes:
+            break
+
+    for lane in lanes:
+        try:
+            lane.finish()
+        except (FlowGeoError, ValueError) as exc:
+            _settle(bundle, lane.members, lane.objective.config, exc, flow_stream)
+    return [m.outcome for m in members]
 
 
 def ablation_suite(bundles, configs) -> list:
@@ -481,12 +639,37 @@ def ablation_suite(bundles, configs) -> list:
     `bundles` and `configs` are sequences of (name, object) pairs. Rows
     keep their input order; a failing run contributes a row with its error
     message instead of metrics.
+
+    The configs that differ only in w_d (equal after `replace(config,
+    w_d=0.0)`) run on each scene as one group of `_descend`: they share
+    one descent through the dpc warmup, iterations [0, dpc_active_after),
+    and fork there. The sharing is exact, and every row is the row of its
+    config run alone: before `dpc_active_after` the dpc weight is 0 and
+    the rate is the same whatever w_d is, and the dpc value is still
+    evaluated for the records and the divergence check of the members
+    with w_d > 0. A config alone in its group runs as `recover_depth` or
+    `co_adjust`.
     """
     if not bundles or not configs:
         raise ValueError("ablation needs at least one scene and one config")
+    groups = {}  # indices of the configs equal but for w_d, in input order
+    for index, (_, config) in enumerate(configs):
+        groups.setdefault(replace(config, w_d=0.0), []).append(index)
     rows = []
     for scene_name, bundle in bundles:
-        for config_name, config in configs:
+        outcomes = {}
+        for indices in groups.values():
+            group = [configs[i][1] for i in indices]
+            flow_stream = group[0].w_b > 0
+            if len(group) > 1:
+                outcomes.update(zip(indices, _descend(bundle, group, flow_stream)))
+                continue
+            runner = co_adjust if flow_stream else recover_depth
+            try:
+                outcomes[indices[0]] = runner(bundle, group[0])
+            except (FlowGeoError, ValueError) as exc:  # a failed run; keep the suite running
+                outcomes[indices[0]] = exc
+        for index, (config_name, config) in enumerate(configs):
             row = {
                 "scene": scene_name,
                 "config": config_name,
@@ -497,12 +680,11 @@ def ablation_suite(bundles, configs) -> list:
                 "seed": config.seed,
                 "error": "",
             }
-            try:
-                runner = co_adjust if config.w_b > 0 else recover_depth
-                trace = runner(bundle, config)
-                row.update(trace.final_metrics.as_dict())
-                row.update(trace.records[-1].extras)
-            except (FlowGeoError, ValueError) as exc:  # a failed run; keep the suite running
-                row["error"] = f"{type(exc).__name__}: {exc}"
+            outcome = outcomes[index]
+            if isinstance(outcome, RunTrace):
+                row.update(outcome.final_metrics.as_dict())
+                row.update(outcome.records[-1].extras)
+            else:
+                row["error"] = f"{type(outcome).__name__}: {outcome}"
             rows.append(row)
     return rows

@@ -296,6 +296,34 @@ class TestAblateCommand:
                    for r in rows[1:])
 
 
+class TestNonAsciiScenePath:
+    """A scene path may hold any character: the manifest and the CSVs are
+    written as UTF-8, and ASCII ones keep their bytes."""
+
+    @pytest.fixture()
+    def accented(self, scene_file, tmp_path):
+        path = tmp_path / "sc\u00e8ne.txt"
+        path.write_bytes(scene_file.read_bytes())
+        return path
+
+    def test_triangulate_manifest(self, accented, tmp_path):
+        out = tmp_path / "o"
+        assert run(["triangulate", "--scene", str(accented), "--size", "24x18",
+                    "--out", str(out)]) == 0
+        manifest = (out / "run-manifest.txt").read_text(encoding="utf-8")
+        assert f"\nscene={accented}\n" in manifest
+        assert (out / "triangulation.csv").read_bytes().isascii()
+
+    def test_ablate_csv(self, accented, tmp_path):
+        out = tmp_path / "o"
+        assert run(["ablate", "--scene", str(accented), "--size", "24x18", "--iters", "5",
+                    "--out", str(out)]) == 0
+        rows = read_csv(out / "ablation.csv")
+        assert [r["scene"] for r in rows] == ["sc\u00e8ne"] * 4
+        assert all(r["error"] == "" for r in rows)
+        assert f"\nscene={accented}\n" in (out / "run-manifest.txt").read_text(encoding="utf-8")
+
+
 class TestCoAdjustCommand:
     def test_every_row_carries_bsca(self, scene_file, tmp_path):
         # record 0 falls before the flow phase (from iteration 6 of 40);

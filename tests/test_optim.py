@@ -2,6 +2,7 @@
 divergence handling, and the co-adjustment reduction on static scenes."""
 
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import assert_bits_equal, run_python
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, optim
-from flowgeo.errors import AbortedRunError, InvalidDepthError
+from flowgeo.errors import AbortedRunError, FlowGeoError, InvalidDepthError, NoValidPixelsError
 from flowgeo.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -241,6 +242,157 @@ class TestAblation:
         configs = [("wc=1", OptimConfig(w_c=1.0, w_d=0.0, iterations=5, seed=1))]
         with pytest.raises(TypeError, match="unsupported operand"):
             ablation_suite([("scene", small_static)], configs)
+
+
+def run_alone(bundle, config):
+    """The outcome of `config` run by itself: its RunTrace or its error."""
+    runner = co_adjust if config.w_b > 0 else recover_depth
+    try:
+        return runner(bundle, config)
+    except (FlowGeoError, ValueError) as exc:
+        return exc
+
+
+def assert_same_outcome(shared, alone):
+    if isinstance(alone, Exception):
+        assert f"{type(shared).__name__}: {shared}" == f"{type(alone).__name__}: {alone}"
+        return
+    assert isinstance(shared, optim.RunTrace), shared
+    assert ([repr((r.iteration, r.losses, r.metrics, r.extras)) for r in shared.records]
+            == [repr((r.iteration, r.losses, r.metrics, r.extras)) for r in alone.records])
+    assert_bits_equal(shared.final_depth.values, alone.final_depth.values)
+    if alone.final_flow is None:
+        assert shared.final_flow is None
+    else:
+        assert_bits_equal(shared.final_flow.values, alone.final_flow.values)
+        np.testing.assert_array_equal(shared.final_flow.mask, alone.final_flow.mask)
+
+
+class TestSharedWarmup:
+    """Configs equal but for w_d descend as one group through the dpc
+    warmup and fork there; every row and every trace is that of its config
+    run alone."""
+
+    @staticmethod
+    def check(bundle, configs):
+        """Rows of the grid, after checking them and each group's traces
+        against the configs run alone."""
+        named = [(f"c{i}", config) for i, config in enumerate(configs)]
+        rows = ablation_suite([("scene", bundle)], named)
+        alone_rows = [ablation_suite([("scene", bundle)], [pair])[0] for pair in named]
+        assert [repr(r) for r in rows] == [repr(r) for r in alone_rows]
+        groups = {}
+        for config in configs:
+            groups.setdefault(replace(config, w_d=0.0), []).append(config)
+        for group in groups.values():
+            outcomes = optim._descend(bundle, group, group[0].w_b > 0)
+            for shared, config in zip(outcomes, group, strict=True):
+                assert_same_outcome(shared, run_alone(bundle, config))
+        return rows
+
+    def test_cli_grid(self, small_static):
+        configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=40, record_every=7, seed=2)
+                   for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
+        rows = self.check(small_static, configs)
+        assert all(r["error"] == "" for r in rows)
+
+    def test_several_dpc_weights_and_a_duplicate(self, small_static):
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, record_every=6, seed=1)
+                   for wd in (0.0, 0.1, 0.2, 0.1)]
+        rows = self.check(small_static, configs)
+        assert all(r["error"] == "" for r in rows)
+        assert rows[1]["abs_rel"] == rows[3]["abs_rel"] != rows[2]["abs_rel"]
+
+    def test_lone_dpc_config(self, small_static):
+        self.check(small_static, [OptimConfig(w_c=1.0, w_d=0.1, iterations=30, seed=1)])
+
+    def test_dpc_alone_holds_the_field_through_warmup(self, small_static):
+        configs = [OptimConfig(w_p=0.0, w_c=0.0, w_d=wd, iterations=30, seed=1)
+                   for wd in (0.0, 0.1)]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == "ValueError: objective is empty: all depth-loss weights are zero"
+        assert rows[1]["error"] == ""
+
+    def test_co_adjust_group_copies_the_flow(self, dynamic_bundle):
+        # the flow phase starts at iteration 4 and the dpc term joins at 18,
+        # so the shared flow is updated in place before the fork
+        configs = [OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=30, record_every=4,
+                               dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
+        rows = self.check(dynamic_bundle, configs)
+        assert all(r["error"] == "" for r in rows)
+        assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
+
+    def test_no_warmup_shares_nothing(self, small_static):
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=20, dpc_warmup_fraction=0.0, seed=1)
+                   for wd in (0.0, 0.1)]
+        self.check(small_static, configs)
+
+    def test_member_diverging_on_its_dpc_value_leaves_the_group(self, small_static):
+        # steps of +-14.5 in log-depth: the dpc values of the first step
+        # pass the divergence threshold, the cgdc value alone does not
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
+                               step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == ""
+        warmup = optim._DepthObjective(small_static, configs[1]).dpc_active_after
+        for row in rows[1:]:
+            assert row["error"].startswith("AbortedRunError: run diverged at iteration ")
+            assert int(row["error"].split()[5]) < warmup
+
+    def test_scene_too_small_for_the_dpc_stencil(self, camera):
+        # a plan with the dpc term fails on a 2-row grid; the w_d = 0 member,
+        # whose own run has no stencil, runs alone and completes
+        bundle = synthesize(README_SPEC, camera, RigidMotion(np.eye(3), README_T), 2, 6)
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=10, seed=1) for wd in (0.0, 0.1)]
+        rows = self.check(bundle, configs)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"].startswith("DimensionError: the difference stencil needs")
+
+    def test_error_of_the_dpc_work_ends_only_its_members(self, small_static, monkeypatch):
+        # the w_d = 0 member does no dpc work in its own run, so it runs alone
+        def broken(*args):
+            raise NoValidPixelsError("dpc: empty valid set")
+
+        monkeypatch.setattr(optim, "dpc_core", broken)
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1) for wd in (0.0, 0.1)]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "NoValidPixelsError: dpc: empty valid set"
+
+    def test_programming_error_in_the_shared_phase_propagates(self, small_static, monkeypatch):
+        calls = []
+        real_dpc = optim.dpc_core
+
+        def broken(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise TypeError("unsupported operand")
+            return real_dpc(*args)
+
+        monkeypatch.setattr(optim, "dpc_core", broken)
+        configs = [(f"wd={wd}", OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1))
+                   for wd in (0.0, 0.1)]
+        with pytest.raises(TypeError, match="unsupported operand"):
+            ablation_suite([("scene", small_static)], configs)
+        assert len(calls) == 5 < optim._DepthObjective(small_static, configs[1][1]).dpc_active_after
+
+    def test_depth_steps(self, tmp_path, monkeypatch):
+        steps = []
+        real_step = optim._depth_step
+        monkeypatch.setattr(optim, "_depth_step", lambda *a: steps.append(1) or real_step(*a))
+        scene = tmp_path / "scene.txt"
+        scene.write_text(TestComposedTwinRuns.SCENE)
+        argv = ["ablate", "--scene", str(scene), "--size", "24x18", "--iters", "200",
+                "--out", str(tmp_path / "o")]
+        assert cli.run(argv) == 0
+        # four runs of 200 steps, two pairs of which share their 90 warmup steps
+        assert len(steps) == 620
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 12.0, 9.0),
+                            RigidMotion(np.eye(3), README_T), 18, 24)
+        for runner, w_b in ((recover_depth, 0.0), (co_adjust, 1.0)):
+            steps.clear()
+            runner(bundle, OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=w_b, iterations=200))
+            assert len(steps) == 200
 
 
 class TestPlan:
