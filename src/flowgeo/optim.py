@@ -16,24 +16,24 @@ recorded in the run configuration:
 
 Both experiments run one descent loop, `_descend`. Its depth stream
 steps theta on the weighted depth losses; `recover_depth` runs it alone.
-`co_adjust` adds the flow stream of the bidirectional stream co-adjustment:
-from `FLOW_START_FRACTION` of the budget on, each iteration first steps a
-free flow field on the co-adjustment loss against the rigid flow of the
-current depth, so the depth losses see the adjusted flow. The loop keeps
-the depth and the flow as raw arrays, checks the depth once per iteration
-and the flow once per update as `DepthMap` and `FlowField` would, and wraps
-them in containers only at a record, an abort or the return.
+`co_adjust` (any config with w_b > 0) adds the flow stream of the
+bidirectional stream co-adjustment: from `FLOW_START_FRACTION` of the
+budget on, each iteration first steps a free flow field on the
+co-adjustment loss against the rigid flow of the current depth, so the
+depth losses see the adjusted flow. The loop keeps the depth and the flow
+as raw arrays, checks the depth once per iteration and the flow once per
+update as `DepthMap` and `FlowField` would, and wraps them in containers
+only at a record, an abort or the return.
 
-`_descend` runs a group of configs that are equal but for w_d:
-`recover_depth` and `co_adjust` run a group of one, `ablation_suite` one
-group per such set. Until `dpc_active_after`, the end of the dpc warmup,
-the runs of a group are one run, bit for bit: the dpc weight is 0 there
-and the rate is the same whatever w_d is, and the dpc value, still
+Each run is one `_Lane`. `ablation_suite` hands `_descend` the configs of
+a scene that are equal but for w_d. Until `dpc_active_after`, the end of
+the dpc warmup, their runs are one run, bit for bit: the dpc weight is 0
+there and the rate is the same whatever w_d is, and the dpc value, still
 evaluated for the records and the divergence check, is not on the tape of
-the step. So the group descends once, on the plan of a member with the
-dpc term on, and forks there into one lane per config. Each member keeps
-its own loss values (no dpc value when its w_d is 0), records, divergence
-check, preconditions and error.
+the step. So one lead config, with the dpc term on, descends through the
+warmup, and each other config forks from the lead's lane there, with a
+plan, a copy of the flow and the records so far of its own (without their
+dpc value when its w_d is 0).
 
 Each run builds one plan, in `_DepthObjective`: the work of a step that
 does not depend on the log-depth theta (the pixel grid and rotated rays,
@@ -375,14 +375,12 @@ def _abort_if_diverged(iteration, loss_values, depth, records, started, config, 
 # experiments
 
 
-def _preconditions(bundle, config, flow_stream):
-    """Raise what `co_adjust` (with `flow_stream`) or `recover_depth`
-    raises before its descent starts."""
-    if flow_stream:
-        if config.w_b <= 0:
-            raise ValueError("co_adjust needs w_b > 0")
+def _preconditions(bundle, config):
+    """Raise what the run of `config` raises before its descent starts; a
+    co-adjusted run (w_b > 0) has no such checks."""
+    if config.w_b > 0:
         return
-    if bundle.dynamic_mask.any() and config.w_b == 0 and not config.allow_dynamic:
+    if bundle.dynamic_mask.any() and not config.allow_dynamic:
         raise ValueError("scene has a dynamic object; use co_adjust (w_b > 0) or allow_dynamic")
     if np.linalg.norm(bundle.motion.translation) == 0:
         raise DegenerateTranslationError("depth recovery needs a nonzero translation")
@@ -390,10 +388,10 @@ def _preconditions(bundle, config, flow_stream):
         raise ValueError("objective is empty: all depth-loss weights are zero")
 
 
-def _run_alone(bundle, config, flow_stream):
-    """The RunTrace of `config` descended as a group of one; the error that
-    ended the run is raised."""
-    (outcome,) = _descend(bundle, [config], flow_stream)
+def _run_alone(bundle, config):
+    """The RunTrace of `config` descended alone; the error that ended the
+    run is raised."""
+    (outcome,) = _descend(bundle, [config])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -401,8 +399,12 @@ def _run_alone(bundle, config, flow_stream):
 
 def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     """Recover dense depth from the correspondence prior by gradient
-    descent on the weighted losses; pose is ground truth throughout."""
-    return _run_alone(bundle, config, flow_stream=False)
+    descent on the weighted losses; pose and flow are ground truth
+    throughout. A config with w_b > 0 co-adjusts the flow: run it with
+    `co_adjust`."""
+    if config.w_b > 0:
+        raise ValueError("recover_depth does not co-adjust flow; use co_adjust for w_b > 0")
+    return _run_alone(bundle, config)
 
 
 def _depth_step(objective, theta, depth, iteration, config):
@@ -449,46 +451,41 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     regions and the flow gap |flow - rigid flow| over the dynamic region
     and the whole grid.
     """
-    return _run_alone(bundle, config, flow_stream=True)
-
-
-@dataclass
-class _Member:
-    """A config of a descent group, with its records and its outcome: the
-    RunTrace, or the error that ended its run (None while it runs)."""
-
-    config: OptimConfig
-    records: list = field(default_factory=list)
-    outcome: object = None
-
-    def losses(self, loss_values):
-        """The loss values of its own run, from those of its lane: a lane
-        on a plan with the dpc term evaluates it for every member, and a
-        run with w_d = 0 has no dpc value."""
-        if self.config.w_d > 0 or "dpc" not in loss_values:
-            return loss_values
-        return {name: v for name, v in loss_values.items() if name != "dpc"}
+    if config.w_b <= 0:
+        raise ValueError("co_adjust needs w_b > 0")
+    return _run_alone(bundle, config)
 
 
 class _Lane:
-    """A descent state and the group members that share it: theta, its
-    decoded depth, the co-adjusted flow ((values, mask), or None without
-    the flow stream) and the objective they step on."""
+    """The descent state of one config's run: theta, its decoded depth, the
+    co-adjusted flow ((values, mask) when w_b > 0, else None), the
+    objective they step on and the records so far."""
 
-    def __init__(self, bundle, objective, members, theta, depth, flow, started):
-        self.bundle, self.objective, self.members = bundle, objective, members
+    def __init__(self, bundle, objective, theta, depth, flow, records, started):
+        self.bundle, self.objective, self.records = bundle, objective, records
         self.theta, self.depth, self.flow, self.started = theta, depth, flow, started
         self.flow_start = int(FLOW_START_FRACTION * objective.config.iterations)
         # the flow's storability changes only when the flow does
         self.storable = flow is None or _float32_storable(flow[0]).all()
 
+    @classmethod
+    def start(cls, bundle, config):
+        """The lane of `config` before its first step; the flow stream
+        starts from a copy of the scene's flow."""
+        theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
+        objective = _DepthObjective(bundle, config)
+        depth = _decode_values(theta)
+        _require_depth(depth)
+        flow = None
+        if config.w_b > 0:
+            flow = bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()
+        return cls(bundle, objective, theta, depth, flow, [], time.perf_counter())
+
     def step(self, it):
-        """Iteration `it`: in the flow phase a flow step, then a depth step.
-        The rigid flow of the depth is evaluated only where it is used: on
-        the iterations of the flow phase and on record iterations. Each
-        member records the iteration and checks the updated state as its
-        own run would; a member whose check fails takes the error as its
-        outcome and leaves the lane."""
+        """Iteration `it`: in the flow phase a flow step, then a depth step,
+        then the record and the divergence check of the updated state. The
+        rigid flow of the depth is evaluated only where it is used: on the
+        iterations of the flow phase and on record iterations."""
         bundle, objective, flow = self.bundle, self.objective, self.flow
         config = objective.config
         record = it % config.record_every == 0
@@ -515,122 +512,95 @@ class _Lane:
         if flow_phase:
             loss_values["bsca"] = float(loss_b.value)
         self.depth = _decode_values(self.theta)
-        for m in self.members:
-            own = m.losses(loss_values)
-            try:
-                if record:
-                    # the record pairs this iteration's losses with the
-                    # state they were evaluated at (before the update)
-                    m.records.append(_record(bundle, depth, it, own, flow, rigid))
-                _abort_if_diverged(it, own, self.depth, m.records, self.started, m.config,
-                                   flow, self.storable)
-            except (FlowGeoError, ValueError) as exc:
-                m.outcome = exc
-        self.members = [m for m in self.members if m.outcome is None]
+        if record:
+            # the record pairs this iteration's losses with the state they
+            # were evaluated at (before the update)
+            self.records.append(_record(bundle, depth, it, loss_values, flow, rigid))
+        _abort_if_diverged(it, loss_values, self.depth, self.records, self.started, config,
+                           flow, self.storable)
 
-    def fork(self):
-        """The lanes the members go on in once their configs part, one per
-        distinct config: this lane for the config of its plan, and for each
-        other config a lane with a plan of its own and a copy of the flow,
-        which the flow step updates in place (theta and the depth are
-        replaced at each step, never written to). Building that plan cannot
-        fail: it is the lane's plan, or the lane's without the dpc term, on
-        the flow the lane's plan holds."""
-        by_config = {}
-        for m in self.members:
-            by_config.setdefault(m.config, []).append(m)
-        lanes = []
-        for config, members in by_config.items():
-            if config == self.objective.config:
-                self.members = members
-                lanes.append(self)
-                continue
-            flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
-            objective = _DepthObjective(self.bundle, config, flow)
-            lanes.append(_Lane(self.bundle, objective, members, self.theta, self.depth, flow,
-                               self.started))
-        return lanes
+    def fork(self, config):
+        """The lane of `config`, equal to this lane's config but for w_d,
+        from this lane's state: a plan of its own, a copy of the flow, which
+        the flow step updates in place (theta and the depth are replaced at
+        each step, never written to), and the records so far, without their
+        dpc value when its w_d is 0. Building the plan cannot fail: it is
+        this lane's plan, or the same without the dpc term, on the flow this
+        lane's plan holds."""
+        flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
+        records = list(self.records)
+        if config.w_d == 0:
+            records = [replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
+                       for r in records]
+        return _Lane(self.bundle, _DepthObjective(self.bundle, config, flow), self.theta,
+                     self.depth, flow, records, self.started)
 
     def finish(self):
-        """Each member's final record, at the depth after the last step, and
-        its RunTrace as its outcome."""
-        bundle, depth, flow = self.bundle, self.depth, self.flow
+        """The RunTrace of the run, with its final record at the depth after
+        the last step."""
+        bundle, depth, flow, config = self.bundle, self.depth, self.flow, self.objective.config
         terms = self.objective.losses(ad.Var(depth))
         final_values = {name: float(term.value) for name, term in terms.items()}
         rigid = self.objective.rigid_flow(depth) if flow is not None else None
-        iterations = self.objective.config.iterations
-        for m in self.members:
-            m.records.append(_record(bundle, depth, iterations, m.losses(final_values), flow, rigid))
-            final_flow = None if flow is None else FlowField(*flow)
-            m.outcome = RunTrace(m.records, DepthMap(depth), final_flow,
-                                 time.perf_counter() - self.started, m.config)
+        self.records.append(_record(bundle, depth, config.iterations, final_values, flow, rigid))
+        final_flow = None if flow is None else FlowField(*flow)
+        return RunTrace(self.records, DepthMap(depth), final_flow,
+                        time.perf_counter() - self.started, config)
 
 
-def _settle(bundle, members, config, exc, flow_stream):
-    """The outcomes of the `members` of a lane whose work, on the plan of
-    `config`, raised `exc`. A member whose dpc term is on or off as in
-    `config` does that same work in its own run, so `exc` ends it. A member
-    without the term does less in its own run than a plan with it does,
-    so it runs alone."""
-    for m in members:
-        if (m.config.w_d > 0) == (config.w_d > 0):
-            m.outcome = exc
-        else:
-            (m.outcome,) = _descend(bundle, [m.config], flow_stream)
-
-
-def _descend(bundle, configs, flow_stream):
+def _descend(bundle, configs):
     """The descent loop of both experiments (see the module docstring) over
-    a group of configs that are equal but for w_d; the flow stream runs
-    when `flow_stream` is true. Returns one outcome per config, in order:
-    its RunTrace, or the FlowGeoError or ValueError that ended its run.
+    configs that are equal but for w_d; a config with w_b > 0 runs the flow
+    stream. Returns one outcome per config, in order: its RunTrace, or the
+    FlowGeoError or ValueError that ended its run.
 
-    The group descends as one lane until `dpc_active_after`, on the plan of
-    its first config with the dpc term on (of its first config if none has
-    it), then forks into one lane per distinct config. Up to there the runs
-    of the group are one run, bit for bit: the dpc weight is 0 and the rate
-    is the same whatever w_d is, and the dpc value, still evaluated for the
-    records and the divergence check, is not on the tape of the step."""
-    members = [_Member(config) for config in configs]
-    for m in members:
+    The lead config, the first with the dpc term on (the first if none has
+    it), runs alone through the dpc warmup, iterations [0,
+    dpc_active_after). Each other distinct config then forks the lead's
+    lane (`_Lane.fork`), and each lane runs to its end, one after another:
+    after the fork they share no mutable state. The wall clock of every
+    run counts from the lead's start, so it includes the lanes that ran
+    before its own.
+
+    This is each config run alone, bit for bit. Up to `dpc_active_after`
+    the dpc weight is 0 and the rate is the same whatever w_d is, and the
+    dpc value, still evaluated for the records and the divergence check, is
+    not on the tape of the step. The losses are non-negative, so a config
+    whose losses are a subset of the lead's passes the divergence check
+    wherever the lead passes it. If the lead's run fails before the fork,
+    a config whose dpc term is on or off as in the lead's does the same
+    work alone and takes the lead's error, whose message its own run would
+    raise; each other config runs alone."""
+    outcomes = {}
+    for config in configs:
         try:
-            _preconditions(bundle, m.config, flow_stream)
+            _preconditions(bundle, config)
         except (FlowGeoError, ValueError) as exc:
-            m.outcome = exc
-    live = [m for m in members if m.outcome is None]
+            outcomes[config] = exc
+    live = [config for config in dict.fromkeys(configs) if config not in outcomes]
     if not live:
-        return [m.outcome for m in members]
-    config = next((m.config for m in live if m.config.w_d > 0), live[0].config)
+        return [outcomes[config] for config in configs]
+    lead = next((config for config in live if config.w_d > 0), live[0])
     try:
-        theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
-        objective = _DepthObjective(bundle, config)
-        depth = _decode_values(theta)
-        _require_depth(depth)
+        lane = _Lane.start(bundle, lead)
+        warmup = lane.objective.dpc_active_after
+        for it in range(warmup):
+            lane.step(it)
     except (FlowGeoError, ValueError) as exc:
-        _settle(bundle, live, config, exc, flow_stream)
-        return [m.outcome for m in members]
-    flow = (bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()) if flow_stream else None
-    lanes = [_Lane(bundle, objective, live, theta, depth, flow, time.perf_counter())]
-
-    for it in range(config.iterations):
-        if it == objective.dpc_active_after:
-            lanes = lanes[0].fork()
-        for lane in lanes:
-            try:
-                lane.step(it)
-            except (FlowGeoError, ValueError) as exc:
-                _settle(bundle, lane.members, lane.objective.config, exc, flow_stream)
-                lane.members = []
-        lanes = [lane for lane in lanes if lane.members]
-        if not lanes:
-            break
-
-    for lane in lanes:
+        for config in live:
+            same_work = (config.w_d > 0) == (lead.w_d > 0)
+            outcomes[config] = exc if same_work else _descend(bundle, [config])[0]
+        return [outcomes[config] for config in configs]
+    # every fork before the lead's lane moves on
+    lanes = {config: lane if config == lead else lane.fork(config) for config in live}
+    for config, lane in lanes.items():
         try:
-            lane.finish()
+            for it in range(warmup, config.iterations):
+                lane.step(it)
+            outcomes[config] = lane.finish()
         except (FlowGeoError, ValueError) as exc:
-            _settle(bundle, lane.members, lane.objective.config, exc, flow_stream)
-    return [m.outcome for m in members]
+            outcomes[config] = exc
+    return [outcomes[config] for config in configs]
 
 
 def ablation_suite(bundles, configs) -> list:
@@ -638,17 +608,14 @@ def ablation_suite(bundles, configs) -> list:
 
     `bundles` and `configs` are sequences of (name, object) pairs. Rows
     keep their input order; a failing run contributes a row with its error
-    message instead of metrics.
+    message instead of metrics. A config with w_b > 0 is co-adjusted as by
+    `co_adjust`, any other runs as by `recover_depth`.
 
     The configs that differ only in w_d (equal after `replace(config,
-    w_d=0.0)`) run on each scene as one group of `_descend`: they share
-    one descent through the dpc warmup, iterations [0, dpc_active_after),
-    and fork there. The sharing is exact, and every row is the row of its
-    config run alone: before `dpc_active_after` the dpc weight is 0 and
-    the rate is the same whatever w_d is, and the dpc value is still
-    evaluated for the records and the divergence check of the members
-    with w_d > 0. A config alone in its group runs as `recover_depth` or
-    `co_adjust`.
+    w_d=0.0)`) run on each scene as one call of `_descend`: the lead
+    config descends alone through the dpc warmup, iterations [0,
+    dpc_active_after), and each other config forks from it there. Every
+    row is the row of its config run alone (see `_descend`).
     """
     if not bundles or not configs:
         raise ValueError("ablation needs at least one scene and one config")
@@ -659,16 +626,7 @@ def ablation_suite(bundles, configs) -> list:
     for scene_name, bundle in bundles:
         outcomes = {}
         for indices in groups.values():
-            group = [configs[i][1] for i in indices]
-            flow_stream = group[0].w_b > 0
-            if len(group) > 1:
-                outcomes.update(zip(indices, _descend(bundle, group, flow_stream)))
-                continue
-            runner = co_adjust if flow_stream else recover_depth
-            try:
-                outcomes[indices[0]] = runner(bundle, group[0])
-            except (FlowGeoError, ValueError) as exc:  # a failed run; keep the suite running
-                outcomes[indices[0]] = exc
+            outcomes.update(zip(indices, _descend(bundle, [configs[i][1] for i in indices])))
         for index, (config_name, config) in enumerate(configs):
             row = {
                 "scene": scene_name,

@@ -171,6 +171,14 @@ class TestDivergenceAbort:
         with pytest.raises(ValueError):
             recover_depth(dynamic_bundle, OptimConfig(w_c=1.0, w_b=0.0))
 
+    @pytest.mark.parametrize("allow_dynamic", [False, True])
+    def test_recover_rejects_flow_co_adjustment(self, dynamic_bundle, allow_dynamic):
+        # a config with w_b > 0 is co_adjust's, with or without allow_dynamic
+        config = OptimConfig(w_c=1.0, w_b=1.0, iterations=5, allow_dynamic=allow_dynamic)
+        with pytest.raises(ValueError, match="^recover_depth does not co-adjust flow; "
+                                             "use co_adjust for w_b > 0$"):
+            recover_depth(dynamic_bundle, config)
+
 
 class TestCoAdjustStatic:
     def test_reduces_to_recover_behavior(self, small_static):
@@ -195,7 +203,7 @@ class TestCoAdjustStatic:
                             RigidMotion(np.eye(3), README_T), 24, 32)
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=1.0, iterations=60,
                              record_every=10, seed=3)
-        co, rec = co_adjust(bundle, config), recover_depth(bundle, config)
+        co, rec = co_adjust(bundle, config), recover_depth(bundle, replace(config, w_b=0.0))
         assert len(co.records) == len(rec.records) == 7
         for a, b in zip(co.records, rec.records, strict=True):
             losses = dict(a.losses)
@@ -235,10 +243,10 @@ class TestAblation:
 
 
     def test_programming_error_propagates(self, small_static, monkeypatch):
-        def broken(bundle, config):
+        def broken(*args):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(optim, "recover_depth", broken)
+        monkeypatch.setattr(optim, "_depth_step", broken)
         configs = [("wc=1", OptimConfig(w_c=1.0, w_d=0.0, iterations=5, seed=1))]
         with pytest.raises(TypeError, match="unsupported operand"):
             ablation_suite([("scene", small_static)], configs)
@@ -285,7 +293,7 @@ class TestSharedWarmup:
         for config in configs:
             groups.setdefault(replace(config, w_d=0.0), []).append(config)
         for group in groups.values():
-            outcomes = optim._descend(bundle, group, group[0].w_b > 0)
+            outcomes = optim._descend(bundle, group)
             for shared, config in zip(outcomes, group, strict=True):
                 assert_same_outcome(shared, run_alone(bundle, config))
         return rows
@@ -322,9 +330,11 @@ class TestSharedWarmup:
         assert all(r["error"] == "" for r in rows)
         assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
 
-    def test_no_warmup_shares_nothing(self, small_static):
-        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=20, dpc_warmup_fraction=0.0, seed=1)
-                   for wd in (0.0, 0.1)]
+    @pytest.mark.parametrize("warmup", [0.0, 1.0])
+    def test_no_warmup_shares_nothing(self, small_static, warmup):
+        # at 1.0 the fork falls after the last iteration, before the final record
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=20, dpc_warmup_fraction=warmup,
+                               seed=1) for wd in (0.0, 0.1)]
         self.check(small_static, configs)
 
     def test_member_diverging_on_its_dpc_value_leaves_the_group(self, small_static):
