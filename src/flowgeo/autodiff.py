@@ -25,22 +25,23 @@ the composed graph's backward pass made them, and every gradient keeps
 its bits.
 
 Accumulation order is fixed (reverse creation order, each node's inputs
-in entry order), so gradients are bit-reproducible run to run.
+in entry order), so gradients are bit-reproducible run to run. `backward`
+runs every vjp with numpy's divide and invalid warnings off: the adjoints
+of masked pixels may divide by zero, as their forwards may.
+
+A step of the descent records about a dozen nodes on grids of a few
+thousand pixels, so the fixed cost of a node counts as much as its array
+passes: values are a float or a float ndarray, and the bookkeeping reads
+their attributes rather than going through numpy's Python-level wrappers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _axis_diff, _bilinear_terms
+from .geometry import _axis_diff, _bilinear_terms, _stencil_lines
 
-_counter = 0
-
-
-def _next_id():
-    global _counter
-    _counter += 1
-    return _counter
+_counter = 0  # creation ids: the number of Vars made so far
 
 
 class Var:
@@ -52,17 +53,22 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, value, inputs=None, vjp=None):
-        self.value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+        global _counter
+        if type(value) is not float:  # a 0-d value is stored as a float
+            value = np.asarray(value, dtype=float)
+            if not value.ndim:
+                value = float(value)
+        self.value = value
         self.grad = None
         if inputs is None:  # made by a caller: a leaf
             self._parents, self._active = (), True
         else:  # (input, position) pairs, kept for active inputs only
-            self._parents = tuple(
-                (x, i) for i, x in enumerate(inputs) if isinstance(x, Var) and x._active
-            )
+            self._parents = tuple([(x, i) for i, x in enumerate(inputs)
+                                   if isinstance(x, Var) and x._active])
             self._active = bool(self._parents)
         self._vjp = vjp if self._parents else None
-        self._id = _next_id()
+        _counter += 1
+        self._id = _counter
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -106,9 +112,15 @@ def value_of(x):
     return x.value if isinstance(x, Var) else x
 
 
+def _shape(value):
+    """The shape of a float, numpy scalar or ndarray, without numpy's
+    Python-level `np.shape`."""
+    return getattr(value, "shape", ())
+
+
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (the reverse of numpy broadcasting)."""
-    if np.shape(grad) == tuple(shape):
+    if _shape(grad) == shape:
         return grad
     g = np.asarray(grad, dtype=float)
     extra = g.ndim - len(shape)
@@ -118,7 +130,7 @@ def _unbroadcast(grad, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     if shape == ():
-        return float(np.sum(g))
+        return float(g.sum())
     return g
 
 
@@ -148,12 +160,7 @@ def div(a, b):
     av, bv = a.value, b.value
     with np.errstate(divide="ignore", invalid="ignore"):
         out = av / bv
-
-    def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return g / bv, -g * av / (bv * bv)
-
-    return Var(out, (a, b), vjp)
+    return Var(out, (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
 
 
 def sin(a):
@@ -186,7 +193,7 @@ def absolute(a):
 
 def total(a):
     a = as_var(a)
-    shape = np.shape(a.value)
+    shape = _shape(a.value)
     return Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape) if shape else g,))
 
 
@@ -196,7 +203,7 @@ def _mean_over(values, mask):
     may be non-finite. The adjoint weights are `m.astype(float) / n`."""
     m = np.asarray(mask, bool)
     n = np.count_nonzero(m)
-    return float(np.sum(values[m]) / n), m, n
+    return float(np.add.reduce(values[m]) / n), m, n
 
 
 def masked_mean(a, mask: np.ndarray):
@@ -214,7 +221,7 @@ def forward_diff(a, axis: int):
     """First difference x[i+1] - x[i] along an axis (length shrinks by 1)."""
     a = as_var(a)
 
-    shape = np.shape(a.value)
+    shape = _shape(a.value)
 
     def vjp(g):
         gx = np.zeros(shape)
@@ -231,53 +238,82 @@ def axis_diff(a, axis: int):
     interior x[i+1] - x[i-1], borders 2 * one-sided."""
     a = as_var(a)
     out = _axis_diff(a.value, axis)
-    shape = np.shape(a.value)
+    shape = _shape(a.value)
     return Var(out, (a,), lambda g: (_axis_diff_vjp(g, axis, shape),))
 
 
 def _axis_diff_vjp(g, axis, shape):
-    """Adjoint of `axis_diff` along `axis` for an input of `shape`."""
+    """Adjoint of `axis_diff` along `axis` for an input of `shape`.
+
+    Per line along the axis, in this order: the border rows (y[0] =
+    2(x[1]-x[0]) adds to x[1] and takes from x[0], y[-1] = 2(x[-1]-x[-2])
+    adds to x[-1] and takes from x[-2]), then the interior rows (y[i] =
+    x[i+1] - x[i-1] adds to x[i+1], then takes from x[i-1]). The interior
+    runs on the flattened arrays (see `geometry._stencil_lines`); the lines
+    0, 1, n-2 and n-1, where the flat form also reads across the ends of a
+    line and where the border rows land, are then redone in that order,
+    each from its first term (0.0 plus or minus a border row)."""
     gx = np.zeros(shape)
+    g = np.asarray(g, dtype=float)
+    n = shape[axis]
+    x_flat, g_flat, s, size = _stencil_lines(gx, g, axis)
+    x_flat[2 * s :] += g_flat[s : size - s]
+    x_flat[: size - 2 * s] -= g_flat[s : size - s]
     # views with the stencil axis first
-    gm, gg = gx.swapaxes(0, axis), np.asarray(g, dtype=float).swapaxes(0, axis)
-    # border rows: y[0] = 2(x[1]-x[0]); y[-1] = 2(x[-1]-x[-2])
-    gm[1] += 2.0 * gg[0]
-    gm[0] -= 2.0 * gg[0]
-    gm[-1] += 2.0 * gg[-1]
-    gm[-2] -= 2.0 * gg[-1]
-    # interior rows: y[i] = x[i+1] - x[i-1]
-    gm[2:] += gg[1:-1]
-    gm[:-2] -= gg[1:-1]
+    gm, gg = gx.swapaxes(0, axis), g.swapaxes(0, axis)
+    first, last = 2.0 * gg[0], 2.0 * gg[-1]
+    np.add(0.0, first, out=gm[1])
+    np.subtract(0.0, first, out=gm[0])
+    np.add(0.0, last, out=gm[-1])
+    if n == 3:  # line 1 is line n-2
+        gm[1] -= last
+    else:
+        np.subtract(0.0, last, out=gm[-2])
+    # of those lines, the interior rows add to n-2 (when n > 3) and n-1,
+    # and take from 0 and 1 (when n > 3)
+    head, tail = min(2, n - 2), max(2, n - 2)
+    gm[tail:] += gg[tail - 1 : n - 1]
+    gm[:head] -= gg[1 : head + 1]
     return gx
 
 
-def _box3(v):
-    """3x3 zero-padded mean of an array over its first two axes: nine
-    shifted adds from zeros, then one division.
+def _box3(*arrays):
+    """3x3 zero-padded mean of each of one or more arrays of one shape over
+    their first two axes, as a list: nine shifted adds onto zeros, then one
+    division.
 
-    The padded grid is laid out flat, row after row, so each shifted
-    window is one contiguous run of H rows W + 2 wide. The two extra
-    columns per row are summed as well and dropped at the end; every kept
-    entry sees the same nine adds in the same order as the 2-D form."""
-    H, W = v.shape[:2]
-    rest = v.shape[2:]
+    Each padded grid is laid out flat, row after row, and the grids of the
+    arrays one after another, so each shifted window is one contiguous run
+    over all of them: H rows W + 2 wide per grid, and the two padding rows
+    between grids. The extra columns and rows are summed as well and
+    dropped at the end; every kept entry reads only its own grid and sees
+    the same nine adds in the same order as the 2-D form."""
+    k = len(arrays)
+    H, W = arrays[0].shape[:2]
+    rest = arrays[0].shape[2:]
     row = W + 2
-    n = H * row
-    p = np.zeros(((H + 2) * row + 2,) + rest)
-    p[: (H + 2) * row].reshape((H + 2, row) + rest)[1:-1, 1:-1] = v
-    out = np.zeros((n,) + rest)
-    for dy in range(3):
-        for dx in range(3):
-            start = dy * row + dx
-            out += p[start : start + n]
-    out /= 9.0
-    return out.reshape((H, row) + rest)[:, :W]
+    size = (H + 2) * row  # one padded grid
+    n = (k - 1) * size + H * row  # the entries a window covers
+    p = np.zeros((k * size + 2,) + rest)
+    grids = p[: k * size].reshape((k, H + 2, row) + rest)
+    for i, v in enumerate(arrays):
+        grids[i, 1:-1, 1:-1] = v
+    starts = [dy * row + dx for dy in range(3) for dx in range(3)]
+    out = np.empty((k * size,) + rest)
+    window = out[:n]
+    # the first window plus 0.0 is zeros plus it, bit for bit (-0.0 reads +0.0)
+    np.add(p[:n], 0.0, out=window)
+    for start in starts[1:]:
+        window += p[start : start + n]
+    # the division writes the kept entries to a fresh contiguous array, so
+    # the ops that read a mean run in one pass, not row by row
+    return list(np.divide(out.reshape((k, H + 2, row) + rest)[:, :H, :W], 9.0))
 
 
 def box3(a):
     """3x3 zero-padded mean filter (self-adjoint by symmetry)."""
     a = as_var(a)
-    return Var(_box3(a.value), (a,), lambda g: (_box3(np.asarray(g, dtype=float)),))
+    return Var(_box3(a.value)[0], (a,), lambda g: (_box3(np.asarray(g, dtype=float))[0],))
 
 
 def _bilinear_partials(values, xv, yv):
@@ -286,20 +322,18 @@ def _bilinear_partials(values, xv, yv):
     clamped forward differentiated exactly: a coordinate pinned at the
     rectangle edge is locally flat along its own axis only (clamped samples
     can still feed pooled statistics of valid neighbors)."""
-    H, W = values.shape[:2]
-    out, inside, (wy, v00, v01, v10, v11, top, bottom) = _bilinear_terms(values, xv, yv)
-    dx = (v01 - v00) * (1 - wy) + (v11 - v10) * wy
+    out, inside, terms = _bilinear_terms(values, xv, yv)
+    wy, v00, v01, v10, v11, top, bottom, wy_rest, in_x, in_y = terms
+    dx = (v01 - v00) * wy_rest + (v11 - v10) * wy
     dy = bottom - top
-    live_x = ((xv >= 0.0) & (xv <= W - 1.0)).astype(float)
-    live_y = ((yv >= 0.0) & (yv <= H - 1.0)).astype(float)
-    return out, inside, (dx, live_x), (dy, live_y)
+    return out, inside, (dx, in_x.astype(float)), (dy, in_y.astype(float))
 
 
 def _bilinear_vjp(g, partial):
     """Adjoint of a bilinear sample for one coordinate, from its
     `(d, live)` pair of `_bilinear_partials`; channels are summed."""
     d, live = partial
-    gd = np.asarray(g) * d
+    gd = g * d
     if gd.ndim > live.ndim:
         gd = gd.sum(axis=-1)
     return gd * live
@@ -320,6 +354,7 @@ def bilinear(values: np.ndarray, xs, ys):
 # -- backward pass -------------------------------------------------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def backward(root: Var) -> None:
     """Accumulate d(root)/d(node) into .grad for every node that links the
     root to a leaf; constants are never visited."""
@@ -334,11 +369,12 @@ def backward(root: Var) -> None:
             if parent._id not in seen:
                 stack.append(parent)
     # creation ids give a topological order: ops always follow their inputs
-    order = sorted(seen.values(), key=lambda n: n._id)
+    order = [seen[i] for i in sorted(seen)]
 
     for node in order:
         node.grad = None
-    root.grad = np.ones(np.shape(root.value)) if np.shape(root.value) else 1.0
+    shape = _shape(root.value)
+    root.grad = np.ones(shape) if shape else 1.0
 
     for node in reversed(order):
         if not node._parents:
@@ -348,7 +384,14 @@ def backward(root: Var) -> None:
             continue
         contributions = node._vjp(node.grad)
         for parent, i in node._parents:
-            contribution = _unbroadcast(contributions[i], np.shape(parent.value))
+            contribution, value = contributions[i], parent.value
+            # what needs no summing skips `_unbroadcast`: a float or a
+            # numpy scalar for a float, an array of its shape for an array
+            if type(value) is float:
+                if type(contribution) is np.ndarray:
+                    contribution = _unbroadcast(contribution, ())
+            elif type(contribution) is not np.ndarray or contribution.shape != value.shape:
+                contribution = _unbroadcast(contribution, value.shape)
             # the first contribution is assigned; later ones make a new sum,
             # never in place, because identity vjps hand back `g` itself
             if parent.grad is None:

@@ -444,10 +444,28 @@ def translational_flow(flow_o: FlowField, flow_rot: FlowField) -> FlowField:
 # grid differential operators (unnormalized convention)
 
 
+def _stencil_lines(out, x, axis):
+    """(out flat, x flat, step, size): `out` (C-contiguous) and `x` (of the
+    same shape) as 1-D arrays, and the flat distance between neighbours
+    along `axis`. A difference stencil along any axis is then one pass over
+    the flat arrays, x[k + step] - x[k - step]. It is the stencil's own
+    value wherever both neighbours lie on the entry's line along the axis;
+    on the first and last entries of each line (all of them along axis 0
+    are outside the pass) it reads across the line's ends, and the caller
+    redoes those. `x` is flattened as a view where its strides allow, a
+    copy otherwise."""
+    step = 1
+    for n in out.shape[axis + 1 :]:
+        step *= n
+    return out.reshape(-1), x.reshape(-1), step, out.size
+
+
 def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized difference along an axis: interior x[i+1] - x[i-1],
     borders 2 * one-sided. Equals 2 * np.gradient for unit spacing, bit
-    for bit: the slices repeat its arithmetic, then scale by 2."""
+    for bit: the slices repeat its arithmetic, then scale by 2. The
+    interior runs on the flat arrays (`_stencil_lines`) for either axis,
+    and the border rows overwrite what it wrote across the line ends."""
     x = np.asarray(values, dtype=float)
     if x.shape[axis] < 3:
         raise DimensionError(
@@ -455,9 +473,11 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
             f"got shape {x.shape}"
         )
     out = np.empty(x.shape)
+    o_flat, x_flat, s, size = _stencil_lines(out, x, axis)
+    interior = o_flat[s : size - s]
+    np.subtract(x_flat[2 * s :], x_flat[: size - 2 * s], out=interior)
+    interior /= 2.0
     o, v = out.swapaxes(0, axis), x.swapaxes(0, axis)  # views, stencil axis first
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0
     np.subtract(v[1], v[0], out=o[0])
     np.subtract(v[-1], v[-2], out=o[-1])
     out *= 2.0
@@ -498,38 +518,52 @@ def interior_mask(height: int, width: int) -> np.ndarray:
 # bilinear warping
 
 
+def _clamp(x, lo, hi):
+    """`np.clip(x, lo, hi)` bit for bit, without its Python-level wrapper:
+    NaN propagates, and an entry equal to a bound (a -0.0 against a 0.0
+    bound) is kept, because numpy's maximum and minimum return their second
+    operand on a tie."""
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 def _bilinear_terms(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Clamp (xs, ys) into the image rectangle, gather the four corner
     samples and blend them: the one bilinear kernel behind
     `bilinear_sample` and the tape op `autodiff.bilinear`.
 
-    Returns (sampled, inside, (wy, v00, v01, v10, v11, top, bottom)); the
-    trailing terms are what the tape needs for its coordinate adjoints,
-    with `wy` shaped to broadcast against the corner samples. On a 1-wide
-    (1-high) image the +1 neighbour is the last column (row) itself.
+    Returns (sampled, inside, (wy, v00, v01, v10, v11, top, bottom,
+    1 - wy, inside along x, inside along y)); the trailing terms are what
+    the tape needs for its coordinate adjoints, with `wy` shaped to
+    broadcast against the corner samples. On a 1-wide (1-high) image the
+    +1 neighbour is the last column (row) itself.
     """
     H, W = values.shape[:2]
-    inside = (xs >= 0.0) & (xs <= W - 1.0) & (ys >= 0.0) & (ys <= H - 1.0)
-    x = np.clip(xs, 0.0, W - 1.0)
-    y = np.clip(ys, 0.0, H - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, max(W - 2, 0))
-    y0 = np.clip(np.floor(y).astype(int), 0, max(H - 2, 0))
+    x = _clamp(xs, 0.0, W - 1.0)
+    y = _clamp(ys, 0.0, H - 1.0)
+    # a coordinate lies in [0, W - 1] exactly where clamping keeps it (a NaN
+    # is neither), and the cast of a clamped coordinate is its floor
+    in_x, in_y = x == xs, y == ys
+    x0 = _clamp(x.astype(int), 0, max(W - 2, 0))
+    y0 = _clamp(y.astype(int), 0, max(H - 2, 0))
     wx = x - x0
     wy = y - y0
     if values.ndim == 3:
         wx = wx[..., None]
         wy = wy[..., None]
-    # gather the corners from the flattened image at y0*W + x0
+    # gather the corners from the flattened image at y0*W + x0, the other
+    # three through views that start `right`, `down` or both entries later
     flat = values.reshape((H * W,) + values.shape[2:])
     right, down = (1 if W > 1 else 0), (W if H > 1 else 0)
     i00 = y0 * W + x0
     v00 = flat.take(i00, axis=0)
-    v01 = flat.take(i00 + right, axis=0)
-    v10 = flat.take(i00 + down, axis=0)
-    v11 = flat.take(i00 + (down + right), axis=0)
-    top = v00 * (1.0 - wx) + v01 * wx
-    bottom = v10 * (1.0 - wx) + v11 * wx
-    return top * (1.0 - wy) + bottom * wy, inside, (wy, v00, v01, v10, v11, top, bottom)
+    v01 = flat[right:].take(i00, axis=0)
+    v10 = flat[down:].take(i00, axis=0)
+    v11 = flat[down + right :].take(i00, axis=0)
+    wx_rest, wy_rest = 1.0 - wx, 1.0 - wy
+    top = v00 * wx_rest + v01 * wx
+    bottom = v10 * wx_rest + v11 * wx
+    return (top * wy_rest + bottom * wy, in_x & in_y,
+            (wy, v00, v01, v10, v11, top, bottom, wy_rest, in_x, in_y))
 
 
 def bilinear_sample(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -548,13 +582,14 @@ def warp(source: Image, flow: FlowField):
     the bilinear sample of `source` at p + F(p).
 
     Returns (Image, mask); the mask is false where the sample point leaves
-    the image rectangle or the flow itself is invalid.
+    the image rectangle or the flow itself is invalid. A NaN flow, which
+    `FlowField` allows only where it is invalid, is sampled as zero flow.
     """
     H, W = source.shape
     if flow.shape != (H, W):
         raise DimensionError("flow and image shapes do not match")
     u, v = pixel_grid(H, W)
-    sampled, inside = bilinear_sample(
-        source.values, u + flow.values[..., 0], v + flow.values[..., 1]
-    )
+    f = flow.values
+    f = np.where(np.isnan(f), 0.0, f)
+    sampled, inside = bilinear_sample(source.values, u + f[..., 0], v + f[..., 1])
     return Image(np.clip(sampled, 0.0, 1.0)), inside & flow.mask

@@ -118,6 +118,7 @@ def rigid_flow_graph(camera, R, t, depth, height, width):
     return f_u, f_v, np.asarray(y2.value) > Z_EPS
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def warp_graph(camera, image, t, depth, grid, rays):
     """The photometric warp as one tape node: the bilinear sample of the
     constant `image` at p + F(p), F the rigid flow of `depth` under the
@@ -132,8 +133,7 @@ def warp_graph(camera, image, t, depth, grid, rays):
     d = ad.value_of(depth)
     r = [ad.value_of(x) for x in rays]
     tv = [ad.value_of(x) for x in t]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y0, y1, y2, f_u, f_v = rigid_flow_terms(camera, r, tv, d, grid)
+    y0, y1, y2, f_u, f_v = rigid_flow_terms(camera, r, tv, d, grid)
     out, inside, px, py = ad._bilinear_partials(image, f_u + grid.u, f_v + grid.v)
     d_act = ad.active(depth)
     y_act = [d_act or ad.active(rays[i]) or ad.active(t[i]) for i in range(3)]
@@ -141,17 +141,16 @@ def warp_graph(camera, image, t, depth, grid, rays):
     def vjp(g):
         grads = [None] * 9
         g_y = [None, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if y_act[1] or y_act[2]:
-                g_q = ad._bilinear_vjp(g, py) * camera.fy
-                g_y[1] = g_q / y2
-                if y_act[2]:
-                    g_y[2] = -g_q * y1 / (y2 * y2)
-            if y_act[0] or y_act[2]:
-                g_q = ad._bilinear_vjp(g, px) * camera.fx
-                g_y[0] = g_q / y2
-                if y_act[2]:
-                    g_y[2] = g_y[2] + -g_q * y0 / (y2 * y2)
+        if y_act[1] or y_act[2]:
+            g_q = ad._bilinear_vjp(g, py) * camera.fy
+            g_y[1] = g_q / y2
+            if y_act[2]:
+                g_y[2] = -g_q * y1 / (y2 * y2)
+        if y_act[0] or y_act[2]:
+            g_q = ad._bilinear_vjp(g, px) * camera.fx
+            g_y[0] = g_q / y2
+            if y_act[2]:
+                g_y[2] = g_y[2] + -g_q * y0 / (y2 * y2)
         for k, i in enumerate((2, 1, 0)):
             if not y_act[i]:
                 continue

@@ -17,6 +17,10 @@ wrappers, which accept the typed grid values and return plain records.
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
 magnitudes. Guard-dominated pixel fractions are reported as diagnostics.
+Masked pixels may still divide by zero, so each function that divides runs
+with numpy's divide and invalid warnings off: `np.errstate` as a
+decorator, one switch per call, and `autodiff.backward` does the same for
+every vjp.
 """
 
 from __future__ import annotations
@@ -94,29 +98,29 @@ def ssim_stats(b):
     arrays: its 3x3 mean mu, mu * mu, and its variance box3(b * b) - mu * mu.
     A fixed reference image needs them only once."""
     b = np.asarray(b, dtype=float)
-    mu = ad._box3(b)
+    mu, box_bb = ad._box3(b, b * b)
     mu_sq = mu * mu
-    return mu, mu_sq, ad._box3(b * b) - mu_sq
+    return mu, mu_sq, box_bb - mu_sq
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _ssim_terms(a, b, b_stats):
     """Per-pixel SSIM of channel `a` against the reference channel `b`,
     with 3x3 zero-padded mean-pool statistics, and the intermediates its
     adjoint reads: (ssim, mu_a, mu_b, num, den, the two factors of num,
     the two factors of den)."""
     mu_b, mu_b_sq, var_b = b_stats
-    mu_a = ad._box3(a)
+    mu_a, box_aa, box_ab = ad._box3(a, a * a, a * b)
     mu_a_sq = mu_a * mu_a
-    var_a = ad._box3(a * a) - mu_a_sq
+    var_a = box_aa - mu_a_sq
     mu_ab = mu_a * mu_b
-    cov = ad._box3(a * b) - mu_ab
+    cov = box_ab - mu_ab
     num_l = mu_ab * 2.0 + SSIM_C1
     num_r = cov * 2.0 + SSIM_C2
     den_l = mu_a_sq + mu_b_sq + SSIM_C1
     den_r = var_a + var_b + SSIM_C2
     num, den = num_l * num_r, den_l * den_r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = num / den
+    s = num / den
     return s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r
 
 
@@ -150,9 +154,8 @@ def _channel_vjp(g, terms):
     # the L1 branch was created last, so it reaches the channel first
     g_a = -(g * beta * np.sign(diff))
     g_s = -(g * half_alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_num = g_s / den
-        g_den = -g_s * num / (den * den)
+    g_num = g_s / den
+    g_den = -g_s * num / (den * den)
     # mu_a gathers den's mu_a*mu_a (twice), num's and cov's mu_a*mu_b,
     # then var's mu_a*mu_a (twice)
     twice = g_den * den_r * mu_a
@@ -160,15 +163,18 @@ def _channel_vjp(g, terms):
     g_mu += g_num * num_r * 2.0 * mu_b
     g_cov = g_num * num_l * 2.0
     g_mu += -g_cov * mu_b
-    g_a += ad._box3(g_cov) * b
     g_var = g_den * den_l
     twice = -g_var * mu_a
     g_mu += twice
     g_mu += twice
-    twice = ad._box3(g_var) * a
+    # the channel gathers, in this order, the adjoints of box3(a * b),
+    # box3(a * a) (twice) and box3(a)
+    box_cov, box_var, box_mu = ad._box3(g_cov, g_var, g_mu)
+    g_a += box_cov * b
+    twice = box_var * a
     g_a += twice
     g_a += twice
-    g_a += ad._box3(g_mu)
+    g_a += box_mu
     return g_a
 
 
@@ -184,8 +190,9 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     """
     if reference is None:
         reference = reference_channels(i_t)
-    channels = _channels(ad.value_of(i_warped))
-    planar = np.ndim(ad.value_of(i_warped)) == 2
+    warped = np.asarray(ad.value_of(i_warped), dtype=float)
+    channels = _channels(warped)
+    planar = warped.ndim == 2
     parts = [_channel_terms(ch_t, stats, a, alpha) for (ch_t, stats), a in zip(reference, channels)]
     per_pixel = parts[0][0]
     for out, _ in parts[1:]:
@@ -206,6 +213,7 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     return ad.Var(value, [i_warped], vjp)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def cgdc_core(d_g, d_c, mask):
     """Masked mean of |D_g - D_c| / D_c (denominator guarded), as one tape
     node over the geometric depth D_g and the depth D_c.
@@ -217,19 +225,17 @@ def cgdc_core(d_g, d_c, mask):
     diff = g_val - c_val
     size = np.abs(diff)
     guard = np.maximum(c_val, EPS_DIV)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = size / guard
+    rel = size / guard
     value, m, n = ad._mean_over(rel, mask)
     c_active = ad.active(d_c)
 
     def vjp(g):
         g_rel = g * (m.astype(float) / n)
         out = [None, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_size = g_rel / guard
-            if c_active:
-                g_guard = -g_rel * size / (guard * guard)
-                out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
+        g_size = g_rel / guard
+        if c_active:
+            g_guard = -g_rel * size / (guard * guard)
+            out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
         g_diff = g_size * np.sign(diff)
         out[1] = g_diff
         if c_active:
@@ -270,6 +276,7 @@ class DepthSide:
     terms: tuple
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
     """The depth half of C^F and C^D from the `differential_offsets` and
     the `differential_flow_side`:
@@ -285,8 +292,7 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
     t3_v, d_v = ad.value_of(t3), np.asarray(ad.value_of(d_c), dtype=float)
     qu_v, qv_v, div_v = ad.value_of(q_u), ad.value_of(q_v), ad.value_of(div_f)
     shifted = d_v - t3_v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = shifted / t3_v
+    ratio = shifted / t3_v
     scaled = ratio * div_v
     c_f = scaled - IDENTITY_FIELD_DIVERGENCE
     if depth_gradient is None:
@@ -294,8 +300,7 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
     else:
         g_u, g_v = 2.0 * depth_gradient[..., 0], 2.0 * depth_gradient[..., 1]
     neg = (qu_v * g_u + qv_v * g_v) * -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_d = neg / shifted
+    c_d = neg / shifted
     if interior is None:
         interior = interior_mask(*d_v.shape)
     validity = interior & (np.abs(shifted) >= EPS_GEO)
@@ -327,13 +332,13 @@ def differential_fields_core(
     return side, q_u, q_v
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _dpc_terms(c_f, c_d):
     """Per-pixel |C^D - C^F| / (|C^D| + EPS_DPC) and its intermediates."""
     gap = c_d - c_f
     gap_size = np.abs(gap)
     guard = np.abs(c_d) + EPS_DPC
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = gap_size / guard
+    rel = gap_size / guard
     return rel, gap, gap_size, guard
 
 
@@ -361,34 +366,33 @@ def dpc_core(side: DepthSide, mask):
     def vjp(g):
         out = [None] * 8
         g_rel = g * (m.astype(float) / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_size = g_rel / guard
-            g_gap = g_size * np.sign(gap)
-            g_sh = None
-            if cd_act:
-                g_guard = -g_rel * gap_size / (guard * guard)
-                g_cd = g_guard * np.sign(side.c_d) + g_gap
-                g_neg = g_cd / shifted
-                if sh_act:
-                    g_sh = -g_cd * neg / (shifted * shifted)
-                g_sum = g_neg * -1.0
-                if qv_act:
-                    out[0] = g_sum * g_v
-                if qu_act:
-                    out[1] = g_sum * g_u
-                if d_act:
-                    out[2] = ad._axis_diff_vjp(g_sum * qv_v, 0, np.shape(d_v))
-                    out[3] = ad._axis_diff_vjp(g_sum * qu_v, 1, np.shape(d_v))
-            if cf_act:
-                g_cf = -g_gap
-                if ad.active(div_f):
-                    out[4] = g_cf * ratio
-                if sh_act:
-                    g_ratio = g_cf * div_v
-                    c_sh = g_ratio / t3_v
-                    g_sh = c_sh if g_sh is None else g_sh + c_sh
-                    if t_act:
-                        out[5] = -g_ratio * shifted / (t3_v * t3_v)
+        g_size = g_rel / guard
+        g_gap = g_size * np.sign(gap)
+        g_sh = None
+        if cd_act:
+            g_guard = -g_rel * gap_size / (guard * guard)
+            g_cd = g_guard * np.sign(side.c_d) + g_gap
+            g_neg = g_cd / shifted
+            if sh_act:
+                g_sh = -g_cd * neg / (shifted * shifted)
+            g_sum = g_neg * -1.0
+            if qv_act:
+                out[0] = g_sum * g_v
+            if qu_act:
+                out[1] = g_sum * g_u
+            if d_act:
+                out[2] = ad._axis_diff_vjp(g_sum * qv_v, 0, d_v.shape)
+                out[3] = ad._axis_diff_vjp(g_sum * qu_v, 1, d_v.shape)
+        if cf_act:
+            g_cf = -g_gap
+            if ad.active(div_f):
+                out[4] = g_cf * ratio
+            if sh_act:
+                g_ratio = g_cf * div_v
+                c_sh = g_ratio / t3_v
+                g_sh = c_sh if g_sh is None else g_sh + c_sh
+                if t_act:
+                    out[5] = -g_ratio * shifted / (t3_v * t3_v)
         if sh_act:
             out[6] = g_sh
             if t_act:
@@ -398,14 +402,14 @@ def dpc_core(side: DepthSide, mask):
     return ad.Var(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _bsca_terms(r_u, r_v, o_u, o_v):
     """Per-pixel ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW) and its
     intermediates (gap_u, gap_v, ||F_r - F_o||_1, the guarded norm)."""
     gap_u, gap_v = r_u - o_u, r_v - o_v
     n_diff = np.abs(gap_u) + np.abs(gap_v)
     guard = (np.abs(o_u) + np.abs(o_v)) + EPS_FLOW
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = n_diff / guard
+    rel = n_diff / guard
     return rel, gap_u, gap_v, n_diff, guard
 
 
@@ -426,10 +430,9 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     def vjp(g):
         out = [None] * 6
         g_rel = g * (m.astype(float) / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_diff = g_rel / guard
-            if ou_act or ov_act:
-                g_guard = -g_rel * n_diff / (guard * guard)
+        g_diff = g_rel / guard
+        if ou_act or ov_act:
+            g_guard = -g_rel * n_diff / (guard * guard)
         if ov_act:
             out[0] = g_guard * np.sign(o_v)
         if ou_act:
@@ -452,6 +455,10 @@ def smoothness_core(d, image_values):
     differences: sum over axes of mean(|diff d*| exp(-|diff I|))."""
     d = ad.as_var(d)
     H, W = np.shape(d.value)
+    if H < 2 or W < 2:
+        raise DimensionError(
+            f"edge-aware smoothness needs at least a 2x2 grid, got shape {(H, W)}"
+        )
     img = np.asarray(image_values, dtype=float)
     if img.ndim == 3:
         img = img.mean(axis=2)
@@ -490,6 +497,8 @@ def photometric_loss(i_t: Image, i_warped: Image, mask=None, alpha: float = ALPH
 
 
 def cgdc_loss(d_g: TriangulationResult, d_c: DepthMap) -> LossValue:
+    if d_g.depth_g.shape != d_c.shape:
+        raise DimensionError("triangulated and predicted depth shapes do not match")
     mask = d_g.validity & d_c.mask
     _require_mask(mask, "cgdc_loss")
     value = cgdc_core(d_g.depth_g.values, d_c.values, mask).value
@@ -594,7 +603,10 @@ def depth_metrics(d_pred: DepthMap, d_gt: DepthMap, mask=None) -> DepthMetrics:
         raise DimensionError("depth shapes do not match")
     m = d_pred.mask & d_gt.mask
     if mask is not None:
-        m = m & np.asarray(mask, bool)
+        mask = np.asarray(mask, bool)
+        if mask.shape != m.shape:
+            raise DimensionError("metric mask shape does not match the depth")
+        m = m & mask
     _require_mask(m, "depth_metrics")
     p = d_pred.values[m]
     g = d_gt.values[m]

@@ -49,6 +49,7 @@ bit-reproducible for a fixed config.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -67,6 +68,7 @@ from .geometry import (
     CameraGrid,
     DepthMap,
     FlowField,
+    _clamp,
     _require_depth,
     _require_finite,
     interior_mask,
@@ -115,6 +117,10 @@ class OptimConfig:
     allow_dynamic: bool = False  # permit depth-only runs on dynamic scenes (ablation control)
 
     def __post_init__(self):
+        for name in ("iterations", "seed", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # negated comparisons, so a NaN fails them
         if not all(0 <= w < np.inf for w in (self.w_p, self.w_c, self.w_d, self.w_b)):
             raise ValueError("loss weights must be finite and non-negative")
@@ -178,9 +184,9 @@ def _initial_theta(bundle: SceneBundle, config: OptimConfig, rng) -> np.ndarray:
     return np.log(d0)
 
 
+@np.errstate(over="ignore")
 def _decode_values(theta):
-    with np.errstate(over="ignore"):
-        return np.exp(theta)
+    return np.exp(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +347,10 @@ def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
     return TraceRecord(iteration, losses, depth_metrics(depth, gt), extras)
 
 
+@np.errstate(over="ignore")
 def _float32_storable(values):
     """Which entries a float32 artifact can hold: finite after the cast."""
-    with np.errstate(over="ignore"):
-        return np.isfinite(values.astype(np.float32))
+    return np.isfinite(values.astype(np.float32))
 
 
 def _abort_if_diverged(iteration, loss_values, depth, records, started, config, flow=None,
@@ -424,7 +430,7 @@ def _depth_step(objective, theta, depth, iteration, config):
         return theta, loss_values
     ad.backward(total)
     step = objective.rate(iteration) * (np.asarray(d.grad) * depth)
-    step = np.clip(step, -config.step_clip, config.step_clip)
+    step = _clamp(step, -config.step_clip, config.step_clip)
     return theta - step, loss_values
 
 
@@ -528,12 +534,8 @@ class _Lane:
         this lane's plan, or the same without the dpc term, on the flow this
         lane's plan holds."""
         flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
-        records = list(self.records)
-        if config.w_d == 0:
-            records = [replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
-                       for r in records]
         return _Lane(self.bundle, _DepthObjective(self.bundle, config, flow), self.theta,
-                     self.depth, flow, records, self.started)
+                     self.depth, flow, _records_of(self.records, config), self.started)
 
     def finish(self):
         """The RunTrace of the run, with its final record at the depth after
@@ -546,6 +548,26 @@ class _Lane:
         final_flow = None if flow is None else FlowField(*flow)
         return RunTrace(self.records, DepthMap(depth), final_flow,
                         time.perf_counter() - self.started, config)
+
+
+def _records_of(records, config):
+    """A copy of the records of the lead's lane as the run of `config`
+    records them: without their dpc value when its w_d is 0."""
+    if config.w_d == 0:
+        return [replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
+                for r in records]
+    return list(records)
+
+
+def _error_of(exc, config):
+    """The error `exc` that ended the lead's run, as the run of `config`
+    raises it: a new error of its type and message, whose trace, for an
+    AbortedRunError, names `config` and holds its own copy of the records."""
+    if isinstance(exc, AbortedRunError) and exc.trace is not None:
+        trace = replace(exc.trace, records=_records_of(exc.trace.records, config),
+                        config=config)
+        return AbortedRunError(str(exc), trace)
+    return type(exc)(*exc.args)
 
 
 def _descend(bundle, configs):
@@ -569,8 +591,8 @@ def _descend(bundle, configs):
     whose losses are a subset of the lead's passes the divergence check
     wherever the lead passes it. If the lead's run fails before the fork,
     a config whose dpc term is on or off as in the lead's does the same
-    work alone and takes the lead's error, whose message its own run would
-    raise; each other config runs alone."""
+    work alone and takes the error its own run would raise, made from the
+    lead's (`_error_of`); each other config runs alone."""
     outcomes = {}
     for config in configs:
         try:
@@ -588,8 +610,12 @@ def _descend(bundle, configs):
             lane.step(it)
     except (FlowGeoError, ValueError) as exc:
         for config in live:
-            same_work = (config.w_d > 0) == (lead.w_d > 0)
-            outcomes[config] = exc if same_work else _descend(bundle, [config])[0]
+            if config == lead:
+                outcomes[config] = exc
+            elif (config.w_d > 0) == (lead.w_d > 0):  # the same work
+                outcomes[config] = _error_of(exc, config)
+            else:
+                outcomes[config] = _descend(bundle, [config])[0]
         return [outcomes[config] for config in configs]
     # every fork before the lead's lane moves on
     lanes = {config: lane if config == lead else lane.fork(config) for config in live}

@@ -24,6 +24,7 @@ from flowgeo.geometry import (
     RigidMotion,
     _axis_diff,
     _bilinear_terms,
+    _clamp,
     bilinear_sample,
     grid_gradient,
 )
@@ -423,6 +424,10 @@ class TestKernelTwins:
         v = RNG.normal(size=shape)
         v.flat[::3] = -0.0  # 0.0 + -0.0 is +0.0: the sums must start from zeros
         assert_bits_equal(ad.box3(ad.Var(v)).value, box3_padded(v))
+        # several arrays at once, each as by itself
+        arrays = [v, -v, RNG.normal(size=shape)]
+        for mean, array in zip(ad._box3(*arrays), arrays, strict=True):
+            assert_bits_equal(mean, box3_padded(array))
 
     @pytest.mark.parametrize("shape", [(6, 9), (3, 3), (5, 4, 3)])
     def test_axis_diff_matches_twice_np_gradient(self, shape):
@@ -462,6 +467,32 @@ class TestKernelTwins:
         (fd_adjoint,) = ad.forward_diff(ad.Var(x), axis)._vjp(y_short)
         np.testing.assert_allclose(np.vdot(np.diff(x, axis=axis), y_short),
                                    np.vdot(x, fd_adjoint), rtol=1e-12)
+
+    # lengths numpy runs through its scalar loop only, and through its
+    # vector loops with and without a scalar tail
+    CLAMP_LENGTHS = [1, 3, 7, 8, 9, 16, 33, 1001]
+
+    @pytest.mark.parametrize("n", CLAMP_LENGTHS)
+    def test_clamp_matches_np_clip(self, n):
+        # np.clip keeps an entry equal to a bound, so a -0.0 against a 0.0
+        # bound stays -0.0; NaN propagates
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5.0, np.nextafter(5.0, 6.0),
+                             -np.nextafter(0.0, 1.0), -1e300, 2.5, 0.02, -0.02])
+        x = np.random.default_rng(n).choice(specials, size=n)
+        for lo, hi in [(0.0, 5.0), (0.0, 0.0), (-0.02, 0.02)]:  # (0, 0): a 1-wide image
+            for view in (x, x[::2], x[::-1]):
+                assert_bits_equal(_clamp(view, lo, hi), np.clip(view, lo, hi))
+
+    @pytest.mark.parametrize("n", CLAMP_LENGTHS)
+    def test_integer_clamp_matches_np_clip(self, n):
+        # the cast of a NaN coordinate is the most negative integer
+        i = np.random.default_rng(n).integers(-2**62, 2**62, size=n)
+        i[::3] = np.iinfo(np.int64).min
+        i[1::4] = 0
+        for hi in (0, 1, 94):
+            clamped = _clamp(i, 0, hi)
+            assert clamped.dtype == np.clip(i, 0, hi).dtype
+            assert np.array_equal(clamped, np.clip(i, 0, hi))
 
     @pytest.mark.parametrize("channels", [None, 1, 3])
     def test_bilinear_terms_match_fancy_indexing(self, channels):

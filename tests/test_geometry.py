@@ -312,6 +312,19 @@ class TestWarp:
         with pytest.raises(DimensionError):
             warp(Image(np.zeros((5, 7))), FlowField(np.zeros((5, 6, 2))))
 
+    def test_nan_flow_on_an_invalid_pixel_is_masked(self):
+        img = Image(np.random.default_rng(3).uniform(0, 1, (5, 7)))
+        values = np.tile([1.0, 0.0], (5, 7, 1))
+        mask = np.ones((5, 7), bool)
+        values[2, 3] = np.nan
+        values[4, 0, 1] = np.nan
+        mask[2, 3] = mask[4, 0] = False
+        out, out_mask = warp(img, FlowField(values, mask))
+        expected, _ = warp(img, FlowField(np.tile([1.0, 0.0], (5, 7, 1))))
+        assert not out_mask[2, 3] and not out_mask[4, 0]
+        assert out_mask.sum() == 5 * 6 - 2
+        assert_bits_equal(out.values[mask], expected.values[mask])
+
 
 # ---------------------------------------------------------------------------
 # value-type invariants

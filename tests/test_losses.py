@@ -365,6 +365,11 @@ class TestCgdc:
         with pytest.raises(NoValidPixelsError):
             cgdc_loss(result, DepthMap(np.ones((4, 4))))
 
+    def test_depth_of_another_shape(self):
+        result = tri_result(np.ones((4, 4)), np.ones((4, 4), bool))
+        with pytest.raises(DimensionError, match="shapes do not match"):
+            cgdc_loss(result, DepthMap(np.ones((4, 5))))
+
 
 class TestDifferentialFields:
     def test_q_offset_example(self):
@@ -534,6 +539,12 @@ class TestSmoothness:
             edge_aware_smoothness(d, edged).value < edge_aware_smoothness(d, flat).value
         )
 
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
+    def test_one_wide_or_one_high_grid(self, shape):
+        # a forward difference along a 1-long axis is empty, and its mean is NaN
+        with pytest.raises(DimensionError, match="at least a 2x2 grid"):
+            edge_aware_smoothness(DepthMap(np.full(shape, 3.0)), Image(np.full(shape, 0.5)))
+
 
 class TestDepthMetrics:
     def test_perfect_prediction(self):
@@ -560,6 +571,13 @@ class TestDepthMetrics:
         d = DepthMap(np.ones((4, 4)))
         with pytest.raises(NoValidPixelsError):
             depth_metrics(d, d, mask=np.zeros((4, 4), bool))
+
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 4), (4,)])
+    def test_mask_of_another_shape(self, shape):
+        # (1, 4) and (4,) broadcast against the grid: still not its mask
+        d = DepthMap(np.ones((4, 4)))
+        with pytest.raises(DimensionError, match="mask shape"):
+            depth_metrics(d, d, mask=np.ones(shape, bool))
 
 
 class TestPermutationInvariance:

@@ -2,6 +2,7 @@
 divergence handling, and the co-adjustment reduction on static scenes."""
 
 import platform
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,20 @@ class TestConfigValidation:
         for value in values:
             with pytest.raises(ValueError, match=message):
                 OptimConfig(**{field: value})
+
+    # unchecked, a fractional count breaks `range` only once the descent
+    # starts (a fractional seed, in the rng), and a bool passes as 0 or 1
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 1.5), ("iterations", 2.0), ("iterations", True), ("iterations", "3"),
+        ("seed", 1.5), ("seed", False), ("record_every", 2.5), ("record_every", True),
+    ])
+    def test_count_field_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimConfig(**{field: value})
+
+    def test_count_fields_take_numpy_integers(self):
+        config = OptimConfig(iterations=np.int64(3), seed=np.int32(2), record_every=np.uint8(1))
+        assert (config.iterations, config.seed, config.record_every) == (3, 2, 1)
 
     @pytest.mark.parametrize("fields", [
         {"w_p": 0.0, "w_c": 0.0, "w_d": 0.0, "w_b": 0.0},
@@ -349,6 +364,32 @@ class TestSharedWarmup:
             assert row["error"].startswith("AbortedRunError: run diverged at iteration ")
             assert int(row["error"].split()[5]) < warmup
 
+    def test_each_config_takes_an_error_of_its_own(self, small_static):
+        # the lead (w_d = 0.1) diverges in the warmup, and the w_d = 0.2
+        # config, doing the same work, takes an error made for it
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
+                               step_clip=14.5, seed=0) for wd in (0.1, 0.2)]
+        lead, other = optim._descend(small_static, configs)
+        assert isinstance(other, AbortedRunError) and other is not lead
+        assert lead.trace.config == configs[0]
+        assert other.trace.config == configs[1]
+        assert other.trace.records is not lead.trace.records
+        alone = run_alone(small_static, configs[1])
+        assert str(other) == str(alone)
+        assert ([repr((r.iteration, r.losses, r.metrics)) for r in other.trace.records]
+                == [repr((r.iteration, r.losses, r.metrics)) for r in alone.trace.records])
+        assert_bits_equal(other.trace.final_depth.values, alone.trace.final_depth.values)
+
+    def test_an_error_without_a_trace_is_made_anew(self, small_static, monkeypatch):
+        def broken(*args):
+            raise NoValidPixelsError("dpc: empty valid set")
+
+        monkeypatch.setattr(optim, "dpc_core", broken)
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1) for wd in (0.1, 0.2)]
+        lead, other = optim._descend(small_static, configs)
+        assert type(other) is NoValidPixelsError and other is not lead
+        assert str(other) == str(lead) == "dpc: empty valid set"
+
     def test_scene_too_small_for_the_dpc_stencil(self, camera):
         # a plan with the dpc term fails on a 2-row grid; the w_d = 0 member,
         # whose own run has no stencil, runs alone and completes
@@ -431,6 +472,33 @@ class TestPlan:
         before = ad._counter
         optim._depth_step(objective, theta, optim._decode_values(theta), it, config)
         assert ad._counter - before <= 13
+
+    def test_dpc_active_step_call_budget(self, rotating):
+        # Python calls and calls of C functions (`sys.setprofile` "call" and
+        # "c_call" events) in one active recover step at 24x18, the README
+        # scene with a rotating ego-motion: 610 while numpy's Python-level
+        # wrappers (np.clip, np.shape, np.ndim, np.sum) and a np.errstate
+        # block per division site ran on every step. Array operators made
+        # through `+`, `*` and the like are not calls and are not counted.
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
+        objective = optim._DepthObjective(rotating, config)
+        theta = optim._initial_theta(rotating, config, np.random.default_rng(1))
+        depth = optim._decode_values(theta)
+        it = objective.dpc_active_after
+        assert objective.weights(it)["dpc"] > 0
+        optim._depth_step(objective, theta, depth, it, config)  # warm
+        calls = []
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(count)
+        try:
+            optim._depth_step(objective, theta, depth, it, config)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= 343
 
     def test_co_adjust_run_tape_size(self, dynamic_bundle):
         # co-adjust benchmark scene, 96x72, 400 iterations: 15.4 Vars per
