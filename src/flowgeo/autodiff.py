@@ -29,6 +29,14 @@ in entry order), so gradients are bit-reproducible run to run. `backward`
 runs every vjp with numpy's divide and invalid warnings off: the adjoints
 of masked pixels may divide by zero, as their forwards may.
 
+Lane stacks: the descent steps several runs at once, each a lane of a
+(k, H, W) stack. A masked mean over a stack is one mean per lane, so a loss
+node's value is a (k,) vector and its vjp gets one seed per lane.
+`lanes(a, rows)` picks some lanes of a stack for a node that not every
+lane has; `backward` adds what reaches the pick straight into the lanes of
+`a`, one contribution at a time, so each lane's gradient is summed in the
+order a run of that lane alone sums it.
+
 A step of the descent records about a dozen nodes on grids of a few
 thousand pixels, so the fixed cost of a node counts as much as its array
 passes: values are a float or a float ndarray, and the bookkeeping reads
@@ -200,18 +208,37 @@ def total(a):
 def _mean_over(values, mask):
     """(mean of `values` over a boolean mask, the mask, its count): the
     valid subset is summed in a fixed (row-major) order, so masked entries
-    may be non-finite. The adjoint weights are `m.astype(float) / n`."""
+    may be non-finite. The adjoint weights are `_mean_weights`.
+
+    On a lane stack of grids, `values` (k, H, W) and a mask of that shape
+    or of one grid's, each lane sums its own `values[m]`, as a run of that
+    lane alone does: the means and counts are (k,) arrays."""
     m = np.asarray(mask, bool)
-    n = np.count_nonzero(m)
-    return float(np.add.reduce(values[m]) / n), m, n
+    if values.ndim < 3:
+        n = np.count_nonzero(m)
+        return float(np.add.reduce(values[m]) / n), m, n
+    k = values.shape[0]
+    sums, n = np.empty(k), np.empty(k, dtype=int)
+    for i in range(k):
+        picked = values[i][m if m.ndim < 3 else m[i]]
+        sums[i] = np.add.reduce(picked)
+        n[i] = picked.size
+    return sums / n, m, n
+
+
+def _mean_weights(g, m, n):
+    """The seed `g` of a `_mean_over` node spread over its pixels: g m / n,
+    with a (k,) seed and counts spread lane by lane on a lane stack."""
+    if type(n) is not np.ndarray:
+        return g * (m.astype(float) / n)
+    return g[:, None, None] * (m.astype(float) / n[:, None, None])
 
 
 def masked_mean(a, mask: np.ndarray):
     """Mean of `a` over a constant boolean mask (see `_mean_over`)."""
     a = as_var(a)
     value, m, n = _mean_over(a.value, mask)
-    w = m.astype(float) / n
-    return Var(value, (a,), lambda g: (g * w,))
+    return Var(value, (a,), lambda g: (_mean_weights(g, m, n),))
 
 
 # -- structured grid operators ------------------------------------------------
@@ -231,6 +258,26 @@ def forward_diff(a, axis: int):
         return (gx,)
 
     return Var(np.diff(a.value, axis=axis), (a,), vjp)
+
+
+class _LaneView(Var):
+    """Some lanes of a lane stack (see `lanes`): `backward` hands what
+    reaches it to the stack's lanes `rows` and never runs a vjp of its own."""
+
+    __slots__ = ("rows",)
+
+
+def lanes(a, rows):
+    """The lanes `rows` (an integer index array) of the active lane stack
+    `a`, as a node of its own for a term that only those lanes have.
+    `backward` adds each contribution that reaches it straight into the
+    gradient of `a`, to those lanes, in the order it arrives, so a lane's
+    gradient sums what the nodes over it give in the order a run of that
+    lane alone sums it. Lanes not yet reached hold 0.0 until then; that
+    changes at most the sign of a zero sum, which the leaf's +0.0 clears."""
+    view = _LaneView(a.value[rows], (a,))
+    view.rows = rows
+    return view
 
 
 def axis_diff(a, axis: int):
@@ -255,6 +302,7 @@ def _axis_diff_vjp(g, axis, shape):
     each from its first term (0.0 plus or minus a border row)."""
     gx = np.zeros(shape)
     g = np.asarray(g, dtype=float)
+    axis %= len(shape)
     n = shape[axis]
     x_flat, g_flat, s, size = _stencil_lines(gx, g, axis)
     x_flat[2 * s :] += g_flat[s : size - s]
@@ -279,8 +327,22 @@ def _axis_diff_vjp(g, axis, shape):
 
 def _box3(*arrays):
     """3x3 zero-padded mean of each of one or more arrays of one shape over
-    their first two axes, as a list: nine shifted adds onto zeros, then one
-    division.
+    their first two axes, as a list (see `_box3_grids`)."""
+    return list(_box3_grids(arrays))
+
+
+def _box3_lanes(*arrays):
+    """`_box3` of arrays of one shape, grids (H, W) or lane stacks
+    (k, H, W) of them, each grid by itself: a list of arrays of that
+    shape, each lane with the bits of its grid's mean alone."""
+    shape = arrays[0].shape
+    return list(_box3_grids(arrays, len(shape) - 2).reshape((len(arrays),) + shape))
+
+
+def _box3_grids(arrays, lane_axes=0):
+    """The 3x3 zero-padded means of the grids of `arrays` as one
+    (n, H, W, ...) array: nine shifted adds onto zeros, then one division.
+    With `lane_axes` 1 the first axis of each array indexes its grids.
 
     Each padded grid is laid out flat, row after row, and the grids of the
     arrays one after another, so each shifted window is one contiguous run
@@ -288,16 +350,18 @@ def _box3(*arrays):
     between grids. The extra columns and rows are summed as well and
     dropped at the end; every kept entry reads only its own grid and sees
     the same nine adds in the same order as the 2-D form."""
-    k = len(arrays)
-    H, W = arrays[0].shape[:2]
-    rest = arrays[0].shape[2:]
+    shape = arrays[0].shape
+    lanes = shape[0] if lane_axes else 1
+    H, W = shape[lane_axes : lane_axes + 2]
+    rest = shape[lane_axes + 2 :]
+    k = len(arrays) * lanes  # the grids
     row = W + 2
     size = (H + 2) * row  # one padded grid
     n = (k - 1) * size + H * row  # the entries a window covers
     p = np.zeros((k * size + 2,) + rest)
-    grids = p[: k * size].reshape((k, H + 2, row) + rest)
+    grids = p[: k * size].reshape((len(arrays), lanes, H + 2, row) + rest)
     for i, v in enumerate(arrays):
-        grids[i, 1:-1, 1:-1] = v
+        grids[i, :, 1:-1, 1:-1] = v
     starts = [dy * row + dx for dy in range(3) for dx in range(3)]
     out = np.empty((k * size,) + rest)
     window = out[:n]
@@ -307,7 +371,7 @@ def _box3(*arrays):
         window += p[start : start + n]
     # the division writes the kept entries to a fresh contiguous array, so
     # the ops that read a mean run in one pass, not row by row
-    return list(np.divide(out.reshape((k, H + 2, row) + rest)[:, :H, :W], 9.0))
+    return np.divide(out.reshape((k, H + 2, row) + rest)[:, :H, :W], 9.0)
 
 
 def box3(a):
@@ -339,12 +403,13 @@ def _bilinear_vjp(g, partial):
     return gd * live
 
 
+@np.errstate(invalid="ignore")  # the integer cast of a NaN coordinate
 def bilinear(values: np.ndarray, xs, ys):
     """Bilinear sample of a constant image at variable coordinates.
 
     Returns (Var sampled, inside mask). Gradients flow to the coordinates
-    only; out-of-rectangle samples are clamped and must be masked out by
-    the caller before any reduction.
+    only; out-of-rectangle samples, NaN coordinates among them, are clamped
+    and must be masked out by the caller before any reduction.
     """
     xs, ys = as_var(xs), as_var(ys)
     out, inside, px, py = _bilinear_partials(values, xs.value, ys.value)
@@ -376,15 +441,21 @@ def backward(root: Var) -> None:
     shape = _shape(root.value)
     root.grad = np.ones(shape) if shape else 1.0
 
+    owned = set()  # ids of the stacks whose gradient array backward made
     for node in reversed(order):
         if not node._parents:
             # a leaf: every node that reads it came later and has run, and
             # a sum of -0.0 contributions reads +0.0, as from a zero seed
             node.grad = node.grad + 0.0
             continue
+        if node.grad is None:  # a lane view: its contributions went to its stack
+            continue
         contributions = node._vjp(node.grad)
         for parent, i in node._parents:
             contribution, value = contributions[i], parent.value
+            if type(parent) is _LaneView:
+                _add_to_lanes(parent, contribution, owned)
+                continue
             # what needs no summing skips `_unbroadcast`: a float or a
             # numpy scalar for a float, an array of its shape for an array
             if type(value) is float:
@@ -398,3 +469,17 @@ def backward(root: Var) -> None:
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
+
+
+def _add_to_lanes(view, contribution, owned):
+    """Add a contribution that reached the lane view `view` to the lanes
+    `view.rows` of its stack's gradient, in place on an array backward made
+    (a gradient handed over by a vjp may be that vjp's seed itself)."""
+    stack = view._parents[0][0]
+    if stack.grad is None:
+        stack.grad = np.zeros(stack.value.shape)
+        owned.add(stack._id)
+    elif stack._id not in owned:
+        stack.grad = stack.grad.copy()
+        owned.add(stack._id)
+    stack.grad[view.rows] += _unbroadcast(contribution, view.value.shape)

@@ -400,14 +400,16 @@ def rigid_flow_values(camera: CameraIntrinsics, motion: RigidMotion, depth, mask
     """The body of `rigid_flow` on raw arrays: (flow values (H, W, 2),
     valid mask) for a depth grid whose valid pixels are `mask` (None: all).
     `grid` is a `CameraGrid` to reuse. The values are not checked; callers
-    that need a finite flow check it (`FlowField` does)."""
-    H, W = depth.shape
+    that need a finite flow check it (`FlowField` does). A lane stack of
+    depth grids (k, H, W) gives (k, H, W, 2) values, each lane's the bits
+    of its grid alone."""
+    shape = depth.shape
     if (motion.rotation == np.eye(3)).all() and (motion.translation == 0).all():
         # identity motion has identically zero flow; skip the reprojection
         # chain so no rounding wobble leaks in
-        return np.zeros((H, W, 2)), np.ones((H, W), bool) if mask is None else mask.copy()
-    g = CameraGrid.of(camera, H, W) if grid is None else grid
-    X = np.empty((3, H, W))  # the backprojected points, stacked
+        return np.zeros(shape + (2,)), np.ones(shape, bool) if mask is None else mask.copy()
+    g = CameraGrid.of(camera, *shape[-2:]) if grid is None else grid
+    X = np.empty((3,) + shape)  # the backprojected points, stacked
     for i, (c, f) in enumerate(((g.uc, camera.fx), (g.vc, camera.fy))):
         np.multiply(depth, c, out=X[i])
         X[i] /= f
@@ -465,8 +467,11 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     borders 2 * one-sided. Equals 2 * np.gradient for unit spacing, bit
     for bit: the slices repeat its arithmetic, then scale by 2. The
     interior runs on the flat arrays (`_stencil_lines`) for either axis,
-    and the border rows overwrite what it wrote across the line ends."""
+    and the border rows overwrite what it wrote across the line ends. A
+    negative axis counts from the last, so axis -1 (u) and -2 (v) serve a
+    grid and a lane stack of grids alike."""
     x = np.asarray(values, dtype=float)
+    axis %= x.ndim
     if x.shape[axis] < 3:
         raise DimensionError(
             f"the difference stencil needs at least 3 samples along axis {axis}, "
@@ -566,12 +571,14 @@ def _bilinear_terms(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
             (wy, v00, v01, v10, v11, top, bottom, wy_rest, in_x, in_y))
 
 
+@np.errstate(invalid="ignore")  # the integer cast of a NaN coordinate
 def bilinear_sample(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Sample `values` (H x W or H x W x C) at continuous (xs, ys).
 
     Returns (sampled, inside) where `inside` marks sample points within the
     image rectangle [0, W-1] x [0, H-1]; outside samples are clamped for
-    indexing and should be discarded via the mask.
+    indexing and should be discarded via the mask. A NaN coordinate is
+    outside.
     """
     sampled, inside, _ = _bilinear_terms(values, xs, ys)
     return sampled, inside

@@ -14,6 +14,12 @@ them (see the node rule in `autodiff`). So gradients keep their bits while
 a term costs one node. The same cores give the values of the public
 wrappers, which accept the typed grid values and return plain records.
 
+The cores take a depth (or flow) grid, or a lane stack of them (k, H, W)
+for the lockstep descent: each lane then gets its own masked mean, so the
+node's value is a (k,) vector, and every array pass is elementwise or runs
+each lane's grid by itself (`autodiff._box3_lanes`, the stencils along the
+last two axes), so each lane keeps the bits of its grid alone.
+
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
 magnitudes. Guard-dominated pixel fractions are reported as diagnostics.
@@ -110,7 +116,7 @@ def _ssim_terms(a, b, b_stats):
     adjoint reads: (ssim, mu_a, mu_b, num, den, the two factors of num,
     the two factors of den)."""
     mu_b, mu_b_sq, var_b = b_stats
-    mu_a, box_aa, box_ab = ad._box3(a, a * a, a * b)
+    mu_a, box_aa, box_ab = ad._box3_lanes(a, a * a, a * b)
     mu_a_sq = mu_a * mu_a
     var_a = box_aa - mu_a_sq
     mu_ab = mu_a * mu_b
@@ -169,7 +175,7 @@ def _channel_vjp(g, terms):
     g_mu += twice
     # the channel gathers, in this order, the adjoints of box3(a * b),
     # box3(a * a) (twice) and box3(a)
-    box_cov, box_var, box_mu = ad._box3(g_cov, g_var, g_mu)
+    box_cov, box_var, box_mu = ad._box3_lanes(g_cov, g_var, g_mu)
     g_a += box_cov * b
     twice = box_var * a
     g_a += twice
@@ -187,12 +193,13 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     L1 map, sums the maps in channel order and scales by 1/C. The adjoint
     replays it: each channel's gradient comes from `_channel_vjp`, and the
     zero-padded channel picks sum to the stacked gradient plus 0.0.
+    `i_warped` may be a lane stack of warped images, one per lane.
     """
     if reference is None:
         reference = reference_channels(i_t)
     warped = np.asarray(ad.value_of(i_warped), dtype=float)
-    channels = _channels(warped)
-    planar = warped.ndim == 2
+    planar = i_t.ndim == 2
+    channels = [warped] if planar else [warped[..., c] for c in range(len(reference))]
     parts = [_channel_terms(ch_t, stats, a, alpha) for (ch_t, stats), a in zip(reference, channels)]
     per_pixel = parts[0][0]
     for out, _ in parts[1:]:
@@ -203,7 +210,7 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     value, m, n = ad._mean_over(per_pixel, mask)
 
     def vjp(g):
-        g = g * (m.astype(float) / n)
+        g = ad._mean_weights(g, m, n)
         if planar:
             return [_channel_vjp(g, parts[0][1])]
         g = g * scale
@@ -230,7 +237,7 @@ def cgdc_core(d_g, d_c, mask):
     c_active = ad.active(d_c)
 
     def vjp(g):
-        g_rel = g * (m.astype(float) / n)
+        g_rel = ad._mean_weights(g, m, n)
         out = [None, None, None]
         g_size = g_rel / guard
         if c_active:
@@ -257,10 +264,11 @@ def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
 def differential_flow_side(f_tra_u, f_tra_v):
     """The flow half of C^F: the (unnormalized) divergence of the
     translational flow, a tape node over an active component and a plain
-    array of the same bits over constant ones."""
+    array of the same bits over constant ones. The components may be lane
+    stacks (k, H, W)."""
     if ad.active(f_tra_u) or ad.active(f_tra_v):
-        return ad.axis_diff(f_tra_u, axis=1) + ad.axis_diff(f_tra_v, axis=0)
-    return _axis_diff(ad.value_of(f_tra_u), 1) + _axis_diff(ad.value_of(f_tra_v), 0)
+        return ad.axis_diff(f_tra_u, axis=-1) + ad.axis_diff(f_tra_v, axis=-2)
+    return _axis_diff(ad.value_of(f_tra_u), -1) + _axis_diff(ad.value_of(f_tra_v), -2)
 
 
 @dataclass(frozen=True)
@@ -287,8 +295,8 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
     with the discrete stencil of D, or the analytic `depth_gradient`
     scaled x2 into the stencil convention. Validity excludes the border
     and |D - t3| < EPS_GEO. `interior` is the `interior_mask` of the grid,
-    if the caller holds it. The values are plain arrays; `dpc_core` turns
-    them into the DPC tape node."""
+    if the caller holds it. D may be a lane stack (k, H, W) of depths. The
+    values are plain arrays; `dpc_core` turns them into the DPC tape node."""
     t3_v, d_v = ad.value_of(t3), np.asarray(ad.value_of(d_c), dtype=float)
     qu_v, qv_v, div_v = ad.value_of(q_u), ad.value_of(q_v), ad.value_of(div_f)
     shifted = d_v - t3_v
@@ -296,13 +304,13 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
     scaled = ratio * div_v
     c_f = scaled - IDENTITY_FIELD_DIVERGENCE
     if depth_gradient is None:
-        g_u, g_v = _axis_diff(d_v, 1), _axis_diff(d_v, 0)
+        g_u, g_v = _axis_diff(d_v, -1), _axis_diff(d_v, -2)
     else:
         g_u, g_v = 2.0 * depth_gradient[..., 0], 2.0 * depth_gradient[..., 1]
     neg = (qu_v * g_u + qv_v * g_v) * -1.0
     c_d = neg / shifted
     if interior is None:
-        interior = interior_mask(*d_v.shape)
+        interior = interior_mask(*d_v.shape[-2:])
     validity = interior & (np.abs(shifted) >= EPS_GEO)
     return DepthSide(c_f, c_d, validity, (t3, d_c, q_u, q_v, div_f),
                      (t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg))
@@ -365,7 +373,7 @@ def dpc_core(side: DepthSide, mask):
 
     def vjp(g):
         out = [None] * 8
-        g_rel = g * (m.astype(float) / n)
+        g_rel = ad._mean_weights(g, m, n)
         g_size = g_rel / guard
         g_gap = g_size * np.sign(gap)
         g_sh = None
@@ -381,8 +389,8 @@ def dpc_core(side: DepthSide, mask):
             if qu_act:
                 out[1] = g_sum * g_u
             if d_act:
-                out[2] = ad._axis_diff_vjp(g_sum * qv_v, 0, d_v.shape)
-                out[3] = ad._axis_diff_vjp(g_sum * qu_v, 1, d_v.shape)
+                out[2] = ad._axis_diff_vjp(g_sum * qv_v, -2, d_v.shape)
+                out[3] = ad._axis_diff_vjp(g_sum * qu_v, -1, d_v.shape)
         if cf_act:
             g_cf = -g_gap
             if ad.active(div_f):
@@ -429,7 +437,7 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
 
     def vjp(g):
         out = [None] * 6
-        g_rel = g * (m.astype(float) / n)
+        g_rel = ad._mean_weights(g, m, n)
         g_diff = g_rel / guard
         if ou_act or ov_act:
             g_guard = -g_rel * n_diff / (guard * guard)

@@ -25,22 +25,31 @@ as raw arrays, checks the depth once per iteration and the flow once per
 update as `DepthMap` and `FlowField` would, and wraps them in containers
 only at a record, an abort or the return.
 
-Each run is one `_Lane`. `ablation_suite` hands `_descend` the configs of
-a scene that are equal but for w_d. Until `dpc_active_after`, the end of
-the dpc warmup, their runs are one run, bit for bit: the dpc weight is 0
-there and the rate is the same whatever w_d is, and the dpc value, still
-evaluated for the records and the divergence check, is not on the tape of
-the step. So one lead config, with the dpc term on, descends through the
-warmup, and each other config forks from the lead's lane there, with a
-plan, a copy of the flow and the records so far of its own (without their
-dpc value when its w_d is 0).
+Each run is one `_Lane` of a `_Stack`, and `_descend` steps every lane of
+a scene in lockstep: theta, the decoded depth and a co-adjusted flow carry
+a leading lane axis, each loss term is one tape node over the lanes that
+have it, and one backward pass and one update serve them all, with each
+lane's weights, rate and step clip. A run alone is a stack of one; the
+ablation suite stacks all configs of a scene. Every lane keeps the bits of
+its run alone (see `autodiff` on lane stacks), and a lane leaves the stack
+when its run ends, with the trace or the error it has alone.
 
-Each run builds one plan, in `_DepthObjective`: the work of a step that
-does not depend on the log-depth theta (the pixel grid and rotated rays,
-the DPC offsets and interior mask, the rotational flow, the SSIM
-statistics of the target image) is done once. `set_flow` refreshes only
-what depends on the flow: the triangulated depth and its validity, and the
-divergence of the translational flow.
+Configs equal but for w_d share one lane up to `dpc_active_after`, the
+end of the dpc warmup: their runs are one run there, bit for bit, since
+the dpc weight is 0 and the rate is the same whatever w_d is, and the dpc
+value, still evaluated for the records and the divergence check, is not on
+the tape of the step. So one lead config, with the dpc term on, descends
+through the warmup, and each other config forks from the lead's lane
+there and joins the stack with a copy of its theta and flow and the
+records so far (without their dpc value when its w_d is 0).
+
+The work of a step that does not depend on the log-depth theta (the pixel
+grid and rotated rays, the DPC offsets and interior mask, the rotational
+flow, the SSIM statistics of the target image, the flow side of the
+scene's flow) is done once per scene, in the `_Plan` its lanes share.
+`_set_flows` refreshes only what depends on a co-adjusted flow: the
+triangulated depth and its validity, and the divergence of the
+translational flow.
 
 Reductions and updates are sequential and seeded, so a run is
 bit-reproducible for a fixed config.
@@ -204,8 +213,8 @@ def _pin_heap() -> bool:
     the heap and the freed heap top stays mapped. Left to glibc's dynamic
     thresholds, a run that frees a few hundred kB at once hands the heap
     top back to the kernel every iteration and faults it in again on the
-    next one. The setting is process-wide; every `_DepthObjective` makes
-    it, so library callers of the descent loops get it as the CLI does.
+    next one. The setting is process-wide; every `_Plan` makes it, so
+    library callers of the descent loops get it as the CLI does.
     Returns False (and does nothing) without glibc."""
     try:
         libc = ctypes.CDLL(None)
@@ -218,98 +227,134 @@ def _pin_heap() -> bool:
         mallopt(M_TRIM_THRESHOLD, 2 * HEAP_PIN_BYTES))
 
 
-class _DepthObjective:
-    """The per-iteration tape graph of the depth field, over one plan.
+class _Plan:
+    """The work of a step that depends on neither theta nor the config, for
+    one scene, built once per `_descend` and shared by all its lanes: the
+    `CameraGrid` (pixels, centred pixels, normalized rays) and the rows
+    R . [xn, yn, 1] of the warp rotation that triangulation and the
+    photometric rigid flow share; on first use, the SSIM statistics of the
+    fixed target image, the DPC offsets q_u/q_v and interior mask with the
+    rotational flow when the ego-motion rotates, and the flow side of the
+    scene's flow (`flow_sides`)."""
 
-    The plan is built once, in `__init__`, from what does not depend on
-    theta: the `CameraGrid` (pixels, centred pixels, normalized rays), the
-    rows R . [xn, yn, 1] of the warp rotation that triangulation and the
-    photometric rigid flow share, the DPC offsets q_u/q_v and interior mask,
-    the rotational flow when the ego-motion rotates, and the SSIM statistics
-    of the fixed target image. The flow side is planned from `flow`, a
-    (values, mask) pair, or else from the scene's flow; `set_flow`
-    refreshes only that side: the triangulated depth and its validity, and
-    the divergence of the translational flow. `losses` then builds only the
-    nodes that depend on theta: one tape node per loss term (two for the
-    photometric term, the warp and the SSIM + L1 mean), so a step records
-    about ten nodes.
-    """
-
-    def __init__(self, bundle: SceneBundle, config: OptimConfig, flow=None):
+    def __init__(self, bundle: SceneBundle):
         _pin_heap()
         self.bundle = bundle
-        self.config = config
-        self.camera = bundle.camera
-        self.motion = bundle.motion
+        self.camera, self.motion = bundle.camera, bundle.motion
         self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
         self.rays = self.grid.rays(bundle.motion.rotation)
-        self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
-        self.reference = reference_channels(bundle.image_t.values) if config.w_p > 0 else None
-        self.rotation = None  # rotational flow values, when the dpc term needs them
-        if config.w_d > 0:
-            self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
-            self.q = differential_offsets(self.camera, self.t_ego, self.grid)
-            self.interior = interior_mask(*bundle.shape)
+        self._parts = {}
+
+    def reference(self):
+        if "reference" not in self._parts:
+            self._parts["reference"] = reference_channels(self.bundle.image_t.values)
+        return self._parts["reference"]
+
+    def dpc(self):
+        """(t_ego as constant Vars, (q_u, q_v), interior mask, rotational
+        flow values or None)."""
+        if "dpc" not in self._parts:
+            bundle = self.bundle
+            t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
+            rotation = None
             if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-                rot = rotational_flow(self.camera, bundle.motion.rotation, *bundle.shape)
-                self.rotation = rot.values
-        self.geo = None  # (depth, validity) of the triangulated depth
-        self.div_f = None  # divergence of the translational flow
-        if flow is None:
-            flow = bundle.flow_gt.values, bundle.flow_gt.mask
-        self.set_flow(*flow)
+                rotation = rotational_flow(self.camera, self.motion.rotation, *bundle.shape).values
+            self._parts["dpc"] = (t_ego, differential_offsets(self.camera, t_ego, self.grid),
+                                  interior_mask(*bundle.shape), rotation)
+        return self._parts["dpc"]
 
-    def set_flow(self, values, mask):
-        """Take a new flow (values (H, W, 2), valid mask), finite where
-        valid, and refresh the flow side of the plan as plain arrays."""
-        self.flow_mask = mask
+    def flow_sides(self, values, masks, geo_rows, div_rows):
+        """The flow side of a lane stack of flows (values (k, H, W, 2),
+        masks (k, H, W)), as {lane: part}: for each lane of `geo_rows` its
+        triangulated (depth, validity), for each lane of `div_rows` the
+        divergence of its translational flow, or the error its checks
+        raise instead."""
         f_u, f_v = values[..., 0], values[..., 1]
-        if self.config.w_c > 0:
+        geo, div = {}, {}
+        if geo_rows:
             depth, validity, _ = triangulate_values(
-                self.camera, self.motion, f_u, f_v, mask, self.grid, self.rays
+                self.camera, self.motion, _take(f_u, geo_rows), _take(f_v, geo_rows),
+                _take(masks, geo_rows), self.grid, self.rays,
             )
-            _require_depth(depth, validity)
-            if not validity.any():
-                raise NoValidPixelsError("triangulation produced no valid pixels")
-            self.geo = (depth, validity)
-        if self.config.w_d > 0:
-            if self.rotation is not None:
-                f_u = f_u - self.rotation[..., 0]
-                f_v = f_v - self.rotation[..., 1]
-            self.div_f = differential_flow_side(f_u, f_v)
+            for j, i in enumerate(geo_rows):
+                try:
+                    _require_depth(depth[j], validity[j])
+                    if not validity[j].any():
+                        raise NoValidPixelsError("triangulation produced no valid pixels")
+                    geo[i] = depth[j], validity[j]
+                except FlowGeoError as exc:
+                    geo[i] = exc
+        if div_rows:
+            f_u, f_v = _take(f_u, div_rows), _take(f_v, div_rows)
+            try:
+                rotation = self.dpc()[3]
+                if rotation is not None:
+                    f_u = f_u - rotation[..., 0]
+                    f_v = f_v - rotation[..., 1]
+                div_f = differential_flow_side(f_u, f_v)
+                div = {i: div_f[j] for j, i in enumerate(div_rows)}
+            except (FlowGeoError, ValueError) as exc:  # the grid's, so every lane's
+                div = {i: _error_of(exc) for i in div_rows}
+        return geo, div
 
-    def rigid_flow(self, depth_values):
-        """Rigid flow (values, valid) of a depth grid under the warp motion,
-        checked finite where valid as `FlowField` checks it."""
-        values, valid = rigid_flow_values(self.camera, self.motion, depth_values, grid=self.grid)
-        _require_finite(values, valid, FLOW_NOT_FINITE)
-        return values, valid
+    def scene_side(self, part):
+        """The flow side `part` ("geo" or "div") of the scene's flow; its
+        error is raised anew on each call."""
+        if part not in self._parts:
+            flow = self.bundle.flow_gt
+            rows = ([0], []) if part == "geo" else ([], [0])
+            geo, div = self.flow_sides(flow.values[None], flow.mask[None], *rows)
+            side = (geo or div)[0]
+            if isinstance(side, Exception):
+                raise side
+            self._parts[part] = side
+        return self._parts[part]
 
-    def losses(self, depth_var):
-        """Loss terms as tape nodes, keyed by short name; a term whose
-        valid set is empty is left out."""
-        cfg = self.config
-        terms = {}
-        if cfg.w_c > 0:
-            geo_values, geo_valid = self.geo
-            terms["cgdc"] = cgdc_core(geo_values, depth_var, geo_valid)
-        if cfg.w_d > 0:
-            side = differential_depth_side(
-                self.t_ego[2], depth_var, *self.q, self.div_f, interior=self.interior
-            )
-            mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & self.flow_mask
-            if mask.any():
-                terms["dpc"] = dpc_core(side, mask)
-        if cfg.w_p > 0:
-            warped, pmask = warp_graph(
-                self.camera, self.bundle.image_s.values, self.motion.translation, depth_var,
-                self.grid, self.rays,
-            )
-            if pmask.any():
-                terms["photometric"] = photometric_core(
-                    self.bundle.image_t.values, warped, pmask, reference=self.reference
-                )
-        return terms
+
+def _take(array, rows):
+    """The lanes `rows` (increasing) of a lane stack: the stack itself when
+    they are all of its lanes."""
+    return array if len(rows) == len(array) else array[rows]
+
+
+def _lane_stacks(parts):
+    """One array per entry of the lanes' tuples of grids: the grid itself
+    where every lane holds the same array (it broadcasts against the lane
+    axis), else the lanes' stack."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    return tuple(a if all(p[j] is a for p in parts) else np.stack([p[j] for p in parts])
+                 for j, a in enumerate(first))
+
+
+class _DepthObjective:
+    """What one config's run steps on: its config, the shared `_Plan` of its
+    scene and the flow side of its flow (the triangulated depth and its
+    validity when w_c > 0, the divergence of the translational flow when
+    w_d > 0, and the flow's valid mask). A run on the scene's flow takes the
+    plan's flow side; `fork` hands a forked run the side of its lead, and
+    `_set_flows` refreshes it when the flow stream moves the flow."""
+
+    def __init__(self, bundle: SceneBundle, config: OptimConfig, plan=None, side=None):
+        self.bundle, self.config = bundle, config
+        self.plan = _Plan(bundle) if plan is None else plan
+        self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
+        # the loss terms the objective holds, in `TERMS` order
+        self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
+                           if w > 0)
+        if side is None:
+            side = (self.plan.scene_side("geo") if config.w_c > 0 else None,
+                    self.plan.scene_side("div") if config.w_d > 0 else None,
+                    bundle.flow_gt.mask)
+        self.geo, self.div_f, self.flow_mask = side
+
+    def fork(self, config):
+        """The objective of `config`, equal to this one's config but for w_d,
+        on this one's plan and flow side (without the divergence when its w_d
+        is 0). It cannot fail: it needs a part of what this one holds."""
+        div_f = self.div_f if config.w_d > 0 else None
+        return _DepthObjective(self.bundle, config, self.plan, (self.geo, div_f, self.flow_mask))
 
     def weights(self, iteration):
         cfg = self.config
@@ -323,6 +368,152 @@ class _DepthObjective:
         if cfg.w_d > 0 and iteration >= self.dpc_active_after:
             return cfg.learning_rate * DPC_LR_SCALE
         return cfg.learning_rate
+
+
+def _set_flows(objectives, values, masks):
+    """Refresh the flow side of the objectives, lane i's from its flow
+    (values[i], masks[i]), all on one plan; returns {lane: error} for the
+    lanes whose new flow fails a check."""
+    plan = objectives[0].plan
+    geo, div = plan.flow_sides(
+        values, masks, [i for i, o in enumerate(objectives) if o.config.w_c > 0],
+        [i for i, o in enumerate(objectives) if o.config.w_d > 0],
+    )
+    errors = {}
+    for i, objective in enumerate(objectives):
+        for part in (geo.get(i), div.get(i)):
+            if isinstance(part, Exception):
+                errors.setdefault(i, part)
+        if i in errors:
+            continue
+        objective.flow_mask = masks[i]
+        if i in geo:
+            objective.geo = geo[i]
+        if i in div:
+            objective.div_f = div[i]
+    return errors
+
+
+# the loss terms in the order a step creates their nodes: the reverse is the
+# order in which the depth's gradient sums their contributions
+TERMS = ("cgdc", "dpc", "photometric")
+
+
+def _cgdc_term(objectives, rows, depth):
+    d_g, valid = _lane_stacks([objectives[i].geo for i in rows])
+    return cgdc_core(d_g, depth, valid), None
+
+
+def _dpc_term(objectives, rows, depth):
+    t_ego, q, interior, _ = objectives[0].plan.dpc()
+    div_f, flow_mask = _lane_stacks([(objectives[i].div_f, objectives[i].flow_mask)
+                                     for i in rows])
+    side = differential_depth_side(t_ego[2], depth, *q, div_f, interior=interior)
+    mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & flow_mask
+    keep = mask.any(axis=(1, 2))
+    return (dpc_core(side, mask), None) if keep.all() else (None, keep)
+
+
+def _photometric_term(objectives, rows, depth):
+    plan = objectives[0].plan
+    bundle = plan.bundle
+    warped, pmask = warp_graph(plan.camera, bundle.image_s.values, plan.motion.translation,
+                               depth, plan.grid, plan.rays)
+    keep = pmask.any(axis=(1, 2))
+    if not keep.all():
+        return None, keep
+    return photometric_core(bundle.image_t.values, warped, pmask, reference=plan.reference()), None
+
+
+# term -> builder(objectives, rows, depth of those lanes): (node, None), or
+# (None, which lanes have a valid pixel) when some lane has none
+_TERM_NODES = {"cgdc": _cgdc_term, "dpc": _dpc_term, "photometric": _photometric_term}
+
+
+def _terms(objectives, depth, d=None, iteration=None):
+    """The loss terms of a lane stack as tape nodes: lane i steps on
+    objectives[i] at the decoded depth depth[i]. Each term is one node
+    over the lanes whose objective has it, in `TERMS` order. The lanes
+    whose weight for the term is positive at `iteration` read the leaf `d`,
+    the whole stack or `ad.lanes` of it; the others, all of them when `d`
+    is None, read the plain depth, off the tape. A lane whose valid set of
+    a term is empty leaves that term out.
+
+    Returns ([(node, rows, their weights)] of the nodes on the tape, each
+    lane's loss values keyed by term in `TERMS` order, {lane: error}): a
+    node call that raises ends the lanes it was over, and they take no
+    further term."""
+    k = len(objectives)
+    everyone = list(range(k))
+    # (term, on the tape) -> (lanes, their weights), in creation order
+    groups = {(name, on_tape): ([], []) for name in TERMS for on_tape in (True, False)}
+    for i, objective in enumerate(objectives):
+        weights = None if d is None else objective.weights(iteration)
+        for name in objective.terms:
+            w = 0.0 if weights is None else weights[name]
+            rows, ws = groups[name, w > 0]
+            rows.append(i)
+            ws.append(w)
+    parts, values, errors = [], [{} for _ in everyone], {}
+    for (name, on_tape), (rows, ws) in groups.items():
+        while rows:
+            if errors:
+                rows = [i for i in rows if i not in errors]
+                ws = [objectives[i].weights(iteration)[name] for i in rows] if on_tape else ws
+                if not rows:
+                    break
+            stack = d if on_tape else depth
+            if rows == everyone:
+                lanes = stack
+            else:
+                lanes = ad.lanes(stack, rows) if on_tape else stack[rows]
+            try:
+                node, keep = _TERM_NODES[name](objectives, rows, lanes)
+            except (FlowGeoError, ValueError) as exc:
+                for i in rows:
+                    errors[i] = _error_of(exc, objectives[i].config)
+                break
+            if node is not None:
+                for i, value in zip(rows, node.value.tolist()):
+                    values[i][name] = value
+                if on_tape:
+                    parts.append((node, rows, np.array(ws)))
+                break
+            # rebuilt without the lanes whose valid set is empty
+            ws = [w for w, kept in zip(ws, keep.tolist()) if kept]
+            rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
+    return parts, values, errors
+
+
+def _weighted_total(parts, k):
+    """The root of a stacked step: per lane, the weighted sum of its terms
+    on the tape, as one (k,) node over the term nodes (`parts` of
+    `_terms`). A term's seed is its lanes' weights, as `term * w` passes it
+    in a run alone."""
+    total = np.zeros(k)
+    for node, rows, w in parts:
+        total[rows] += node.value * w
+    return ad.Var(total, [node for node, _, _ in parts],
+                  lambda g: [g[rows] * w for _, rows, w in parts])
+
+
+def _depth_step(objectives, theta, depth, iteration):
+    """One step of each lane's theta, theta[i] on objectives[i], taken at
+    its decoded depth depth[i] = exp(theta[i]): d(loss)/d(theta) =
+    d(loss)/dD * D, with each lane's weights, rate and step clip.
+
+    Returns (theta after the step, each lane's loss values, {lane: error}).
+    A lane with no term on the tape (the warmup with only dpc configured)
+    holds its field: its gradient is 0."""
+    d = ad.Var(depth)
+    parts, values, errors = _terms(objectives, depth, d, iteration)
+    if not parts:
+        return theta, values, errors
+    ad.backward(_weighted_total(parts, len(objectives)))
+    rate, clip = np.array([(o.rate(iteration), o.config.step_clip) for o in objectives]).T
+    rate, clip = rate[:, None, None], clip[:, None, None]
+    step = _clamp(rate * (d.grad * depth), -clip, clip)
+    return theta - step, values, errors
 
 
 def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
@@ -413,27 +604,6 @@ def recover_depth(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     return _run_alone(bundle, config)
 
 
-def _depth_step(objective, theta, depth, iteration, config):
-    """One step of theta, taken at its decoded depth `depth` = exp(theta):
-    d(loss)/d(theta) = d(loss)/dD * D."""
-    d = ad.Var(depth)
-    terms = objective.losses(d)
-    weights = objective.weights(iteration)
-    total = None
-    loss_values = {}
-    for name, term in terms.items():
-        loss_values[name] = float(term.value)
-        w = weights.get(name, 0.0)
-        if w > 0:
-            total = term * w if total is None else total + term * w
-    if total is None:  # warmup with only dpc configured: hold the field
-        return theta, loss_values
-    ad.backward(total)
-    step = objective.rate(iteration) * (np.asarray(d.grad) * depth)
-    step = _clamp(step, -config.step_clip, config.step_clip)
-    return theta - step, loss_values
-
-
 def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     """Jointly adjust a free flow field and the depth field: the descent
     loop of `recover_depth` with its flow stream on.
@@ -463,91 +633,25 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
 
 
 class _Lane:
-    """The descent state of one config's run: theta, its decoded depth, the
-    co-adjusted flow ((values, mask) when w_b > 0, else None), the
-    objective they step on and the records so far."""
+    """One config's run in a `_Stack`: its objective, the co-adjusted flow
+    ((values, mask) when w_b > 0, else None), its records so far and, for
+    a lead before its fork, the configs that fork from it. Its theta and
+    depth are its rows of the stack's."""
 
-    def __init__(self, bundle, objective, theta, depth, flow, records, started):
-        self.bundle, self.objective, self.records = bundle, objective, records
-        self.theta, self.depth, self.flow, self.started = theta, depth, flow, started
-        self.flow_start = int(FLOW_START_FRACTION * objective.config.iterations)
+    def __init__(self, objective, flow, records, forks=()):
+        self.objective, self.config = objective, objective.config
+        self.flow, self.records, self.forks = flow, records, list(forks)
+        self.flow_start = int(FLOW_START_FRACTION * self.config.iterations)
         # the flow's storability changes only when the flow does
         self.storable = flow is None or _float32_storable(flow[0]).all()
 
-    @classmethod
-    def start(cls, bundle, config):
-        """The lane of `config` before its first step; the flow stream
-        starts from a copy of the scene's flow."""
-        theta = _initial_theta(bundle, config, np.random.default_rng(config.seed))
-        objective = _DepthObjective(bundle, config)
-        depth = _decode_values(theta)
-        _require_depth(depth)
-        flow = None
-        if config.w_b > 0:
-            flow = bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()
-        return cls(bundle, objective, theta, depth, flow, [], time.perf_counter())
-
-    def step(self, it):
-        """Iteration `it`: in the flow phase a flow step, then a depth step,
-        then the record and the divergence check of the updated state. The
-        rigid flow of the depth is evaluated only where it is used: on the
-        iterations of the flow phase and on record iterations."""
-        bundle, objective, flow = self.bundle, self.objective, self.flow
-        config = objective.config
-        record = it % config.record_every == 0
-        flow_phase = flow is not None and it >= self.flow_start
-        on_record = flow is not None and record
-        rigid = objective.rigid_flow(self.depth) if flow_phase or on_record else None
-        if flow_phase:
-            # flow step: co-adjustment loss only, updating `flow` in place
-            (values, mask), (r_values, r_valid) = flow, rigid
-            f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
-            loss_b = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, mask & r_valid)
-            ad.backward(loss_b)
-            rate = config.flow_learning_rate * config.w_b
-            values[..., 0] -= rate * np.asarray(f_u.grad)
-            values[..., 1] -= rate * np.asarray(f_v.grad)
-            self.storable = _float32_storable(values).all()
-            if not self.storable:  # a flow float32 can hold is finite
-                _require_finite(values, mask, FLOW_NOT_FINITE)
-            objective.set_flow(values, mask)
-
-        # depth step: consistency losses from the (adjusted) flow
-        depth = self.depth
-        self.theta, loss_values = _depth_step(objective, self.theta, depth, it, config)
-        if flow_phase:
-            loss_values["bsca"] = float(loss_b.value)
-        self.depth = _decode_values(self.theta)
-        if record:
-            # the record pairs this iteration's losses with the state they
-            # were evaluated at (before the update)
-            self.records.append(_record(bundle, depth, it, loss_values, flow, rigid))
-        _abort_if_diverged(it, loss_values, self.depth, self.records, self.started, config,
-                           flow, self.storable)
-
     def fork(self, config):
-        """The lane of `config`, equal to this lane's config but for w_d,
-        from this lane's state: a plan of its own, a copy of the flow, which
-        the flow step updates in place (theta and the depth are replaced at
-        each step, never written to), and the records so far, without their
-        dpc value when its w_d is 0. Building the plan cannot fail: it is
-        this lane's plan, or the same without the dpc term, on the flow this
-        lane's plan holds."""
+        """The lane of `config`, equal to this lane's config but for w_d:
+        an objective forked from this one's, a copy of the flow, which the
+        flow step updates in place, and the records so far, without their
+        dpc value when its w_d is 0."""
         flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
-        return _Lane(self.bundle, _DepthObjective(self.bundle, config, flow), self.theta,
-                     self.depth, flow, _records_of(self.records, config), self.started)
-
-    def finish(self):
-        """The RunTrace of the run, with its final record at the depth after
-        the last step."""
-        bundle, depth, flow, config = self.bundle, self.depth, self.flow, self.objective.config
-        terms = self.objective.losses(ad.Var(depth))
-        final_values = {name: float(term.value) for name, term in terms.items()}
-        rigid = self.objective.rigid_flow(depth) if flow is not None else None
-        self.records.append(_record(bundle, depth, config.iterations, final_values, flow, rigid))
-        final_flow = None if flow is None else FlowField(*flow)
-        return RunTrace(self.records, DepthMap(depth), final_flow,
-                        time.perf_counter() - self.started, config)
+        return _Lane(self.objective.fork(config), flow, _records_of(self.records, config))
 
 
 def _records_of(records, config):
@@ -559,10 +663,10 @@ def _records_of(records, config):
     return list(records)
 
 
-def _error_of(exc, config):
-    """The error `exc` that ended the lead's run, as the run of `config`
-    raises it: a new error of its type and message, whose trace, for an
-    AbortedRunError, names `config` and holds its own copy of the records."""
+def _error_of(exc, config=None):
+    """The error `exc`, as the run of `config` raises it: a new error of
+    its type and message, whose trace, for an AbortedRunError, names
+    `config` and holds its own copy of the records."""
     if isinstance(exc, AbortedRunError) and exc.trace is not None:
         trace = replace(exc.trace, records=_records_of(exc.trace.records, config),
                         config=config)
@@ -570,62 +674,267 @@ def _error_of(exc, config):
     return type(exc)(*exc.args)
 
 
+class _Stack:
+    """The runs of one scene stepped in lockstep (see `_descend`): the
+    lanes, their thetas and decoded depths as (k, H, W) stacks, row i lane
+    i's, the shared plan and the outcome of every run that has ended."""
+
+    def __init__(self, bundle):
+        self.bundle = bundle
+        self.plan = _Plan(bundle)
+        self.started = time.perf_counter()
+        self.lanes, self.theta, self.depth = [], None, None
+        self.outcomes = {}
+
+    def run(self, groups):
+        """Start each group's lead, then step until every lane has left."""
+        for members in groups:
+            self._start(members)
+        it = 0
+        while self.lanes:
+            for lane in list(self.lanes):
+                if lane.forks and it == lane.objective.dpc_active_after:
+                    self._fork(lane)
+            done = [lane for lane in self.lanes if lane.config.iterations == it]
+            if done:
+                self._finish(done)
+            if self.lanes:
+                self._step(it)
+            it += 1
+        return self.outcomes
+
+    def _start(self, members):
+        lead = next((config for config in members if config.w_d > 0), members[0])
+        bundle = self.bundle
+        try:
+            theta = _initial_theta(bundle, lead, np.random.default_rng(lead.seed))
+            objective = _DepthObjective(bundle, lead, self.plan)
+            depth = _decode_values(theta)
+            _require_depth(depth)
+        except (FlowGeoError, ValueError) as exc:
+            self._group_failed(lead, members, exc)
+            return
+        flow = None
+        if lead.w_b > 0:  # the flow stream starts from a copy of the scene's flow
+            flow = bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()
+        forks = [config for config in members if config != lead]
+        self._join([_Lane(objective, flow, [], forks)], theta[None], depth[None])
+
+    def _group_failed(self, lead, members, exc):
+        """The outcomes of a group whose lead failed before its fork: a
+        config whose dpc term is on or off as in the lead's does the same
+        work alone and takes the error its own run would raise, made from
+        the lead's; each other config runs alone."""
+        for config in members:
+            if config == lead:
+                self.outcomes[config] = exc
+            elif (config.w_d > 0) == (lead.w_d > 0):  # the same work
+                self.outcomes[config] = _error_of(exc, config)
+            else:
+                self.outcomes[config] = _descend(self.bundle, [config])[0]
+
+    def _join(self, lanes, theta, depth):
+        self.lanes += lanes
+        if self.theta is None:
+            self.theta, self.depth = theta, depth
+        else:
+            self.theta = np.concatenate([self.theta, theta])
+            self.depth = np.concatenate([self.depth, depth])
+
+    def _leave(self, ended):
+        """Take the lanes of `ended` ({lane: outcome}) off the stack; a lead
+        that leaves before its fork ends its group."""
+        keep = [i for i, lane in enumerate(self.lanes) if lane not in ended]
+        self.lanes = [self.lanes[i] for i in keep]
+        self.theta, self.depth = self.theta[keep], self.depth[keep]
+        for lane, outcome in ended.items():
+            if lane.forks:
+                self._group_failed(lane.config, [lane.config, *lane.forks], outcome)
+            else:
+                self.outcomes[lane.config] = outcome
+
+    def _fork(self, lead):
+        """Every fork of `lead` joins the stack, with copies of its rows."""
+        i = self.lanes.index(lead)
+        lanes = [lead.fork(config) for config in lead.forks]
+        lead.forks = []
+        rows = [i] * len(lanes)
+        self._join(lanes, self.theta[rows], self.depth[rows])
+
+    def _rigid_flows(self, rows, ended):
+        """{lane: (values, valid)}, the rigid flow of each lane of `rows` at
+        its depth, checked finite where valid; a lane whose flow is not
+        goes to `ended` with its error."""
+        plan = self.plan
+        values, valid = rigid_flow_values(plan.camera, plan.motion, _take(self.depth, rows),
+                                          grid=plan.grid)
+        rigid = {}
+        for j, i in enumerate(rows):
+            lane = self.lanes[i]
+            try:
+                _require_finite(values[j], valid[j], FLOW_NOT_FINITE)
+                rigid[lane] = values[j], valid[j]
+            except ValueError as exc:
+                ended[lane] = exc
+        return rigid
+
+    def _flow_step(self, lanes, rigid, ended):
+        """The flow step of the lanes in their flow phase: the co-adjustment
+        loss only, against the rigid flow of each lane's depth, updating each
+        lane's flow in place and then its objective's flow side. Returns
+        {lane: its co-adjustment loss}."""
+        values = _stack_view([lane.flow[0] for lane in lanes])
+        masks = _stack_view([lane.flow[1] for lane in lanes])
+        r_values = _stack_view([rigid[lane][0] for lane in lanes])
+        r_valid = _stack_view([rigid[lane][1] for lane in lanes])
+        f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
+        loss_b = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, masks & r_valid)
+        ad.backward(loss_b)
+        rate = np.array([lane.config.flow_learning_rate * lane.config.w_b for lane in lanes])
+        values[..., 0] -= rate[:, None, None] * f_u.grad
+        values[..., 1] -= rate[:, None, None] * f_v.grad
+        moved = []
+        for j, lane in enumerate(lanes):
+            if len(lanes) > 1:  # a stacked copy: the lane's own array takes the step
+                lane.flow[0][...] = values[j]
+            lane.storable = _float32_storable(values[j]).all()
+            try:
+                if not lane.storable:  # a flow float32 can hold is finite
+                    _require_finite(values[j], masks[j], FLOW_NOT_FINITE)
+                moved.append(j)
+            except ValueError as exc:
+                ended[lane] = exc
+        if moved:
+            errors = _set_flows([lanes[j].objective for j in moved], _take(values, moved),
+                                _take(masks, moved))
+            for m, exc in errors.items():
+                ended[lanes[moved[m]]] = exc
+        return dict(zip(lanes, loss_b.value.tolist()))
+
+    def _step(self, it):
+        """Iteration `it` of every lane: for a lane in its flow phase a flow
+        step, then the depth step of the whole stack, then each lane's record
+        and divergence check of its updated state. The rigid flow of a
+        co-adjusted lane's depth is evaluated only where it is used: on the
+        iterations of its flow phase and on its record iterations. A lane
+        that fails leaves the stack at the phase where it fails."""
+        lanes, ended = self.lanes, {}
+        flowing = [i for i, lane in enumerate(lanes) if lane.flow is not None]
+        rigid, bsca = {}, {}
+        if flowing:
+            rows = [i for i in flowing
+                    if it >= lanes[i].flow_start or it % lanes[i].config.record_every == 0]
+            if rows:
+                rigid = self._rigid_flows(rows, ended)
+            stepping = [lanes[i] for i in flowing
+                        if it >= lanes[i].flow_start and lanes[i] not in ended]
+            if stepping:
+                bsca = self._flow_step(stepping, rigid, ended)
+            if ended:
+                self._leave(ended)
+                lanes, ended = self.lanes, {}
+                if not lanes:
+                    return
+
+        # depth step: consistency losses from the (adjusted) flow
+        depth = self.depth
+        theta, values, errors = _depth_step([lane.objective for lane in lanes], self.theta,
+                                            depth, it)
+        self.theta, self.depth = theta, _decode_values(theta)
+        sound = bool(np.isfinite(self.depth).all() and (self.depth > 0).all())
+        for i, lane in enumerate(lanes):
+            if i in errors:
+                ended[lane] = errors[i]
+                continue
+            if lane in bsca:
+                values[i]["bsca"] = bsca[lane]
+            try:
+                if it % lane.config.record_every == 0:
+                    # the record pairs this iteration's losses with the state
+                    # they were evaluated at (before the update)
+                    lane.records.append(_record(self.bundle, depth[i], it, values[i], lane.flow,
+                                                rigid.get(lane)))
+                total = sum(values[i].values())
+                if not (sound and lane.storable and -np.inf < total <= DIVERGENCE_THRESHOLD):
+                    _abort_if_diverged(it, values[i], self.depth[i], lane.records, self.started,
+                                       lane.config, lane.flow, lane.storable)
+            except (FlowGeoError, ValueError) as exc:
+                ended[lane] = exc
+        if ended:
+            self._leave(ended)
+
+    def _finish(self, lanes):
+        """Each lane of `lanes` leaves with its RunTrace, its final record at
+        the depth after its last step."""
+        rows = [self.lanes.index(lane) for lane in lanes]
+        depth = _take(self.depth, rows)
+        _, values, ended = _terms([lane.objective for lane in lanes], depth)
+        flowing = [rows[j] for j, lane in enumerate(lanes) if lane.flow is not None and j not in ended]
+        outcomes = {}
+        rigid = self._rigid_flows(flowing, outcomes) if flowing else {}
+        for j, lane in enumerate(lanes):
+            if j in ended:
+                outcomes[lane] = ended[j]
+                continue
+            if lane in outcomes:  # its rigid flow is not finite
+                continue
+            config = lane.config
+            try:
+                lane.records.append(_record(self.bundle, depth[j], config.iterations, values[j],
+                                            lane.flow, rigid.get(lane)))
+                final_flow = None if lane.flow is None else FlowField(*lane.flow)
+                outcomes[lane] = RunTrace(lane.records, DepthMap(depth[j]), final_flow,
+                                          time.perf_counter() - self.started, config)
+            except (FlowGeoError, ValueError) as exc:
+                outcomes[lane] = exc
+        self._leave(outcomes)
+
+
+def _stack_view(arrays):
+    """The lane stack of the lanes' arrays: a view of the one array of a
+    stack of one, so that writing the stack writes the lane's array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _descend(bundle, configs):
     """The descent loop of both experiments (see the module docstring) over
-    configs that are equal but for w_d; a config with w_b > 0 runs the flow
-    stream. Returns one outcome per config, in order: its RunTrace, or the
+    any configs of one scene; a config with w_b > 0 runs the flow stream.
+    Returns one outcome per config, in order: its RunTrace, or the
     FlowGeoError or ValueError that ended its run.
 
-    The lead config, the first with the dpc term on (the first if none has
-    it), runs alone through the dpc warmup, iterations [0,
-    dpc_active_after). Each other distinct config then forks the lead's
-    lane (`_Lane.fork`), and each lane runs to its end, one after another:
-    after the fork they share no mutable state. The wall clock of every
-    run counts from the lead's start, so it includes the lanes that ran
-    before its own.
+    The configs that are equal but for w_d form a group. Its lead, the first
+    with the dpc term on (the first if none has it), is one lane through the
+    dpc warmup, iterations [0, dpc_active_after); there each other distinct
+    config of the group forks the lead's lane (`_Lane.fork`) and joins the
+    stack with a copy of its theta and depth. Every lane of the stack takes
+    each iteration in lockstep with the others: one node per loss term over
+    the lanes that have it, one backward pass, one update of the stacked
+    theta with each lane's weights, rate and step clip. A lane leaves the
+    stack when it ends: after its last iteration with its trace, or with the
+    error that ends it. The wall clock of every run counts from the stack's
+    start.
 
-    This is each config run alone, bit for bit. Up to `dpc_active_after`
-    the dpc weight is 0 and the rate is the same whatever w_d is, and the
-    dpc value, still evaluated for the records and the divergence check, is
-    not on the tape of the step. The losses are non-negative, so a config
-    whose losses are a subset of the lead's passes the divergence check
-    wherever the lead passes it. If the lead's run fails before the fork,
-    a config whose dpc term is on or off as in the lead's does the same
-    work alone and takes the error its own run would raise, made from the
-    lead's (`_error_of`); each other config runs alone."""
-    outcomes = {}
-    for config in configs:
+    This is each config run alone, bit for bit. Each lane's values, sums
+    and gradient sums are those of its run alone (see `autodiff` on lane
+    stacks). Up to `dpc_active_after` the dpc weight is 0 and the rate is
+    the same whatever w_d is, and the dpc value, still evaluated for the
+    records and the divergence check, is not on the tape of the step. The
+    losses are non-negative, so a config whose losses are a subset of the
+    lead's passes the divergence check wherever the lead passes it. If a
+    lead fails before its fork, a config whose dpc term is on or off as in
+    the lead's does the same work alone and takes the error its own run
+    would raise, made from the lead's (`_error_of`); each other config runs
+    alone."""
+    outcomes, groups = {}, {}
+    for config in dict.fromkeys(configs):
         try:
             _preconditions(bundle, config)
         except (FlowGeoError, ValueError) as exc:
             outcomes[config] = exc
-    live = [config for config in dict.fromkeys(configs) if config not in outcomes]
-    if not live:
-        return [outcomes[config] for config in configs]
-    lead = next((config for config in live if config.w_d > 0), live[0])
-    try:
-        lane = _Lane.start(bundle, lead)
-        warmup = lane.objective.dpc_active_after
-        for it in range(warmup):
-            lane.step(it)
-    except (FlowGeoError, ValueError) as exc:
-        for config in live:
-            if config == lead:
-                outcomes[config] = exc
-            elif (config.w_d > 0) == (lead.w_d > 0):  # the same work
-                outcomes[config] = _error_of(exc, config)
-            else:
-                outcomes[config] = _descend(bundle, [config])[0]
-        return [outcomes[config] for config in configs]
-    # every fork before the lead's lane moves on
-    lanes = {config: lane if config == lead else lane.fork(config) for config in live}
-    for config, lane in lanes.items():
-        try:
-            for it in range(warmup, config.iterations):
-                lane.step(it)
-            outcomes[config] = lane.finish()
-        except (FlowGeoError, ValueError) as exc:
-            outcomes[config] = exc
+            continue
+        groups.setdefault(replace(config, w_d=0.0), []).append(config)
+    if groups:
+        outcomes.update(_Stack(bundle).run(groups.values()))
     return [outcomes[config] for config in configs]
 
 
@@ -637,23 +946,18 @@ def ablation_suite(bundles, configs) -> list:
     message instead of metrics. A config with w_b > 0 is co-adjusted as by
     `co_adjust`, any other runs as by `recover_depth`.
 
-    The configs that differ only in w_d (equal after `replace(config,
-    w_d=0.0)`) run on each scene as one call of `_descend`: the lead
-    config descends alone through the dpc warmup, iterations [0,
-    dpc_active_after), and each other config forks from it there. Every
-    row is the row of its config run alone (see `_descend`).
+    All configs of a scene run as one call of `_descend`, stepped in
+    lockstep as one stack; the configs that differ only in w_d (equal after
+    `replace(config, w_d=0.0)`) share one lane through the dpc warmup,
+    iterations [0, dpc_active_after), and fork from it there. Every row is
+    the row of its config run alone (see `_descend`).
     """
     if not bundles or not configs:
         raise ValueError("ablation needs at least one scene and one config")
-    groups = {}  # indices of the configs equal but for w_d, in input order
-    for index, (_, config) in enumerate(configs):
-        groups.setdefault(replace(config, w_d=0.0), []).append(index)
     rows = []
     for scene_name, bundle in bundles:
-        outcomes = {}
-        for indices in groups.values():
-            outcomes.update(zip(indices, _descend(bundle, [configs[i][1] for i in indices])))
-        for index, (config_name, config) in enumerate(configs):
+        outcomes = _descend(bundle, [config for _, config in configs])
+        for (config_name, config), outcome in zip(configs, outcomes):
             row = {
                 "scene": scene_name,
                 "config": config_name,
@@ -664,7 +968,6 @@ def ablation_suite(bundles, configs) -> list:
                 "seed": config.seed,
                 "error": "",
             }
-            outcome = outcomes[index]
             if isinstance(outcome, RunTrace):
                 row.update(outcome.final_metrics.as_dict())
                 row.update(outcome.records[-1].extras)

@@ -16,11 +16,12 @@ construction (up to bilinear resampling of the smooth texture).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidSceneError
+from .errors import DimensionError, InvalidSceneError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -202,8 +203,12 @@ def _analytic_divergence_r_identity(camera, warp_t, depth, depth_grad, u, v):
 
 def synthesize(spec: SceneSpec, camera: CameraIntrinsics, ego_motion: RigidMotion,
                height: int, width: int) -> SceneBundle:
-    """Build the full ground-truth bundle for a scene specification. Values
+    """Build the full ground-truth bundle for a scene specification. A size
+    that is not an integer (a bool, a float) raises DimensionError; values
     that overflow the rendering at this size raise InvalidSceneError."""
+    for name, value in (("height", height), ("width", width)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DimensionError(f"{name} must be an integer, got {value!r}")
     try:
         with np.errstate(all="ignore"):  # overflow shows as a non-finite field
             return _render(spec, camera, ego_motion, height, width)

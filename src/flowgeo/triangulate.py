@@ -71,10 +71,11 @@ def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, ray
     tape Vars alike, so this one expression is the body of both
     `triangulate_depth` and `grad.triangulate_graph`. A caller that holds
     the `CameraGrid` and the rows `grid.rays(R)` of a fixed rotation may
-    pass them instead of having them rebuilt.
+    pass them instead of having them rebuilt. Flow components stacked in
+    lanes (k, H, W) give each lane the ratio of its flow alone.
     """
     if grid is None:
-        grid = CameraGrid.of(camera, *np.shape(f_u.value if isinstance(f_u, ad.Var) else f_u))
+        grid = CameraGrid.of(camera, *np.shape(ad.value_of(f_u))[-2:])
     r_dot = grid.rays(R) if rays is None else rays  # r_i . x
     s_u = (f_u + grid.u - camera.cx) / camera.fx
     s_v = (f_v + grid.v - camera.cy) / camera.fy

@@ -4,7 +4,11 @@ value and every gradient it passes on must equal what the tape computes
 over its twin. `TWINS` maps the module attributes the optimizer and the
 gradient engine call to these twins, so whole runs can be replayed on the
 composed graphs. The elementary tape ops that no code of the package calls
-live here too."""
+live here too.
+
+Like the nodes, each twin takes a grid or a lane stack (k, H, W) of grids,
+and runs each lane's grid by itself: its masked mean is one mean per lane,
+its box filter `box3_lanes` and its stencils run over the last two axes."""
 
 from dataclasses import dataclass
 
@@ -39,6 +43,13 @@ def maximum(a, floor: float):
     return ad.Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
 
 
+def box3_lanes(a):
+    """`ad.box3` on a grid or on each grid of a lane stack (k, H, W)."""
+    a = ad.as_var(a)
+    return ad.Var(ad._box3_lanes(a.value)[0], (a,),
+                  lambda g: (ad._box3_lanes(np.asarray(g, dtype=float))[0],))
+
+
 def take_channel(a, index: int):
     """Select channel `index` from the last axis."""
     a = ad.as_var(a)
@@ -57,17 +68,17 @@ def take_channel(a, index: int):
 
 def composed_stats(b):
     """`ssim_stats` as elementary tape nodes."""
-    mu = ad.box3(b)
+    mu = box3_lanes(b)
     mu_sq = ad.mul(mu, mu)
-    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
+    return mu, mu_sq, box3_lanes(ad.mul(b, b)) - mu_sq
 
 
 def composed_ssim(a, b, b_stats=None):
     """Per-pixel SSIM of `a` against the reference `b` as elementary nodes."""
-    mu_a = ad.box3(a)
+    mu_a = box3_lanes(a)
     mu_b, mu_b_sq, var_b = composed_stats(b) if b_stats is None else b_stats
-    var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
-    cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
+    var_a = box3_lanes(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
+    cov = box3_lanes(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
     num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return ad.div(num, den)
@@ -85,10 +96,10 @@ def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=Non
     """`photometric_core` built from `composed_channel`s and channel picks;
     `reference` is accepted and ignored (the twin rebuilds it)."""
     i_t, i_warped = ad.as_var(i_t), ad.as_var(i_warped)
-    if np.ndim(i_warped.value) == 2:
+    if np.ndim(i_t.value) == 2:
         per_pixel = composed_channel(i_t, i_warped, alpha, precomputed)
     else:
-        channels = range(np.shape(i_warped.value)[2])
+        channels = range(np.shape(i_t.value)[2])
         acc = None
         for c in channels:
             term = composed_channel(take_channel(i_t, c), take_channel(i_warped, c),
@@ -134,14 +145,14 @@ def composed_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=
     shifted = ad.sub(d_c, t3)
     c_f = ad.mul(ad.div(shifted, t3), div_f) - IDENTITY_FIELD_DIVERGENCE
     if depth_gradient is None:
-        g_u = ad.axis_diff(d_c, axis=1)
-        g_v = ad.axis_diff(d_c, axis=0)
+        g_u = ad.axis_diff(d_c, axis=-1)
+        g_v = ad.axis_diff(d_c, axis=-2)
     else:
         g_u = ad.as_var(2.0 * depth_gradient[..., 0])
         g_v = ad.as_var(2.0 * depth_gradient[..., 1])
     c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
     if interior is None:
-        interior = interior_mask(*np.shape(d_c.value))
+        interior = interior_mask(*np.shape(d_c.value)[-2:])
     validity = interior & (np.abs(shifted.value) >= EPS_GEO)
     return ComposedSide(c_f.value, c_d.value, validity, (c_f, c_d))
 

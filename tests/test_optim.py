@@ -1,6 +1,7 @@
 """Field optimization: fixed-point stability, determinism, scale link,
 divergence handling, and the co-adjustment reduction on static scenes."""
 
+import gc
 import platform
 import sys
 from dataclasses import replace
@@ -292,26 +293,31 @@ def assert_same_outcome(shared, alone):
 
 
 class TestSharedWarmup:
-    """Configs equal but for w_d descend as one group through the dpc
-    warmup and fork there; every row and every trace is that of its config
-    run alone."""
+    """The configs of a scene descend as one stack in lockstep; configs
+    equal but for w_d share one lane through the dpc warmup and fork there.
+    Every row and every trace is that of its config run alone."""
 
     @staticmethod
     def check(bundle, configs):
-        """Rows of the grid, after checking them and each group's traces
+        """Rows of the grid, after checking them and the stack's traces
         against the configs run alone."""
         named = [(f"c{i}", config) for i, config in enumerate(configs)]
         rows = ablation_suite([("scene", bundle)], named)
         alone_rows = [ablation_suite([("scene", bundle)], [pair])[0] for pair in named]
         assert [repr(r) for r in rows] == [repr(r) for r in alone_rows]
-        groups = {}
-        for config in configs:
-            groups.setdefault(replace(config, w_d=0.0), []).append(config)
-        for group in groups.values():
-            outcomes = optim._descend(bundle, group)
-            for shared, config in zip(outcomes, group, strict=True):
-                assert_same_outcome(shared, run_alone(bundle, config))
+        outcomes = optim._descend(bundle, configs)
+        for shared, config in zip(outcomes, configs, strict=True):
+            assert_same_outcome(shared, run_alone(bundle, config))
         return rows
+
+    @staticmethod
+    def stack_sizes(monkeypatch):
+        """The lanes of each stacked depth step, from now on."""
+        sizes = []
+        real_step = optim._depth_step
+        monkeypatch.setattr(optim, "_depth_step",
+                            lambda *a: sizes.append(len(a[0])) or real_step(*a))
+        return sizes
 
     def test_cli_grid(self, small_static):
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=40, record_every=7, seed=2)
@@ -427,23 +433,97 @@ class TestSharedWarmup:
             ablation_suite([("scene", small_static)], configs)
         assert len(calls) == 5 < optim._DepthObjective(small_static, configs[1][1]).dpc_active_after
 
+    def test_a_lane_diverging_after_the_fork_leaves_the_stack(self, small_static, monkeypatch):
+        # the dpc term joins at iteration 0, where the w_d = 0 and 1e-3
+        # members fork from the w_d = 1e-4 lead. At the full rate the w_d = 0
+        # lane's cgdc steps of the whole clip diverge at iteration 1, and the
+        # w_d = 1e-3 lane diverges on its dpc value at 3; the lead, at
+        # DPC_LR_SCALE, and the calm group finish
+        fast = [OptimConfig(w_c=1.0, w_d=wd, iterations=10, record_every=3, learning_rate=6e4,
+                            step_clip=16.0, dpc_warmup_fraction=0.0, seed=0)
+                for wd in (0.0, 1e-4, 1e-3)]
+        calm = [OptimConfig(w_c=1.0, w_d=wd, iterations=30, record_every=7, seed=1)
+                for wd in (0.0, 0.1)]
+        sizes = self.stack_sizes(monkeypatch)
+        rows = self.check(small_static, fast + calm)
+        assert rows[0]["error"].startswith("AbortedRunError: run diverged at iteration 1 ")
+        assert rows[2]["error"].startswith("AbortedRunError: run diverged at iteration 3 ")
+        assert [r["error"] for r in rows[1:2] + rows[3:]] == ["", "", ""]
+        # the grid's stack: the fast group forks at 0 and its lanes leave at
+        # 1, 3 and 10; the calm fork joins at 13
+        assert sizes[:30] == [4] * 2 + [3] * 2 + [2] * 6 + [1] * 3 + [2] * 17
+
+    def test_configs_with_their_own_iterations_and_records(self, small_static, monkeypatch):
+        # three groups whose forks (at 18, 11, 6) and ends (at 40, 25, 33)
+        # fall on different iterations, each recording at its own period
+        configs = [OptimConfig(w_p=1.0, w_c=1.0, w_d=wd, iterations=40, record_every=7, seed=2)
+                   for wd in (0.0, 0.1)]
+        configs += [OptimConfig(w_c=1.0, w_d=wd, iterations=25, record_every=4, seed=3)
+                    for wd in (0.1, 0.0)]
+        configs += [OptimConfig(w_p=1.0, w_c=0.0, w_d=wd, iterations=33, record_every=5,
+                                dpc_warmup_fraction=0.2, seed=1) for wd in (0.2, 0.0)]
+        sizes = self.stack_sizes(monkeypatch)
+        rows = self.check(small_static, configs)
+        assert all(r["error"] == "" for r in rows)
+        assert sizes[:40] == [3] * 6 + [4] * 5 + [5] * 7 + [6] * 7 + [4] * 8 + [2] * 7
+
+    def test_co_adjusted_pair_next_to_depth_only_configs(self, dynamic_bundle, monkeypatch):
+        # the co-adjusted lanes carry flows of their own in the stack, the
+        # depth-only lanes step on the scene's flow
+        co = [OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=24, record_every=4,
+                          dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
+        depth_only = [OptimConfig(w_p=1.0, w_c=1.0, w_d=wd, iterations=20, record_every=6,
+                                  allow_dynamic=True, seed=3) for wd in (0.1, 0.0)]
+        sizes = self.stack_sizes(monkeypatch)
+        rows = self.check(dynamic_bundle, co + depth_only)
+        assert all(r["error"] == "" for r in rows)
+        assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
+        assert sizes[:24] == [2] * 9 + [3] * 5 + [4] * 6 + [2] * 4
+
     def test_depth_steps(self, tmp_path, monkeypatch):
-        steps = []
+        steps = []  # the lanes of each stacked step
         real_step = optim._depth_step
-        monkeypatch.setattr(optim, "_depth_step", lambda *a: steps.append(1) or real_step(*a))
+        monkeypatch.setattr(optim, "_depth_step",
+                            lambda *a: steps.append(len(a[0])) or real_step(*a))
         scene = tmp_path / "scene.txt"
         scene.write_text(TestComposedTwinRuns.SCENE)
         argv = ["ablate", "--scene", str(scene), "--size", "24x18", "--iters", "200",
                 "--out", str(tmp_path / "o")]
         assert cli.run(argv) == 0
-        # four runs of 200 steps, two pairs of which share their 90 warmup steps
-        assert len(steps) == 620
+        # four runs of 200 steps, two pairs of which share their 90 warmup
+        # steps: 200 stacked steps, two lanes through the warmup and four
+        # after the fork, carry 620 lane-steps
+        assert steps == [2] * 90 + [4] * 110
+        assert sum(steps) == 620
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 12.0, 9.0),
                             RigidMotion(np.eye(3), README_T), 18, 24)
         for runner, w_b in ((recover_depth, 0.0), (co_adjust, 1.0)):
             steps.clear()
             runner(bundle, OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=w_b, iterations=200))
-            assert len(steps) == 200
+            assert steps == [1] * 200
+
+
+def step_calls(objectives, theta, it):
+    """The "call" and "c_call" events of one `_depth_step` of the stack
+    `theta`, after one step to warm it. The garbage collector is off while
+    they are counted: a collection would count the finalizers of whatever
+    other objects it frees."""
+    depth = optim._decode_values(theta)
+    optim._depth_step(objectives, theta, depth, it)
+    calls = []
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls.append(event)
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        optim._depth_step(objectives, theta, depth, it)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
 
 
 class TestPlan:
@@ -461,44 +541,76 @@ class TestPlan:
         # theta-independent term was rebuilt on each step, 106 while each
         # photometric channel pair took 28 elementary nodes, 68 while the
         # warp, cgdc and dpc terms were composed of elementary nodes, 14
-        # while the step differentiated through an exp node of theta
+        # while the step differentiated through an exp node of theta, 13
+        # while each weighted term took a mul and an add node of its own
         ego = RigidMotion(np.eye(3), README_T)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
         objective = optim._DepthObjective(bundle, config)
-        theta = optim._initial_theta(bundle, config, np.random.default_rng(1))
+        theta = optim._initial_theta(bundle, config, np.random.default_rng(1))[None]
         it = objective.dpc_active_after
         assert objective.weights(it)["dpc"] > 0
         before = ad._counter
-        optim._depth_step(objective, theta, optim._decode_values(theta), it, config)
-        assert ad._counter - before <= 13
+        optim._depth_step([objective], theta, optim._decode_values(theta), it)
+        assert ad._counter - before <= 6
 
     def test_dpc_active_step_call_budget(self, rotating):
         # Python calls and calls of C functions (`sys.setprofile` "call" and
         # "c_call" events) in one active recover step at 24x18, the README
-        # scene with a rotating ego-motion: 610 while numpy's Python-level
-        # wrappers (np.clip, np.shape, np.ndim, np.sum) and a np.errstate
-        # block per division site ran on every step. Array operators made
-        # through `+`, `*` and the like are not calls and are not counted.
+        # scene with a rotating ego-motion, a stack of one lane: 610 while
+        # numpy's Python-level wrappers (np.clip, np.shape, np.ndim, np.sum)
+        # and a np.errstate block per division site ran on every step, 343
+        # before the lane axis, while each weighted term took a mul and an
+        # add node of its own.
+        # Array operators made through `+`, `*` and the like are not calls
+        # and are not counted.
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
         objective = optim._DepthObjective(rotating, config)
-        theta = optim._initial_theta(rotating, config, np.random.default_rng(1))
-        depth = optim._decode_values(theta)
+        theta = optim._initial_theta(rotating, config, np.random.default_rng(1))[None]
         it = objective.dpc_active_after
         assert objective.weights(it)["dpc"] > 0
-        optim._depth_step(objective, theta, depth, it, config)  # warm
-        calls = []
+        assert len(step_calls([objective], theta, it)) <= 335
 
-        def count(frame, event, arg):
-            if event in ("call", "c_call"):
-                calls.append(event)
+    def test_stacked_step_call_budget(self, rotating):
+        # one post-fork step of the CLI 2x2 grid (w_p = 1, w_c and w_d
+        # toggled) at 24x18 as one stack of four lanes makes fewer calls
+        # than the four steps of those lanes alone; its count repeats
+        # exactly, so it is pinned, and a kernel that loops over the lanes
+        # fails here
+        configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
+                   for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
+        plan = optim._Plan(rotating)
+        objectives = [optim._DepthObjective(rotating, config, plan) for config in configs]
+        theta = np.stack([optim._initial_theta(rotating, c, np.random.default_rng(c.seed))
+                          for c in configs])
+        it = objectives[0].dpc_active_after
+        stacked = len(step_calls(objectives, theta, it))
+        alone = sum(len(step_calls([o], theta[i : i + 1], it)) for i, o in enumerate(objectives))
+        assert stacked < alone
+        assert stacked <= 420
 
-        sys.setprofile(count)
-        try:
-            optim._depth_step(objective, theta, depth, it, config)
-        finally:
-            sys.setprofile(None)
-        assert len(calls) <= 343
+    def test_stacked_step_equals_each_lane_alone(self, small_static):
+        # the middle lane's depth is 1e-4 of the truth: its warp leaves the
+        # image and its |C^D| stays under the floor, so the dpc and
+        # photometric nodes are rebuilt over the outer lanes alone, and the
+        # last lane has no cgdc term
+        weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1)]
+        configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0)
+                   for wp, wc, wd in weights]
+        plan = optim._Plan(small_static)
+        objectives = [optim._DepthObjective(small_static, config, plan) for config in configs]
+        gt = small_static.depth_gt.values
+        theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9]))
+        depth = optim._decode_values(theta)
+        it = objectives[0].dpc_active_after
+        stepped, values, errors = optim._depth_step(objectives, theta, depth, it)
+        assert errors == {} and list(values[1]) == ["cgdc"]
+        assert list(values[2]) == ["dpc", "photometric"]
+        for i, objective in enumerate(objectives):
+            alone, alone_values, _ = optim._depth_step([objective], theta[i : i + 1],
+                                                       depth[i : i + 1], it)
+            assert repr(alone_values) == repr(values[i : i + 1])
+            assert_bits_equal(alone[0], stepped[i])
 
     def test_co_adjust_run_tape_size(self, dynamic_bundle):
         # co-adjust benchmark scene, 96x72, 400 iterations: 15.4 Vars per

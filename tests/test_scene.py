@@ -6,7 +6,7 @@ import pytest
 from conftest import scene_file_texts
 from hypothesis import given, settings
 
-from flowgeo.errors import FlowGeoError, InvalidSceneError
+from flowgeo.errors import DimensionError, FlowGeoError, InvalidSceneError
 from flowgeo.geometry import (
     CameraIntrinsics,
     RigidMotion,
@@ -67,6 +67,30 @@ class TestDepthFamilies:
             synthesize(
                 SceneSpec("fronto-plane", depth=-2.0), K, RigidMotion.identity(), 8, 8
             )
+
+    # a float or bool size raised a bare TypeError from inside the rendering
+    @pytest.mark.parametrize("height, width, name", [
+        (2.5, 5, "height"), (True, 5, "height"), (5.0, 5, "height"),
+        (5, 2.5, "width"), (5, False, "width"),
+    ])
+    def test_non_integer_size_names_its_argument(self, height, width, name):
+        spec = SceneSpec("fronto-plane", depth=5.0)
+        with pytest.raises(DimensionError, match=f"^{name} must be an integer, got "):
+            synthesize(spec, K, RigidMotion(np.eye(3), [0, 0, 0.5]), height, width)
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        spec = SceneSpec("fronto-plane", depth=5.0)
+        ego = RigidMotion(np.eye(3), [0, 0, 0.5])
+        bundle = synthesize(spec, K, ego, np.int64(6), np.int32(8))
+        assert bundle.shape == (6, 8)
+        np.testing.assert_array_equal(bundle.depth_gt.values,
+                                      synthesize(spec, K, ego, 6, 8).depth_gt.values)
+
+    @pytest.mark.parametrize("height, width", [(0, 5), (-1, 5), (5, 0)])
+    def test_empty_or_negative_size_does_not_render(self, height, width):
+        with pytest.raises(InvalidSceneError, match="does not render"):
+            synthesize(SceneSpec("fronto-plane", depth=5.0), K,
+                       RigidMotion(np.eye(3), [0, 0, 0.5]), height, width)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidSceneError):
