@@ -211,16 +211,23 @@ def _mean_over(values, mask):
     may be non-finite. The adjoint weights are `_mean_weights`.
 
     On a lane stack of grids, `values` (k, H, W) and a mask of that shape
-    or of one grid's, each lane sums its own `values[m]`, as a run of that
-    lane alone does: the means and counts are (k,) arrays."""
+    or one shared by every lane ((1, H, W) or (H, W)), each lane sums its
+    own `values[m]`, as a run of that lane alone does: the means and counts
+    are (k,) arrays."""
     m = np.asarray(mask, bool)
     if values.ndim < 3:
         n = np.count_nonzero(m)
         return float(np.add.reduce(values[m]) / n), m, n
     k = values.shape[0]
+    lanes = m if m.ndim == 3 else m[None]
+    if k == 1:  # a stack of one: its lane's values are all of the stack's
+        picked = values[lanes]
+        n = np.array([picked.size])
+        return np.add.reduce(picked, keepdims=True) / n, m, n
     sums, n = np.empty(k), np.empty(k, dtype=int)
+    shared = lanes.shape[0] == 1
     for i in range(k):
-        picked = values[i][m if m.ndim < 3 else m[i]]
+        picked = values[i][lanes[0 if shared else i]]
         sums[i] = np.add.reduce(picked)
         n[i] = picked.size
     return sums / n, m, n
@@ -228,9 +235,12 @@ def _mean_over(values, mask):
 
 def _mean_weights(g, m, n):
     """The seed `g` of a `_mean_over` node spread over its pixels: g m / n,
-    with a (k,) seed and counts spread lane by lane on a lane stack."""
+    with a (k,) seed and counts spread lane by lane on a lane stack, as
+    scalars on a stack of one with its (1, H, W) mask."""
     if type(n) is not np.ndarray:
         return g * (m.astype(float) / n)
+    if n.shape[0] == 1 and m.ndim == 3:
+        return g[0] * (m.astype(float) / n[0])
     return g[:, None, None] * (m.astype(float) / n[:, None, None])
 
 

@@ -232,36 +232,36 @@ class _Plan:
     one scene, built once per `_descend` and shared by all its lanes: the
     `CameraGrid` (pixels, centred pixels, normalized rays) and the rows
     R . [xn, yn, 1] of the warp rotation that triangulation and the
-    photometric rigid flow share; on first use, the SSIM statistics of the
-    fixed target image, the DPC offsets q_u/q_v and interior mask with the
-    rotational flow when the ego-motion rotates, and the flow side of the
-    scene's flow (`flow_sides`)."""
+    photometric rigid flow share, the SSIM statistics of the fixed target
+    image, the DPC offsets q_u/q_v and interior mask, the rotational flow
+    when the ego-motion rotates, and the flow side of the scene's flow
+    (`flow_sides`).
+
+    Each grid has a leading lane axis of length 1, as a lane's rows of a
+    stack have: against a stack of one, numpy then runs each operation on
+    operands of one shape, which its fast path needs; against a stack of
+    several lanes, the axis broadcasts."""
 
     def __init__(self, bundle: SceneBundle):
         _pin_heap()
         self.bundle = bundle
         self.camera, self.motion = bundle.camera, bundle.motion
-        self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
+        grid = CameraGrid.of(bundle.camera, *bundle.shape)
+        self.grid = CameraGrid(**{name: a[None] for name, a in vars(grid).items()})
         self.rays = self.grid.rays(bundle.motion.rotation)
-        self._parts = {}
-
-    def reference(self):
-        if "reference" not in self._parts:
-            self._parts["reference"] = reference_channels(self.bundle.image_t.values)
-        return self._parts["reference"]
-
-    def dpc(self):
-        """(t_ego as constant Vars, (q_u, q_v), interior mask, rotational
-        flow values or None)."""
-        if "dpc" not in self._parts:
-            bundle = self.bundle
-            t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
-            rotation = None
-            if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-                rotation = rotational_flow(self.camera, self.motion.rotation, *bundle.shape).values
-            self._parts["dpc"] = (t_ego, differential_offsets(self.camera, t_ego, self.grid),
-                                  interior_mask(*bundle.shape), rotation)
-        return self._parts["dpc"]
+        self.reference = [(ch[None], tuple(a[None] for a in stats))
+                          for ch, stats in reference_channels(bundle.image_t.values)]
+        self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
+        self.q = differential_offsets(self.camera, self.t_ego, self.grid)
+        self.interior = interior_mask(*bundle.shape)[None]
+        self.rotation = None  # rotational flow values, when the ego-motion rotates
+        if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
+            self.rotation = rotational_flow(self.camera, self.motion.rotation,
+                                            *bundle.shape).values[None]
+        flow = bundle.flow_gt
+        self.flow_mask = flow.mask[None]
+        geo, div = self.flow_sides(flow.values[None], self.flow_mask, [0], [0])
+        self.scene_geo, self.scene_div = geo[0], div[0]
 
     def flow_sides(self, values, masks, geo_rows, div_rows):
         """The flow side of a lane stack of flows (values (k, H, W, 2),
@@ -281,34 +281,20 @@ class _Plan:
                     _require_depth(depth[j], validity[j])
                     if not validity[j].any():
                         raise NoValidPixelsError("triangulation produced no valid pixels")
-                    geo[i] = depth[j], validity[j]
+                    geo[i] = depth[j : j + 1], validity[j : j + 1]
                 except FlowGeoError as exc:
                     geo[i] = exc
         if div_rows:
             f_u, f_v = _take(f_u, div_rows), _take(f_v, div_rows)
+            if self.rotation is not None:
+                f_u = f_u - self.rotation[..., 0]
+                f_v = f_v - self.rotation[..., 1]
             try:
-                rotation = self.dpc()[3]
-                if rotation is not None:
-                    f_u = f_u - rotation[..., 0]
-                    f_v = f_v - rotation[..., 1]
                 div_f = differential_flow_side(f_u, f_v)
-                div = {i: div_f[j] for j, i in enumerate(div_rows)}
+                div = {i: div_f[j : j + 1] for j, i in enumerate(div_rows)}
             except (FlowGeoError, ValueError) as exc:  # the grid's, so every lane's
-                div = {i: _error_of(exc) for i in div_rows}
+                div = {i: exc for i in div_rows}
         return geo, div
-
-    def scene_side(self, part):
-        """The flow side `part` ("geo" or "div") of the scene's flow; its
-        error is raised anew on each call."""
-        if part not in self._parts:
-            flow = self.bundle.flow_gt
-            rows = ([0], []) if part == "geo" else ([], [0])
-            geo, div = self.flow_sides(flow.values[None], flow.mask[None], *rows)
-            side = (geo or div)[0]
-            if isinstance(side, Exception):
-                raise side
-            self._parts[part] = side
-        return self._parts[part]
 
 
 def _take(array, rows):
@@ -318,13 +304,13 @@ def _take(array, rows):
 
 
 def _lane_stacks(parts):
-    """One array per entry of the lanes' tuples of grids: the grid itself
-    where every lane holds the same array (it broadcasts against the lane
-    axis), else the lanes' stack."""
+    """One array per entry of the lanes' tuples of (1, H, W) grids: the grid
+    itself where every lane holds the same array (it broadcasts against the
+    lane axis), else the lanes' stack."""
     first = parts[0]
     if len(parts) == 1:
         return first
-    return tuple(a if all(p[j] is a for p in parts) else np.stack([p[j] for p in parts])
+    return tuple(a if all(p[j] is a for p in parts) else np.concatenate([p[j] for p in parts])
                  for j, a in enumerate(first))
 
 
@@ -343,10 +329,13 @@ class _DepthObjective:
         # the loss terms the objective holds, in `TERMS` order
         self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
                            if w > 0)
-        if side is None:
-            side = (self.plan.scene_side("geo") if config.w_c > 0 else None,
-                    self.plan.scene_side("div") if config.w_d > 0 else None,
-                    bundle.flow_gt.mask)
+        if side is None:  # the scene's flow; a part that failed its checks raises anew
+            plan = self.plan
+            side = (plan.scene_geo if config.w_c > 0 else None,
+                    plan.scene_div if config.w_d > 0 else None, plan.flow_mask)
+            for part in side:
+                if isinstance(part, Exception):
+                    raise _error_of(part, config)
         self.geo, self.div_f, self.flow_mask = side
 
     def fork(self, config):
@@ -383,10 +372,10 @@ def _set_flows(objectives, values, masks):
     for i, objective in enumerate(objectives):
         for part in (geo.get(i), div.get(i)):
             if isinstance(part, Exception):
-                errors.setdefault(i, part)
+                errors.setdefault(i, _error_of(part, objective.config))
         if i in errors:
             continue
-        objective.flow_mask = masks[i]
+        objective.flow_mask = masks[i : i + 1]
         if i in geo:
             objective.geo = geo[i]
         if i in div:
@@ -405,10 +394,10 @@ def _cgdc_term(objectives, rows, depth):
 
 
 def _dpc_term(objectives, rows, depth):
-    t_ego, q, interior, _ = objectives[0].plan.dpc()
+    plan = objectives[0].plan
     div_f, flow_mask = _lane_stacks([(objectives[i].div_f, objectives[i].flow_mask)
                                      for i in rows])
-    side = differential_depth_side(t_ego[2], depth, *q, div_f, interior=interior)
+    side = differential_depth_side(plan.t_ego[2], depth, *plan.q, div_f, interior=plan.interior)
     mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & flow_mask
     keep = mask.any(axis=(1, 2))
     return (dpc_core(side, mask), None) if keep.all() else (None, keep)
@@ -422,7 +411,7 @@ def _photometric_term(objectives, rows, depth):
     keep = pmask.any(axis=(1, 2))
     if not keep.all():
         return None, keep
-    return photometric_core(bundle.image_t.values, warped, pmask, reference=plan.reference()), None
+    return photometric_core(bundle.image_t.values, warped, pmask, reference=plan.reference), None
 
 
 # term -> builder(objectives, rows, depth of those lanes): (node, None), or
@@ -476,8 +465,8 @@ def _terms(objectives, depth, d=None, iteration=None):
             if node is not None:
                 for i, value in zip(rows, node.value.tolist()):
                     values[i][name] = value
-                if on_tape:
-                    parts.append((node, rows, np.array(ws)))
+                if on_tape:  # a slice picks every lane without a copy
+                    parts.append((node, slice(None) if lanes is stack else rows, np.array(ws)))
                 break
             # rebuilt without the lanes whose valid set is empty
             ws = [w for w, kept in zip(ws, keep.tolist()) if kept]
@@ -663,7 +652,7 @@ def _records_of(records, config):
     return list(records)
 
 
-def _error_of(exc, config=None):
+def _error_of(exc, config):
     """The error `exc`, as the run of `config` raises it: a new error of
     its type and message, whose trace, for an AbortedRunError, names
     `config` and holds its own copy of the records."""
