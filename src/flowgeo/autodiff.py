@@ -37,7 +37,7 @@ lane has; `backward` adds what reaches the pick straight into the lanes of
 `a`, one contribution at a time, so each lane's gradient is summed in the
 order a run of that lane alone sums it.
 
-A step of the descent records about a dozen nodes on grids of a few
+A step of the descent records about half a dozen nodes on grids of a few
 thousand pixels, so the fixed cost of a node counts as much as its array
 passes: values are a float or a float ndarray, and the bookkeeping reads
 their attributes rather than going through numpy's Python-level wrappers.
@@ -278,7 +278,7 @@ class _LaneView(Var):
 
 
 def lanes(a, rows):
-    """The lanes `rows` (an integer index array) of the active lane stack
+    """The lanes `rows` (a list of lane indices) of the active lane stack
     `a`, as a node of its own for a term that only those lanes have.
     `backward` adds each contribution that reaches it straight into the
     gradient of `a`, to those lanes, in the order it arrives, so a lane's

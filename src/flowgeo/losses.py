@@ -186,8 +186,9 @@ def _channel_vjp(g, terms):
 
 def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     """alpha (1 - SSIM)/2 + (1 - alpha) |i_t - i_warped|, channel-averaged,
-    masked mean, as one tape node. i_t is the constant reference;
-    `reference` may carry its `reference_channels` from an earlier call.
+    masked mean, as one tape node. i_t is the constant reference image, an
+    (H, W) or (H, W, C) array; `reference` may carry its
+    `reference_channels` from an earlier call.
 
     The composed graph picks each channel of `i_warped`, builds its SSIM +
     L1 map, sums the maps in channel order and scales by 1/C. The adjoint
