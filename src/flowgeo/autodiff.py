@@ -220,10 +220,6 @@ def _mean_over(values, mask):
         return float(np.add.reduce(values[m]) / n), m, n
     k = values.shape[0]
     lanes = m if m.ndim == 3 else m[None]
-    if k == 1:  # a stack of one: its lane's values are all of the stack's
-        picked = values[lanes]
-        n = np.array([picked.size])
-        return np.add.reduce(picked, keepdims=True) / n, m, n
     sums, n = np.empty(k), np.empty(k, dtype=int)
     shared = lanes.shape[0] == 1
     for i in range(k):
@@ -235,12 +231,9 @@ def _mean_over(values, mask):
 
 def _mean_weights(g, m, n):
     """The seed `g` of a `_mean_over` node spread over its pixels: g m / n,
-    with a (k,) seed and counts spread lane by lane on a lane stack, as
-    scalars on a stack of one with its (1, H, W) mask."""
+    with a (k,) seed and counts spread lane by lane on a lane stack."""
     if type(n) is not np.ndarray:
         return g * (m.astype(float) / n)
-    if n.shape[0] == 1 and m.ndim == 3:
-        return g[0] * (m.astype(float) / n[0])
     return g[:, None, None] * (m.astype(float) / n[:, None, None])
 
 
@@ -278,8 +271,9 @@ class _LaneView(Var):
 
 
 def lanes(a, rows):
-    """The lanes `rows` (a list of lane indices) of the active lane stack
-    `a`, as a node of its own for a term that only those lanes have.
+    """The lanes `rows` of the active lane stack `a`, as a node of its own
+    for a term that only those lanes have: a list of lane indices, or one
+    index for one lane, whose grid the node then is.
     `backward` adds each contribution that reaches it straight into the
     gradient of `a`, to those lanes, in the order it arrives, so a lane's
     gradient sums what the nodes over it give in the order a run of that

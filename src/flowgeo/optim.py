@@ -235,32 +235,26 @@ class _Plan:
     photometric rigid flow share, the SSIM statistics of the fixed target
     image, the DPC offsets q_u/q_v and interior mask, the rotational flow
     when the ego-motion rotates, and the flow side of the scene's flow
-    (`flow_sides`).
-
-    Each grid has a leading lane axis of length 1, as a lane's rows of a
-    stack have: against a stack of one, numpy then runs each operation on
-    operands of one shape, which its fast path needs; against a stack of
-    several lanes, the axis broadcasts."""
+    (`flow_sides`). Its grids have no lane axis: they broadcast against a
+    stack of several lanes, and a stack of one steps on its grid itself
+    (see `_stacked`)."""
 
     def __init__(self, bundle: SceneBundle):
         _pin_heap()
         self.bundle = bundle
         self.camera, self.motion = bundle.camera, bundle.motion
-        grid = CameraGrid.of(bundle.camera, *bundle.shape)
-        self.grid = CameraGrid(**{name: a[None] for name, a in vars(grid).items()})
+        self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
         self.rays = self.grid.rays(bundle.motion.rotation)
-        self.reference = [(ch[None], tuple(a[None] for a in stats))
-                          for ch, stats in reference_channels(bundle.image_t.values)]
+        self.reference = reference_channels(bundle.image_t.values)
         self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
         self.q = differential_offsets(self.camera, self.t_ego, self.grid)
-        self.interior = interior_mask(*bundle.shape)[None]
+        self.interior = interior_mask(*bundle.shape)
         self.rotation = None  # rotational flow values, when the ego-motion rotates
         if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-            self.rotation = rotational_flow(self.camera, self.motion.rotation,
-                                            *bundle.shape).values[None]
+            self.rotation = rotational_flow(self.camera, self.motion.rotation, *bundle.shape).values
         flow = bundle.flow_gt
-        self.flow_mask = flow.mask[None]
-        geo, div = self.flow_sides(flow.values[None], self.flow_mask, [0], [0])
+        self.flow_mask = flow.mask
+        geo, div = self.flow_sides(flow.values[None], flow.mask[None], [0], [0])
         self.scene_geo, self.scene_div = geo[0], div[0]
 
     def flow_sides(self, values, masks, geo_rows, div_rows):
@@ -273,44 +267,69 @@ class _Plan:
         geo, div = {}, {}
         if geo_rows:
             depth, validity, _ = triangulate_values(
-                self.camera, self.motion, _take(f_u, geo_rows), _take(f_v, geo_rows),
-                _take(masks, geo_rows), self.grid, self.rays,
+                self.camera, self.motion, _pick(f_u, geo_rows), _pick(f_v, geo_rows),
+                _pick(masks, geo_rows), self.grid, self.rays,
             )
-            for j, i in enumerate(geo_rows):
+            n = len(geo_rows)
+            for i, lane_depth, valid in zip(geo_rows, _lanes_of(depth, n), _lanes_of(validity, n)):
                 try:
-                    _require_depth(depth[j], validity[j])
-                    if not validity[j].any():
+                    _require_depth(lane_depth, valid)
+                    if not valid.any():
                         raise NoValidPixelsError("triangulation produced no valid pixels")
-                    geo[i] = depth[j : j + 1], validity[j : j + 1]
+                    geo[i] = lane_depth, valid
                 except FlowGeoError as exc:
                     geo[i] = exc
         if div_rows:
-            f_u, f_v = _take(f_u, div_rows), _take(f_v, div_rows)
+            f_u, f_v = _pick(f_u, div_rows), _pick(f_v, div_rows)
             if self.rotation is not None:
                 f_u = f_u - self.rotation[..., 0]
                 f_v = f_v - self.rotation[..., 1]
             try:
                 div_f = differential_flow_side(f_u, f_v)
-                div = {i: div_f[j : j + 1] for j, i in enumerate(div_rows)}
+                div = dict(zip(div_rows, _lanes_of(div_f, len(div_rows))))
             except (FlowGeoError, ValueError) as exc:  # the grid's, so every lane's
                 div = {i: exc for i in div_rows}
         return geo, div
 
 
-def _take(array, rows):
-    """The lanes `rows` (increasing) of a lane stack: the stack itself when
-    they are all of its lanes."""
+# Lane stacks: the lanes' grids stacked along a leading axis, and a stack of
+# one lane is its grid itself, without the axis. So a run alone steps on
+# plain grids, as the loss nodes' 2-D form has them, and numpy runs each
+# operation on operands of one shape.
+
+
+def _stacked(arrays):
+    """The lane stack of the lanes' arrays (one per lane): a stack of one is
+    the array itself, so writing it writes the lane's array."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _pick(array, rows):
+    """The lane stack of the lanes `rows` (increasing) of a stored (k, ...)
+    stack: its grid for one lane, the stack itself for all of its lanes."""
+    if len(rows) == 1:
+        return array[rows[0]]
     return array if len(rows) == len(array) else array[rows]
 
 
+def _lanes_of(stack, n):
+    """The n lanes' arrays of a lane stack (see `_stacked`)."""
+    return [stack] if n == 1 else list(stack)
+
+
+def _lane_values(value):
+    """The per-lane values of a loss node over a lane stack, as floats."""
+    return [value] if type(value) is float else value.tolist()
+
+
 def _lane_stacks(parts):
-    """One array per entry of the lanes' tuples of (1, H, W) grids: the grid
-    itself where every lane holds the same array (it broadcasts against the
-    lane axis), else the lanes' stack."""
+    """One array per entry of the lanes' tuples of grids: the grid itself
+    where every lane holds the same array (it broadcasts against the lane
+    axis), else the lanes' stack."""
     first = parts[0]
     if len(parts) == 1:
         return first
-    return tuple(a if all(p[j] is a for p in parts) else np.concatenate([p[j] for p in parts])
+    return tuple(a if all(p[j] is a for p in parts) else np.stack([p[j] for p in parts])
                  for j, a in enumerate(first))
 
 
@@ -361,8 +380,8 @@ class _DepthObjective:
 
 def _set_flows(objectives, values, masks):
     """Refresh the flow side of the objectives, lane i's from its flow
-    (values[i], masks[i]), all on one plan; returns {lane: error} for the
-    lanes whose new flow fails a check."""
+    (values[i], masks[i] of (k, ...) stacks), all on one plan; returns
+    {lane: error} for the lanes whose new flow fails a check."""
     plan = objectives[0].plan
     geo, div = plan.flow_sides(
         values, masks, [i for i, o in enumerate(objectives) if o.config.w_c > 0],
@@ -375,7 +394,7 @@ def _set_flows(objectives, values, masks):
                 errors.setdefault(i, _error_of(part, objective.config))
         if i in errors:
             continue
-        objective.flow_mask = masks[i : i + 1]
+        objective.flow_mask = masks[i]
         if i in geo:
             objective.geo = geo[i]
         if i in div:
@@ -399,7 +418,7 @@ def _dpc_term(objectives, rows, depth):
                                      for i in rows])
     side = differential_depth_side(plan.t_ego[2], depth, *plan.q, div_f, interior=plan.interior)
     mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & flow_mask
-    keep = mask.any(axis=(1, 2))
+    keep = mask.any(axis=(-2, -1))
     return (dpc_core(side, mask), None) if keep.all() else (None, keep)
 
 
@@ -408,30 +427,31 @@ def _photometric_term(objectives, rows, depth):
     bundle = plan.bundle
     warped, pmask = warp_graph(plan.camera, bundle.image_s.values, plan.motion.translation,
                                depth, plan.grid, plan.rays)
-    keep = pmask.any(axis=(1, 2))
+    keep = pmask.any(axis=(-2, -1))
     if not keep.all():
         return None, keep
     return photometric_core(bundle.image_t.values, warped, pmask, reference=plan.reference), None
 
 
-# term -> builder(objectives, rows, depth of those lanes): (node, None), or
-# (None, which lanes have a valid pixel) when some lane has none
+# term -> builder(objectives, rows, lane stack of those lanes' depths):
+# (node, None), or (None, which lanes have a valid pixel) when some has none
 _TERM_NODES = {"cgdc": _cgdc_term, "dpc": _dpc_term, "photometric": _photometric_term}
 
 
 def _terms(objectives, depth, d=None, iteration=None):
     """The loss terms of a lane stack as tape nodes: lane i steps on
-    objectives[i] at the decoded depth depth[i]. Each term is one node
+    objectives[i] at its decoded depth in the stack `depth` (see
+    `_stacked`). Each term is one node
     over the lanes whose objective has it, in `TERMS` order. The lanes
     whose weight for the term is positive at `iteration` read the leaf `d`,
     the whole stack or `ad.lanes` of it; the others, all of them when `d`
     is None, read the plain depth, off the tape. A lane whose valid set of
     a term is empty leaves that term out.
 
-    Returns ([(node, rows, their weights)] of the nodes on the tape, each
-    lane's loss values keyed by term in `TERMS` order, {lane: error}): a
-    node call that raises ends the lanes it was over, and they take no
-    further term."""
+    Returns ([(node, lanes, their weights)] of the nodes on the tape, the
+    lanes as an index of the stack's leading axis, each lane's loss values
+    keyed by term in `TERMS` order, {lane: error}): a node call that raises
+    ends the lanes it was over, and they take no further term."""
     k = len(objectives)
     everyone = list(range(k))
     # (term, on the tape) -> (lanes, their weights), in creation order
@@ -451,11 +471,13 @@ def _terms(objectives, depth, d=None, iteration=None):
                 ws = [objectives[i].weights(iteration)[name] for i in rows] if on_tape else ws
                 if not rows:
                     break
+            # every lane (a slice, no copy), one lane (its grid) or several
+            index = slice(None) if rows == everyone else rows[0] if len(rows) == 1 else rows
             stack = d if on_tape else depth
             if rows == everyone:
                 lanes = stack
             else:
-                lanes = ad.lanes(stack, rows) if on_tape else stack[rows]
+                lanes = ad.lanes(stack, index) if on_tape else stack[index]
             try:
                 node, keep = _TERM_NODES[name](objectives, rows, lanes)
             except (FlowGeoError, ValueError) as exc:
@@ -463,22 +485,26 @@ def _terms(objectives, depth, d=None, iteration=None):
                     errors[i] = _error_of(exc, objectives[i].config)
                 break
             if node is not None:
-                for i, value in zip(rows, node.value.tolist()):
+                for i, value in zip(rows, _lane_values(node.value)):
                     values[i][name] = value
-                if on_tape:  # a slice picks every lane without a copy
-                    parts.append((node, slice(None) if lanes is stack else rows, np.array(ws)))
+                if on_tape:
+                    parts.append((node, index, ws[0] if len(rows) == 1 else np.array(ws)))
                 break
             # rebuilt without the lanes whose valid set is empty
-            ws = [w for w, kept in zip(ws, keep.tolist()) if kept]
-            rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
+            kept = np.atleast_1d(keep).tolist()
+            ws = [w for w, keep_lane in zip(ws, kept) if keep_lane]
+            rows = [i for i, keep_lane in zip(rows, kept) if keep_lane]
     return parts, values, errors
 
 
 def _weighted_total(parts, k):
     """The root of a stacked step: per lane, the weighted sum of its terms
     on the tape, as one (k,) node over the term nodes (`parts` of
-    `_terms`). A term's seed is its lanes' weights, as `term * w` passes it
-    in a run alone."""
+    `_terms`), a float node for a stack of one. A term's seed is its lanes'
+    weights, as `term * w` passes it in a run alone."""
+    if k == 1:
+        return ad.Var(sum(node.value * w for node, _, w in parts),
+                      [node for node, _, _ in parts], lambda g: [g * w for _, _, w in parts])
     total = np.zeros(k)
     for node, rows, w in parts:
         total[rows] += node.value * w
@@ -494,13 +520,18 @@ def _depth_step(objectives, theta, depth, iteration):
     Returns (theta after the step, each lane's loss values, {lane: error}).
     A lane with no term on the tape (the warmup with only dpc configured)
     holds its field: its gradient is 0."""
-    d = ad.Var(depth)
-    parts, values, errors = _terms(objectives, depth, d, iteration)
+    k = len(objectives)
+    grid = depth[0] if k == 1 else depth  # a stack of one steps on its grid
+    d = ad.Var(grid)
+    parts, values, errors = _terms(objectives, grid, d, iteration)
     if not parts:
         return theta, values, errors
-    ad.backward(_weighted_total(parts, len(objectives)))
-    rate, clip = np.array([(o.rate(iteration), o.config.step_clip) for o in objectives]).T
-    rate, clip = rate[:, None, None], clip[:, None, None]
+    ad.backward(_weighted_total(parts, k))
+    lanes = [(o.rate(iteration), o.config.step_clip) for o in objectives]
+    if k == 1:
+        (rate, clip), = lanes
+        return (theta[0] - _clamp(rate * (d.grad * grid), -clip, clip))[None], values, errors
+    rate, clip = (column[:, None, None] for column in np.array(lanes).T)
     step = _clamp(rate * (d.grad * depth), -clip, clip)
     return theta - step, values, errors
 
@@ -755,14 +786,15 @@ class _Stack:
         its depth, checked finite where valid; a lane whose flow is not
         goes to `ended` with its error."""
         plan = self.plan
-        values, valid = rigid_flow_values(plan.camera, plan.motion, _take(self.depth, rows),
+        values, valid = rigid_flow_values(plan.camera, plan.motion, _pick(self.depth, rows),
                                           grid=plan.grid)
         rigid = {}
-        for j, i in enumerate(rows):
+        for i, lane_values, lane_valid in zip(rows, _lanes_of(values, len(rows)),
+                                               _lanes_of(valid, len(rows))):
             lane = self.lanes[i]
             try:
-                _require_finite(values[j], valid[j], FLOW_NOT_FINITE)
-                rigid[lane] = values[j], valid[j]
+                _require_finite(lane_values, lane_valid, FLOW_NOT_FINITE)
+                rigid[lane] = lane_values, lane_valid
             except ValueError as exc:
                 ended[lane] = exc
         return rigid
@@ -772,33 +804,37 @@ class _Stack:
         loss only, against the rigid flow of each lane's depth, updating each
         lane's flow in place and then its objective's flow side. Returns
         {lane: its co-adjustment loss}."""
-        values = _stack_view([lane.flow[0] for lane in lanes])
-        masks = _stack_view([lane.flow[1] for lane in lanes])
-        r_values = _stack_view([rigid[lane][0] for lane in lanes])
-        r_valid = _stack_view([rigid[lane][1] for lane in lanes])
+        n = len(lanes)
+        values = _stacked([lane.flow[0] for lane in lanes])
+        masks = _stacked([lane.flow[1] for lane in lanes])
+        r_values = _stacked([rigid[lane][0] for lane in lanes])
+        r_valid = _stacked([rigid[lane][1] for lane in lanes])
         f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
         loss_b = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, masks & r_valid)
         ad.backward(loss_b)
-        rate = np.array([lane.config.flow_learning_rate * lane.config.w_b for lane in lanes])
-        values[..., 0] -= rate[:, None, None] * f_u.grad
-        values[..., 1] -= rate[:, None, None] * f_v.grad
+        rates = [lane.config.flow_learning_rate * lane.config.w_b for lane in lanes]
+        rate = rates[0] if n == 1 else np.array(rates)[:, None, None]
+        values[..., 0] -= rate * f_u.grad
+        values[..., 1] -= rate * f_v.grad
         moved = []
-        for j, lane in enumerate(lanes):
-            if len(lanes) > 1:  # a stacked copy: the lane's own array takes the step
-                lane.flow[0][...] = values[j]
-            lane.storable = _float32_storable(values[j]).all()
+        for j, (lane, lane_values, lane_mask) in enumerate(
+                zip(lanes, _lanes_of(values, n), _lanes_of(masks, n))):
+            if n > 1:  # a stacked copy: the lane's own array takes the step
+                lane.flow[0][...] = lane_values
+            lane.storable = _float32_storable(lane_values).all()
             try:
                 if not lane.storable:  # a flow float32 can hold is finite
-                    _require_finite(values[j], masks[j], FLOW_NOT_FINITE)
+                    _require_finite(lane_values, lane_mask, FLOW_NOT_FINITE)
                 moved.append(j)
             except ValueError as exc:
                 ended[lane] = exc
         if moved:
-            errors = _set_flows([lanes[j].objective for j in moved], _take(values, moved),
-                                _take(masks, moved))
+            if n == 1:
+                values, masks = values[None], masks[None]
+            errors = _set_flows([lanes[j].objective for j in moved], values[moved], masks[moved])
             for m, exc in errors.items():
                 ended[lanes[moved[m]]] = exc
-        return dict(zip(lanes, loss_b.value.tolist()))
+        return dict(zip(lanes, _lane_values(loss_b.value)))
 
     def _step(self, it):
         """Iteration `it` of every lane: for a lane in its flow phase a flow
@@ -856,8 +892,8 @@ class _Stack:
         """Each lane of `lanes` leaves with its RunTrace, its final record at
         the depth after its last step."""
         rows = [self.lanes.index(lane) for lane in lanes]
-        depth = _take(self.depth, rows)
-        _, values, ended = _terms([lane.objective for lane in lanes], depth)
+        _, values, ended = _terms([lane.objective for lane in lanes], _pick(self.depth, rows))
+        depth = self.depth[rows]
         flowing = [rows[j] for j, lane in enumerate(lanes) if lane.flow is not None and j not in ended]
         outcomes = {}
         rigid = self._rigid_flows(flowing, outcomes) if flowing else {}
@@ -877,12 +913,6 @@ class _Stack:
             except (FlowGeoError, ValueError) as exc:
                 outcomes[lane] = exc
         self._leave(outcomes)
-
-
-def _stack_view(arrays):
-    """The lane stack of the lanes' arrays: a view of the one array of a
-    stack of one, so that writing the stack writes the lane's array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _descend(bundle, configs):
