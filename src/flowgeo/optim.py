@@ -29,8 +29,9 @@ Each run is one `_Lane` of a `_Stack`, and `_descend` steps every lane of
 a scene in lockstep: theta, the decoded depth and a co-adjusted flow carry
 a leading lane axis, each loss term is one tape node over the lanes that
 have it, and one backward pass and one update serve them all, with each
-lane's weights, rate and step clip. A run alone is a stack of one; the
-ablation suite stacks all configs of a scene. Every lane keeps the bits of
+lane's weights, rate and step clip. A run alone is a stack of one, which
+steps on its grids themselves, without the lane axis; the ablation suite
+stacks all configs of a scene. Every lane keeps the bits of
 its run alone (see `autodiff` on lane stacks), and a lane leaves the stack
 when its run ends, with the trace or the error it has alone.
 
@@ -441,8 +442,8 @@ _TERM_NODES = {"cgdc": _cgdc_term, "dpc": _dpc_term, "photometric": _photometric
 def _terms(objectives, depth, d=None, iteration=None):
     """The loss terms of a lane stack as tape nodes: lane i steps on
     objectives[i] at its decoded depth in the stack `depth` (see
-    `_stacked`). Each term is one node
-    over the lanes whose objective has it, in `TERMS` order. The lanes
+    `_stacked`). Each term is one node over the lanes whose objective has
+    it, in `TERMS` order. The lanes
     whose weight for the term is positive at `iteration` read the leaf `d`,
     the whole stack or `ad.lanes` of it; the others, all of them when `d`
     is None, read the plain depth, off the tape. A lane whose valid set of
@@ -831,7 +832,9 @@ class _Stack:
         if moved:
             if n == 1:
                 values, masks = values[None], masks[None]
-            errors = _set_flows([lanes[j].objective for j in moved], values[moved], masks[moved])
+            if len(moved) < n:
+                values, masks = values[moved], masks[moved]
+            errors = _set_flows([lanes[j].objective for j in moved], values, masks)
             for m, exc in errors.items():
                 ended[lanes[moved[m]]] = exc
         return dict(zip(lanes, _lane_values(loss_b.value)))
