@@ -897,7 +897,8 @@ class _Stack:
         rows = [self.lanes.index(lane) for lane in lanes]
         _, values, ended = _terms([lane.objective for lane in lanes], _pick(self.depth, rows))
         depth = self.depth[rows]
-        flowing = [rows[j] for j, lane in enumerate(lanes) if lane.flow is not None and j not in ended]
+        flowing = [rows[j] for j, lane in enumerate(lanes)
+                   if lane.flow is not None and j not in ended]
         outcomes = {}
         rigid = self._rigid_flows(flowing, outcomes) if flowing else {}
         for j, lane in enumerate(lanes):
