@@ -30,8 +30,9 @@ runs every vjp with numpy's divide and invalid warnings off: the adjoints
 of masked pixels may divide by zero, as their forwards may.
 
 Lane stacks: the descent steps several runs at once, each a lane of a
-(k, H, W) stack. A masked mean over a stack is one mean per lane, so a loss
-node's value is a (k,) vector and its vjp gets one seed per lane.
+(k, H, W) stack. The loss nodes reduce a stack with `_lane_means`, one
+mean per lane, so their value is a (k,) vector and their vjp gets one seed
+per lane; `masked_mean` stays one mean of its whole input.
 `lanes(a, rows)` picks some lanes of a stack for a node that not every
 lane has; `backward` adds what reaches the pick straight into the lanes of
 `a`, one contribution at a time, so each lane's gradient is summed in the
@@ -208,16 +209,22 @@ def total(a):
 def _mean_over(values, mask):
     """(mean of `values` over a boolean mask, the mask, its count): the
     valid subset is summed in a fixed (row-major) order, so masked entries
-    may be non-finite. The adjoint weights are `_mean_weights`.
-
-    On a lane stack of grids, `values` (k, H, W) and a mask of that shape
-    or one shared by every lane ((1, H, W) or (H, W)), each lane sums its
-    own `values[m]`, as a run of that lane alone does: the means and counts
-    are (k,) arrays."""
+    may be non-finite. The adjoint weights are `m.astype(float) / n`."""
     m = np.asarray(mask, bool)
-    if values.ndim < 3:
-        n = np.count_nonzero(m)
-        return float(np.add.reduce(values[m]) / n), m, n
+    n = np.count_nonzero(m)
+    return float(np.add.reduce(values[m]) / n), m, n
+
+
+def _lane_means(values, mask):
+    """`_mean_over` of a grid (H, W), or of each lane of a lane stack
+    (k, H, W) with a mask of that shape or one grid's mask shared by every
+    lane: each lane sums its own `values[m]`, as a run of that lane alone
+    does, and the means and counts are (k,) arrays. The loss nodes, which
+    take a grid or a lane stack of grids, reduce through this; the adjoint
+    weights are `_mean_weights`."""
+    if values.ndim == 2:
+        return _mean_over(values, mask)
+    m = np.asarray(mask, bool)
     k = values.shape[0]
     lanes = m if m.ndim == 3 else m[None]
     sums, n = np.empty(k), np.empty(k, dtype=int)
@@ -230,7 +237,7 @@ def _mean_over(values, mask):
 
 
 def _mean_weights(g, m, n):
-    """The seed `g` of a `_mean_over` node spread over its pixels: g m / n,
+    """The seed `g` of a `_lane_means` node spread over its pixels: g m / n,
     with a (k,) seed and counts spread lane by lane on a lane stack."""
     if type(n) is not np.ndarray:
         return g * (m.astype(float) / n)
@@ -241,7 +248,8 @@ def masked_mean(a, mask: np.ndarray):
     """Mean of `a` over a constant boolean mask (see `_mean_over`)."""
     a = as_var(a)
     value, m, n = _mean_over(a.value, mask)
-    return Var(value, (a,), lambda g: (_mean_weights(g, m, n),))
+    w = m.astype(float) / n
+    return Var(value, (a,), lambda g: (g * w,))
 
 
 # -- structured grid operators ------------------------------------------------
@@ -330,44 +338,30 @@ def _axis_diff_vjp(g, axis, shape):
 
 
 def _box3(*arrays):
-    """3x3 zero-padded mean of each of one or more arrays of one shape over
-    their first two axes, as a list (see `_box3_grids`)."""
-    return list(_box3_grids(arrays))
-
-
-def _box3_lanes(*arrays):
-    """`_box3` of arrays of one shape, grids (H, W) or lane stacks
-    (k, H, W) of them, each grid by itself: a list of arrays of that
-    shape, each lane with the bits of its grid's mean alone."""
-    shape = arrays[0].shape
-    return list(_box3_grids(arrays, len(shape) - 2).reshape((len(arrays),) + shape))
-
-
-def _box3_grids(arrays, lane_axes=0):
-    """The 3x3 zero-padded means of the grids of `arrays` as one
-    (n, H, W, ...) array: nine shifted adds onto zeros, then one division.
-    With `lane_axes` 1 the first axis of each array indexes its grids.
+    """3x3 zero-padded mean over the last two axes of each of one or more
+    arrays of one shape, as a list: nine shifted adds onto zeros, then one
+    division. The leading axes, if any, index grids (a lane stack
+    (k, H, W)), and each grid is filtered by itself.
 
     Each padded grid is laid out flat, row after row, and the grids of the
     arrays one after another, so each shifted window is one contiguous run
     over all of them: H rows W + 2 wide per grid, and the two padding rows
     between grids. The extra columns and rows are summed as well and
     dropped at the end; every kept entry reads only its own grid and sees
-    the same nine adds in the same order as the 2-D form."""
+    the same nine adds in the same order as a grid alone."""
     shape = arrays[0].shape
-    lanes = shape[0] if lane_axes else 1
-    H, W = shape[lane_axes : lane_axes + 2]
-    rest = shape[lane_axes + 2 :]
-    k = len(arrays) * lanes  # the grids
+    H, W = shape[-2:]
+    k = len(arrays) * (arrays[0].size // (H * W))  # the grids
     row = W + 2
     size = (H + 2) * row  # one padded grid
     n = (k - 1) * size + H * row  # the entries a window covers
-    p = np.zeros((k * size + 2,) + rest)
-    grids = p[: k * size].reshape((len(arrays), lanes, H + 2, row) + rest)
+    p = np.zeros(k * size + 2)
+    padded = (len(arrays),) + shape[:-2] + (H + 2, row)
+    grids = p[: k * size].reshape(padded)
     for i, v in enumerate(arrays):
-        grids[i, :, 1:-1, 1:-1] = v
+        grids[i, ..., 1:-1, 1:-1] = v
     starts = [dy * row + dx for dy in range(3) for dx in range(3)]
-    out = np.empty((k * size,) + rest)
+    out = np.empty(k * size)
     window = out[:n]
     # the first window plus 0.0 is zeros plus it, bit for bit (-0.0 reads +0.0)
     np.add(p[:n], 0.0, out=window)
@@ -375,11 +369,12 @@ def _box3_grids(arrays, lane_axes=0):
         window += p[start : start + n]
     # the division writes the kept entries to a fresh contiguous array, so
     # the ops that read a mean run in one pass, not row by row
-    return np.divide(out.reshape((k, H + 2, row) + rest)[:, :H, :W], 9.0)
+    return list(np.divide(out.reshape(padded)[..., :H, :W], 9.0))
 
 
 def box3(a):
-    """3x3 zero-padded mean filter (self-adjoint by symmetry)."""
+    """3x3 zero-padded mean filter over the last two axes (self-adjoint by
+    symmetry); see `_box3`."""
     a = as_var(a)
     return Var(_box3(a.value)[0], (a,), lambda g: (_box3(np.asarray(g, dtype=float))[0],))
 

@@ -16,9 +16,10 @@ wrappers, which accept the typed grid values and return plain records.
 
 The cores take a depth (or flow) grid, or a lane stack of them (k, H, W)
 for the lockstep descent: each lane then gets its own masked mean, so the
-node's value is a (k,) vector, and every array pass is elementwise or runs
-each lane's grid by itself (`autodiff._box3_lanes`, the stencils along the
-last two axes), so each lane keeps the bits of its grid alone.
+node's value is a (k,) vector (`autodiff._lane_means`), and every array
+pass is elementwise or runs each lane's grid by itself (`autodiff._box3`
+and the stencils, along the last two axes), so each lane keeps the bits of
+its grid alone.
 
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
@@ -116,7 +117,7 @@ def _ssim_terms(a, b, b_stats):
     adjoint reads: (ssim, mu_a, mu_b, num, den, the two factors of num,
     the two factors of den)."""
     mu_b, mu_b_sq, var_b = b_stats
-    mu_a, box_aa, box_ab = ad._box3_lanes(a, a * a, a * b)
+    mu_a, box_aa, box_ab = ad._box3(a, a * a, a * b)
     mu_a_sq = mu_a * mu_a
     var_a = box_aa - mu_a_sq
     mu_ab = mu_a * mu_b
@@ -175,7 +176,7 @@ def _channel_vjp(g, terms):
     g_mu += twice
     # the channel gathers, in this order, the adjoints of box3(a * b),
     # box3(a * a) (twice) and box3(a)
-    box_cov, box_var, box_mu = ad._box3_lanes(g_cov, g_var, g_mu)
+    box_cov, box_var, box_mu = ad._box3(g_cov, g_var, g_mu)
     g_a += box_cov * b
     twice = box_var * a
     g_a += twice
@@ -208,7 +209,7 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     scale = 1.0 / len(reference)
     if not planar:
         per_pixel = per_pixel * scale
-    value, m, n = ad._mean_over(per_pixel, mask)
+    value, m, n = ad._lane_means(per_pixel, mask)
 
     def vjp(g):
         g = ad._mean_weights(g, m, n)
@@ -234,7 +235,7 @@ def cgdc_core(d_g, d_c, mask):
     size = np.abs(diff)
     guard = np.maximum(c_val, EPS_DIV)
     rel = size / guard
-    value, m, n = ad._mean_over(rel, mask)
+    value, m, n = ad._lane_means(rel, mask)
     c_active = ad.active(d_c)
 
     def vjp(g):
@@ -366,7 +367,7 @@ def dpc_core(side: DepthSide, mask):
     t3, d_c, q_u, q_v, div_f = side.inputs
     t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg = side.terms
     rel, gap, gap_size, guard = _dpc_terms(side.c_f, side.c_d)
-    value, m, n = ad._mean_over(rel, mask)
+    value, m, n = ad._lane_means(rel, mask)
     d_act, t_act, qu_act, qv_act = (ad.active(x) for x in (d_c, t3, q_u, q_v))
     sh_act = d_act or t_act
     cf_act = sh_act or ad.active(div_f)
@@ -431,7 +432,7 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     links run o_v, o_u (the norm of F_o), r_v, o_v, r_u, o_u (the gap)."""
     r_u, r_v, o_u, o_v = (ad.value_of(x) for x in (f_r_u, f_r_v, f_o_u, f_o_v))
     rel, gap_u, gap_v, n_diff, guard = _bsca_terms(r_u, r_v, o_u, o_v)
-    value, m, n = ad._mean_over(rel, mask)
+    value, m, n = ad._lane_means(rel, mask)
     ou_act, ov_act = ad.active(f_o_u), ad.active(f_o_v)
     u_act = ad.active(f_r_u) or ou_act
     v_act = ad.active(f_r_v) or ov_act

@@ -7,8 +7,8 @@ composed graphs. The elementary tape ops that no code of the package calls
 live here too.
 
 Like the nodes, each twin takes a grid or a lane stack (k, H, W) of grids,
-and runs each lane's grid by itself: its masked mean is one mean per lane,
-its box filter `box3_lanes` and its stencils run over the last two axes."""
+and runs each lane's grid by itself: its masked mean `lane_mean` is one
+mean per lane, and its box filter and stencils run over the last two axes."""
 
 from dataclasses import dataclass
 
@@ -43,11 +43,12 @@ def maximum(a, floor: float):
     return ad.Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
 
 
-def box3_lanes(a):
-    """`ad.box3` on a grid or on each grid of a lane stack (k, H, W)."""
+def lane_mean(a, mask):
+    """`ad.masked_mean` of a grid, or of each grid of a lane stack
+    (k, H, W): the masked mean the loss nodes take (`ad._lane_means`)."""
     a = ad.as_var(a)
-    return ad.Var(ad._box3_lanes(a.value)[0], (a,),
-                  lambda g: (ad._box3_lanes(np.asarray(g, dtype=float))[0],))
+    value, m, n = ad._lane_means(a.value, mask)
+    return ad.Var(value, (a,), lambda g: (ad._mean_weights(g, m, n),))
 
 
 def take_channel(a, index: int):
@@ -68,17 +69,17 @@ def take_channel(a, index: int):
 
 def composed_stats(b):
     """`ssim_stats` as elementary tape nodes."""
-    mu = box3_lanes(b)
+    mu = ad.box3(b)
     mu_sq = ad.mul(mu, mu)
-    return mu, mu_sq, box3_lanes(ad.mul(b, b)) - mu_sq
+    return mu, mu_sq, ad.box3(ad.mul(b, b)) - mu_sq
 
 
 def composed_ssim(a, b, b_stats=None):
     """Per-pixel SSIM of `a` against the reference `b` as elementary nodes."""
-    mu_a = box3_lanes(a)
+    mu_a = ad.box3(a)
     mu_b, mu_b_sq, var_b = composed_stats(b) if b_stats is None else b_stats
-    var_a = box3_lanes(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
-    cov = box3_lanes(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
+    var_a = ad.box3(ad.mul(a, a)) - ad.mul(mu_a, mu_a)
+    cov = ad.box3(ad.mul(a, b)) - ad.mul(mu_a, mu_b)
     num = (2.0 * ad.mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (ad.mul(mu_a, mu_a) + mu_b_sq + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return ad.div(num, den)
@@ -106,7 +107,7 @@ def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=Non
                                     alpha, precomputed)
             acc = term if acc is None else acc + term
         per_pixel = acc * (1.0 / len(channels))
-    return ad.masked_mean(per_pixel, mask)
+    return lane_mean(per_pixel, mask)
 
 
 def composed_warp(camera, image, t, depth, grid, rays):
@@ -125,7 +126,7 @@ def composed_warp(camera, image, t, depth, grid, rays):
 def composed_cgdc(d_g_values, d_c, mask):
     """`cgdc_core`: masked mean of |D_g - D_c| / max(D_c, EPS_DIV)."""
     rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), maximum(ad.as_var(d_c), EPS_DIV))
-    return ad.masked_mean(rel, mask)
+    return lane_mean(rel, mask)
 
 
 @dataclass(frozen=True)
@@ -161,14 +162,14 @@ def composed_dpc(side, mask):
     """`dpc_core`: masked mean of |C^D - C^F| / (|C^D| + EPS_DPC)."""
     c_f, c_d = side.nodes
     rel = ad.div(ad.absolute(ad.sub(c_d, c_f)), ad.absolute(c_d) + EPS_DPC)
-    return ad.masked_mean(rel, mask)
+    return lane_mean(rel, mask)
 
 
 def composed_bsca(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     """`bsca_core`: masked mean of ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW)."""
     n_diff = ad.absolute(ad.sub(f_r_u, f_o_u)) + ad.absolute(ad.sub(f_r_v, f_o_v))
     n_o = ad.absolute(ad.as_var(f_o_u)) + ad.absolute(ad.as_var(f_o_v))
-    return ad.masked_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
+    return lane_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
 
 
 # -- stencils -------------------------------------------------------------------

@@ -166,6 +166,17 @@ class TestScalarOps:
         ad.backward(loss)
         np.testing.assert_allclose(leaf.grad, mask / 3.0)
 
+    def test_masked_mean_of_a_3d_array_is_one_mean(self):
+        # an (H, W, C) map is one array to average, not a stack of lanes
+        vals = RNG.normal(size=(4, 5, 3))
+        mask = vals > -0.5
+        leaf = ad.Var(vals)
+        loss = ad.masked_mean(leaf, mask)
+        assert type(loss.value) is float
+        assert loss.value == float(np.add.reduce(vals[mask]) / np.count_nonzero(mask))
+        ad.backward(loss)
+        assert_bits_equal(leaf.grad, mask / float(np.count_nonzero(mask)))
+
     def test_composite_chain(self):
         def build(v):
             e = ad.div(ad.absolute(v - 0.55), maximum(v, 0.3) + 0.05)
@@ -361,7 +372,7 @@ class TestActivity:
             weights = [(1.0, wc, wd) for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
         configs = [optim.OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=1)
                    for wp, wc, wd in weights]
-        plan = optim._Plan(bundle)
+        plan = optim._Plan(bundle, configs)
         objectives = [optim._DepthObjective(bundle, config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
                           for c in configs])
@@ -420,12 +431,14 @@ class TestActivity:
 
 
 def box3_padded(v):
-    """The 3x3 zero-padded mean via np.pad: nine shifted adds from zeros."""
-    p = np.pad(v, ((1, 1), (1, 1)) + ((0, 0),) * (v.ndim - 2))
+    """The 3x3 zero-padded mean over the last two axes via np.pad: nine
+    shifted adds from zeros."""
+    p = np.pad(v, ((0, 0),) * (v.ndim - 2) + ((1, 1), (1, 1)))
     out = np.zeros_like(v)
+    H, W = v.shape[-2:]
     for dy in range(3):
         for dx in range(3):
-            out += p[dy : dy + v.shape[0], dx : dx + v.shape[1]]
+            out += p[..., dy : dy + H, dx : dx + W]
     return out / 9.0
 
 
