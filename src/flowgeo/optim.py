@@ -31,9 +31,13 @@ a leading lane axis, each loss term is one tape node over the lanes that
 have it, and one backward pass and one update serve them all, with each
 lane's weights, rate and step clip. A run alone is a stack of one, which
 steps on its grids themselves, without the lane axis; the ablation suite
-stacks all configs of a scene. Every lane keeps the bits of
-its run alone (see `autodiff` on lane stacks), and a lane leaves the stack
-when its run ends, with the trace or the error it has alone.
+stacks all configs of a scene. A stack holds at most `STACK_PIXELS`
+pixels of lanes (at least one lane): past that a bigger stack stepped
+slower than its lanes one after another (the lanes' tape outgrows the
+cache), so a lane that finds the stack full waits and starts later from
+its saved rows. Every lane keeps the bits of its run alone (see
+`autodiff` on lane stacks), and a lane leaves the stack when its run
+ends, with the trace or the error it has alone.
 
 Configs equal but for w_d share one lane up to `dpc_active_after`, the
 end of the dpc warmup: their runs are one run there, bit for bit, since
@@ -107,6 +111,7 @@ DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
 FLOW_START_FRACTION = 0.15  # co_adjust: flow updates join after this
 INIT_SCALE_RANGE = (0.5, 2.0)  # "random-scale" init: ground truth times U(lo, hi)
 DIVERGENCE_THRESHOLD = 1e6  # a summed loss above this aborts the run
+STACK_PIXELS = 12288  # a lane stack steps at most this many pixels (lanes x H x W)
 INITS = ("ground-truth", "random-scale", "triangulated")
 
 
@@ -230,33 +235,40 @@ def _pin_heap() -> bool:
 
 class _Plan:
     """The work of a step that depends on neither theta nor the config, for
-    one scene, built once per `_descend` and shared by all its lanes: the
+    one scene, built once per `_Stack` and shared by all its lanes: the
     `CameraGrid` (pixels, centred pixels, normalized rays) and the rows
     R . [xn, yn, 1] of the warp rotation that triangulation and the
-    photometric rigid flow share, the SSIM statistics of the fixed target
-    image, the DPC offsets q_u/q_v and interior mask, the rotational flow
-    when the ego-motion rotates, and the flow side of the scene's flow
-    (`flow_sides`). Its grids have no lane axis: they broadcast against a
-    stack of several lanes, and a stack of one steps on its grid itself
-    (see `_stacked`)."""
+    photometric rigid flow share, and the flow side of the scene's flow
+    (`flow_sides`); then, only when one of `configs` has the term that
+    reads them, the SSIM statistics of the fixed target image (w_p), the
+    triangulated depth of the scene's flow (w_c), and the DPC offsets
+    q_u/q_v, interior mask, rotational flow when the ego-motion rotates and
+    divergence of the scene's translational flow (w_d). Its grids have no
+    lane axis: they broadcast against a stack of several lanes, and a stack
+    of one steps on its grid itself (see `_stacked`)."""
 
-    def __init__(self, bundle: SceneBundle):
+    def __init__(self, bundle: SceneBundle, configs):
         _pin_heap()
         self.bundle = bundle
         self.camera, self.motion = bundle.camera, bundle.motion
         self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
         self.rays = self.grid.rays(bundle.motion.rotation)
-        self.reference = reference_channels(bundle.image_t.values)
-        self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
-        self.q = differential_offsets(self.camera, self.t_ego, self.grid)
-        self.interior = interior_mask(*bundle.shape)
-        self.rotation = None  # rotational flow values, when the ego-motion rotates
-        if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-            self.rotation = rotational_flow(self.camera, self.motion.rotation, *bundle.shape).values
+        w_c, w_d, w_p = (any(getattr(config, name) > 0 for config in configs)
+                         for name in ("w_c", "w_d", "w_p"))
+        self.reference = reference_channels(bundle.image_t.values) if w_p else None
+        self.rotation = None  # rotational flow values, when the dpc term needs them
+        if w_d:
+            self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
+            self.q = differential_offsets(self.camera, self.t_ego, self.grid)
+            self.interior = interior_mask(*bundle.shape)
+            if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
+                self.rotation = rotational_flow(self.camera, self.motion.rotation,
+                                                *bundle.shape).values
         flow = bundle.flow_gt
         self.flow_mask = flow.mask
-        geo, div = self.flow_sides(flow.values[None], flow.mask[None], [0], [0])
-        self.scene_geo, self.scene_div = geo[0], div[0]
+        geo, div = self.flow_sides(flow.values[None], flow.mask[None], [0] if w_c else [],
+                                   [0] if w_d else [])
+        self.scene_geo, self.scene_div = geo.get(0), div.get(0)
 
     def flow_sides(self, values, masks, geo_rows, div_rows):
         """The flow side of a lane stack of flows (values (k, H, W, 2),
@@ -342,9 +354,8 @@ class _DepthObjective:
     plan's flow side; `fork` hands a forked run the side of its lead, and
     `_set_flows` refreshes it when the flow stream moves the flow."""
 
-    def __init__(self, bundle: SceneBundle, config: OptimConfig, plan=None, side=None):
-        self.bundle, self.config = bundle, config
-        self.plan = _Plan(bundle) if plan is None else plan
+    def __init__(self, bundle: SceneBundle, config: OptimConfig, plan, side=None):
+        self.bundle, self.config, self.plan = bundle, config, plan
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
         # the loss terms the objective holds, in `TERMS` order
         self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
@@ -698,24 +709,37 @@ def _error_of(exc, config):
 class _Stack:
     """The runs of one scene stepped in lockstep (see `_descend`): the
     lanes, their thetas and decoded depths as (k, H, W) stacks, row i lane
-    i's, the shared plan and the outcome of every run that has ended."""
+    i's, the shared plan, the lanes waiting to join and the outcome of
+    every run that has ended. It holds at most `room` lanes, as many as
+    `STACK_PIXELS` allows and at least one."""
 
-    def __init__(self, bundle):
+    def __init__(self, bundle, configs):
         self.bundle = bundle
-        self.plan = _Plan(bundle)
+        self.plan = _Plan(bundle, configs)
+        self.room = max(1, STACK_PIXELS // (bundle.shape[0] * bundle.shape[1]))
         self.started = time.perf_counter()
-        self.lanes, self.theta, self.depth = [], None, None
+        self.lanes, self.theta = [], np.empty((0,) + bundle.shape)
+        self.depth = self.theta
+        self.waiting = []  # (iteration, lanes, their theta and depth rows)
         self.outcomes = {}
 
     def run(self, groups):
-        """Start each group's lead, then step until every lane has left."""
+        """Start each group's lead, then step until every lane has left. A
+        lane that finds the stack full waits, with its rows, and starts
+        from them once the stack has room at its iteration, or has emptied."""
         for members in groups:
             self._start(members)
         it = 0
-        while self.lanes:
-            for lane in list(self.lanes):
-                if lane.forks and it == lane.objective.dpc_active_after:
-                    self._fork(lane)
+        while self.lanes or self.waiting:
+            if not self.lanes:
+                it = min(start for start, *_ in self.waiting)
+            self._admit(it)
+            leads = [lane for lane in self.lanes
+                     if lane.forks and it == lane.objective.dpc_active_after]
+            if leads:
+                for lane in leads:
+                    self._fork(lane, it)
+                self._admit(it)
             done = [lane for lane in self.lanes if lane.config.iterations == it]
             if done:
                 self._finish(done)
@@ -739,7 +763,7 @@ class _Stack:
         if lead.w_b > 0:  # the flow stream starts from a copy of the scene's flow
             flow = bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()
         forks = [config for config in members if config != lead]
-        self._join([_Lane(objective, flow, [], forks)], theta[None], depth[None])
+        self.waiting.append((0, [_Lane(objective, flow, [], forks)], theta[None], depth[None]))
 
     def _group_failed(self, lead, members, exc):
         """The outcomes of a group whose lead failed before its fork: a
@@ -754,13 +778,19 @@ class _Stack:
             else:
                 self.outcomes[config] = _descend(self.bundle, [config])[0]
 
-    def _join(self, lanes, theta, depth):
-        self.lanes += lanes
-        if self.theta is None:
-            self.theta, self.depth = theta, depth
-        else:
-            self.theta = np.concatenate([self.theta, theta])
-            self.depth = np.concatenate([self.depth, depth])
+    def _admit(self, it):
+        """The lanes waiting to start at iteration `it` join the stack, in
+        the order they came, while it has room."""
+        waiting = []
+        for start, lanes, theta, depth in self.waiting:
+            n = min(self.room - len(self.lanes), len(lanes)) if start == it else 0
+            if n:
+                self.lanes += lanes[:n]
+                self.theta = np.concatenate([self.theta, theta[:n]])
+                self.depth = np.concatenate([self.depth, depth[:n]])
+            if n < len(lanes):
+                waiting.append((start, lanes[n:], theta[n:], depth[n:]))
+        self.waiting = waiting
 
     def _leave(self, ended):
         """Take the lanes of `ended` ({lane: outcome}) off the stack; a lead
@@ -774,13 +804,14 @@ class _Stack:
             else:
                 self.outcomes[lane.config] = outcome
 
-    def _fork(self, lead):
-        """Every fork of `lead` joins the stack, with copies of its rows."""
+    def _fork(self, lead, it):
+        """Every fork of `lead` waits to join the stack at iteration `it`,
+        with copies of its rows."""
         i = self.lanes.index(lead)
         lanes = [lead.fork(config) for config in lead.forks]
         lead.forks = []
         rows = [i] * len(lanes)
-        self._join(lanes, self.theta[rows], self.depth[rows])
+        self.waiting.append((it, lanes, self.theta[rows], self.depth[rows]))
 
     def _rigid_flows(self, rows, ended):
         """{lane: (values, valid)}, the rigid flow of each lane of `rows` at
@@ -934,8 +965,11 @@ def _descend(bundle, configs):
     the lanes that have it, one backward pass, one update of the stacked
     theta with each lane's weights, rate and step clip. A lane leaves the
     stack when it ends: after its last iteration with its trace, or with the
-    error that ends it. The wall clock of every run counts from the stack's
-    start.
+    error that ends it. The stack holds `_Stack.room` lanes; a lead or a
+    fork that finds it full waits with its rows and joins once the stack
+    has room at its iteration, or has emptied (the stack then goes back to
+    the earliest iteration a lane waits at). The wall clock of every run
+    counts from the stack's start, its wait included.
 
     This is each config run alone, bit for bit. Each lane's values, sums
     and gradient sums are those of its run alone (see `autodiff` on lane
@@ -957,7 +991,8 @@ def _descend(bundle, configs):
             continue
         groups.setdefault(replace(config, w_d=0.0), []).append(config)
     if groups:
-        outcomes.update(_Stack(bundle).run(groups.values()))
+        running = [config for members in groups.values() for config in members]
+        outcomes.update(_Stack(bundle, running).run(groups.values()))
     return [outcomes[config] for config in configs]
 
 
@@ -970,7 +1005,7 @@ def ablation_suite(bundles, configs) -> list:
     `co_adjust`, any other runs as by `recover_depth`.
 
     All configs of a scene run as one call of `_descend`, stepped in
-    lockstep as one stack; the configs that differ only in w_d (equal after
+    lockstep as one stack as far as its room allows; the configs that differ only in w_d (equal after
     `replace(config, w_d=0.0)`) share one lane through the dpc warmup,
     iterations [0, dpc_active_after), and fork from it there. Every row is
     the row of its config run alone (see `_descend`).

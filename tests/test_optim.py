@@ -277,6 +277,11 @@ def run_alone(bundle, config):
         return exc
 
 
+def objective_of(bundle, config):
+    """The `_DepthObjective` of `config` on a plan of its own."""
+    return optim._DepthObjective(bundle, config, optim._Plan(bundle, [config]))
+
+
 def assert_same_outcome(shared, alone):
     if isinstance(alone, Exception):
         assert f"{type(shared).__name__}: {shared}" == f"{type(alone).__name__}: {alone}"
@@ -365,7 +370,7 @@ class TestSharedWarmup:
                                step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
         rows = self.check(small_static, configs)
         assert rows[0]["error"] == ""
-        warmup = optim._DepthObjective(small_static, configs[1]).dpc_active_after
+        warmup = objective_of(small_static, configs[1]).dpc_active_after
         for row in rows[1:]:
             assert row["error"].startswith("AbortedRunError: run diverged at iteration ")
             assert int(row["error"].split()[5]) < warmup
@@ -431,7 +436,7 @@ class TestSharedWarmup:
                    for wd in (0.0, 0.1)]
         with pytest.raises(TypeError, match="unsupported operand"):
             ablation_suite([("scene", small_static)], configs)
-        assert len(calls) == 5 < optim._DepthObjective(small_static, configs[1][1]).dpc_active_after
+        assert len(calls) == 5 < objective_of(small_static, configs[1][1]).dpc_active_after
 
     def test_a_lane_diverging_after_the_fork_leaves_the_stack(self, small_static, monkeypatch):
         # the dpc term joins at iteration 0, where the w_d = 0 and 1e-3
@@ -474,11 +479,47 @@ class TestSharedWarmup:
                           dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
         depth_only = [OptimConfig(w_p=1.0, w_c=1.0, w_d=wd, iterations=20, record_every=6,
                                   allow_dynamic=True, seed=3) for wd in (0.1, 0.0)]
+        # room for all four lanes of the 96x72 scene in one stack
+        monkeypatch.setattr(optim, "STACK_PIXELS", 4 * 96 * 72)
         sizes = self.stack_sizes(monkeypatch)
         rows = self.check(dynamic_bundle, co + depth_only)
         assert all(r["error"] == "" for r in rows)
         assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
         assert sizes[:24] == [2] * 9 + [3] * 5 + [4] * 6 + [2] * 4
+
+    @pytest.mark.parametrize("room", [1, 2, 3])
+    def test_lanes_wait_for_room_in_the_stack(self, small_static, monkeypatch, room):
+        # the configs of the test above on a stack of `room` lanes: a lead
+        # or a fork that finds the stack full waits with its rows, and
+        # starts from them once the stack has room at its iteration or has
+        # emptied
+        configs = [OptimConfig(w_p=1.0, w_c=1.0, w_d=wd, iterations=40, record_every=7, seed=2)
+                   for wd in (0.0, 0.1)]
+        configs += [OptimConfig(w_c=1.0, w_d=wd, iterations=25, record_every=4, seed=3)
+                    for wd in (0.1, 0.0)]
+        configs += [OptimConfig(w_p=1.0, w_c=0.0, w_d=wd, iterations=33, record_every=5,
+                                dpc_warmup_fraction=0.2, seed=1) for wd in (0.2, 0.0)]
+        monkeypatch.setattr(optim, "STACK_PIXELS", room * 48 * 36 + 47)
+        rows = self.check(small_static, configs)
+        assert all(r["error"] == "" for r in rows)
+        sizes = self.stack_sizes(monkeypatch)
+        optim._descend(small_static, configs)
+        # the six runs alone take 196 steps; in the stack the three leads'
+        # 35 warmup steps serve their forks too
+        lane_steps = 40 + 25 + 33 + (40 - 18) + (25 - 11) + (33 - 6)
+        assert sum(sizes) == lane_steps == 161
+        # the leads of the 40-, 25- and 33-iteration groups (A, B, C) wait
+        # at 0 and their forks at 18, 11 and 6. Two lanes: A and B lead,
+        # A alone; C lead, then with its fork from 6; the B fork from 11,
+        # joined by the A fork at 18. Three lanes: the three leads until B
+        # ends at 25, then A and C, A alone from 33; the C fork from 6,
+        # joined by the B fork at 11 and the A fork at 18
+        expected = {
+            1: [1] * 161,
+            2: [2] * 25 + [1] * 15 + [1] * 6 + [2] * 27 + [1] * 7 + [2] * 7 + [1] * 15,
+            3: [3] * 25 + [2] * 8 + [1] * 7 + [1] * 5 + [2] * 7 + [3] * 7 + [2] * 8 + [1] * 7,
+        }[room]
+        assert sizes == expected
 
     def test_depth_steps(self, tmp_path, monkeypatch):
         steps = []  # the lanes of each stacked step
@@ -495,6 +536,13 @@ class TestSharedWarmup:
         # after the fork, carry 620 lane-steps
         assert steps == [2] * 90 + [4] * 110
         assert sum(steps) == 620
+        # on the CLI's default 96x72 grid a stack holds one lane
+        # (STACK_PIXELS): the two leads, then their forks from iteration 9,
+        # one after another
+        steps.clear()
+        argv[4], argv[6] = "96x72", "20"
+        assert cli.run(argv) == 0
+        assert steps == [1] * (20 + 20 + 11 + 11)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 12.0, 9.0),
                             RigidMotion(np.eye(3), README_T), 18, 24)
         for runner, w_b in ((recover_depth, 0.0), (co_adjust, 1.0)):
@@ -546,7 +594,7 @@ class TestPlan:
         ego = RigidMotion(np.eye(3), README_T)
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
-        objective = optim._DepthObjective(bundle, config)
+        objective = objective_of(bundle, config)
         theta = optim._initial_theta(bundle, config, np.random.default_rng(1))[None]
         it = objective.dpc_active_after
         assert objective.weights(it)["dpc"] > 0
@@ -565,7 +613,7 @@ class TestPlan:
         # Array operators made through `+`, `*` and the like are not calls
         # and are not counted.
         config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
-        objective = optim._DepthObjective(rotating, config)
+        objective = objective_of(rotating, config)
         theta = optim._initial_theta(rotating, config, np.random.default_rng(1))[None]
         it = objective.dpc_active_after
         assert objective.weights(it)["dpc"] > 0
@@ -579,7 +627,7 @@ class TestPlan:
         # fails here
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
                    for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
-        plan = optim._Plan(rotating)
+        plan = optim._Plan(rotating, configs)
         objectives = [optim._DepthObjective(rotating, config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(rotating, c, np.random.default_rng(c.seed))
                           for c in configs])
@@ -597,7 +645,7 @@ class TestPlan:
         weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1)]
         configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0)
                    for wp, wc, wd in weights]
-        plan = optim._Plan(small_static)
+        plan = optim._Plan(small_static, configs)
         objectives = [optim._DepthObjective(small_static, config, plan) for config in configs]
         gt = small_static.depth_gt.values
         theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9]))
