@@ -26,13 +26,14 @@ its bits.
 
 Accumulation order is fixed (reverse creation order, each node's inputs
 in entry order), so gradients are bit-reproducible run to run. `backward`
-runs every vjp with numpy's divide and invalid warnings off: the adjoints
-of masked pixels may divide by zero, as their forwards may.
+runs every vjp with numpy's divide, invalid and overflow warnings off: the
+adjoints of masked pixels may divide by zero, as their forwards may, and a
+diverging run's may overflow before its loss meets the divergence check.
 
 Lane stacks: the descent steps several runs at once, each a lane of a
 (k, H, W) stack. The loss nodes reduce a stack with `_lane_means`, one
 mean per lane, so their value is a (k,) vector and their vjp gets one seed
-per lane; `masked_mean` stays one mean of its whole input.
+per lane.
 `lanes(a, rows)` picks some lanes of a stack for a node that not every
 lane has; `backward` adds what reaches the pick straight into the lanes of
 `a`, one contribution at a time, so each lane's gradient is summed in the
@@ -190,20 +191,7 @@ def sqrt(a):
     return Var(out, (a,), lambda g: (g * 0.5 / out,))
 
 
-def absolute(a):
-    """|a| with subgradient 0 at exactly-zero arguments (np.sign(0) == 0)."""
-    a = as_var(a)
-    s = np.sign(a.value)
-    return Var(np.abs(a.value), (a,), lambda g: (g * s,))
-
-
 # -- reductions ---------------------------------------------------------------
-
-
-def total(a):
-    a = as_var(a)
-    shape = _shape(a.value)
-    return Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape) if shape else g,))
 
 
 def _mean_over(values, mask):
@@ -244,31 +232,7 @@ def _mean_weights(g, m, n):
     return g[:, None, None] * (m.astype(float) / n[:, None, None])
 
 
-def masked_mean(a, mask: np.ndarray):
-    """Mean of `a` over a constant boolean mask (see `_mean_over`)."""
-    a = as_var(a)
-    value, m, n = _mean_over(a.value, mask)
-    w = m.astype(float) / n
-    return Var(value, (a,), lambda g: (g * w,))
-
-
 # -- structured grid operators ------------------------------------------------
-
-
-def forward_diff(a, axis: int):
-    """First difference x[i+1] - x[i] along an axis (length shrinks by 1)."""
-    a = as_var(a)
-
-    shape = _shape(a.value)
-
-    def vjp(g):
-        gx = np.zeros(shape)
-        gm, gg = gx.swapaxes(0, axis), np.asarray(g, dtype=float).swapaxes(0, axis)
-        gm[1:] += gg
-        gm[:-1] -= gg
-        return (gx,)
-
-    return Var(np.diff(a.value, axis=axis), (a,), vjp)
 
 
 class _LaneView(Var):
@@ -418,7 +382,7 @@ def bilinear(values: np.ndarray, xs, ys):
 # -- backward pass -------------------------------------------------------------
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def backward(root: Var) -> None:
     """Accumulate d(root)/d(node) into .grad for every node that links the
     root to a leaf; constants are never visited."""

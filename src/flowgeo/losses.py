@@ -4,22 +4,26 @@ flow co-adjustment, the edge-aware smoothness baseline, and depth metrics.
 
 Every loss is a masked mean over valid pixels with deterministic summation
 order. Each loss term is one tape node (`photometric_core`, `cgdc_core`,
-`dpc_core` over the depth side of C^F/C^D, `bsca_core`): its forward
-evaluates the composed expression operation by operation, and its one vjp
-computes the backward pass the tape would run over the composed graph of
-elementary ops, product for product, with each intermediate's
-contributions summed in reverse creation order. Its inputs list an entry
-per contribution the composed graph hands an input, in the order it hands
-them (see the node rule in `autodiff`). So gradients keep their bits while
-a term costs one node. The same cores give the values of the public
-wrappers, which accept the typed grid values and return plain records.
+`dpc_core` over the depth side of C^F/C^D, `bsca_core`, `smoothness_core`):
+its forward evaluates the composed expression operation by operation, and
+its one vjp computes the backward pass the tape would run over the
+composed graph of elementary ops, product for product, with each
+intermediate's contributions summed in reverse creation order. Its inputs
+list an entry per contribution the composed graph hands an input, in the
+order it hands them (see the node rule in `autodiff`). So gradients keep
+their bits while a term costs one node. The same cores give the values of
+the public wrappers, which accept the typed grid values and return plain
+records. The composed graphs live in `tests/composed.py` as the nodes'
+twins, with the elementary ops no node of the package calls: |.|, the sum,
+the masked mean and the forward difference among them.
 
-The cores take a depth (or flow) grid, or a lane stack of them (k, H, W)
-for the lockstep descent: each lane then gets its own masked mean, so the
-node's value is a (k,) vector (`autodiff._lane_means`), and every array
-pass is elementwise or runs each lane's grid by itself (`autodiff._box3`
-and the stencils, along the last two axes), so each lane keeps the bits of
-its grid alone.
+The cores of the descent's terms take a depth (or flow) grid, or a lane
+stack of them (k, H, W) for the lockstep descent: each lane then gets its
+own masked mean, so the node's value is a (k,) vector
+(`autodiff._lane_means`), and every array pass is elementwise or runs each
+lane's grid by itself (`autodiff._box3` and the stencils, along the last
+two axes), so each lane keeps the bits of its grid alone. Smoothness,
+which no descent uses, takes a grid.
 
 Relative-error denominators are guarded (the printed formulas are not):
 EPS_DIV for depth, EPS_DPC for the differential fields, EPS_FLOW for flow
@@ -27,7 +31,7 @@ magnitudes. Guard-dominated pixel fractions are reported as diagnostics.
 Masked pixels may still divide by zero, so each function that divides runs
 with numpy's divide and invalid warnings off: `np.errstate` as a
 decorator, one switch per call, and `autodiff.backward` does the same for
-every vjp.
+every vjp (and turns overflow warnings off too).
 """
 
 from __future__ import annotations
@@ -460,11 +464,20 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     return ad.Var(value, [f_o_v, f_o_u, f_r_v, f_o_v, f_r_u, f_o_u], vjp)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def smoothness_core(d, image_values):
     """Edge-aware smoothness on mean-normalized depth with forward
-    differences: sum over axes of mean(|diff d*| exp(-|diff I|))."""
-    d = ad.as_var(d)
-    H, W = np.shape(d.value)
+    differences: sum over axes of mean(|diff d*| exp(-|diff I|)), as one
+    tape node over the depth D.
+
+    Composed graph, in creation order: total(D) times 1/(HW), d* = D over
+    it, the forward difference of d* along axis 1 and its |.|, the same
+    along axis 0, then per axis the product with the edge weights and its
+    mean, and the sum of the two means. Replayed backward, the axis-0
+    chain reaches d* before the axis-1 chain, and D gathers the division's
+    contribution before total's."""
+    d_val = np.asarray(ad.value_of(d), dtype=float)
+    H, W = shape = d_val.shape
     if H < 2 or W < 2:
         raise DimensionError(
             f"edge-aware smoothness needs at least a 2x2 grid, got shape {(H, W)}"
@@ -472,14 +485,30 @@ def smoothness_core(d, image_values):
     img = np.asarray(image_values, dtype=float)
     if img.ndim == 3:
         img = img.mean(axis=2)
-    d_star = ad.div(d, ad.total(d) * (1.0 / (H * W)))
-    du = ad.absolute(ad.forward_diff(d_star, axis=1))
-    dv = ad.absolute(ad.forward_diff(d_star, axis=0))
-    wu = np.exp(-np.abs(np.diff(img, axis=1)))
-    wv = np.exp(-np.abs(np.diff(img, axis=0)))
-    term_u = ad.masked_mean(ad.mul(du, wu), np.ones(wu.shape, bool))
-    term_v = ad.masked_mean(ad.mul(dv, wv), np.ones(wv.shape, bool))
-    return term_u + term_v
+    scale = 1.0 / (H * W)
+    mean_d = float(np.sum(d_val)) * scale
+    d_star = d_val / mean_d
+    terms, chains = [], []
+    for axis in (1, 0):
+        step = np.diff(d_star, axis=axis)
+        weight = np.exp(-np.abs(np.diff(img, axis=axis)))
+        term, m, n = ad._mean_over(np.abs(step) * weight, np.ones(weight.shape, bool))
+        terms.append(term)
+        chains.append((axis, np.sign(step), weight, m, n))
+
+    def vjp(g):
+        g_star = None
+        for axis, sign, weight, m, n in reversed(chains):
+            # each difference adds to x[i+1], then takes from x[i]
+            g_step = (ad._mean_weights(g, m, n) * weight * sign).swapaxes(0, axis)
+            g_axis = np.zeros(shape)
+            g_axis.swapaxes(0, axis)[1:] += g_step
+            g_axis.swapaxes(0, axis)[:-1] -= g_step
+            g_star = g_axis if g_star is None else g_star + g_axis
+        g_mean = ad._unbroadcast(-g_star * d_val / (mean_d * mean_d), ())
+        return [g_star / mean_d, np.broadcast_to(g_mean * scale, shape)]
+
+    return ad.Var(terms[0] + terms[1], [d, d], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +530,25 @@ def photometric_loss(i_t: Image, i_warped: Image, mask=None, alpha: float = ALPH
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     m = np.ones(i_t.shape, bool) if mask is None else np.asarray(mask, bool)
+    if m.shape != i_t.shape:
+        raise DimensionError("photometric mask shape does not match the images")
     _require_mask(m, "photometric_loss")
     value = photometric_core(i_t.values, i_warped.values, m, alpha).value
     return LossValue(float(value), int(m.sum()))
 
 
 def cgdc_loss(d_g: TriangulationResult, d_c: DepthMap) -> LossValue:
-    if d_g.depth_g.shape != d_c.shape:
+    validity = np.asarray(d_g.validity, bool)
+    if d_g.depth_g.shape != d_c.shape or validity.shape != d_c.shape:
         raise DimensionError("triangulated and predicted depth shapes do not match")
-    mask = d_g.validity & d_c.mask
+    mask = validity & d_c.mask
     _require_mask(mask, "cgdc_loss")
     value = cgdc_core(d_g.depth_g.values, d_c.values, mask).value
     guard = float((d_c.values[mask] < EPS_DIV).mean())
     return LossValue(float(value), int(mask.sum()), guard)
 
 
+@np.errstate(invalid="ignore")  # the stencils read inf at masked-out pixels
 def differential_fields(
     camera: CameraIntrinsics,
     motion: RigidMotion,
@@ -607,6 +640,7 @@ class DepthMetrics:
         }
 
 
+@np.errstate(over="ignore")  # the squared error of a far-off depth reads inf
 def depth_metrics(d_pred: DepthMap, d_gt: DepthMap, mask=None) -> DepthMetrics:
     """Standard depth error/accuracy scalars over the valid set."""
     if d_pred.shape != d_gt.shape:

@@ -4,17 +4,20 @@ value and every gradient it passes on must equal what the tape computes
 over its twin. `TWINS` maps the module attributes the optimizer and the
 gradient engine call to these twins, so whole runs can be replayed on the
 composed graphs. The elementary tape ops that no code of the package calls
-live here too.
+live here too: exp, maximum, the channel pick, |.|, the sum, the masked
+mean and the forward difference.
 
-Like the nodes, each twin takes a grid or a lane stack (k, H, W) of grids,
-and runs each lane's grid by itself: its masked mean `lane_mean` is one
-mean per lane, and its box filter and stencils run over the last two axes."""
+Like the nodes, each twin of a descent term takes a grid or a lane stack
+(k, H, W) of grids, and runs each lane's grid by itself: its masked mean
+`lane_mean` is one mean per lane, and its box filter and stencils run over
+the last two axes. Smoothness, which no descent uses, takes a grid."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from flowgeo import autodiff as ad
+from flowgeo.errors import DimensionError
 from flowgeo.geometry import Z_EPS, interior_mask
 from flowgeo.losses import (
     ALPHA_DEFAULT,
@@ -43,8 +46,44 @@ def maximum(a, floor: float):
     return ad.Var(np.maximum(a.value, floor), (a,), lambda g: (g * keep,))
 
 
+def absolute(a):
+    """|a| with subgradient 0 at exactly-zero arguments (np.sign(0) == 0)."""
+    a = ad.as_var(a)
+    s = np.sign(a.value)
+    return ad.Var(np.abs(a.value), (a,), lambda g: (g * s,))
+
+
+def total(a):
+    a = ad.as_var(a)
+    shape = np.shape(a.value)
+    return ad.Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape) if shape else g,))
+
+
+def masked_mean(a, mask: np.ndarray):
+    """Mean of `a` over a constant boolean mask (see `ad._mean_over`)."""
+    a = ad.as_var(a)
+    value, m, n = ad._mean_over(a.value, mask)
+    w = m.astype(float) / n
+    return ad.Var(value, (a,), lambda g: (g * w,))
+
+
+def forward_diff(a, axis: int):
+    """First difference x[i+1] - x[i] along an axis (length shrinks by 1)."""
+    a = ad.as_var(a)
+    shape = np.shape(a.value)
+
+    def vjp(g):
+        gx = np.zeros(shape)
+        gm, gg = gx.swapaxes(0, axis), np.asarray(g, dtype=float).swapaxes(0, axis)
+        gm[1:] += gg
+        gm[:-1] -= gg
+        return (gx,)
+
+    return ad.Var(np.diff(a.value, axis=axis), (a,), vjp)
+
+
 def lane_mean(a, mask):
-    """`ad.masked_mean` of a grid, or of each grid of a lane stack
+    """`masked_mean` of a grid, or of each grid of a lane stack
     (k, H, W): the masked mean the loss nodes take (`ad._lane_means`)."""
     a = ad.as_var(a)
     value, m, n = ad._lane_means(a.value, mask)
@@ -89,7 +128,7 @@ def composed_channel(ch_t, ch_w, alpha=ALPHA_DEFAULT, precomputed=True):
     """One channel pair of the photometric term as 28 elementary nodes."""
     ch_t = ad.as_var(ch_t)
     s = composed_ssim(ch_w, ch_t, composed_stats(ch_t) if precomputed else None)
-    return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * ad.absolute(ch_t - ch_w)
+    return alpha * 0.5 * (1.0 - s) + (1.0 - alpha) * absolute(ch_t - ch_w)
 
 
 def composed_photometric(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None,
@@ -125,7 +164,7 @@ def composed_warp(camera, image, t, depth, grid, rays):
 
 def composed_cgdc(d_g_values, d_c, mask):
     """`cgdc_core`: masked mean of |D_g - D_c| / max(D_c, EPS_DIV)."""
-    rel = ad.div(ad.absolute(ad.sub(d_g_values, d_c)), maximum(ad.as_var(d_c), EPS_DIV))
+    rel = ad.div(absolute(ad.sub(d_g_values, d_c)), maximum(ad.as_var(d_c), EPS_DIV))
     return lane_mean(rel, mask)
 
 
@@ -161,15 +200,41 @@ def composed_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=
 def composed_dpc(side, mask):
     """`dpc_core`: masked mean of |C^D - C^F| / (|C^D| + EPS_DPC)."""
     c_f, c_d = side.nodes
-    rel = ad.div(ad.absolute(ad.sub(c_d, c_f)), ad.absolute(c_d) + EPS_DPC)
+    rel = ad.div(absolute(ad.sub(c_d, c_f)), absolute(c_d) + EPS_DPC)
     return lane_mean(rel, mask)
 
 
 def composed_bsca(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     """`bsca_core`: masked mean of ||F_r - F_o||_1 / (||F_o||_1 + EPS_FLOW)."""
-    n_diff = ad.absolute(ad.sub(f_r_u, f_o_u)) + ad.absolute(ad.sub(f_r_v, f_o_v))
-    n_o = ad.absolute(ad.as_var(f_o_u)) + ad.absolute(ad.as_var(f_o_v))
+    n_diff = absolute(ad.sub(f_r_u, f_o_u)) + absolute(ad.sub(f_r_v, f_o_v))
+    n_o = absolute(ad.as_var(f_o_u)) + absolute(ad.as_var(f_o_v))
     return lane_mean(ad.div(n_diff, n_o + EPS_FLOW), mask)
+
+
+# -- smoothness -------------------------------------------------------------------
+
+
+def composed_smoothness(d, image_values):
+    """`smoothness_core`: sum over axes of mean(|diff d*| exp(-|diff I|)) on
+    the mean-normalized depth d*, built from elementary ops: 15 `Var`s, 3
+    of them constants (the node: 1)."""
+    d = ad.as_var(d)
+    H, W = np.shape(d.value)
+    if H < 2 or W < 2:
+        raise DimensionError(
+            f"edge-aware smoothness needs at least a 2x2 grid, got shape {(H, W)}"
+        )
+    img = np.asarray(image_values, dtype=float)
+    if img.ndim == 3:
+        img = img.mean(axis=2)
+    d_star = ad.div(d, total(d) * (1.0 / (H * W)))
+    du = absolute(forward_diff(d_star, axis=1))
+    dv = absolute(forward_diff(d_star, axis=0))
+    wu = np.exp(-np.abs(np.diff(img, axis=1)))
+    wv = np.exp(-np.abs(np.diff(img, axis=0)))
+    term_u = masked_mean(ad.mul(du, wu), np.ones(wu.shape, bool))
+    term_v = masked_mean(ad.mul(dv, wv), np.ones(wv.shape, bool))
+    return term_u + term_v
 
 
 # -- stencils -------------------------------------------------------------------
@@ -205,7 +270,7 @@ def moveaxis_axis_diff_vjp(g, axis, shape):
 
 
 def moveaxis_forward_diff_vjp(g, axis, shape):
-    """The adjoint of `autodiff.forward_diff`, x[i+1] - x[i] along `axis`."""
+    """The adjoint of `forward_diff`, x[i+1] - x[i] along `axis`."""
     gx = np.zeros(shape)
     gm = np.moveaxis(gx, axis, 0)
     gg = np.moveaxis(np.asarray(g, dtype=float), axis, 0)
@@ -222,6 +287,7 @@ TWINS = {
     "differential_depth_side": composed_depth_side,
     "dpc_core": composed_dpc,
     "bsca_core": composed_bsca,
+    "smoothness_core": composed_smoothness,
 }
 
 

@@ -4,7 +4,7 @@ exclusion bookkeeping."""
 
 import numpy as np
 import pytest
-from composed import composed_warp, substitute_twins
+from composed import composed_warp, masked_mean, substitute_twins, total
 from conftest import assert_bits_equal, assert_twins_agree, reachable
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,7 +134,7 @@ class TestFiniteDifferenceAgreement:
         def quadratic(leaves, inputs):
             diff = ad.sub(leaves["depth"], target)
             mask = np.ones(target.shape, bool)
-            return ad.masked_mean(ad.mul(diff, diff), mask), mask
+            return masked_mean(ad.mul(diff, diff), mask), mask
 
         report = check_functional(
             monkeypatch, quadratic, perturbed_inputs, targets=("depth",), seed=1, tolerance=1e-9
@@ -266,7 +266,7 @@ class TestCheckerBookkeeping:
         def flippy(leaves, inputs):
             d = leaves["depth"]
             mask = np.asarray(d.value) <= base  # flips when pixel (8,6) moves up
-            return ad.masked_mean(ad.mul(d, d), mask), mask
+            return masked_mean(ad.mul(d, d), mask), mask
 
         report = check_functional(
             monkeypatch, flippy, perturbed_inputs, targets=("depth",), seed=2, depth_samples=192
@@ -282,7 +282,7 @@ class TestCheckerBookkeeping:
             mask = np.ones(np.shape(d.value), bool)
             weights = np.zeros(np.shape(d.value))
             weights[0, :] = 1.0  # only the first row influences the loss
-            return ad.masked_mean(ad.mul(d, weights), mask), mask
+            return masked_mean(ad.mul(d, weights), mask), mask
 
         report = check_functional(
             monkeypatch, half_dead, perturbed_inputs, targets=("depth",), seed=2,
@@ -361,7 +361,7 @@ class TestWarpNode:
         def build(warp):
             def root(depth, r0, r1, r2, t0, t1, t2):
                 warped, _ = warp(bundle.camera, image, (t0, t1, t2), depth, grid, (r0, r1, r2))
-                return ad.total(ad.mul(warped, upstream))
+                return total(ad.mul(warped, upstream))
             return root
 
         assert_twins_agree(build(warp_graph), build(composed_warp), inputs, active)
@@ -390,7 +390,7 @@ class TestBuildLossTwins:
     """build_loss with the nodes equals build_loss with the composed twins
     substituted for them, value and gradient bits, for pose, depth and flow."""
 
-    @pytest.mark.parametrize("loss_id", ["photometric", "cgdc", "dpc", "bsca"])
+    @pytest.mark.parametrize("loss_id", ["photometric", "cgdc", "dpc", "bsca", "smoothness"])
     @pytest.mark.parametrize("stop", [False, True])
     @pytest.mark.parametrize("where", ["small", "tiny"])
     def test_gradients_match_composed(self, perturbed_inputs, monkeypatch, loss_id, stop, where):
@@ -407,9 +407,10 @@ class TestBuildLossTwins:
 
     # the composed twins take 17 nodes for the warp and 29 for a 1-channel
     # SSIM + L1 pair with its masked mean (the nodes: 2), 5 for cgdc, 17
-    # for dpc's depth side and mean, 11 for bsca (the nodes: 1 each)
+    # for dpc's depth side and mean, 11 for bsca and 12 for smoothness
+    # (the nodes: 1 each)
     @pytest.mark.parametrize("loss_id, saved", [("photometric", 16 + 28), ("cgdc", 4),
-                                                ("dpc", 16), ("bsca", 10)])
+                                                ("dpc", 16), ("bsca", 10), ("smoothness", 11)])
     def test_each_term_is_one_node(self, perturbed_inputs, monkeypatch, loss_id, saved):
         # the pose and flow graphs feeding the node stay composed
         fused = len(reachable(build_loss(loss_id, perturbed_inputs)[0]))

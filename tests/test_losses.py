@@ -9,18 +9,27 @@ from composed import (
     composed_depth_side,
     composed_dpc,
     composed_photometric,
+    composed_smoothness,
     composed_ssim,
 )
 from conftest import assert_bits_equal, assert_twins_agree, reachable
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
-from flowgeo.errors import DegenerateTranslationError, DimensionError, NoValidPixelsError
+from flowgeo.errors import (
+    DegenerateTranslationError,
+    DimensionError,
+    FlowGeoError,
+    NoValidPixelsError,
+)
 from flowgeo.geometry import (
     CameraIntrinsics,
     DepthMap,
     FlowField,
     Image,
     RigidMotion,
+    ScalarField,
     rotational_flow,
     translational_flow,
 )
@@ -29,7 +38,9 @@ from flowgeo.losses import (
     EPS_DIV,
     EPS_DPC,
     EPS_FLOW,
+    DepthMetrics,
     DifferentialFields,
+    LossValue,
     bsca_core,
     bsca_loss,
     cgdc_core,
@@ -44,6 +55,7 @@ from flowgeo.losses import (
     photometric_core,
     photometric_loss,
     reference_channels,
+    smoothness_core,
     ssim,
 )
 from flowgeo.triangulate import TriangulationResult
@@ -92,6 +104,12 @@ class TestPhotometric:
         loss = photometric_loss(img, img)
         assert loss.value == 0.0
         assert loss.valid_pixel_count == 120
+
+    def test_mask_of_another_shape(self):
+        # it raised numpy's IndexError from the boolean index
+        img = Image(np.full((2, 2), 0.5))
+        with pytest.raises(DimensionError, match="mask shape"):
+            photometric_loss(img, img, mask=np.ones((3, 3), bool))
 
     def test_pure_l1_branch(self):
         a = Image(np.full((6, 6), 0.2))
@@ -370,8 +388,46 @@ class TestCgdc:
         with pytest.raises(DimensionError, match="shapes do not match"):
             cgdc_loss(result, DepthMap(np.ones((4, 5))))
 
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_validity_of_another_dtype(self, dtype):
+        # an int validity indexed rows of the depth for the guard fraction,
+        # and a float one made the mask's & raise TypeError
+        validity = np.array([[1, 0], [0, 1]], dtype=dtype)
+        result = TriangulationResult(DepthMap(np.full((2, 2), 2.0)), validity,
+                                     np.zeros((2, 2), np.uint8))
+        loss = cgdc_loss(result, DepthMap(np.array([[1e-9, 1.0], [1.0, 1.0]])))
+        assert loss.valid_pixel_count == 2 and loss.guard_fraction == 0.5
+
+    def test_validity_of_another_shape(self):
+        result = TriangulationResult(DepthMap(np.ones((2, 2))), np.ones((3, 3), bool),
+                                     np.zeros((2, 2), np.uint8))
+        with pytest.raises(DimensionError, match="shapes do not match"):
+            cgdc_loss(result, DepthMap(np.ones((2, 2))))
+
 
 class TestDifferentialFields:
+    def test_inf_flow_at_masked_out_pixels(self):
+        # the stencils subtract inf from inf at the border pixel between two
+        # masked-out corners, which raised a RuntimeWarning under
+        # warnings-as-errors; the one interior pixel reads neither corner
+        values = np.zeros((3, 3, 2))
+        mask = np.ones((3, 3), bool)
+        values[0, 0] = values[2, 0] = np.inf
+        mask[0, 0] = mask[2, 0] = False
+        fields = differential_fields(CameraIntrinsics(100.0, 100.0, 1.5, 1.5),
+                                     RigidMotion(np.eye(3), [0.31, 0.02, 0.42]),
+                                     DepthMap(np.full((3, 3), 3.0)), FlowField(values, mask))
+        assert fields.validity.sum() == 1 and np.isfinite(fields.c_f.values[1, 1])
+
+    def test_inf_flow_on_a_one_high_grid(self):
+        values = np.zeros((1, 4, 2))
+        values[0, ::2] = np.inf
+        flow = FlowField(values, np.array([[False, True, False, True]]))
+        with pytest.raises(DimensionError, match="at least 3 samples"):
+            differential_fields(CameraIntrinsics(100.0, 100.0, 2.0, 0.5),
+                                RigidMotion(np.eye(3), [0.31, 0.02, 0.42]),
+                                DepthMap(np.full((1, 4), 3.0)), flow)
+
     def test_q_offset_example(self):
         # t = (1, 0, 5): K-scaled offset (100*0.2, 0) = (20, 0); at p=(80,48): q = (16,0)-(20,0)
         d = DepthMap(np.full((96, 128), 7.0))
@@ -514,6 +570,41 @@ class TestBsca:
             bsca_loss(FlowField(np.zeros((4, 4, 2))), FlowField(np.zeros((5, 4, 2))))
 
 
+def smoothness_inputs(depth, image):
+    """A depth with a constant patch (the |.| kink of both differences) and
+    a tie along a row, against a fixed image."""
+    d = np.array(depth, dtype=float)
+    d[:2, :2] = d[0, 0]
+    d[-1, 1:] = d[-1, 0]
+    return {"d": d, "image_values": image}
+
+
+class TestSmoothnessNode:
+    @pytest.mark.parametrize("where", ["affine", "rotating", "2x2", "3-channel"])
+    # a seed other than +-1 rounds each product of the vjp, so their order shows
+    @pytest.mark.parametrize("scale", SCALES + [0.3])
+    def test_matches_composed(self, affine_bundle, small_bundle, where, scale):
+        if where in ("affine", "rotating"):
+            bundle = affine_bundle if where == "affine" else small_bundle
+            inputs = smoothness_inputs(bundle.depth_gt.values, bundle.image_t.values)
+        elif where == "2x2":
+            inputs = smoothness_inputs([[2.0, 3.0], [4.0, 5.0]], RNG.uniform(0, 1, (2, 2)))
+        else:
+            inputs = smoothness_inputs(RNG.uniform(1, 3, (5, 6)), RNG.uniform(0, 1, (5, 6, 3)))
+        assert_twins_agree(lambda d, image_values: ad.mul(smoothness_core(d, image_values), scale),
+                           lambda d, image_values: ad.mul(composed_smoothness(d, image_values),
+                                                          scale),
+                           inputs, ("d",))
+
+    def test_one_node_linking_the_depth(self):
+        d = ad.Var(RNG.uniform(1, 3, (5, 6)))
+        before = ad._counter
+        root = smoothness_core(d, RNG.uniform(0, 1, (5, 6)))
+        assert ad._counter - before == 1
+        assert {parent for parent, _ in root._parents} == {d}
+        assert reachable(root) == [d, root]
+
+
 class TestSmoothness:
     def test_constant_depth_zero(self):
         d = DepthMap(np.full((8, 8), 3.0))
@@ -547,6 +638,12 @@ class TestSmoothness:
 
 
 class TestDepthMetrics:
+    def test_far_off_prediction_overflows_quietly(self):
+        # the squared error overflows; the suite turns warnings into errors
+        m = depth_metrics(DepthMap(np.full((2, 2), 1e200)), DepthMap(np.full((2, 2), 1.0)))
+        assert m.rmse == m.sq_rel == np.inf
+        assert m.delta1 == 0.0
+
     def test_perfect_prediction(self):
         d = DepthMap(RNG.uniform(1, 9, (8, 8)))
         m = depth_metrics(d, DepthMap(d.values.copy()))
@@ -602,3 +699,107 @@ class TestPermutationInvariance:
             FlowField(fo.reshape(64, 2)[perm].reshape(8, 8, 2)),
         ).value
         assert perm_b == pytest.approx(base_b, rel=1e-12)
+
+
+# -- edge inputs of the public wrappers ------------------------------------------
+
+EDGE_GRIDS = [(1, 4), (4, 1), (2, 2), (3, 3)]
+# per kind of grid: float, int and bool values
+EDGE_VALUES = {
+    "depth": (st.floats(0.1, 10.0), st.integers(0, 9), st.booleans()),
+    "image": (st.floats(0.0, 1.0), st.integers(0, 1), st.booleans()),
+    "flow": (st.floats(-3.0, 3.0), st.integers(-3, 3), st.booleans()),
+    "mask": (st.booleans(), st.integers(0, 1), st.booleans()),
+}
+
+
+def edge_grid(draw, shape, kind):
+    """A grid of `kind` on `shape`, or now and then on another of the edge
+    grids; in one of float, int and bool dtypes."""
+    if draw(st.integers(0, 5)) == 0:
+        shape = draw(st.sampled_from(EDGE_GRIDS))
+    if kind == "flow":
+        shape = shape + (2,)
+    dtype = draw(st.sampled_from([0, 1, 2]))
+    cells = draw(st.lists(EDGE_VALUES[kind][dtype], min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return np.array(cells, dtype=(float, int, bool)[dtype]).reshape(shape)
+
+
+def masked_field(draw, shape, kind):
+    """(values, mask) for a depth or a flow: NaN or inf at some masked-out
+    pixels, which the typed fields accept there."""
+    values, mask = edge_grid(draw, shape, kind), edge_grid(draw, shape, "mask")
+    if values.shape[:2] == mask.shape and not mask.all() and draw(st.booleans()):
+        values = values.astype(float)
+        values[~mask.astype(bool)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values, mask
+
+
+def edge_call(draw, name):
+    """Call the wrapper `name` on edge inputs drawn on one of EDGE_GRIDS."""
+    shape = draw(st.sampled_from(EDGE_GRIDS))
+
+    def grid(kind):
+        return edge_grid(draw, shape, kind)
+
+    def field(kind):
+        return masked_field(draw, shape, kind)
+
+    def depth():
+        return DepthMap(*field("depth"))
+
+    def flow():
+        return FlowField(*field("flow"))
+
+    def maybe_mask():
+        return grid("mask") if draw(st.booleans()) else None
+
+    if name == "photometric_loss":
+        alpha = draw(st.sampled_from([0.0, ALPHA_DEFAULT, 1.0, 1.5]))
+        return photometric_loss(Image(grid("image")), Image(grid("image")), maybe_mask(), alpha)
+    if name == "cgdc_loss":
+        d_g = depth()
+        tri = TriangulationResult(d_g, grid("mask"), np.zeros(d_g.shape, np.uint8))
+        return cgdc_loss(tri, depth())
+    if name == "dpc_loss":
+        t3 = draw(st.sampled_from([0.42, -0.5, 1e-9, 0.0]))
+        camera = CameraIntrinsics(fx=100.0, fy=100.0, cx=shape[1] / 2, cy=shape[0] / 2)
+        motion = RigidMotion(np.eye(3), [0.31, 0.02, t3])
+        return dpc_loss(differential_fields(camera, motion, depth(), flow()))
+    if name == "bsca_loss":
+        return bsca_loss(flow(), flow())
+    if name == "edge_aware_smoothness":
+        return edge_aware_smoothness(depth(), Image(grid("image")))
+    if name == "depth_metrics":
+        return depth_metrics(depth(), depth(), maybe_mask())
+    return ssim(Image(grid("image")), Image(grid("image")))
+
+
+def result_floats(result):
+    """The floats a wrapper returns."""
+    if isinstance(result, LossValue):
+        return [result.value, result.guard_fraction]
+    if isinstance(result, DepthMetrics):
+        return list(result.as_dict().values())
+    assert isinstance(result, ScalarField)
+    return list(result.values.ravel())
+
+
+class TestWrapperEdges:
+    """The public loss wrappers on the edges of their inputs: 1xN, Nx1,
+    2x2 and 3x3 grids, mismatched shapes, int and bool dtypes, NaN or inf
+    at masked-out pixels. Each call returns finite floats or raises a typed
+    error; building the typed inputs is part of the call."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_typed_error(self, data):
+        name = data.draw(st.sampled_from(["photometric_loss", "cgdc_loss", "dpc_loss",
+                                          "bsca_loss", "edge_aware_smoothness",
+                                          "depth_metrics", "ssim"]))
+        try:
+            result = edge_call(data.draw, name)
+        except (FlowGeoError, ValueError):
+            return
+        assert np.isfinite(result_floats(result)).all()

@@ -12,7 +12,7 @@ from composed import TWINS
 from conftest import assert_bits_equal, run_python
 
 from flowgeo import autodiff as ad
-from flowgeo import cli, optim
+from flowgeo import cli, grad, losses, optim
 from flowgeo.errors import AbortedRunError, FlowGeoError, InvalidDepthError, NoValidPixelsError
 from flowgeo.geometry import (
     CameraIntrinsics,
@@ -182,6 +182,17 @@ class TestDivergenceAbort:
         with pytest.raises(AbortedRunError) as exc_info:
             recover_depth(small_static, config)
         assert exc_info.value.trace is not None
+
+    def test_an_overflowing_adjoint_still_ends_in_the_abort(self):
+        # the README scene at 48x36: at this rate the warp's adjoint overflows
+        # at iteration 2, and under the suite's warnings-as-errors that
+        # overflow must not pre-empt the divergence check
+        camera = CameraIntrinsics(fx=100.0, fy=100.0, cx=24.0, cy=18.0)
+        bundle = synthesize(README_SPEC, camera, RigidMotion(np.eye(3), README_T), 36, 48)
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, learning_rate=1500.0, step_clip=1e3,
+                             init="ground-truth", dpc_warmup_fraction=0.0, iterations=40)
+        with pytest.raises(AbortedRunError, match="^run diverged at iteration 2 "):
+            recover_depth(bundle, config)
 
     def test_dynamic_scene_needs_co_adjust(self, dynamic_bundle):
         with pytest.raises(ValueError):
@@ -752,43 +763,48 @@ class TestPlan:
 
 class TestComposedTwinRuns:
     """Whole runs on the loss nodes and on their composed twins,
-    substituted at the module attributes the optimizer calls, write the
-    same bytes."""
+    substituted at the module attributes the optimizer and the gradient
+    checker call, write the same bytes."""
 
     SCENE = ("family=affine-inverse-shift\na=0.21\nb=0.0013\nc=0.0009\n"
              "ego_rotation=0.011,-0.017,0.013\nego_translation=0.31,0.02,0.42\n")
     # 12 iterations: the dpc term joins at 5 and the flow at 1
+    DESCENT = ("--size", "24x18", "--iters", "12", "--seed", "3")
     RUNS = {
-        "recover-depth": ("--weights", "1,1,0.1,0"),
-        "co-adjust": ("--weights", "1,1,0.1,1"),
-        "ablate": ("--weights", "1,1,0.1,0"),
+        "recover-depth": ("--weights", "1,1,0.1,0", *DESCENT),
+        "co-adjust": ("--weights", "1,1,0.1,1", *DESCENT),
+        "ablate": ("--weights", "1,1,0.1,0", *DESCENT),
+        # every loss term; exits 1 on this rotating scene (a BSCA twist kink)
+        "grad-check": ("--size", "16x12", "--seed", "7"),
     }
 
     def outputs(self, tmp_path, command, tag):
         scene = tmp_path / "scene.txt"
         scene.write_text(self.SCENE)
         out = tmp_path / tag
-        argv = [command, "--scene", str(scene), "--size", "24x18", *self.RUNS[command],
-                "--iters", "12", "--seed", "3", "--out", str(out)]
-        assert cli.run(argv) == 0
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                if p.name != "run-manifest.txt"}
+        code = cli.run([command, "--scene", str(scene), *self.RUNS[command], "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "run-manifest.txt"}
 
     @pytest.mark.parametrize("command", sorted(RUNS))
     def test_trace_bytes_match_composed(self, tmp_path, monkeypatch, capsys, command):
         fused = self.outputs(tmp_path, command, "fused")
+        assert fused[0] == (1 if command == "grad-check" else 0)
         calls = {}
-        for name, twin in TWINS.items():
-            def counted(*args, twin=twin, name=name, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return twin(*args, **kwargs)
+        modules = (grad, losses) if command == "grad-check" else (optim,)
+        for module in modules:
+            for name, twin in TWINS.items():
+                def counted(*args, twin=twin, name=name, **kwargs):
+                    calls[name] = calls.get(name, 0) + 1
+                    return twin(*args, **kwargs)
 
-            monkeypatch.setattr(optim, name, counted)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         composed = self.outputs(tmp_path, command, "composed")
         assert composed == fused
         expected = {"cgdc_core", "differential_depth_side", "dpc_core", "photometric_core",
                     "warp_graph"} | ({"bsca_core"} if command == "co-adjust" else set())
-        assert set(calls) == expected
+        assert set(calls) == (set(TWINS) if command == "grad-check" else expected)
 
 
 # a second library recover_depth in a fresh process; prints its minor faults
