@@ -1,7 +1,8 @@
 """Byte goldens of the CLI commands: the sha256 of every output file but
 the manifest (which echoes paths), for the descent commands (recover-depth,
 co-adjust and ablate) and for gen-scene, triangulate, check-dpc, metrics
-and grad-check, each on a still and on a rotating ego-motion.
+and grad-check (with --stopgrad off and on), each on a still and on a
+rotating ego-motion.
 
 A change that moves any output bit of the descent loops, or of the loss
 cores and geometry kernels the other commands run on 2-D grids, fails
@@ -35,6 +36,8 @@ RUNS = {
     "triangulate": (SCENE, ["triangulate", "--size", "32x24"]),
     "check-dpc": (SCENE, ["check-dpc", "--size", "32x24"]),
     "grad-check": (SCENE, ["grad-check", "--size", "16x12"]),
+    # the checker with the triangulated depth held at its base value
+    "grad-check-stopgrad": (SCENE, ["grad-check", "--size", "16x12", "--stopgrad", "on"]),
     # the recovered depth against the ground truth of its scene
     "metrics": (SCENE, ["metrics", "{recover}/recover-depth.pfm", "{gen-scene}/depth.pfm"]),
 }
@@ -64,6 +67,10 @@ GOLDENS = {
         "grad_check.csv": "c3a8adb99b5aa7b9360e6e1ba94c9c21ce0fe1d7652f2d16ab7db3942c5c9349"},
     ("grad-check", True): {
         "grad_check.csv": "79ec42eab0821b15e3f508578c42d4ea352af845b2690965d152f0e289ee3c79"},
+    ("grad-check-stopgrad", False): {
+        "grad_check.csv": "d9d98b67008153f2acd6216e798fcdc557bdc96db741504d6a60666e6f9f8f79"},
+    ("grad-check-stopgrad", True): {
+        "grad_check.csv": "eb3471f957c0975ce3ae198f2bb23295f8caab7a7f566423536568a9d242374f"},
     ("metrics", False): {
         "metrics.csv": "7926cae7fafce6d216a92daf70acc6b620f035c6a8f5a1e0a0c6e9a08cefa1ff"},
     ("metrics", True): {
@@ -91,10 +98,11 @@ GOLDENS = {
 }
 
 
-# grad-check exits 1 on the rotating scene: a BSCA twist row crosses an
-# |.| kink inside its central difference (rel error 2.1e-2), a known fault
-# of the check, not of the gradient; the bytes it writes are pinned all the same
-EXIT_CODES = {("grad-check", True): 1}
+# grad-check exits 1 on the rotating scene, with --stopgrad off and on: a
+# BSCA twist row crosses an |.| kink inside its central difference (rel
+# error 2.1e-2), a known fault of the check, not of the gradient; the bytes
+# it writes are pinned all the same
+EXIT_CODES = {("grad-check", True): 1, ("grad-check-stopgrad", True): 1}
 
 
 def run_command(tmp_path, name, rotated):
