@@ -12,10 +12,12 @@ bit. Geometric depth is differentiable in pose and flow by default;
 `stop_gradient_geo=True` makes it the constant `triangulate_values` gives
 for the inputs' own twist and flow, in every build.
 
-Each loss term is the same tape node the optimizer steps on (`losses`,
-and `warp_graph` here for the photometric warp); the rotation, the
-triangulated depth, the rotational flow and the offsets that feed a node
-from the pose and the flow stay composed graphs of elementary ops.
+Each loss term has one builder (`_TERMS`), and the checker and the
+descent both call it: `build_loss` on a `_TapePlan`, `optim._terms` on the
+numpy `optim._Plan`. The term itself is one tape node (`losses`, and
+`warp_graph` here for the photometric warp); in a `_TapePlan` the rotation,
+the rays, the triangulated depth, the rotational flow and the offsets that
+feed it from the pose and the flow are composed graphs of elementary ops.
 
 Masks (behind-camera, out-of-image, degeneracy) are treated as constants
 of each forward pass; the checker detects coordinates whose perturbation
@@ -25,7 +27,9 @@ count instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,20 +43,23 @@ from .geometry import (
     FlowField,
     Image,
     TwistParams,
+    interior_mask,
     inverse_translation,
     rotation_rows,
 )
 from .losses import (
     bsca_core,
     cgdc_core,
-    differential_fields_core,
+    differential_depth_side,
+    differential_flow_side,
+    differential_offsets,
     dpc_core,
     photometric_core,
+    reference_channels,
     smoothness_core,
 )
 from .triangulate import depth_from_ratio, triangulate_values, triangulation_ratio
 
-LOSS_IDS = ("photometric", "cgdc", "dpc", "bsca", "smoothness")
 FLOW_SAMPLES = 32  # flow pixels the checker perturbs when "flow" is a target
 
 
@@ -69,14 +76,9 @@ class LossInputs:
 
     @classmethod
     def from_bundle(cls, bundle, depth: DepthMap | None = None) -> "LossInputs":
-        return cls(
-            camera=bundle.camera,
-            twist=TwistParams.from_motion(bundle.motion),
-            depth=bundle.depth_gt if depth is None else depth,
-            flow=bundle.flow_gt,
-            image_t=bundle.image_t,
-            image_s=bundle.image_s,
-        )
+        return cls(bundle.camera, TwistParams.from_motion(bundle.motion),
+                   bundle.depth_gt if depth is None else depth, bundle.flow_gt,
+                   bundle.image_t, bundle.image_s)
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ def rotation_entries(w1, w2, w3):
 
 
 def rigid_flow_terms(camera, rays, t, depth, grid):
-    """The rigid-flow expression behind `rigid_flow_graph` and
-    `warp_graph`: (y0, y1, y2, f_u, f_v) with y_i = D r_i + t_i the
+    """The rigid-flow expression behind `warp_graph` and the checker's
+    rigid flow (bsca) and rotational flow (dpc, a unit depth under zero
+    translation): (y0, y1, y2, f_u, f_v) with y_i = D r_i + t_i the
     transformed point and f = K-projection of y minus the pixel. Operands
     may be arrays and floats or tape Vars alike; Vars build the composed
     graph, arrays evaluate the same operations in the same order."""
@@ -106,16 +109,6 @@ def rigid_flow_terms(camera, rays, t, depth, grid):
     f_u = camera.fx * (y0 / y2) + camera.cx - grid.u
     f_v = camera.fy * (y1 / y2) + camera.cy - grid.v
     return y0, y1, y2, f_u, f_v
-
-
-def rigid_flow_graph(camera, R, t, depth, height, width):
-    """Rigid flow F(p) = proj(K (R backproject(p, D) + t)) - p as tape
-    nodes; returns (f_u, f_v, valid mask const). R, t and the depth may be
-    constants or tape nodes: a unit depth with zero translation gives the
-    rotational flow."""
-    grid = CameraGrid.of(camera, height, width)
-    _, _, y2, f_u, f_v = rigid_flow_terms(camera, grid.rays(R), t, ad.as_var(depth), grid)
-    return f_u, f_v, np.asarray(y2.value) > Z_EPS
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -177,26 +170,140 @@ def triangulate_graph(camera, R, t, f_u, f_v, flow_mask):
 
 # ---------------------------------------------------------------------------
 # loss graph assembly
+#
+# A term builder takes a plan, the depth (a leaf, or a lane stack of them)
+# and the part of a flow side it reads, and returns (node, mask); the node
+# is None when some lane's mask is empty. cgdc's mask is the triangulation
+# validity, which both plans have checked.
 
 
-def _leaves(inputs: LossInputs, overrides: dict):
-    depth_values = overrides.get("depth", inputs.depth.values)
-    twist_values = overrides.get("twist", inputs.twist.values)
-    d = ad.Var(np.asarray(depth_values, dtype=float))
-    xi = [ad.Var(float(x)) for x in np.asarray(twist_values, dtype=float)]
-    leaves = {"depth": d, "twist": xi}
-    if inputs.flow is not None:
-        flow_values = overrides.get("flow", inputs.flow.values)
-        leaves["flow"] = (
-            ad.Var(np.asarray(flow_values[..., 0], dtype=float)),
-            ad.Var(np.asarray(flow_values[..., 1], dtype=float)),
-        )
-    return leaves
+def _photometric_term(plan, depth):
+    warped, valid = warp_graph(plan.camera, plan.image_s, plan.t, depth, plan.grid, plan.rays)
+    mask = valid & plan.depth_mask
+    return (photometric_core(plan.image_t, warped, mask, reference=plan.reference)
+            if mask.any(axis=(-2, -1)).all() else None), mask
+
+
+def _cgdc_term(plan, depth, d_g, valid):
+    return cgdc_core(d_g, depth, valid), valid
+
+
+def _dpc_term(plan, depth, div_f, flow_mask):
+    side = differential_depth_side(plan.t_ego[2], depth, *plan.q, div_f, interior=plan.interior)
+    mask = side.validity & (np.abs(side.c_d) >= plan.dpc_floor) & flow_mask
+    return (dpc_core(side, mask) if mask.any(axis=(-2, -1)).all() else None), mask
+
+
+def _bsca_term(plan, depth, f_u, f_v, flow_mask):
+    _, _, y2, r_u, r_v = rigid_flow_terms(plan.camera, plan.rays, plan.t, depth, plan.grid)
+    mask = (y2.value > Z_EPS) & flow_mask
+    return (bsca_core(r_u, r_v, f_u, f_v, mask) if mask.any(axis=(-2, -1)).all() else None), mask
+
+
+def _smoothness_term(plan, depth):
+    return smoothness_core(depth, plan.image_t), np.ones(plan.depth_mask.shape, bool)
+
+
+# loss id -> (builder, the part of a flow side it reads (None: none), the
+# `LossInputs` fields it needs, the error without them, the error of an
+# empty mask)
+_TERMS = {
+    "photometric": (_photometric_term, None, ("image_t", "image_s"),
+                    "photometric loss needs both images",
+                    "photometric: warp produced no valid pixels"),
+    "cgdc": (_cgdc_term, attrgetter("geo"), ("flow",), "cgdc loss needs the flow prior", None),
+    "dpc": (_dpc_term, attrgetter("div_f", "flow_mask"), ("flow",),
+            "dpc loss needs the flow prior", "dpc: no valid pixels"),
+    "bsca": (_bsca_term, attrgetter("f_u", "f_v", "flow_mask"), ("flow",),
+             "bsca loss needs the flow prior", "bsca: no valid pixels"),
+    "smoothness": (_smoothness_term, None, ("image_t",),
+                   "smoothness loss needs the target image", None),
+}
+LOSS_IDS = tuple(_TERMS)
+
+
+class _TapePlan:
+    """The checker's plan of one loss term on `LossInputs` with twist and
+    flow overrides: what the term reads besides the depth, as graphs over
+    the twist and flow leaves. The rotation, t and the rays are built at
+    once; the SSIM statistics, cgdc's triangulated depth (with
+    `stop_gradient_geo`, the constant `triangulate_values` of the inputs'
+    own twist and flow) and dpc's t_ego, offsets and divergence of the flow
+    minus the rotational flow on the term's first read. The masks are
+    `optim._Plan`'s with the depth's mask ANDed in, and a DPC floor of 0."""
+
+    def __init__(self, loss_id, inputs: LossInputs, overrides: dict, stop_gradient_geo: bool):
+        if loss_id not in _TERMS:
+            raise ValueError(f"unknown loss id {loss_id!r}")
+        self.term = _TERMS[loss_id]
+        if any(getattr(inputs, name) is None for name in self.term[2]):
+            raise ValueError(self.term[3])
+        self.inputs, self.stop_gradient_geo = inputs, stop_gradient_geo
+        self.camera, shape = inputs.camera, inputs.depth.shape
+        self.grid, self.interior = CameraGrid.of(inputs.camera, *shape), interior_mask(*shape)
+        xi = [ad.Var(float(x)) for x in np.asarray(overrides.get("twist", inputs.twist.values),
+                                                   dtype=float)]
+        self.leaves = {"twist": xi}
+        self.R, self.t = rotation_entries(xi[0], xi[1], xi[2]), (xi[3], xi[4], xi[5])
+        self.rays = self.grid.rays(self.R)
+        self.image_s, self.image_t = (None if image is None else image.values
+                                      for image in (inputs.image_s, inputs.image_t))
+        self.depth_mask, self.dpc_floor = inputs.depth.mask, 0.0
+        if inputs.flow is not None:
+            values = overrides.get("flow", inputs.flow.values)
+            self.f_u, self.f_v = self.leaves["flow"] = tuple(
+                ad.Var(np.asarray(values[..., i], dtype=float)) for i in (0, 1))
+            self.flow_mask = inputs.flow.mask & inputs.depth.mask
+
+    def build(self, depth_values):
+        """(loss Var, leaves dict, mask) of the term at a depth leaf of
+        `depth_values`."""
+        build, part, _, _, empty = self.term
+        d = ad.Var(np.asarray(depth_values, dtype=float))
+        loss, mask = build(self, d, *(part(self) if part else ()))
+        if loss is None:
+            raise NoValidPixelsError(empty)
+        return loss, {"depth": d, **self.leaves}, mask
+
+    @cached_property
+    def reference(self):
+        return reference_channels(self.image_t)
+
+    @cached_property
+    def geo(self):
+        flow = self.inputs.flow
+        if self.stop_gradient_geo:
+            d_g, validity, _ = triangulate_values(self.camera, self.inputs.twist.to_motion(),
+                                                  flow.values[..., 0], flow.values[..., 1],
+                                                  flow.mask)
+        else:
+            d_g, validity = triangulate_graph(self.camera, self.R, self.t, self.f_u, self.f_v,
+                                              flow.mask)
+        mask = validity & self.depth_mask
+        if not mask.any():
+            raise NoValidPixelsError("cgdc: no valid triangulated pixels")
+        return d_g, mask
+
+    @cached_property
+    def t_ego(self):
+        return inverse_translation(self.R, self.t)
+
+    @cached_property
+    def q(self):
+        return differential_offsets(self.camera, self.t_ego, self.grid)
+
+    @cached_property
+    def div_f(self):
+        # the rotational flow is the rigid flow of a unit depth under (R, 0)
+        _, _, _, r_u, r_v = rigid_flow_terms(self.camera, self.rays, (0.0, 0.0, 0.0),
+                                             ad.as_var(1.0), self.grid)
+        return differential_flow_side(ad.sub(self.f_u, r_u), ad.sub(self.f_v, r_v))
 
 
 def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
                stop_gradient_geo: bool = False):
-    """Assemble the graph for one loss.
+    """Assemble the graph for one loss: its term builder, the one the
+    descent steps on, on a `_TapePlan` of its own.
 
     `overrides` maps "depth", "twist" or "flow" to values that replace the
     input's. With `stop_gradient_geo`, cgdc's geometric depth is the
@@ -204,74 +311,8 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
     overrides. Returns (loss Var, leaves dict, mask ndarray).
     """
     overrides = overrides or {}
-    leaves = _leaves(inputs, overrides)
-    camera = inputs.camera
-    H, W = inputs.depth.shape
-    xi = leaves["twist"]
-    R = rotation_entries(xi[0], xi[1], xi[2])
-    t = (xi[3], xi[4], xi[5])
-    d = leaves["depth"]
-
-    if loss_id == "photometric":
-        if inputs.image_t is None or inputs.image_s is None:
-            raise ValueError("photometric loss needs both images")
-        grid = CameraGrid.of(camera, H, W)
-        warped, valid = warp_graph(camera, inputs.image_s.values, t, d, grid, grid.rays(R))
-        mask = valid & inputs.depth.mask
-        if not mask.any():
-            raise NoValidPixelsError("photometric: warp produced no valid pixels")
-        loss = photometric_core(inputs.image_t.values, warped, mask)
-        return loss, leaves, mask
-
-    if loss_id == "cgdc":
-        if inputs.flow is None:
-            raise ValueError("cgdc loss needs the flow prior")
-        if stop_gradient_geo:
-            f = inputs.flow
-            d_g, validity, _ = triangulate_values(
-                camera, inputs.twist.to_motion(), f.values[..., 0], f.values[..., 1], f.mask
-            )
-        else:
-            d_g, validity = triangulate_graph(camera, R, t, *leaves["flow"], inputs.flow.mask)
-        mask = validity & inputs.depth.mask
-        if not mask.any():
-            raise NoValidPixelsError("cgdc: no valid triangulated pixels")
-        loss = cgdc_core(d_g, d, mask)
-        return loss, leaves, mask
-
-    if loss_id == "dpc":
-        if inputs.flow is None:
-            raise ValueError("dpc loss needs the flow prior")
-        f_u, f_v = leaves["flow"]
-        r_u, r_v, _ = rigid_flow_graph(camera, R, (0.0, 0.0, 0.0), 1.0, H, W)
-        t_ego = inverse_translation(R, t)
-        side, _, _ = differential_fields_core(
-            camera, t_ego, d, ad.sub(f_u, r_u), ad.sub(f_v, r_v)
-        )
-        mask = side.validity & inputs.flow.mask & inputs.depth.mask
-        if not mask.any():
-            raise NoValidPixelsError("dpc: no valid pixels")
-        loss = dpc_core(side, mask)
-        return loss, leaves, mask
-
-    if loss_id == "bsca":
-        if inputs.flow is None:
-            raise ValueError("bsca loss needs the flow prior")
-        f_u, f_v = leaves["flow"]
-        r_u, r_v, flow_ok = rigid_flow_graph(camera, R, t, d, H, W)
-        mask = flow_ok & inputs.flow.mask & inputs.depth.mask
-        if not mask.any():
-            raise NoValidPixelsError("bsca: no valid pixels")
-        loss = bsca_core(r_u, r_v, f_u, f_v, mask)
-        return loss, leaves, mask
-
-    if loss_id == "smoothness":
-        if inputs.image_t is None:
-            raise ValueError("smoothness loss needs the target image")
-        loss = smoothness_core(d, inputs.image_t.values)
-        return loss, leaves, np.ones((H, W), bool)
-
-    raise ValueError(f"unknown loss id {loss_id!r}")
+    plan = _TapePlan(loss_id, inputs, overrides, stop_gradient_geo)
+    return plan.build(overrides.get("depth", inputs.depth.values))
 
 
 def _grad_or_zero(var):
@@ -293,10 +334,7 @@ def loss_gradient(loss_id, inputs: LossInputs, targets=("depth", "twist"),
     if "flow" in targets:
         if "flow" not in leaves:
             raise ValueError("no flow input to differentiate")
-        f_u, f_v = leaves["flow"]
-        d_flow = np.stack(
-            [np.asarray(_grad_or_zero(f_u)), np.asarray(_grad_or_zero(f_v))], axis=-1
-        )
+        d_flow = np.stack([np.asarray(_grad_or_zero(f)) for f in leaves["flow"]], axis=-1)
     return LossGradient(float(loss.value), d_depth, d_twist, d_flow)
 
 
@@ -323,34 +361,17 @@ class GradCheckReport:
     passed: bool
 
     def to_csv_rows(self):
-        return [
-            {
-                "target": r.target,
-                "coordinate": r.coordinate,
-                "analytic": r.analytic,
-                "numeric": r.numeric,
-                "rel_error": r.rel_error,
-                "mask_flipped": int(r.mask_flipped),
-                "excluded": r.excluded,
-            }
-            for r in self.rows
-        ]
+        return [{**asdict(r), "mask_flipped": int(r.mask_flipped)} for r in self.rows]
 
 
 def _rel_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-def finite_difference_check(
-    loss_id,
-    inputs: LossInputs,
-    targets=("depth", "twist"),
-    step: float = 1e-6,
-    depth_samples: int = 64,
-    tolerance: float = 1e-5,
-    seed: int = 0,
-    stop_gradient_geo: bool = False,
-) -> GradCheckReport:
+def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twist"),
+                            step: float = 1e-6, depth_samples: int = 64,
+                            tolerance: float = 1e-5, seed: int = 0,
+                            stop_gradient_geo: bool = False) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     Checks all 6 twist coordinates and `depth_samples` random valid depth
@@ -363,11 +384,15 @@ def finite_difference_check(
 
     With `stop_gradient_geo`, every build holds the triangulated depth at
     its value under the base twist and flow (see `build_loss`), as the
-    analytic gradient does.
+    analytic gradient does. Each build uses the term builder of
+    `build_loss`: the base build and every +- build of a depth coordinate
+    share one `_TapePlan`, and each +- build of a twist or flow coordinate
+    makes its own.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    loss, leaves, base_mask = build_loss(loss_id, inputs, None, stop_gradient_geo)
+    plan = _TapePlan(loss_id, inputs, {}, stop_gradient_geo)
+    loss, leaves, base_mask = plan.build(inputs.depth.values)
     ad.backward(loss)
 
     # one (target, label, analytic, index) per checked coordinate; the rng
@@ -402,7 +427,11 @@ def finite_difference_check(
         for delta in (step, -step):
             values = base[target].values.copy()
             values[index] += delta
-            var, _, mask = build_loss(loss_id, inputs, {target: values}, stop_gradient_geo)
+            if target == "depth":  # the base plan: it holds no depth
+                var, _, mask = plan.build(values)
+            else:
+                row_plan = _TapePlan(loss_id, inputs, {target: values}, stop_gradient_geo)
+                var, _, mask = row_plan.build(inputs.depth.values)
             f.append(float(var.value))
             flipped = flipped or not np.array_equal(mask, base_mask)
         numeric = (f[0] - f[1]) / (2.0 * step)
@@ -419,7 +448,6 @@ def finite_difference_check(
         rows.append(CheckRow(target, label, analytic, numeric,
                              _rel_error(analytic, numeric), flipped, excluded))
 
-    live = [r.rel_error for r in rows if not r.excluded]
-    max_rel = max(live) if live else 0.0
+    max_rel = max((r.rel_error for r in rows if not r.excluded), default=0.0)
     flipped = sum(r.mask_flipped for r in rows)
     return GradCheckReport(tuple(rows), max_rel, flipped, max_rel < tolerance)

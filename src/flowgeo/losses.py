@@ -36,7 +36,7 @@ every vjp (and turns overflow warnings off too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -322,14 +322,8 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
                      (t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg))
 
 
-def differential_fields_core(
-    camera: CameraIntrinsics,
-    t_ego,
-    d_c,
-    f_tra_u,
-    f_tra_v,
-    depth_gradient=None,
-):
+def differential_fields_core(camera: CameraIntrinsics, t_ego, d_c, f_tra_u, f_tra_v,
+                             depth_gradient=None):
     """C^F and C^D of a depth and a translational flow.
 
     t_ego is the (t1, t2, t3) source-to-target translation (scalars or
@@ -549,13 +543,9 @@ def cgdc_loss(d_g: TriangulationResult, d_c: DepthMap) -> LossValue:
 
 
 @np.errstate(invalid="ignore")  # the stencils read inf at masked-out pixels
-def differential_fields(
-    camera: CameraIntrinsics,
-    motion: RigidMotion,
-    d_c: DepthMap,
-    f_tra: FlowField,
-    depth_gradient: np.ndarray | None = None,
-) -> DifferentialFields:
+def differential_fields(camera: CameraIntrinsics, motion: RigidMotion, d_c: DepthMap,
+                        f_tra: FlowField, depth_gradient: np.ndarray | None = None
+                        ) -> DifferentialFields:
     """Build the paired differential fields.
 
     `motion` carries the source-to-target ego translation (t1, t2, t3)
@@ -570,14 +560,9 @@ def differential_fields(
         )
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
-    side, q_u, q_v = differential_fields_core(
-        camera,
-        (t[0], t[1], t[2]),
-        d_c.values,
-        f_tra.values[..., 0],
-        f_tra.values[..., 1],
-        depth_gradient,
-    )
+    side, q_u, q_v = differential_fields_core(camera, (t[0], t[1], t[2]), d_c.values,
+                                              f_tra.values[..., 0], f_tra.values[..., 1],
+                                              depth_gradient)
     validity = side.validity & f_tra.mask & d_c.mask
     q = np.stack([q_u.value, q_v.value], axis=-1)
     return DifferentialFields(
@@ -629,15 +614,7 @@ class DepthMetrics:
     delta3: float
 
     def as_dict(self) -> dict:
-        return {
-            "abs_rel": self.abs_rel,
-            "sq_rel": self.sq_rel,
-            "rmse": self.rmse,
-            "rmse_log": self.rmse_log,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-        }
+        return asdict(self)
 
 
 @np.errstate(over="ignore")  # the squared error of a far-off depth reads inf

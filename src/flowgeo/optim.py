@@ -48,10 +48,13 @@ through the warmup, and each other config forks from the lead's lane
 there and joins the stack with a copy of its theta and flow and the
 records so far (without their dpc value when its w_d is 0).
 
-The work of a step that does not depend on the log-depth theta (the pixel
-grid and rotated rays, the DPC offsets and interior mask, the rotational
-flow, the SSIM statistics of the target image, the flow side of the
-scene's flow) is done once per scene, in the `_Plan` its lanes share.
+Each loss term's node comes from the term builder of `grad` that
+`grad.build_loss` and the gradient checker call too, so `grad-check`
+certifies the nodes of this objective. The work of a step that does not
+depend on the log-depth theta (the pixel grid and rotated rays, the DPC
+offsets and interior mask, the rotational flow, the SSIM statistics of
+the target image, the flow side of the scene's flow) is done once per
+scene, in the `_Plan` its lanes share.
 `_set_flows` refreshes only what depends on a co-adjusted flow: the
 triangulated depth and its validity, and the divergence of the
 translational flow.
@@ -89,18 +92,14 @@ from .geometry import (
     rigid_flow_values,
     rotational_flow,
 )
-from .grad import warp_graph
+from .grad import _TERMS
 from .losses import (
     DepthMetrics,
     _bsca_terms,
     bsca_core,
-    cgdc_core,
     depth_metrics,
-    differential_depth_side,
     differential_flow_side,
     differential_offsets,
-    dpc_core,
-    photometric_core,
     reference_channels,
 )
 from .scene import SceneBundle
@@ -245,17 +244,21 @@ class _Plan:
     q_u/q_v, interior mask, rotational flow when the ego-motion rotates and
     divergence of the scene's translational flow (w_d). Its grids have no
     lane axis: they broadcast against a stack of several lanes, and a stack
-    of one steps on its grid itself (see `_stacked`)."""
+    of one steps on its grid itself (see `_stacked`). The term builders of
+    `grad` read it as the checker's `grad._TapePlan`, with no depth mask and
+    the DPC floor `DPC_FLOOR`."""
 
     def __init__(self, bundle: SceneBundle, configs):
         _pin_heap()
-        self.bundle = bundle
         self.camera, self.motion = bundle.camera, bundle.motion
         self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
         self.rays = self.grid.rays(bundle.motion.rotation)
+        self.t = bundle.motion.translation
+        self.image_s, self.image_t = bundle.image_s.values, bundle.image_t.values
+        self.depth_mask, self.dpc_floor = True, DPC_FLOOR
         w_c, w_d, w_p = (any(getattr(config, name) > 0 for config in configs)
                          for name in ("w_c", "w_d", "w_p"))
-        self.reference = reference_channels(bundle.image_t.values) if w_p else None
+        self.reference = reference_channels(self.image_t) if w_p else None
         self.rotation = None  # rotational flow values, when the dpc term needs them
         if w_d:
             self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
@@ -419,37 +422,6 @@ def _set_flows(objectives, values, masks):
 TERMS = ("cgdc", "dpc", "photometric")
 
 
-def _cgdc_term(objectives, rows, depth):
-    d_g, valid = _lane_stacks([objectives[i].geo for i in rows])
-    return cgdc_core(d_g, depth, valid), None
-
-
-def _dpc_term(objectives, rows, depth):
-    plan = objectives[0].plan
-    div_f, flow_mask = _lane_stacks([(objectives[i].div_f, objectives[i].flow_mask)
-                                     for i in rows])
-    side = differential_depth_side(plan.t_ego[2], depth, *plan.q, div_f, interior=plan.interior)
-    mask = side.validity & (np.abs(side.c_d) >= DPC_FLOOR) & flow_mask
-    keep = mask.any(axis=(-2, -1))
-    return (dpc_core(side, mask), None) if keep.all() else (None, keep)
-
-
-def _photometric_term(objectives, rows, depth):
-    plan = objectives[0].plan
-    bundle = plan.bundle
-    warped, pmask = warp_graph(plan.camera, bundle.image_s.values, plan.motion.translation,
-                               depth, plan.grid, plan.rays)
-    keep = pmask.any(axis=(-2, -1))
-    if not keep.all():
-        return None, keep
-    return photometric_core(bundle.image_t.values, warped, pmask, reference=plan.reference), None
-
-
-# term -> builder(objectives, rows, lane stack of those lanes' depths):
-# (node, None), or (None, which lanes have a valid pixel) when some has none
-_TERM_NODES = {"cgdc": _cgdc_term, "dpc": _dpc_term, "photometric": _photometric_term}
-
-
 def _terms(objectives, depth, d=None, iteration=None):
     """The loss terms of a lane stack as tape nodes: lane i steps on
     objectives[i] at its decoded depth in the stack `depth` (see
@@ -457,8 +429,10 @@ def _terms(objectives, depth, d=None, iteration=None):
     it, in `TERMS` order. The lanes
     whose weight for the term is positive at `iteration` read the leaf `d`,
     the whole stack or `ad.lanes` of it; the others, all of them when `d`
-    is None, read the plain depth, off the tape. A lane whose valid set of
-    a term is empty leaves that term out.
+    is None, read the plain depth, off the tape. A node comes from the
+    term's builder in `grad._TERMS`, the one `grad.build_loss` checks, on
+    the lanes' stacked flow sides. A lane whose valid set of a term is
+    empty leaves that term out.
 
     Returns ([(node, lanes, their weights)] of the nodes on the tape, the
     lanes as an index of the stack's leading axis, each lane's loss values
@@ -476,7 +450,9 @@ def _terms(objectives, depth, d=None, iteration=None):
             rows.append(i)
             ws.append(w)
     parts, values, errors = [], [{} for _ in everyone], {}
+    plan = objectives[0].plan
     for (name, on_tape), (rows, ws) in groups.items():
+        build, part = _TERMS[name][:2]
         while rows:
             if errors:
                 rows = [i for i in rows if i not in errors]
@@ -491,7 +467,8 @@ def _terms(objectives, depth, d=None, iteration=None):
             else:
                 lanes = ad.lanes(stack, index) if on_tape else stack[index]
             try:
-                node, keep = _TERM_NODES[name](objectives, rows, lanes)
+                side = _lane_stacks([part(objectives[i]) for i in rows]) if part else ()
+                node, mask = build(plan, lanes, *side)
             except (FlowGeoError, ValueError) as exc:
                 for i in rows:
                     errors[i] = _error_of(exc, objectives[i].config)
@@ -503,7 +480,7 @@ def _terms(objectives, depth, d=None, iteration=None):
                     parts.append((node, index, ws[0] if len(rows) == 1 else np.array(ws)))
                 break
             # rebuilt without the lanes whose valid set is empty
-            kept = np.atleast_1d(keep).tolist()
+            kept = np.atleast_1d(mask.any(axis=(-2, -1))).tolist()
             ws = [w for w, keep_lane in zip(ws, kept) if keep_lane]
             rows = [i for i, keep_lane in zip(rows, kept) if keep_lane]
     return parts, values, errors

@@ -43,13 +43,12 @@ def perturbed_inputs(small_bundle):
 
 def check_functional(monkeypatch, functional, inputs, **kwargs):
     """`finite_difference_check` of a custom functional (leaves, inputs) ->
-    (loss Var, mask), handed to the checker in place of `grad.build_loss`."""
-    def build(loss_id, inputs, overrides=None, stop_gradient_geo=False):
-        leaves = grad._leaves(inputs, overrides or {})
-        loss, mask = functional(leaves, inputs)
-        return loss, leaves, mask
+    (loss Var, mask) of the depth leaf, handed to the checker as a term of
+    its own."""
+    def build(plan, depth):
+        return functional({"depth": depth}, inputs)
 
-    monkeypatch.setattr(grad, "build_loss", build)
+    monkeypatch.setitem(grad._TERMS, "custom", (build, None, (), "", "custom: empty mask"))
     return finite_difference_check("custom", inputs, **kwargs)
 
 
@@ -236,17 +235,17 @@ class TestFixedPoints:
 
     def test_bsca_zero_gradient_at_matching_flow(self, small_bundle):
         # flow prior = the graph's own rigid flow bits: exact ties everywhere
-        from flowgeo.geometry import FlowField
-        from flowgeo.grad import rigid_flow_graph, rotation_entries
+        from flowgeo.geometry import Z_EPS, FlowField
+        from flowgeo.grad import rigid_flow_terms, rotation_entries
 
         probe = LossInputs.from_bundle(small_bundle)
         xi = [ad.Var(float(x)) for x in probe.twist.values]
-        R = rotation_entries(*xi[:3])
-        f_u, f_v, ok = rigid_flow_graph(
-            small_bundle.camera, R, (xi[3], xi[4], xi[5]),
-            ad.Var(small_bundle.depth_gt.values), *small_bundle.shape
+        grid = CameraGrid.of(small_bundle.camera, *small_bundle.shape)
+        _, _, y2, f_u, f_v = rigid_flow_terms(
+            small_bundle.camera, grid.rays(rotation_entries(*xi[:3])), (xi[3], xi[4], xi[5]),
+            ad.Var(small_bundle.depth_gt.values), grid
         )
-        tied_flow = FlowField(np.stack([f_u.value, f_v.value], axis=-1), ok)
+        tied_flow = FlowField(np.stack([f_u.value, f_v.value], axis=-1), y2.value > Z_EPS)
         inputs = LossInputs(
             camera=small_bundle.camera,
             twist=probe.twist,
@@ -292,6 +291,22 @@ class TestCheckerBookkeeping:
         live = [r for r in report.rows if not r.excluded]
         assert floored and live
         assert report.passed  # dead coordinates do not fail the check
+
+    def test_depth_rebuilds_reuse_the_base_plan(self, perturbed_inputs, monkeypatch):
+        # the pose graph is built once for the base build and its depth
+        # rebuilds (it was built for each of the 2 x depth_samples + 1
+        # builds), and once per +- build of a twist coordinate
+        calls = []
+        rotation_entries = grad.rotation_entries
+        monkeypatch.setattr(grad, "rotation_entries",
+                            lambda *w: calls.append(w) or rotation_entries(*w))
+        for loss_id in ("photometric", "cgdc", "dpc", "bsca"):
+            calls.clear()
+            finite_difference_check(loss_id, perturbed_inputs, targets=("depth",), depth_samples=8)
+            assert len(calls) == 1
+            calls.clear()
+            finite_difference_check(loss_id, perturbed_inputs, depth_samples=8)
+            assert len(calls) == 1 + 2 * 6
 
     def test_csv_rows_shape(self, perturbed_inputs):
         report = finite_difference_check("bsca", perturbed_inputs, seed=0, depth_samples=4)

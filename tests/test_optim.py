@@ -12,7 +12,7 @@ from composed import TWINS
 from conftest import assert_bits_equal, run_python
 
 from flowgeo import autodiff as ad
-from flowgeo import cli, grad, losses, optim
+from flowgeo import cli, grad, optim
 from flowgeo.errors import AbortedRunError, FlowGeoError, InvalidDepthError, NoValidPixelsError
 from flowgeo.geometry import (
     CameraIntrinsics,
@@ -406,7 +406,7 @@ class TestSharedWarmup:
         def broken(*args):
             raise NoValidPixelsError("dpc: empty valid set")
 
-        monkeypatch.setattr(optim, "dpc_core", broken)
+        monkeypatch.setattr(grad, "dpc_core", broken)
         configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1) for wd in (0.1, 0.2)]
         lead, other = optim._descend(small_static, configs)
         assert type(other) is NoValidPixelsError and other is not lead
@@ -426,7 +426,7 @@ class TestSharedWarmup:
         def broken(*args):
             raise NoValidPixelsError("dpc: empty valid set")
 
-        monkeypatch.setattr(optim, "dpc_core", broken)
+        monkeypatch.setattr(grad, "dpc_core", broken)
         configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1) for wd in (0.0, 0.1)]
         rows = self.check(small_static, configs)
         assert rows[0]["error"] == ""
@@ -434,7 +434,7 @@ class TestSharedWarmup:
 
     def test_programming_error_in_the_shared_phase_propagates(self, small_static, monkeypatch):
         calls = []
-        real_dpc = optim.dpc_core
+        real_dpc = grad.dpc_core
 
         def broken(*args):
             calls.append(1)
@@ -442,7 +442,7 @@ class TestSharedWarmup:
                 raise TypeError("unsupported operand")
             return real_dpc(*args)
 
-        monkeypatch.setattr(optim, "dpc_core", broken)
+        monkeypatch.setattr(grad, "dpc_core", broken)
         configs = [(f"wd={wd}", OptimConfig(w_c=1.0, w_d=wd, iterations=30, seed=1))
                    for wd in (0.0, 0.1)]
         with pytest.raises(TypeError, match="unsupported operand"):
@@ -761,10 +761,65 @@ class TestPlan:
         assert steps == []
 
 
+def weighted_total(objective, theta, it):
+    """The objective `objective` steps on at iteration `it`: the weighted
+    sum of its loss values at the depth exp(theta)."""
+    _, values, errors = optim._terms([objective], optim._decode_values(theta))
+    assert not errors
+    weights = objective.weights(it)
+    return sum(weights[name] * value for name, value in values[0].items())
+
+
+class TestObjectiveGradient:
+    """The theta-gradient `_depth_step` steps on (the term weights, the
+    warmup's zero DPC weight and the chain rule through D = exp(theta))
+    against a central difference of the weighted total along a random
+    direction (h = 1e-6), the whole gradient in one pair of evaluations as
+    in PyTorch gradcheck's fast mode. The gradient is read off the step,
+    theta - theta', at learning rate 1 without a clip.
+
+    The CLI weight sets are checked before `dpc_active_after`, where the
+    DPC weight is 0, and the w_d = 0 sets after it too (worst rel error
+    7.6e-7). With the DPC term on, the same check reads up to 2.9e-5 (seed
+    6, rotating): the central difference straddles kinks inside the DPC
+    node, so those iterations wait for a checker that respects kinks
+    (ROADMAP item 1)."""
+
+    # (w_p, w_c, w_d): recover-depth's and co-adjust's defaults, then the ablate grid
+    WEIGHTS = [(1.0, 0.5, 0.1), (1.0, 0.0, 0.0), (1.0, 0.0, 0.1), (1.0, 1.0, 0.0), (1.0, 1.0, 0.1)]
+
+    @pytest.mark.parametrize("rotating", [False, True], ids=["still", "rotating"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_step_is_the_gradient_of_the_weighted_total(self, rotating, seed):
+        rotation = rotation_from_axis_angle([0.011, -0.017, 0.013]) if rotating else np.eye(3)
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 16.0, 12.0),
+                            RigidMotion(rotation, README_T), 24, 32)
+        h = 1e-6
+        for w_p, w_c, w_d in self.WEIGHTS:
+            config = OptimConfig(w_p=w_p, w_c=w_c, w_d=w_d, learning_rate=1.0, step_clip=1e300,
+                                 iterations=20, seed=seed)
+            objective = objective_of(bundle, config)
+            rng = np.random.default_rng(seed)
+            theta = optim._initial_theta(bundle, config, rng)
+            direction = rng.normal(size=theta.shape)
+            warmup = objective.dpc_active_after
+            for it in [warmup - 1] + ([warmup] if w_d == 0 else []):
+                assert objective.rate(it) == 1.0
+                stepped, _, errors = optim._depth_step(
+                    [objective], theta[None], optim._decode_values(theta[None]), it)
+                assert not errors
+                analytic = float(np.sum((theta - stepped[0]) * direction))
+                numeric = (weighted_total(objective, theta + h * direction, it)
+                           - weighted_total(objective, theta - h * direction, it)) / (2 * h)
+                rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+                assert rel < 1e-5, (w_p, w_c, w_d, it, rel)
+
+
 class TestComposedTwinRuns:
     """Whole runs on the loss nodes and on their composed twins,
     substituted at the module attributes the optimizer and the gradient
-    checker call, write the same bytes."""
+    checker call (the term builders of `grad`, and the flow step's
+    `bsca_core` in `optim`), write the same bytes."""
 
     SCENE = ("family=affine-inverse-shift\na=0.21\nb=0.0013\nc=0.0009\n"
              "ego_rotation=0.011,-0.017,0.013\nego_translation=0.31,0.02,0.42\n")
@@ -791,8 +846,7 @@ class TestComposedTwinRuns:
         fused = self.outputs(tmp_path, command, "fused")
         assert fused[0] == (1 if command == "grad-check" else 0)
         calls = {}
-        modules = (grad, losses) if command == "grad-check" else (optim,)
-        for module in modules:
+        for module in (grad, optim):
             for name, twin in TWINS.items():
                 def counted(*args, twin=twin, name=name, **kwargs):
                     calls[name] = calls.get(name, 0) + 1
