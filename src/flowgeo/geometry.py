@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("camera intrinsics must be finite")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -223,6 +226,13 @@ def _require_depth(values, mask=None):
         raise InvalidDepthError("depth must be strictly positive where valid")
 
 
+def _require_size(height, width):
+    """Raise DimensionError naming a size that is not an integer (a bool, a float)."""
+    for name, value in (("height", height), ("width", width)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DimensionError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_grid(values, name, depth_axes=2):
     v = np.asarray(values, dtype=float)
     if v.ndim != depth_axes:
@@ -349,15 +359,13 @@ class CameraGrid:
 def project(camera: CameraIntrinsics, point) -> np.ndarray:
     """Project a 3-D camera-frame point to a pixel. Raises for z <= 0."""
     X = np.asarray(point, dtype=float)
-    if X.shape[-1] != 3:
+    if X.shape[-1:] != (3,):
         raise DimensionError("point must be a 3-vector")
     z = X[..., 2]
     if np.any(z <= 0):
         raise BehindCameraError("point has non-positive depth")
-    return np.stack(
-        [camera.fx * X[..., 0] / z + camera.cx, camera.fy * X[..., 1] / z + camera.cy],
-        axis=-1,
-    )
+    return np.stack([camera.fx * X[..., 0] / z + camera.cx,
+                     camera.fy * X[..., 1] / z + camera.cy], axis=-1)
 
 
 def backproject(camera: CameraIntrinsics, pixel, depth) -> np.ndarray:
@@ -365,15 +373,11 @@ def backproject(camera: CameraIntrinsics, pixel, depth) -> np.ndarray:
     if np.any(np.asarray(depth) <= 0) or not np.all(np.isfinite(depth)):
         raise InvalidDepthError("depth must be positive and finite")
     p = np.asarray(pixel, dtype=float)
+    if p.shape[-1:] != (2,):
+        raise DimensionError("pixel must be a 2-vector")
     d = np.asarray(depth, dtype=float)
-    return np.stack(
-        [
-            d * (p[..., 0] - camera.cx) / camera.fx,
-            d * (p[..., 1] - camera.cy) / camera.fy,
-            d * np.ones_like(p[..., 0]),
-        ],
-        axis=-1,
-    )
+    return np.stack([d * (p[..., 0] - camera.cx) / camera.fx,
+                     d * (p[..., 1] - camera.cy) / camera.fy, d * np.ones_like(p[..., 0])], axis=-1)
 
 
 def _flow_from_points(camera, points, u, v):
@@ -430,7 +434,9 @@ def rotational_flow(camera: CameraIntrinsics, rotation, height: int, width: int)
     """Depth-independent flow of a pure rotation:
     F(p) = proj(K R K^-1 p~) - p, the rigid flow of a unit depth under
     (R, 0); the homogeneous scale cancels depth. A rotation that is not
-    orthonormal raises ValueError (see `RigidMotion`)."""
+    orthonormal raises ValueError (see `RigidMotion`), a size that is not an
+    integer DimensionError."""
+    _require_size(height, width)
     ones = np.ones((height, width))
     return FlowField(*rigid_flow_values(camera, RigidMotion(rotation, np.zeros(3)), ones))
 
@@ -489,6 +495,7 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+@np.errstate(invalid="ignore")  # the stencils read inf at masked-out pixels
 def divergence(flow: FlowField) -> ScalarField:
     """Discrete flow divergence,
     div F(u, v) = -F_u(u-1, v) + F_u(u+1, v) + F_v(u, v+1) - F_v(u, v-1),

@@ -16,12 +16,11 @@ construction (up to bilinear resampling of the smooth texture).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DimensionError, InvalidSceneError
+from .errors import InvalidSceneError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -30,6 +29,7 @@ from .geometry import (
     RigidMotion,
     ScalarField,
     _flow_from_points,
+    _require_size,
     backproject,
     pixel_grid,
     rigid_flow,
@@ -206,9 +206,7 @@ def synthesize(spec: SceneSpec, camera: CameraIntrinsics, ego_motion: RigidMotio
     """Build the full ground-truth bundle for a scene specification. A size
     that is not an integer (a bool, a float) raises DimensionError; values
     that overflow the rendering at this size raise InvalidSceneError."""
-    for name, value in (("height", height), ("width", width)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DimensionError(f"{name} must be an integer, got {value!r}")
+    _require_size(height, width)
     try:
         with np.errstate(all="ignore"):  # overflow shows as a non-finite field
             return _render(spec, camera, ego_motion, height, width)

@@ -19,6 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DimensionError
 from .geometry import CameraGrid, CameraIntrinsics, DepthMap, FlowField, RigidMotion
 
 DEGENERATE_DENOMINATOR_EPS = 1e-8
@@ -47,6 +48,8 @@ def normalized_correspondences(camera: CameraIntrinsics, pixel, flow):
     (K^-1 p~, K^-1 (p~ + [flow; 0])); both have third component 1."""
     p = np.asarray(pixel, dtype=float)
     f = np.asarray(flow, dtype=float)
+    if p.shape[-1:] != (2,) or f.shape[-1:] != (2,):
+        raise DimensionError("pixel and flow must be 2-vectors")
     ones = np.ones_like(p[..., 0])
     p_t = np.stack(
         [(p[..., 0] - camera.cx) / camera.fx, (p[..., 1] - camera.cy) / camera.fy, ones],

@@ -10,7 +10,7 @@ from conftest import assert_bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgeo.errors import BehindCameraError, DimensionError, InvalidDepthError
+from flowgeo.errors import BehindCameraError, DimensionError, InvalidDepthError, NonFiniteError
 from flowgeo.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -61,6 +61,11 @@ class TestProject:
         with pytest.raises(BehindCameraError):
             project(K, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("point", [5.0, [1.0, 2.0]])
+    def test_point_that_is_not_a_3_vector(self, point):
+        with pytest.raises(DimensionError, match="3-vector"):
+            project(K, point)
+
 
 class TestBackproject:
     def test_principal_point_axis(self):
@@ -72,6 +77,11 @@ class TestBackproject:
     def test_nonpositive_depth_raises(self):
         with pytest.raises(InvalidDepthError):
             backproject(K, [10.0, 10.0], 0.0)
+
+    @pytest.mark.parametrize("pixel", [[1.0], 1.0, [1.0, 2.0, 3.0]])
+    def test_pixel_that_is_not_a_2_vector(self, pixel):
+        with pytest.raises(DimensionError, match="2-vector"):
+            backproject(K, pixel, 1.0)
 
     @given(
         u=st.floats(0, 127),
@@ -171,6 +181,11 @@ class TestRotationalFlow:
     def test_rotation_that_is_not_orthonormal_raises(self):
         with pytest.raises(ValueError, match="orthonormal"):
             rotational_flow(K, np.diag([1.0, 1.0, 2.0]), 10, 12)
+
+    @pytest.mark.parametrize("size, name", [((2.5, 3), "height"), ((3, True), "width")])
+    def test_size_that_is_not_an_integer(self, size, name):
+        with pytest.raises(DimensionError, match=f"^{name} must be an integer"):
+            rotational_flow(K, np.eye(3), *size)
 
     def test_small_yaw_at_principal_point(self):
         # rotating the optical axis by theta moves the principal point by fx tan(theta)
@@ -280,6 +295,19 @@ class TestDivergence:
         with pytest.raises(DimensionError):
             divergence(FlowField(np.zeros((2, 5, 2))))
 
+    def test_inf_at_masked_out_pixels(self):
+        # inf v-flow at the masked-out (0, 0) and (2, 0): the stencil at the
+        # valid (1, 0) reads inf - inf, a typed error and no RuntimeWarning
+        values = np.zeros((5, 5, 2))
+        values[[0, 2], 0, 1] = np.inf
+        mask = np.ones((5, 5), bool)
+        mask[[0, 2], 0] = False
+        with pytest.raises(NonFiniteError):
+            divergence(FlowField(values, mask))
+        mask[:4, 0] = False  # the pixels whose stencils read an inf
+        div = divergence(FlowField(values, mask))
+        assert np.isfinite(div.values[mask]).all()
+
     def test_gradient_same_convention(self):
         u, _ = pixel_grid(5, 7)
         g = grid_gradient(u * u)
@@ -380,6 +408,13 @@ class TestTypes:
     def test_intrinsics_positive_focals(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0)
+
+    @pytest.mark.parametrize("field, bad", [("fx", np.inf), ("fy", np.inf), ("cx", -np.inf),
+                                            ("cy", np.nan)])
+    def test_intrinsics_must_be_finite(self, field, bad):
+        values = {"fx": 100.0, "fy": 100.0, "cx": 64.0, "cy": 48.0, field: bad}
+        with pytest.raises(ValueError, match="^camera intrinsics must be finite$"):
+            CameraIntrinsics(**values)
 
     def test_intrinsics_matrix_inverse(self):
         np.testing.assert_allclose(K.matrix @ K.inverse_matrix, np.eye(3), atol=1e-14)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_bits_equal, random_scene
 from flowgeo import autodiff as ad
+from flowgeo.errors import DimensionError
 from flowgeo.geometry import CameraIntrinsics, FlowField, RigidMotion
 from flowgeo.grad import triangulate_graph
 from flowgeo.triangulate import (
@@ -49,6 +50,12 @@ class TestNormalizedCorrespondences:
     def test_unit_normalized_offset(self):
         p_t, _ = normalized_correspondences(K, [164.0, 48.0], [0.0, 0.0])
         np.testing.assert_allclose(p_t, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("pixel, flow", [([1.0, 1.0], [1.0]), ([1.0], [1.0, 1.0]),
+                                             (1.0, [0.0, 0.0])])
+    def test_pixel_or_flow_that_is_not_a_2_vector(self, pixel, flow):
+        with pytest.raises(DimensionError, match="2-vectors"):
+            normalized_correspondences(K, pixel, flow)
 
 
 class TestTriangulateDepth:
