@@ -76,9 +76,9 @@ class LossInputs:
 
     @classmethod
     def from_bundle(cls, bundle, depth: DepthMap | None = None) -> "LossInputs":
-        return cls(bundle.camera, TwistParams.from_motion(bundle.motion),
-                   bundle.depth_gt if depth is None else depth, bundle.flow_gt,
-                   bundle.image_t, bundle.image_s)
+        return cls(camera=bundle.camera, twist=TwistParams.from_motion(bundle.motion),
+                   depth=bundle.depth_gt if depth is None else depth, flow=bundle.flow_gt,
+                   image_t=bundle.image_t, image_s=bundle.image_s)
 
 
 @dataclass(frozen=True)

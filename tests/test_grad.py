@@ -293,9 +293,8 @@ class TestCheckerBookkeeping:
         assert report.passed  # dead coordinates do not fail the check
 
     def test_depth_rebuilds_reuse_the_base_plan(self, perturbed_inputs, monkeypatch):
-        # the pose graph is built once for the base build and its depth
-        # rebuilds (it was built for each of the 2 x depth_samples + 1
-        # builds), and once per +- build of a twist coordinate
+        # the pose graph is built once for the base build and all its
+        # depth rebuilds, and once per +- build of a twist coordinate
         calls = []
         rotation_entries = grad.rotation_entries
         monkeypatch.setattr(grad, "rotation_entries",

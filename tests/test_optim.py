@@ -781,9 +781,9 @@ class TestObjectiveGradient:
     The CLI weight sets are checked before `dpc_active_after`, where the
     DPC weight is 0, and the w_d = 0 sets after it too (worst rel error
     7.6e-7). With the DPC term on, the same check reads up to 2.9e-5 (seed
-    6, rotating): the central difference straddles kinks inside the DPC
-    node, so those iterations wait for a checker that respects kinks
-    (ROADMAP item 1)."""
+    6, rotating), not yet told apart between a kink inside the DPC node and
+    truncation error, so those iterations wait for the kink-aware checker
+    of ROADMAP item 1."""
 
     # (w_p, w_c, w_d): recover-depth's and co-adjust's defaults, then the ablate grid
     WEIGHTS = [(1.0, 0.5, 0.1), (1.0, 0.0, 0.0), (1.0, 0.0, 0.1), (1.0, 1.0, 0.0), (1.0, 1.0, 0.1)]
