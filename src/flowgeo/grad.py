@@ -235,9 +235,10 @@ class _TapePlan:
     def __init__(self, loss_id, inputs: LossInputs, overrides: dict, stop_gradient_geo: bool):
         if loss_id not in _TERMS:
             raise ValueError(f"unknown loss id {loss_id!r}")
-        self.term = _TERMS[loss_id]
-        if any(getattr(inputs, name) is None for name in self.term[2]):
-            raise ValueError(self.term[3])
+        build, part, needs, missing, empty = _TERMS[loss_id]
+        if any(getattr(inputs, name) is None for name in needs):
+            raise ValueError(missing)
+        self.term = build, part, empty
         self.inputs, self.stop_gradient_geo = inputs, stop_gradient_geo
         self.camera, shape = inputs.camera, inputs.depth.shape
         self.grid, self.interior = CameraGrid.of(inputs.camera, *shape), interior_mask(*shape)
@@ -258,7 +259,7 @@ class _TapePlan:
     def build(self, depth_values):
         """(loss Var, leaves dict, mask) of the term at a depth leaf of
         `depth_values`."""
-        build, part, _, _, empty = self.term
+        build, part, empty = self.term
         d = ad.Var(np.asarray(depth_values, dtype=float))
         loss, mask = build(self, d, *(part(self) if part else ()))
         if loss is None:
