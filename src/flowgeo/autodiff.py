@@ -47,6 +47,8 @@ their attributes rather than going through numpy's Python-level wrappers.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .geometry import _axis_diff, _bilinear_terms, _stencil_lines
@@ -303,8 +305,8 @@ def _axis_diff_vjp(g, axis, shape):
 
 def _box3(*arrays):
     """3x3 zero-padded mean over the last two axes of each of one or more
-    arrays of one shape, as a list: nine shifted adds onto zeros, then one
-    division. The leading axes, if any, index grids (a lane stack
+    arrays of one shape, as a list: nine shifted adds onto zeros, then a
+    division per array. The leading axes, if any, index grids (a lane stack
     (k, H, W)), and each grid is filtered by itself.
 
     Each padded grid is laid out flat, row after row, and the grids of the
@@ -331,9 +333,10 @@ def _box3(*arrays):
     np.add(p[:n], 0.0, out=window)
     for start in starts[1:]:
         window += p[start : start + n]
-    # the division writes the kept entries to a fresh contiguous array, so
-    # the ops that read a mean run in one pass, not row by row
-    return list(np.divide(out.reshape(padded)[..., :H, :W], 9.0))
+    # the division writes each array's kept entries to a fresh contiguous
+    # array of its own, so the ops that read a mean run in one pass, not row
+    # by row, and a mean kept for a backward pass pins no other
+    return list(map(np.divide, out.reshape(padded)[..., :H, :W], repeat(9.0)))
 
 
 def box3(a):
@@ -348,17 +351,21 @@ def _bilinear_partials(values, xv, yv):
     adjoints read: (sampled, inside, (dx, live_x), (dy, live_y)), with the
     clamped forward differentiated exactly: a coordinate pinned at the
     rectangle edge is locally flat along its own axis only (clamped samples
-    can still feed pooled statistics of valid neighbors)."""
+    can still feed pooled statistics of valid neighbors). The `live` masks
+    stay bool, an eighth of a float mask on the tape."""
     out, inside, terms = _bilinear_terms(values, xv, yv)
     wy, v00, v01, v10, v11, top, bottom, wy_rest, in_x, in_y = terms
     dx = (v01 - v00) * wy_rest + (v11 - v10) * wy
     dy = bottom - top
-    return out, inside, (dx, in_x.astype(float)), (dy, in_y.astype(float))
+    return out, inside, (dx, in_x), (dy, in_y)
 
 
 def _bilinear_vjp(g, partial):
     """Adjoint of a bilinear sample for one coordinate, from its
-    `(d, live)` pair of `_bilinear_partials`; channels are summed."""
+    `(d, live)` pair of `_bilinear_partials`; channels are summed. The
+    product with the bool mask casts it to 1.0 and 0.0, so it has the bits
+    of the product with a float mask: a NaN or inf adjoint at a masked-out
+    pixel gives NaN there, as `0.0 * inf` does, and a -0.0 keeps its sign."""
     d, live = partial
     gd = g * d
     if gd.ndim > live.ndim:

@@ -384,20 +384,22 @@ def _flow_from_points(camera, points, u, v):
     """Flow = projection of transformed points (stacked along the first
     axis, shape (3, H, W)) minus the pixel grid, as (values, valid); pixels
     whose transformed depth is non-positive are masked, not raised. A grid
-    with every pixel valid skips the masking."""
+    with every pixel valid skips the masking. The values are (H, W, 2), held
+    component-major: a view of a (2, H, W) buffer, so each component is a
+    contiguous grid for the stencils and triangulation that read it."""
     z = points[2]
     valid = z > Z_EPS
     everywhere = valid.all()
     safe_z = z if everywhere else np.where(valid, z, 1.0)
-    flow = np.empty(z.shape + (2,))
+    flow = np.empty((2,) + z.shape)
     for i, (f, c, grid) in enumerate(((camera.fx, camera.cx, u), (camera.fy, camera.cy, v))):
         s = f * points[i]
         s /= safe_z
         s += c
-        np.subtract(s, grid, out=flow[..., i])
+        np.subtract(s, grid, out=flow[i])
     if not everywhere:
-        flow[~valid] = 0.0
-    return flow, valid
+        flow[:, ~valid] = 0.0
+    return np.moveaxis(flow, 0, -1), valid
 
 
 def rigid_flow_values(camera: CameraIntrinsics, motion: RigidMotion, depth, mask=None, grid=None):

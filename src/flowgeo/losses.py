@@ -11,7 +11,10 @@ composed graph of elementary ops, product for product, with each
 intermediate's contributions summed in reverse creation order. Its inputs
 list an entry per contribution the composed graph hands an input, in the
 order it hands them (see the node rule in `autodiff`). So gradients keep
-their bits while a term costs one node. The same cores give the values of
+their bits while a term costs one node. A vjp captures only the forward
+arrays it reads, and rebuilds one that costs a single elementwise pass
+(an |.|, a guard, a product) by the forward's own operations on the same
+operands, so the tape of a step holds less and every bit is kept. The same cores give the values of
 the public wrappers, which accept the typed grid values and return plain
 records. The composed graphs live in `tests/composed.py` as the nodes'
 twins, with the elementary ops no node of the package calls: |.|, the sum,
@@ -118,8 +121,8 @@ def ssim_stats(b):
 def _ssim_terms(a, b, b_stats):
     """Per-pixel SSIM of channel `a` against the reference channel `b`,
     with 3x3 zero-padded mean-pool statistics, and the intermediates its
-    adjoint reads: (ssim, mu_a, mu_b, num, den, the two factors of num,
-    the two factors of den)."""
+    adjoint keeps: (ssim, mu_a, the two factors of num, the two factors of
+    den). Num and den are one product each, which the adjoint redoes."""
     mu_b, mu_b_sq, var_b = b_stats
     mu_a, box_aa, box_ab = ad._box3(a, a * a, a * b)
     mu_a_sq = mu_a * mu_a
@@ -131,8 +134,7 @@ def _ssim_terms(a, b, b_stats):
     den_l = mu_a_sq + mu_b_sq + SSIM_C1
     den_r = var_a + var_b + SSIM_C2
     num, den = num_l * num_r, den_l * den_r
-    s = num / den
-    return s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r
+    return num / den, mu_a, num_l, num_r, den_l, den_r
 
 
 def reference_channels(i_t):
@@ -150,18 +152,20 @@ def _channels(values):
 def _channel_terms(ch_t, stats, a, alpha):
     """alpha (1 - SSIM(a, ch_t))/2 + (1 - alpha) |ch_t - a| per pixel for
     one channel pair, evaluated as the composed SSIM + L1 expression
-    operation by operation, and what its adjoint reads."""
-    s, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = _ssim_terms(a, ch_t, stats)
+    operation by operation, and what its adjoint keeps."""
+    s, mu_a, num_l, num_r, den_l, den_r = _ssim_terms(a, ch_t, stats)
     half_alpha, beta = alpha * 0.5, 1.0 - alpha
-    diff = ch_t - a
-    out = (1.0 - s) * half_alpha + np.abs(diff) * beta
-    return out, (a, ch_t, diff, half_alpha, beta, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r)
+    out = (1.0 - s) * half_alpha + np.abs(ch_t - a) * beta
+    return out, (a, ch_t, half_alpha, beta, mu_a, stats[0], num_l, num_r, den_l, den_r)
 
 
 def _channel_vjp(g, terms):
     """Gradient of one `_channel_terms` map w.r.t. its warped channel: the
-    backward pass of the composed SSIM + L1 graph, replayed."""
-    a, b, diff, half_alpha, beta, mu_a, mu_b, num, den, num_l, num_r, den_l, den_r = terms
+    backward pass of the composed SSIM + L1 graph, replayed. Num, den and
+    the L1 difference are rebuilt from what the forward kept, by its own
+    operations on the same operands."""
+    a, b, half_alpha, beta, mu_a, mu_b, num_l, num_r, den_l, den_r = terms
+    num, den, diff = num_l * num_r, den_l * den_r, b - a
     # the L1 branch was created last, so it reaches the channel first
     g_a = -(g * beta * np.sign(diff))
     g_s = -(g * half_alpha)
@@ -206,10 +210,11 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     warped = np.asarray(ad.value_of(i_warped), dtype=float)
     planar = i_t.ndim == 2
     channels = [warped] if planar else [warped[..., c] for c in range(len(reference))]
-    parts = [_channel_terms(ch_t, stats, a, alpha) for (ch_t, stats), a in zip(reference, channels)]
-    per_pixel = parts[0][0]
-    for out, _ in parts[1:]:
-        per_pixel = per_pixel + out
+    per_pixel, kept = None, []  # the channels' maps are summed, not kept
+    for (ch_t, stats), a in zip(reference, channels):
+        out, terms = _channel_terms(ch_t, stats, a, alpha)
+        per_pixel = out if per_pixel is None else per_pixel + out
+        kept.append(terms)
     scale = 1.0 / len(reference)
     if not planar:
         per_pixel = per_pixel * scale
@@ -218,10 +223,10 @@ def photometric_core(i_t, i_warped, mask, alpha=ALPHA_DEFAULT, reference=None):
     def vjp(g):
         g = ad._mean_weights(g, m, n)
         if planar:
-            return [_channel_vjp(g, parts[0][1])]
+            return [_channel_vjp(g, kept[0])]
         g = g * scale
-        stacked = np.stack([_channel_vjp(g, terms) for _, terms in parts], axis=-1)
-        return [stacked + 0.0 if len(parts) > 1 else stacked]
+        stacked = np.stack([_channel_vjp(g, terms) for terms in kept], axis=-1)
+        return [stacked + 0.0 if len(kept) > 1 else stacked]
 
     return ad.Var(value, [i_warped], vjp)
 
@@ -233,21 +238,21 @@ def cgdc_core(d_g, d_c, mask):
 
     Composed graph: diff = D_g - D_c, |diff|, guard = max(D_c, EPS_DIV),
     |diff| / guard, masked mean. D_c receives the guard's contribution
-    before the difference's."""
+    before the difference's. The adjoint keeps diff and rebuilds |diff| and
+    the guard, one pass each."""
     g_val, c_val = ad.value_of(d_g), ad.value_of(d_c)
     diff = g_val - c_val
-    size = np.abs(diff)
-    guard = np.maximum(c_val, EPS_DIV)
-    rel = size / guard
+    rel = np.abs(diff) / np.maximum(c_val, EPS_DIV)
     value, m, n = ad._lane_means(rel, mask)
     c_active = ad.active(d_c)
 
     def vjp(g):
         g_rel = ad._mean_weights(g, m, n)
         out = [None, None, None]
+        guard = np.maximum(c_val, EPS_DIV)
         g_size = g_rel / guard
         if c_active:
-            g_guard = -g_rel * size / (guard * guard)
+            g_guard = -g_rel * np.abs(diff) / (guard * guard)
             out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
         g_diff = g_size * np.sign(diff)
         out[1] = g_diff
@@ -258,10 +263,22 @@ def cgdc_core(d_g, d_c, mask):
     return ad.Var(value, [d_c, d_g, d_c], vjp)
 
 
+def _require_forward_translation(t3):
+    """Raise DegenerateTranslationError where |t3| <= EPS_T3: the
+    divergence relation and the offsets of C^D divide by t3."""
+    if abs(t3) <= EPS_T3:
+        raise DegenerateTranslationError(
+            f"|t3| = {abs(t3):.3g} is too small for the divergence relation"
+        )
+
+
 def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
     """The pose half of C^D as tape nodes: the offset field
-    (q_u, q_v) = (u - cx - fx t1/t3, v - cy - fy t2/t3)."""
+    (q_u, q_v) = (u - cx - fx t1/t3, v - cy - fy t2/t3). A forward
+    translation |t3| <= EPS_T3 raises DegenerateTranslationError, as in
+    `differential_fields`."""
     t1, t2, t3 = (ad.as_var(t) for t in t_ego)
+    _require_forward_translation(t3.value)
     q_u = ad.sub(grid.uc, ad.mul(camera.fx, ad.div(t1, t3)))
     q_v = ad.sub(grid.vc, ad.mul(camera.fy, ad.div(t2, t3)))
     return q_u, q_v
@@ -342,12 +359,9 @@ def differential_fields_core(camera: CameraIntrinsics, t_ego, d_c, f_tra_u, f_tr
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _dpc_terms(c_f, c_d):
-    """Per-pixel |C^D - C^F| / (|C^D| + EPS_DPC) and its intermediates."""
+    """Per-pixel |C^D - C^F| / (|C^D| + EPS_DPC) and the gap C^D - C^F."""
     gap = c_d - c_f
-    gap_size = np.abs(gap)
-    guard = np.abs(c_d) + EPS_DPC
-    rel = gap_size / guard
-    return rel, gap, gap_size, guard
+    return np.abs(gap) / (np.abs(c_d) + EPS_DPC), gap
 
 
 def dpc_core(side: DepthSide, mask):
@@ -361,25 +375,34 @@ def dpc_core(side: DepthSide, mask):
     gathers |c_d|'s contribution before the gap's, shifted gathers c_d's
     before c_f's, and the links run q_v, q_u, D (g_v), D (g_u), div_f,
     t3 (c_f), D (shifted), t3 (shifted).
+
+    The adjoint keeps c_d and the gap, and rebuilds |gap| and |c_d| +
+    EPS_DPC, one pass each. It holds the ratio shifted / t3 only for an
+    active div_f, the one link that reads it, and not `side` itself, whose
+    c_f and validity it never reads.
     """
     t3, d_c, q_u, q_v, div_f = side.inputs
     t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg = side.terms
-    rel, gap, gap_size, guard = _dpc_terms(side.c_f, side.c_d)
+    c_d, shape = side.c_d, d_v.shape
+    rel, gap = _dpc_terms(side.c_f, c_d)
     value, m, n = ad._lane_means(rel, mask)
-    d_act, t_act, qu_act, qv_act = (ad.active(x) for x in (d_c, t3, q_u, q_v))
+    d_act, t_act, qu_act, qv_act, div_act = (ad.active(x) for x in (d_c, t3, q_u, q_v, div_f))
     sh_act = d_act or t_act
-    cf_act = sh_act or ad.active(div_f)
+    cf_act = sh_act or div_act
     cd_act = sh_act or qu_act or qv_act
+    if not div_act:
+        ratio = None
 
     def vjp(g):
         out = [None] * 8
         g_rel = ad._mean_weights(g, m, n)
+        guard = np.abs(c_d) + EPS_DPC
         g_size = g_rel / guard
         g_gap = g_size * np.sign(gap)
         g_sh = None
         if cd_act:
-            g_guard = -g_rel * gap_size / (guard * guard)
-            g_cd = g_guard * np.sign(side.c_d) + g_gap
+            g_guard = -g_rel * np.abs(gap) / (guard * guard)
+            g_cd = g_guard * np.sign(c_d) + g_gap
             g_neg = g_cd / shifted
             if sh_act:
                 g_sh = -g_cd * neg / (shifted * shifted)
@@ -389,11 +412,11 @@ def dpc_core(side: DepthSide, mask):
             if qu_act:
                 out[1] = g_sum * g_u
             if d_act:
-                out[2] = ad._axis_diff_vjp(g_sum * qv_v, -2, d_v.shape)
-                out[3] = ad._axis_diff_vjp(g_sum * qu_v, -1, d_v.shape)
+                out[2] = ad._axis_diff_vjp(g_sum * qv_v, -2, shape)
+                out[3] = ad._axis_diff_vjp(g_sum * qu_v, -1, shape)
         if cf_act:
             g_cf = -g_gap
-            if ad.active(div_f):
+            if div_act:
                 out[4] = g_cf * ratio
             if sh_act:
                 g_ratio = g_cf * div_v
@@ -554,10 +577,7 @@ def differential_fields(camera: CameraIntrinsics, motion: RigidMotion, d_c: Dept
     stencils only) and pixels with |D - t3| < EPS_GEO.
     """
     t = motion.translation
-    if abs(t[2]) <= EPS_T3:
-        raise DegenerateTranslationError(
-            f"|t3| = {abs(t[2]):.3g} is too small for the divergence relation"
-        )
+    _require_forward_translation(t[2])
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
     side, q_u, q_v = differential_fields_core(camera, (t[0], t[1], t[2]), d_c.values,

@@ -95,7 +95,6 @@ from .geometry import (
 from .grad import _TERMS
 from .losses import (
     DepthMetrics,
-    _bsca_terms,
     bsca_core,
     depth_metrics,
     differential_flow_side,
@@ -242,7 +241,10 @@ class _Plan:
     reads them, the SSIM statistics of the fixed target image (w_p), the
     triangulated depth of the scene's flow (w_c), and the DPC offsets
     q_u/q_v, interior mask, rotational flow when the ego-motion rotates and
-    divergence of the scene's translational flow (w_d). Its grids have no
+    divergence of the scene's translational flow (w_d); a scene whose
+    forward translation is too small for the offsets (|t3| <= EPS_T3) holds
+    their `DegenerateTranslationError` as its divergence, and each run with
+    w_d > 0 raises it at its start. Its grids have no
     lane axis: they broadcast against a stack of several lanes, and a stack
     of one steps on its grid itself (see `_stacked`). The term builders of
     `grad` read it as the checker's `grad._TapePlan`, with no depth mask and
@@ -260,9 +262,13 @@ class _Plan:
                          for name in ("w_c", "w_d", "w_p"))
         self.reference = reference_channels(self.image_t) if w_p else None
         self.rotation = None  # rotational flow values, when the dpc term needs them
+        degenerate = None  # the error of offsets without a forward translation
         if w_d:
             self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
-            self.q = differential_offsets(self.camera, self.t_ego, self.grid)
+            try:
+                self.q = differential_offsets(self.camera, self.t_ego, self.grid)
+            except DegenerateTranslationError as exc:
+                degenerate = exc
             self.interior = interior_mask(*bundle.shape)
             if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
                 self.rotation = rotational_flow(self.camera, self.motion.rotation,
@@ -271,7 +277,8 @@ class _Plan:
         self.flow_mask = flow.mask
         geo, div = self.flow_sides(flow.values[None], flow.mask[None], [0] if w_c else [],
                                    [0] if w_d else [])
-        self.scene_geo, self.scene_div = geo.get(0), div.get(0)
+        self.scene_geo = geo.get(0)
+        self.scene_div = div.get(0) if degenerate is None else degenerate
 
     def flow_sides(self, values, masks, geo_rows, div_rows):
         """The flow side of a lane stack of flows (values (k, H, W, 2),
@@ -530,15 +537,18 @@ def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
     with the extras `co_adjust` lists when the flow stream passes its `flow`
     and the `rigid` flow of the depth ((values, mask) pairs). Such a record
     always carries the co-adjustment loss: where the iteration took no flow
-    step, it is `bsca_core`'s forward evaluated here, off the tape."""
+    step, it is `bsca_core`'s value at constant inputs, off the tape."""
     depth, gt, dynamic = DepthMap(depth), bundle.depth_gt, bundle.dynamic_mask
     losses, extras = dict(loss_values), {}
     if rigid is not None:
         if "bsca" not in losses:
             (values, mask), (r, r_valid) = flow, rigid
-            rel = _bsca_terms(r[..., 0], r[..., 1], values[..., 0], values[..., 1])[0]
-            losses["bsca"], _, _ = ad._mean_over(rel, mask & r_valid)
-        gap = np.abs(flow[0] - rigid[0]).sum(axis=-1)
+            losses["bsca"] = bsca_core(r[..., 0], r[..., 1], values[..., 0], values[..., 1],
+                                       mask & r_valid).value
+        # |flow - rigid| summed over (u, v), the bits of a sum over the last
+        # axis, one contiguous component grid at a time
+        diff = flow[0] - rigid[0]
+        gap = np.abs(diff[..., 0]) + np.abs(diff[..., 1])
         if dynamic.any():
             extras["dynamic_abs_rel"] = depth_metrics(depth, gt, dynamic).abs_rel
             extras["patch_flow_gap"] = float(gap[dynamic].mean())
@@ -659,8 +669,15 @@ class _Lane:
         an objective forked from this one's, a copy of the flow, which the
         flow step updates in place, and the records so far, without their
         dpc value when its w_d is 0."""
-        flow = None if self.flow is None else (self.flow[0].copy(), self.flow[1].copy())
+        flow = None if self.flow is None else (_component_major(self.flow[0]), self.flow[1].copy())
         return _Lane(self.objective.fork(config), flow, _records_of(self.records, config))
+
+
+def _component_major(values):
+    """A copy of flow values (..., 2), held as `rigid_flow_values` holds its
+    own: a view of a (2, ...) buffer, so each component the flow step reads
+    and updates is contiguous."""
+    return np.moveaxis(np.stack([values[..., 0], values[..., 1]]), 0, -1)
 
 
 def _records_of(records, config):
@@ -738,7 +755,7 @@ class _Stack:
             return
         flow = None
         if lead.w_b > 0:  # the flow stream starts from a copy of the scene's flow
-            flow = bundle.flow_gt.values.copy(), bundle.flow_gt.mask.copy()
+            flow = _component_major(bundle.flow_gt.values), bundle.flow_gt.mask.copy()
         forks = [config for config in members if config != lead]
         self.waiting.append((0, [_Lane(objective, flow, [], forks)], theta[None], depth[None]))
 

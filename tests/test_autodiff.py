@@ -558,6 +558,31 @@ class TestKernelTwins:
         for term, expected_term in zip(terms, expected_terms):
             assert_bits_equal(term, expected_term)
 
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_bilinear_vjp_with_bool_live_keeps_the_float_mask_bits(self, channels):
+        # the live masks stay bool on the tape; the adjoint's product with
+        # one has the bits of the product with its float mask: a NaN or inf
+        # adjoint at a masked-out pixel gives NaN there (where np.where would
+        # give 0.0), and a -0.0 keeps its sign on either side of the mask
+        img = RNG.normal(size=(6, 7) if channels is None else (6, 7, channels))
+        xs = RNG.uniform(-2.0, 8.0, (4, 5))
+        ys = RNG.uniform(-2.0, 7.0, (4, 5))
+        _, _, px, py = ad._bilinear_partials(img, xs, ys)
+        for d, live in (px, py):
+            assert live.dtype == bool
+            live[0, :4] = [False, False, False, True]
+            live[1, :2] = [False, True]
+            d[0, 3] = d[1, :2] = 1.0
+            g = RNG.normal(size=d.shape)
+            g[0, 0], g[0, 1], g[0, 2], g[0, 3] = np.nan, np.inf, -np.inf, np.inf
+            g[1, :2] = -0.0
+            with np.errstate(invalid="ignore"):  # as `backward` runs a vjp
+                out = ad._bilinear_vjp(g, (d, live))
+                assert_bits_equal(out, ad._bilinear_vjp(g, (d, live.astype(float))))
+            assert np.isnan(out[0, :3]).all() and out[0, 3] == np.inf
+            if channels is None:  # (a sum over channels of -0.0 reads +0.0)
+                assert np.signbit(out[1, :2]).all() and (out[1, :2] == 0.0).all()
+
     @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (4, 1, 3)])
     def test_bilinear_on_one_wide_or_one_high_images(self, shape):
         img = RNG.normal(size=shape)

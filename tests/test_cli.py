@@ -189,6 +189,50 @@ class TestInputBoundary:
         assert lines <= 1
 
 
+class TestNoForwardTranslation:
+    """A scene whose forward translation t3 is 0, or too small for the
+    divergence relation (|t3| <= EPS_T3), has no DPC term: a command that
+    needs one ends in one `error:` line and exit 1, as `check-dpc` does,
+    and `ablate` gives each config with w_d > 0 that error in its row."""
+
+    @staticmethod
+    def scene(tmp_path, t3):
+        path = tmp_path / "flat.txt"
+        path.write_text(f"family=fronto-plane\ndepth=5\nego_translation=0.3,0.02,{t3}\n")
+        return path
+
+    @pytest.mark.parametrize("t3", ["0", "1e-12", "1e-300"])
+    @pytest.mark.parametrize("command, args", [
+        ("recover-depth", ("--iters", "2")),
+        ("co-adjust", ("--iters", "2")),
+        ("grad-check", ()),
+        ("check-dpc", ()),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, command, args, t3):
+        code = run([command, "--scene", str(self.scene(tmp_path, t3)), "--size", "16x12",
+                    *args, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: |t3| = {float(t3):.3g} is too small for the divergence relation\n"
+
+    def test_ablate_rows(self, tmp_path):
+        out = tmp_path / "o"
+        code = run(["ablate", "--scene", str(self.scene(tmp_path, "0")), "--size", "16x12",
+                    "--iters", "4", "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out / "ablation.csv")
+        assert [r["config"] for r in rows] == [
+            "wc=0.0-wd=0.0", "wc=0.0-wd=0.1", "wc=0.5-wd=0.0", "wc=0.5-wd=0.1"
+        ]
+        for row in rows:
+            if float(row["w_d"]) > 0:
+                assert row["error"] == ("DegenerateTranslationError: |t3| = 0 is too small "
+                                        "for the divergence relation")
+                assert row["abs_rel"] == ""
+            else:
+                assert row["error"] == "" and math.isfinite(float(row["abs_rel"]))
+
+
 class TestGenSceneRecordsItsScene:
     @pytest.mark.parametrize("rotation", ["0,0,0", "0.011,-0.017,0.013"])
     def test_rerun_on_written_scene_is_byte_identical(self, scene_file, tmp_path, rotation):

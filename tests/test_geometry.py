@@ -27,6 +27,7 @@ from flowgeo.geometry import (
     pixel_grid,
     project,
     rigid_flow,
+    rigid_flow_values,
     rotation_from_axis_angle,
     rotational_flow,
     translational_flow,
@@ -171,6 +172,22 @@ class TestRigidFlow:
         depth = DepthMap(np.full((8, 8), 5.0))
         flow = rigid_flow(K, RigidMotion(np.eye(3), [0.0, 0.0, -6.0]), depth)
         assert not flow.mask.any()  # z' = 5 - 6 = -1 everywhere
+
+
+    @pytest.mark.parametrize("shape", [(24, 32), (3, 24, 32)])
+    def test_components_are_contiguous_grids(self, shape):
+        # the values are (..., 2), held component-major, so the stencils and
+        # triangulation read each component without a copy; a pixel behind
+        # the camera is zero in both
+        depth = np.random.default_rng(2).uniform(2, 9, shape)
+        depth[..., 3, 4] = 0.5
+        motion = RigidMotion(np.eye(3), [0.1, 0.0, -1.0])
+        values, valid = rigid_flow_values(K, motion, depth)
+        assert values.shape == shape + (2,) and not valid[..., 3, 4].any()
+        assert values[..., 0].flags.c_contiguous and values[..., 1].flags.c_contiguous
+        assert (values[..., 3, 4, :] == 0.0).all()
+        if len(shape) == 2:
+            assert_bits_equal(values, rigid_flow(K, motion, DepthMap(depth)).values)
 
 
 class TestRotationalFlow:

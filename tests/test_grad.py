@@ -2,6 +2,8 @@
 target, stop-gradient behavior, fixed-point gradients, and the checker's
 exclusion bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from composed import composed_warp, masked_mean, substitute_twins, total
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
 from flowgeo import grad, losses
+from flowgeo.errors import DegenerateTranslationError
 from flowgeo.geometry import (
     CameraGrid,
     CameraIntrinsics,
@@ -306,6 +309,20 @@ class TestCheckerBookkeeping:
             calls.clear()
             finite_difference_check(loss_id, perturbed_inputs, depth_samples=8)
             assert len(calls) == 1 + 2 * 6
+
+    def test_dpc_without_forward_translation_is_a_typed_error(self, perturbed_inputs):
+        # the twist of the inputs with its forward translation 0: the dpc
+        # offsets divide by t3, so dpc raises differential_fields' error,
+        # and the warp and rigid flow, which do not divide by t3, still build
+        twist = TwistParams(np.array([0.0, 0.0, 0.0, 0.3, 0.02, 0.0]))
+        inputs = replace(perturbed_inputs, twist=twist)
+        message = r"^\|t3\| = 0 is too small for the divergence relation$"
+        for call in (lambda: build_loss("dpc", inputs), lambda: loss_gradient("dpc", inputs),
+                     lambda: finite_difference_check("dpc", inputs, depth_samples=2)):
+            with pytest.raises(DegenerateTranslationError, match=message):
+                call()
+        for loss_id in ("photometric", "bsca"):
+            assert np.isfinite(build_loss(loss_id, inputs)[0].value)
 
     def test_csv_rows_shape(self, perturbed_inputs):
         report = finite_difference_check("bsca", perturbed_inputs, seed=0, depth_samples=4)

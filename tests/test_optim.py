@@ -585,6 +585,57 @@ def step_calls(objectives, theta, it):
     return calls
 
 
+def _arrays_in(x, found, seen, into_vars=False):
+    """Every ndarray that `x` holds, through tuples, lists, dicts, functions'
+    closures, dataclasses and plain objects (and through Vars' values with
+    `into_vars`), into `found` as {id of its base: base}: a view pins the
+    whole array it views."""
+    if into_vars and isinstance(x, ad.Var):
+        x = x.value
+    if id(x) in seen or isinstance(x, (ad.Var, type)):
+        return
+    seen.add(id(x))
+    if isinstance(x, np.ndarray):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        found[id(x)] = x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            _arrays_in(y, found, seen, into_vars)
+    elif isinstance(x, dict):
+        for y in x.values():
+            _arrays_in(y, found, seen, into_vars)
+    elif callable(x):
+        for cell in getattr(x, "__closure__", None) or ():
+            _arrays_in(cell.cell_contents, found, seen, into_vars)
+    elif hasattr(x, "__dict__"):
+        _arrays_in(vars(x), found, seen, into_vars)
+
+
+def closure_bytes(objectives, theta, it):
+    """(bytes, lane-pixels): the distinct bytes the vjp closures of one
+    `_depth_step` of the stack `theta` hold, outside its plan, its scene and
+    the objectives' flow sides, and the pixels of its lanes."""
+    roots = []
+    backward = ad.backward
+    ad.backward = lambda root: roots.append(root) or backward(root)
+    try:
+        optim._depth_step(objectives, theta, optim._decode_values(theta), it)
+    finally:
+        ad.backward = backward
+    held, owned, seen, stack = {}, {}, set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node._id not in seen:
+            seen.add(node._id)
+            _arrays_in(node._vjp, held, set())
+            stack += [parent for parent, _ in node._parents]
+    plan = objectives[0].plan
+    _arrays_in([plan, objectives[0].bundle, [(o.geo, o.div_f, o.flow_mask) for o in objectives]],
+               owned, set(), True)
+    return sum(a.nbytes for key, a in held.items() if key not in owned), theta.size
+
+
 class TestPlan:
     """The plan `_DepthObjective` builds once per run, and the raw-array
     co-adjustment loop: same losses, same checks, fewer tape nodes."""
@@ -612,6 +663,36 @@ class TestPlan:
         before = ad._counter
         optim._depth_step([objective], theta, optim._decode_values(theta), it)
         assert ad._counter - before <= 6
+
+    def test_step_closure_bytes(self):
+        # distinct bytes the vjp closures of one step hold per lane-pixel,
+        # besides the plan and the scene: 267 for an active recover step at
+        # 96x72 and 222 for a post-fork four-lane step of the CLI's 2x2 grid
+        # at 48x36 while the nodes kept every forward intermediate (the SSIM
+        # box block behind mu_a, each channel's map, the float live masks of
+        # the warp, its transformed points, num, den and the L1 difference,
+        # the DPC node's whole depth side); each count repeats exactly
+        ego = RigidMotion(np.eye(3), README_T)
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 48.0, 36.0), ego, 72, 96)
+        config = OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=300, seed=1)
+        objective = objective_of(bundle, config)
+        theta = optim._initial_theta(bundle, config, np.random.default_rng(1))[None]
+        it = objective.dpc_active_after
+        held, pixels = closure_bytes([objective], theta, it)
+        assert (held, pixels) == closure_bytes([objective], theta, it)
+        assert held == 132 * pixels
+
+        bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 24.0, 18.0), ego, 36, 48)
+        configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
+                   for wc in (0.0, 0.5) for wd in (0.0, 0.1)]
+        plan = optim._Plan(bundle, configs)
+        objectives = [optim._DepthObjective(bundle, c, plan) for c in configs]
+        theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
+                          for c in configs])
+        it = objectives[0].dpc_active_after
+        held, pixels = closure_bytes(objectives, theta, it)
+        assert (held, pixels) == closure_bytes(objectives, theta, it)
+        assert held == 743168 and pixels == 4 * 36 * 48  # 107.5 per lane-pixel
 
     def test_dpc_active_step_call_budget(self, rotating):
         # Python calls and calls of C functions (`sys.setprofile` "call" and
@@ -723,16 +804,19 @@ class TestPlan:
         }
 
     def test_records_before_the_flow_phase_carry_bsca(self, rotating, monkeypatch):
-        # the flow phase starts at iteration 3 of 20; record 0 evaluates bsca
-        # off the tape, equal to bsca_loss's node, and the node is still
-        # built only by the 17 flow steps
-        calls = []
+        # the flow phase starts at iteration 3 of 20; record 0 and the final
+        # record evaluate bsca_core off the tape, at constant flows, equal to
+        # bsca_loss's node, and the node is on the tape only in the 17 flow
+        # steps
+        calls = []  # per bsca_core call: is its optical flow on the tape
         real_bsca = optim.bsca_core
-        monkeypatch.setattr(optim, "bsca_core", lambda *a: calls.append(1) or real_bsca(*a))
+        monkeypatch.setattr(optim, "bsca_core",
+                            lambda *a: calls.append(ad.active(a[2])) or real_bsca(*a))
         b = rotating
         config = OptimConfig(w_c=1.0, w_d=0.1, w_b=1.0, iterations=20, record_every=5, seed=3)
         trace = co_adjust(b, config)
-        assert int(optim.FLOW_START_FRACTION * config.iterations) == 3 and len(calls) == 17
+        assert int(optim.FLOW_START_FRACTION * config.iterations) == 3
+        assert calls == [False] + [True] * 17 + [False]
         assert [r.iteration for r in trace.records] == [0, 5, 10, 15, 20]
         assert all(np.isfinite(r.losses["bsca"]) for r in trace.records)
         depth = DepthMap(np.exp(optim._initial_theta(b, config, np.random.default_rng(3))))
@@ -740,16 +824,18 @@ class TestPlan:
         assert trace.records[0].losses["bsca"] == first
 
     def test_co_adjust_rejects_nonfinite_flow_at_first_flow_step(self, small_static, monkeypatch):
-        calls = []
+        calls = []  # per bsca_core call: is its optical flow on the tape
         real_bsca = optim.bsca_core
-        monkeypatch.setattr(optim, "bsca_core", lambda *a: calls.append(1) or real_bsca(*a))
+        monkeypatch.setattr(optim, "bsca_core",
+                            lambda *a: calls.append(ad.active(a[2])) or real_bsca(*a))
         # a flow step of infinite size leaves non-finite flow on valid pixels
         config = OptimConfig(
             w_c=1.0, w_d=0.1, w_b=1e300, flow_learning_rate=1e300, iterations=40, seed=0
         )
         with pytest.raises(ValueError, match="^flow contains non-finite values on valid pixels$"):
             co_adjust(small_static, config)
-        assert len(calls) == 1
+        # record 0 off the tape, then the one flow step
+        assert calls == [False, True]
 
     def test_co_adjust_rejects_vanishing_depth_before_a_step(self, small_static, monkeypatch):
         steps = []
