@@ -497,18 +497,31 @@ def _axis_diff(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def stencil_validity(mask) -> np.ndarray:
+    """Where a result of `_axis_diff` along both grid axes (the last two)
+    is valid: the AND of `mask` over the pixel and each entry the stencils
+    read there. A full mask stays full."""
+    m = np.asarray(mask, bool)
+    out = m.copy()
+    out[..., 1:, :] &= m[..., :-1, :]
+    out[..., :-1, :] &= m[..., 1:, :]
+    out[..., 1:] &= m[..., :-1]
+    out[..., :-1] &= m[..., 1:]
+    return out
+
+
 @np.errstate(invalid="ignore")  # the stencils read inf at masked-out pixels
 def divergence(flow: FlowField) -> ScalarField:
     """Discrete flow divergence,
     div F(u, v) = -F_u(u-1, v) + F_u(u+1, v) + F_v(u, v+1) - F_v(u, v-1),
     i.e. twice the analytic divergence; border pixels use one-sided
-    differences scaled by 2."""
+    differences scaled by 2. Valid where `stencil_validity` holds."""
     H, W = flow.shape
     if H < 3 or W < 3:
         raise DimensionError("divergence needs at least a 3x3 grid")
     return ScalarField(
         _axis_diff(flow.values[..., 0], axis=1) + _axis_diff(flow.values[..., 1], axis=0),
-        flow.mask.copy(),
+        stencil_validity(flow.mask),
     )
 
 

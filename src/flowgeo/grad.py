@@ -9,15 +9,17 @@ relation) take it from `geometry.inverse_translation`, -R^T t on tape, so
 pose gradients include that dependency. The float motions of `geometry`
 evaluate the same expressions, so their values match the tape's bit for
 bit. Geometric depth is differentiable in pose and flow by default;
-`stop_gradient_geo=True` makes it the constant `triangulate_values` gives
-for the inputs' own twist and flow, in every build.
+`stop_gradient_geo=True` makes it the constant depth of the inputs' own
+twist and flow, in every build.
 
-Each loss term has one builder (`_TERMS`), and the checker and the
-descent both call it: `build_loss` on a `_TapePlan`, `optim._terms` on the
-numpy `optim._Plan`. The term itself is one tape node (`losses`, and
-`warp_graph` here for the photometric warp); in a `_TapePlan` the rotation,
-the rays, the triangulated depth, the rotational flow and the offsets that
-feed it from the pose and the flow are composed graphs of elementary ops.
+Each loss term has one builder (`_TERMS`), and every builder reads a
+`LossPlan`: the checker's `build_loss` and the descent's `optim._terms`
+call the same builders on plans of one class, so `grad-check` certifies
+the nodes the descent steps on. The term itself is one tape node
+(`losses`, and `warp_graph` here for the photometric warp); in the
+checker's plans, whose twist and flow are leaves, the rotation, the rays,
+the triangulated depth, the rotational flow and the offsets that feed it
+are composed graphs of elementary ops.
 
 Masks (behind-camera, out-of-image, degeneracy) are treated as constants
 of each forward pass; the checker detects coordinates whose perturbation
@@ -34,7 +36,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NoValidPixelsError
+from .errors import FlowGeoError, NoValidPixelsError
 from .geometry import (
     Z_EPS,
     CameraGrid,
@@ -43,9 +45,12 @@ from .geometry import (
     FlowField,
     Image,
     TwistParams,
+    _require_depth,
     interior_mask,
     inverse_translation,
     rotation_rows,
+    rotational_flow,
+    stencil_validity,
 )
 from .losses import (
     bsca_core,
@@ -58,7 +63,7 @@ from .losses import (
     reference_channels,
     smoothness_core,
 )
-from .triangulate import depth_from_ratio, triangulate_values, triangulation_ratio
+from .triangulate import depth_from_ratio, triangulation_ratio
 
 FLOW_SAMPLES = 32  # flow pixels the checker perturbs when "flow" is a target
 
@@ -163,21 +168,14 @@ def warp_graph(camera, image, t, depth, grid, rays):
     return ad.Var(out, links, vjp), (y2 > Z_EPS) & inside
 
 
-def triangulate_graph(camera, R, t, f_u, f_v, flow_mask):
-    """Geometric depth as a tape node; returns (depth, validity const),
-    the validity by `depth_from_ratio`'s rule."""
-    num, den = triangulation_ratio(camera, R, t, ad.as_var(f_u), ad.as_var(f_v))
-    _, validity, _ = depth_from_ratio(num.value, den.value, flow_mask)
-    return ad.div(num, den), validity
-
-
 # ---------------------------------------------------------------------------
 # loss graph assembly
 #
 # A term builder takes a plan, the depth (a leaf, or a lane stack of them)
 # and the part of a flow side it reads, and returns (node, mask); the node
 # is None when some lane's mask is empty. cgdc's mask is the triangulation
-# validity, which both plans have checked.
+# validity, which the plan has checked, and dpc's starts from where the
+# plan's divergence may be valid.
 
 
 def _photometric_term(plan, depth):
@@ -191,9 +189,10 @@ def _cgdc_term(plan, depth, d_g, valid):
     return cgdc_core(d_g, depth, valid), valid
 
 
-def _dpc_term(plan, depth, div_f, flow_mask):
-    side = differential_depth_side(plan.t_ego[2], depth, *plan.q, div_f, interior=plan.interior)
-    mask = side.validity & (np.abs(side.c_d) >= plan.dpc_floor) & flow_mask
+def _dpc_term(plan, depth, div_f, valid):
+    t3, q_u, q_v = plan.q
+    side = differential_depth_side(t3, depth, q_u, q_v, div_f, valid=valid)
+    mask = side.validity & (np.abs(side.c_d) >= plan.dpc_floor)
     return (dpc_core(side, mask) if mask.any(axis=(-2, -1)).all() else None), mask
 
 
@@ -208,16 +207,15 @@ def _smoothness_term(plan, depth):
 
 
 # loss id -> (builder, the part of a flow side it reads (None: none), the
-# `LossInputs` fields it needs, the error without them, the error of an
-# empty mask)
+# plan fields it needs, the error without them, the error of an empty mask)
 _TERMS = {
     "photometric": (_photometric_term, None, ("image_t", "image_s"),
                     "photometric loss needs both images",
                     "photometric: warp produced no valid pixels"),
-    "cgdc": (_cgdc_term, attrgetter("geo"), ("flow",), "cgdc loss needs the flow prior", None),
-    "dpc": (_dpc_term, attrgetter("div_f", "flow_mask"), ("flow",),
+    "cgdc": (_cgdc_term, attrgetter("geo"), ("f_u",), "cgdc loss needs the flow prior", None),
+    "dpc": (_dpc_term, attrgetter("div"), ("f_u",),
             "dpc loss needs the flow prior", "dpc: no valid pixels"),
-    "bsca": (_bsca_term, attrgetter("f_u", "f_v", "flow_mask"), ("flow",),
+    "bsca": (_bsca_term, attrgetter("f_u", "f_v", "flow_mask"), ("f_u",),
              "bsca loss needs the flow prior", "bsca: no valid pixels"),
     "smoothness": (_smoothness_term, None, ("image_t",),
                    "smoothness loss needs the target image", None),
@@ -225,49 +223,36 @@ _TERMS = {
 LOSS_IDS = tuple(_TERMS)
 
 
-class _TapePlan:
-    """The checker's plan of one loss term on `LossInputs` with twist and
-    flow overrides: what the term reads besides the depth, as graphs over
-    the twist and flow leaves. The rotation, t and the rays are built at
-    once; the SSIM statistics, cgdc's triangulated depth (with
-    `stop_gradient_geo`, the constant `triangulate_values` of the inputs'
-    own twist and flow) and dpc's t_ego, offsets and divergence of the flow
-    minus the rotational flow on the term's first read. The masks are
-    `optim._Plan`'s with the depth's mask ANDed in, and a DPC floor of 0."""
+def _lanes_of(stack, n):
+    """The n lanes' arrays of a lane stack (see `optim._stacked`)."""
+    return [stack] if n == 1 else list(stack)
 
-    def __init__(self, loss_id, inputs: LossInputs, overrides: dict, stop_gradient_geo: bool):
-        if loss_id not in _TERMS:
-            raise ValueError(f"unknown loss id {loss_id!r}")
-        build, part, needs, missing, empty = _TERMS[loss_id]
-        if any(getattr(inputs, name) is None for name in needs):
-            raise ValueError(missing)
-        self.term = build, part, empty
-        self.inputs, self.stop_gradient_geo = inputs, stop_gradient_geo
-        self.camera, shape = inputs.camera, inputs.depth.shape
-        self.grid, self.interior = CameraGrid.of(inputs.camera, *shape), interior_mask(*shape)
-        xi = [ad.Var(float(x)) for x in np.asarray(overrides.get("twist", inputs.twist.values),
-                                                   dtype=float)]
-        self.leaves = {"twist": xi}
-        self.R, self.t = rotation_entries(xi[0], xi[1], xi[2]), (xi[3], xi[4], xi[5])
-        self.rays = self.grid.rays(self.R)
-        self.image_s, self.image_t = (None if image is None else image.values
-                                      for image in (inputs.image_s, inputs.image_t))
-        self.depth_mask, self.dpc_floor = inputs.depth.mask, 0.0
-        if inputs.flow is not None:
-            values = overrides.get("flow", inputs.flow.values)
-            self.f_u, self.f_v = self.leaves["flow"] = tuple(
-                ad.Var(np.asarray(values[..., i], dtype=float)) for i in (0, 1))
-            self.flow_mask = inputs.flow.mask & inputs.depth.mask
 
-    def build(self, depth_values):
-        """(loss Var, leaves dict, mask) of the term at a depth leaf of
-        `depth_values`."""
-        build, part, empty = self.term
-        d = ad.Var(np.asarray(depth_values, dtype=float))
-        loss, mask = build(self, d, *(part(self) if part else ()))
-        if loss is None:
-            raise NoValidPixelsError(empty)
-        return loss, {"depth": d, **self.leaves}, mask
+def _raised(part):
+    """`part`, unless it is the error its checks gave: that is raised."""
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
+class LossPlan:
+    """What the loss terms read besides the depth, for one pose (the warp
+    R as rows and t, and the source-to-target `t_ego`) and one flow: the
+    descent's, of constants, shared by a scene's lanes, or the checker's,
+    of twist and flow leaves. The rays R . [xn, yn, 1] are built at once,
+    each other part on its first read, and a part whose checks fail raises
+    at each read. A part is a tape graph where its inputs are on the tape
+    (`ad.active`), else arrays: the rotational flow of a constant rotation
+    is `geometry.rotational_flow`, None for the identity. The grids have
+    no lane axis; `geo_lanes` and `div_lanes` take lane stacks."""
+
+    def __init__(self, camera, R, t, t_ego, image_t, image_s, f_u, f_v, flow_mask, depth_mask,
+                 dpc_floor, geo_plan=None):
+        self.camera, self.R, self.t, self.t_ego = camera, R, t, t_ego
+        self.image_t, self.image_s, self.f_u, self.f_v = image_t, image_s, f_u, f_v
+        self.flow_mask, self.depth_mask, self.dpc_floor = flow_mask, depth_mask, dpc_floor
+        self.geo_plan, self.grid = geo_plan, CameraGrid.of(camera, *flow_mask.shape)
+        self.rays = self.grid.rays(R)
 
     @cached_property
     def reference(self):
@@ -275,39 +260,102 @@ class _TapePlan:
 
     @cached_property
     def geo(self):
-        flow = self.inputs.flow
-        if self.stop_gradient_geo:
-            d_g, validity, _ = triangulate_values(self.camera, self.inputs.twist.to_motion(),
-                                                  flow.values[..., 0], flow.values[..., 1],
-                                                  flow.mask)
-        else:
-            d_g, validity = triangulate_graph(self.camera, self.R, self.t, self.f_u, self.f_v,
-                                              flow.mask)
-        mask = validity & self.depth_mask
-        if not mask.any():
-            raise NoValidPixelsError("cgdc: no valid triangulated pixels")
-        return d_g, mask
+        if self.geo_plan is not None:
+            return self.geo_plan.geo
+        return _raised(self.geo_lanes(self.f_u, self.f_v, self.flow_mask, 1)[0])
 
     @cached_property
-    def t_ego(self):
-        return inverse_translation(self.R, self.t)
+    def q(self):  # (t3, q_u, q_v); the checker's t_ego (None) is -R^T t
+        t_ego = inverse_translation(self.R, self.t) if self.t_ego is None else self.t_ego
+        return (t_ego[2], *differential_offsets(self.camera, t_ego, self.grid))
 
     @cached_property
-    def q(self):
-        return differential_offsets(self.camera, self.t_ego, self.grid)
+    def rotation(self):  # the rigid flow of a unit depth under (R, 0)
+        if ad.active(self.rays[0]):
+            return rigid_flow_terms(self.camera, self.rays, (0.0, 0.0, 0.0), ad.as_var(1.0),
+                                    self.grid)[3:]
+        if np.abs(self.R - np.eye(3)).max() <= 1e-14:
+            return None
+        values = rotational_flow(self.camera, self.R, *self.flow_mask.shape).values
+        return values[..., 0], values[..., 1]
 
     @cached_property
-    def div_f(self):
-        # the rotational flow is the rigid flow of a unit depth under (R, 0)
-        _, _, _, r_u, r_v = rigid_flow_terms(self.camera, self.rays, (0.0, 0.0, 0.0),
-                                             ad.as_var(1.0), self.grid)
-        return differential_flow_side(ad.sub(self.f_u, r_u), ad.sub(self.f_v, r_v))
+    def div(self):
+        return _raised(self.div_lanes(self.f_u, self.f_v, self.flow_mask, 1)[0])
+
+    def geo_lanes(self, f_u, f_v, masks, n):
+        """Per lane of n lanes of flow components and masks (a grid for one
+        lane): the triangulated (depth, validity), or its FlowGeoError."""
+        num, den = triangulation_ratio(self.camera, self.R, self.t, f_u, f_v, self.grid, self.rays)
+        depth, validity, _ = depth_from_ratio(ad.value_of(num), ad.value_of(den), masks)
+        d_g = ad.div(num, den) if ad.active(num) else depth
+        parts = []
+        for lane_depth, valid, part in zip(_lanes_of(depth, n), _lanes_of(validity, n),
+                                           _lanes_of(d_g, n)):
+            try:
+                _require_depth(lane_depth, valid)
+                if not valid.any():
+                    raise NoValidPixelsError("triangulation produced no valid pixels")
+                parts.append((part, valid))
+            except FlowGeoError as exc:
+                parts.append(exc)
+        return parts
+
+    def div_lanes(self, f_u, f_v, masks, n):
+        """Per lane of `geo_lanes`' inputs: the divergence of the flow less
+        the rotational flow, and where C^F may be valid (off the border,
+        where the stencils read valid flow); or the grid's error."""
+        if self.rotation is not None:
+            f_u, f_v = f_u - self.rotation[0], f_v - self.rotation[1]
+        try:
+            div_f = differential_flow_side(f_u, f_v)
+        except (FlowGeoError, ValueError) as exc:
+            return [exc] * n
+        valid = stencil_validity(masks) & interior_mask(*self.flow_mask.shape)
+        return list(zip(_lanes_of(div_f, n), _lanes_of(valid, n)))
+
+
+def _leaf_plan(inputs: LossInputs, overrides: dict, geo_plan=None, leaf=ad.Var):
+    """(plan, leaves): the checker's plan of `inputs`, its twist and flow
+    `leaf`s of the override values or the inputs' own, the depth's mask
+    ANDed into the flow's, and a DPC floor of 0."""
+    xi = [leaf(float(x)) for x in overrides.get("twist", inputs.twist.values)]
+    R, t, leaves = rotation_entries(xi[0], xi[1], xi[2]), (xi[3], xi[4], xi[5]), {"twist": xi}
+    f_u, f_v, mask = None, None, inputs.depth.mask
+    if inputs.flow is not None:
+        values = overrides.get("flow", inputs.flow.values)
+        f_u, f_v = leaves["flow"] = tuple(
+            leaf(np.asarray(values[..., i], dtype=float)) for i in (0, 1))
+        mask = inputs.flow.mask & mask
+    images = (getattr(image, "values", None) for image in (inputs.image_t, inputs.image_s))
+    return LossPlan(inputs.camera, R, t, None, *images, f_u, f_v, mask, inputs.depth.mask, 0.0,
+                    geo_plan), leaves
+
+
+def _geo_plan(inputs: LossInputs, stop_gradient_geo: bool):
+    """The constant plan whose geometric depth the checker's plans read."""
+    return _leaf_plan(inputs, {}, leaf=ad.as_var)[0] if stop_gradient_geo else None
+
+
+def _build(plan, loss_id, depth_values):
+    """(loss Var, depth leaf, mask) of the term `loss_id` on `plan` at a
+    depth leaf of `depth_values`."""
+    if loss_id not in _TERMS:
+        raise ValueError(f"unknown loss id {loss_id!r}")
+    build, part, needs, missing, empty = _TERMS[loss_id]
+    if any(getattr(plan, name) is None for name in needs):
+        raise ValueError(missing)
+    d = ad.Var(np.asarray(depth_values, dtype=float))
+    loss, mask = build(plan, d, *(part(plan) if part else ()))
+    if loss is None:
+        raise NoValidPixelsError(empty)
+    return loss, d, mask
 
 
 def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
                stop_gradient_geo: bool = False):
     """Assemble the graph for one loss: its term builder, the one the
-    descent steps on, on a `_TapePlan` of its own.
+    descent steps on, on a `LossPlan` of its own.
 
     `overrides` maps "depth", "twist" or "flow" to values that replace the
     input's. With `stop_gradient_geo`, cgdc's geometric depth is the
@@ -315,8 +363,9 @@ def build_loss(loss_id, inputs: LossInputs, overrides: dict | None = None,
     overrides. Returns (loss Var, leaves dict, mask ndarray).
     """
     overrides = overrides or {}
-    plan = _TapePlan(loss_id, inputs, overrides, stop_gradient_geo)
-    return plan.build(overrides.get("depth", inputs.depth.values))
+    plan, leaves = _leaf_plan(inputs, overrides, _geo_plan(inputs, stop_gradient_geo))
+    loss, d, mask = _build(plan, loss_id, overrides.get("depth", inputs.depth.values))
+    return loss, {"depth": d, **leaves}, mask
 
 
 def _grad_or_zero(var):
@@ -390,13 +439,14 @@ def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twis
     its value under the base twist and flow (see `build_loss`), as the
     analytic gradient does. Each build uses the term builder of
     `build_loss`: the base build and every +- build of a depth coordinate
-    share one `_TapePlan`, and each +- build of a twist or flow coordinate
+    share one `LossPlan`, and each +- build of a twist or flow coordinate
     makes its own.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    plan = _TapePlan(loss_id, inputs, {}, stop_gradient_geo)
-    loss, leaves, base_mask = plan.build(inputs.depth.values)
+    geo_plan = _geo_plan(inputs, stop_gradient_geo)
+    plan, leaves = _leaf_plan(inputs, {}, geo_plan)
+    loss, d, base_mask = _build(plan, loss_id, inputs.depth.values)
     ad.backward(loss)
 
     # one (target, label, analytic, index) per checked coordinate; the rng
@@ -411,7 +461,7 @@ def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twis
         if len(ok) == 0:
             raise NoValidPixelsError("no valid pixels to sample")
         picks = ok[rng.choice(len(ok), size=min(depth_samples, len(ok)), replace=False)]
-        grad = np.asarray(_grad_or_zero(leaves["depth"]))
+        grad = np.asarray(_grad_or_zero(d))
         coords += [("depth", f"pixel({vx},{vy})", float(grad[vy, vx]), (vy, vx))
                    for vy, vx in picks]
     if "flow" in targets and inputs.flow is not None:
@@ -432,10 +482,10 @@ def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twis
             values = base[target].values.copy()
             values[index] += delta
             if target == "depth":  # the base plan: it holds no depth
-                var, _, mask = plan.build(values)
+                var, _, mask = _build(plan, loss_id, values)
             else:
-                row_plan = _TapePlan(loss_id, inputs, {target: values}, stop_gradient_geo)
-                var, _, mask = row_plan.build(inputs.depth.values)
+                row_plan, _ = _leaf_plan(inputs, {target: values}, geo_plan)
+                var, _, mask = _build(row_plan, loss_id, inputs.depth.values)
             f.append(float(var.value))
             flipped = flipped or not np.array_equal(mask, base_mask)
         numeric = (f[0] - f[1]) / (2.0 * step)

@@ -55,6 +55,7 @@ from .geometry import (
     ScalarField,
     _axis_diff,
     interior_mask,
+    stencil_validity,
 )
 from .triangulate import TriangulationResult
 
@@ -263,22 +264,15 @@ def cgdc_core(d_g, d_c, mask):
     return ad.Var(value, [d_c, d_g, d_c], vjp)
 
 
-def _require_forward_translation(t3):
-    """Raise DegenerateTranslationError where |t3| <= EPS_T3: the
-    divergence relation and the offsets of C^D divide by t3."""
-    if abs(t3) <= EPS_T3:
-        raise DegenerateTranslationError(
-            f"|t3| = {abs(t3):.3g} is too small for the divergence relation"
-        )
-
-
 def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
     """The pose half of C^D as tape nodes: the offset field
     (q_u, q_v) = (u - cx - fx t1/t3, v - cy - fy t2/t3). A forward
-    translation |t3| <= EPS_T3 raises DegenerateTranslationError, as in
-    `differential_fields`."""
+    translation |t3| <= EPS_T3 raises DegenerateTranslationError: the
+    offsets and the divergence relation divide by t3."""
     t1, t2, t3 = (ad.as_var(t) for t in t_ego)
-    _require_forward_translation(t3.value)
+    if abs(t3.value) <= EPS_T3:
+        raise DegenerateTranslationError(
+            f"|t3| = {abs(t3.value):.3g} is too small for the divergence relation")
     q_u = ad.sub(grid.uc, ad.mul(camera.fx, ad.div(t1, t3)))
     q_v = ad.sub(grid.vc, ad.mul(camera.fy, ad.div(t2, t3)))
     return q_u, q_v
@@ -308,7 +302,7 @@ class DepthSide:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
+def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, valid=None):
     """The depth half of C^F and C^D from the `differential_offsets` and
     the `differential_flow_side`:
 
@@ -316,9 +310,9 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
         c_d = -(q_u dD/du + q_v dD/dv) / (D - t3),
 
     with the discrete stencil of D, or the analytic `depth_gradient`
-    scaled x2 into the stencil convention. Validity excludes the border
-    and |D - t3| < EPS_GEO. `interior` is the `interior_mask` of the grid,
-    if the caller holds it. D may be a lane stack (k, H, W) of depths. The
+    scaled x2 into the stencil convention. Validity is `valid` (by default
+    the `interior_mask` of the grid) without the pixels where |D - t3| <
+    EPS_GEO. D may be a lane stack (k, H, W) of depths. The
     values are plain arrays; `dpc_core` turns them into the DPC tape node."""
     t3_v, d_v = ad.value_of(t3), np.asarray(ad.value_of(d_c), dtype=float)
     qu_v, qv_v, div_v = ad.value_of(q_u), ad.value_of(q_v), ad.value_of(div_f)
@@ -332,9 +326,9 @@ def differential_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, inter
         g_u, g_v = 2.0 * depth_gradient[..., 0], 2.0 * depth_gradient[..., 1]
     neg = (qu_v * g_u + qv_v * g_v) * -1.0
     c_d = neg / shifted
-    if interior is None:
-        interior = interior_mask(*d_v.shape[-2:])
-    validity = interior & (np.abs(shifted) >= EPS_GEO)
+    if valid is None:
+        valid = interior_mask(*d_v.shape[-2:])
+    validity = valid & (np.abs(shifted) >= EPS_GEO)
     return DepthSide(c_f, c_d, validity, (t3, d_c, q_u, q_v, div_f),
                      (t3_v, d_v, qu_v, qv_v, div_v, shifted, ratio, g_u, g_v, neg))
 
@@ -574,16 +568,16 @@ def differential_fields(camera: CameraIntrinsics, motion: RigidMotion, d_c: Dept
     `motion` carries the source-to-target ego translation (t1, t2, t3)
     that parameterizes the flow/depth relation; `f_tra` is the
     translational flow. Validity excludes the image border (central
-    stencils only) and pixels with |D - t3| < EPS_GEO.
+    stencils only), pixels with |D - t3| < EPS_GEO, and pixels whose
+    stencils read a masked-out flow or depth (`stencil_validity`).
     """
     t = motion.translation
-    _require_forward_translation(t[2])
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
     side, q_u, q_v = differential_fields_core(camera, (t[0], t[1], t[2]), d_c.values,
                                               f_tra.values[..., 0], f_tra.values[..., 1],
                                               depth_gradient)
-    validity = side.validity & f_tra.mask & d_c.mask
+    validity = side.validity & stencil_validity(f_tra.mask & d_c.mask)
     q = np.stack([q_u.value, q_v.value], axis=-1)
     return DifferentialFields(
         c_f=ScalarField(side.c_f, validity),

@@ -49,15 +49,13 @@ there and joins the stack with a copy of its theta and flow and the
 records so far (without their dpc value when its w_d is 0).
 
 Each loss term's node comes from the term builder of `grad` that
-`grad.build_loss` and the gradient checker call too, so `grad-check`
-certifies the nodes of this objective. The work of a step that does not
-depend on the log-depth theta (the pixel grid and rotated rays, the DPC
-offsets and interior mask, the rotational flow, the SSIM statistics of
-the target image, the flow side of the scene's flow) is done once per
-scene, in the `_Plan` its lanes share.
-`_set_flows` refreshes only what depends on a co-adjusted flow: the
-triangulated depth and its validity, and the divergence of the
-translational flow.
+`grad.build_loss` and the gradient checker call too, on a `grad.LossPlan`
+as here, so `grad-check` certifies the nodes of this objective. The work
+of a step that does not depend on the log-depth theta is done once per
+scene, in the plan its lanes share, each part on the first read of a
+lane that needs it. `_set_flows` refreshes only what depends on a
+co-adjusted flow: the triangulated depth and its validity, and the
+divergence of the translational flow.
 
 Reductions and updates are sequential and seeded, so a run is
 bit-reproducible for a fixed config.
@@ -78,31 +76,24 @@ from .errors import (
     DegenerateTranslationError,
     FlowGeoError,
     InvalidDepthError,
-    NoValidPixelsError,
 )
 from .geometry import (
     FLOW_NOT_FINITE,
-    CameraGrid,
     DepthMap,
     FlowField,
     _clamp,
     _require_depth,
     _require_finite,
-    interior_mask,
     rigid_flow_values,
-    rotational_flow,
 )
-from .grad import _TERMS
+from .grad import _TERMS, LossPlan, _lanes_of
 from .losses import (
     DepthMetrics,
     bsca_core,
     depth_metrics,
-    differential_flow_side,
-    differential_offsets,
-    reference_channels,
 )
 from .scene import SceneBundle
-from .triangulate import triangulate_depth, triangulate_values
+from .triangulate import triangulate_depth
 
 DPC_LR_SCALE = 0.02  # step scale once the divergence-correlation term is on
 DPC_FLOOR = 0.02  # |C^D| below this is excluded from the optimized mean
@@ -217,8 +208,9 @@ def _pin_heap() -> bool:
     the heap and the freed heap top stays mapped. Left to glibc's dynamic
     thresholds, a run that frees a few hundred kB at once hands the heap
     top back to the kernel every iteration and faults it in again on the
-    next one. The setting is process-wide; every `_Plan` makes it, so
-    library callers of the descent loops get it as the CLI does.
+    next one. The setting is process-wide; every `_Stack` makes it, so
+    library callers of the descent loops get it as the CLI does, and the
+    gradient checker leaves it alone.
     Returns False (and does nothing) without glibc."""
     try:
         libc = ctypes.CDLL(None)
@@ -231,88 +223,13 @@ def _pin_heap() -> bool:
         mallopt(M_TRIM_THRESHOLD, 2 * HEAP_PIN_BYTES))
 
 
-class _Plan:
-    """The work of a step that depends on neither theta nor the config, for
-    one scene, built once per `_Stack` and shared by all its lanes: the
-    `CameraGrid` (pixels, centred pixels, normalized rays) and the rows
-    R . [xn, yn, 1] of the warp rotation that triangulation and the
-    photometric rigid flow share, and the flow side of the scene's flow
-    (`flow_sides`); then, only when one of `configs` has the term that
-    reads them, the SSIM statistics of the fixed target image (w_p), the
-    triangulated depth of the scene's flow (w_c), and the DPC offsets
-    q_u/q_v, interior mask, rotational flow when the ego-motion rotates and
-    divergence of the scene's translational flow (w_d); a scene whose
-    forward translation is too small for the offsets (|t3| <= EPS_T3) holds
-    their `DegenerateTranslationError` as its divergence, and each run with
-    w_d > 0 raises it at its start. Its grids have no
-    lane axis: they broadcast against a stack of several lanes, and a stack
-    of one steps on its grid itself (see `_stacked`). The term builders of
-    `grad` read it as the checker's `grad._TapePlan`, with no depth mask and
-    the DPC floor `DPC_FLOOR`."""
-
-    def __init__(self, bundle: SceneBundle, configs):
-        _pin_heap()
-        self.camera, self.motion = bundle.camera, bundle.motion
-        self.grid = CameraGrid.of(bundle.camera, *bundle.shape)
-        self.rays = self.grid.rays(bundle.motion.rotation)
-        self.t = bundle.motion.translation
-        self.image_s, self.image_t = bundle.image_s.values, bundle.image_t.values
-        self.depth_mask, self.dpc_floor = True, DPC_FLOOR
-        w_c, w_d, w_p = (any(getattr(config, name) > 0 for config in configs)
-                         for name in ("w_c", "w_d", "w_p"))
-        self.reference = reference_channels(self.image_t) if w_p else None
-        self.rotation = None  # rotational flow values, when the dpc term needs them
-        degenerate = None  # the error of offsets without a forward translation
-        if w_d:
-            self.t_ego = tuple(ad.as_var(t) for t in bundle.ego_motion.translation)
-            try:
-                self.q = differential_offsets(self.camera, self.t_ego, self.grid)
-            except DegenerateTranslationError as exc:
-                degenerate = exc
-            self.interior = interior_mask(*bundle.shape)
-            if np.abs(bundle.ego_motion.rotation - np.eye(3)).max() > 1e-14:
-                self.rotation = rotational_flow(self.camera, self.motion.rotation,
-                                                *bundle.shape).values
-        flow = bundle.flow_gt
-        self.flow_mask = flow.mask
-        geo, div = self.flow_sides(flow.values[None], flow.mask[None], [0] if w_c else [],
-                                   [0] if w_d else [])
-        self.scene_geo = geo.get(0)
-        self.scene_div = div.get(0) if degenerate is None else degenerate
-
-    def flow_sides(self, values, masks, geo_rows, div_rows):
-        """The flow side of a lane stack of flows (values (k, H, W, 2),
-        masks (k, H, W)), as {lane: part}: for each lane of `geo_rows` its
-        triangulated (depth, validity), for each lane of `div_rows` the
-        divergence of its translational flow, or the error its checks
-        raise instead."""
-        f_u, f_v = values[..., 0], values[..., 1]
-        geo, div = {}, {}
-        if geo_rows:
-            depth, validity, _ = triangulate_values(
-                self.camera, self.motion, _pick(f_u, geo_rows), _pick(f_v, geo_rows),
-                _pick(masks, geo_rows), self.grid, self.rays,
-            )
-            n = len(geo_rows)
-            for i, lane_depth, valid in zip(geo_rows, _lanes_of(depth, n), _lanes_of(validity, n)):
-                try:
-                    _require_depth(lane_depth, valid)
-                    if not valid.any():
-                        raise NoValidPixelsError("triangulation produced no valid pixels")
-                    geo[i] = lane_depth, valid
-                except FlowGeoError as exc:
-                    geo[i] = exc
-        if div_rows:
-            f_u, f_v = _pick(f_u, div_rows), _pick(f_v, div_rows)
-            if self.rotation is not None:
-                f_u = f_u - self.rotation[..., 0]
-                f_v = f_v - self.rotation[..., 1]
-            try:
-                div_f = differential_flow_side(f_u, f_v)
-                div = dict(zip(div_rows, _lanes_of(div_f, len(div_rows))))
-            except (FlowGeoError, ValueError) as exc:  # the grid's, so every lane's
-                div = {i: exc for i in div_rows}
-        return geo, div
+def _plan(bundle: SceneBundle) -> LossPlan:
+    """The plan of a scene's descent, shared by the lanes of its `_Stack`:
+    no depth mask, and the DPC floor `DPC_FLOOR`."""
+    motion, flow = bundle.motion, bundle.flow_gt
+    return LossPlan(bundle.camera, motion.rotation, motion.translation,
+                    bundle.ego_motion.translation, bundle.image_t.values, bundle.image_s.values,
+                    flow.values[..., 0], flow.values[..., 1], flow.mask, True, DPC_FLOOR)
 
 
 # Lane stacks: the lanes' grids stacked along a leading axis, and a stack of
@@ -335,11 +252,6 @@ def _pick(array, rows):
     return array if len(rows) == len(array) else array[rows]
 
 
-def _lanes_of(stack, n):
-    """The n lanes' arrays of a lane stack (see `_stacked`)."""
-    return [stack] if n == 1 else list(stack)
-
-
 def _lane_values(value):
     """The per-lane values of a loss node over a lane stack, as floats."""
     return [value] if type(value) is float else value.tolist()
@@ -357,11 +269,10 @@ def _lane_stacks(parts):
 
 
 class _DepthObjective:
-    """What one config's run steps on: its config, the shared `_Plan` of its
-    scene and the flow side of its flow (the triangulated depth and its
-    validity when w_c > 0, the divergence of the translational flow when
-    w_d > 0, and the flow's valid mask). A run on the scene's flow takes the
-    plan's flow side; `fork` hands a forked run the side of its lead, and
+    """What one config's run steps on: its config, the shared `LossPlan` of
+    its scene and the flow side of its flow (`geo` when w_c > 0, `div` when
+    w_d > 0). A run on the scene's flow takes the plan's own parts, whose
+    errors raise here; `fork` hands a forked run the side of its lead, and
     `_set_flows` refreshes it when the flow stream moves the flow."""
 
     def __init__(self, bundle: SceneBundle, config: OptimConfig, plan, side=None):
@@ -370,21 +281,17 @@ class _DepthObjective:
         # the loss terms the objective holds, in `TERMS` order
         self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
                            if w > 0)
-        if side is None:  # the scene's flow; a part that failed its checks raises anew
-            plan = self.plan
-            side = (plan.scene_geo if config.w_c > 0 else None,
-                    plan.scene_div if config.w_d > 0 else None, plan.flow_mask)
-            for part in side:
-                if isinstance(part, Exception):
-                    raise _error_of(part, config)
-        self.geo, self.div_f, self.flow_mask = side
+        if side is None:  # the dpc part reads the offsets first, to raise their error
+            side = (plan.geo if config.w_c > 0 else None,
+                    plan.q and plan.div if config.w_d > 0 else None)
+        self.geo, self.div = side
 
     def fork(self, config):
         """The objective of `config`, equal to this one's config but for w_d,
         on this one's plan and flow side (without the divergence when its w_d
         is 0). It cannot fail: it needs a part of what this one holds."""
-        div_f = self.div_f if config.w_d > 0 else None
-        return _DepthObjective(self.bundle, config, self.plan, (self.geo, div_f, self.flow_mask))
+        return _DepthObjective(self.bundle, config, self.plan,
+                               (self.geo, self.div if config.w_d > 0 else None))
 
     def weights(self, iteration):
         cfg = self.config
@@ -404,23 +311,18 @@ def _set_flows(objectives, values, masks):
     """Refresh the flow side of the objectives, lane i's from its flow
     (values[i], masks[i] of (k, ...) stacks), all on one plan; returns
     {lane: error} for the lanes whose new flow fails a check."""
-    plan = objectives[0].plan
-    geo, div = plan.flow_sides(
-        values, masks, [i for i, o in enumerate(objectives) if o.config.w_c > 0],
-        [i for i, o in enumerate(objectives) if o.config.w_d > 0],
-    )
-    errors = {}
-    for i, objective in enumerate(objectives):
-        for part in (geo.get(i), div.get(i)):
-            if isinstance(part, Exception):
-                errors.setdefault(i, _error_of(part, objective.config))
-        if i in errors:
+    plan, errors = objectives[0].plan, {}
+    f_u, f_v = values[..., 0], values[..., 1]
+    for name, lanes, weight in (("geo", plan.geo_lanes, "w_c"), ("div", plan.div_lanes, "w_d")):
+        rows = [i for i, o in enumerate(objectives) if getattr(o.config, weight) > 0]
+        if not rows:
             continue
-        objective.flow_mask = masks[i]
-        if i in geo:
-            objective.geo = geo[i]
-        if i in div:
-            objective.div_f = div[i]
+        parts = lanes(_pick(f_u, rows), _pick(f_v, rows), _pick(masks, rows), len(rows))
+        for i, part in zip(rows, parts):
+            if isinstance(part, Exception):
+                errors.setdefault(i, _error_of(part, objectives[i].config))
+            else:
+                setattr(objectives[i], name, part)
     return errors
 
 
@@ -707,9 +609,10 @@ class _Stack:
     every run that has ended. It holds at most `room` lanes, as many as
     `STACK_PIXELS` allows and at least one."""
 
-    def __init__(self, bundle, configs):
+    def __init__(self, bundle):
+        _pin_heap()
         self.bundle = bundle
-        self.plan = _Plan(bundle, configs)
+        self.plan = _plan(bundle)
         self.room = max(1, STACK_PIXELS // (bundle.shape[0] * bundle.shape[1]))
         self.started = time.perf_counter()
         self.lanes, self.theta = [], np.empty((0,) + bundle.shape)
@@ -812,7 +715,7 @@ class _Stack:
         its depth, checked finite where valid; a lane whose flow is not
         goes to `ended` with its error."""
         plan = self.plan
-        values, valid = rigid_flow_values(plan.camera, plan.motion, _pick(self.depth, rows),
+        values, valid = rigid_flow_values(plan.camera, self.bundle.motion, _pick(self.depth, rows),
                                           grid=plan.grid)
         rigid = {}
         for i, lane_values, lane_valid in zip(rows, _lanes_of(values, len(rows)),
@@ -985,8 +888,7 @@ def _descend(bundle, configs):
             continue
         groups.setdefault(replace(config, w_d=0.0), []).append(config)
     if groups:
-        running = [config for members in groups.values() for config in members]
-        outcomes.update(_Stack(bundle, running).run(groups.values()))
+        outcomes.update(_Stack(bundle).run(groups.values()))
     return [outcomes[config] for config in configs]
 
 

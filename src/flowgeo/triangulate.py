@@ -72,7 +72,7 @@ def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, ray
     R (3x3, indexable as R[i][j]) and t are the warp motion; (f_u, f_v) the
     flow components on the H x W grid. Entries may be floats and arrays or
     tape Vars alike, so this one expression is the body of both
-    `triangulate_depth` and `grad.triangulate_graph`. A caller that holds
+    `triangulate_depth` and `grad.LossPlan`'s depth. A caller that holds
     the `CameraGrid` and the rows `grid.rays(R)` of a fixed rotation may
     pass them instead of having them rebuilt. Flow components stacked in
     lanes (k, H, W) give each lane the ratio of its flow alone.
@@ -87,21 +87,10 @@ def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, ray
     return numerator, denominator
 
 
-def triangulate_values(camera: CameraIntrinsics, motion: RigidMotion, f_u, f_v, flow_mask,
-                       grid=None, rays=None):
-    """The body of `triangulate_depth` on raw arrays: `depth_from_ratio` of
-    the `triangulation_ratio`, which gets `grid` and `rays`. The depth is not
-    checked; `triangulate_depth` checks it through `DepthMap`."""
-    numerator, denominator = triangulation_ratio(
-        camera, motion.rotation, motion.translation, f_u, f_v, grid, rays
-    )
-    return depth_from_ratio(numerator, denominator, flow_mask)
-
-
 def depth_from_ratio(numerator, denominator, flow_mask):
     """(depth, validity, near-zero denominators) of the ratio arrays: the
-    one validity rule of triangulation, shared by `triangulate_values` and
-    `grad.triangulate_graph`. A pixel is valid where its flow is, its
+    one validity rule of triangulation, shared by `triangulate_depth` and
+    `grad.LossPlan`. A pixel is valid where its flow is, its
     |denominator| is at least DEGENERATE_DENOMINATOR_EPS and its depth is
     not <= 0 (a NaN depth stays valid); invalid pixels hold depth 1.0."""
     near_zero = np.abs(denominator) < DEGENERATE_DENOMINATOR_EPS
@@ -121,9 +110,10 @@ def triangulate_depth(
     negative solutions, or invalid flow are masked with their degeneracy
     code.
     """
-    depth, validity, near_zero = triangulate_values(
-        camera, motion, flow.values[..., 0], flow.values[..., 1], flow.mask
+    numerator, denominator = triangulation_ratio(
+        camera, motion.rotation, motion.translation, flow.values[..., 0], flow.values[..., 1]
     )
+    depth, validity, near_zero = depth_from_ratio(numerator, denominator, flow.mask)
     # the codes in order of precedence: masked flow, no parallax, depth <= 0
     codes = np.where(validity, Degeneracy.OK, Degeneracy.NEGATIVE_DEPTH).astype(np.uint8)
     codes[near_zero] = Degeneracy.NEAR_ZERO_DENOMINATOR

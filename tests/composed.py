@@ -179,7 +179,7 @@ class ComposedSide:
     nodes: tuple
 
 
-def composed_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=None):
+def composed_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, valid=None):
     """`differential_depth_side` as elementary nodes."""
     d_c = ad.as_var(d_c)
     shifted = ad.sub(d_c, t3)
@@ -191,9 +191,9 @@ def composed_depth_side(t3, d_c, q_u, q_v, div_f, depth_gradient=None, interior=
         g_u = ad.as_var(2.0 * depth_gradient[..., 0])
         g_v = ad.as_var(2.0 * depth_gradient[..., 1])
     c_d = ad.div(-(ad.mul(q_u, g_u) + ad.mul(q_v, g_v)), shifted)
-    if interior is None:
-        interior = interior_mask(*np.shape(d_c.value)[-2:])
-    validity = interior & (np.abs(shifted.value) >= EPS_GEO)
+    if valid is None:
+        valid = interior_mask(*np.shape(d_c.value)[-2:])
+    validity = valid & (np.abs(shifted.value) >= EPS_GEO)
     return ComposedSide(c_f.value, c_d.value, validity, (c_f, c_d))
 
 

@@ -26,8 +26,9 @@ from composed import (
 )
 from conftest import assert_bits_equal, reachable
 
+import flowgeo
 from flowgeo import autodiff as ad
-from flowgeo import optim
+from flowgeo import grad, losses, optim, triangulate
 from flowgeo.geometry import (
     CameraIntrinsics,
     RigidMotion,
@@ -381,7 +382,7 @@ class TestActivity:
             weights = [(1.0, wc, wd) for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
         configs = [optim.OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=1)
                    for wp, wc, wd in weights]
-        plan = optim._Plan(bundle, configs)
+        plan = optim._plan(bundle)
         objectives = [optim._DepthObjective(bundle, config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
                           for c in configs])
@@ -632,9 +633,19 @@ def autodiff_references(path):
     return names
 
 
+def public_names(module):
+    """The public functions and classes `module` defines."""
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__}
+
+
 def test_every_export_has_a_caller_in_the_package():
     """An op whose last caller in the package goes moves to tests/composed.py
-    in the same change."""
+    in the same change, and a public function or class of `grad`,
+    `triangulate` or `losses` that the package neither reads nor exports
+    goes too. flowgeo has no `__all__`, so its exports are the public names
+    of its namespace, what `from flowgeo import *` binds."""
     package = Path(ad.__file__).parent
     called = set()
     for path in package.glob("*.py"):
@@ -643,7 +654,16 @@ def test_every_export_has_a_caller_in_the_package():
     # the operator sugar of `Var` (a + b, a * b, ...) calls the arithmetic ops
     var = inspect.getsource(ad.Var)
     called |= {node.id for node in ast.walk(ast.parse(var)) if isinstance(node, ast.Name)}
-    exports = {name for name, obj in vars(ad).items()
-               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-               and obj.__module__ == ad.__name__}
-    assert exports - called == UNCALLED_EXPORTS
+    assert public_names(ad) - called == UNCALLED_EXPORTS
+    # a name the package's code reads, as a name or an attribute (its own
+    # `def` and the imports that bind it are not reads)
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    exported = {name for name in vars(flowgeo) if not name.startswith("_")}
+    for module in (grad, triangulate, losses):
+        assert public_names(module) - read - exported == set(), module.__name__

@@ -7,6 +7,7 @@ import platform
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from conftest import run_python, scene_file_texts
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from flowgeo import cli
 from flowgeo.cli import run
 from flowgeo.io_formats import read_csv, read_depth_pfm, read_flow
 from flowgeo.optim import OptimConfig
-from flowgeo.scene import read_scene_keys
+from flowgeo.scene import FAMILIES, read_scene_keys
 
 
 @pytest.fixture()
@@ -185,6 +186,61 @@ class TestInputBoundary:
         (work / "scene.txt").write_text(text)
         code, lines = stderr_lines_of(["gen-scene", "--scene", str(work / "scene.txt"),
                                        "--size", "16x12", "--out", str(work / "o")])
+        assert code in (0, 1, 2)
+        assert lines <= 1
+
+
+# the edges of a pose: no, tiny and large rotations, and a forward
+# translation of 0, under EPS_T3, at it and just past it
+_ANGLES = st.sampled_from([0.0, 1e-9, 1e-4, 2.5, 3.14159, -3.1]) | st.floats(-3.2, 3.2)
+_T3 = st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, -1e-6, 2e-6]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def plan_scenes(draw):
+    """(scene file text, --size) for the commands that build a plan: a
+    schema-built scene on a grid from 3x3 to 16x12, a camera on or near
+    it, a pose on its edges, and perhaps a dynamic patch touching the
+    interior's edge, moving anywhere (behind the camera too)."""
+    width, height = draw(st.integers(3, 16)), draw(st.integers(3, 12))
+    rotation = draw(st.just((0.0, 0.0, 0.0)) | st.tuples(_ANGLES, _ANGLES, _ANGLES))
+    translation = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(_T3))
+    keys = {
+        "family": draw(st.sampled_from(FAMILIES)),
+        "fx": draw(st.floats(1.0, 200.0)), "fy": draw(st.floats(1.0, 200.0)),
+        "cx": draw(st.floats(-1.0, width)), "cy": draw(st.floats(-1.0, height)),
+        "ego_rotation": rotation, "ego_translation": translation,
+    }
+    if draw(st.booleans()):
+        half = (draw(st.floats(0.0, width / 2)), draw(st.floats(0.0, height / 2)))
+        keys["dynamic_shape"] = draw(st.sampled_from(["rect", "ellipse"]))
+        keys["dynamic_center"] = tuple(
+            draw(st.sampled_from([1.0 + r, n - 2.0 - r])) for r, n in zip(half, (width, height)))
+        keys["dynamic_half_size"] = half
+        keys["dynamic_translation"] = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
+                                       draw(st.sampled_from([0.0, 0.5, -4.0, -50.0])))
+    values = {k: v if isinstance(v, str) else ",".join(map(repr, np.ravel(v).tolist()))
+              for k, v in keys.items()}
+    text = "".join(f"{k}={v}\n" for k, v in values.items())
+    return text, f"{width}x{height}"
+
+
+class TestCommandsOnEveryScene:
+    """The commands that build a plan, on scenes at the edges of what the
+    schema accepts: each exits 0, 1 or 2 with at most one stderr line."""
+
+    @given(scene=plan_scenes(), command=st.sampled_from([
+        ("recover-depth", "--iters", "2"), ("co-adjust", "--iters", "2"),
+        ("ablate", "--iters", "2"), ("grad-check",), ("grad-check", "--stopgrad", "on"),
+        ("recover-depth", "--iters", "2", "--weights", "0,0,1,0"),
+        ("co-adjust", "--iters", "2", "--weights", "1,0,0.1,1"),
+        ("ablate", "--iters", "2", "--weights", "0,1,1,0")]))
+    @settings(max_examples=200, deadline=None)
+    def test_exits_cleanly(self, tmp_path_factory, scene, command):
+        work = tmp_path_factory.mktemp("plan")
+        (work / "scene.txt").write_text(scene[0])
+        code, lines = stderr_lines_of([command[0], "--scene", str(work / "scene.txt"),
+                                       "--size", scene[1], *command[1:], "--out", str(work / "o")])
         assert code in (0, 1, 2)
         assert lines <= 1
 

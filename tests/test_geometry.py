@@ -10,7 +10,7 @@ from conftest import assert_bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgeo.errors import BehindCameraError, DimensionError, InvalidDepthError, NonFiniteError
+from flowgeo.errors import BehindCameraError, DimensionError, InvalidDepthError
 from flowgeo.geometry import (
     CameraIntrinsics,
     DepthMap,
@@ -30,6 +30,7 @@ from flowgeo.geometry import (
     rigid_flow_values,
     rotation_from_axis_angle,
     rotational_flow,
+    stencil_validity,
     translational_flow,
     warp,
 )
@@ -313,17 +314,28 @@ class TestDivergence:
             divergence(FlowField(np.zeros((2, 5, 2))))
 
     def test_inf_at_masked_out_pixels(self):
-        # inf v-flow at the masked-out (0, 0) and (2, 0): the stencil at the
-        # valid (1, 0) reads inf - inf, a typed error and no RuntimeWarning
+        # inf v-flow at the masked-out (0, 0) and (2, 0): the stencil at
+        # (1, 0) reads inf - inf, so (1, 0) is not valid, nor is any pixel
+        # whose stencils read a masked-out one; this raised NonFiniteError
+        # while the divergence was valid wherever the flow was
         values = np.zeros((5, 5, 2))
         values[[0, 2], 0, 1] = np.inf
         mask = np.ones((5, 5), bool)
         mask[[0, 2], 0] = False
-        with pytest.raises(NonFiniteError):
-            divergence(FlowField(values, mask))
-        mask[:4, 0] = False  # the pixels whose stencils read an inf
         div = divergence(FlowField(values, mask))
-        assert np.isfinite(div.values[mask]).all()
+        expected = mask.copy()
+        expected[[1, 3], 0] = expected[[0, 2], 1] = False
+        np.testing.assert_array_equal(div.mask, expected)
+        assert np.isfinite(div.values[div.mask]).all()
+
+    def test_stencil_validity(self):
+        # a full mask stays full, borders read one side, lanes stay apart
+        assert stencil_validity(np.ones((3, 4), bool)).all()
+        mask = np.ones((2, 4, 5), bool)
+        mask[0, 0, 0] = mask[1, 2, 4] = False
+        valid = stencil_validity(mask)
+        assert [tuple(p) for p in np.argwhere(~valid)] == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)]
 
     def test_gradient_same_convention(self):
         u, _ = pixel_grid(5, 7)

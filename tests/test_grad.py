@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
-from flowgeo import grad, losses
+from flowgeo import grad, losses, optim
 from flowgeo.errors import DegenerateTranslationError
 from flowgeo.geometry import (
     CameraGrid,
     CameraIntrinsics,
     DepthMap,
+    FlowField,
     RigidMotion,
     TwistParams,
     inverse_translation,
@@ -33,6 +34,7 @@ from flowgeo.grad import (
     warp_graph,
 )
 from flowgeo.losses import cgdc_loss
+from flowgeo.optim import OptimConfig, recover_depth
 from flowgeo.scene import SceneSpec, synthesize
 from flowgeo.triangulate import triangulate_depth
 
@@ -205,16 +207,7 @@ class TestFixedPoints:
         # graph rebuilds R from the twist on tape, an ulp off
         # `motion.rotation`; probe the graph once to harvest its bits
         probe = LossInputs.from_bundle(small_bundle)
-        from flowgeo.grad import rotation_entries, triangulate_graph
-
-        xi = [ad.Var(float(x)) for x in probe.twist.values]
-        R = rotation_entries(*xi[:3])
-        dg, validity = triangulate_graph(
-            small_bundle.camera, R, (xi[3], xi[4], xi[5]),
-            ad.Var(small_bundle.flow_gt.values[..., 0]),
-            ad.Var(small_bundle.flow_gt.values[..., 1]),
-            small_bundle.flow_gt.mask,
-        )
+        dg, validity = grad._leaf_plan(probe, {}, None)[0].geo
         tied = DepthMap(np.where(validity, dg.value, 1.0), validity)
         inputs = LossInputs.from_bundle(small_bundle, depth=tied)
         g = loss_gradient("cgdc", inputs, targets=("depth",))
@@ -448,3 +441,62 @@ class TestBuildLossTwins:
         substitute_twins(monkeypatch, grad, losses)
         composed = len(reachable(build_loss(loss_id, perturbed_inputs)[0]))
         assert fused == composed - saved
+
+
+class TestLossPlan:
+    """One `LossPlan` serves the descent and the checker, and builds each
+    part on its first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the names of the triangulations and offsets the plans build
+        built = []
+        for name in ("triangulation_ratio", "differential_offsets"):
+            monkeypatch.setattr(grad, name, lambda *args, f=getattr(grad, name), name=name:
+                                built.append(name) or f(*args))
+        return built
+
+    def test_parts_are_built_on_first_read(self, small_bundle, built):
+        inputs = LossInputs.from_bundle(small_bundle)
+        recover_depth(small_bundle, OptimConfig(w_p=1.0, w_c=0.0, w_d=0.0, iterations=3, seed=1))
+        build_loss("photometric", inputs)
+        finite_difference_check("photometric", inputs, depth_samples=2)
+        assert built == []
+        build_loss("cgdc", inputs)
+        assert built == ["triangulation_ratio"]
+        build_loss("dpc", inputs)
+        assert built == ["triangulation_ratio", "differential_offsets"]
+
+    def test_zero_forward_translation_fails_only_where_dpc_is_read(self):
+        ego = RigidMotion(np.eye(3), [0.3, 0.02, 0.0])
+        bundle = synthesize(SceneSpec("fronto-plane"), CameraIntrinsics(40.0, 38.0, 8.0, 6.0),
+                            ego, 12, 16)
+        message = r"^\|t3\| = 0 is too small for the divergence relation$"
+        plan = optim._plan(bundle)
+        assert plan.reference and plan.geo and plan.div
+        with pytest.raises(DegenerateTranslationError, match=message):
+            plan.q
+        recover_depth(bundle, OptimConfig(w_p=1.0, w_c=1.0, w_d=0.0, iterations=2, seed=1))
+        with pytest.raises(DegenerateTranslationError, match=message):
+            recover_depth(bundle, OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, iterations=2, seed=1))
+        inputs = LossInputs.from_bundle(bundle)
+        for loss_id in ("photometric", "cgdc", "bsca", "smoothness"):
+            assert np.isfinite(build_loss(loss_id, inputs)[0].value)
+        with pytest.raises(DegenerateTranslationError, match=message):
+            build_loss("dpc", inputs)
+
+    def test_dpc_ignores_masked_out_flow(self, perturbed_inputs):
+        # C^F at a pixel reads the flow of its four neighbours: one masked
+        # out leaves the pixel out of the dpc mask, whatever it holds
+        flow = perturbed_inputs.flow
+        mask = flow.mask.copy()
+        mask[5, 7] = False
+        odd = flow.values.copy()
+        odd[5, 7] = 1e6
+        loss, _, base = build_loss("dpc", replace(perturbed_inputs,
+                                                  flow=FlowField(flow.values, mask)))
+        odd_loss, _, odd_mask = build_loss("dpc", replace(perturbed_inputs,
+                                                          flow=FlowField(odd, mask)))
+        assert not base[[4, 6, 5, 5, 5], [7, 7, 6, 8, 7]].any()
+        np.testing.assert_array_equal(odd_mask, base)
+        assert odd_loss.value == loss.value

@@ -30,6 +30,7 @@ from flowgeo.geometry import (
     Image,
     RigidMotion,
     ScalarField,
+    divergence,
     rotational_flow,
     translational_flow,
 )
@@ -419,6 +420,24 @@ class TestDifferentialFields:
                                      DepthMap(np.full((3, 3), 3.0)), FlowField(values, mask))
         assert fields.validity.sum() == 1 and np.isfinite(fields.c_f.values[1, 1])
 
+    def test_masked_out_flow_reaches_no_valid_pixel(self):
+        # a masked-out v-flow of 50 at (0, 2) moved c_f at the valid (1, 2),
+        # whose stencil reads it, from -4.0 to -329.0; (1, 2) is no longer
+        # valid, and the valid pixels read the same fields as with a 0 there
+        camera = CameraIntrinsics(10.0, 10.0, 2.0, 2.0)
+        ego = RigidMotion(np.eye(3), [0.1, 0.05, 0.4])
+        mask = np.ones((5, 5), bool)
+        mask[0, 2] = False
+        values = np.zeros((5, 5, 2))
+        clean = differential_fields(camera, ego, DepthMap(np.full((5, 5), 3.0)),
+                                    FlowField(values, mask))
+        values[0, 2, 1] = 50.0
+        fields = differential_fields(camera, ego, DepthMap(np.full((5, 5), 3.0)),
+                                     FlowField(values, mask))
+        assert not fields.validity[1, 2] and fields.validity[1, 1]
+        np.testing.assert_array_equal(fields.validity, clean.validity)
+        assert_bits_equal(fields.c_f.values[fields.validity], clean.c_f.values[clean.validity])
+
     def test_inf_flow_on_a_one_high_grid(self):
         values = np.zeros((1, 4, 2))
         values[0, ::2] = np.inf
@@ -784,6 +803,45 @@ def result_floats(result):
         return list(result.as_dict().values())
     assert isinstance(result, ScalarField)
     return list(result.values.ravel())
+
+
+MASKED_OUT = st.sampled_from([np.nan, np.inf, -np.inf, 1e150, -1e150])
+
+
+class TestMaskedOutValues:
+    """C^F, C^D and the flow divergence at valid pixels do not depend on
+    what the masked-out pixels hold: a pixel whose stencils read a
+    masked-out flow (C^F, the divergence) or depth (C^D) is not valid."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_pixels_ignore_masked_out_values(self, data):
+        H, W = data.draw(st.integers(3, 7)), data.draw(st.integers(3, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        flow_mask = rng.random((H, W)) < data.draw(st.floats(0.5, 1.0))
+        depth_mask = rng.random((H, W)) < data.draw(st.floats(0.5, 1.0))
+        flow = rng.uniform(-2.0, 2.0, (H, W, 2))
+        depth = rng.uniform(1.0, 5.0, (H, W))
+        odd_flow, odd_depth = flow.copy(), depth.copy()
+        odd_flow[~flow_mask] = data.draw(MASKED_OUT)
+        # a depth map is finite everywhere, and positive only where valid
+        odd_depth[~depth_mask] = data.draw(st.sampled_from([1e150, -1e150, 0.0]))
+        camera = CameraIntrinsics(10.0, 10.0, W / 2, H / 2)
+        ego = RigidMotion(np.eye(3), [0.1, 0.05, 0.4])
+
+        def fields(f, d):
+            return differential_fields(camera, ego, DepthMap(d, depth_mask),
+                                       FlowField(f, flow_mask))
+
+        clean, odd = fields(flow, depth), fields(odd_flow, odd_depth)
+        valid = clean.validity
+        np.testing.assert_array_equal(odd.validity, valid)
+        assert_bits_equal(odd.c_f.values[valid], clean.c_f.values[valid])
+        assert_bits_equal(odd.c_d.values[valid], clean.c_d.values[valid])
+        div = divergence(FlowField(flow, flow_mask))
+        odd_div = divergence(FlowField(odd_flow, flow_mask))
+        np.testing.assert_array_equal(odd_div.mask, div.mask)
+        assert_bits_equal(odd_div.values[div.mask], div.values[div.mask])
 
 
 class TestWrapperEdges:

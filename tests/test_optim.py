@@ -290,7 +290,7 @@ def run_alone(bundle, config):
 
 def objective_of(bundle, config):
     """The `_DepthObjective` of `config` on a plan of its own."""
-    return optim._DepthObjective(bundle, config, optim._Plan(bundle, [config]))
+    return optim._DepthObjective(bundle, config, optim._plan(bundle))
 
 
 def assert_same_outcome(shared, alone):
@@ -631,7 +631,7 @@ def closure_bytes(objectives, theta, it):
             _arrays_in(node._vjp, held, set())
             stack += [parent for parent, _ in node._parents]
     plan = objectives[0].plan
-    _arrays_in([plan, objectives[0].bundle, [(o.geo, o.div_f, o.flow_mask) for o in objectives]],
+    _arrays_in([plan, objectives[0].bundle, [(o.geo, o.div) for o in objectives]],
                owned, set(), True)
     return sum(a.nbytes for key, a in held.items() if key not in owned), theta.size
 
@@ -685,7 +685,7 @@ class TestPlan:
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 24.0, 18.0), ego, 36, 48)
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
                    for wc in (0.0, 0.5) for wd in (0.0, 0.1)]
-        plan = optim._Plan(bundle, configs)
+        plan = optim._plan(bundle)
         objectives = [optim._DepthObjective(bundle, c, plan) for c in configs]
         theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
                           for c in configs])
@@ -719,7 +719,7 @@ class TestPlan:
         # fails here
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
                    for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
-        plan = optim._Plan(rotating, configs)
+        plan = optim._plan(rotating)
         objectives = [optim._DepthObjective(rotating, config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(rotating, c, np.random.default_rng(c.seed))
                           for c in configs])
@@ -737,7 +737,7 @@ class TestPlan:
         weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1)]
         configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0)
                    for wp, wc, wd in weights]
-        plan = optim._Plan(small_static, configs)
+        plan = optim._plan(small_static)
         objectives = [optim._DepthObjective(small_static, config, plan) for config in configs]
         gt = small_static.depth_gt.values
         theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9]))

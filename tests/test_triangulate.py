@@ -8,7 +8,7 @@ from conftest import assert_bits_equal, random_scene
 from flowgeo import autodiff as ad
 from flowgeo.errors import DimensionError
 from flowgeo.geometry import CameraIntrinsics, FlowField, RigidMotion
-from flowgeo.grad import triangulate_graph
+from flowgeo.grad import LossPlan
 from flowgeo.triangulate import (
     DEGENERATE_DENOMINATOR_EPS,
     Degeneracy,
@@ -152,10 +152,11 @@ class TestTriangulateDepth:
         # to the last bit, rotation included
         b = small_bundle
         result = triangulate_depth(b.camera, b.motion, b.flow_gt)
-        depth, validity = triangulate_graph(
-            b.camera, b.motion.rotation, b.motion.translation,
+        depth, validity = LossPlan(
+            b.camera, b.motion.rotation, b.motion.translation, None, None, None,
             ad.Var(b.flow_gt.values[..., 0]), ad.Var(b.flow_gt.values[..., 1]), b.flow_gt.mask,
-        )
+            True, 0.0,
+        ).geo
         np.testing.assert_array_equal(validity, result.validity)
         assert result.validity.any()
         np.testing.assert_array_equal(depth.value[validity], result.depth_g.values[validity])
