@@ -34,19 +34,30 @@ steps on its grids themselves, without the lane axis; the ablation suite
 stacks all configs of a scene. A stack holds at most `STACK_PIXELS`
 pixels of lanes (at least one lane): past that a bigger stack stepped
 slower than its lanes one after another (the lanes' tape outgrows the
-cache), so a lane that finds the stack full waits and starts later from
-its saved rows. Every lane keeps the bits of its run alone (see
-`autodiff` on lane stacks), and a lane leaves the stack when its run
-ends, with the trace or the error it has alone.
+cache), so a lane that finds the stack full waits with its rows and joins
+once the stack has room at its iteration, or has emptied (the stack then
+goes back to the earliest iteration a lane waits at).
 
-Configs equal but for w_d share one lane up to `dpc_active_after`, the
-end of the dpc warmup: their runs are one run there, bit for bit, since
-the dpc weight is 0 and the rate is the same whatever w_d is, and the dpc
-value, still evaluated for the records and the divergence check, is not on
-the tape of the step. So one lead config, with the dpc term on, descends
-through the warmup, and each other config forks from the lead's lane
-there and joins the stack with a copy of its theta and flow and the
-records so far (without their dpc value when its w_d is 0).
+Configs equal but for w_d form a group, whose runs are one run up to
+`dpc_active_after`, the end of the dpc warmup, bit for bit: the dpc weight
+is 0 there and the rate is the same whatever w_d is, and the dpc value,
+still evaluated for the records and the divergence check, is not on the
+tape of the step. So the group's lead, its first config with the dpc term
+on (its first if none has it), descends through the warmup as one lane,
+and there each other config forks from it (`_Lane.fork`) and joins the
+stack with a copy of its theta, depth and flow and the records so far
+(without their dpc value when its w_d is 0).
+
+A lane leaves the stack when its run ends: after its last iteration with
+its trace, or with the error that ends it. A lead that ends before its
+fork hands its forks back to the stack, where they start at iteration 0 as
+a group of their own; a config doing the lead's work repeats it until it
+fails too. So every outcome comes from its config's own run, the one it
+has alone: each lane's values, sums and gradient sums are those of its run
+alone (see `autodiff` on lane stacks), and the losses are non-negative, so
+a fork, whose losses through the warmup are a subset of its lead's, passes
+the divergence check wherever the lead passes it. The wall clock of every
+run counts from the stack's start, its waits included.
 
 Each loss term's node comes from the term builder of `grad` that
 `grad.build_loss` and the gradient checker call too, on a `grad.LossPlan`
@@ -76,6 +87,7 @@ from .errors import (
     DegenerateTranslationError,
     FlowGeoError,
     InvalidDepthError,
+    NoValidPixelsError,
 )
 from .geometry import (
     FLOW_NOT_FINITE,
@@ -268,30 +280,52 @@ def _lane_stacks(parts):
                  for j, a in enumerate(first))
 
 
-class _DepthObjective:
-    """What one config's run steps on: its config, the shared `LossPlan` of
-    its scene and the flow side of its flow (`geo` when w_c > 0, `div` when
-    w_d > 0). A run on the scene's flow takes the plan's own parts, whose
-    errors raise here; `fork` hands a forked run the side of its lead, and
-    `_set_flows` refreshes it when the flow stream moves the flow."""
+class _Lane:
+    """One config's run in a `_Stack`: its config, the shared `LossPlan` of
+    its scene, the flow side of its flow (`geo` when w_c > 0, `div` when
+    w_d > 0), its co-adjusted flow ((values, mask) when w_b > 0, else
+    None), its records so far and, for a lead before its fork, the configs
+    that fork from it. Its theta and depth are its rows of the stack's.
 
-    def __init__(self, bundle: SceneBundle, config: OptimConfig, plan, side=None):
-        self.bundle, self.config, self.plan = bundle, config, plan
+    A lane on the scene's flow takes the plan's own parts, whose errors
+    raise here; a fork takes its lead's (`fork`), and `_set_flows`
+    refreshes them when the flow stream moves the flow. The co-adjusted
+    flow is a copy of `flow` ((f_u, f_v, mask), the plan's when None),
+    which the flow step updates in place; its values are a view of a
+    (2, ...) buffer, as `rigid_flow_values` holds its own, so each
+    component the flow step reads and updates is contiguous."""
+
+    def __init__(self, config, plan, flow=None, records=(), forks=(), side=None):
+        self.config, self.plan = config, plan
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
-        # the loss terms the objective holds, in `TERMS` order
+        self.flow_start = int(FLOW_START_FRACTION * config.iterations)
+        # the loss terms the lane steps on, in `TERMS` order
         self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
                            if w > 0)
         if side is None:  # the dpc part reads the offsets first, to raise their error
             side = (plan.geo if config.w_c > 0 else None,
                     plan.q and plan.div if config.w_d > 0 else None)
         self.geo, self.div = side
+        self.flow = None
+        if config.w_b > 0:
+            f_u, f_v, mask = (plan.f_u, plan.f_v, plan.flow_mask) if flow is None else flow
+            self.flow = np.moveaxis(np.stack([f_u, f_v]), 0, -1), mask.copy()
+        self.records, self.forks = list(records), list(forks)
+        # the flow's storability changes only when the flow does
+        self.storable = self.flow is None or _float32_storable(self.flow[0]).all()
 
     def fork(self, config):
-        """The objective of `config`, equal to this one's config but for w_d,
-        on this one's plan and flow side (without the divergence when its w_d
-        is 0). It cannot fail: it needs a part of what this one holds."""
-        return _DepthObjective(self.bundle, config, self.plan,
-                               (self.geo, self.div if config.w_d > 0 else None))
+        """The lane of `config`, equal to this lane's config but for w_d: on
+        this lane's plan and flow side, with a copy of its flow and of its
+        records so far (without the divergence and the records' dpc values
+        when its w_d is 0). It cannot fail: it needs a part of what this
+        lane holds."""
+        dpc = config.w_d > 0
+        records = self.records if dpc else [
+            replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
+            for r in self.records]
+        flow = None if self.flow is None else (*np.moveaxis(self.flow[0], -1, 0), self.flow[1])
+        return _Lane(config, self.plan, flow, records, side=(self.geo, self.div if dpc else None))
 
     def weights(self, iteration):
         cfg = self.config
@@ -307,23 +341,29 @@ class _DepthObjective:
         return cfg.learning_rate
 
 
-def _set_flows(objectives, values, masks):
-    """Refresh the flow side of the objectives, lane i's from its flow
+def _set_flows(lanes, values, masks):
+    """Refresh the flow side of the lanes, lane i's from its flow
     (values[i], masks[i] of (k, ...) stacks), all on one plan; returns
     {lane: error} for the lanes whose new flow fails a check."""
-    plan, errors = objectives[0].plan, {}
+    plan, errors = lanes[0].plan, {}
     f_u, f_v = values[..., 0], values[..., 1]
-    for name, lanes, weight in (("geo", plan.geo_lanes, "w_c"), ("div", plan.div_lanes, "w_d")):
-        rows = [i for i, o in enumerate(objectives) if getattr(o.config, weight) > 0]
+    for name, parts_of, weight in (("geo", plan.geo_lanes, "w_c"), ("div", plan.div_lanes, "w_d")):
+        rows = [i for i, lane in enumerate(lanes) if getattr(lane.config, weight) > 0]
         if not rows:
             continue
-        parts = lanes(_pick(f_u, rows), _pick(f_v, rows), _pick(masks, rows), len(rows))
+        parts = parts_of(_pick(f_u, rows), _pick(f_v, rows), _pick(masks, rows), len(rows))
         for i, part in zip(rows, parts):
             if isinstance(part, Exception):
-                errors.setdefault(i, _error_of(part, objectives[i].config))
+                errors.setdefault(i, _error_of(part))
             else:
-                setattr(objectives[i], name, part)
+                setattr(lanes[i], name, part)
     return errors
+
+
+def _error_of(exc):
+    """A new error of the type and message of `exc`: each lane that one
+    failing node call ends takes an error of its own."""
+    return type(exc)(*exc.args)
 
 
 # the loss terms in the order a step creates their nodes: the reverse is the
@@ -331,56 +371,55 @@ def _set_flows(objectives, values, masks):
 TERMS = ("cgdc", "dpc", "photometric")
 
 
-def _terms(objectives, depth, d=None, iteration=None):
-    """The loss terms of a lane stack as tape nodes: lane i steps on
-    objectives[i] at its decoded depth in the stack `depth` (see
-    `_stacked`). Each term is one node over the lanes whose objective has
-    it, in `TERMS` order. The lanes
-    whose weight for the term is positive at `iteration` read the leaf `d`,
-    the whole stack or `ad.lanes` of it; the others, all of them when `d`
-    is None, read the plain depth, off the tape. A node comes from the
-    term's builder in `grad._TERMS`, the one `grad.build_loss` checks, on
-    the lanes' stacked flow sides. A lane whose valid set of a term is
-    empty leaves that term out.
+def _terms(lanes, depth, d=None, iteration=None):
+    """The loss terms of a lane stack as tape nodes: lanes[i] at its decoded
+    depth in the stack `depth` (see `_stacked`). Each term is one node over
+    the lanes that have it, in `TERMS` order. The lanes whose weight for the
+    term is positive at `iteration` read the leaf `d`, the whole stack or
+    `ad.lanes` of it; the others, all of them when `d` is None, read the
+    plain depth, off the tape. A node comes from the term's builder in
+    `grad._TERMS`, the one `grad.build_loss` checks, on the lanes' stacked
+    flow sides. A lane whose valid set of a term is empty leaves that term
+    out.
 
     Returns ([(node, lanes, their weights)] of the nodes on the tape, the
     lanes as an index of the stack's leading axis, each lane's loss values
     keyed by term in `TERMS` order, {lane: error}): a node call that raises
     ends the lanes it was over, and they take no further term."""
-    k = len(objectives)
+    k = len(lanes)
     everyone = list(range(k))
     # (term, on the tape) -> (lanes, their weights), in creation order
     groups = {(name, on_tape): ([], []) for name in TERMS for on_tape in (True, False)}
-    for i, objective in enumerate(objectives):
-        weights = None if d is None else objective.weights(iteration)
-        for name in objective.terms:
+    for i, lane in enumerate(lanes):
+        weights = None if d is None else lane.weights(iteration)
+        for name in lane.terms:
             w = 0.0 if weights is None else weights[name]
             rows, ws = groups[name, w > 0]
             rows.append(i)
             ws.append(w)
     parts, values, errors = [], [{} for _ in everyone], {}
-    plan = objectives[0].plan
+    plan = lanes[0].plan
     for (name, on_tape), (rows, ws) in groups.items():
         build, part = _TERMS[name][:2]
         while rows:
             if errors:
                 rows = [i for i in rows if i not in errors]
-                ws = [objectives[i].weights(iteration)[name] for i in rows] if on_tape else ws
+                ws = [lanes[i].weights(iteration)[name] for i in rows] if on_tape else ws
                 if not rows:
                     break
             # every lane (a slice, no copy), one lane (its grid) or several
             index = slice(None) if rows == everyone else rows[0] if len(rows) == 1 else rows
             stack = d if on_tape else depth
             if rows == everyone:
-                lanes = stack
+                picked = stack
             else:
-                lanes = ad.lanes(stack, index) if on_tape else stack[index]
+                picked = ad.lanes(stack, index) if on_tape else stack[index]
             try:
-                side = _lane_stacks([part(objectives[i]) for i in rows]) if part else ()
-                node, mask = build(plan, lanes, *side)
+                side = _lane_stacks([part(lanes[i]) for i in rows]) if part else ()
+                node, mask = build(plan, picked, *side)
             except (FlowGeoError, ValueError) as exc:
                 for i in rows:
-                    errors[i] = _error_of(exc, objectives[i].config)
+                    errors[i] = _error_of(exc)
                 break
             if node is not None:
                 for i, value in zip(rows, _lane_values(node.value)):
@@ -410,26 +449,26 @@ def _weighted_total(parts, k):
                   lambda g: [g[rows] * w for _, rows, w in parts])
 
 
-def _depth_step(objectives, theta, depth, iteration):
-    """One step of each lane's theta, theta[i] on objectives[i], taken at
+def _depth_step(lanes, theta, depth, iteration):
+    """One step of each lane's theta, theta[i] of lanes[i], taken at
     its decoded depth depth[i] = exp(theta[i]): d(loss)/d(theta) =
     d(loss)/dD * D, with each lane's weights, rate and step clip.
 
     Returns (theta after the step, each lane's loss values, {lane: error}).
     A lane with no term on the tape (the warmup with only dpc configured)
     holds its field: its gradient is 0."""
-    k = len(objectives)
+    k = len(lanes)
     grid = depth[0] if k == 1 else depth  # a stack of one steps on its grid
     d = ad.Var(grid)
-    parts, values, errors = _terms(objectives, grid, d, iteration)
+    parts, values, errors = _terms(lanes, grid, d, iteration)
     if not parts:
         return theta, values, errors
     ad.backward(_weighted_total(parts, k))
-    lanes = [(o.rate(iteration), o.config.step_clip) for o in objectives]
+    steps = [(lane.rate(iteration), lane.config.step_clip) for lane in lanes]
     if k == 1:
-        (rate, clip), = lanes
+        (rate, clip), = steps
         return (theta[0] - _clamp(rate * (d.grad * grid), -clip, clip))[None], values, errors
-    rate, clip = (column[:, None, None] for column in np.array(lanes).T)
+    rate, clip = (column[:, None, None] for column in np.array(steps).T)
     step = _clamp(rate * (d.grad * depth), -clip, clip)
     return theta - step, values, errors
 
@@ -553,61 +592,12 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
     return _run_alone(bundle, config)
 
 
-class _Lane:
-    """One config's run in a `_Stack`: its objective, the co-adjusted flow
-    ((values, mask) when w_b > 0, else None), its records so far and, for
-    a lead before its fork, the configs that fork from it. Its theta and
-    depth are its rows of the stack's."""
-
-    def __init__(self, objective, flow, records, forks=()):
-        self.objective, self.config = objective, objective.config
-        self.flow, self.records, self.forks = flow, records, list(forks)
-        self.flow_start = int(FLOW_START_FRACTION * self.config.iterations)
-        # the flow's storability changes only when the flow does
-        self.storable = flow is None or _float32_storable(flow[0]).all()
-
-    def fork(self, config):
-        """The lane of `config`, equal to this lane's config but for w_d:
-        an objective forked from this one's, a copy of the flow, which the
-        flow step updates in place, and the records so far, without their
-        dpc value when its w_d is 0."""
-        flow = None if self.flow is None else (_component_major(self.flow[0]), self.flow[1].copy())
-        return _Lane(self.objective.fork(config), flow, _records_of(self.records, config))
-
-
-def _component_major(values):
-    """A copy of flow values (..., 2), held as `rigid_flow_values` holds its
-    own: a view of a (2, ...) buffer, so each component the flow step reads
-    and updates is contiguous."""
-    return np.moveaxis(np.stack([values[..., 0], values[..., 1]]), 0, -1)
-
-
-def _records_of(records, config):
-    """A copy of the records of the lead's lane as the run of `config`
-    records them: without their dpc value when its w_d is 0."""
-    if config.w_d == 0:
-        return [replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
-                for r in records]
-    return list(records)
-
-
-def _error_of(exc, config):
-    """The error `exc`, as the run of `config` raises it: a new error of
-    its type and message, whose trace, for an AbortedRunError, names
-    `config` and holds its own copy of the records."""
-    if isinstance(exc, AbortedRunError) and exc.trace is not None:
-        trace = replace(exc.trace, records=_records_of(exc.trace.records, config),
-                        config=config)
-        return AbortedRunError(str(exc), trace)
-    return type(exc)(*exc.args)
-
-
 class _Stack:
-    """The runs of one scene stepped in lockstep (see `_descend`): the
-    lanes, their thetas and decoded depths as (k, H, W) stacks, row i lane
-    i's, the shared plan, the lanes waiting to join and the outcome of
-    every run that has ended. It holds at most `room` lanes, as many as
-    `STACK_PIXELS` allows and at least one."""
+    """The runs of one scene stepped in lockstep (see the module
+    docstring): the lanes, their thetas and decoded depths as (k, H, W)
+    stacks, row i lane i's, the shared plan, the lanes waiting to join and
+    the outcome of every run that has ended. It holds at most `room`
+    lanes, as many as `STACK_PIXELS` allows and at least one."""
 
     def __init__(self, bundle):
         _pin_heap()
@@ -632,7 +622,7 @@ class _Stack:
                 it = min(start for start, *_ in self.waiting)
             self._admit(it)
             leads = [lane for lane in self.lanes
-                     if lane.forks and it == lane.objective.dpc_active_after]
+                     if lane.forks and it == lane.dpc_active_after]
             if leads:
                 for lane in leads:
                     self._fork(lane, it)
@@ -646,34 +636,27 @@ class _Stack:
         return self.outcomes
 
     def _start(self, members):
+        """The lead of the group `members` (see the module docstring) waits
+        to join at iteration 0 with its theta and depth, the others as its
+        forks; a lead that fails here ends (`_end`)."""
         lead = next((config for config in members if config.w_d > 0), members[0])
-        bundle = self.bundle
+        forks = [config for config in members if config != lead]
         try:
-            theta = _initial_theta(bundle, lead, np.random.default_rng(lead.seed))
-            objective = _DepthObjective(bundle, lead, self.plan)
+            theta = _initial_theta(self.bundle, lead, np.random.default_rng(lead.seed))
+            lane = _Lane(lead, self.plan, forks=forks)
             depth = _decode_values(theta)
             _require_depth(depth)
         except (FlowGeoError, ValueError) as exc:
-            self._group_failed(lead, members, exc)
+            self._end(lead, exc, forks)
             return
-        flow = None
-        if lead.w_b > 0:  # the flow stream starts from a copy of the scene's flow
-            flow = _component_major(bundle.flow_gt.values), bundle.flow_gt.mask.copy()
-        forks = [config for config in members if config != lead]
-        self.waiting.append((0, [_Lane(objective, flow, [], forks)], theta[None], depth[None]))
+        self.waiting.append((0, [lane], theta[None], depth[None]))
 
-    def _group_failed(self, lead, members, exc):
-        """The outcomes of a group whose lead failed before its fork: a
-        config whose dpc term is on or off as in the lead's does the same
-        work alone and takes the error its own run would raise, made from
-        the lead's; each other config runs alone."""
-        for config in members:
-            if config == lead:
-                self.outcomes[config] = exc
-            elif (config.w_d > 0) == (lead.w_d > 0):  # the same work
-                self.outcomes[config] = _error_of(exc, config)
-            else:
-                self.outcomes[config] = _descend(self.bundle, [config])[0]
+    def _end(self, config, outcome, forks):
+        """The run of `config` ends with `outcome`; the `forks` of a lead
+        that ends before its fork start as a group of their own."""
+        self.outcomes[config] = outcome
+        if forks:
+            self._start(forks)
 
     def _admit(self, it):
         """The lanes waiting to start at iteration `it` join the stack, in
@@ -690,16 +673,13 @@ class _Stack:
         self.waiting = waiting
 
     def _leave(self, ended):
-        """Take the lanes of `ended` ({lane: outcome}) off the stack; a lead
-        that leaves before its fork ends its group."""
+        """Take the lanes of `ended` ({lane: outcome}) off the stack, each
+        run ending with its outcome (`_end`)."""
         keep = [i for i, lane in enumerate(self.lanes) if lane not in ended]
         self.lanes = [self.lanes[i] for i in keep]
         self.theta, self.depth = self.theta[keep], self.depth[keep]
         for lane, outcome in ended.items():
-            if lane.forks:
-                self._group_failed(lane.config, [lane.config, *lane.forks], outcome)
-            else:
-                self.outcomes[lane.config] = outcome
+            self._end(lane.config, outcome, lane.forks)
 
     def _fork(self, lead, it):
         """Every fork of `lead` waits to join the stack at iteration `it`,
@@ -712,8 +692,9 @@ class _Stack:
 
     def _rigid_flows(self, rows, ended):
         """{lane: (values, valid)}, the rigid flow of each lane of `rows` at
-        its depth, checked finite where valid; a lane whose flow is not
-        goes to `ended` with its error."""
+        its depth, checked finite where valid; a lane whose flow is not, or
+        whose flow mask holds no pixel where it is valid (its co-adjustment
+        loss would be a mean over no pixels), goes to `ended` with its error."""
         plan = self.plan
         values, valid = rigid_flow_values(plan.camera, self.bundle.motion, _pick(self.depth, rows),
                                           grid=plan.grid)
@@ -723,15 +704,17 @@ class _Stack:
             lane = self.lanes[i]
             try:
                 _require_finite(lane_values, lane_valid, FLOW_NOT_FINITE)
+                if not (lane.flow[1] & lane_valid).any():
+                    raise NoValidPixelsError(_TERMS["bsca"][4])
                 rigid[lane] = lane_values, lane_valid
-            except ValueError as exc:
+            except (FlowGeoError, ValueError) as exc:
                 ended[lane] = exc
         return rigid
 
     def _flow_step(self, lanes, rigid, ended):
         """The flow step of the lanes in their flow phase: the co-adjustment
         loss only, against the rigid flow of each lane's depth, updating each
-        lane's flow in place and then its objective's flow side. Returns
+        lane's flow in place and then its flow side. Returns
         {lane: its co-adjustment loss}."""
         n = len(lanes)
         values = _stacked([lane.flow[0] for lane in lanes])
@@ -762,7 +745,7 @@ class _Stack:
                 values, masks = values[None], masks[None]
             if len(moved) < n:
                 values, masks = values[moved], masks[moved]
-            errors = _set_flows([lanes[j].objective for j in moved], values, masks)
+            errors = _set_flows([lanes[j] for j in moved], values, masks)
             for m, exc in errors.items():
                 ended[lanes[moved[m]]] = exc
         return dict(zip(lanes, _lane_values(loss_b.value)))
@@ -794,8 +777,7 @@ class _Stack:
 
         # depth step: consistency losses from the (adjusted) flow
         depth = self.depth
-        theta, values, errors = _depth_step([lane.objective for lane in lanes], self.theta,
-                                            depth, it)
+        theta, values, errors = _depth_step(lanes, self.theta, depth, it)
         self.theta, self.depth = theta, _decode_values(theta)
         sound = bool(np.isfinite(self.depth).all() and (self.depth > 0).all())
         for i, lane in enumerate(lanes):
@@ -823,7 +805,7 @@ class _Stack:
         """Each lane of `lanes` leaves with its RunTrace, its final record at
         the depth after its last step."""
         rows = [self.lanes.index(lane) for lane in lanes]
-        _, values, ended = _terms([lane.objective for lane in lanes], _pick(self.depth, rows))
+        _, values, ended = _terms(lanes, _pick(self.depth, rows))
         depth = self.depth[rows]
         flowing = [rows[j] for j, lane in enumerate(lanes)
                    if lane.flow is not None and j not in ended]
@@ -848,37 +830,11 @@ class _Stack:
 
 
 def _descend(bundle, configs):
-    """The descent loop of both experiments (see the module docstring) over
-    any configs of one scene; a config with w_b > 0 runs the flow stream.
-    Returns one outcome per config, in order: its RunTrace, or the
-    FlowGeoError or ValueError that ended its run.
-
-    The configs that are equal but for w_d form a group. Its lead, the first
-    with the dpc term on (the first if none has it), is one lane through the
-    dpc warmup, iterations [0, dpc_active_after); there each other distinct
-    config of the group forks the lead's lane (`_Lane.fork`) and joins the
-    stack with a copy of its theta and depth. Every lane of the stack takes
-    each iteration in lockstep with the others: one node per loss term over
-    the lanes that have it, one backward pass, one update of the stacked
-    theta with each lane's weights, rate and step clip. A lane leaves the
-    stack when it ends: after its last iteration with its trace, or with the
-    error that ends it. The stack holds `_Stack.room` lanes; a lead or a
-    fork that finds it full waits with its rows and joins once the stack
-    has room at its iteration, or has emptied (the stack then goes back to
-    the earliest iteration a lane waits at). The wall clock of every run
-    counts from the stack's start, its wait included.
-
-    This is each config run alone, bit for bit. Each lane's values, sums
-    and gradient sums are those of its run alone (see `autodiff` on lane
-    stacks). Up to `dpc_active_after` the dpc weight is 0 and the rate is
-    the same whatever w_d is, and the dpc value, still evaluated for the
-    records and the divergence check, is not on the tape of the step. The
-    losses are non-negative, so a config whose losses are a subset of the
-    lead's passes the divergence check wherever the lead passes it. If a
-    lead fails before its fork, a config whose dpc term is on or off as in
-    the lead's does the same work alone and takes the error its own run
-    would raise, made from the lead's (`_error_of`); each other config runs
-    alone."""
+    """The descent loop of both experiments over any configs of one scene,
+    as one `_Stack` (see the module docstring); a config with w_b > 0 runs
+    the flow stream. Returns one outcome per config, in order: its
+    RunTrace, or the FlowGeoError or ValueError that ended its run, as the
+    config run alone has them."""
     outcomes, groups = {}, {}
     for config in dict.fromkeys(configs):
         try:
@@ -900,11 +856,9 @@ def ablation_suite(bundles, configs) -> list:
     message instead of metrics. A config with w_b > 0 is co-adjusted as by
     `co_adjust`, any other runs as by `recover_depth`.
 
-    All configs of a scene run as one call of `_descend`, stepped in
-    lockstep as one stack as far as its room allows; the configs that differ only in w_d (equal after
-    `replace(config, w_d=0.0)`) share one lane through the dpc warmup,
-    iterations [0, dpc_active_after), and fork from it there. Every row is
-    the row of its config run alone (see `_descend`).
+    All configs of a scene run as one call of `_descend`, one lane stack
+    (see the module docstring), and every row is the row of its config run
+    alone.
     """
     if not bundles or not configs:
         raise ValueError("ablation needs at least one scene and one config")

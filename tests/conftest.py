@@ -21,6 +21,11 @@ from flowgeo.scene import (
     synthesize,
 )
 
+# a step-edge scene file whose every point is behind the camera at 11x9:
+# its flow mask is empty, so a co-adjusted run's bsca loss has no pixel
+EMPTY_FLOW_SCENE = ("family=step-edge\nfx=49.88\nfy=111.96\ncx=0\ncy=4.94\n"
+                    "ego_rotation=0,3.14159,0.0001\nego_translation=0,0.8988,0.5376\n")
+
 
 def run_python(args, **kwargs):
     """Run `python args` in a fresh process that imports this flowgeo;

@@ -28,7 +28,7 @@ from conftest import assert_bits_equal, reachable
 
 import flowgeo
 from flowgeo import autodiff as ad
-from flowgeo import grad, losses, optim, triangulate
+from flowgeo import geometry, grad, losses, optim, triangulate
 from flowgeo.geometry import (
     CameraIntrinsics,
     RigidMotion,
@@ -383,7 +383,7 @@ class TestActivity:
         configs = [optim.OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=1)
                    for wp, wc, wd in weights]
         plan = optim._plan(bundle)
-        objectives = [optim._DepthObjective(bundle, config, plan) for config in configs]
+        objectives = [optim._Lane(config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
                           for c in configs])
         roots, parts = [], []
@@ -643,8 +643,8 @@ def public_names(module):
 def test_every_export_has_a_caller_in_the_package():
     """An op whose last caller in the package goes moves to tests/composed.py
     in the same change, and a public function or class of `grad`,
-    `triangulate` or `losses` that the package neither reads nor exports
-    goes too. flowgeo has no `__all__`, so its exports are the public names
+    `triangulate`, `losses`, `optim` or `geometry` that the package neither
+    reads nor exports goes too. flowgeo has no `__all__`, so its exports are the public names
     of its namespace, what `from flowgeo import *` binds."""
     package = Path(ad.__file__).parent
     called = set()
@@ -665,5 +665,5 @@ def test_every_export_has_a_caller_in_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     exported = {name for name in vars(flowgeo) if not name.startswith("_")}
-    for module in (grad, triangulate, losses):
+    for module in (grad, triangulate, losses, optim, geometry):
         assert public_names(module) - read - exported == set(), module.__name__

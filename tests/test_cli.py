@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from conftest import run_python, scene_file_texts
+from conftest import EMPTY_FLOW_SCENE, run_python, scene_file_texts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +148,14 @@ class TestRuntimeErrors:
         assert code == 2
         assert "co-adjust" in capsys.readouterr().err
 
+    def test_co_adjust_with_no_valid_bsca_pixel(self, tmp_path, capsys):
+        scene = tmp_path / "behind.txt"
+        scene.write_text(EMPTY_FLOW_SCENE)
+        code = run(["co-adjust", "--scene", str(scene), "--size", "11x9", "--iters", "2",
+                    "--weights", "1,0,0.1,1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bsca: no valid pixels\n"
+
     def test_stopgrad_only_on_grad_check(self, scene_file, tmp_path):
         code = run(["recover-depth", "--scene", str(scene_file), "--size", "16x12",
                     "--iters", "1", "--stopgrad", "on", "--out", str(tmp_path / "o")])
@@ -234,8 +242,8 @@ class TestCommandsOnEveryScene:
         ("ablate", "--iters", "2"), ("grad-check",), ("grad-check", "--stopgrad", "on"),
         ("recover-depth", "--iters", "2", "--weights", "0,0,1,0"),
         ("co-adjust", "--iters", "2", "--weights", "1,0,0.1,1"),
-        ("ablate", "--iters", "2", "--weights", "0,1,1,0")]))
-    @settings(max_examples=200, deadline=None)
+        ("ablate", "--iters", "2", "--weights", "0,1,1,0"), ("triangulate",), ("check-dpc",)]))
+    @settings(max_examples=250, deadline=None)
     def test_exits_cleanly(self, tmp_path_factory, scene, command):
         work = tmp_path_factory.mktemp("plan")
         (work / "scene.txt").write_text(scene[0])

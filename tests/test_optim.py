@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from composed import TWINS
-from conftest import assert_bits_equal, run_python
+from conftest import EMPTY_FLOW_SCENE, assert_bits_equal, run_python
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, grad, optim
@@ -31,7 +31,7 @@ from flowgeo.losses import (
     dpc_loss,
 )
 from flowgeo.optim import OptimConfig, ablation_suite, co_adjust, recover_depth
-from flowgeo.scene import SceneSpec, synthesize
+from flowgeo.scene import SceneSpec, read_scene_file, synthesize
 from flowgeo.triangulate import triangulate_depth
 
 README_SPEC = SceneSpec("affine-inverse-shift", a=0.21, b=0.0013, c=0.0009)
@@ -289,8 +289,8 @@ def run_alone(bundle, config):
 
 
 def objective_of(bundle, config):
-    """The `_DepthObjective` of `config` on a plan of its own."""
-    return optim._DepthObjective(bundle, config, optim._plan(bundle))
+    """The `_Lane` of `config` on a plan of its own."""
+    return optim._Lane(config, optim._plan(bundle))
 
 
 def assert_same_outcome(shared, alone):
@@ -385,6 +385,19 @@ class TestSharedWarmup:
         for row in rows[1:]:
             assert row["error"].startswith("AbortedRunError: run diverged at iteration ")
             assert int(row["error"].split()[5]) < warmup
+
+    def test_one_plan_when_the_lead_fails_in_its_warmup(self, small_static, monkeypatch):
+        # the w_d = 0.1 lead diverges in the warmup; its forks start again
+        # in the same stack, on its plan
+        plans = []
+        real_plan = optim._plan
+        monkeypatch.setattr(optim, "_plan", lambda b: plans.append(1) or real_plan(b))
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
+                               step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
+        outcomes = optim._descend(small_static, configs)
+        assert len(plans) == 1
+        assert isinstance(outcomes[0], optim.RunTrace)
+        assert all(isinstance(o, AbortedRunError) for o in outcomes[1:])
 
     def test_each_config_takes_an_error_of_its_own(self, small_static):
         # the lead (w_d = 0.1) diverges in the warmup, and the w_d = 0.2
@@ -612,10 +625,10 @@ def _arrays_in(x, found, seen, into_vars=False):
         _arrays_in(vars(x), found, seen, into_vars)
 
 
-def closure_bytes(objectives, theta, it):
+def closure_bytes(bundle, objectives, theta, it):
     """(bytes, lane-pixels): the distinct bytes the vjp closures of one
-    `_depth_step` of the stack `theta` hold, outside its plan, its scene and
-    the objectives' flow sides, and the pixels of its lanes."""
+    `_depth_step` of the stack `theta` hold, outside its plan, its scene
+    `bundle` and the lanes' flow sides, and the pixels of its lanes."""
     roots = []
     backward = ad.backward
     ad.backward = lambda root: roots.append(root) or backward(root)
@@ -631,13 +644,13 @@ def closure_bytes(objectives, theta, it):
             _arrays_in(node._vjp, held, set())
             stack += [parent for parent, _ in node._parents]
     plan = objectives[0].plan
-    _arrays_in([plan, objectives[0].bundle, [(o.geo, o.div) for o in objectives]],
+    _arrays_in([plan, bundle, [(o.geo, o.div) for o in objectives]],
                owned, set(), True)
     return sum(a.nbytes for key, a in held.items() if key not in owned), theta.size
 
 
 class TestPlan:
-    """The plan `_DepthObjective` builds once per run, and the raw-array
+    """The plan `_Stack` builds once per scene, and the raw-array
     co-adjustment loop: same losses, same checks, fewer tape nodes."""
 
     @pytest.fixture(scope="class")
@@ -678,20 +691,20 @@ class TestPlan:
         objective = objective_of(bundle, config)
         theta = optim._initial_theta(bundle, config, np.random.default_rng(1))[None]
         it = objective.dpc_active_after
-        held, pixels = closure_bytes([objective], theta, it)
-        assert (held, pixels) == closure_bytes([objective], theta, it)
+        held, pixels = closure_bytes(bundle, [objective], theta, it)
+        assert (held, pixels) == closure_bytes(bundle, [objective], theta, it)
         assert held == 132 * pixels
 
         bundle = synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 24.0, 18.0), ego, 36, 48)
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
                    for wc in (0.0, 0.5) for wd in (0.0, 0.1)]
         plan = optim._plan(bundle)
-        objectives = [optim._DepthObjective(bundle, c, plan) for c in configs]
+        objectives = [optim._Lane(c, plan) for c in configs]
         theta = np.stack([optim._initial_theta(bundle, c, np.random.default_rng(c.seed))
                           for c in configs])
         it = objectives[0].dpc_active_after
-        held, pixels = closure_bytes(objectives, theta, it)
-        assert (held, pixels) == closure_bytes(objectives, theta, it)
+        held, pixels = closure_bytes(bundle, objectives, theta, it)
+        assert (held, pixels) == closure_bytes(bundle, objectives, theta, it)
         assert held == 743168 and pixels == 4 * 36 * 48  # 107.5 per lane-pixel
 
     def test_dpc_active_step_call_budget(self, rotating):
@@ -720,7 +733,7 @@ class TestPlan:
         configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=200, seed=7)
                    for wc in (0.0, 1.0) for wd in (0.0, 0.1)]
         plan = optim._plan(rotating)
-        objectives = [optim._DepthObjective(rotating, config, plan) for config in configs]
+        objectives = [optim._Lane(config, plan) for config in configs]
         theta = np.stack([optim._initial_theta(rotating, c, np.random.default_rng(c.seed))
                           for c in configs])
         it = objectives[0].dpc_active_after
@@ -738,7 +751,7 @@ class TestPlan:
         configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0)
                    for wp, wc, wd in weights]
         plan = optim._plan(small_static)
-        objectives = [optim._DepthObjective(small_static, config, plan) for config in configs]
+        objectives = [optim._Lane(config, plan) for config in configs]
         gt = small_static.depth_gt.values
         theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9]))
         depth = optim._decode_values(theta)
@@ -845,6 +858,34 @@ class TestPlan:
         with pytest.raises(InvalidDepthError, match="strictly positive"):
             co_adjust(small_static, OptimConfig(w_c=1.0, w_b=1.0, iterations=10))
         assert steps == []
+
+
+class TestEmptyBscaValidSet:
+    """A co-adjusted run whose flow mask holds no pixel where the rigid flow
+    is valid ends in `NoValidPixelsError`, as the bsca term of the gradient
+    checker does, not in a mean over no pixels."""
+
+    CO = OptimConfig(w_p=1.0, w_c=0.0, w_d=0.1, w_b=1.0, iterations=2)
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("empty") / "scene.txt"
+        path.write_text(EMPTY_FLOW_SCENE)
+        spec, camera, ego = read_scene_file(path)
+        bundle = synthesize(spec, camera, ego, 9, 11)
+        assert not bundle.flow_gt.mask.any()
+        return bundle
+
+    def test_co_adjust_raises(self, bundle):
+        with pytest.raises(NoValidPixelsError, match="^bsca: no valid pixels$"):
+            co_adjust(bundle, self.CO)
+
+    def test_only_the_co_adjusted_lane_ends(self, bundle):
+        depth_only = OptimConfig(w_p=1.0, w_c=0.0, w_d=0.0, iterations=2)
+        co, alone = optim._descend(bundle, [self.CO, depth_only])
+        assert type(co) is NoValidPixelsError and str(co) == "bsca: no valid pixels"
+        assert isinstance(alone, optim.RunTrace)
+        assert_same_outcome(alone, recover_depth(bundle, depth_only))
 
 
 def weighted_total(objective, theta, it):
