@@ -441,6 +441,9 @@ def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twis
     `build_loss`: the base build and every +- build of a depth coordinate
     share one `LossPlan`, and each +- build of a twist or flow coordinate
     makes its own.
+
+    The picks come from `np.random.default_rng(seed)`, so a check imports
+    `numpy.random` (`rng.PCG64` reproduces only its `uniform` draws).
     """
     if step <= 0:
         raise ValueError("step must be positive")

@@ -104,6 +104,7 @@ from .losses import (
     bsca_core,
     depth_metrics,
 )
+from .rng import PCG64
 from .scene import SceneBundle
 from .triangulate import triangulate_depth
 
@@ -146,6 +147,8 @@ class OptimConfig:
             raise ValueError("step_clip must be finite and positive")
         if self.iterations < 1 or self.record_every < 1:
             raise ValueError("iterations and record_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.dpc_warmup_fraction <= 1:
             raise ValueError("dpc_warmup_fraction must be in [0, 1]")
         if self.init not in INITS:
@@ -642,7 +645,7 @@ class _Stack:
         lead = next((config for config in members if config.w_d > 0), members[0])
         forks = [config for config in members if config != lead]
         try:
-            theta = _initial_theta(self.bundle, lead, np.random.default_rng(lead.seed))
+            theta = _initial_theta(self.bundle, lead, PCG64(lead.seed))
             lane = _Lane(lead, self.plan, forks=forks)
             depth = _decode_values(theta)
             _require_depth(depth)

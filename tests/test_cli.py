@@ -469,6 +469,27 @@ class TestModuleEntryPoints:
         assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
+_DESCENT_IMPORTS = '''
+import sys
+from flowgeo import cli
+for argv in (["recover-depth"], ["co-adjust"], ["ablate"]):
+    code = cli.run(argv + ["--scene", {scene!r}, "--size", "16x12", "--iters", "2",
+                           "--out", {out!r}])
+    assert code == 0, argv
+print(sorted(m for m in ("numpy.random", "secrets", "hmac") if m in sys.modules))
+'''
+
+
+def test_descent_commands_skip_numpy_random(scene_file, tmp_path):
+    """The descent commands draw their random-scale initial depth from
+    `rng.PCG64`, so they never import `numpy.random`, nor the `secrets`,
+    `hmac` and libcrypto it loads (about 5 MB of RSS)."""
+    done = run_python(["-c", _DESCENT_IMPORTS.format(scene=str(scene_file),
+                                                     out=str(tmp_path / "o"))])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestDivergedRun:
     @pytest.mark.parametrize("command", ["recover-depth", "co-adjust"])
     def test_partial_trace_written_before_one_error_line(

@@ -82,6 +82,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OptimConfig(**{field: value})
 
+    # unchecked, a negative seed fails only when the descent draws its
+    # initial depth
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -2**70])
+    def test_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            OptimConfig(seed=seed)
+
     def test_count_fields_take_numpy_integers(self):
         config = OptimConfig(iterations=np.int64(3), seed=np.int32(2), record_every=np.uint8(1))
         assert (config.iterations, config.seed, config.record_every) == (3, 2, 1)
