@@ -78,7 +78,7 @@ def _int_at_least(lowest):
 
 
 _positive_int = _int_at_least(1)
-_seed = _int_at_least(0)  # numpy seeds are non-negative
+_seed = _int_at_least(0)  # OptimConfig and the gradient checker take non-negative seeds
 
 
 def _parse_weights(text):
@@ -163,13 +163,12 @@ def _emit(path, write, *values):
 
 
 def _write_manifest(out_dir, args, extra=None):
+    """One line per key: the arguments, with `extra`'s values in place of
+    theirs (a resolved default) and its other keys added."""
+    values = {**vars(args), **(extra or {})}
+    del values["command"]
     lines = [f"flowgeo-version={__version__}", f"command={args.command}"]
-    for key, value in sorted(vars(args).items()):
-        if key == "command":
-            continue
-        lines.append(f"{key}={value}")
-    for key, value in sorted((extra or {}).items()):
-        lines.append(f"{key}={value}")
+    lines += [f"{key}={value}" for key, value in sorted(values.items())]
     _emit(Path(out_dir) / "run-manifest.txt", Path.write_text, "\n".join(lines) + "\n", "utf-8")
 
 
@@ -309,7 +308,7 @@ def _cmd_descend(args):
     _trace_outputs(out, trace, stem)
     summary = trace.records[-1].extras if co else {"abs_rel": trace.final_metrics.abs_rel}
     print("final " + " ".join(f"{k}={v:.6f}" for k, v in sorted(summary.items())))
-    _write_manifest(out, args, {"weights": weights})
+    _write_manifest(out, args, {"weights": ",".join(map(str, weights))})
     return 0
 
 
@@ -325,7 +324,7 @@ def _cmd_ablate(args):
             configs.append((name, _config_from_args(args, (w_p, wc, wd, 0.0))))
     rows = ablation_suite([(Path(args.scene).stem, bundle)], configs)
     _emit(out / "ablation.csv", write_csv, rows)
-    _write_manifest(out, args, {"weights": weights})
+    _write_manifest(out, args, {"weights": ",".join(map(str, weights))})
     return 0
 
 

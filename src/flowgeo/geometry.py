@@ -406,9 +406,7 @@ def rigid_flow_values(camera: CameraIntrinsics, motion: RigidMotion, depth, mask
     """The body of `rigid_flow` on raw arrays: (flow values (H, W, 2),
     valid mask) for a depth grid whose valid pixels are `mask` (None: all).
     `grid` is a `CameraGrid` to reuse. The values are not checked; callers
-    that need a finite flow check it (`FlowField` does). A lane stack of
-    depth grids (k, H, W) gives (k, H, W, 2) values, each lane's the bits
-    of its grid alone."""
+    that need a finite flow check it (`FlowField` does)."""
     shape = depth.shape
     if (motion.rotation == np.eye(3)).all() and (motion.translation == 0).all():
         # identity motion has identically zero flow; skip the reprojection

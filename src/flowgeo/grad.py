@@ -36,7 +36,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FlowGeoError, NoValidPixelsError
+from .errors import NoValidPixelsError
 from .geometry import (
     Z_EPS,
     CameraGrid,
@@ -223,18 +223,6 @@ _TERMS = {
 LOSS_IDS = tuple(_TERMS)
 
 
-def _lanes_of(stack, n):
-    """The n lanes' arrays of a lane stack (see `optim._stacked`)."""
-    return [stack] if n == 1 else list(stack)
-
-
-def _raised(part):
-    """`part`, unless it is the error its checks gave: that is raised."""
-    if isinstance(part, Exception):
-        raise part
-    return part
-
-
 class LossPlan:
     """What the loss terms read besides the depth, for one pose (the warp
     R as rows and t, and the source-to-target `t_ego`) and one flow: the
@@ -244,7 +232,7 @@ class LossPlan:
     at each read. A part is a tape graph where its inputs are on the tape
     (`ad.active`), else arrays: the rotational flow of a constant rotation
     is `geometry.rotational_flow`, None for the identity. The grids have
-    no lane axis; `geo_lanes` and `div_lanes` take lane stacks."""
+    no lane axis; `geo_of` and `div_of` give the parts of any one flow."""
 
     def __init__(self, camera, R, t, t_ego, image_t, image_s, f_u, f_v, flow_mask, depth_mask,
                  dpc_floor, geo_plan=None):
@@ -262,7 +250,7 @@ class LossPlan:
     def geo(self):
         if self.geo_plan is not None:
             return self.geo_plan.geo
-        return _raised(self.geo_lanes(self.f_u, self.f_v, self.flow_mask, 1)[0])
+        return self.geo_of(self.f_u, self.f_v, self.flow_mask)
 
     @cached_property
     def q(self):  # (t3, q_u, q_v); the checker's t_ego (None) is -R^T t
@@ -281,38 +269,27 @@ class LossPlan:
 
     @cached_property
     def div(self):
-        return _raised(self.div_lanes(self.f_u, self.f_v, self.flow_mask, 1)[0])
+        return self.div_of(self.f_u, self.f_v, self.flow_mask)
 
-    def geo_lanes(self, f_u, f_v, masks, n):
-        """Per lane of n lanes of flow components and masks (a grid for one
-        lane): the triangulated (depth, validity), or its FlowGeoError."""
+    def geo_of(self, f_u, f_v, mask):
+        """The triangulated (depth, validity) of the flow components
+        (f_u, f_v) with valid pixels `mask`; raises its FlowGeoError."""
         num, den = triangulation_ratio(self.camera, self.R, self.t, f_u, f_v, self.grid, self.rays)
-        depth, validity, _ = depth_from_ratio(ad.value_of(num), ad.value_of(den), masks)
+        depth, validity, _ = depth_from_ratio(ad.value_of(num), ad.value_of(den), mask)
         d_g = ad.div(num, den) if ad.active(num) else depth
-        parts = []
-        for lane_depth, valid, part in zip(_lanes_of(depth, n), _lanes_of(validity, n),
-                                           _lanes_of(d_g, n)):
-            try:
-                _require_depth(lane_depth, valid)
-                if not valid.any():
-                    raise NoValidPixelsError("triangulation produced no valid pixels")
-                parts.append((part, valid))
-            except FlowGeoError as exc:
-                parts.append(exc)
-        return parts
+        _require_depth(depth, validity)
+        if not validity.any():
+            raise NoValidPixelsError("triangulation produced no valid pixels")
+        return d_g, validity
 
-    def div_lanes(self, f_u, f_v, masks, n):
-        """Per lane of `geo_lanes`' inputs: the divergence of the flow less
-        the rotational flow, and where C^F may be valid (off the border,
-        where the stencils read valid flow); or the grid's error."""
+    def div_of(self, f_u, f_v, mask):
+        """For `geo_of`'s inputs: the divergence of the flow less the
+        rotational flow, and where C^F may be valid (off the border, where
+        the stencils read valid flow); raises the grid's error."""
         if self.rotation is not None:
             f_u, f_v = f_u - self.rotation[0], f_v - self.rotation[1]
-        try:
-            div_f = differential_flow_side(f_u, f_v)
-        except (FlowGeoError, ValueError) as exc:
-            return [exc] * n
-        valid = stencil_validity(masks) & interior_mask(*self.flow_mask.shape)
-        return list(zip(_lanes_of(div_f, n), _lanes_of(valid, n)))
+        return (differential_flow_side(f_u, f_v),
+                stencil_validity(mask) & interior_mask(*self.flow_mask.shape))
 
 
 def _leaf_plan(inputs: LossInputs, overrides: dict, geo_plan=None, leaf=ad.Var):

@@ -281,8 +281,7 @@ def differential_offsets(camera: CameraIntrinsics, t_ego, grid: CameraGrid):
 def differential_flow_side(f_tra_u, f_tra_v):
     """The flow half of C^F: the (unnormalized) divergence of the
     translational flow, a tape node over an active component and a plain
-    array of the same bits over constant ones. The components may be lane
-    stacks (k, H, W)."""
+    array of the same bits over constant ones."""
     if ad.active(f_tra_u) or ad.active(f_tra_v):
         return ad.axis_diff(f_tra_u, axis=-1) + ad.axis_diff(f_tra_v, axis=-2)
     return _axis_diff(ad.value_of(f_tra_u), -1) + _axis_diff(ad.value_of(f_tra_v), -2)

@@ -26,12 +26,14 @@ update as `DepthMap` and `FlowField` would, and wraps them in containers
 only at a record, an abort or the return.
 
 Each run is one `_Lane` of a `_Stack`, and `_descend` steps every lane of
-a scene in lockstep: theta, the decoded depth and a co-adjusted flow carry
-a leading lane axis, each loss term is one tape node over the lanes that
-have it, and one backward pass and one update serve them all, with each
-lane's weights, rate and step clip. A run alone is a stack of one, which
-steps on its grids themselves, without the lane axis; the ablation suite
-stacks all configs of a scene. A stack holds at most `STACK_PIXELS`
+a scene in lockstep. The depth step is stacked: theta and the decoded depth
+carry a leading lane axis, each loss term is one tape node over the lanes
+that have it, and one backward pass and one update serve them all, with
+each lane's weights, rate and step clip. A run alone is a stack of one,
+which steps on its grids themselves, without the lane axis; the ablation
+suite stacks all configs of a scene. The flow stream is not stacked: each
+co-adjusted lane steps its own flow against the rigid flow of its own
+depth (`_Lane.flow_step`). A stack holds at most `STACK_PIXELS`
 pixels of lanes (at least one lane): past that a bigger stack stepped
 slower than its lanes one after another (the lanes' tape outgrows the
 cache), so a lane that finds the stack full waits with its rows and joins
@@ -64,8 +66,8 @@ Each loss term's node comes from the term builder of `grad` that
 as here, so `grad-check` certifies the nodes of this objective. The work
 of a step that does not depend on the log-depth theta is done once per
 scene, in the plan its lanes share, each part on the first read of a
-lane that needs it. `_set_flows` refreshes only what depends on a
-co-adjusted flow: the triangulated depth and its validity, and the
+lane that needs it. A flow step refreshes only what depends on its
+lane's co-adjusted flow: the triangulated depth and its validity, and the
 divergence of the translational flow.
 
 Reductions and updates are sequential and seeded, so a run is
@@ -98,7 +100,7 @@ from .geometry import (
     _require_finite,
     rigid_flow_values,
 )
-from .grad import _TERMS, LossPlan, _lanes_of
+from .grad import _TERMS, LossPlan
 from .losses import (
     DepthMetrics,
     bsca_core,
@@ -247,31 +249,6 @@ def _plan(bundle: SceneBundle) -> LossPlan:
                     flow.values[..., 0], flow.values[..., 1], flow.mask, True, DPC_FLOOR)
 
 
-# Lane stacks: the lanes' grids stacked along a leading axis, and a stack of
-# one lane is its grid itself, without the axis. So a run alone steps on
-# plain grids, as the loss nodes' 2-D form has them, and numpy runs each
-# operation on operands of one shape.
-
-
-def _stacked(arrays):
-    """The lane stack of the lanes' arrays (one per lane): a stack of one is
-    the array itself, so writing it writes the lane's array."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _pick(array, rows):
-    """The lane stack of the lanes `rows` (increasing) of a stored (k, ...)
-    stack: its grid for one lane, the stack itself for all of its lanes."""
-    if len(rows) == 1:
-        return array[rows[0]]
-    return array if len(rows) == len(array) else array[rows]
-
-
-def _lane_values(value):
-    """The per-lane values of a loss node over a lane stack, as floats."""
-    return [value] if type(value) is float else value.tolist()
-
-
 def _lane_stacks(parts):
     """One array per entry of the lanes' tuples of grids: the grid itself
     where every lane holds the same array (it broadcasts against the lane
@@ -291,11 +268,11 @@ class _Lane:
     that fork from it. Its theta and depth are its rows of the stack's.
 
     A lane on the scene's flow takes the plan's own parts, whose errors
-    raise here; a fork takes its lead's (`fork`), and `_set_flows`
-    refreshes them when the flow stream moves the flow. The co-adjusted
-    flow is a copy of `flow` ((f_u, f_v, mask), the plan's when None),
-    which the flow step updates in place; its values are a view of a
-    (2, ...) buffer, as `rigid_flow_values` holds its own, so each
+    raise here; a fork takes its lead's (`fork`), and `flow_step`
+    refreshes them when it moves the flow. The co-adjusted flow is a copy
+    of `flow` ((f_u, f_v, mask), the plan's when None), one grid with no
+    lane axis, which `flow_step` updates in place; its values are a view
+    of a (2, H, W) buffer, as `rigid_flow_values` holds its own, so each
     component the flow step reads and updates is contiguous."""
 
     def __init__(self, config, plan, flow=None, records=(), forks=(), side=None):
@@ -343,30 +320,26 @@ class _Lane:
             return cfg.learning_rate * DPC_LR_SCALE
         return cfg.learning_rate
 
-
-def _set_flows(lanes, values, masks):
-    """Refresh the flow side of the lanes, lane i's from its flow
-    (values[i], masks[i] of (k, ...) stacks), all on one plan; returns
-    {lane: error} for the lanes whose new flow fails a check."""
-    plan, errors = lanes[0].plan, {}
-    f_u, f_v = values[..., 0], values[..., 1]
-    for name, parts_of, weight in (("geo", plan.geo_lanes, "w_c"), ("div", plan.div_lanes, "w_d")):
-        rows = [i for i, lane in enumerate(lanes) if getattr(lane.config, weight) > 0]
-        if not rows:
-            continue
-        parts = parts_of(_pick(f_u, rows), _pick(f_v, rows), _pick(masks, rows), len(rows))
-        for i, part in zip(rows, parts):
-            if isinstance(part, Exception):
-                errors.setdefault(i, _error_of(part))
-            else:
-                setattr(lanes[i], name, part)
-    return errors
-
-
-def _error_of(exc):
-    """A new error of the type and message of `exc`: each lane that one
-    failing node call ends takes an error of its own."""
-    return type(exc)(*exc.args)
+    def flow_step(self, rigid):
+        """The lane's flow step: the co-adjustment loss only, against the
+        rigid flow `rigid` of its depth ((values, valid)), updating its flow
+        in place, then its flow side. Returns its co-adjustment loss; raises
+        what ends its run."""
+        (values, mask), (r_values, r_valid) = self.flow, rigid
+        f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
+        loss = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, mask & r_valid)
+        ad.backward(loss)
+        rate = self.config.flow_learning_rate * self.config.w_b
+        values[..., 0] -= rate * f_u.grad
+        values[..., 1] -= rate * f_v.grad
+        self.storable = _float32_storable(values).all()
+        if not self.storable:  # a flow float32 can hold is finite
+            _require_finite(values, mask, FLOW_NOT_FINITE)
+        if self.config.w_c > 0:
+            self.geo = self.plan.geo_of(values[..., 0], values[..., 1], mask)
+        if self.config.w_d > 0:
+            self.div = self.plan.div_of(values[..., 0], values[..., 1], mask)
+        return loss.value
 
 
 # the loss terms in the order a step creates their nodes: the reverse is the
@@ -376,14 +349,15 @@ TERMS = ("cgdc", "dpc", "photometric")
 
 def _terms(lanes, depth, d=None, iteration=None):
     """The loss terms of a lane stack as tape nodes: lanes[i] at its decoded
-    depth in the stack `depth` (see `_stacked`). Each term is one node over
-    the lanes that have it, in `TERMS` order. The lanes whose weight for the
-    term is positive at `iteration` read the leaf `d`, the whole stack or
-    `ad.lanes` of it; the others, all of them when `d` is None, read the
-    plain depth, off the tape. A node comes from the term's builder in
-    `grad._TERMS`, the one `grad.build_loss` checks, on the lanes' stacked
-    flow sides. A lane whose valid set of a term is empty leaves that term
-    out.
+    depth in the stack `depth`, (k, H, W), or for a stack of one its grid
+    itself, so that a run alone steps on plain grids, as the loss nodes'
+    2-D form has them. Each term is one node over the lanes that have it,
+    in `TERMS` order. The lanes whose weight for the term is positive at
+    `iteration` read the leaf `d`, the whole stack or `ad.lanes` of it; the
+    others, all of them when `d` is None, read the plain depth, off the
+    tape. A node comes from the term's builder in `grad._TERMS`, the one
+    `grad.build_loss` checks, on the lanes' stacked flow sides. A lane whose
+    valid set of a term is empty leaves that term out.
 
     Returns ([(node, lanes, their weights)] of the nodes on the tape, the
     lanes as an index of the stack's leading axis, each lane's loss values
@@ -421,12 +395,13 @@ def _terms(lanes, depth, d=None, iteration=None):
                 side = _lane_stacks([part(lanes[i]) for i in rows]) if part else ()
                 node, mask = build(plan, picked, *side)
             except (FlowGeoError, ValueError) as exc:
-                for i in rows:
-                    errors[i] = _error_of(exc)
+                for i in rows:  # each lane takes an error of its own
+                    errors[i] = type(exc)(*exc.args)
                 break
             if node is not None:
-                for i, value in zip(rows, _lane_values(node.value)):
-                    values[i][name] = value
+                value = node.value  # a float for one lane, else a (k,) array
+                for i, v in zip(rows, [value] if type(value) is float else value.tolist()):
+                    values[i][name] = v
                 if on_tape:
                     parts.append((node, index, ws[0] if len(rows) == 1 else np.array(ws)))
                 break
@@ -693,65 +668,18 @@ class _Stack:
         rows = [i] * len(lanes)
         self.waiting.append((it, lanes, self.theta[rows], self.depth[rows]))
 
-    def _rigid_flows(self, rows, ended):
-        """{lane: (values, valid)}, the rigid flow of each lane of `rows` at
-        its depth, checked finite where valid; a lane whose flow is not, or
-        whose flow mask holds no pixel where it is valid (its co-adjustment
-        loss would be a mean over no pixels), goes to `ended` with its error."""
+    def _rigid_flow(self, i):
+        """(values, valid), the rigid flow of lane i's depth, checked finite
+        where valid; raises when it is not, or when the lane's flow mask
+        holds no pixel where it is valid (its co-adjustment loss would be a
+        mean over no pixels)."""
         plan = self.plan
-        values, valid = rigid_flow_values(plan.camera, self.bundle.motion, _pick(self.depth, rows),
+        values, valid = rigid_flow_values(plan.camera, self.bundle.motion, self.depth[i],
                                           grid=plan.grid)
-        rigid = {}
-        for i, lane_values, lane_valid in zip(rows, _lanes_of(values, len(rows)),
-                                               _lanes_of(valid, len(rows))):
-            lane = self.lanes[i]
-            try:
-                _require_finite(lane_values, lane_valid, FLOW_NOT_FINITE)
-                if not (lane.flow[1] & lane_valid).any():
-                    raise NoValidPixelsError(_TERMS["bsca"][4])
-                rigid[lane] = lane_values, lane_valid
-            except (FlowGeoError, ValueError) as exc:
-                ended[lane] = exc
-        return rigid
-
-    def _flow_step(self, lanes, rigid, ended):
-        """The flow step of the lanes in their flow phase: the co-adjustment
-        loss only, against the rigid flow of each lane's depth, updating each
-        lane's flow in place and then its flow side. Returns
-        {lane: its co-adjustment loss}."""
-        n = len(lanes)
-        values = _stacked([lane.flow[0] for lane in lanes])
-        masks = _stacked([lane.flow[1] for lane in lanes])
-        r_values = _stacked([rigid[lane][0] for lane in lanes])
-        r_valid = _stacked([rigid[lane][1] for lane in lanes])
-        f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
-        loss_b = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, masks & r_valid)
-        ad.backward(loss_b)
-        rates = [lane.config.flow_learning_rate * lane.config.w_b for lane in lanes]
-        rate = rates[0] if n == 1 else np.array(rates)[:, None, None]
-        values[..., 0] -= rate * f_u.grad
-        values[..., 1] -= rate * f_v.grad
-        moved = []
-        for j, (lane, lane_values, lane_mask) in enumerate(
-                zip(lanes, _lanes_of(values, n), _lanes_of(masks, n))):
-            if n > 1:  # a stacked copy: the lane's own array takes the step
-                lane.flow[0][...] = lane_values
-            lane.storable = _float32_storable(lane_values).all()
-            try:
-                if not lane.storable:  # a flow float32 can hold is finite
-                    _require_finite(lane_values, lane_mask, FLOW_NOT_FINITE)
-                moved.append(j)
-            except ValueError as exc:
-                ended[lane] = exc
-        if moved:
-            if n == 1:
-                values, masks = values[None], masks[None]
-            if len(moved) < n:
-                values, masks = values[moved], masks[moved]
-            errors = _set_flows([lanes[j] for j in moved], values, masks)
-            for m, exc in errors.items():
-                ended[lanes[moved[m]]] = exc
-        return dict(zip(lanes, _lane_values(loss_b.value)))
+        _require_finite(values, valid, FLOW_NOT_FINITE)
+        if not (self.lanes[i].flow[1] & valid).any():
+            raise NoValidPixelsError(_TERMS["bsca"][4])
+        return values, valid
 
     def _step(self, it):
         """Iteration `it` of every lane: for a lane in its flow phase a flow
@@ -761,22 +689,21 @@ class _Stack:
         iterations of its flow phase and on its record iterations. A lane
         that fails leaves the stack at the phase where it fails."""
         lanes, ended = self.lanes, {}
-        flowing = [i for i, lane in enumerate(lanes) if lane.flow is not None]
         rigid, bsca = {}, {}
-        if flowing:
-            rows = [i for i in flowing
-                    if it >= lanes[i].flow_start or it % lanes[i].config.record_every == 0]
-            if rows:
-                rigid = self._rigid_flows(rows, ended)
-            stepping = [lanes[i] for i in flowing
-                        if it >= lanes[i].flow_start and lanes[i] not in ended]
-            if stepping:
-                bsca = self._flow_step(stepping, rigid, ended)
-            if ended:
-                self._leave(ended)
-                lanes, ended = self.lanes, {}
-                if not lanes:
-                    return
+        for i, lane in enumerate(lanes):
+            if lane.flow is None or (it < lane.flow_start and it % lane.config.record_every):
+                continue
+            try:
+                rigid[lane] = self._rigid_flow(i)
+                if it >= lane.flow_start:
+                    bsca[lane] = lane.flow_step(rigid[lane])
+            except (FlowGeoError, ValueError) as exc:
+                ended[lane] = exc
+        if ended:
+            self._leave(ended)
+            lanes, ended = self.lanes, {}
+            if not lanes:
+                return
 
         # depth step: consistency losses from the (adjusted) flow
         depth = self.depth
@@ -808,22 +735,18 @@ class _Stack:
         """Each lane of `lanes` leaves with its RunTrace, its final record at
         the depth after its last step."""
         rows = [self.lanes.index(lane) for lane in lanes]
-        _, values, ended = _terms(lanes, _pick(self.depth, rows))
         depth = self.depth[rows]
-        flowing = [rows[j] for j, lane in enumerate(lanes)
-                   if lane.flow is not None and j not in ended]
+        _, values, ended = _terms(lanes, depth[0] if len(rows) == 1 else depth)
         outcomes = {}
-        rigid = self._rigid_flows(flowing, outcomes) if flowing else {}
         for j, lane in enumerate(lanes):
             if j in ended:
                 outcomes[lane] = ended[j]
                 continue
-            if lane in outcomes:  # its rigid flow is not finite
-                continue
             config = lane.config
             try:
+                rigid = None if lane.flow is None else self._rigid_flow(rows[j])
                 lane.records.append(_record(self.bundle, depth[j], config.iterations, values[j],
-                                            lane.flow, rigid.get(lane)))
+                                            lane.flow, rigid))
                 final_flow = None if lane.flow is None else FlowField(*lane.flow)
                 outcomes[lane] = RunTrace(lane.records, DepthMap(depth[j]), final_flow,
                                           time.perf_counter() - self.started, config)

@@ -74,8 +74,7 @@ def triangulation_ratio(camera: CameraIntrinsics, R, t, f_u, f_v, grid=None, ray
     tape Vars alike, so this one expression is the body of both
     `triangulate_depth` and `grad.LossPlan`'s depth. A caller that holds
     the `CameraGrid` and the rows `grid.rays(R)` of a fixed rotation may
-    pass them instead of having them rebuilt. Flow components stacked in
-    lanes (k, H, W) give each lane the ratio of its flow alone.
+    pass them instead of having them rebuilt.
     """
     if grid is None:
         grid = CameraGrid.of(camera, *np.shape(ad.value_of(f_u))[-2:])

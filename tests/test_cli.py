@@ -490,6 +490,30 @@ def test_descent_commands_skip_numpy_random(scene_file, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+class TestManifest:
+    """A run's manifest names each key once. The weights a descent or an
+    ablation used, given or resolved from the defaults, are written in the
+    flag's own w_p,w_c,w_d,w_b form."""
+
+    @pytest.mark.parametrize("command, flags, weights", [
+        ("recover-depth", ["--weights", "1,1,0.1,0"], "1.0,1.0,0.1,0.0"),
+        ("recover-depth", [], "1.0,0.5,0.1,0.0"),
+        ("co-adjust", [], "1.0,0.5,0.1,0.1"),
+        ("ablate", [], "1.0,0.5,0.1,0.1"),
+        ("ablate", ["--weights", "1,0.25,0,0"], "1.0,0.25,0.0,0.0"),
+    ])
+    def test_each_key_once(self, scene_file, tmp_path, command, flags, weights):
+        out = tmp_path / "o"
+        argv = [command, "--scene", str(scene_file), "--size", "16x12", "--iters", "2", *flags]
+        assert run([*argv, "--out", str(out)]) == 0
+        lines = (out / "run-manifest.txt").read_text().splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        assert len(keys) == len(set(keys)), lines
+        assert f"weights={weights}" in lines
+        parsed = tuple(float(w) for w in weights.split(","))
+        assert cli._parse_weights(weights) == parsed
+
+
 class TestDivergedRun:
     @pytest.mark.parametrize("command", ["recover-depth", "co-adjust"])
     def test_partial_trace_written_before_one_error_line(

@@ -5,11 +5,14 @@ import gc
 import platform
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 from composed import TWINS
 from conftest import EMPTY_FLOW_SCENE, assert_bits_equal, run_python
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, grad, optim
@@ -31,7 +34,7 @@ from flowgeo.losses import (
     dpc_loss,
 )
 from flowgeo.optim import OptimConfig, ablation_suite, co_adjust, recover_depth
-from flowgeo.scene import SceneSpec, read_scene_file, synthesize
+from flowgeo.scene import DynamicObjectSpec, SceneSpec, read_scene_file, synthesize
 from flowgeo.triangulate import triangulate_depth
 
 README_SPEC = SceneSpec("affine-inverse-shift", a=0.21, b=0.0013, c=0.0009)
@@ -518,6 +521,25 @@ class TestSharedWarmup:
         assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
         assert sizes[:24] == [2] * 9 + [3] * 5 + [4] * 6 + [2] * 4
 
+    def test_each_co_adjusted_lane_steps_its_own_flow(self, dynamic_bundle, monkeypatch):
+        # the w_d = 0 lane forks at 18 and shares the stack from there, but
+        # the flow stream takes each lane's rigid flow from its own depth
+        # grid: the lead's at 0, in its flow phase (4-29) and at its final
+        # record, the fork's in its flow phase (18-29) and at its final record
+        shapes = []
+        real_rigid = optim.rigid_flow_values
+        monkeypatch.setattr(optim, "rigid_flow_values",
+                            lambda camera, motion, depth, **kw: shapes.append(depth.shape)
+                            or real_rigid(camera, motion, depth, **kw))
+        monkeypatch.setattr(optim, "STACK_PIXELS", 4 * 96 * 72)
+        sizes = self.stack_sizes(monkeypatch)
+        configs = [OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=30, record_every=4,
+                               dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
+        outcomes = optim._descend(dynamic_bundle, configs)
+        assert all(isinstance(outcome, optim.RunTrace) for outcome in outcomes)
+        assert sizes == [1] * 18 + [2] * 12
+        assert shapes == [(72, 96)] * (1 + 26 + 1 + 12 + 1)
+
     @pytest.mark.parametrize("room", [1, 2, 3])
     def test_lanes_wait_for_room_in_the_stack(self, small_static, monkeypatch, room):
         # the configs of the test above on a stack of `room` lanes: a lead
@@ -580,6 +602,93 @@ class TestSharedWarmup:
             steps.clear()
             runner(bundle, OptimConfig(w_p=1.0, w_c=1.0, w_d=0.1, w_b=w_b, iterations=200))
             assert steps == [1] * 200
+
+
+# the scenes of the stack property: static, rotating and dynamic, 16x12 to 24x18
+CONTRACT_SCENES = {
+    "static-16x12": (12, 16, np.eye(3), None),
+    "rotating-20x15": (15, 20, rotation_from_axis_angle([0.011, -0.017, 0.013]), None),
+    "static-24x18": (18, 24, np.eye(3), None),
+    "dynamic-24x18": (18, 24, np.eye(3), DynamicObjectSpec(center=(9.0, 8.0), half_size=(4.0, 3.0),
+                                                           translation=(0.0, 0.2, 0.0))),
+}
+DIVERGING = {"learning_rate": 1e9, "step_clip": 14.5}  # aborts within a few steps
+WEIGHTS = st.sampled_from([0.0, 0.1, 1.0])
+
+
+@cache
+def contract_scene(name):
+    height, width, rotation, dynamic = CONTRACT_SCENES[name]
+    camera = CameraIntrinsics(40.0, 40.0, width / 2, height / 2)
+    return synthesize(replace(README_SPEC, dynamic=dynamic), camera,
+                      RigidMotion(rotation, README_T), height, width)
+
+
+@st.composite
+def stack_cases(draw):
+    """(scene name, configs, room): 1-6 configs on one scene, each a base
+    config (one of 1-3) with a w_d of its own, so that duplicates and
+    groups of configs equal but for w_d come up, and a stack room of 1-6
+    lanes."""
+    ends = st.sampled_from([0.0, 1.0])
+    bases = [OptimConfig(w_p=draw(WEIGHTS), w_c=draw(WEIGHTS), w_b=draw(ends),
+                         iterations=draw(st.integers(1, 40)), record_every=draw(st.integers(1, 9)),
+                         dpc_warmup_fraction=draw(ends | st.floats(0.0, 1.0)),
+                         seed=draw(st.integers(0, 3)), allow_dynamic=draw(st.booleans()),
+                         **draw(st.sampled_from([{}, {}, DIVERGING])))
+             for _ in range(draw(st.integers(1, 3)))]
+    members = st.tuples(st.integers(0, len(bases) - 1), WEIGHTS)
+    configs = tuple(replace(bases[b], w_d=w_d)
+                    for b, w_d in draw(st.lists(members, min_size=1, max_size=6)))
+    return draw(st.sampled_from(sorted(CONTRACT_SCENES))), configs, draw(st.integers(1, 6))
+
+
+class TestStackContract:
+    """The lane stack's contract (module docstring of `optim`) as one
+    property: whatever configs share a stack, and however little room it
+    has, each config's row and outcome are those of its run alone: the
+    records, the final depth and flow bits, and the error type and message
+    (for an abort, its partial trace too)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stack_cases())
+    # forked co-adjusted lanes that share a stack
+    @example(case=("dynamic-24x18", tuple(
+        OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=30, record_every=4,
+                    dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)), 2))
+    # a lead that fails in its warmup, next to a calm co-adjusted group
+    @example(case=("static-16x12", tuple(
+        OptimConfig(w_c=1.0, w_d=wd, iterations=20, seed=0, **DIVERGING)
+        for wd in (0.0, 0.1, 1.0)) + tuple(
+        OptimConfig(w_p=1.0, w_d=wd, w_b=1.0, iterations=16, record_every=3, seed=1)
+        for wd in (1.0, 0.0)), 6))
+    # three groups that wait for room in a stack of two
+    @example(case=("rotating-20x15", tuple(
+        OptimConfig(w_p=1.0, w_c=wc, w_d=wd, iterations=its, record_every=5, seed=2,
+                    dpc_warmup_fraction=warmup)
+        for wc, its, warmup in ((1.0, 24, 0.45), (0.0, 17, 0.2), (0.1, 12, 0.5))
+        for wd in (0.1, 0.0)), 2))
+    def test_every_outcome_is_its_run_alone(self, case):
+        name, configs, room = case
+        bundle = contract_scene(name)
+        alone = {config: run_alone(bundle, config) for config in configs}
+        named = [(f"c{i}", config) for i, config in enumerate(configs)]
+        stacked = []
+        real_descend = optim._descend
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "STACK_PIXELS", room * bundle.shape[0] * bundle.shape[1])
+            mp.setattr(optim, "_descend",
+                       lambda b, cs: stacked.append(real_descend(b, cs)) or stacked[-1])
+            rows = ablation_suite([("scene", bundle)], named)
+            # a config's row alone: the suite of that config alone, whose
+            # descent of one config is the config's run alone
+            mp.setattr(optim, "_descend", lambda b, cs: [alone[cs[0]]])
+            alone_rows = [ablation_suite([("scene", bundle)], [pair])[0] for pair in named]
+        assert [repr(r) for r in rows] == [repr(r) for r in alone_rows]
+        for shared, config in zip(stacked[0], configs, strict=True):
+            assert_same_outcome(shared, alone[config])
+            if isinstance(shared, AbortedRunError):
+                assert_same_outcome(shared.trace, alone[config].trace)
 
 
 def step_calls(objectives, theta, it):
