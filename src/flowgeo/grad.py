@@ -12,11 +12,12 @@ bit. Geometric depth is differentiable in pose and flow by default;
 `stop_gradient_geo=True` makes it the constant depth of the inputs' own
 twist and flow, in every build.
 
-Each loss term has one builder (`_TERMS`), and every builder reads a
-`LossPlan`: the checker's `build_loss` and the descent's `optim._terms`
-call the same builders on plans of one class, so `grad-check` certifies
-the nodes the descent steps on. The term itself is one tape node
-(`losses`, and `warp_graph` here for the photometric warp); in the
+Each loss term has one builder (`_TERMS`), called as `build(plan, depth)`
+on a `LossPlan`: the checker's `build_loss` and the descent's
+`optim._terms` call the same builders in the same way, on plans of one
+class, so `grad-check` certifies the nodes the descent steps on. The term
+itself is one tape node (`losses`, and `warp_graph` here for the
+photometric warp); in the
 checker's plans, whose twist and flow are leaves, the rotation, the rays,
 the triangulated depth, the rotational flow and the offsets that feed it
 are composed graphs of elementary ops.
@@ -29,9 +30,9 @@ count instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -171,11 +172,11 @@ def warp_graph(camera, image, t, depth, grid, rays):
 # ---------------------------------------------------------------------------
 # loss graph assembly
 #
-# A term builder takes a plan, the depth (a leaf, or a lane stack of them)
-# and the part of a flow side it reads, and returns (node, mask); the node
-# is None when some lane's mask is empty. cgdc's mask is the triangulation
-# validity, which the plan has checked, and dpc's starts from where the
-# plan's divergence may be valid.
+# A term builder takes a plan and the depth (a leaf, or a lane stack of
+# them), reads the flow parts it needs from the plan, and returns (node,
+# mask); the node is None when some lane's mask is empty. cgdc's mask is
+# the triangulation validity, which the plan has checked, and dpc's starts
+# from where the plan's divergence may be valid.
 
 
 def _photometric_term(plan, depth):
@@ -185,40 +186,41 @@ def _photometric_term(plan, depth):
             if mask.any(axis=(-2, -1)).all() else None), mask
 
 
-def _cgdc_term(plan, depth, d_g, valid):
+def _cgdc_term(plan, depth):
+    d_g, valid = plan.geo
     return cgdc_core(d_g, depth, valid), valid
 
 
-def _dpc_term(plan, depth, div_f, valid):
+def _dpc_term(plan, depth):
+    div_f, valid = plan.div
     t3, q_u, q_v = plan.q
     side = differential_depth_side(t3, depth, q_u, q_v, div_f, valid=valid)
     mask = side.validity & (np.abs(side.c_d) >= plan.dpc_floor)
     return (dpc_core(side, mask) if mask.any(axis=(-2, -1)).all() else None), mask
 
 
-def _bsca_term(plan, depth, f_u, f_v, flow_mask):
+def _bsca_term(plan, depth):
     _, _, y2, r_u, r_v = rigid_flow_terms(plan.camera, plan.rays, plan.t, depth, plan.grid)
-    mask = (y2.value > Z_EPS) & flow_mask
-    return (bsca_core(r_u, r_v, f_u, f_v, mask) if mask.any(axis=(-2, -1)).all() else None), mask
+    mask = (y2.value > Z_EPS) & plan.flow_mask
+    return (bsca_core(r_u, r_v, plan.f_u, plan.f_v, mask)
+            if mask.any(axis=(-2, -1)).all() else None), mask
 
 
 def _smoothness_term(plan, depth):
     return smoothness_core(depth, plan.image_t), np.ones(plan.depth_mask.shape, bool)
 
 
-# loss id -> (builder, the part of a flow side it reads (None: none), the
-# plan fields it needs, the error without them, the error of an empty mask)
+# loss id -> (builder, the plan fields it needs, the error without them,
+# the error of an empty mask)
 _TERMS = {
-    "photometric": (_photometric_term, None, ("image_t", "image_s"),
+    "photometric": (_photometric_term, ("image_t", "image_s"),
                     "photometric loss needs both images",
                     "photometric: warp produced no valid pixels"),
-    "cgdc": (_cgdc_term, attrgetter("geo"), ("f_u",), "cgdc loss needs the flow prior", None),
-    "dpc": (_dpc_term, attrgetter("div"), ("f_u",),
-            "dpc loss needs the flow prior", "dpc: no valid pixels"),
-    "bsca": (_bsca_term, attrgetter("f_u", "f_v", "flow_mask"), ("f_u",),
-             "bsca loss needs the flow prior", "bsca: no valid pixels"),
-    "smoothness": (_smoothness_term, None, ("image_t",),
-                   "smoothness loss needs the target image", None),
+    "cgdc": (_cgdc_term, ("f_u",), "cgdc loss needs the flow prior", None),
+    "dpc": (_dpc_term, ("f_u",), "dpc loss needs the flow prior", "dpc: no valid pixels"),
+    "bsca": (_bsca_term, ("f_u",), "bsca loss needs the flow prior", "bsca: no valid pixels"),
+    "smoothness": (_smoothness_term, ("image_t",), "smoothness loss needs the target image",
+                   None),
 }
 LOSS_IDS = tuple(_TERMS)
 
@@ -226,13 +228,14 @@ LOSS_IDS = tuple(_TERMS)
 class LossPlan:
     """What the loss terms read besides the depth, for one pose (the warp
     R as rows and t, and the source-to-target `t_ego`) and one flow: the
-    descent's, of constants, shared by a scene's lanes, or the checker's,
-    of twist and flow leaves. The rays R . [xn, yn, 1] are built at once,
+    descent's, of constants, or the checker's, of twist and flow leaves. The rays R . [xn, yn, 1] are built at once,
     each other part on its first read, and a part whose checks fail raises
     at each read. A part is a tape graph where its inputs are on the tape
     (`ad.active`), else arrays: the rotational flow of a constant rotation
     is `geometry.rotational_flow`, None for the identity. The grids have
-    no lane axis; `geo_of` and `div_of` give the parts of any one flow."""
+    no lane axis. Every lane of a descent's stack reads the stack's plan;
+    a co-adjusted lane, alone in its stack, steps on the plan of its own
+    flow (`with_flow`)."""
 
     def __init__(self, camera, R, t, t_ego, image_t, image_s, f_u, f_v, flow_mask, depth_mask,
                  dpc_floor, geo_plan=None):
@@ -248,9 +251,18 @@ class LossPlan:
 
     @cached_property
     def geo(self):
+        """The triangulated (depth, validity) of the flow, or the
+        `geo_plan`'s; raises its FlowGeoError."""
         if self.geo_plan is not None:
             return self.geo_plan.geo
-        return self.geo_of(self.f_u, self.f_v, self.flow_mask)
+        num, den = triangulation_ratio(self.camera, self.R, self.t, self.f_u, self.f_v, self.grid,
+                                       self.rays)
+        depth, validity, _ = depth_from_ratio(ad.value_of(num), ad.value_of(den), self.flow_mask)
+        d_g = ad.div(num, den) if ad.active(num) else depth
+        _require_depth(depth, validity)
+        if not validity.any():
+            raise NoValidPixelsError("triangulation produced no valid pixels")
+        return d_g, validity
 
     @cached_property
     def q(self):  # (t3, q_u, q_v); the checker's t_ego (None) is -R^T t
@@ -269,27 +281,24 @@ class LossPlan:
 
     @cached_property
     def div(self):
-        return self.div_of(self.f_u, self.f_v, self.flow_mask)
-
-    def geo_of(self, f_u, f_v, mask):
-        """The triangulated (depth, validity) of the flow components
-        (f_u, f_v) with valid pixels `mask`; raises its FlowGeoError."""
-        num, den = triangulation_ratio(self.camera, self.R, self.t, f_u, f_v, self.grid, self.rays)
-        depth, validity, _ = depth_from_ratio(ad.value_of(num), ad.value_of(den), mask)
-        d_g = ad.div(num, den) if ad.active(num) else depth
-        _require_depth(depth, validity)
-        if not validity.any():
-            raise NoValidPixelsError("triangulation produced no valid pixels")
-        return d_g, validity
-
-    def div_of(self, f_u, f_v, mask):
-        """For `geo_of`'s inputs: the divergence of the flow less the
-        rotational flow, and where C^F may be valid (off the border, where
-        the stencils read valid flow); raises the grid's error."""
+        """The divergence of the flow less the rotational flow, and where
+        C^F may be valid (off the border, where the stencils read valid
+        flow); raises the grid's error."""
+        f_u, f_v = self.f_u, self.f_v
         if self.rotation is not None:
             f_u, f_v = f_u - self.rotation[0], f_v - self.rotation[1]
         return (differential_flow_side(f_u, f_v),
-                stencil_validity(mask) & interior_mask(*self.flow_mask.shape))
+                stencil_validity(self.flow_mask) & interior_mask(*self.flow_mask.shape))
+
+    def with_flow(self, f_u, f_v, flow_mask):
+        """The plan of the flow (f_u, f_v) with valid pixels `flow_mask`:
+        this plan's pose, images and depth mask, and every flow-independent
+        part it has built (the rays, the SSIM statistics, the DPC offsets,
+        the rotational flow), shared."""
+        plan = object.__new__(LossPlan)
+        vars(plan).update({k: v for k, v in vars(self).items() if k not in ("geo", "div")},
+                          f_u=f_u, f_v=f_v, flow_mask=flow_mask)
+        return plan
 
 
 def _leaf_plan(inputs: LossInputs, overrides: dict, geo_plan=None, leaf=ad.Var):
@@ -319,11 +328,11 @@ def _build(plan, loss_id, depth_values):
     depth leaf of `depth_values`."""
     if loss_id not in _TERMS:
         raise ValueError(f"unknown loss id {loss_id!r}")
-    build, part, needs, missing, empty = _TERMS[loss_id]
+    build, needs, missing, empty = _TERMS[loss_id]
     if any(getattr(plan, name) is None for name in needs):
         raise ValueError(missing)
     d = ad.Var(np.asarray(depth_values, dtype=float))
-    loss, mask = build(plan, d, *(part(plan) if part else ()))
+    loss, mask = build(plan, d)
     if loss is None:
         raise NoValidPixelsError(empty)
     return loss, d, mask
@@ -424,6 +433,9 @@ def finite_difference_check(loss_id, inputs: LossInputs, targets=("depth", "twis
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    for name, value in (("depth_samples", depth_samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     geo_plan = _geo_plan(inputs, stop_gradient_geo)
     plan, leaves = _leaf_plan(inputs, {}, geo_plan)
     loss, d, base_mask = _build(plan, loss_id, inputs.depth.values)

@@ -25,36 +25,38 @@ as raw arrays, checks the depth once per iteration and the flow once per
 update as `DepthMap` and `FlowField` would, and wraps them in containers
 only at a record, an abort or the return.
 
-Each run is one `_Lane` of a `_Stack`, and `_descend` steps every lane of
-a scene in lockstep. The depth step is stacked: theta and the decoded depth
-carry a leading lane axis, each loss term is one tape node over the lanes
-that have it, and one backward pass and one update serve them all, with
-each lane's weights, rate and step clip. A run alone is a stack of one,
-which steps on its grids themselves, without the lane axis; the ablation
-suite stacks all configs of a scene. The flow stream is not stacked: each
-co-adjusted lane steps its own flow against the rigid flow of its own
-depth (`_Lane.flow_step`). A stack holds at most `STACK_PIXELS`
-pixels of lanes (at least one lane): past that a bigger stack stepped
-slower than its lanes one after another (the lanes' tape outgrows the
-cache), so a lane that finds the stack full waits with its rows and joins
-once the stack has room at its iteration, or has emptied (the stack then
-goes back to the earliest iteration a lane waits at).
+Each run is one `_Lane` of a `_Stack`, and a stack steps its lanes in
+lockstep, all of them on its one plan. The depth step is stacked: theta and
+the decoded depth carry a leading lane axis, each loss term is one tape node
+over the lanes that have it, and one backward pass and one update serve
+them all, with each lane's weights, rate and step clip. A run alone is a
+stack of one, which steps on its grids themselves, without the lane axis;
+the ablation suite stacks the depth-only configs of a scene. A co-adjusted
+run steps alone, in a stack of its own, on the plan of its own flow: its
+flow step (`_Lane.flow_step`), against the rigid flow of its depth,
+replaces its plan with the plan of the updated flow. A stack holds at most
+`STACK_PIXELS` pixels of lanes (at least one lane): past that a bigger
+stack stepped slower than its lanes one after another (the lanes' tape
+outgrows the cache), so a lane that finds the stack full waits with its
+rows and joins once the stack has room at its iteration, or has emptied
+(the stack then goes back to the earliest iteration a lane waits at).
 
-Configs equal but for w_d form a group, whose runs are one run up to
-`dpc_active_after`, the end of the dpc warmup, bit for bit: the dpc weight
-is 0 there and the rate is the same whatever w_d is, and the dpc value,
-still evaluated for the records and the divergence check, is not on the
-tape of the step. So the group's lead, its first config with the dpc term
-on (its first if none has it), descends through the warmup as one lane,
-and there each other config forks from it (`_Lane.fork`) and joins the
-stack with a copy of its theta, depth and flow and the records so far
+Depth-only configs equal but for w_d form a group, whose runs are one run
+up to `dpc_active_after`, the end of the dpc warmup, bit for bit: the dpc
+weight is 0 there and the rate is the same whatever w_d is, and the dpc
+value, still evaluated for the records and the divergence check, is not on
+the tape of the step. So the group's lead, its first config with the dpc
+term on (its first if none has it), descends through the warmup as one
+lane, and there each other config forks from it (`_Lane.fork`) and joins
+the stack with a copy of its theta and depth and of the records so far
 (without their dpc value when its w_d is 0).
 
 A lane leaves the stack when its run ends: after its last iteration with
-its trace, or with the error that ends it. A lead that ends before its
-fork hands its forks back to the stack, where they start at iteration 0 as
-a group of their own; a config doing the lead's work repeats it until it
-fails too. So every outcome comes from its config's own run, the one it
+its trace, or with the error that ends it; the lane records, checks and
+ends its own run (`_Lane.record`, `check`, `trace`). A lead that ends
+before its fork hands its forks back to the stack, where they start at
+iteration 0 as a group of their own; a config doing the lead's work
+repeats it until it fails too. So every outcome comes from its config's own run, the one it
 has alone: each lane's values, sums and gradient sums are those of its run
 alone (see `autodiff` on lane stacks), and the losses are non-negative, so
 a fork, whose losses through the warmup are a subset of its lead's, passes
@@ -65,10 +67,11 @@ Each loss term's node comes from the term builder of `grad` that
 `grad.build_loss` and the gradient checker call too, on a `grad.LossPlan`
 as here, so `grad-check` certifies the nodes of this objective. The work
 of a step that does not depend on the log-depth theta is done once per
-scene, in the plan its lanes share, each part on the first read of a
-lane that needs it. A flow step refreshes only what depends on its
-lane's co-adjusted flow: the triangulated depth and its validity, and the
-divergence of the translational flow.
+scene, in the plan its stacks share, each part on the first read of a
+lane that needs it. The plan of a co-adjusted lane's updated flow shares
+those parts and builds anew only what depends on the flow: the
+triangulated depth and its validity, and the divergence of the
+translational flow.
 
 Reductions and updates are sequential and seeded, so a run is
 bit-reproducible for a fixed config.
@@ -136,10 +139,16 @@ class OptimConfig:
     allow_dynamic: bool = False  # permit depth-only runs on dynamic scenes (ablation control)
 
     def __post_init__(self):
-        for name in ("iterations", "seed", "record_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in (
+                (("iterations", "seed", "record_every"), numbers.Integral, "an integer"),
+                (("w_p", "w_c", "w_d", "w_b", "learning_rate", "flow_learning_rate", "step_clip",
+                  "dpc_warmup_fraction"), numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.allow_dynamic, bool):
+            raise ValueError(f"allow_dynamic must be a bool, got {self.allow_dynamic!r}")
         # negated comparisons, so a NaN fails them
         if not all(0 <= w < np.inf for w in (self.w_p, self.w_c, self.w_d, self.w_b)):
             raise ValueError("loss weights must be finite and non-negative")
@@ -241,7 +250,7 @@ def _pin_heap() -> bool:
 
 
 def _plan(bundle: SceneBundle) -> LossPlan:
-    """The plan of a scene's descent, shared by the lanes of its `_Stack`:
+    """The plan of a scene's descent, shared by the stacks of `_descend`:
     no depth mask, and the DPC floor `DPC_FLOOR`."""
     motion, flow = bundle.motion, bundle.flow_gt
     return LossPlan(bundle.camera, motion.rotation, motion.translation,
@@ -249,63 +258,45 @@ def _plan(bundle: SceneBundle) -> LossPlan:
                     flow.values[..., 0], flow.values[..., 1], flow.mask, True, DPC_FLOOR)
 
 
-def _lane_stacks(parts):
-    """One array per entry of the lanes' tuples of grids: the grid itself
-    where every lane holds the same array (it broadcasts against the lane
-    axis), else the lanes' stack."""
-    first = parts[0]
-    if len(parts) == 1:
-        return first
-    return tuple(a if all(p[j] is a for p in parts) else np.stack([p[j] for p in parts])
-                 for j, a in enumerate(first))
-
-
 class _Lane:
-    """One config's run in a `_Stack`: its config, the shared `LossPlan` of
-    its scene, the flow side of its flow (`geo` when w_c > 0, `div` when
-    w_d > 0), its co-adjusted flow ((values, mask) when w_b > 0, else
-    None), its records so far and, for a lead before its fork, the configs
-    that fork from it. Its theta and depth are its rows of the stack's.
+    """One config's run in a `_Stack`: its config, its plan, its records so
+    far and, for a lead before its fork, the configs that fork from it. Its
+    theta and depth are its rows of the stack's. The lane records, checks
+    and ends its run (`record`, `check`, `trace`).
 
-    A lane on the scene's flow takes the plan's own parts, whose errors
-    raise here; a fork takes its lead's (`fork`), and `flow_step`
-    refreshes them when it moves the flow. The co-adjusted flow is a copy
-    of `flow` ((f_u, f_v, mask), the plan's when None), one grid with no
-    lane axis, which `flow_step` updates in place; its values are a view
-    of a (2, H, W) buffer, as `rigid_flow_values` holds its own, so each
-    component the flow step reads and updates is contiguous."""
+    Every lane of a stack holds the stack's plan, the scene's, and reads
+    the flow parts of its terms here, so that their errors end its run at
+    its start; a fork's lead has read them. A co-adjusted lane (w_b > 0) is
+    alone in its stack, and its flow is its plan's: `flow_step` replaces
+    the plan with the plan of the updated flow."""
 
-    def __init__(self, config, plan, flow=None, records=(), forks=(), side=None):
+    def __init__(self, config, plan, records=(), forks=()):
         self.config, self.plan = config, plan
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
         self.flow_start = int(FLOW_START_FRACTION * config.iterations)
         # the loss terms the lane steps on, in `TERMS` order
         self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
                            if w > 0)
-        if side is None:  # the dpc part reads the offsets first, to raise their error
-            side = (plan.geo if config.w_c > 0 else None,
-                    plan.q and plan.div if config.w_d > 0 else None)
-        self.geo, self.div = side
-        self.flow = None
-        if config.w_b > 0:
-            f_u, f_v, mask = (plan.f_u, plan.f_v, plan.flow_mask) if flow is None else flow
-            self.flow = np.moveaxis(np.stack([f_u, f_v]), 0, -1), mask.copy()
+        # the flow parts of its terms raise their errors here, the dpc
+        # part's offsets first
+        if config.w_c > 0:
+            plan.geo
+        if config.w_d > 0:
+            plan.q and plan.div
         self.records, self.forks = list(records), list(forks)
         # the flow's storability changes only when the flow does
-        self.storable = self.flow is None or _float32_storable(self.flow[0]).all()
+        self.storable = config.w_b <= 0 or all(
+            _float32_storable(c).all() for c in (plan.f_u, plan.f_v))
 
     def fork(self, config):
         """The lane of `config`, equal to this lane's config but for w_d: on
-        this lane's plan and flow side, with a copy of its flow and of its
-        records so far (without the divergence and the records' dpc values
-        when its w_d is 0). It cannot fail: it needs a part of what this
-        lane holds."""
-        dpc = config.w_d > 0
-        records = self.records if dpc else [
+        this lane's plan, with a copy of its records so far (without the
+        records' dpc values when its w_d is 0). It cannot fail: it needs a
+        part of what this lane has read."""
+        records = self.records if config.w_d > 0 else [
             replace(r, losses={k: v for k, v in r.losses.items() if k != "dpc"})
             for r in self.records]
-        flow = None if self.flow is None else (*np.moveaxis(self.flow[0], -1, 0), self.flow[1])
-        return _Lane(config, self.plan, flow, records, side=(self.geo, self.div if dpc else None))
+        return _Lane(config, self.plan, records)
 
     def weights(self, iteration):
         cfg = self.config
@@ -320,26 +311,91 @@ class _Lane:
             return cfg.learning_rate * DPC_LR_SCALE
         return cfg.learning_rate
 
+    def rigid_flow(self, motion, depth):
+        """(values, valid), the rigid flow under `motion` of the lane's
+        depth grid `depth`, checked finite where valid; raises when it is
+        not, or when the lane's flow mask holds no pixel where it is valid
+        (its co-adjustment loss would be a mean over no pixels)."""
+        plan = self.plan
+        values, valid = rigid_flow_values(plan.camera, motion, depth, grid=plan.grid)
+        _require_finite(values, valid, FLOW_NOT_FINITE)
+        if not (plan.flow_mask & valid).any():
+            raise NoValidPixelsError(_TERMS["bsca"][3])
+        return values, valid
+
     def flow_step(self, rigid):
         """The lane's flow step: the co-adjustment loss only, against the
-        rigid flow `rigid` of its depth ((values, valid)), updating its flow
-        in place, then its flow side. Returns its co-adjustment loss; raises
-        what ends its run."""
-        (values, mask), (r_values, r_valid) = self.flow, rigid
-        f_u, f_v = ad.Var(values[..., 0]), ad.Var(values[..., 1])
-        loss = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, mask & r_valid)
+        rigid flow `rigid` of its depth ((values, valid)); the lane's plan
+        becomes the plan of the updated flow. Returns its co-adjustment
+        loss; raises what ends its run."""
+        plan, (r_values, r_valid) = self.plan, rigid
+        f_u, f_v = ad.Var(plan.f_u), ad.Var(plan.f_v)
+        loss = bsca_core(r_values[..., 0], r_values[..., 1], f_u, f_v, plan.flow_mask & r_valid)
         ad.backward(loss)
         rate = self.config.flow_learning_rate * self.config.w_b
-        values[..., 0] -= rate * f_u.grad
-        values[..., 1] -= rate * f_v.grad
-        self.storable = _float32_storable(values).all()
+        flow = np.empty((2,) + plan.flow_mask.shape)  # one buffer: one storability test
+        np.subtract(plan.f_u, rate * f_u.grad, out=flow[0])
+        np.subtract(plan.f_v, rate * f_v.grad, out=flow[1])
+        self.storable = _float32_storable(flow).all()
         if not self.storable:  # a flow float32 can hold is finite
-            _require_finite(values, mask, FLOW_NOT_FINITE)
-        if self.config.w_c > 0:
-            self.geo = self.plan.geo_of(values[..., 0], values[..., 1], mask)
-        if self.config.w_d > 0:
-            self.div = self.plan.div_of(values[..., 0], values[..., 1], mask)
+            for c in flow:
+                _require_finite(c, plan.flow_mask, FLOW_NOT_FINITE)
+        self.plan = plan.with_flow(*flow, plan.flow_mask)
         return loss.value
+
+    def record(self, bundle, depth, iteration, loss_values, rigid=None):
+        """Record the losses evaluated at the decoded depth `depth`, with
+        the extras `co_adjust` lists when the flow stream passes the `rigid`
+        flow of the depth ((values, valid)). Such a record always carries
+        the co-adjustment loss: where the iteration took no flow step, it is
+        `bsca_core`'s value at constant inputs, off the tape."""
+        depth, gt, dynamic = DepthMap(depth), bundle.depth_gt, bundle.dynamic_mask
+        losses, extras = dict(loss_values), {}
+        if rigid is not None:
+            plan, (r, r_valid) = self.plan, rigid
+            if "bsca" not in losses:
+                losses["bsca"] = bsca_core(r[..., 0], r[..., 1], plan.f_u, plan.f_v,
+                                           plan.flow_mask & r_valid).value
+            # |flow - rigid| summed over (u, v), one component grid at a time
+            gap = np.abs(plan.f_u - r[..., 0]) + np.abs(plan.f_v - r[..., 1])
+            if dynamic.any():
+                extras["dynamic_abs_rel"] = depth_metrics(depth, gt, dynamic).abs_rel
+                extras["patch_flow_gap"] = float(gap[dynamic].mean())
+            extras["static_abs_rel"] = depth_metrics(depth, gt, bundle.static_mask).abs_rel
+            extras["mean_flow_gap"] = float(gap.mean())
+        self.records.append(TraceRecord(iteration, losses, depth_metrics(depth, gt), extras))
+
+    def check(self, iteration, loss_values, depth, started):
+        """Raise AbortedRunError, carrying the partial trace, once the
+        summed loss passes `DIVERGENCE_THRESHOLD` or stops being finite, or
+        the run's state holds a value its artifacts cannot store: the
+        decoded depth `depth` of the updated field not finite, the
+        co-adjusted flow past float32 (the flow file). A finite depth that
+        is not strictly positive (theta underflowed) raises
+        InvalidDepthError."""
+        total = sum(loss_values.values())
+        # a decoded depth is NaN, +inf or >= 0, and NaN fails both tests
+        if not (-np.inf < total <= DIVERGENCE_THRESHOLD and self.storable
+                and depth.max() < np.inf):
+            raise AbortedRunError(f"run diverged at iteration {iteration} (loss {total:.3g})",
+                                  self.trace(depth, started))
+        if not depth.min() > 0:
+            raise InvalidDepthError("depth must be strictly positive where valid")
+
+    def trace(self, depth, started):
+        """The RunTrace of the run at the decoded depth `depth`, its wall
+        clock counted from `started`, masking what its artifacts cannot
+        store: a depth that is not finite and positive, a flow value that
+        float32 cannot hold. A finished run stores all of its state."""
+        ok = np.isfinite(depth) & (depth > 0)
+        final_flow = None
+        if self.config.w_b > 0:
+            plan = self.plan
+            keep = _float32_storable(plan.f_u) & _float32_storable(plan.f_v)
+            flow = np.stack([plan.f_u, plan.f_v], axis=-1)
+            final_flow = FlowField(np.where(keep[..., None], flow, 0.0), plan.flow_mask & keep)
+        return RunTrace(self.records, DepthMap(np.where(ok, depth, 1.0), ok), final_flow,
+                        time.perf_counter() - started, self.config)
 
 
 # the loss terms in the order a step creates their nodes: the reverse is the
@@ -356,8 +412,9 @@ def _terms(lanes, depth, d=None, iteration=None):
     `iteration` read the leaf `d`, the whole stack or `ad.lanes` of it; the
     others, all of them when `d` is None, read the plain depth, off the
     tape. A node comes from the term's builder in `grad._TERMS`, the one
-    `grad.build_loss` checks, on the lanes' stacked flow sides. A lane whose
-    valid set of a term is empty leaves that term out.
+    `grad.build_loss` checks, called as there, `build(plan, depth)`, on the
+    plan every lane of the stack holds. A lane whose valid set of a term is
+    empty leaves that term out.
 
     Returns ([(node, lanes, their weights)] of the nodes on the tape, the
     lanes as an index of the stack's leading axis, each lane's loss values
@@ -377,7 +434,7 @@ def _terms(lanes, depth, d=None, iteration=None):
     parts, values, errors = [], [{} for _ in everyone], {}
     plan = lanes[0].plan
     for (name, on_tape), (rows, ws) in groups.items():
-        build, part = _TERMS[name][:2]
+        build = _TERMS[name][0]
         while rows:
             if errors:
                 rows = [i for i in rows if i not in errors]
@@ -392,8 +449,7 @@ def _terms(lanes, depth, d=None, iteration=None):
             else:
                 picked = ad.lanes(stack, index) if on_tape else stack[index]
             try:
-                side = _lane_stacks([part(lanes[i]) for i in rows]) if part else ()
-                node, mask = build(plan, picked, *side)
+                node, mask = build(plan, picked)
             except (FlowGeoError, ValueError) as exc:
                 for i in rows:  # each lane takes an error of its own
                     errors[i] = type(exc)(*exc.args)
@@ -451,59 +507,10 @@ def _depth_step(lanes, theta, depth, iteration):
     return theta - step, values, errors
 
 
-def _record(bundle, depth, iteration, loss_values, flow=None, rigid=None):
-    """Trace record of the losses evaluated at the decoded depth `depth`,
-    with the extras `co_adjust` lists when the flow stream passes its `flow`
-    and the `rigid` flow of the depth ((values, mask) pairs). Such a record
-    always carries the co-adjustment loss: where the iteration took no flow
-    step, it is `bsca_core`'s value at constant inputs, off the tape."""
-    depth, gt, dynamic = DepthMap(depth), bundle.depth_gt, bundle.dynamic_mask
-    losses, extras = dict(loss_values), {}
-    if rigid is not None:
-        if "bsca" not in losses:
-            (values, mask), (r, r_valid) = flow, rigid
-            losses["bsca"] = bsca_core(r[..., 0], r[..., 1], values[..., 0], values[..., 1],
-                                       mask & r_valid).value
-        # |flow - rigid| summed over (u, v), the bits of a sum over the last
-        # axis, one contiguous component grid at a time
-        diff = flow[0] - rigid[0]
-        gap = np.abs(diff[..., 0]) + np.abs(diff[..., 1])
-        if dynamic.any():
-            extras["dynamic_abs_rel"] = depth_metrics(depth, gt, dynamic).abs_rel
-            extras["patch_flow_gap"] = float(gap[dynamic].mean())
-        extras["static_abs_rel"] = depth_metrics(depth, gt, bundle.static_mask).abs_rel
-        extras["mean_flow_gap"] = float(gap.mean())
-    return TraceRecord(iteration, losses, depth_metrics(depth, gt), extras)
-
-
 @np.errstate(over="ignore")
 def _float32_storable(values):
     """Which entries a float32 artifact can hold: finite after the cast."""
     return np.isfinite(values.astype(np.float32))
-
-
-def _abort_if_diverged(iteration, loss_values, depth, records, started, config, flow=None,
-                       flow_storable=True):
-    """Raise AbortedRunError, carrying the partial trace, once the summed
-    loss passes `DIVERGENCE_THRESHOLD` or any value stops being finite.
-    `depth` is the decoded depth of the updated field; `flow` is the
-    (values, mask) pair of a co-adjusted flow field, which has diverged too
-    once it holds a value float32 (the flow file) cannot (`flow_storable`).
-    The partial trace masks what its artifacts cannot store. A finite depth
-    that is not strictly positive (theta underflowed) raises InvalidDepthError."""
-    total = sum(loss_values.values())
-    if (not np.isfinite(total) or total > DIVERGENCE_THRESHOLD
-            or not np.isfinite(depth).all() or not flow_storable):
-        ok = np.isfinite(depth) & (depth > 0)
-        final_flow = None
-        if flow is not None:
-            keep = _float32_storable(flow[0]).all(axis=-1)
-            final_flow = FlowField(np.where(keep[..., None], flow[0], 0.0), flow[1] & keep)
-        trace = RunTrace(records, DepthMap(np.where(ok, depth, 1.0), ok), final_flow,
-                         time.perf_counter() - started, config)
-        raise AbortedRunError(f"run diverged at iteration {iteration} (loss {total:.3g})", trace)
-    if not (depth > 0).all():
-        raise InvalidDepthError("depth must be strictly positive where valid")
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +578,15 @@ def co_adjust(bundle: SceneBundle, config: OptimConfig) -> RunTrace:
 
 
 class _Stack:
-    """The runs of one scene stepped in lockstep (see the module
+    """Runs of one scene stepped in lockstep on one plan (see the module
     docstring): the lanes, their thetas and decoded depths as (k, H, W)
-    stacks, row i lane i's, the shared plan, the lanes waiting to join and
-    the outcome of every run that has ended. It holds at most `room`
-    lanes, as many as `STACK_PIXELS` allows and at least one."""
+    stacks, row i lane i's, the plan its lanes start on, the lanes waiting
+    to join and the outcome of every run that has ended. It holds at most
+    `room` lanes, as many as `STACK_PIXELS` allows and at least one."""
 
-    def __init__(self, bundle):
+    def __init__(self, bundle, plan):
         _pin_heap()
-        self.bundle = bundle
-        self.plan = _plan(bundle)
+        self.bundle, self.plan = bundle, plan
         self.room = max(1, STACK_PIXELS // (bundle.shape[0] * bundle.shape[1]))
         self.started = time.perf_counter()
         self.lanes, self.theta = [], np.empty((0,) + bundle.shape)
@@ -668,64 +674,40 @@ class _Stack:
         rows = [i] * len(lanes)
         self.waiting.append((it, lanes, self.theta[rows], self.depth[rows]))
 
-    def _rigid_flow(self, i):
-        """(values, valid), the rigid flow of lane i's depth, checked finite
-        where valid; raises when it is not, or when the lane's flow mask
-        holds no pixel where it is valid (its co-adjustment loss would be a
-        mean over no pixels)."""
-        plan = self.plan
-        values, valid = rigid_flow_values(plan.camera, self.bundle.motion, self.depth[i],
-                                          grid=plan.grid)
-        _require_finite(values, valid, FLOW_NOT_FINITE)
-        if not (self.lanes[i].flow[1] & valid).any():
-            raise NoValidPixelsError(_TERMS["bsca"][4])
-        return values, valid
-
     def _step(self, it):
-        """Iteration `it` of every lane: for a lane in its flow phase a flow
-        step, then the depth step of the whole stack, then each lane's record
-        and divergence check of its updated state. The rigid flow of a
-        co-adjusted lane's depth is evaluated only where it is used: on the
-        iterations of its flow phase and on its record iterations. A lane
-        that fails leaves the stack at the phase where it fails."""
-        lanes, ended = self.lanes, {}
-        rigid, bsca = {}, {}
-        for i, lane in enumerate(lanes):
-            if lane.flow is None or (it < lane.flow_start and it % lane.config.record_every):
-                continue
+        """Iteration `it` of every lane: for a co-adjusted lane, alone in its
+        stack, a flow step in its flow phase, then the depth step of the
+        whole stack, then each lane's record and divergence check of its
+        updated state. The rigid flow of a co-adjusted lane's depth is
+        evaluated only where it is used: on the iterations of its flow phase
+        and on its record iterations. A lane that fails leaves the stack at
+        the phase where it fails."""
+        lane, rigid, bsca = self.lanes[0], None, None
+        if lane.config.w_b > 0 and (it >= lane.flow_start or it % lane.config.record_every == 0):
             try:
-                rigid[lane] = self._rigid_flow(i)
+                rigid = lane.rigid_flow(self.bundle.motion, self.depth[0])
                 if it >= lane.flow_start:
-                    bsca[lane] = lane.flow_step(rigid[lane])
+                    bsca = lane.flow_step(rigid)
             except (FlowGeoError, ValueError) as exc:
-                ended[lane] = exc
-        if ended:
-            self._leave(ended)
-            lanes, ended = self.lanes, {}
-            if not lanes:
+                self._leave({lane: exc})
                 return
 
         # depth step: consistency losses from the (adjusted) flow
-        depth = self.depth
+        lanes, depth, ended = self.lanes, self.depth, {}
         theta, values, errors = _depth_step(lanes, self.theta, depth, it)
         self.theta, self.depth = theta, _decode_values(theta)
-        sound = bool(np.isfinite(self.depth).all() and (self.depth > 0).all())
+        if bsca is not None:
+            values[0]["bsca"] = bsca
         for i, lane in enumerate(lanes):
             if i in errors:
                 ended[lane] = errors[i]
                 continue
-            if lane in bsca:
-                values[i]["bsca"] = bsca[lane]
             try:
                 if it % lane.config.record_every == 0:
                     # the record pairs this iteration's losses with the state
                     # they were evaluated at (before the update)
-                    lane.records.append(_record(self.bundle, depth[i], it, values[i], lane.flow,
-                                                rigid.get(lane)))
-                total = sum(values[i].values())
-                if not (sound and lane.storable and -np.inf < total <= DIVERGENCE_THRESHOLD):
-                    _abort_if_diverged(it, values[i], self.depth[i], lane.records, self.started,
-                                       lane.config, lane.flow, lane.storable)
+                    lane.record(self.bundle, depth[i], it, values[i], rigid)
+                lane.check(it, values[i], self.depth[i], self.started)
             except (FlowGeoError, ValueError) as exc:
                 ended[lane] = exc
         if ended:
@@ -742,35 +724,36 @@ class _Stack:
             if j in ended:
                 outcomes[lane] = ended[j]
                 continue
-            config = lane.config
             try:
-                rigid = None if lane.flow is None else self._rigid_flow(rows[j])
-                lane.records.append(_record(self.bundle, depth[j], config.iterations, values[j],
-                                            lane.flow, rigid))
-                final_flow = None if lane.flow is None else FlowField(*lane.flow)
-                outcomes[lane] = RunTrace(lane.records, DepthMap(depth[j]), final_flow,
-                                          time.perf_counter() - self.started, config)
+                rigid = (lane.rigid_flow(self.bundle.motion, depth[j])
+                         if lane.config.w_b > 0 else None)
+                lane.record(self.bundle, depth[j], lane.config.iterations, values[j], rigid)
+                outcomes[lane] = lane.trace(depth[j], self.started)
             except (FlowGeoError, ValueError) as exc:
                 outcomes[lane] = exc
         self._leave(outcomes)
 
 
 def _descend(bundle, configs):
-    """The descent loop of both experiments over any configs of one scene,
-    as one `_Stack` (see the module docstring); a config with w_b > 0 runs
-    the flow stream. Returns one outcome per config, in order: its
-    RunTrace, or the FlowGeoError or ValueError that ended its run, as the
-    config run alone has them."""
-    outcomes, groups = {}, {}
+    """The descent loop of both experiments over any configs of one scene
+    (see the module docstring): the depth-only configs as one `_Stack`, in
+    groups of configs equal but for w_d, and each config with w_b > 0,
+    which runs the flow stream, as a stack of its own; all on one plan of
+    the scene. Returns one outcome per config, in order: its RunTrace, or
+    the FlowGeoError or ValueError that ended its run, as the config run
+    alone has them."""
+    outcomes, stacks = {}, {}
     for config in dict.fromkeys(configs):
         try:
             _preconditions(bundle, config)
         except (FlowGeoError, ValueError) as exc:
             outcomes[config] = exc
             continue
-        groups.setdefault(replace(config, w_d=0.0), []).append(config)
-    if groups:
-        outcomes.update(_Stack(bundle).run(groups.values()))
+        stack = stacks.setdefault(config if config.w_b > 0 else None, {})
+        stack.setdefault(replace(config, w_d=0.0), []).append(config)
+    plan = _plan(bundle) if stacks else None
+    for groups in stacks.values():
+        outcomes.update(_Stack(bundle, plan).run(groups.values()))
     return [outcomes[config] for config in configs]
 
 
@@ -782,9 +765,9 @@ def ablation_suite(bundles, configs) -> list:
     message instead of metrics. A config with w_b > 0 is co-adjusted as by
     `co_adjust`, any other runs as by `recover_depth`.
 
-    All configs of a scene run as one call of `_descend`, one lane stack
-    (see the module docstring), and every row is the row of its config run
-    alone.
+    All configs of a scene run as one call of `_descend`, the depth-only
+    ones as one lane stack (see the module docstring), and every row is the
+    row of its config run alone.
     """
     if not bundles or not configs:
         raise ValueError("ablation needs at least one scene and one config")

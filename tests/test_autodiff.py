@@ -667,3 +667,21 @@ def test_every_export_has_a_caller_in_the_package():
     exported = {name for name in vars(flowgeo) if not name.startswith("_")}
     for module in (grad, triangulate, losses, optim, geometry):
         assert public_names(module) - read - exported == set(), module.__name__
+
+
+def test_no_module_binds_an_import_it_never_reads():
+    """Every name a module of the package imports is read in that module;
+    `__init__.py`, whose imports are the package's exports, aside."""
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert bound - read == set(), path.name

@@ -53,7 +53,7 @@ def check_functional(monkeypatch, functional, inputs, **kwargs):
     def build(plan, depth):
         return functional({"depth": depth}, inputs)
 
-    monkeypatch.setitem(grad._TERMS, "custom", (build, None, (), "", "custom: empty mask"))
+    monkeypatch.setitem(grad._TERMS, "custom", (build, (), "", "custom: empty mask"))
     return finite_difference_check("custom", inputs, **kwargs)
 
 
@@ -149,6 +149,15 @@ class TestFiniteDifferenceAgreement:
     def test_step_must_be_positive(self, perturbed_inputs):
         with pytest.raises(ValueError):
             finite_difference_check("cgdc", perturbed_inputs, step=0.0)
+
+    # unchecked, numpy rejects a negative count or seed in words that name
+    # neither argument, and a bool passes as 0 or 1
+    @pytest.mark.parametrize("argument, value", [
+        ("depth_samples", -1), ("seed", -1), ("depth_samples", 2.5), ("seed", True),
+    ])
+    def test_bad_count_or_seed_is_named(self, perturbed_inputs, argument, value):
+        with pytest.raises(ValueError, match=f"^{argument} must be a non-negative integer, got "):
+            finite_difference_check("cgdc", perturbed_inputs, **{argument: value})
 
 
 class TestStopGradient:
@@ -484,6 +493,33 @@ class TestLossPlan:
             assert np.isfinite(build_loss(loss_id, inputs)[0].value)
         with pytest.raises(DegenerateTranslationError, match=message):
             build_loss("dpc", inputs)
+
+    def test_plan_of_another_flow(self, small_bundle):
+        # the plan a co-adjusted lane steps on after a flow step: the parts
+        # built before it are the same objects, and its triangulated depth
+        # and divergence are the bits of a plan built afresh on that flow,
+        # and of triangulate_depth
+        ego = RigidMotion(rotation_from_axis_angle([0.011, -0.017, 0.013]), [0.31, 0.02, 0.42])
+        bundle = synthesize(SceneSpec("affine-inverse-shift", a=0.21, b=1.3e-3, c=0.9e-3),
+                            small_bundle.camera, ego, *small_bundle.shape)
+        plan = optim._plan(bundle)
+        geo, div = plan.geo, plan.div
+        shared = {name: getattr(plan, name) for name in ("grid", "rays", "reference", "q",
+                                                        "rotation")}
+        assert shared["rotation"] is not None
+        values = bundle.flow_gt.values * 1.01 + 0.02
+        mask = bundle.flow_gt.mask.copy()
+        mask[4, 5] = False
+        other = plan.with_flow(values[..., 0], values[..., 1], mask)
+        assert all(getattr(other, name) is part for name, part in shared.items())
+        assert plan.geo is geo and plan.div is div
+        fresh = optim._plan(replace(bundle, flow_gt=FlowField(values, mask)))
+        tri = triangulate_depth(bundle.camera, bundle.motion, FlowField(values, mask))
+        for got, want in ((other.geo, fresh.geo), (other.div, fresh.div),
+                          (other.geo, (tri.depth_g.values, tri.validity))):
+            assert_bits_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert not other.geo[1][4, 5] and geo[1][4, 5]
 
     def test_dpc_ignores_masked_out_flow(self, perturbed_inputs):
         # C^F at a pixel reads the flow of its four neighbours: one masked

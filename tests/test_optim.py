@@ -92,6 +92,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^seed must be non-negative"):
             OptimConfig(seed=seed)
 
+    # unchecked, a value of another type fails a comparison with a
+    # TypeError, a bool passes as a number and a truthy allow_dynamic acts
+    # as true
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "x"), ("w_c", None), ("step_clip", None),
+        ("dpc_warmup_fraction", "x"), ("w_b", 1j), ("learning_rate", True),
+        ("w_p", np.False_), ("allow_dynamic", "no"), ("allow_dynamic", 1),
+    ])
+    def test_field_rejects_a_value_of_another_type(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            OptimConfig(**{field: value})
+
     def test_count_fields_take_numpy_integers(self):
         config = OptimConfig(iterations=np.int64(3), seed=np.int32(2), record_every=np.uint8(1))
         assert (config.iterations, config.seed, config.record_every) == (3, 2, 1)
@@ -101,6 +113,7 @@ class TestConfigValidation:
         {"iterations": 1, "record_every": 1, "step_clip": 1e-300},
         {"dpc_warmup_fraction": 0.0}, {"dpc_warmup_fraction": 1.0},
         {"init": "ground-truth"}, {"init": "triangulated"},
+        {"w_c": 1, "learning_rate": np.float32(8.0), "step_clip": np.float64(0.02)},
     ])
     def test_edge_values_accepted(self, fields):
         assert OptimConfig(**fields)
@@ -338,11 +351,18 @@ class TestSharedWarmup:
 
     @staticmethod
     def stack_sizes(monkeypatch):
-        """The lanes of each stacked depth step, from now on."""
+        """The lanes of each stacked depth step, from now on, checking that
+        they hold one plan and that a co-adjusted lane steps alone."""
         sizes = []
         real_step = optim._depth_step
-        monkeypatch.setattr(optim, "_depth_step",
-                            lambda *a: sizes.append(len(a[0])) or real_step(*a))
+
+        def step(lanes, *args):
+            assert len({id(lane.plan) for lane in lanes}) == 1
+            assert len(lanes) == 1 or all(lane.config.w_b == 0 for lane in lanes)
+            sizes.append(len(lanes))
+            return real_step(lanes, *args)
+
+        monkeypatch.setattr(optim, "_depth_step", step)
         return sizes
 
     def test_cli_grid(self, small_static):
@@ -369,8 +389,8 @@ class TestSharedWarmup:
         assert rows[1]["error"] == ""
 
     def test_co_adjust_group_copies_the_flow(self, dynamic_bundle):
-        # the flow phase starts at iteration 4 and the dpc term joins at 18,
-        # so the shared flow is updated in place before the fork
+        # the flow phase starts at iteration 4 and the dpc term joins at 18;
+        # each co-adjusted config steps its own flow from iteration 0
         configs = [OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=30, record_every=4,
                                dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
         rows = self.check(dynamic_bundle, configs)
@@ -507,8 +527,9 @@ class TestSharedWarmup:
         assert sizes[:40] == [3] * 6 + [4] * 5 + [5] * 7 + [6] * 7 + [4] * 8 + [2] * 7
 
     def test_co_adjusted_pair_next_to_depth_only_configs(self, dynamic_bundle, monkeypatch):
-        # the co-adjusted lanes carry flows of their own in the stack, the
-        # depth-only lanes step on the scene's flow
+        # each co-adjusted config steps alone, in a stack of its own, on the
+        # plan of its own flow; the depth-only lanes step on the scene's
+        # flow, and the pair shares its warmup
         co = [OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=24, record_every=4,
                           dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
         depth_only = [OptimConfig(w_p=1.0, w_c=1.0, w_d=wd, iterations=20, record_every=6,
@@ -519,13 +540,15 @@ class TestSharedWarmup:
         rows = self.check(dynamic_bundle, co + depth_only)
         assert all(r["error"] == "" for r in rows)
         assert rows[0]["patch_flow_gap"] != rows[1]["patch_flow_gap"]
-        assert sizes[:24] == [2] * 9 + [3] * 5 + [4] * 6 + [2] * 4
+        # the co-adjusted runs one after another, in stacks of one, then the
+        # depth-only lead with its fork from iteration 9
+        assert sizes[:68] == [1] * 24 + [1] * 24 + [1] * 9 + [2] * 11
 
     def test_each_co_adjusted_lane_steps_its_own_flow(self, dynamic_bundle, monkeypatch):
-        # the w_d = 0 lane forks at 18 and shares the stack from there, but
-        # the flow stream takes each lane's rigid flow from its own depth
-        # grid: the lead's at 0, in its flow phase (4-29) and at its final
-        # record, the fork's in its flow phase (18-29) and at its final record
+        # with room for both, the co-adjusted pair does not share a stack or
+        # a warmup: each run steps alone, and the flow stream takes its
+        # rigid flow from its own depth grid, at 0, in its flow phase (4-29)
+        # and at its final record
         shapes = []
         real_rigid = optim.rigid_flow_values
         monkeypatch.setattr(optim, "rigid_flow_values",
@@ -537,8 +560,8 @@ class TestSharedWarmup:
                                dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)]
         outcomes = optim._descend(dynamic_bundle, configs)
         assert all(isinstance(outcome, optim.RunTrace) for outcome in outcomes)
-        assert sizes == [1] * 18 + [2] * 12
-        assert shapes == [(72, 96)] * (1 + 26 + 1 + 12 + 1)
+        assert sizes == [1] * 30 + [1] * 30
+        assert shapes == [(72, 96)] * (1 + 26 + 1) * 2
 
     @pytest.mark.parametrize("room", [1, 2, 3])
     def test_lanes_wait_for_room_in_the_stack(self, small_static, monkeypatch, room):
@@ -743,8 +766,9 @@ def _arrays_in(x, found, seen, into_vars=False):
 
 def closure_bytes(bundle, objectives, theta, it):
     """(bytes, lane-pixels): the distinct bytes the vjp closures of one
-    `_depth_step` of the stack `theta` hold, outside its plan, its scene
-    `bundle` and the lanes' flow sides, and the pixels of its lanes."""
+    `_depth_step` of the stack `theta` hold, outside its plan (the flow
+    parts it has built included) and its scene `bundle`, and the pixels of
+    its lanes."""
     roots = []
     backward = ad.backward
     ad.backward = lambda root: roots.append(root) or backward(root)
@@ -760,13 +784,12 @@ def closure_bytes(bundle, objectives, theta, it):
             _arrays_in(node._vjp, held, set())
             stack += [parent for parent, _ in node._parents]
     plan = objectives[0].plan
-    _arrays_in([plan, bundle, [(o.geo, o.div) for o in objectives]],
-               owned, set(), True)
+    _arrays_in([plan, bundle], owned, set(), True)
     return sum(a.nbytes for key, a in held.items() if key not in owned), theta.size
 
 
 class TestPlan:
-    """The plan `_Stack` builds once per scene, and the raw-array
+    """The plan `_descend` builds once per scene, and the raw-array
     co-adjustment loop: same losses, same checks, fewer tape nodes."""
 
     @pytest.fixture(scope="class")
