@@ -130,37 +130,31 @@ def warp_graph(camera, image, t, depth, grid, rays):
     f_u's, and the links run t2, D, r2, t1, D, r1, t0, D, r0. The adjoint
     rebuilds the transformed points y_i = D r_i + t_i, one pass each, by
     `rigid_flow_terms`' own operations, rather than keeping them.
+
+    The depth is on the tape whenever the vjp runs, a leaf or a lane pick
+    of one, so its links always get their contributions; the rays and t are
+    constants on a descent step, and only the checker puts them on the
+    tape, so the vjp tests those.
     """
     d = ad.value_of(depth)
     r = [ad.value_of(x) for x in rays]
     tv = [ad.value_of(x) for x in t]
     _, _, y2, f_u, f_v = rigid_flow_terms(camera, r, tv, d, grid)
     out, inside, px, py = ad._bilinear_partials(image, f_u + grid.u, f_v + grid.v)
-    d_act = ad.active(depth)
-    y_act = [d_act or ad.active(rays[i]) or ad.active(t[i]) for i in range(3)]
 
     def vjp(g):
         grads = [None] * 9
-        g_y = [None, None, None]
         y2 = d * r[2] + tv[2]
-        if y_act[1] or y_act[2]:
-            g_q = ad._bilinear_vjp(g, py) * camera.fy
-            g_y[1] = g_q / y2
-            if y_act[2]:
-                g_y[2] = -g_q * (d * r[1] + tv[1]) / (y2 * y2)
-        if y_act[0] or y_act[2]:
-            g_q = ad._bilinear_vjp(g, px) * camera.fx
-            g_y[0] = g_q / y2
-            if y_act[2]:
-                g_y[2] = g_y[2] + -g_q * (d * r[0] + tv[0]) / (y2 * y2)
+        g_q = ad._bilinear_vjp(g, py) * camera.fy
+        g_y = [None, g_q / y2, -g_q * (d * r[1] + tv[1]) / (y2 * y2)]
+        g_q = ad._bilinear_vjp(g, px) * camera.fx
+        g_y[0] = g_q / y2
+        g_y[2] = g_y[2] + -g_q * (d * r[0] + tv[0]) / (y2 * y2)
         for k, i in enumerate((2, 1, 0)):
-            if not y_act[i]:
-                continue
             g_m = g_y[i]
             if ad.active(t[i]):
                 grads[3 * k] = g_m
-            if d_act:
-                grads[3 * k + 1] = g_m * r[i]
+            grads[3 * k + 1] = g_m * r[i]
             if ad.active(rays[i]):
                 grads[3 * k + 2] = g_m * d
         return grads

@@ -20,6 +20,16 @@ records. The composed graphs live in `tests/composed.py` as the nodes'
 twins, with the elementary ops no node of the package calls: |.|, the sum,
 the masked mean and the forward difference among them.
 
+Whenever a node's vjp runs, the depth is on the tape: a leaf, or a lane
+pick of one, in every descent step and every checker build. So a vjp
+computes the depth's contributions without testing for it, and likewise
+bsca's optical flow, a leaf in both of its callers that run the vjp (the
+flow step and the checker). Only the checker puts the pose and the flow of
+the depth terms on the tape; a vjp tests those inputs (`ad.active`) and
+skips their array passes on a descent step. `autodiff.backward` reads a
+contribution only for an active input, so one computed for a constant is
+dropped and its gradients hold.
+
 The cores of the descent's terms take a depth (or flow) grid, or a lane
 stack of them (k, H, W) for the lockstep descent: each lane then gets its
 own masked mean, so the node's value is a (k,) vector
@@ -245,21 +255,14 @@ def cgdc_core(d_g, d_c, mask):
     diff = g_val - c_val
     rel = np.abs(diff) / np.maximum(c_val, EPS_DIV)
     value, m, n = ad._lane_means(rel, mask)
-    c_active = ad.active(d_c)
 
     def vjp(g):
         g_rel = ad._mean_weights(g, m, n)
-        out = [None, None, None]
         guard = np.maximum(c_val, EPS_DIV)
         g_size = g_rel / guard
-        if c_active:
-            g_guard = -g_rel * np.abs(diff) / (guard * guard)
-            out[0] = g_guard * (c_val >= EPS_DIV).astype(float)
+        g_guard = -g_rel * np.abs(diff) / (guard * guard)
         g_diff = g_size * np.sign(diff)
-        out[1] = g_diff
-        if c_active:
-            out[2] = -g_diff
-        return out
+        return [g_guard * (c_val >= EPS_DIV).astype(float), g_diff, -g_diff]
 
     return ad.Var(value, [d_c, d_g, d_c], vjp)
 
@@ -379,10 +382,7 @@ def dpc_core(side: DepthSide, mask):
     c_d, shape = side.c_d, d_v.shape
     rel, gap = _dpc_terms(side.c_f, c_d)
     value, m, n = ad._lane_means(rel, mask)
-    d_act, t_act, qu_act, qv_act, div_act = (ad.active(x) for x in (d_c, t3, q_u, q_v, div_f))
-    sh_act = d_act or t_act
-    cf_act = sh_act or div_act
-    cd_act = sh_act or qu_act or qv_act
+    t_act, qu_act, qv_act, div_act = (ad.active(x) for x in (t3, q_u, q_v, div_f))
     if not div_act:
         ratio = None
 
@@ -392,35 +392,27 @@ def dpc_core(side: DepthSide, mask):
         guard = np.abs(c_d) + EPS_DPC
         g_size = g_rel / guard
         g_gap = g_size * np.sign(gap)
-        g_sh = None
-        if cd_act:
-            g_guard = -g_rel * np.abs(gap) / (guard * guard)
-            g_cd = g_guard * np.sign(c_d) + g_gap
-            g_neg = g_cd / shifted
-            if sh_act:
-                g_sh = -g_cd * neg / (shifted * shifted)
-            g_sum = g_neg * -1.0
-            if qv_act:
-                out[0] = g_sum * g_v
-            if qu_act:
-                out[1] = g_sum * g_u
-            if d_act:
-                out[2] = ad._axis_diff_vjp(g_sum * qv_v, -2, shape)
-                out[3] = ad._axis_diff_vjp(g_sum * qu_v, -1, shape)
-        if cf_act:
-            g_cf = -g_gap
-            if div_act:
-                out[4] = g_cf * ratio
-            if sh_act:
-                g_ratio = g_cf * div_v
-                c_sh = g_ratio / t3_v
-                g_sh = c_sh if g_sh is None else g_sh + c_sh
-                if t_act:
-                    out[5] = -g_ratio * shifted / (t3_v * t3_v)
-        if sh_act:
-            out[6] = g_sh
-            if t_act:
-                out[7] = -g_sh
+        g_guard = -g_rel * np.abs(gap) / (guard * guard)
+        g_cd = g_guard * np.sign(c_d) + g_gap
+        g_neg = g_cd / shifted
+        g_sh = -g_cd * neg / (shifted * shifted)
+        g_sum = g_neg * -1.0
+        if qv_act:
+            out[0] = g_sum * g_v
+        if qu_act:
+            out[1] = g_sum * g_u
+        out[2] = ad._axis_diff_vjp(g_sum * qv_v, -2, shape)
+        out[3] = ad._axis_diff_vjp(g_sum * qu_v, -1, shape)
+        g_cf = -g_gap
+        if div_act:
+            out[4] = g_cf * ratio
+        g_ratio = g_cf * div_v
+        g_sh = g_sh + g_ratio / t3_v
+        if t_act:
+            out[5] = -g_ratio * shifted / (t3_v * t3_v)
+        out[6] = g_sh
+        if t_act:
+            out[7] = -g_sh
         return out
 
     return ad.Var(value, [q_v, q_u, d_c, d_c, div_f, t3, d_c, t3], vjp)
@@ -447,29 +439,15 @@ def bsca_core(f_r_u, f_r_v, f_o_u, f_o_v, mask):
     r_u, r_v, o_u, o_v = (ad.value_of(x) for x in (f_r_u, f_r_v, f_o_u, f_o_v))
     rel, gap_u, gap_v, n_diff, guard = _bsca_terms(r_u, r_v, o_u, o_v)
     value, m, n = ad._lane_means(rel, mask)
-    ou_act, ov_act = ad.active(f_o_u), ad.active(f_o_v)
-    u_act = ad.active(f_r_u) or ou_act
-    v_act = ad.active(f_r_v) or ov_act
 
     def vjp(g):
-        out = [None] * 6
         g_rel = ad._mean_weights(g, m, n)
         g_diff = g_rel / guard
-        if ou_act or ov_act:
-            g_guard = -g_rel * n_diff / (guard * guard)
-        if ov_act:
-            out[0] = g_guard * np.sign(o_v)
-        if ou_act:
-            out[1] = g_guard * np.sign(o_u)
-        if v_act:
-            g_gap = g_diff * np.sign(gap_v)
-            out[2] = g_gap
-            out[3] = -g_gap
-        if u_act:
-            g_gap = g_diff * np.sign(gap_u)
-            out[4] = g_gap
-            out[5] = -g_gap
-        return out
+        g_guard = -g_rel * n_diff / (guard * guard)
+        g_gap_v = g_diff * np.sign(gap_v)
+        g_gap_u = g_diff * np.sign(gap_u)
+        return [g_guard * np.sign(o_v), g_guard * np.sign(o_u),
+                g_gap_v, -g_gap_v, g_gap_u, -g_gap_u]
 
     return ad.Var(value, [f_o_v, f_o_u, f_r_v, f_o_v, f_r_u, f_o_u], vjp)
 

@@ -30,16 +30,19 @@ lockstep, all of them on its one plan. The depth step is stacked: theta and
 the decoded depth carry a leading lane axis, each loss term is one tape node
 over the lanes that have it, and one backward pass and one update serve
 them all, with each lane's weights, rate and step clip. A run alone is a
-stack of one, which steps on its grids themselves, without the lane axis;
-the ablation suite stacks the depth-only configs of a scene. A co-adjusted
-run steps alone, in a stack of its own, on the plan of its own flow: its
-flow step (`_Lane.flow_step`), against the rigid flow of its depth,
-replaces its plan with the plan of the updated flow. A stack holds at most
-`STACK_PIXELS` pixels of lanes (at least one lane): past that a bigger
-stack stepped slower than its lanes one after another (the lanes' tape
-outgrows the cache), so a lane that finds the stack full waits with its
-rows and joins once the stack has room at its iteration, or has emptied
-(the stack then goes back to the earliest iteration a lane waits at).
+stack of one, which steps on its grids themselves, without the lane axis:
+on a (1, H, W) stack it keeps its bits but pays the lane axis on every step
+(4 more calls per active step, and an in-process 96x72 `co_adjust` 6-19%
+slower; see the README). The ablation suite stacks the depth-only configs
+of a scene. A co-adjusted run steps alone, in a stack of its own, on the
+plan of its own flow: its flow step (`_Lane.flow_step`), against the rigid
+flow of its depth, replaces its plan with the plan of the updated flow. A
+stack holds at most `STACK_PIXELS` pixels of lanes (at least one lane):
+past that a bigger stack stepped slower than its lanes one after another
+(the lanes' tape outgrows the cache), so a lane that finds the stack full
+waits with its rows and joins once the stack has room at its iteration,
+or has emptied (the stack then goes back to the earliest iteration a lane
+waits at).
 
 Depth-only configs equal but for w_d form a group, whose runs are one run
 up to `dpc_active_after`, the end of the dpc warmup, bit for bit: the dpc

@@ -685,3 +685,45 @@ def test_no_module_binds_an_import_it_never_reads():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert bound - read == set(), path.name
+
+
+FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def locals_bound(func):
+    """The names `func` binds in its own scope: assignment, loop, `with`
+    and walrus targets, `except ... as` names and nested `def`s, less the
+    names it declares global or nonlocal. A nested function's body is a
+    scope of its own."""
+    bound, declared, stack = set(), set(), list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, FUNCTION_SCOPES):
+            if not isinstance(node, ast.Lambda):
+                bound.add(node.name)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    """Every local name a function of the package binds is read in that
+    function, or in a function nested in it; a name that starts with `_`
+    is unused on purpose. A flag left behind by a deleted branch fails
+    here."""
+    dead = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, FUNCTION_SCOPES):
+                continue
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            dead += [f"{path.name}:{func.lineno}: {name}"
+                     for name in sorted(locals_bound(func) - read) if not name.startswith("_")]
+    assert dead == []

@@ -99,6 +99,16 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: weights must be finite")
 
+    @pytest.mark.parametrize("weights, message", [
+        ("1,a,0,0", "usage error: non-numeric weight in '1,a,0,0'"),
+        ("1,-1,0,0", "usage error: weights must be non-negative"),
+    ])
+    def test_malformed_weight(self, scene_file, tmp_path, capsys, weights, message):
+        code = run(["recover-depth", "--scene", str(scene_file), "--size", "16x12", "--iters",
+                    "2", "--weights", weights, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("command", ["gen-scene", "grad-check", "recover-depth"])
     def test_negative_seed(self, scene_file, tmp_path, capsys, command):
         code = run([command, "--scene", str(scene_file), "--size", "16x12", "--seed", "-1",

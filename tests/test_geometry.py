@@ -342,6 +342,10 @@ class TestDivergence:
         g = grid_gradient(u * u)
         assert g[2, 3, 0] == 12.0  # same central stencil as the divergence
 
+    def test_gradient_on_a_two_row_grid(self):
+        with pytest.raises(DimensionError, match="^gradient needs at least a 3x3 grid$"):
+            grid_gradient(np.ones((2, 5)))
+
 
 # ---------------------------------------------------------------------------
 # warping
@@ -400,6 +404,18 @@ class TestTypes:
     def test_depth_rejects_nonfinite(self):
         with pytest.raises(InvalidDepthError):
             DepthMap(np.array([[1.0, np.inf], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DepthMap(np.ones((2, 3, 4))),
+         r"^depth must be a 2-d array, got shape \(2, 3, 4\)$"),
+        (lambda: FlowField(np.zeros((3, 3, 3))),
+         r"^flow must have shape \(H, W, 2\), got \(3, 3, 3\)$"),
+        (lambda: ScalarField(np.zeros((3, 4)), np.ones((4, 3), bool)),
+         "^scalar field mask shape mismatch$"),
+    ], ids=["depth-3d", "flow-3-components", "scalar-mask"])
+    def test_grid_of_a_wrong_shape(self, make, message):
+        with pytest.raises(DimensionError, match=message):
+            make()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_flow_and_scalar_reject_nonfinite_valid_pixel(self, bad):

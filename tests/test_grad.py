@@ -160,6 +160,20 @@ class TestFiniteDifferenceAgreement:
             finite_difference_check("cgdc", perturbed_inputs, **{argument: value})
 
 
+class TestBuildErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda inputs: build_loss("mystery", inputs), "^unknown loss id 'mystery'$"),
+        (lambda inputs: build_loss("photometric", replace(inputs, image_t=None, image_s=None)),
+         "^photometric loss needs both images$"),
+        (lambda inputs: loss_gradient("smoothness", replace(inputs, flow=None),
+                                      targets=("flow",)),
+         "^no flow input to differentiate$"),
+    ], ids=["unknown-id", "photometric-without-images", "flow-target-without-flow"])
+    def test_raises_a_value_error(self, perturbed_inputs, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(perturbed_inputs)
+
+
 class TestStopGradient:
     def test_geometric_depth_frozen(self, perturbed_inputs):
         g = loss_gradient(

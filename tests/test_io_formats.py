@@ -211,6 +211,16 @@ class TestCsv:
         with pytest.raises(FormatError):
             write_csv(tmp_path / "t.csv", [])
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "^empty CSV file$"),
+        ("a,b\n1,2\n3\n", "^CSV row width does not match header$"),
+    ], ids=["empty", "ragged-row"])
+    def test_malformed_file_raises(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_csv(path)
+
 
 @given(
     h=st.integers(1, 6),
@@ -316,6 +326,8 @@ def f4(*values):
     pytest.param("depth", b"Pf\n2 1\n-1.0\n" + f4(1.0, 1.0) + b"\n", id="depth-trailing-newline"),
     pytest.param("image", b"P5\n2 1\n65535\n" + bytes(4) + b"x", id="image-trailing-byte"),
     pytest.param("image", b"P6\n1 1\n65535\n" + bytes(6) + b"\n", id="image-trailing-newline"),
+    pytest.param("depth", b"Pf\n0 1\n-1.0\n", id="depth-zero-width"),
+    pytest.param("image", b"P5\n0 1\n65535\n", id="image-zero-width"),
 ])
 def test_payloads_no_writer_makes_are_format_errors(tmp_path, kind, data):
     # non-finite payloads, headers that claim gigabytes the file lacks, and

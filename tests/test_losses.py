@@ -73,6 +73,16 @@ def tri_result(depth_values, validity):
     )
 
 
+class TestLossValue:
+    @pytest.mark.parametrize("value, count, error, message", [
+        (np.nan, 1, ValueError, "^loss value is not finite$"),
+        (1.0, 0, NoValidPixelsError, "^a reported loss needs at least one valid pixel$"),
+    ], ids=["nan", "no-pixels"])
+    def test_rejects(self, value, count, error, message):
+        with pytest.raises(error, match=message):
+            LossValue(value, count)
+
+
 class TestSsim:
     def test_self_similarity_is_one(self):
         img = Image(RNG.uniform(0, 1, (12, 14)))
@@ -438,6 +448,11 @@ class TestDifferentialFields:
         np.testing.assert_array_equal(fields.validity, clean.validity)
         assert_bits_equal(fields.c_f.values[fields.validity], clean.c_f.values[clean.validity])
 
+    def test_depth_and_flow_of_other_shapes(self):
+        with pytest.raises(DimensionError, match="^depth and flow shapes do not match$"):
+            differential_fields(K, RigidMotion(np.eye(3), [0.31, 0.02, 0.42]),
+                                DepthMap(np.ones((5, 6))), FlowField(np.zeros((6, 5, 2))))
+
     def test_inf_flow_on_a_one_high_grid(self):
         values = np.zeros((1, 4, 2))
         values[0, ::2] = np.inf
@@ -687,6 +702,10 @@ class TestDepthMetrics:
         d = DepthMap(np.ones((4, 4)))
         with pytest.raises(NoValidPixelsError):
             depth_metrics(d, d, mask=np.zeros((4, 4), bool))
+
+    def test_depths_of_other_shapes(self):
+        with pytest.raises(DimensionError, match="^depth shapes do not match$"):
+            depth_metrics(DepthMap(np.ones((4, 4))), DepthMap(np.ones((4, 5))))
 
     @pytest.mark.parametrize("shape", [(4, 5), (1, 4), (4,)])
     def test_mask_of_another_shape(self, shape):

@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 from flowgeo import autodiff as ad
 from flowgeo import cli, grad, optim
-from flowgeo.errors import AbortedRunError, FlowGeoError, InvalidDepthError, NoValidPixelsError
+from flowgeo.errors import (
+    AbortedRunError,
+    FlowGeoError,
+    InvalidDepthError,
+    NonFiniteError,
+    NoValidPixelsError,
+)
 from flowgeo.geometry import (
+    FLOW_NOT_FINITE,
     CameraIntrinsics,
     DepthMap,
     RigidMotion,
@@ -216,6 +223,16 @@ class TestDivergenceAbort:
                              init="ground-truth", dpc_warmup_fraction=0.0, iterations=40)
         with pytest.raises(AbortedRunError, match="^run diverged at iteration 2 "):
             recover_depth(bundle, config)
+
+    def test_a_depth_entry_of_zero_is_invalid_depth(self, small_static):
+        # finite losses and a finite depth pass the divergence check; an
+        # entry that underflowed to 0 is no abort but an invalid depth
+        lane = objective_of(small_static, OptimConfig(w_c=1.0, iterations=10))
+        depth = np.ones(small_static.shape)
+        lane.check(3, {"cgdc": 0.5}, depth, 0.0)
+        depth[4, 7] = 0.0
+        with pytest.raises(InvalidDepthError, match="^depth must be strictly positive where valid$"):
+            lane.check(3, {"cgdc": 0.5}, depth, 0.0)
 
     def test_dynamic_scene_needs_co_adjust(self, dynamic_bundle):
         with pytest.raises(ValueError):
@@ -455,6 +472,79 @@ class TestSharedWarmup:
         assert type(other) is NoValidPixelsError and other is not lead
         assert str(other) == str(lead) == "dpc: empty valid set"
 
+    def test_a_raising_node_leaves_its_lanes_out_of_the_later_terms(self, small_static,
+                                                                     monkeypatch):
+        # two lanes in one stack that differ in w_c: the cgdc node over the
+        # w_c > 0 lane raises at step 0, and that step's photometric node is
+        # built over the other lane alone, which runs on as it runs alone
+        def broken(*args):
+            raise NoValidPixelsError("cgdc: empty valid set")
+
+        warped = []  # the depth each photometric warp reads
+        real_warp = grad.warp_graph
+        monkeypatch.setattr(grad, "cgdc_core", broken)
+        monkeypatch.setattr(grad, "warp_graph", lambda camera, image, t, depth, *a: warped.append(
+            ad.value_of(depth).shape) or real_warp(camera, image, t, depth, *a))
+        sizes = self.stack_sizes(monkeypatch)
+        configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=0.1, iterations=12, record_every=5, seed=1)
+                   for wc in (1.0, 0.0)]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == "NoValidPixelsError: cgdc: empty valid set"
+        assert rows[1]["error"] == ""
+        assert sizes[:12] == [2] + [1] * 11
+        assert warped[0] == small_static.shape
+
+    def test_a_term_raising_off_the_tape_ends_its_run_at_the_final_record(self, small_static,
+                                                                           monkeypatch):
+        # the cgdc node raises only off the tape: the w_c > 0 lane steps on
+        # it to the end, and its final record, off the tape, ends the run;
+        # the other lane of the stack finishes
+        real_cgdc = grad.cgdc_core
+        off_tape = []
+
+        def on_tape_only(d_g, d_c, mask):
+            if not ad.active(d_c):
+                off_tape.append(1)
+                raise NoValidPixelsError("cgdc: off the tape")
+            return real_cgdc(d_g, d_c, mask)
+
+        monkeypatch.setattr(grad, "cgdc_core", on_tape_only)
+        sizes = self.stack_sizes(monkeypatch)
+        configs = [OptimConfig(w_p=1.0, w_c=wc, w_d=0.1, iterations=12, record_every=5, seed=1)
+                   for wc in (1.0, 0.0)]
+        outcomes = optim._descend(small_static, configs)
+        assert type(outcomes[0]) is NoValidPixelsError and str(outcomes[0]) == "cgdc: off the tape"
+        assert isinstance(outcomes[1], optim.RunTrace)
+        assert sizes == [2] * 12 and off_tape == [1]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == "NoValidPixelsError: cgdc: off the tape"
+        assert rows[1]["error"] == ""
+
+    def test_a_rigid_flow_failing_at_the_final_depth_ends_the_run(self, small_static,
+                                                                   monkeypatch):
+        # the rigid flow of the co-adjusted lane's final depth is not
+        # finite: its final record ends the run with that error, and the
+        # depth-only config next to it finishes as it does alone
+        finishing = []
+        real_finish, real_rigid = optim._Stack._finish, optim.rigid_flow_values
+
+        def finish(stack, lanes):
+            finishing.append(len(lanes))
+            return real_finish(stack, lanes)
+
+        def rigid(camera, motion, depth, **kw):
+            values, valid = real_rigid(camera, motion, depth, **kw)
+            return (np.full_like(values, np.nan) if finishing else values), valid
+
+        monkeypatch.setattr(optim._Stack, "_finish", finish)
+        monkeypatch.setattr(optim, "rigid_flow_values", rigid)
+        co = OptimConfig(w_c=1.0, w_b=1.0, iterations=8, record_every=3, seed=0)
+        depth_only = OptimConfig(w_c=1.0, iterations=8, seed=0)
+        outcome, other = optim._descend(small_static, [co, depth_only])
+        assert type(outcome) is NonFiniteError and str(outcome) == FLOW_NOT_FINITE
+        assert finishing == [1, 1]
+        assert_same_outcome(other, recover_depth(small_static, depth_only))
+
     def test_scene_too_small_for_the_dpc_stencil(self, camera):
         # a plan with the dpc term fails on a 2-row grid; the w_d = 0 member,
         # whose own run has no stencil, runs alone and completes
@@ -675,7 +765,7 @@ class TestStackContract:
 
     @settings(max_examples=100, deadline=None)
     @given(case=stack_cases())
-    # forked co-adjusted lanes that share a stack
+    # two co-adjusted configs equal but for w_d, each stepping alone in a stack of its own
     @example(case=("dynamic-24x18", tuple(
         OptimConfig(w_c=1.0, w_d=wd, w_b=1.0, iterations=30, record_every=4,
                     dpc_warmup_fraction=0.6, seed=3) for wd in (0.0, 0.1)), 2))

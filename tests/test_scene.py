@@ -170,6 +170,11 @@ class TestBundleInvariants:
         err = np.abs(warped.values - dynamic_bundle.image_t.values)
         assert err[mask].mean() < 1e-3
 
+    def test_unknown_dynamic_region_shape(self):
+        spec = SceneSpec("fronto-plane", dynamic=DynamicObjectSpec("star"))
+        with pytest.raises(InvalidSceneError, match="^unknown dynamic region shape 'star'$"):
+            synthesize(spec, K, RigidMotion(np.eye(3), [0, 0, 0.5]), 24, 32)
+
     def test_dynamic_region_must_stay_interior(self):
         dyn = DynamicObjectSpec(center=(2.0, 2.0), half_size=(5.0, 5.0))
         spec = SceneSpec("fronto-plane", dynamic=dyn)
