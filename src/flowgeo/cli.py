@@ -38,8 +38,10 @@ from .rng import PCG64
 from .scene import EgoMotionKeys, read_scene_keys, synthesize, write_scene_file
 from .triangulate import Degeneracy, triangulate_depth
 
-# default loss-weight combination (a configuration value, not a published one)
+# default loss-weight combination (a configuration value, not a published one),
+# and its depth-only form, the default of recover-depth and ablate
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.1, 0.1)
+DEPTH_ONLY_WEIGHTS = DEFAULT_WEIGHTS[:3] + (0.0,)
 
 class UsageError(Exception):
     pass
@@ -128,7 +130,8 @@ def _build_parser():
 
     p = sub.add_parser("ablate", help="weight-grid ablation over one scene")
     common(p)
-    p.add_argument("--weights", default=None, help="w_p,w_c,w_d,w_b (grid toggles w_c and w_d)")
+    p.add_argument("--weights", default=None,
+                   help="w_p,w_c,w_d,w_b (grid toggles w_c and w_d; depth-only, so w_b must be 0)")
     p.add_argument("--iters", type=_positive_int, default=800)
 
     p = sub.add_parser("metrics", help="depth metrics between two .pfm files")
@@ -287,7 +290,7 @@ def _cmd_descend(args):
     propagates."""
     co = args.command == "co-adjust"
     weights = (_parse_weights(args.weights) if args.weights
-               else DEFAULT_WEIGHTS if co else (1.0, 0.5, 0.1, 0.0))
+               else DEFAULT_WEIGHTS if co else DEPTH_ONLY_WEIGHTS)
     if co and weights[3] <= 0:
         raise UsageError("co-adjust needs w_b > 0")
     if not co and max(weights[:3]) == 0:
@@ -313,8 +316,10 @@ def _cmd_descend(args):
 
 
 def _cmd_ablate(args):
-    weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
-    w_p, w_c, w_d, _ = weights
+    weights = _parse_weights(args.weights) if args.weights else DEPTH_ONLY_WEIGHTS
+    w_p, w_c, w_d, w_b = weights
+    if w_b > 0:
+        raise UsageError("ablate runs depth-only configs; w_b must be 0 (use co-adjust for w_b > 0)")
     bundle, *_ = _load_scene(args)
     out = _out_dir(args)
     configs = []

@@ -152,8 +152,13 @@ class RigidMotion:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        R = np.asarray(self.rotation, dtype=float)
+        t = np.asarray(self.translation, dtype=float)
+        if R.shape != (3, 3):
+            raise DimensionError(f"rotation must be 3x3, got shape {R.shape}")
+        if t.size != 3:
+            raise DimensionError(f"translation must be 3 values, got shape {t.shape}")
+        t = t.reshape(3)
         # negated comparisons, so a NaN entry fails them
         if not np.abs(R @ R.T - np.eye(3)).max() <= ORTHONORMALITY_TOL:
             raise ValueError("rotation is not orthonormal")
@@ -192,7 +197,10 @@ class TwistParams:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(6)
+        v = np.asarray(self.values, dtype=float)
+        if v.size != 6:
+            raise DimensionError(f"values must be 6 twist coordinates, got shape {v.shape}")
+        v = v.reshape(6)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -321,7 +329,9 @@ class ScalarField:
 
 
 def pixel_grid(height: int, width: int):
-    """(u, v) coordinate grids of shape (H, W)."""
+    """(u, v) coordinate grids of shape (H, W). A size that is not an
+    integer (a bool, a float) raises DimensionError."""
+    _require_size(height, width)
     u, v = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     return u, v
 
@@ -376,6 +386,11 @@ def backproject(camera: CameraIntrinsics, pixel, depth) -> np.ndarray:
     if p.shape[-1:] != (2,):
         raise DimensionError("pixel must be a 2-vector")
     d = np.asarray(depth, dtype=float)
+    try:
+        np.broadcast_shapes(p.shape[:-1], d.shape)
+    except ValueError:
+        raise DimensionError(f"pixel of shape {p.shape} and depth of shape {d.shape} "
+                             "do not broadcast") from None
     return np.stack([d * (p[..., 0] - camera.cx) / camera.fx,
                      d * (p[..., 1] - camera.cy) / camera.fy, d * np.ones_like(p[..., 0])], axis=-1)
 

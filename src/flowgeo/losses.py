@@ -551,6 +551,11 @@ def differential_fields(camera: CameraIntrinsics, motion: RigidMotion, d_c: Dept
     t = motion.translation
     if d_c.shape != f_tra.shape:
         raise DimensionError("depth and flow shapes do not match")
+    if depth_gradient is not None:
+        depth_gradient = np.asarray(depth_gradient, dtype=float)
+        if depth_gradient.shape != d_c.shape + (2,):
+            raise DimensionError(f"depth_gradient must have shape (H, W, 2) = "
+                                 f"{d_c.shape + (2,)}, got {depth_gradient.shape}")
     side, q_u, q_v = differential_fields_core(camera, (t[0], t[1], t[2]), d_c.values,
                                               f_tra.values[..., 0], f_tra.values[..., 1],
                                               depth_gradient)

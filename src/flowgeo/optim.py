@@ -261,8 +261,15 @@ def _plan(bundle: SceneBundle) -> LossPlan:
                     flow.values[..., 0], flow.values[..., 1], flow.mask, True, DPC_FLOOR)
 
 
+# each loss term of the depth stream and the `OptimConfig` field that weighs
+# it, in the order a step creates their nodes: the reverse is the order in
+# which the depth's gradient sums their contributions
+TERMS = {"cgdc": "w_c", "dpc": "w_d", "photometric": "w_p"}
+
+
 class _Lane:
-    """One config's run in a `_Stack`: its config, its plan, its records so
+    """One config's run in a `_Stack`: its config, its plan, its weight of
+    each term (read from its config once, through `TERMS`), its records so
     far and, for a lead before its fork, the configs that fork from it. Its
     theta and depth are its rows of the stack's. The lane records, checks
     and ends its run (`record`, `check`, `trace`).
@@ -277,9 +284,9 @@ class _Lane:
         self.config, self.plan = config, plan
         self.dpc_active_after = int(config.dpc_warmup_fraction * config.iterations)
         self.flow_start = int(FLOW_START_FRACTION * config.iterations)
-        # the loss terms the lane steps on, in `TERMS` order
-        self.terms = tuple(name for name, w in zip(TERMS, (config.w_c, config.w_d, config.w_p))
-                           if w > 0)
+        # its weight of each term, and the terms it steps on, in `TERMS` order
+        self._weights = {name: getattr(config, w) for name, w in TERMS.items()}
+        self.terms = tuple(name for name, w in self._weights.items() if w > 0)
         # the flow parts of its terms raise their errors here, the dpc
         # part's offsets first
         if config.w_c > 0:
@@ -302,11 +309,11 @@ class _Lane:
         return _Lane(config, self.plan, records)
 
     def weights(self, iteration):
-        cfg = self.config
-        w = {"cgdc": cfg.w_c, "photometric": cfg.w_p, "dpc": cfg.w_d}
+        """The lane's weight of each term at `iteration`: its weight table,
+        or through the dpc warmup a copy with dpc at 0."""
         if iteration < self.dpc_active_after:
-            w["dpc"] = 0.0
-        return w
+            return {**self._weights, "dpc": 0.0}
+        return self._weights
 
     def rate(self, iteration):
         cfg = self.config
@@ -401,23 +408,19 @@ class _Lane:
                         time.perf_counter() - started, self.config)
 
 
-# the loss terms in the order a step creates their nodes: the reverse is the
-# order in which the depth's gradient sums their contributions
-TERMS = ("cgdc", "dpc", "photometric")
-
-
 def _terms(lanes, depth, d=None, iteration=None):
     """The loss terms of a lane stack as tape nodes: lanes[i] at its decoded
     depth in the stack `depth`, (k, H, W), or for a stack of one its grid
     itself, so that a run alone steps on plain grids, as the loss nodes'
-    2-D form has them. Each term is one node over the lanes that have it,
-    in `TERMS` order. The lanes whose weight for the term is positive at
-    `iteration` read the leaf `d`, the whole stack or `ad.lanes` of it; the
-    others, all of them when `d` is None, read the plain depth, off the
-    tape. A node comes from the term's builder in `grad._TERMS`, the one
+    2-D form has them. The terms are built one at a time, in `TERMS` order,
+    each over the lanes that have it and have not failed, in two nodes at
+    most: the lanes whose weight for the term is positive at `iteration`
+    read the leaf `d`, the whole stack or `ad.lanes` of it; the others, all
+    of them when `d` is None, read the plain depth, off the tape. A node
+    comes from the term's builder in `grad._TERMS`, the one
     `grad.build_loss` checks, called as there, `build(plan, depth)`, on the
     plan every lane of the stack holds. A lane whose valid set of a term is
-    empty leaves that term out.
+    empty leaves that term out: the node is built again without it.
 
     Returns ([(node, lanes, their weights)] of the nodes on the tape, the
     lanes as an index of the stack's leading axis, each lane's loss values
@@ -425,49 +428,40 @@ def _terms(lanes, depth, d=None, iteration=None):
     ends the lanes it was over, and they take no further term."""
     k = len(lanes)
     everyone = list(range(k))
-    # (term, on the tape) -> (lanes, their weights), in creation order
-    groups = {(name, on_tape): ([], []) for name in TERMS for on_tape in (True, False)}
-    for i, lane in enumerate(lanes):
-        weights = None if d is None else lane.weights(iteration)
-        for name in lane.terms:
-            w = 0.0 if weights is None else weights[name]
-            rows, ws = groups[name, w > 0]
-            rows.append(i)
-            ws.append(w)
     parts, values, errors = [], [{} for _ in everyone], {}
     plan = lanes[0].plan
-    for (name, on_tape), (rows, ws) in groups.items():
+    weights = None if d is None else [lane.weights(iteration) for lane in lanes]
+    for name in TERMS:
         build = _TERMS[name][0]
-        while rows:
-            if errors:
-                rows = [i for i in rows if i not in errors]
-                ws = [lanes[i].weights(iteration)[name] for i in rows] if on_tape else ws
-                if not rows:
+        on_tape, off_tape = [], []
+        for i, lane in enumerate(lanes):
+            if name in lane.terms and i not in errors:
+                (on_tape if weights and weights[i][name] > 0 else off_tape).append(i)
+        for rows, stack in ((on_tape, d), (off_tape, depth)):
+            while rows:
+                # every lane (a slice, no copy), one lane (its grid) or several
+                index = slice(None) if rows == everyone else rows[0] if len(rows) == 1 else rows
+                if rows == everyone:
+                    picked = stack
+                else:
+                    picked = ad.lanes(stack, index) if stack is d else stack[index]
+                try:
+                    node, mask = build(plan, picked)
+                except (FlowGeoError, ValueError) as exc:
+                    for i in rows:  # each lane takes an error of its own
+                        errors[i] = type(exc)(*exc.args)
                     break
-            # every lane (a slice, no copy), one lane (its grid) or several
-            index = slice(None) if rows == everyone else rows[0] if len(rows) == 1 else rows
-            stack = d if on_tape else depth
-            if rows == everyone:
-                picked = stack
-            else:
-                picked = ad.lanes(stack, index) if on_tape else stack[index]
-            try:
-                node, mask = build(plan, picked)
-            except (FlowGeoError, ValueError) as exc:
-                for i in rows:  # each lane takes an error of its own
-                    errors[i] = type(exc)(*exc.args)
-                break
-            if node is not None:
-                value = node.value  # a float for one lane, else a (k,) array
-                for i, v in zip(rows, [value] if type(value) is float else value.tolist()):
-                    values[i][name] = v
-                if on_tape:
-                    parts.append((node, index, ws[0] if len(rows) == 1 else np.array(ws)))
-                break
-            # rebuilt without the lanes whose valid set is empty
-            kept = np.atleast_1d(mask.any(axis=(-2, -1))).tolist()
-            ws = [w for w, keep_lane in zip(ws, kept) if keep_lane]
-            rows = [i for i, keep_lane in zip(rows, kept) if keep_lane]
+                if node is not None:
+                    value = node.value  # a float for one lane, else a (k,) array
+                    for i, v in zip(rows, [value] if type(value) is float else value.tolist()):
+                        values[i][name] = v
+                    if stack is d:
+                        parts.append((node, index, weights[rows[0]][name] if len(rows) == 1
+                                      else np.array([weights[i][name] for i in rows])))
+                    break
+                # rebuilt without the lanes whose valid set is empty
+                kept = np.atleast_1d(mask.any(axis=(-2, -1))).tolist()
+                rows = [i for i, keep_lane in zip(rows, kept) if keep_lane]
     return parts, values, errors
 
 

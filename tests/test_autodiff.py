@@ -7,7 +7,9 @@ independent reference forms, and every op the tape exports has a caller
 in the package."""
 
 import ast
+import importlib
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +612,8 @@ class TestKernelTwins:
 # list names `autodiff.box3_s` and `autodiff.bilinear_s`, so these two stay
 # until the rigid-flow merge of ROADMAP item 4 takes the last callers of the
 # warp's composed form and moves them to tests/composed.py with those names.
+# `test_every_benchmarked_function_is_traceable` is the guard that fails
+# while the benchmark still names them and they are gone.
 UNCALLED_EXPORTS = {"box3", "bilinear"}
 
 
@@ -667,6 +671,29 @@ def test_every_export_has_a_caller_in_the_package():
     exported = {name for name in vars(flowgeo) if not name.startswith("_")}
     for module in (grad, triangulate, losses, optim, geometry):
         assert public_names(module) - read - exported == set(), module.__name__
+
+
+def test_every_benchmarked_function_is_traceable():
+    """Each per-layer metric of `BENCHMARK.json` that times or counts one
+    function, `<layer>.<function>_s` or `<layer>.<function>.calls`, names a
+    function the benchmark's tracer can wrap: a public function that
+    `flowgeo.<layer>` defines itself. A traced run that cannot measure a
+    metric it declares exits 1. The run's own counters (`self`, `write`,
+    the layer-level `calls`) and names with neither suffix are no function."""
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checked = 0
+    for metric in spec["per_layer"]:
+        layer, _, rest = metric["name"].partition(".")
+        function = (rest[: -len(".calls")] if rest.endswith(".calls")
+                    else rest[: -len("_s")] if rest.endswith("_s") else None)
+        if function in (None, "self", "write"):
+            continue
+        module = importlib.import_module(f"flowgeo.{layer}")
+        obj = getattr(module, function, None)
+        assert (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                and not function.startswith("_")), metric["name"]
+        checked += 1
+    assert checked > 0
 
 
 def test_no_module_binds_an_import_it_never_reads():

@@ -128,6 +128,15 @@ class TestUsageErrors:
         ])
         assert code == 2
 
+    def test_wb_in_ablate(self, scene_file, tmp_path, capsys):
+        # the ablation grid is depth-only: a w_b it would not run is refused
+        out = tmp_path / "o"
+        code = run(["ablate", "--scene", str(scene_file), "--size", "16x12", "--iters", "2",
+                    "--weights", "1,0.5,0.1,0.1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ablate runs depth-only configs")
+        assert not out.exists()
+
 
 class TestRuntimeErrors:
     def test_missing_scene_file(self, tmp_path, capsys):
@@ -509,7 +518,7 @@ class TestManifest:
         ("recover-depth", ["--weights", "1,1,0.1,0"], "1.0,1.0,0.1,0.0"),
         ("recover-depth", [], "1.0,0.5,0.1,0.0"),
         ("co-adjust", [], "1.0,0.5,0.1,0.1"),
-        ("ablate", [], "1.0,0.5,0.1,0.1"),
+        ("ablate", [], "1.0,0.5,0.1,0.0"),
         ("ablate", ["--weights", "1,0.25,0,0"], "1.0,0.25,0.0,0.0"),
     ])
     def test_each_key_once(self, scene_file, tmp_path, command, flags, weights):

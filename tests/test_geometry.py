@@ -391,6 +391,31 @@ class TestWarp:
 # value-type invariants
 
 
+class TestShapeErrors:
+    """An argument of the wrong shape, or a size that is not an integer,
+    raises a DimensionError that names the argument, not numpy's own
+    reshape or broadcast error."""
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda: RigidMotion(np.eye(2), np.zeros(3)), "^rotation"),
+        (lambda: RigidMotion(np.eye(3).ravel(), np.zeros(3)), "^rotation"),
+        (lambda: RigidMotion(np.eye(3), np.zeros(2)), "^translation"),
+        (lambda: RigidMotion(np.eye(3), np.zeros((2, 3))), "^translation"),
+        (lambda: TwistParams(np.zeros(5)), "^values"),
+        (lambda: TwistParams(np.zeros((2, 6))), "^values"),
+        (lambda: backproject(K, np.full((4, 2), 10.0), np.ones(3)), "^pixel .* depth"),
+        (lambda: backproject(K, np.full((2, 3, 2), 10.0), np.ones((3, 2))), "^pixel .* depth"),
+        (lambda: pixel_grid(2.5, 3), "^height"),
+        (lambda: pixel_grid(True, 3), "^height"),
+        (lambda: pixel_grid(3, 4.0), "^width"),
+    ], ids=["rotation-2x2", "rotation-flat", "translation-2", "translation-2x3", "twist-5",
+            "twist-2x6", "backproject-rows", "backproject-grid", "grid-float", "grid-bool",
+            "grid-float-width"])
+    def test_names_its_argument(self, call, names):
+        with pytest.raises(DimensionError, match=names):
+            call()
+
+
 class TestTypes:
     def test_depth_rejects_nonpositive_valid_pixels(self):
         with pytest.raises(InvalidDepthError):

@@ -880,3 +880,11 @@ class TestWrapperEdges:
         except (FlowGeoError, ValueError):
             return
         assert np.isfinite(result_floats(result)).all()
+
+    @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3), (6, 7, 2), (7, 5, 2)])
+    def test_depth_gradient_that_is_not_hw2(self, shape):
+        camera = CameraIntrinsics(fx=100.0, fy=100.0, cx=3.5, cy=2.5)
+        motion = RigidMotion(np.eye(3), [0.31, 0.02, 0.42])
+        depth, flow = DepthMap(np.full((5, 7), 2.0)), FlowField(np.zeros((5, 7, 2)))
+        with pytest.raises(DimensionError, match=r"^depth_gradient must have shape \(H, W, 2\)"):
+            differential_fields(camera, motion, depth, flow, np.zeros(shape))

@@ -972,22 +972,26 @@ class TestPlan:
         assert stacked <= 429
 
     def test_stacked_step_equals_each_lane_alone(self, small_static):
-        # the middle lane's depth is 1e-4 of the truth: its warp leaves the
+        # the second lane's depth is 1e-4 of the truth: its warp leaves the
         # image and its |C^D| stays under the floor, so the dpc and
-        # photometric nodes are rebuilt over the outer lanes alone, and the
-        # last lane has no cgdc term
-        weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1)]
-        configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0)
-                   for wp, wc, wd in weights]
+        # photometric nodes are rebuilt without it; the third lane has no
+        # cgdc term, and the last is still in its dpc warmup, so its dpc
+        # node is off the tape, beside the on-tape one of the first and third
+        weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1), (1.0, 1.0, 0.1)]
+        configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0,
+                               dpc_warmup_fraction=0.9 if i == 3 else 0.45)
+                   for i, (wp, wc, wd) in enumerate(weights)]
         plan = optim._plan(small_static)
         objectives = [optim._Lane(config, plan) for config in configs]
         gt = small_static.depth_gt.values
-        theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9]))
+        theta = np.log(np.stack([gt * 1.1, gt * 1e-4, gt * 0.9, gt * 1.05]))
         depth = optim._decode_values(theta)
         it = objectives[0].dpc_active_after
+        assert objectives[3].weights(it)["dpc"] == 0.0 < objectives[0].weights(it)["dpc"]
         stepped, values, errors = optim._depth_step(objectives, theta, depth, it)
         assert errors == {} and list(values[1]) == ["cgdc"]
         assert list(values[2]) == ["dpc", "photometric"]
+        assert list(values[3]) == ["cgdc", "dpc", "photometric"]
         for i, objective in enumerate(objectives):
             alone, alone_values, _ = optim._depth_step([objective], theta[i : i + 1],
                                                        depth[i : i + 1], it)
