@@ -234,11 +234,14 @@ def _require_depth(values, mask=None):
         raise InvalidDepthError("depth must be strictly positive where valid")
 
 
-def _require_size(height, width):
-    """Raise DimensionError naming a size that is not an integer (a bool, a float)."""
+def _require_size(height, width, allow_negative=False):
+    """Raise DimensionError naming a size that is not an integer (a bool, a
+    float) or, unless `allow_negative`, is negative."""
     for name, value in (("height", height), ("width", width)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DimensionError(f"{name} must be an integer, got {value!r}")
+        if value < 0 and not allow_negative:
+            raise DimensionError(f"{name} must be non-negative, got {value}")
 
 
 def _as_grid(values, name, depth_axes=2):
@@ -330,7 +333,7 @@ class ScalarField:
 
 def pixel_grid(height: int, width: int):
     """(u, v) coordinate grids of shape (H, W). A size that is not an
-    integer (a bool, a float) raises DimensionError."""
+    integer (a bool, a float) or is negative raises DimensionError."""
     _require_size(height, width)
     u, v = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     return u, v
@@ -450,7 +453,7 @@ def rotational_flow(camera: CameraIntrinsics, rotation, height: int, width: int)
     F(p) = proj(K R K^-1 p~) - p, the rigid flow of a unit depth under
     (R, 0); the homogeneous scale cancels depth. A rotation that is not
     orthonormal raises ValueError (see `RigidMotion`), a size that is not an
-    integer DimensionError."""
+    integer or is negative DimensionError."""
     _require_size(height, width)
     ones = np.ones((height, width))
     return FlowField(*rigid_flow_values(camera, RigidMotion(rotation, np.zeros(3)), ones))

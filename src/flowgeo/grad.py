@@ -275,22 +275,29 @@ class LossPlan:
 
     @cached_property
     def div(self):
-        """The divergence of the flow less the rotational flow, and where
-        C^F may be valid (off the border, where the stencils read valid
-        flow); raises the grid's error."""
+        """The divergence of the flow less the rotational flow, and
+        `dpc_validity`; raises the grid's error."""
         f_u, f_v = self.f_u, self.f_v
         if self.rotation is not None:
             f_u, f_v = f_u - self.rotation[0], f_v - self.rotation[1]
-        return (differential_flow_side(f_u, f_v),
-                stencil_validity(self.flow_mask) & interior_mask(*self.flow_mask.shape))
+        return differential_flow_side(f_u, f_v), self.dpc_validity
+
+    @cached_property
+    def dpc_validity(self):
+        """Where C^F may be valid: off the border, where the stencils read
+        valid flow. It depends on the flow mask alone."""
+        return stencil_validity(self.flow_mask) & interior_mask(*self.flow_mask.shape)
 
     def with_flow(self, f_u, f_v, flow_mask):
         """The plan of the flow (f_u, f_v) with valid pixels `flow_mask`:
         this plan's pose, images and depth mask, and every flow-independent
         part it has built (the rays, the SSIM statistics, the DPC offsets,
-        the rotational flow), shared."""
+        the rotational flow), shared. Its `dpc_validity` is shared too when
+        `flow_mask` is this plan's mask object; the triangulated depth and
+        the divergence are built anew."""
+        stale = ("geo", "div") if flow_mask is self.flow_mask else ("geo", "div", "dpc_validity")
         plan = object.__new__(LossPlan)
-        vars(plan).update({k: v for k, v in vars(self).items() if k not in ("geo", "div")},
+        vars(plan).update({k: v for k, v in vars(self).items() if k not in stale},
                           f_u=f_u, f_v=f_v, flow_mask=flow_mask)
         return plan
 

@@ -44,15 +44,23 @@ waits with its rows and joins once the stack has room at its iteration,
 or has emptied (the stack then goes back to the earliest iteration a lane
 waits at).
 
+Through the dpc warmup, where its weight is 0, a lane builds the dpc term
+only at its record iterations, off the tape, for the record's value (see
+`_terms`). The divergence check sums what the iteration evaluated: every
+term at a record, else the terms on the tape (and the flow step's
+co-adjustment loss). So a run that diverges only through its warmup dpc
+value is caught where that value is next evaluated, at its next record or
+from `dpc_active_after` on, and not on the step after it diverged.
+
 Depth-only configs equal but for w_d form a group, whose runs are one run
 up to `dpc_active_after`, the end of the dpc warmup, bit for bit: the dpc
 weight is 0 there and the rate is the same whatever w_d is, and the dpc
-value, still evaluated for the records and the divergence check, is not on
-the tape of the step. So the group's lead, its first config with the dpc
-term on (its first if none has it), descends through the warmup as one
-lane, and there each other config forks from it (`_Lane.fork`) and joins
-the stack with a copy of its theta and depth and of the records so far
-(without their dpc value when its w_d is 0).
+value, evaluated at the records alone, is not on the tape of the step. So
+the group's lead, its first config with the dpc term on (its first if none
+has it), descends through the warmup as one lane, and there each other
+config forks from it (`_Lane.fork`) and joins the stack with a copy of its
+theta and depth and of the records so far (without their dpc value when
+its w_d is 0).
 
 A lane leaves the stack when its run ends: after its last iteration with
 its trace, or with the error that ends it; the lane records, checks and
@@ -72,7 +80,8 @@ as here, so `grad-check` certifies the nodes of this objective. The work
 of a step that does not depend on the log-depth theta is done once per
 scene, in the plan its stacks share, each part on the first read of a
 lane that needs it. The plan of a co-adjusted lane's updated flow shares
-those parts and builds anew only what depends on the flow: the
+those parts, and the DPC validity of the flow mask, which the flow step
+keeps, and builds anew only what depends on the flow values: the
 triangulated depth and its validity, and the divergence of the
 translational flow.
 
@@ -382,7 +391,13 @@ class _Lane:
         decoded depth `depth` of the updated field not finite, the
         co-adjusted flow past float32 (the flow file). A finite depth that
         is not strictly positive (theta underflowed) raises
-        InvalidDepthError."""
+        InvalidDepthError.
+
+        The sum is over `loss_values`, what the iteration evaluated: every
+        term at a record, else the terms on the tape and the flow step's
+        co-adjustment loss. Through the dpc warmup the dpc value is
+        evaluated at the records alone, so a run that diverges only through
+        it aborts at its next record or from `dpc_active_after` on."""
         total = sum(loss_values.values())
         # a decoded depth is NaN, +inf or >= 0, and NaN fails both tests
         if not (-np.inf < total <= DIVERGENCE_THRESHOLD and self.storable
@@ -415,8 +430,10 @@ def _terms(lanes, depth, d=None, iteration=None):
     2-D form has them. The terms are built one at a time, in `TERMS` order,
     each over the lanes that have it and have not failed, in two nodes at
     most: the lanes whose weight for the term is positive at `iteration`
-    read the leaf `d`, the whole stack or `ad.lanes` of it; the others, all
-    of them when `d` is None, read the plain depth, off the tape. A node
+    read the leaf `d`, the whole stack or `ad.lanes` of it; the others read
+    the plain depth, off the tape, all of them when `d` is None (the final
+    record), else only the lanes that record at `iteration`. So through the
+    dpc warmup a lane builds its dpc term only at its records. A node
     comes from the term's builder in `grad._TERMS`, the one
     `grad.build_loss` checks, called as there, `build(plan, depth)`, on the
     plan every lane of the stack holds. A lane whose valid set of a term is
@@ -431,12 +448,17 @@ def _terms(lanes, depth, d=None, iteration=None):
     parts, values, errors = [], [{} for _ in everyone], {}
     plan = lanes[0].plan
     weights = None if d is None else [lane.weights(iteration) for lane in lanes]
+    recording = [d is None or iteration % lane.config.record_every == 0 for lane in lanes]
     for name in TERMS:
         build = _TERMS[name][0]
         on_tape, off_tape = [], []
         for i, lane in enumerate(lanes):
-            if name in lane.terms and i not in errors:
-                (on_tape if weights and weights[i][name] > 0 else off_tape).append(i)
+            if name not in lane.terms or i in errors:
+                continue
+            if weights and weights[i][name] > 0:
+                on_tape.append(i)
+            elif recording[i]:
+                off_tape.append(i)
         for rows, stack in ((on_tape, d), (off_tape, depth)):
             while rows:
                 # every lane (a slice, no copy), one lane (its grid) or several

@@ -204,9 +204,12 @@ def _analytic_divergence_r_identity(camera, warp_t, depth, depth_grad, u, v):
 def synthesize(spec: SceneSpec, camera: CameraIntrinsics, ego_motion: RigidMotion,
                height: int, width: int) -> SceneBundle:
     """Build the full ground-truth bundle for a scene specification. A size
-    that is not an integer (a bool, a float) raises DimensionError; values
-    that overflow the rendering at this size raise InvalidSceneError."""
-    _require_size(height, width)
+    that is not an integer (a bool, a float) raises DimensionError; a
+    negative size, or values that overflow the rendering at this size, raise
+    InvalidSceneError."""
+    _require_size(height, width, allow_negative=True)
+    if height < 0 or width < 0:
+        raise InvalidSceneError(f"scene does not render at {width}x{height}: a size is negative")
     try:
         with np.errstate(all="ignore"):  # overflow shows as a non-finite field
             return _render(spec, camera, ego_motion, height, width)

@@ -415,6 +415,15 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match=names):
             call()
 
+    @pytest.mark.parametrize("make", [pixel_grid, lambda h, w: rotational_flow(K, np.eye(3), h, w)],
+                             ids=["pixel_grid", "rotational_flow"])
+    @pytest.mark.parametrize("size, name", [((-1, 3), "height"), ((3, -2), "width"),
+                                            ((np.int64(-4), 0), "height")])
+    def test_negative_size_names_its_argument(self, make, size, name):
+        with pytest.raises(DimensionError, match=f"^{name} must be non-negative, got -"):
+            make(*size)
+        make(0, 3)  # an empty grid is a grid
+
 
 class TestTypes:
     def test_depth_rejects_nonpositive_valid_pixels(self):

@@ -534,6 +534,13 @@ class TestLossPlan:
             assert_bits_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
         assert not other.geo[1][4, 5] and geo[1][4, 5]
+        # the DPC validity depends on the mask alone: a plan handed the same
+        # mask object shares the array, one of another mask holds its own
+        same = plan.with_flow(values[..., 0], values[..., 1], plan.flow_mask)
+        assert same.div[1] is same.dpc_validity is plan.dpc_validity is div[1]
+        assert other.div[1] is other.dpc_validity is not plan.dpc_validity
+        np.testing.assert_array_equal(other.dpc_validity, fresh.dpc_validity)
+        assert not np.array_equal(other.dpc_validity, plan.dpc_validity)
 
     def test_dpc_ignores_masked_out_flow(self, perturbed_inputs):
         # C^F at a pixel reads the flow of its four neighbours: one masked

@@ -333,6 +333,12 @@ def objective_of(bundle, config):
     return optim._Lane(config, optim._plan(bundle))
 
 
+def abort_iteration(error):
+    """The iteration an AbortedRunError's message names."""
+    assert isinstance(error, AbortedRunError)
+    return int(str(error).split()[4])
+
+
 def assert_same_outcome(shared, alone):
     if isinstance(alone, Exception):
         assert f"{type(shared).__name__}: {shared}" == f"{type(alone).__name__}: {alone}"
@@ -423,15 +429,32 @@ class TestSharedWarmup:
 
     def test_member_diverging_on_its_dpc_value_leaves_the_group(self, small_static):
         # steps of +-14.5 in log-depth: the dpc values of the first step
-        # pass the divergence threshold, the cgdc value alone does not
+        # pass the divergence threshold, the cgdc value alone does not; a
+        # record at every iteration evaluates the dpc value through the warmup
         configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
-                               step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
+                               step_clip=14.5, record_every=1, seed=0) for wd in (0.0, 0.1, 0.2)]
         rows = self.check(small_static, configs)
         assert rows[0]["error"] == ""
         warmup = objective_of(small_static, configs[1]).dpc_active_after
         for row in rows[1:]:
             assert row["error"].startswith("AbortedRunError: run diverged at iteration ")
             assert int(row["error"].split()[5]) < warmup
+
+    def test_a_warmup_dpc_value_is_checked_where_it_is_evaluated(self, small_static):
+        # the configs above at the default record_every (50): through the
+        # warmup the dpc value is evaluated at the record at 0 alone, so the
+        # w_d > 0 runs pass iteration 1 and abort on the steps after the
+        # dpc term joins at 18, stacked as alone
+        configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
+                               step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
+        rows = self.check(small_static, configs)
+        assert rows[0]["error"] == ""
+        assert objective_of(small_static, configs[1]).dpc_active_after == 18
+        for shared, config in zip(optim._descend(small_static, configs)[1:], configs[1:]):
+            alone = run_alone(small_static, config)
+            assert abort_iteration(shared) == abort_iteration(alone) == 19
+            assert_same_outcome(shared.trace, alone.trace)
+            assert [r.iteration for r in shared.trace.records] == [0]
 
     def test_one_plan_when_the_lead_fails_in_its_warmup(self, small_static, monkeypatch):
         # the w_d = 0.1 lead diverges in the warmup; its forks start again
@@ -440,19 +463,23 @@ class TestSharedWarmup:
         real_plan = optim._plan
         monkeypatch.setattr(optim, "_plan", lambda b: plans.append(1) or real_plan(b))
         configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
-                               step_clip=14.5, seed=0) for wd in (0.0, 0.1, 0.2)]
+                               step_clip=14.5, record_every=1, seed=0) for wd in (0.0, 0.1, 0.2)]
         outcomes = optim._descend(small_static, configs)
         assert len(plans) == 1
         assert isinstance(outcomes[0], optim.RunTrace)
         assert all(isinstance(o, AbortedRunError) for o in outcomes[1:])
+        # the lead ends before its fork, so it hands its forks back
+        assert abort_iteration(outcomes[1]) < objective_of(small_static,
+                                                           configs[1]).dpc_active_after
 
     def test_each_config_takes_an_error_of_its_own(self, small_static):
         # the lead (w_d = 0.1) diverges in the warmup, and the w_d = 0.2
         # config, doing the same work, takes an error made for it
         configs = [OptimConfig(w_c=1.0, w_d=wd, iterations=40, learning_rate=1e9,
-                               step_clip=14.5, seed=0) for wd in (0.1, 0.2)]
+                               step_clip=14.5, record_every=1, seed=0) for wd in (0.1, 0.2)]
         lead, other = optim._descend(small_static, configs)
         assert isinstance(other, AbortedRunError) and other is not lead
+        assert abort_iteration(lead) < objective_of(small_static, configs[0]).dpc_active_after
         assert lead.trace.config == configs[0]
         assert other.trace.config == configs[1]
         assert other.trace.records is not lead.trace.records
@@ -975,10 +1002,11 @@ class TestPlan:
         # the second lane's depth is 1e-4 of the truth: its warp leaves the
         # image and its |C^D| stays under the floor, so the dpc and
         # photometric nodes are rebuilt without it; the third lane has no
-        # cgdc term, and the last is still in its dpc warmup, so its dpc
-        # node is off the tape, beside the on-tape one of the first and third
+        # cgdc term, and the last is still in its dpc warmup, so at this
+        # record iteration its dpc node is off the tape, beside the on-tape
+        # one of the first and third
         weights = [(1.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.0, 0.0, 0.1), (1.0, 1.0, 0.1)]
-        configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, seed=0,
+        configs = [OptimConfig(w_p=wp, w_c=wc, w_d=wd, iterations=10, record_every=4, seed=0,
                                dpc_warmup_fraction=0.9 if i == 3 else 0.45)
                    for i, (wp, wc, wd) in enumerate(weights)]
         plan = optim._plan(small_static)
@@ -988,6 +1016,7 @@ class TestPlan:
         depth = optim._decode_values(theta)
         it = objectives[0].dpc_active_after
         assert objectives[3].weights(it)["dpc"] == 0.0 < objectives[0].weights(it)["dpc"]
+        assert it % configs[3].record_every == 0
         stepped, values, errors = optim._depth_step(objectives, theta, depth, it)
         assert errors == {} and list(values[1]) == ["cgdc"]
         assert list(values[2]) == ["dpc", "photometric"]
@@ -1091,6 +1120,56 @@ class TestPlan:
         with pytest.raises(InvalidDepthError, match="strictly positive"):
             co_adjust(small_static, OptimConfig(w_c=1.0, w_b=1.0, iterations=10))
         assert steps == []
+
+
+class TestWarmupWork:
+    """The flow-side work a run does, counted per run: through the dpc
+    warmup a lane builds its dpc term only at its records, and the plans of
+    a co-adjusted run's flow share one DPC validity. The counts follow from
+    the iterations, `record_every` and `dpc_warmup_fraction`, whatever the
+    grid size."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        # the README scene with a rotating ego-motion at 16x12, CLI camera
+        ego = RigidMotion(rotation_from_axis_angle([0.011, -0.017, 0.013]), README_T)
+        return synthesize(README_SPEC, CameraIntrinsics(100.0, 100.0, 8.0, 6.0), ego, 12, 16)
+
+    @staticmethod
+    def calls(monkeypatch, names):
+        """{name: calls of `grad.<name>` from now on}."""
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, real=getattr(grad, name), name=name, **kw):
+                counts[name] += 1
+                return real(*args, **kw)
+
+            monkeypatch.setattr(grad, name, counted)
+        return counts
+
+    def test_recover(self, bundle, monkeypatch):
+        counts = self.calls(monkeypatch, ["differential_depth_side"])
+        config = OptimConfig(w_p=1.0, w_c=0.5, w_d=0.1, iterations=300, seed=1)
+        assert len(recover_depth(bundle, config).records) == 7
+        # dpc forwards: the records at 0, 50 and 100 of the warmup [0, 135),
+        # the 165 steps after it and the final record; 301 when every
+        # warmup step built the dpc term
+        assert counts == {"differential_depth_side": 3 + 165 + 1}
+
+    def test_co_adjust(self, bundle, monkeypatch):
+        counts = self.calls(monkeypatch, ["differential_depth_side", "differential_flow_side",
+                                          "stencil_validity"])
+        config = OptimConfig(w_p=0.0, w_c=1.0, w_d=0.1, w_b=1.0, iterations=400, seed=1)
+        assert len(co_adjust(bundle, config).records) == 9
+        # dpc forwards: the records at 0, 50, 100 and 150 of the warmup
+        # [0, 180), the 220 steps after it and the final record (401 when
+        # every warmup step built it). Flow divergences: the scene flow's,
+        # then from the flow phase on (60) the updated flow's at the records
+        # at 100 and 150 and on the 220 steps (341 when every flow step's
+        # plan built it). Validity masks: one, shared by every flow's plan
+        # (341 when each plan built its own)
+        assert counts == {"differential_depth_side": 4 + 220 + 1,
+                          "differential_flow_side": 1 + 2 + 220, "stencil_validity": 1}
 
 
 class TestEmptyBscaValidSet:
